@@ -16,41 +16,64 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"hybridship/internal/experiments"
 )
 
-var figures = map[string]struct {
-	desc string
-	run  func(experiments.Config) (*experiments.Figure, error)
-}{
-	"fig2":  {"pages sent, 2-way join, vary caching", experiments.Config.Fig2},
-	"fig3":  {"response time, 2-way join, vary caching, min alloc", experiments.Config.Fig3},
-	"fig4":  {"response time, DS, vary server load and caching", experiments.Config.Fig4},
-	"fig5":  {"response time, 2-way join, vary caching, max alloc", experiments.Config.Fig5},
-	"fig6":  {"pages sent, 10-way join, vary servers", experiments.Config.Fig6},
-	"fig7":  {"pages sent, 10-way join, vary servers, 5 relations cached", experiments.Config.Fig7},
-	"fig8":  {"response time, 10-way join, vary servers, min alloc", experiments.Config.Fig8},
-	"fig10": {"relative response time, static vs 2-step, deep vs bushy", experiments.Config.Fig10},
-	"fig11": {"same as fig10 for the HiSel query", experiments.Config.Fig11},
-	// Extensions beyond the paper's figures.
-	"crossover":  {"extension: DS/QS crossover vs join result size", experiments.Config.ExtCrossover},
-	"star":       {"extension: figure 8 for star joins", experiments.Config.ExtStar},
-	"aggregate":  {"extension: grouped aggregation vs policy traffic", experiments.Config.ExtAggregate},
-	"multiquery": {"extension: real concurrency vs the load approximation", experiments.Config.ExtMultiQuery},
+// experiment is one entry of csq's registry: a name on the command line, a
+// one-line description for `csq list`, and a runner that prints the
+// experiment's tables to stdout (runCmd appends the wall-clock line).
+type experiment struct {
+	name     string
+	desc     string
+	ablation bool // listed after the figures and extensions, under "ablation:"
+	run      func(cfg experiments.Config, verbose bool) error
 }
 
-var ablations = map[string]struct {
-	desc string
-	run  func(experiments.Config) ([]experiments.AblationResult, error)
-}{
-	"lookahead":     {"pipeline lookahead depth (1/4/16 pages)", experiments.Config.AblationLookahead},
-	"writecache":    {"disk write-back cache vs write-through", experiments.Config.AblationWriteCache},
-	"elevator":      {"SCAN vs FIFO disk scheduling under load", experiments.Config.AblationElevator},
-	"commutativity": {"optimizer join-commutativity move on/off", experiments.Config.AblationCommutativity},
+// registry holds every experiment csq can run, in `csq list` order: figures,
+// extensions and grids sorted by name, then the ablations sorted by name.
+var registry = []experiment{
+	{name: "aggregate", desc: "extension: grouped aggregation vs policy traffic", run: figure(experiments.Config.ExtAggregate)},
+	{name: "chaos", desc: "fault injection: response time and goodput vs site MTBF", run: runChaos},
+	{name: "coherence", desc: "cache coherence: clients x write fraction x lease x MTBF, oracle-checked", run: runCoherence},
+	{name: "crossover", desc: "extension: DS/QS crossover vs join result size", run: figure(experiments.Config.ExtCrossover)},
+	{name: "failover", desc: "replication: availability and goodput vs site MTBF, RF 1-3", run: runFailover},
+	{name: "fig10", desc: "relative response time, static vs 2-step, deep vs bushy", run: figure(experiments.Config.Fig10)},
+	{name: "fig11", desc: "same as fig10 for the HiSel query", run: figure(experiments.Config.Fig11)},
+	{name: "fig2", desc: "pages sent, 2-way join, vary caching", run: figure(experiments.Config.Fig2)},
+	{name: "fig3", desc: "response time, 2-way join, vary caching, min alloc", run: figure(experiments.Config.Fig3)},
+	{name: "fig4", desc: "response time, DS, vary server load and caching", run: figure(experiments.Config.Fig4)},
+	{name: "fig5", desc: "response time, 2-way join, vary caching, max alloc", run: figure(experiments.Config.Fig5)},
+	{name: "fig6", desc: "pages sent, 10-way join, vary servers", run: figure(experiments.Config.Fig6)},
+	{name: "fig7", desc: "pages sent, 10-way join, vary servers, 5 relations cached", run: figure(experiments.Config.Fig7)},
+	{name: "fig8", desc: "response time, 10-way join, vary servers, min alloc", run: figure(experiments.Config.Fig8)},
+	{name: "fig9", desc: "communication of static vs 2-step plans after data migration", run: runFig9},
+	{name: "multiquery", desc: "extension: real concurrency vs the load approximation", run: figure(experiments.Config.ExtMultiQuery)},
+	{name: "overload", desc: "serving layer: goodput and tail latency vs offered load, on/off", run: runOverload},
+	{name: "shardscale", desc: "parallel kernel: one fleet run on 1/2/4/8 shards, equality-checked", run: runShardScale},
+	{name: "star", desc: "extension: figure 8 for star joins", run: figure(experiments.Config.ExtStar)},
+	ablation("commutativity", "optimizer join-commutativity move on/off", experiments.Config.AblationCommutativity),
+	ablation("elevator", "SCAN vs FIFO disk scheduling under load", experiments.Config.AblationElevator),
+	ablation("lookahead", "pipeline lookahead depth (1/4/16 pages)", experiments.Config.AblationLookahead),
+	ablation("writecache", "disk write-back cache vs write-through", experiments.Config.AblationWriteCache),
+}
+
+// allFigures is what `csq run all` expands to. The chaos, failover,
+// coherence, overload and shardscale grids are not part of it: the committed
+// figure record (results_full.txt's default section) stays exactly the
+// paper's fault-free reproduction. Run them explicitly by name.
+var allFigures = []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"}
+
+// lookup finds an experiment by case-insensitive name.
+func lookup(name string) (experiment, bool) {
+	for _, e := range registry {
+		if strings.EqualFold(e.name, name) {
+			return e, true
+		}
+	}
+	return experiment{}, false
 }
 
 func main() {
@@ -72,43 +95,16 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   csq list
-  csq run [-reps N] [-seed S] [-quick] [-v] <fig2|fig3|...|fig9|fig10|fig11|chaos|failover|coherence|overload|shardscale|vecscale|all>...`)
+  csq run [-reps N] [-seed S] [-quick] [-v] <fig2|fig3|...|fig9|fig10|fig11|chaos|failover|coherence|overload|shardscale|all>...`)
 }
 
 func list() {
-	var names []string
-	for n := range figures {
-		names = append(names, n)
-	}
-	names = append(names, "fig9", "chaos", "failover", "coherence", "overload", "shardscale", "vecscale")
-	sort.Strings(names)
-	for _, n := range names {
-		switch n {
-		case "fig9":
-			fmt.Printf("  %-14s %s\n", n, "communication of static vs 2-step plans after data migration")
-		case "chaos":
-			fmt.Printf("  %-14s %s\n", n, "fault injection: response time and goodput vs site MTBF")
-		case "failover":
-			fmt.Printf("  %-14s %s\n", n, "replication: availability and goodput vs site MTBF, RF 1-3")
-		case "coherence":
-			fmt.Printf("  %-14s %s\n", n, "cache coherence: clients x write fraction x lease x MTBF, oracle-checked")
-		case "overload":
-			fmt.Printf("  %-14s %s\n", n, "serving layer: goodput and tail latency vs offered load, on/off")
-		case "shardscale":
-			fmt.Printf("  %-14s %s\n", n, "parallel kernel: one fleet run on 1/2/4/8 shards, equality-checked")
-		case "vecscale":
-			fmt.Printf("  %-14s %s\n", n, "vectorized engine: batch-at-a-time vs page-at-a-time, equality-checked")
-		default:
-			fmt.Printf("  %-14s %s\n", n, figures[n].desc)
+	for _, e := range registry {
+		if e.ablation {
+			fmt.Printf("  %-14s ablation: %s\n", e.name, e.desc)
+		} else {
+			fmt.Printf("  %-14s %s\n", e.name, e.desc)
 		}
-	}
-	var abl []string
-	for n := range ablations {
-		abl = append(abl, n)
-	}
-	sort.Strings(abl)
-	for _, n := range abl {
-		fmt.Printf("  %-14s ablation: %s\n", n, ablations[n].desc)
 	}
 }
 
@@ -126,111 +122,83 @@ func runCmd(args []string) {
 		os.Exit(2)
 	}
 	if len(targets) == 1 && targets[0] == "all" {
-		// The chaos, failover, coherence, overload, shardscale, and vecscale
-		// grids are not part of "all": the committed figure record
-		// (results_full.txt's default section) stays exactly the paper's
-		// fault-free reproduction. Run them explicitly with `csq run chaos` /
-		// `csq run failover` / `csq run coherence` / `csq run overload` /
-		// `csq run shardscale` / `csq run vecscale`.
-		targets = []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"}
+		targets = allFigures
 	}
 	cfg := experiments.Config{Reps: *reps, Seed: *seed, Quick: *quick}
 
 	for _, name := range targets {
-		start := time.Now()
-		if strings.EqualFold(name, "fig9") {
-			res, err := cfg.Fig9()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fig9: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("Figure 9: communication after data migration (pages sent)\n")
-			fmt.Printf("  static plan   %5d  (%.2fx of ideal)\n", res.StaticPages, float64(res.StaticPages)/float64(res.IdealPages))
-			fmt.Printf("  2-step plan   %5d  (%.2fx of ideal)\n", res.TwoStepPages, float64(res.TwoStepPages)/float64(res.IdealPages))
-			fmt.Printf("  ideal plan    %5d\n", res.IdealPages)
-			fmt.Printf("  [%s]\n\n", time.Since(start).Round(time.Millisecond))
-			continue
-		}
-		if strings.EqualFold(name, "chaos") {
-			figs, err := cfg.Chaos()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-				os.Exit(1)
-			}
-			for _, fig := range figs {
-				fmt.Println(fig)
-			}
-			fmt.Printf("  [%s]\n\n", time.Since(start).Round(time.Millisecond))
-			continue
-		}
-		if strings.EqualFold(name, "failover") {
-			if err := runFailover(cfg, *verbose, start); err != nil {
-				fmt.Fprintf(os.Stderr, "failover: %v\n", err)
-				os.Exit(1)
-			}
-			continue
-		}
-		if strings.EqualFold(name, "coherence") {
-			if err := runCoherence(cfg, *verbose, start); err != nil {
-				fmt.Fprintf(os.Stderr, "coherence: %v\n", err)
-				os.Exit(1)
-			}
-			continue
-		}
-		if strings.EqualFold(name, "overload") {
-			if err := runOverload(cfg, *verbose, start); err != nil {
-				fmt.Fprintf(os.Stderr, "overload: %v\n", err)
-				os.Exit(1)
-			}
-			continue
-		}
-		if strings.EqualFold(name, "shardscale") {
-			if err := runShardScale(cfg, *verbose, start); err != nil {
-				fmt.Fprintf(os.Stderr, "shardscale: %v\n", err)
-				os.Exit(1)
-			}
-			continue
-		}
-		if strings.EqualFold(name, "vecscale") {
-			if err := runVecScale(cfg, start); err != nil {
-				fmt.Fprintf(os.Stderr, "vecscale: %v\n", err)
-				os.Exit(1)
-			}
-			continue
-		}
-		if a, ok := ablations[strings.ToLower(name)]; ok {
-			rows, err := a.run(cfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-				os.Exit(1)
-			}
-			fmt.Printf("Ablation %s: %s\n", name, a.desc)
-			for _, r := range rows {
-				fmt.Printf("  %-24s %8.2fs\n", r.Setting, r.ResponseTime)
-			}
-			fmt.Printf("  [%s]\n\n", time.Since(start).Round(time.Millisecond))
-			continue
-		}
-		f, ok := figures[strings.ToLower(name)]
+		e, ok := lookup(name)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (try: csq list)\n", name)
 			os.Exit(2)
 		}
-		fig, err := f.run(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		start := time.Now()
+		if err := e.run(cfg, *verbose); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		fmt.Println(fig)
 		fmt.Printf("  [%s]\n\n", time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// figure adapts a single-figure experiment to the registry.
+func figure(run func(experiments.Config) (*experiments.Figure, error)) func(experiments.Config, bool) error {
+	return func(cfg experiments.Config, _ bool) error {
+		fig, err := run(cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Println(fig)
+		return nil
+	}
+}
+
+// ablation builds the registry entry of an ablation: one response time per
+// setting.
+func ablation(name, desc string, run func(experiments.Config) ([]experiments.AblationResult, error)) experiment {
+	return experiment{name: name, desc: desc, ablation: true, run: func(cfg experiments.Config, _ bool) error {
+		rows, err := run(cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("Ablation %s: %s\n", name, desc)
+		for _, r := range rows {
+			fmt.Printf("  %-24s %8.2fs\n", r.Setting, r.ResponseTime)
+		}
+		return nil
+	}}
+}
+
+// runFig9 prints Figure 9's three page counts against the ideal plan.
+func runFig9(cfg experiments.Config, _ bool) error {
+	res, err := cfg.Fig9()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("Figure 9: communication after data migration (pages sent)\n")
+	fmt.Printf("  static plan   %5d  (%.2fx of ideal)\n", res.StaticPages, float64(res.StaticPages)/float64(res.IdealPages))
+	fmt.Printf("  2-step plan   %5d  (%.2fx of ideal)\n", res.TwoStepPages, float64(res.TwoStepPages)/float64(res.IdealPages))
+	fmt.Printf("  ideal plan    %5d\n", res.IdealPages)
+	return nil
+}
+
+// runChaos prints the fault-injection grid's figures.
+func runChaos(cfg experiments.Config, _ bool) error {
+	figs, err := cfg.Chaos()
+	if err != nil {
+		return err
+	}
+	for _, fig := range figs {
+		fmt.Println(fig)
+	}
+	return nil
 }
 
 // runFailover prints the replication grid: the availability and goodput
 // figures, and — with -v — the per-cell failure-handling counters: retries,
 // replica failovers (the retry loop re-bound to a surviving copy), and
 // backoff skips (a wait avoided because another copy was already up).
-func runFailover(cfg experiments.Config, verbose bool, start time.Time) error {
+func runFailover(cfg experiments.Config, verbose bool) error {
 	rep, err := cfg.Failover()
 	if err != nil {
 		return err
@@ -245,7 +213,6 @@ func runFailover(cfg experiments.Config, verbose bool, start time.Time) error {
 				cl.MTBF, cl.Policy, cl.RF, cl.Retries, cl.ReplicaFailovers, cl.BackoffSkips)
 		}
 	}
-	fmt.Printf("  [%s]\n\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -253,7 +220,7 @@ func runFailover(cfg experiments.Config, verbose bool, start time.Time) error {
 // invalidation counters with the staleness oracle's verdict (stale must read
 // 0 everywhere; the driver has already asserted it), and — with -v — the
 // per-client-stream attribution separating callback traffic from queries.
-func runCoherence(cfg experiments.Config, verbose bool, start time.Time) error {
+func runCoherence(cfg experiments.Config, verbose bool) error {
 	rep, err := cfg.Coherence()
 	if err != nil {
 		return err
@@ -275,14 +242,13 @@ func runCoherence(cfg experiments.Config, verbose bool, start time.Time) error {
 			}
 		}
 	}
-	fmt.Printf("  [%s]\n\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
 // runOverload prints the serving-layer grid: the goodput and tail-latency
 // figures, the aggregated shed/expire/degrade counters per cell, and — with
 // -v — the degradation-level transitions of each cell's first repetition.
-func runOverload(cfg experiments.Config, verbose bool, start time.Time) error {
+func runOverload(cfg experiments.Config, verbose bool) error {
 	rep, err := cfg.Overload()
 	if err != nil {
 		return err
@@ -305,50 +271,14 @@ func runOverload(cfg experiments.Config, verbose bool, start time.Time) error {
 			}
 		}
 	}
-	fmt.Printf("  [%s]\n\n", time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// runVecScale prints the vectorized-engine ablation: per-cell wall clocks of
-// the page-at-a-time and batch-at-a-time engines (every cell's Result has
-// already been asserted DeepEqual between the two before this prints) and
-// the grid-total speedups. The virtual columns (resp, pages) are exact; the
-// wall columns are host-dependent illustrations — the committed record is
-// BENCH_exec.json.
-func runVecScale(cfg experiments.Config, start time.Time) error {
-	rep, err := cfg.VecScale()
-	if err != nil {
-		return err
-	}
-	fmt.Println("Vecscale: vectorized vs page-at-a-time engine, per-cell results equality-checked")
-	fmt.Println("  nway tuples batch pol   resp(s)  pages   max: legacy/vec ms (x)   min: legacy/vec ms (x)")
-	for _, cl := range rep.Cells {
-		fmt.Printf("  %4d %6d %5d %-3s %9.2f %6d   %9.1f/%7.1f (%4.2f)   %9.1f/%7.1f (%4.2f)\n",
-			cl.Nway, cl.Tuples, cl.BatchPages, cl.Policy, cl.ResponseTime, cl.PagesSent,
-			1e3*cl.MaxWallLegacy, 1e3*cl.MaxWallVec, ratio(cl.MaxWallLegacy, cl.MaxWallVec),
-			1e3*cl.MinWallLegacy, 1e3*cl.MinWallVec, ratio(cl.MinWallLegacy, cl.MinWallVec))
-	}
-	fmt.Printf("  grid total, max alloc: %7.1f ms legacy / %7.1f ms vec  (%.2fx)\n",
-		1e3*rep.MaxLegacyTotal, 1e3*rep.MaxVecTotal, ratio(rep.MaxLegacyTotal, rep.MaxVecTotal))
-	fmt.Printf("  grid total, min alloc: %7.1f ms legacy / %7.1f ms vec  (%.2fx)\n",
-		1e3*rep.MinLegacyTotal, 1e3*rep.MinVecTotal, ratio(rep.MinLegacyTotal, rep.MinVecTotal))
-	fmt.Printf("  [%s]\n\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// ratio guards the speedup columns against a zero denominator.
-func ratio(a, b float64) float64 {
-	if b <= 0 {
-		return 0
-	}
-	return a / b
 }
 
 // runShardScale prints the parallel-kernel grid: the fleet summary, the
 // per-shard-count scaling cells (every cell's observable state has already
 // been asserted DeepEqual to the shards=1 reference before this prints), and
 // — with -v — the fleet monitor's checkpoint log.
-func runShardScale(cfg experiments.Config, verbose bool, start time.Time) error {
+func runShardScale(cfg experiments.Config, verbose bool) error {
 	rep, err := cfg.ShardScale()
 	if err != nil {
 		return err
@@ -368,6 +298,5 @@ func runShardScale(cfg experiments.Config, verbose bool, start time.Time) error 
 			fmt.Printf("      t=%8.3fs  completed=%d\n", cp.At, cp.Completed)
 		}
 	}
-	fmt.Printf("  [%s]\n\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }

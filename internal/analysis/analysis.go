@@ -69,19 +69,25 @@ type Config struct {
 	// wall-clock calls are legitimate: interactive entry points may time
 	// themselves.
 	TimingExemptPrefixes []string
-	// VecPkg is the package holding the vectorized (batch-at-a-time)
-	// execution engine. Functions declared in its VecFilePrefix source files
-	// are the roots of simhot's per-tuple-allocation walk; empty disables
-	// the rule.
-	VecPkg string
-	// VecFilePrefix selects VecPkg files by basename prefix (e.g. "v" for
-	// vec.go, vops.go, vjoin.go, vhash.go) whose top-level functions seed
-	// the vectorized hot-path reachability walk.
-	VecFilePrefix string
-	// VecTupleType names the per-row type (in VecPkg) whose construction is
-	// banned on the vectorized hot path.
-	VecTupleType string
-	// ChargeAccType names the charge-accumulator type declared in VecPkg
+	// ExecPkg is the package holding the execution engine. Functions
+	// declared in its OpFiles are the roots of simhot's per-row-allocation
+	// walk; empty disables the rule.
+	ExecPkg string
+	// OpFiles names ExecPkg's operator source files by basename (e.g.
+	// "ops.go", "join.go"); their top-level functions seed the engine's
+	// hot-path reachability walk.
+	OpFiles []string
+	// RowType names a per-row type (in ExecPkg) whose construction is
+	// banned on the engine's hot path, where rows live in columnar batches.
+	RowType string
+	// SharedStateFuncs names, by types.Func.FullName ("(*path/pkg.T).M" for
+	// a method), functions that mutate state other simulated processes
+	// observe without a kernel event (e.g. a site's shared temp-region
+	// allocator). Chargeflow treats them as kernel-visible: coalesced
+	// charges must land before them, or the mutation happens at an earlier
+	// virtual time than the charges imply.
+	SharedStateFuncs []string
+	// ChargeAccType names the charge-accumulator type declared in ExecPkg
 	// whose flush-before-kernel-visible-operation contract chargeflow
 	// enforces; empty disables the pass.
 	ChargeAccType string
@@ -99,10 +105,13 @@ func DefaultConfig(modulePath string) *Config {
 	c := &Config{
 		SeedMixPkg:    modulePath + "/internal/seedmix",
 		SimPkg:        modulePath + "/internal/sim",
-		VecPkg:        modulePath + "/internal/exec",
-		VecFilePrefix: "v",
-		VecTupleType:  "Tuple",
+		ExecPkg:       modulePath + "/internal/exec",
+		OpFiles:       []string{"batch.go", "hash.go", "join.go", "ops.go"},
+		RowType:       "Tuple",
 		ChargeAccType: "chargeAcc",
+		SharedStateFuncs: []string{
+			"(*" + modulePath + "/internal/exec.site).allocTemp",
+		},
 		InterruptArmedPkgs: []string{
 			modulePath + "/internal/exec",
 			modulePath + "/internal/faults",

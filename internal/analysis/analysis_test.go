@@ -215,8 +215,8 @@ func Launch(s *sim.Simulator, i int) {
 func suffix(i int) string { return "x" }
 `,
 
-	// vexec is the configured vectorized-engine package: functions declared
-	// in its "v"-prefixed files are hot-path roots, and per-row Tuple
+	// vexec is the configured engine package: functions declared in its
+	// operator file (vec.go) are hot-path roots, and per-row Tuple
 	// allocation is banned in everything they reach — including helpers in
 	// other files of the package.
 	"vexec/vec.go": `package vexec
@@ -308,9 +308,9 @@ func testConfig() *analysis.Config {
 		SeedMixPkg:           "fixture/seedmix",
 		SimPkg:               "fixture/sim",
 		TimingExemptPrefixes: []string{"fixture/cmd/"},
-		VecPkg:               "fixture/vexec",
-		VecFilePrefix:        "v",
-		VecTupleType:         "Tuple",
+		ExecPkg:              "fixture/vexec",
+		OpFiles:              []string{"vec.go"},
+		RowType:              "Tuple",
 	}
 }
 
@@ -409,7 +409,7 @@ func TestDiagnosticFormat(t *testing.T) {
 		{"simhot", "hot/hot.go", "use SpawnLazy"},
 		{"simhot", "hot/hot.go", "use SpawnDaemonLazy"},
 		{"simhot", "vexec/vec.go", "columnar batch"},
-		{"simhot", "vexec/legacy.go", "vectorized hot path"},
+		{"simhot", "vexec/legacy.go", "engine hot path"},
 		{"seedflow", "seedstuff/seed.go", "use seedmix.Derive"},
 		{"nodeterm", "det/det.go", "//hslint:ordered"},
 		{"floatsum", "fsum/fsum.go", "slot-indexed"},

@@ -18,7 +18,10 @@
 // *transitively*, because its implementation bottoms out in these
 // primitives; rooting the taxonomy at the bottom keeps it closed under
 // refactoring (a new disk scheduler is classified correctly the day it is
-// written, with no table update).
+// written, with no table update). Config.SharedStateFuncs adds one more
+// root class, "shared": functions that change state other processes read
+// without any kernel event (a site's temp-region allocator), so their
+// placement against the event schedule matters just as a primitive's does.
 //
 // Soundness limits, shared by every client pass: edges are static — direct
 // calls and method calls on named types, including calls made inside
@@ -36,6 +39,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -194,6 +198,9 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 // kernelOpClass reports the operation class of f if it is one of the sim
 // kernel primitives in the taxonomy, else "".
 func (g *CallGraph) kernelOpClass(f *types.Func) string {
+	if slices.Contains(g.unit.Config.SharedStateFuncs, f.FullName()) {
+		return "shared"
+	}
 	if f.Pkg() == nil || f.Pkg().Path() != g.unit.Config.SimPkg {
 		return ""
 	}
@@ -260,8 +267,8 @@ func (g *CallGraph) KernelChain(f *types.Func) []*types.Func {
 }
 
 // KernelOpClass reports the operation class ("spawn", "resource", "buffer",
-// "park") of the primitive at the end of f's shortest kernel chain, or ""
-// if f is not kernel-visible.
+// "park", "shared") of the primitive at the end of f's shortest kernel
+// chain, or "" if f is not kernel-visible.
 func (g *CallGraph) KernelOpClass(f *types.Func) string {
 	chain := g.KernelChain(f)
 	if chain == nil {
@@ -330,7 +337,7 @@ func (g *CallGraph) RefCallers(f *types.Func) []*types.Func { return g.refCaller
 
 // FuncName renders f compactly relative to the module: the package's last
 // path element, the receiver type if any, and the function name —
-// "exec.(*vscan).vnext", "sim.New".
+// "exec.(*scanIter).next", "sim.New".
 func (g *CallGraph) FuncName(f *types.Func) string { return shortFuncName(f) }
 
 func shortFuncName(f *types.Func) string {
@@ -364,7 +371,7 @@ func ChainString(chain []*types.Func) string {
 
 // Resolve matches pattern against every function in the graph: the pattern
 // matches if, after stripping "(", ")" and "*" from the fully qualified
-// name, the pattern is a substring — so "vscan.vnext", "exec.runVec" and
+// name, the pattern is a substring — so "scanIter.next", "exec.runPlan" and
 // bare "destageOne" all work. Matches are returned in source order.
 func (g *CallGraph) Resolve(pattern string) []*types.Func {
 	norm := func(s string) string {

@@ -7,16 +7,19 @@ import (
 	"strings"
 )
 
-// Chargeflow proves the charge-accumulator contract from the vectorized
-// engine (vec.go): a chargeAcc's pending parts must be flushed before every
+// Chargeflow proves the charge-accumulator contract of the execution engine
+// (batch.go): a chargeAcc's pending parts must be flushed before every
 // kernel-visible operation, or the coalesced charges land at a different
-// point in the event schedule than the page-at-a-time engine's and the
-// bit-identity guarantee breaks. This is the invariant whose violation —
-// an unflushed consumer-side accumulator at the producer-daemon spawn in
-// vnetPair.vopen — shipped in PR 7 and was only caught by one partial-page
-// cell of the vecscale grid.
+// point in the event schedule than charging them one by one would, and the
+// engine's calibration breaks. Kernel-visible means reaching a sim kernel
+// primitive or one of Config.SharedStateFuncs (state other processes read
+// without a kernel event, like a site's temp-region allocator). Both
+// violations seen so far broke this contract: an unflushed consumer-side
+// accumulator at the producer-daemon spawn in the network pair's open, and
+// a spilling join sealing a partition page — taking a temp-region chunk —
+// before its pending charges had elapsed.
 //
-// The pass runs an intraprocedural dataflow over every function in VecPkg
+// The pass runs an intraprocedural dataflow over every function in ExecPkg
 // that can see an accumulator (receiver field, parameter, or local), with a
 // two-point lattice per accumulator: definitely-flushed, or possibly-dirty.
 // flush() moves to flushed, add() to dirty, branches join pessimistically,
@@ -49,12 +52,12 @@ var Chargeflow = &Analyzer{
 
 func runChargeflow(u *Unit) {
 	cfg := u.Config
-	if cfg.VecPkg == "" || cfg.ChargeAccType == "" {
+	if cfg.ExecPkg == "" || cfg.ChargeAccType == "" {
 		return
 	}
 	var vec *Package
 	for _, pkg := range u.Packages {
-		if pkg.Path == cfg.VecPkg {
+		if pkg.Path == cfg.ExecPkg {
 			vec = pkg
 			break
 		}
@@ -190,7 +193,7 @@ type chargeflow struct {
 	reported map[token.Pos]map[string]bool // call pos → acc keys already reported
 }
 
-// findCarriers scans VecPkg's named types for structs with an accumulator
+// findCarriers scans ExecPkg's named types for structs with an accumulator
 // field and interfaces those structs implement.
 func (cf *chargeflow) findCarriers() {
 	cf.carriers = make(map[*types.Named]bool)
@@ -908,6 +911,6 @@ func (ff *funcFlow) report(pos token.Pos, key string, callee *types.Func) {
 	}
 	cf.reported[pos][key] = true
 	g := cf.g
-	ff.cf.u.Report(pos, "call to %s is kernel-visible (%s: %s) but accumulator %s may hold unflushed charges on this path; flush it first (vec.go contract: flush before every kernel-visible operation)",
+	ff.cf.u.Report(pos, "call to %s is kernel-visible (%s: %s) but accumulator %s may hold unflushed charges on this path; flush it first (batch.go contract: flush before every kernel-visible operation)",
 		shortFuncName(callee), g.KernelOpClass(callee), ChainString(g.KernelChain(callee)), key)
 }

@@ -57,7 +57,7 @@ var flowFixture = map[string]string{
 	"go.mod":     "module flowfix\n\ngo 1.22\n",
 	"sim/sim.go": flowSim,
 
-	// chargeflow: the accumulator contract in the configured VecPkg.
+	// chargeflow: the accumulator contract in the configured ExecPkg.
 	"vexec/vec.go": `package vexec
 
 import "flowfix/sim"
@@ -314,7 +314,7 @@ func flowConfig() *analysis.Config {
 		DeterministicPkgs:    []string{"flowfix/det"},
 		SimPkg:               "flowfix/sim",
 		TimingExemptPrefixes: []string{"flowfix/exempt"},
-		VecPkg:               "flowfix/vexec",
+		ExecPkg:              "flowfix/vexec",
 		ChargeAccType:        "chargeAcc",
 		InterruptArmedPkgs:   []string{"flowfix/armed"},
 	}
@@ -376,7 +376,7 @@ func TestFlowDiagnosticContent(t *testing.T) {
 // a consumer-side accumulator (n.acc, flushed by the root process in vnext)
 // that may hold charges at the producer-daemon spawn. With fixed=false the
 // flush before the spawn is missing — the shipped bug; with fixed=true it is
-// present — the current shape of exec's vops.go.
+// present — the current shape of exec's ops.go.
 func vnetFixture(fixed bool) map[string]string {
 	flush := ""
 	if fixed {
@@ -424,7 +424,7 @@ func (n *vnetPair) vnext(p *sim.Proc) int {
 func vnetConfig() *analysis.Config {
 	return &analysis.Config{
 		SimPkg:        "vnetfix/sim",
-		VecPkg:        "vnetfix/vexec",
+		ExecPkg:       "vnetfix/vexec",
 		ChargeAccType: "chargeAcc",
 	}
 }
@@ -543,5 +543,93 @@ func TestAuditWaivers(t *testing.T) {
 	// the audit still fires, and vice versa for the live waiver.
 	if n := len(analysis.Run(mod, cfg, analysis.Analyzers())); n != 0 {
 		t.Errorf("Run reported %d finding(s) on the audit fixture, want 0 (all waived)", n)
+	}
+}
+
+// spillFixture is the committed reproduction of the spill-seal bug: a
+// partition sealing a page takes a chunk from the site's shared temp region
+// (allocTemp, configured as shared state) while the accumulator handed in
+// may still hold the caller's charges. With fixed=false the flush before the
+// allocation is missing — the shipped bug, which made two joins on one
+// server swap temp extents; with fixed=true it is present.
+func spillFixture(fixed bool) map[string]string {
+	flush := ""
+	if fixed {
+		flush = "acc.flush(p)\n\t"
+	}
+	return map[string]string{
+		"go.mod":     "module spillfix\n\ngo 1.22\n",
+		"sim/sim.go": flowSim,
+		"vexec/spill.go": fmt.Sprintf(`package vexec
+
+import "spillfix/sim"
+
+type chargeAcc struct{ pending float64 }
+
+func (a *chargeAcc) add(x float64)     { a.pending += x }
+func (a *chargeAcc) flush(p *sim.Proc) { p.Hold(a.pending); a.pending = 0 }
+
+type site struct{ tempNext int }
+
+func (s *site) allocTemp(n int) int {
+	a := s.tempNext
+	s.tempNext += n
+	return a
+}
+
+type partition struct{ next, left int }
+
+func (pt *partition) complete(p *sim.Proc, s *site, acc *chargeAcc) {
+	if pt.left == 0 {
+		%spt.next = s.allocTemp(20)
+		pt.left = 20
+	}
+	pt.left--
+}
+`, flush),
+	}
+}
+
+func runSpill(t *testing.T, fixed bool) (map[string]string, []analysis.Diagnostic) {
+	t.Helper()
+	fx := spillFixture(fixed)
+	dir := writeFixture(t, fx)
+	mod, err := analysis.Load(dir, "./...")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	cfg := &analysis.Config{
+		SimPkg:           "spillfix/sim",
+		ExecPkg:          "spillfix/vexec",
+		ChargeAccType:    "chargeAcc",
+		SharedStateFuncs: []string{"(*spillfix/vexec.site).allocTemp"},
+	}
+	return fx, analysis.Run(mod, cfg, []*analysis.Analyzer{analysis.Chargeflow})
+}
+
+func TestChargeflowPreFixSpillSeal(t *testing.T) {
+	fx, diags := runSpill(t, false)
+	if len(diags) != 1 {
+		for _, d := range diags {
+			t.Logf("reported: %s", d)
+		}
+		t.Fatalf("pre-fix spill seal: got %d finding(s), want exactly 1", len(diags))
+	}
+	d := diags[0]
+	if want := srcLine(t, fx["vexec/spill.go"], "s.allocTemp(20)"); d.Pos.Line != want {
+		t.Errorf("finding at line %d, want the allocation at line %d (%s)", d.Pos.Line, want, d)
+	}
+	for _, substr := range []string{"allocTemp", "shared", "acc"} {
+		if !strings.Contains(d.Message, substr) {
+			t.Errorf("finding %q does not name %q", d.Message, substr)
+		}
+	}
+}
+
+func TestChargeflowFixedSpillSeal(t *testing.T) {
+	if _, diags := runSpill(t, true); len(diags) != 0 {
+		for _, d := range diags {
+			t.Errorf("fixed spill seal: unexpected finding %s", d)
+		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"strings"
+	"slices"
 )
 
 // Simhot enforces the PR 1/2 allocation-lean discipline on the simulation
@@ -26,22 +26,22 @@ import (
 //     invoked through closures the kernel cannot see, so operator code is
 //     governed by rule 1 and by its own benchmarks, not by this walk.
 //
-//  3. Inside any function statically reachable from the vectorized engine's
-//     roots (the functions VecPkg declares in its VecFilePrefix files),
-//     per-row allocation of the row type is flagged: `make(Tuple, …)` and
-//     appends that grow a []Tuple. The vectorized data plane's contract is
-//     columnar batches and arena storage; a stray per-tuple allocation
-//     silently reintroduces the costs the mode exists to remove.
+//  3. Inside any function statically reachable from the execution engine's
+//     roots (the functions ExecPkg declares in its OpFiles), per-row
+//     allocation of the configured row type is flagged: `make(Tuple, …)` and
+//     appends that grow a []Tuple. The engine's data plane is columnar
+//     batches and arena storage; a per-tuple allocation type reappearing on
+//     it silently reintroduces the costs the batch design removes.
 var Simhot = &Analyzer{
 	Name: "simhot",
-	Doc:  "eager process names, string building on the sim kernel hot path, and per-tuple allocation on the vectorized hot path",
+	Doc:  "eager process names, string building on the sim kernel hot path, and per-tuple allocation on the execution engine hot path",
 	Run:  runSimhot,
 }
 
 func runSimhot(u *Unit) {
 	checkSpawnNames(u)
 	checkHotReachable(u)
-	checkVecAlloc(u)
+	checkRowAlloc(u)
 }
 
 // checkSpawnNames flags eager name arguments to the kernel's Spawn methods.
@@ -111,21 +111,20 @@ func checkHotReachable(u *Unit) {
 	}
 }
 
-// checkVecAlloc closes the shared call graph over the vectorized engine's
-// roots — the functions VecPkg declares in files whose basename carries
-// VecFilePrefix — and flags per-row allocation of the configured row type
-// inside the closure.
-func checkVecAlloc(u *Unit) {
+// checkRowAlloc closes the shared call graph over the execution engine's
+// roots — the functions ExecPkg declares in its OpFiles — and flags per-row
+// allocation of the configured row type inside the closure.
+func checkRowAlloc(u *Unit) {
 	cfg := u.Config
-	if cfg.VecPkg == "" || cfg.VecFilePrefix == "" || cfg.VecTupleType == "" {
+	if cfg.ExecPkg == "" || len(cfg.OpFiles) == 0 || cfg.RowType == "" {
 		return
 	}
 	g := u.Graph()
 	var roots []*types.Func
-	for _, f := range g.FuncsIn(cfg.VecPkg) {
+	for _, f := range g.FuncsIn(cfg.ExecPkg) {
 		b, _ := g.Body(f)
 		base := filepath.Base(u.Fset.Position(b.decl.Pos()).Filename)
-		if strings.HasPrefix(base, cfg.VecFilePrefix) {
+		if slices.Contains(cfg.OpFiles, base) {
 			roots = append(roots, f)
 		}
 	}
@@ -135,14 +134,14 @@ func checkVecAlloc(u *Unit) {
 	}
 }
 
-// isVecTuple reports whether t is the configured per-row type.
-func isVecTuple(cfg *Config, t types.Type) bool {
+// isRowType reports whether t is the configured per-row type.
+func isRowType(cfg *Config, t types.Type) bool {
 	n, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := n.Obj()
-	return obj.Name() == cfg.VecTupleType && obj.Pkg() != nil && obj.Pkg().Path() == cfg.VecPkg
+	return obj.Name() == cfg.RowType && obj.Pkg() != nil && obj.Pkg().Path() == cfg.ExecPkg
 }
 
 // flagTupleAlloc reports make(Tuple, …) and appends growing a []Tuple in
@@ -163,14 +162,14 @@ func flagTupleAlloc(u *Unit, pkg *Package, f *types.Func, body *ast.BlockStmt) {
 		}
 		switch id.Name {
 		case "make":
-			if isVecTuple(cfg, typeOf(pkg.Info, call.Args[0])) {
-				u.Report(call.Pos(), "make(%s, …) in %s, which is reachable from the vectorized hot path; write into the columnar batch or the query arena instead",
-					cfg.VecTupleType, f.Name())
+			if isRowType(cfg, typeOf(pkg.Info, call.Args[0])) {
+				u.Report(call.Pos(), "make(%s, …) in %s, which is reachable from the engine hot path; write into the columnar batch or the query arena instead",
+					cfg.RowType, f.Name())
 			}
 		case "append":
-			if s, ok := sliceType(typeOf(pkg.Info, call.Args[0])); ok && isVecTuple(cfg, s.Elem()) {
-				u.Report(call.Pos(), "append of %s values in %s, which is reachable from the vectorized hot path; write into the columnar batch or the query arena instead",
-					cfg.VecTupleType, f.Name())
+			if s, ok := sliceType(typeOf(pkg.Info, call.Args[0])); ok && isRowType(cfg, s.Elem()) {
+				u.Report(call.Pos(), "append of %s values in %s, which is reachable from the engine hot path; write into the columnar batch or the query arena instead",
+					cfg.RowType, f.Name())
 			}
 		}
 		return true

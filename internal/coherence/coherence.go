@@ -561,11 +561,14 @@ func (st *State) WriteGraceRemaining(s int, now float64) float64 {
 
 // BeginWrite opens the invalidation phase of an update by client writer
 // dirtying pages [pg0, pg0+n) of relation ri: the dirty pages are marked
-// unsynced for every client caching them, and every such client holding a
-// fresh lease joins the pending set the writer must collect acknowledgements
-// from (or wait out, bounded by the max lease expiry — snapshotted now and
-// never extended, so later renewals cannot stall the writer). The caller
-// must hold the write slot.
+// unsynced for every other client caching them, and every such client
+// holding a fresh lease joins the pending set the writer must collect
+// acknowledgements from (or wait out, bounded by the max lease expiry —
+// snapshotted now and never extended, so later renewals cannot stall the
+// writer). The writer drops its own copies of the pages at once: it knows
+// they are about to change, and a query it runs concurrently must not read
+// them from cache between the commit and the commit acknowledgement. The
+// caller must hold the write slot.
 func (st *State) BeginWrite(ri, pg0, n, writer int, now float64) *Write {
 	info := st.rels[ri]
 	s := info.home
@@ -583,6 +586,15 @@ func (st *State) BeginWrite(ri, pg0, n, writer int, now float64) *Write {
 		if cd == nil {
 			continue
 		}
+		if c == writer {
+			cache := st.clients[c].cache[ri]
+			for pg := pg0; pg < hi; pg++ {
+				cache.valid[pg] = false
+				cd[pg] = false
+				sv.unsynced[c][ri][pg] = false
+			}
+			continue
+		}
 		touched := false
 		for pg := pg0; pg < hi; pg++ {
 			if cd[pg] {
@@ -590,9 +602,7 @@ func (st *State) BeginWrite(ri, pg0, n, writer int, now float64) *Write {
 				touched = true
 			}
 		}
-		if !touched || c == writer {
-			// The writer synchronizes itself when the update reply arrives;
-			// waiting on an invalidation to itself would deadlock.
+		if !touched {
 			continue
 		}
 		if sv.leases[c].Fresh(now) {

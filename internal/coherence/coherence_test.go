@@ -209,13 +209,18 @@ func TestWriteInvalidationAndOracle(t *testing.T) {
 		t.Fatalf("CachedRun after invalidation = (%d, %v), want (1, true)", m, valid)
 	}
 
-	// The writer's own cache syncs on the update reply.
-	if !st.ClientValid(1, 0, 1) {
-		t.Fatal("writer's dirty page already dropped before reply sync")
+	// The writer dropped its own copies of the dirtied pages at BeginWrite,
+	// so no query it runs can read them between the commit and the reply;
+	// its other cached pages survive, and the reply sync changes nothing.
+	if st.ClientValid(1, 0, 1) || st.ClientValid(1, 0, 2) {
+		t.Fatal("writer's dirty pages still valid after BeginWrite")
+	}
+	if !st.ClientValid(1, 0, 0) {
+		t.Fatal("writer's untouched page 0 was dropped")
 	}
 	st.SyncContact(1, st.Home(0), 0.6)
-	if st.ClientValid(1, 0, 1) {
-		t.Fatal("writer's dirty page survived the reply sync")
+	if st.ClientValid(1, 0, 1) || !st.ClientValid(1, 0, 0) {
+		t.Fatal("reply sync changed the writer's cache")
 	}
 
 	// Oracle: force the unsound read the protocol just prevented.

@@ -44,18 +44,9 @@ func BenchmarkRun10WayDS(b *testing.B) {
 }
 
 // BenchmarkRunSpill runs the minimum-allocation 10-way chain, where every
-// join spills partitions to temp disk — the workload the scatter-gather
-// write/read-back batching targets.
+// join spills partitions to temp disk and reads them back.
 func BenchmarkRunSpill(b *testing.B) {
 	cfg := chainConfig(b, 10, 4, workload.Moderate, false)
-	benchRun(b, cfg, annotate(leftDeepChain(10), plan.QueryShipping))
-}
-
-// BenchmarkRunSpillBatched is BenchmarkRunSpill with 8-page scatter-gather
-// batching enabled (an opt-in mode; the default stays page-at-a-time).
-func BenchmarkRunSpillBatched(b *testing.B) {
-	cfg := chainConfig(b, 10, 4, workload.Moderate, false)
-	cfg.Params.BatchPages = 8
 	benchRun(b, cfg, annotate(leftDeepChain(10), plan.QueryShipping))
 }
 
@@ -88,33 +79,4 @@ func BenchmarkRun2WayQSFaultsChaos(b *testing.B) {
 		MaxRetries: 200,
 	}
 	benchRun(b, cfg, annotate(leftDeepChain(2), plan.QueryShipping))
-}
-
-// BenchmarkRun10WayQSVec is BenchmarkRun10WayQS with the vectorized
-// batch-at-a-time engine: same query, same simulated timeline bit for bit
-// (the equality is asserted by TestVectorizedBitIdenticalGrid), columnar
-// data plane with coalesced charges. The ratio against BenchmarkRun10WayQS
-// is the headline speedup of the vectorized mode.
-func BenchmarkRun10WayQSVec(b *testing.B) {
-	cfg := chainConfig(b, 10, 4, workload.Moderate, true)
-	cfg.Params.Vectorized = true
-	benchRun(b, cfg, annotate(leftDeepChain(10), plan.QueryShipping))
-}
-
-// BenchmarkRun10WayDSVec is the vectorized data-shipping variant: the page
-// server and client pager dominate, bounding what vectorizing the operator
-// data plane can save.
-func BenchmarkRun10WayDSVec(b *testing.B) {
-	cfg := chainConfig(b, 10, 4, workload.Moderate, true)
-	cfg.Params.Vectorized = true
-	benchRun(b, cfg, annotate(leftDeepChain(10), plan.DataShipping))
-}
-
-// BenchmarkRunSpillVec is the vectorized min-alloc spill workload: columnar
-// partitions paged into the identical temp-extent layout, with the
-// simulated disk events shared with the legacy path.
-func BenchmarkRunSpillVec(b *testing.B) {
-	cfg := chainConfig(b, 10, 4, workload.Moderate, false)
-	cfg.Params.Vectorized = true
-	benchRun(b, cfg, annotate(leftDeepChain(10), plan.QueryShipping))
 }

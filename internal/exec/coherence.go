@@ -240,9 +240,9 @@ func (e *engine) runUpdate(p *sim.Proc, client int, rel string, pg0, n int) (Upd
 	st.CommitWrite(w)
 	res.Committed = true
 
-	// Commit acknowledgement back to the writer. The reply is also the
-	// writer's own synchronization point: it drops the writer's cached
-	// copies of the pages it just dirtied (they hold pre-write contents).
+	// Commit acknowledgement back to the writer: a contact that syncs and
+	// renews its lease. (Its cached copies of the dirtied pages were
+	// already dropped at BeginWrite.)
 	srv.chargeCPU(p, params, params.msgCPUInstr(ctrlMsgBytes))
 	e.net.Transmit(p, ctrlMsgBytes, false)
 	if st.ClientUp(client) {

@@ -352,3 +352,52 @@ func TestCoherenceDeterministic(t *testing.T) {
 		t.Fatalf("oracle = %+v, want zero stale", suma.Oracle)
 	}
 }
+
+// TestWriterNeverServesOwnPreWritePages: client 0 updates page 20 of R0
+// while its own query is scanning R0 through its cache, and client 1's query
+// keeps the network and server busy, so the commit acknowledgement trails
+// the commit long enough that the scan reaches page 20 in between (the
+// writer starts at t=0.3844 s to land the scan in that window). The writer
+// must not serve its pre-write copy from cache then: the staleness oracle
+// stays at zero and the page is refetched.
+func TestWriterNeverServesOwnPreWritePages(t *testing.T) {
+	ses := newCohSession(t, 2, 1, 2, 100.0, nil)
+	root := annotate(leftDeepChain(2), plan.DataShipping)
+	binding, err := ses.Bind(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		up   UpdateResult
+		errs []error
+	)
+	for c := 0; c < 2; c++ {
+		c := c
+		ses.Simulator().Spawn("reader", func(p *sim.Proc) {
+			if _, err := ses.Execute(p, c, root, binding, QueryOpts{Client: c}); err != nil {
+				errs = append(errs, err)
+			}
+		})
+	}
+	ses.Simulator().Spawn("writer", func(p *sim.Proc) {
+		p.Hold(0.3844)
+		var err error
+		if up, err = ses.ExecuteUpdate(p, 0, workload.RelName(0), 20, 1); err != nil {
+			errs = append(errs, err)
+		}
+	})
+	ses.Run()
+	if len(errs) > 0 {
+		t.Fatal(errs)
+	}
+	if !up.Committed {
+		t.Fatalf("update did not commit: %+v", up)
+	}
+	sum := ses.Coherence().Summary()
+	if sum.Oracle.StaleReads != 0 || sum.Oracle.StaleCommittedReads != 0 {
+		t.Fatalf("oracle = %+v, want zero stale: the writer served its own pre-write page", sum.Oracle)
+	}
+	if sum.PerClient[0].CacheMissPages != 1 {
+		t.Fatalf("client 0 refetched %d pages, want exactly the one it updated", sum.PerClient[0].CacheMissPages)
+	}
+}

@@ -37,15 +37,6 @@ func TestRunFullyDeterministic(t *testing.T) {
 			}
 			return res
 		}},
-		{"qs-batched", func() Result {
-			cfg := chainConfig(t, 6, 2, workload.Moderate, false)
-			cfg.Params.BatchPages = 8
-			res, err := Run(cfg, annotate(leftDeepChain(6), plan.QueryShipping))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -80,40 +71,5 @@ func TestFastPathMatchesReferenceKernel(t *testing.T) {
 	fast, slow := run(false), run(true)
 	if !reflect.DeepEqual(fast, slow) {
 		t.Fatalf("fast path diverged from reference kernel:\nfast %+v\nslow %+v", fast, slow)
-	}
-}
-
-// TestBatchingPreservesLogicalOutcome checks the contract of opt-in
-// scatter-gather batching: every logical counter — result cardinality,
-// pages/messages on the wire, and per-site read/write counts — is invariant
-// under the run length. Timings may legitimately shift (a multi-page run
-// holds the arm in place, so batched runs seek less); BatchPages <= 1 must
-// reproduce the page-at-a-time default bit-exactly, timings included.
-func TestBatchingPreservesLogicalOutcome(t *testing.T) {
-	run := func(batch int) Result {
-		cfg := chainConfig(t, 6, 2, workload.Moderate, false)
-		cfg.Params.BatchPages = batch
-		res, err := Run(cfg, annotate(leftDeepChain(6), plan.QueryShipping))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	ref := run(0)
-	if got := run(1); !reflect.DeepEqual(got, ref) {
-		t.Errorf("BatchPages=1 must be bit-identical to the default:\n got %+v\nwant %+v", got, ref)
-	}
-	for _, batch := range []int{4, 16} {
-		got := run(batch)
-		if got.ResultTuples != ref.ResultTuples || got.PagesSent != ref.PagesSent ||
-			got.Messages != ref.Messages || got.NetStats.Bytes != ref.NetStats.Bytes {
-			t.Errorf("BatchPages=%d changed traffic: got %+v want %+v", batch, got, ref)
-		}
-		for site, st := range ref.DiskStats {
-			if g := got.DiskStats[site]; g.Reads != st.Reads || g.Writes != st.Writes {
-				t.Errorf("BatchPages=%d changed site %v I/O counts: got %d/%d want %d/%d",
-					batch, site, g.Reads, g.Writes, st.Reads, st.Writes)
-			}
-		}
 	}
 }

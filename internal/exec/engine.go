@@ -48,28 +48,6 @@ type Params struct {
 	// one page ahead", §3.2.1). Exposed for the pipelining ablation.
 	LookaheadPages int
 
-	// BatchPages, when > 1, lets the engine move contiguous page runs as
-	// single multi-page requests: sequential scans and partition spill I/O
-	// become scatter-gather disk runs, page-fault shipping fetches runs per
-	// control message, and network streams carry runs per message, with the
-	// per-page CPU charges of a run coalesced into one resource acquisition.
-	// 0 or 1 reproduces the paper's page-at-a-time engine exactly (the
-	// default); larger values trade micro-interleaving fidelity for O(1/N)
-	// kernel dispatches on scan-heavy plans.
-	BatchPages int
-
-	// Vectorized, when true, runs the query through the batch-at-a-time
-	// operator set: columnar batches (one flat []int64 per page, recycled
-	// through an engine-wide pool), an insertion-ordered open-addressing
-	// join table instead of map[uint64][]Tuple, and CPU charges coalesced
-	// into one resource acquisition per batch run (sim.Resource.UseRun).
-	// The mode is calibrated to be bit-identical to the page-at-a-time
-	// engine — same Result, per-site disk stats, and net traffic at every
-	// policy, BatchPages setting, and fault schedule (the BatchPages=1 ≡
-	// default invariant, extended to Vectorized=on ≡ off); it only changes
-	// how fast the simulator itself runs. Default off.
-	Vectorized bool
-
 	Disk disk.Params // physical disk model
 }
 
@@ -101,14 +79,6 @@ func (p Params) lookahead() int {
 		return 1
 	}
 	return p.LookaheadPages
-}
-
-// batch returns the I/O batching run length, defaulting to page-at-a-time.
-func (p Params) batch() int {
-	if p.BatchPages <= 1 {
-		return 1
-	}
-	return p.BatchPages
 }
 
 // msgCPUInstr is the endpoint CPU cost of one message of the given size.
@@ -307,31 +277,11 @@ type engine struct {
 	siteGate  SiteGate
 	retryGate RetryGate
 
-	// Recycled hot-path storage. vp pools the columnar batches of the
-	// vectorized mode; arenas pools the per-query merge arenas of the
-	// legacy path. Both are plain free lists — the kernel runs one process
-	// at a time, so no locking, and recycling never touches the event
-	// schedule.
-	vp     vecPool
-	arenas []*mergeArena
-}
-
-// getArena takes a merge arena from the engine's free list (or makes one).
-// Each query run holds exactly one for its lifetime.
-func (e *engine) getArena() *mergeArena {
-	if n := len(e.arenas); n > 0 {
-		a := e.arenas[n-1]
-		e.arenas = e.arenas[:n-1]
-		return a
-	}
-	return &mergeArena{}
-}
-
-// putArena recycles a query's merge arena. The query's output tuples are
-// dead by now, so the current chunk can be reused in place.
-func (e *engine) putArena(a *mergeArena) {
-	a.reset()
-	e.arenas = append(e.arenas, a)
+	// pool recycles the columnar batches and join hash tables across
+	// operators and queries. It is a plain free list: the kernel runs one
+	// process at a time, so no locking, and recycling never touches the
+	// event schedule.
+	pool batchPool
 }
 
 func (e *engine) site(id catalog.SiteID) *site {

@@ -561,15 +561,7 @@ func (e *engine) reportAttempt(att *attemptState, completed bool) {
 func (e *engine) runQuery(p *sim.Proc, qi int, root *plan.Node, base plan.Binding, qo QueryOpts) (queryOutcome, error) {
 	var out queryOutcome
 	if e.ftl == nil {
-		if e.cfg.Params.Vectorized {
-			out.tuples = e.runVec(p, root, base, nil)
-			return out, nil
-		}
-		ar := e.getArena()
-		display := &displayOp{e: e, child: e.build(root.Left, base, base[root], nil, ar)}
-		display.run(p)
-		e.putArena(ar)
-		out.tuples = display.tuples
+		out.tuples = e.runPlan(p, root, base, nil)
 		return out, nil
 	}
 	rng := rand.New(rand.NewSource(retrySeed(e.ftl.seed, qi)))
@@ -669,12 +661,5 @@ func (e *engine) attemptOnce(p *sim.Proc, att *attemptState, root *plan.Node, b 
 		}
 	}()
 	e.registerAttempt(att)
-	if e.cfg.Params.Vectorized {
-		return e.runVec(p, root, b, att), true
-	}
-	ar := e.getArena()
-	defer e.putArena(ar)
-	display := &displayOp{e: e, child: e.build(root.Left, b, b[root], att, ar)}
-	display.run(p)
-	return display.tuples, true
+	return e.runPlan(p, root, b, att), true
 }

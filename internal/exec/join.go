@@ -7,130 +7,9 @@ import (
 	"hybridship/internal/sim"
 )
 
-// hhJoinOp is a hybrid hash join (Shapiro 1986), the only join method of the
-// study (§3.2.2). The inner (left) input is the build side.
-//
-// With the maximum allocation (BufAlloc = max) the whole build-side hash
-// table is memory resident. With the minimum allocation M = ⌈√(F·N)⌉ pages,
-// both inputs are split into B = ⌈(F·N − M)/(M − 1)⌉ partitions; partition 0
-// is processed in memory on the fly with the remaining M − B buffer pages,
-// while the other partitions are written to the join site's temporary disk
-// region and processed pairwise afterwards. Partition pages are allocated
-// lazily from the site's temp region, so concurrent partition streams
-// interleave on disk — the "additional, random load" of §4.2.2.
-type hhJoinOp struct {
-	e      *engine
-	atSite *site
-	inner  iterator
-	outer  iterator
-	bkey   *keyer
-	pkey   *keyer
-	tpp    int // output tuples per page
-
-	// allocation (computed from catalog estimates at open, like a real
-	// system granting the optimizer's memory request)
-	memPages int
-	nParts   int     // spilled partitions (0 = fully in-memory)
-	frac0    float64 // hash-space share of the in-memory partition
-
-	chunkPages int // extent chunk per spilled partition
-
-	table      map[uint64][]Tuple
-	arena      *mergeArena // query-lifetime storage for merged output tuples
-	innerParts []*partition
-	outerParts []*partition
-
-	phase    int // 0 = probing outer, 1 = spilled partition passes, 2 = done
-	partIdx  int
-	partPage int
-	outerWin int // outer partition pages read ahead but not yet probed
-	outBuf   []Tuple
-	outCount int64
-}
-
-// contiguousRun returns the length (capped at max) of the address-contiguous
-// run of pages starting at index i.
-func contiguousRun(addrs []diskAddr, i, max int) int {
-	run := 1
-	for run < max && i+run < len(addrs) && addrs[i+run] == addrs[i].plus(run) {
-		run++
-	}
-	return run
-}
-
-// partition is one spilled partition: the tuples grouped into pages, plus
-// the temp-disk addresses of the flushed pages. Each partition writes into
-// its own contiguous extent (allocated in chunks), so reading a partition
-// back is sequential while concurrent partition writes force arm movement —
-// the access pattern of a real hybrid hash join.
-type partition struct {
-	pages   [][]Tuple
-	addrs   []diskAddr
-	current []Tuple
-	tpp     int
-	chunk   int      // extent chunk size, pages
-	next    diskAddr // next free page of the current chunk
-	left    int      // pages remaining in the current chunk
-	written int      // pages [0,written) are on disk; the rest await a run
-	batch   int      // spill run length (1 = write each page immediately)
-}
-
-func (pt *partition) add(e *engine, p *sim.Proc, s *site, t Tuple) {
-	pt.current = append(pt.current, t)
-	if len(pt.current) >= pt.tpp {
-		pt.complete(e, p, s)
-	}
-}
-
-// complete seals the current page into the partition's temp extent and, once
-// a full run has accumulated, writes the pending pages as scatter-gather
-// runs. With batch == 1 every page is written the moment it fills, exactly
-// the paper-exact page-at-a-time behavior.
-func (pt *partition) complete(e *engine, p *sim.Proc, s *site) {
-	if len(pt.current) == 0 {
-		return
-	}
-	if pt.left == 0 {
-		pt.next = s.allocTemp(pt.chunk)
-		pt.left = pt.chunk
-	}
-	pt.pages = append(pt.pages, pt.current)
-	pt.addrs = append(pt.addrs, pt.next)
-	pt.next = pt.next.plus(1)
-	pt.left--
-	pt.current = nil
-	if len(pt.addrs)-pt.written >= pt.batch {
-		pt.drain(e, p, s)
-	}
-}
-
-// drain writes every completed-but-unwritten page, splitting the backlog
-// into address-contiguous runs (chunk boundaries break contiguity) with one
-// coalesced CPU charge and one disk request per run.
-func (pt *partition) drain(e *engine, p *sim.Proc, s *site) {
-	for pt.written < len(pt.addrs) {
-		start := pt.written
-		run := 1
-		for start+run < len(pt.addrs) && pt.addrs[start+run] == pt.addrs[start].plus(run) {
-			run++
-		}
-		s.chargeCPU(p, e.cfg.Params, e.cfg.Params.DiskInst*float64(run))
-		s.writeRun(p, pt.addrs[start], run)
-		pt.written += run
-	}
-}
-
-// flush seals any partial page and forces out the pending writes.
-func (pt *partition) flush(e *engine, p *sim.Proc, s *site) {
-	pt.complete(e, p, s)
-	pt.drain(e, p, s)
-}
-
 // joinAlloc is a hybrid hash join's memory grant: the buffer pages, the
 // spilled partition count, the hash-space share of the in-memory partition,
-// and the temp-extent chunk size. The page-at-a-time and vectorized joins
-// share this computation (and route below), so their partitioning — hence
-// every spill address and charge — is identical by construction.
+// and the temp-extent chunk size.
 type joinAlloc struct {
 	memPages   int
 	nParts     int     // spilled partitions (0 = fully in-memory)
@@ -166,7 +45,7 @@ func (e *engine) joinAllocFor(innerPages, outerPages int) joinAlloc {
 		if outerPages > bigger {
 			bigger = outerPages
 		}
-		al.chunkPages = int(math.Ceil(params(e).FudgeF*float64(bigger)/float64(b))) + 2
+		al.chunkPages = int(math.Ceil(e.cfg.Params.FudgeF*float64(bigger)/float64(b))) + 2
 	} else {
 		al.frac0 = 1
 	}
@@ -186,170 +65,381 @@ func (al joinAlloc) route(h uint64) int {
 	return 1 + int(h%uint64(al.nParts))
 }
 
-func (e *engine) newHHJoin(at catalog.SiteID, inner, outer iterator,
-	innerTables, outerTables map[string]bool, innerPages, outerPages int, ar *mergeArena) *hhJoinOp {
-	j := &hhJoinOp{
+// partition is one spilled partition: all its rows in columnar storage,
+// paged into the join site's temp region. Each partition writes into its own
+// contiguous extent (allocated in chunks), so reading a partition back is
+// sequential while concurrent partition writes force arm movement — the
+// access pattern of a real hybrid hash join.
+type partition struct {
+	cols   [][]int64 // w columns, every row in insertion order
+	starts []int     // start row of each sealed page
+	addrs  []diskAddr
+	n      int // total rows
+	sealed int // rows covered by sealed pages
+
+	tpp   int
+	chunk int      // extent chunk size, pages
+	next  diskAddr // next free page of the current chunk
+	left  int      // pages remaining in the current chunk
+}
+
+func newPartition(w, tpp, chunk int) *partition {
+	return &partition{cols: make([][]int64, w), tpp: tpp, chunk: chunk}
+}
+
+// addRow appends row i of src, sealing a page every tpp rows.
+func (pt *partition) addRow(e *engine, p *sim.Proc, s *site, acc *chargeAcc, src [][]int64, i int) {
+	for c := range pt.cols {
+		pt.cols[c] = append(pt.cols[c], src[c][i])
+	}
+	pt.n++
+	if pt.n-pt.sealed >= pt.tpp {
+		pt.complete(e, p, s, acc)
+	}
+}
+
+// complete seals the unsealed rows into the next temp page and writes it:
+// one DiskInst charge, then the disk write. The pending charges land first —
+// both the chunk allocation from the site's shared temp region and the
+// write are visible to the other processes of the site.
+func (pt *partition) complete(e *engine, p *sim.Proc, s *site, acc *chargeAcc) {
+	if pt.n == pt.sealed {
+		return
+	}
+	acc.flush(p)
+	if pt.left == 0 {
+		pt.next = s.allocTemp(pt.chunk)
+		pt.left = pt.chunk
+	}
+	pt.starts = append(pt.starts, pt.sealed)
+	pt.sealed = pt.n
+	pt.addrs = append(pt.addrs, pt.next)
+	addr := pt.next
+	pt.next = pt.next.plus(1)
+	pt.left--
+	s.chargeCPU(p, e.cfg.Params, e.cfg.Params.DiskInst)
+	s.write(p, addr)
+}
+
+// pageSpan reports page i's row range; valid once the partition is flushed.
+func (pt *partition) pageSpan(i int) (start, count int) {
+	start = pt.starts[i]
+	end := pt.n
+	if i+1 < len(pt.starts) {
+		end = pt.starts[i+1]
+	}
+	return start, end - start
+}
+
+// hashJoin is a hybrid hash join (Shapiro 1986), the only join method of
+// the study (§3.2.2). The inner (left) input is the build side.
+//
+// With the maximum allocation (BufAlloc = max) the whole build-side hash
+// table is memory resident. With the minimum allocation M = ⌈√(F·N)⌉ pages,
+// both inputs are split into B = ⌈(F·N − M)/(M − 1)⌉ partitions; partition 0
+// is processed in memory on the fly with the remaining M − B buffer pages,
+// while the other partitions are written to the join site's temporary disk
+// region and processed pairwise afterwards. Partition pages are allocated
+// lazily from the site's temp region, so concurrent partition streams
+// interleave on disk — the "additional, random load" of §4.2.2.
+//
+// The join consumes and emits page-sized batches, builds into a hashTable,
+// and probes column-wise with scratch selection/candidate vectors — zero
+// allocations in the probe-emit path once warm.
+type hashJoin struct {
+	e      *engine
+	atSite *site
+	inner  iterator
+	outer  iterator
+	bkey   *keyer
+	pkey   *keyer
+	acc    *chargeAcc
+	tpp    int
+	w      int
+	// allocation (computed from catalog estimates, like a real system
+	// granting the optimizer's memory request)
+	al joinAlloc
+
+	table      *hashTable
+	innerParts []*partition
+	outerParts []*partition
+
+	phase    int // 0 = probing outer, 1 = spilled partition passes, 2 = done
+	partIdx  int
+	partPage int
+
+	cur       *colBatch
+	curCols   [][]int64 // resolved columns of cur
+	fromBuild []bool    // per column: merged value comes from the build side
+	rdy       batchRing
+
+	// reused scratch, refilled per input batch (build/probe phases) or per
+	// partition (spill passes)
+	icols, ikcols [][]int64 // build-input columns / key slot columns
+	ocols, okcols [][]int64 // probe-input columns / key slot columns
+	ikeyv, okeyv  [][]int64 // evaluated key-value columns (Next applied)
+	ihash, ohash  []uint64  // per-row composite key hashes
+	estBuild      int       // optimizer's estimate of in-memory build rows
+	outCount      int64
+}
+
+func (e *engine) newHashJoin(at catalog.SiteID, inner, outer iterator,
+	innerTables, outerTables map[string]bool, innerPages, outerPages int, acc *chargeAcc) *hashJoin {
+	j := &hashJoin{
 		e:      e,
 		atSite: e.site(at),
 		inner:  inner,
 		outer:  outer,
 		bkey:   newKeyer(e.cfg.Query, e.relIdx, innerTables, outerTables, e.cfg.Next),
 		pkey:   newKeyer(e.cfg.Query, e.relIdx, outerTables, innerTables, e.cfg.Next),
+		acc:    acc,
 		tpp:    tuplesPerPage(e.cfg.Params.PageSize, e.cfg.Query.ResultTupleBytes),
-		arena:  ar,
+		w:      len(e.relIdx),
+		al:     e.joinAllocFor(innerPages, outerPages),
 	}
-	al := e.joinAllocFor(innerPages, outerPages)
-	j.memPages, j.nParts, j.frac0, j.chunkPages = al.memPages, al.nParts, al.frac0, al.chunkPages
+	j.estBuild = int(float64(innerPages) * j.al.frac0 * float64(j.tpp))
+	// A column is non-absent in a subtree's output exactly when its relation
+	// is one of the subtree's base tables (scans set only their own slot;
+	// joins merge disjoint sides). So merge(build, probe) resolves each
+	// column to a fixed side for the whole join — precompute the split and
+	// emitMerged never re-checks absent per value.
+	j.fromBuild = make([]bool, j.w)
+	for rel, idx := range e.relIdx { //hslint:ordered -- slot-indexed: each relation writes its own index, order cannot reach the result
+		j.fromBuild[idx] = innerTables[rel]
+	}
 	return j
 }
 
-func params(e *engine) Params { return e.cfg.Params }
-
-func (j *hhJoinOp) route(h uint64) int {
-	return joinAlloc{nParts: j.nParts, frac0: j.frac0}.route(h)
-}
-
-func (j *hhJoinOp) open(p *sim.Proc) {
-	params := j.e.cfg.Params
+func (j *hashJoin) open(p *sim.Proc) {
+	pr := &j.e.cfg.Params
 	// Open both inputs up front: a remote outer fragment starts producing
 	// into its one-page lookahead immediately, giving the independent
 	// parallelism between subtrees described in §3.1.2.
 	j.inner.open(p)
 	j.outer.open(p)
 
-	j.table = make(map[uint64][]Tuple)
-	for i := 0; i < j.nParts; i++ {
-		j.innerParts = append(j.innerParts, &partition{tpp: j.tpp, chunk: j.chunkPages, batch: params.batch()})
-		j.outerParts = append(j.outerParts, &partition{tpp: j.tpp, chunk: j.chunkPages, batch: params.batch()})
+	j.table = j.e.pool.getTable(j.w, len(j.bkey.slots))
+	j.table.reserve(j.estBuild)
+	for i := 0; i < j.al.nParts; i++ {
+		j.innerParts = append(j.innerParts, newPartition(j.w, j.tpp, j.al.chunkPages))
+		j.outerParts = append(j.outerParts, newPartition(j.w, j.tpp, j.al.chunkPages))
 	}
 
 	// Build phase: consume the inner completely.
 	for {
-		pg, ok := j.inner.next(p)
+		b, ok := j.inner.next(p)
 		if !ok {
 			break
 		}
-		j.atSite.chargeCPU(p, params, params.HashInst*float64(len(pg.tuples)))
-		for _, t := range pg.tuples {
-			h := j.bkey.key(t)
-			if part := j.route(h); part == 0 {
-				j.table[h] = append(j.table[h], t)
+		j.acc.add(p, j.atSite, pr, pr.HashInst*float64(b.n))
+		j.icols = batchCols(b, j.icols)
+		j.ikcols = j.bkey.slotCols(j.icols, j.ikcols)
+		j.ikeyv = j.bkey.evalCols(j.ikcols, b.n, j.ikeyv)
+		j.ihash = hashKeyCols(j.ikeyv, b.n, j.ihash)
+		for i := 0; i < b.n; i++ {
+			h := j.ihash[i]
+			if part := j.al.route(h); part == 0 {
+				j.insertRow(j.icols, j.ikeyv, i, h)
 			} else {
-				j.innerParts[part-1].add(j.e, p, j.atSite, t)
+				j.innerParts[part-1].addRow(j.e, p, j.atSite, j.acc, j.icols, i)
 			}
 		}
+		j.e.pool.put(b)
 	}
 	for _, pt := range j.innerParts {
-		pt.flush(j.e, p, j.atSite)
+		pt.complete(j.e, p, j.atSite, j.acc) // seal the partial last page
 	}
 	j.phase = 0
 }
 
-// probe matches one tuple against the in-memory table, appending results.
-func (j *hhJoinOp) probe(p *sim.Proc, t Tuple, h uint64, pv []int64) {
-	params := j.e.cfg.Params
-	cands := j.table[h]
-	if len(cands) == 0 {
-		return
+// insertRow copies row i (tuple columns and pre-evaluated key values) into
+// the build table under hash h.
+func (j *hashJoin) insertRow(cols, keyv [][]int64, i int, h uint64) {
+	t := j.table
+	t.insert(h)
+	for c := range t.cols {
+		t.cols[c] = append(t.cols[c], cols[c][i])
 	}
-	j.atSite.chargeCPU(p, params, params.CompareInst*float64(len(cands)))
-	var matched int
-	for _, b := range cands {
-		if eqVals(j.bkey.values(b), pv) {
-			j.outBuf = append(j.outBuf, j.arena.merge(b, t))
-			matched++
+	for s := range t.keys {
+		t.keys[s] = append(t.keys[s], keyv[s][i])
+	}
+}
+
+// probeRow matches row i of the probe columns against the table with the
+// probe's charge schedule: CompareInst per candidate first, then MoveInst
+// per match. The candidate walk, key comparison, and emit are fused into
+// one chain traversal; only the resulting charge parts are appended, in
+// that order, after the (pure) traversal.
+func (j *hashJoin) probeRow(p *sim.Proc, cols, keyv [][]int64, i int, h uint64) {
+	t := j.table
+	var cands, matched int
+	if len(t.keys) == 1 {
+		k0, pv0 := t.keys[0], keyv[0][i]
+		for e := t.head[h&t.mask]; e >= 0; e = t.next[e] {
+			if t.hashes[e] != h {
+				continue
+			}
+			cands++
+			if k0[e] == pv0 {
+				j.emitMerged(e, cols, i)
+				matched++
+			}
+		}
+	} else {
+		for e := t.head[h&t.mask]; e >= 0; e = t.next[e] {
+			if t.hashes[e] != h {
+				continue
+			}
+			cands++
+			eq := true
+			for s := range t.keys {
+				if t.keys[s][e] != keyv[s][i] {
+					eq = false
+					break
+				}
+			}
+			if eq {
+				j.emitMerged(e, cols, i)
+				matched++
+			}
 		}
 	}
+	if cands == 0 {
+		return
+	}
+	pr := &j.e.cfg.Params
+	j.acc.add(p, j.atSite, pr, pr.CompareInst*float64(cands))
 	if matched > 0 {
-		j.atSite.chargeCPU(p, params,
-			params.MoveInst*float64(j.e.cfg.Query.ResultTupleBytes)/4*float64(matched))
+		j.acc.add(p, j.atSite, pr,
+			pr.MoveInst*float64(j.e.cfg.Query.ResultTupleBytes)/4*float64(matched))
 		j.outCount += int64(matched)
 	}
 }
 
-func (j *hhJoinOp) next(p *sim.Proc) (page, bool) {
-	params := j.e.cfg.Params
-	for len(j.outBuf) < j.tpp && j.phase < 2 {
+// emitMerged appends merge(build, probe) to the output page under
+// construction, completing pages at exactly tpp rows.
+func (j *hashJoin) emitMerged(e int32, cols [][]int64, i int) {
+	if j.cur == nil {
+		j.cur = j.e.pool.get(j.w, j.tpp)
+		j.curCols = batchCols(j.cur, j.curCols)
+	}
+	cur := j.cur
+	at := cur.n
+	tcols := j.table.cols
+	for c := 0; c < j.w; c++ {
+		if j.fromBuild[c] {
+			j.curCols[c][at] = tcols[c][e]
+		} else {
+			j.curCols[c][at] = cols[c][i]
+		}
+	}
+	cur.n++
+	if cur.n == j.tpp {
+		j.rdy.push(cur)
+		j.cur = nil
+	}
+}
+
+// readSpillPage reads one spilled page back from temp disk: one DiskInst
+// charge, then the read.
+func (j *hashJoin) readSpillPage(p *sim.Proc, addr diskAddr) {
+	j.acc.flush(p)
+	j.atSite.chargeCPU(p, j.e.cfg.Params, j.e.cfg.Params.DiskInst)
+	j.atSite.read(p, addr)
+}
+
+func (j *hashJoin) next(p *sim.Proc) (*colBatch, bool) {
+	pr := &j.e.cfg.Params
+	// Run the probe pipeline only while no completed output page is queued:
+	// a join produces its next page on demand.
+	for j.rdy.empty() && j.phase < 2 {
 		switch j.phase {
 		case 0:
-			pg, ok := j.outer.next(p)
+			b, ok := j.outer.next(p)
 			if !ok {
 				for _, pt := range j.outerParts {
-					pt.flush(j.e, p, j.atSite)
+					pt.complete(j.e, p, j.atSite, j.acc)
 				}
 				j.phase = 1
 				j.partIdx = -1
 				j.partPage = 0
 				continue
 			}
-			j.atSite.chargeCPU(p, params, params.HashInst*float64(len(pg.tuples)))
-			for _, t := range pg.tuples {
-				h := j.pkey.key(t)
-				if part := j.route(h); part == 0 {
-					j.probe(p, t, h, j.pkey.values(t))
+			j.acc.add(p, j.atSite, pr, pr.HashInst*float64(b.n))
+			j.ocols = batchCols(b, j.ocols)
+			j.okcols = j.pkey.slotCols(j.ocols, j.okcols)
+			j.okeyv = j.pkey.evalCols(j.okcols, b.n, j.okeyv)
+			j.ohash = hashKeyCols(j.okeyv, b.n, j.ohash)
+			for i := 0; i < b.n; i++ {
+				h := j.ohash[i]
+				if part := j.al.route(h); part == 0 {
+					j.probeRow(p, j.ocols, j.okeyv, i, h)
 				} else {
-					j.outerParts[part-1].add(j.e, p, j.atSite, t)
+					j.outerParts[part-1].addRow(j.e, p, j.atSite, j.acc, j.ocols, i)
 				}
 			}
+			j.e.pool.put(b)
 		case 1:
-			if j.partIdx < 0 || j.partPage >= len(j.outerParts[j.partIdx].pages) {
+			if j.partIdx < 0 || j.partPage >= len(j.outerParts[j.partIdx].starts) {
 				// Advance to the next spilled partition pair: rebuild the
 				// table from the inner partition read back from temp disk.
 				j.partIdx++
 				j.partPage = 0
-				if j.partIdx >= j.nParts {
+				if j.partIdx >= j.al.nParts {
 					j.phase = 2
 					continue
 				}
-				j.table = make(map[uint64][]Tuple)
+				j.table.reset()
 				in := j.innerParts[j.partIdx]
-				for pi := 0; pi < len(in.pages); {
-					run := contiguousRun(in.addrs, pi, params.batch())
-					j.atSite.chargeCPU(p, params, params.DiskInst*float64(run))
-					j.atSite.readRun(p, in.addrs[pi], run)
-					for k := 0; k < run; k++ {
-						tuples := in.pages[pi+k]
-						j.atSite.chargeCPU(p, params, params.HashInst*float64(len(tuples)))
-						for _, t := range tuples {
-							j.table[j.bkey.key(t)] = append(j.table[j.bkey.key(t)], t)
-						}
+				j.ikcols = j.bkey.slotCols(in.cols, j.ikcols)
+				j.ikeyv = j.bkey.evalCols(j.ikcols, in.n, j.ikeyv)
+				j.ihash = hashKeyCols(j.ikeyv, in.n, j.ihash)
+				// Pre-evaluate this partition's outer side too; its pages
+				// are probed across the next calls below (key extraction is
+				// pure, so evaluation time is unobservable).
+				opart := j.outerParts[j.partIdx]
+				j.okcols = j.pkey.slotCols(opart.cols, j.okcols)
+				j.okeyv = j.pkey.evalCols(j.okcols, opart.n, j.okeyv)
+				j.ohash = hashKeyCols(j.okeyv, opart.n, j.ohash)
+				for pi := range in.starts {
+					j.readSpillPage(p, in.addrs[pi])
+					start, cnt := in.pageSpan(pi)
+					j.acc.add(p, j.atSite, pr, pr.HashInst*float64(cnt))
+					for r := start; r < start+cnt; r++ {
+						j.insertRow(in.cols, j.ikeyv, r, j.ihash[r])
 					}
-					pi += run
 				}
 				continue
 			}
 			out := j.outerParts[j.partIdx]
-			tuples := out.pages[j.partPage]
-			if j.outerWin == 0 {
-				run := contiguousRun(out.addrs, j.partPage, params.batch())
-				j.atSite.chargeCPU(p, params, params.DiskInst*float64(run))
-				j.atSite.readRun(p, out.addrs[j.partPage], run)
-				j.outerWin = run
-			}
-			j.outerWin--
+			start, cnt := out.pageSpan(j.partPage)
+			j.readSpillPage(p, out.addrs[j.partPage])
 			j.partPage++
-			j.atSite.chargeCPU(p, params, params.HashInst*float64(len(tuples)))
-			for _, t := range tuples {
-				j.probe(p, t, j.pkey.key(t), j.pkey.values(t))
+			j.acc.add(p, j.atSite, pr, pr.HashInst*float64(cnt))
+			for r := start; r < start+cnt; r++ {
+				j.probeRow(p, out.cols, j.okeyv, r, j.ohash[r])
 			}
 		}
 	}
-	if len(j.outBuf) == 0 {
-		return page{}, false
+	if !j.rdy.empty() {
+		return j.rdy.pop(), true
 	}
-	n := j.tpp
-	if n > len(j.outBuf) {
-		n = len(j.outBuf)
+	if j.cur != nil && j.cur.n > 0 {
+		b := j.cur
+		j.cur = nil
+		return b, true
 	}
-	out := page{tuples: j.outBuf[:n]}
-	j.outBuf = j.outBuf[n:]
-	return out, true
+	return nil, false
 }
 
-func (j *hhJoinOp) close(p *sim.Proc) {
+func (j *hashJoin) close(p *sim.Proc) {
 	j.inner.close(p)
 	j.outer.close(p)
+	j.e.pool.putTable(j.table)
 	j.table = nil
 	j.innerParts = nil
 	j.outerParts = nil
+	j.rdy.drainTo(&j.e.pool)
+	j.e.pool.put(j.cur)
+	j.cur = nil
 }

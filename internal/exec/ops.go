@@ -9,21 +9,77 @@ import (
 )
 
 // iterator is the open-next-close interface of the Volcano-style engine
-// (§3.2.1). next yields one page of tuples at a time; data flow is demand
-// driven.
+// (§3.2.1). next yields one page of tuples as a columnar batch; data flow
+// is demand driven. Ownership of the returned batch transfers to the
+// caller, which releases it to the engine pool (or hands it on).
 type iterator interface {
 	open(p *sim.Proc)
-	next(p *sim.Proc) (page, bool)
+	next(p *sim.Proc) (*colBatch, bool)
 	close(p *sim.Proc)
 }
 
-// scanOp produces all tuples of a base relation (§2.1). At a server copy it
+// runPlan executes a bound plan on process p and returns the number of
+// result tuples displayed at the client.
+func (e *engine) runPlan(p *sim.Proc, root *plan.Node, b plan.Binding, att *attemptState) int64 {
+	acc := &chargeAcc{}
+	d := &displayOp{e: e, acc: acc, child: e.build(root.Left, b, b[root], att, acc)}
+	d.run(p)
+	return d.tuples
+}
+
+// build converts a plan subtree into an iterator running at consumerSite's
+// process, inserting a network operator pair wherever a producer is bound to
+// a different site than its consumer (§3.2.1). A subtree on the far side of
+// a network pair runs on the producer daemon's process, so it accumulates
+// charges into the producer's own accumulator, created here. att supervises
+// the attempt in a failure-aware run; it is nil on the fault-free path.
+func (e *engine) build(n *plan.Node, b plan.Binding, consumerSite catalog.SiteID, att *attemptState, acc *chargeAcc) iterator {
+	site := b[n]
+	sub := acc
+	if site != consumerSite {
+		sub = &chargeAcc{}
+	}
+	var it iterator
+	switch n.Kind {
+	case plan.KindScan:
+		it = e.newScan(n, site, att, sub)
+	case plan.KindSelect:
+		child := e.build(n.Left, b, site, att, sub)
+		it = e.newSelect(n.Rel, site, child, sub)
+	case plan.KindAgg:
+		child := e.build(n.Left, b, site, att, sub)
+		it = e.newAgg(site, child, sub)
+	case plan.KindJoin:
+		inner := e.build(n.Left, b, site, att, sub)
+		outer := e.build(n.Right, b, site, att, sub)
+		it = e.newHashJoin(site, inner, outer, n.Left.BaseTables(), n.Right.BaseTables(),
+			e.estPages(n.Left), e.estPages(n.Right), sub)
+	default:
+		panic(fmt.Sprintf("exec: cannot build operator for %v", n.Kind))
+	}
+	if site != consumerSite {
+		it = e.newNetPair(it, site, consumerSite, att, sub, acc)
+	}
+	return it
+}
+
+// scanIter produces all tuples of a base relation (§2.1), one page per
+// batch: scanOp pays each page's I/O and CPU, and the iterator materializes
+// the page's row ids as a columnar batch. Only the iterator holds the
+// charge accumulator, and it flushes before every fill, so scanOp's I/O
+// paths never run with coalesced charges pending.
+type scanIter struct {
+	*scanOp
+	acc *chargeAcc
+	w   int // tuple width (query relations)
+	idx int // this relation's column
+}
+
+// scanOp pays for a base relation's pages in order. At a server copy it
 // reads the relation's extent sequentially from the local disk. At the
 // client it reads the cached prefix from the client disk and faults the
 // remaining pages in from a replica (the home server, unless failover chose
-// another copy as the fetch source). With BatchPages > 1 the scan moves runs
-// of contiguous pages per disk request (and per page-fault round trip) and
-// coalesces the run's CPU charges; the default is page at a time.
+// another copy as the fetch source), one page at a time.
 type scanOp struct {
 	e      *engine
 	rel    string
@@ -31,17 +87,16 @@ type scanOp struct {
 	atRole int // RolePrimary when atSite is the relation's home
 
 	relPages    int
+	relTuples   int64
 	cachedPages int
 	tpp         int // tuples per page
 	nextPage    int
 	nextID      int64
-	tuples      int64
 	src         *site // page-fault source for a client scan
 	srcRole     int   // RolePrimary when src is the relation's home
 
-	window int         // pages already paid for (I/O and CPU) but not yet emitted
-	reply  *sim.Buffer // reusable page-fault reply channel
-	att    *attemptState
+	reply *sim.Buffer // reusable page-fault reply channel
+	att   *attemptState
 
 	// Coherence wiring (zero when the engine has no coherence state): the
 	// owning client stream, the relation's dense coherence index, and the
@@ -51,16 +106,17 @@ type scanOp struct {
 	cacheExt diskAddr
 }
 
-func (e *engine) newScan(n *plan.Node, at catalog.SiteID, att *attemptState) *scanOp {
+func (e *engine) newScan(n *plan.Node, at catalog.SiteID, att *attemptState, acc *chargeAcc) *scanIter {
 	rel := n.Table
 	r := e.cfg.Catalog.MustRelation(rel)
 	s := &scanOp{
-		e:        e,
-		rel:      rel,
-		atSite:   e.site(at),
-		relPages: r.Pages(e.cfg.Params.PageSize),
-		tpp:      tuplesPerPage(e.cfg.Params.PageSize, r.TupleBytes),
-		att:      att,
+		e:         e,
+		rel:       rel,
+		atSite:    e.site(at),
+		relPages:  r.Pages(e.cfg.Params.PageSize),
+		relTuples: int64(r.Tuples),
+		tpp:       tuplesPerPage(e.cfg.Params.PageSize, r.TupleBytes),
+		att:       att,
 	}
 	if at == catalog.Client {
 		s.cachedPages = e.cfg.Catalog.CachedPages(rel)
@@ -96,48 +152,36 @@ func (e *engine) newScan(n *plan.Node, at catalog.SiteID, att *attemptState) *sc
 			s.atRole = RoleSecondary
 		}
 	}
-	return s
+	return &scanIter{scanOp: s, acc: acc, w: len(e.relIdx), idx: e.relIdx[rel]}
 }
 
-func (s *scanOp) open(p *sim.Proc) {
+func (s *scanIter) open(p *sim.Proc) {
 	s.nextPage = 0
 	s.nextID = 0
-	s.window = 0
 }
 
-// fill pays the I/O and CPU for the next run of pages, leaving them in the
-// window for materialization. A run never crosses the boundary between the
-// cached prefix and the faulted remainder, so each run uses one transport.
-func (s *scanOp) fill(p *sim.Proc) {
+// fill pays the I/O and CPU for page pg.
+func (s *scanOp) fill(p *sim.Proc, pg int) {
 	params := s.e.cfg.Params
-	pg := s.nextPage
-	n := params.batch()
-	if rem := s.relPages - pg; n > rem {
-		n = rem
-	}
 	switch {
 	case s.atSite.id != catalog.Client:
 		// Server-copy scan: sequential read of the relation extent.
 		if s.att != nil && !s.atSite.up {
 			s.att.failFromSite(p, reasonSiteDown, int(s.atSite.id), s.atRole)
 		}
-		s.atSite.chargeCPU(p, params, params.DiskInst*float64(n))
-		s.atSite.readRun(p, s.atSite.extents[s.rel].plus(pg), n)
+		s.atSite.chargeCPU(p, params, params.DiskInst)
+		s.atSite.read(p, s.atSite.extents[s.rel].plus(pg))
 	case pg < s.cachedPages:
 		// Cached prefix on the client disk.
-		if rem := s.cachedPages - pg; n > rem {
-			n = rem
-		}
 		if s.e.coh != nil {
-			n = s.fillCoherent(p, pg, n)
-			break
+			s.fillCoherent(p, pg, 1)
+			return
 		}
-		s.atSite.chargeCPU(p, params, params.DiskInst*float64(n))
-		s.atSite.readRun(p, s.atSite.extents[s.rel].plus(pg), n)
+		s.atSite.chargeCPU(p, params, params.DiskInst)
+		s.atSite.read(p, s.atSite.extents[s.rel].plus(pg))
 	default:
-		s.faultRun(p, pg, n)
+		s.faultRun(p, pg, 1)
 	}
-	s.window = n
 }
 
 // faultRun pays one page-fault round trip for pages [pg, pg+n): synchronous
@@ -192,86 +236,129 @@ func (s *scanOp) faultRun(p *sim.Proc, pg, n int) {
 	}
 }
 
-func (s *scanOp) next(p *sim.Proc) (page, bool) {
+func (s *scanIter) next(p *sim.Proc) (*colBatch, bool) {
 	if s.nextPage >= s.relPages {
-		return page{}, false
+		return nil, false
 	}
-	if s.window == 0 {
-		s.fill(p)
-	}
-	s.window--
+	// fill charges and parks; pending coalesced charges must land first.
+	s.acc.flush(p)
+	s.fill(p, s.nextPage)
 	s.nextPage++
 
-	// Materialize the page's tuples.
 	n := s.tpp
-	rel := s.e.cfg.Catalog.MustRelation(s.rel)
-	if rem := int64(rel.Tuples) - s.nextID; int64(n) > rem {
+	if rem := s.relTuples - s.nextID; int64(n) > rem {
 		n = int(rem)
 	}
-	out := page{tuples: make([]Tuple, 0, n)}
-	idx := s.e.relIdx[s.rel]
-	for i := 0; i < n; i++ {
-		out.tuples = append(out.tuples, baseTuple(len(s.e.relIdx), idx, s.nextID))
-		s.nextID++
+	b := s.e.pool.get(s.w, s.tpp)
+	b.n = n
+	for c := 0; c < s.w; c++ {
+		col := b.col(c)
+		if c == s.idx {
+			id := s.nextID
+			for i := 0; i < n; i++ {
+				col[i] = id
+				id++
+			}
+		} else {
+			for i := 0; i < n; i++ {
+				col[i] = absent
+			}
+		}
 	}
-	s.tuples += int64(n)
-	return out, true
+	s.nextID += int64(n)
+	return b, true
 }
 
-func (s *scanOp) close(p *sim.Proc) {}
+func (s *scanIter) close(p *sim.Proc) {}
 
 // selectOp applies a base relation's selection predicate, charging
-// CompareInst per input tuple, and re-batches survivors into full pages.
+// CompareInst per input tuple, gathering survivors through a selection
+// vector and re-compacting them into full pages: pages of exactly tpp while
+// input lasts, then one final partial page.
 type selectOp struct {
 	e      *engine
 	rel    string
 	atSite *site
 	child  iterator
-	buf    []Tuple
-	tpp    int
-	done   bool
+	acc    *chargeAcc
+
+	idx  int
+	w    int
+	tpp  int
+	sel  []int32 // selection vector scratch
+	cur  *colBatch
+	rdy  batchRing
+	done bool
 }
 
-func (e *engine) newSelect(rel string, at catalog.SiteID, child iterator) *selectOp {
+func (e *engine) newSelect(rel string, at catalog.SiteID, child iterator, acc *chargeAcc) *selectOp {
 	return &selectOp{
-		e: e, rel: rel, atSite: e.site(at), child: child,
+		e: e, rel: rel, atSite: e.site(at), child: child, acc: acc,
+		idx: e.relIdx[rel],
+		w:   len(e.relIdx),
 		tpp: tuplesPerPage(e.cfg.Params.PageSize, e.cfg.Query.ResultTupleBytes),
 	}
 }
 
 func (s *selectOp) open(p *sim.Proc) {
 	s.child.open(p)
-	s.buf = nil
 	s.done = false
 }
 
-func (s *selectOp) next(p *sim.Proc) (page, bool) {
-	params := s.e.cfg.Params
-	idx := s.e.relIdx[s.rel]
+func (s *selectOp) next(p *sim.Proc) (*colBatch, bool) {
+	pr := &s.e.cfg.Params
 	pass := s.e.cfg.Pass
-	for len(s.buf) < s.tpp && !s.done {
+	// Consume input only while no completed output page is queued.
+	for s.rdy.empty() && !s.done {
 		in, ok := s.child.next(p)
 		if !ok {
 			s.done = true
 			break
 		}
-		s.atSite.chargeCPU(p, params, params.CompareInst*float64(len(in.tuples)))
-		for _, t := range in.tuples {
-			if pass == nil || pass(s.rel, t[idx]) {
-				s.buf = append(s.buf, t)
+		s.acc.add(p, s.atSite, pr, pr.CompareInst*float64(in.n))
+		sel := s.sel[:0]
+		idcol := in.col(s.idx)
+		for i := 0; i < in.n; i++ {
+			if pass == nil || pass(s.rel, idcol[i]) {
+				sel = append(sel, int32(i))
 			}
 		}
+		s.sel = sel
+		// Gather the survivors column-wise into the output page under
+		// construction, completing pages at exactly tpp rows.
+		for len(sel) > 0 {
+			if s.cur == nil {
+				s.cur = s.e.pool.get(s.w, s.tpp)
+			}
+			take := s.tpp - s.cur.n
+			if take > len(sel) {
+				take = len(sel)
+			}
+			for c := 0; c < s.w; c++ {
+				src, dst := in.col(c), s.cur.col(c)
+				at := s.cur.n
+				for k := 0; k < take; k++ {
+					dst[at+k] = src[sel[k]]
+				}
+			}
+			s.cur.n += take
+			sel = sel[take:]
+			if s.cur.n == s.tpp {
+				s.rdy.push(s.cur)
+				s.cur = nil
+			}
+		}
+		s.e.pool.put(in)
 	}
-	if len(s.buf) == 0 {
-		return page{}, false
+	if !s.rdy.empty() {
+		return s.rdy.pop(), true
 	}
-	n := s.tpp
-	if n > len(s.buf) {
-		n = len(s.buf)
+	if s.done && s.cur != nil && s.cur.n > 0 {
+		b := s.cur
+		s.cur = nil
+		return b, true
 	}
-	out := page{tuples: s.buf[:n]}
-	s.buf = s.buf[n:]
-	return out, true
+	return nil, false
 }
 
 func (s *selectOp) close(p *sim.Proc) { s.child.close(p) }
@@ -286,6 +373,7 @@ type aggOp struct {
 	e      *engine
 	atSite *site
 	child  iterator
+	acc    *chargeAcc
 	groups int
 	tpp    int
 
@@ -294,66 +382,68 @@ type aggOp struct {
 	pos     int
 }
 
-func (e *engine) newAgg(at catalog.SiteID, child iterator) *aggOp {
+func (e *engine) newAgg(at catalog.SiteID, child iterator, acc *chargeAcc) *aggOp {
 	groups := e.cfg.Query.GroupBy
 	if groups < 1 {
 		groups = 1
 	}
 	return &aggOp{
-		e: e, atSite: e.site(at), child: child, groups: groups,
+		e: e, atSite: e.site(at), child: child, acc: acc, groups: groups,
 		tpp: tuplesPerPage(e.cfg.Params.PageSize, e.cfg.Query.ResultTupleBytes),
 	}
 }
 
 func (a *aggOp) open(p *sim.Proc) {
-	params := a.e.cfg.Params
+	pr := &a.e.cfg.Params
 	a.child.open(p)
 	a.counts = make(map[int64]int64)
 	for {
-		pg, ok := a.child.next(p)
+		in, ok := a.child.next(p)
 		if !ok {
 			break
 		}
-		a.atSite.chargeCPU(p, params, params.HashInst*float64(len(pg.tuples)))
-		for _, t := range pg.tuples {
+		a.acc.add(p, a.atSite, pr, pr.HashInst*float64(in.n))
+		for i := 0; i < in.n; i++ {
 			var h uint64
-			for _, id := range t {
-				if id != absent {
+			for c := 0; c < in.w; c++ {
+				if id := in.col(c)[i]; id != absent {
 					h = mix64(h ^ uint64(id))
 				}
 			}
 			a.counts[int64(h%uint64(a.groups))]++
 		}
+		a.e.pool.put(in)
 	}
 	a.emitted = make([]int64, 0, len(a.counts))
 	for g := range a.counts { //hslint:ordered -- group ids are sorted immediately below
 		a.emitted = append(a.emitted, g)
 	}
 	sortInt64s(a.emitted)
-	a.atSite.chargeCPU(p, params,
-		params.MoveInst*float64(a.e.cfg.Query.ResultTupleBytes)/4*float64(len(a.emitted)))
+	a.acc.add(p, a.atSite, pr,
+		pr.MoveInst*float64(a.e.cfg.Query.ResultTupleBytes)/4*float64(len(a.emitted)))
 	a.pos = 0
 }
 
-func (a *aggOp) next(p *sim.Proc) (page, bool) {
+func (a *aggOp) next(p *sim.Proc) (*colBatch, bool) {
 	if a.pos >= len(a.emitted) {
-		return page{}, false
+		return nil, false
 	}
 	n := a.tpp
 	if rem := len(a.emitted) - a.pos; n > rem {
 		n = rem
 	}
-	out := page{tuples: make([]Tuple, 0, n)}
+	// An aggregate output tuple carries (group, count) in two columns; it
+	// never participates in further joins.
+	b := a.e.pool.get(2, a.tpp)
+	b.n = n
+	g, cnt := b.col(0), b.col(1)
 	for i := 0; i < n; i++ {
-		g := a.emitted[a.pos]
+		id := a.emitted[a.pos]
 		a.pos++
-		// An aggregate output tuple carries (group, count) in its first two
-		// slots; it never participates in further joins.
-		t := make(Tuple, 2)
-		t[0], t[1] = g, a.counts[g]
-		out.tuples = append(out.tuples, t)
+		g[i] = id
+		cnt[i] = a.counts[id]
 	}
-	return out, true
+	return b, true
 }
 
 func (a *aggOp) close(p *sim.Proc) { a.child.close(p) }
@@ -378,33 +468,37 @@ func sortInt64s(xs []int64) {
 }
 
 // displayOp is the root operator: it drains its child at the client and
-// counts result tuples (§2.1).
+// counts result tuples (§2.1). The final flush realizes the query's last
+// coalesced charges before its completion time is read.
 type displayOp struct {
 	e      *engine
 	child  iterator
+	acc    *chargeAcc
 	tuples int64
 }
 
 func (d *displayOp) run(p *sim.Proc) {
-	params := d.e.cfg.Params
+	pr := &d.e.cfg.Params
 	d.child.open(p)
 	for {
-		pg, ok := d.child.next(p)
+		b, ok := d.child.next(p)
 		if !ok {
 			break
 		}
-		d.tuples += int64(len(pg.tuples))
-		d.e.client.chargeCPU(p, params, params.DisplayInst*float64(len(pg.tuples)))
+		d.tuples += int64(b.n)
+		d.acc.add(p, d.e.client, pr, pr.DisplayInst*float64(b.n))
+		d.e.pool.put(b)
 	}
 	d.child.close(p)
+	d.acc.flush(p)
 }
 
 // netPair decouples a producer fragment from its consumer across the
 // network. The producer runs as its own process that stays one page ahead of
 // the consumer (§3.2.1), giving pipelined parallelism; the consumer side is
-// an ordinary iterator. With BatchPages > 1 the producer groups pages into
-// runs shipped as one scatter-gather message each (the lookahead buffer then
-// counts runs, not pages).
+// an ordinary iterator. The producer runs the far subtree, so it owns that
+// subtree's accumulator and flushes it before every transmit and before
+// closing the stream.
 type netPair struct {
 	e        *engine
 	from, to *site
@@ -413,12 +507,12 @@ type netPair struct {
 	started  bool
 	att      *attemptState
 
-	pending []page // unpacked remainder of the last received run
-	pos     int
+	pacc *chargeAcc // producer-side (far subtree) accumulator
+	acc  *chargeAcc // consumer-side accumulator
 }
 
-func (e *engine) newNetPair(child iterator, from, to catalog.SiteID, att *attemptState) *netPair {
-	return &netPair{e: e, from: e.site(from), to: e.site(to), child: child, att: att}
+func (e *engine) newNetPair(child iterator, from, to catalog.SiteID, att *attemptState, pacc, acc *chargeAcc) *netPair {
+	return &netPair{e: e, from: e.site(from), to: e.site(to), child: child, att: att, pacc: pacc, acc: acc}
 }
 
 func (n *netPair) open(p *sim.Proc) {
@@ -427,38 +521,21 @@ func (n *netPair) open(p *sim.Proc) {
 	}
 	n.started = true
 	n.buf = sim.NewBuffer(n.e.sim, "net", n.e.cfg.Params.lookahead())
-	params := n.e.cfg.Params
+	pr := &n.e.cfg.Params
 	body := func(pp *sim.Proc) {
 		n.child.open(pp)
-		batch := params.batch()
-		var run []page
-		send := func() {
-			n.from.chargeCPU(pp, params, params.msgCPUInstr(len(run)*params.PageSize))
-			n.e.net.TransmitPages(pp, params.PageSize, len(run))
-			n.buf.Put(pp, run)
-			run = nil
-		}
 		for {
-			pg, ok := n.child.next(pp)
+			b, ok := n.child.next(pp)
 			if !ok {
 				break
 			}
-			if batch == 1 {
-				// Paper-exact page-at-a-time stream.
-				n.from.chargeCPU(pp, params, params.msgCPUInstr(params.PageSize))
-				n.e.net.Transmit(pp, params.PageSize, true)
-				n.buf.Put(pp, pg)
-				continue
-			}
-			run = append(run, pg)
-			if len(run) >= batch {
-				send()
-			}
-		}
-		if len(run) > 0 {
-			send()
+			n.pacc.add(pp, n.from, pr, pr.msgCPUInstr(pr.PageSize))
+			n.pacc.flush(pp)
+			n.e.net.Transmit(pp, pr.PageSize, true)
+			n.buf.Put(pp, b)
 		}
 		n.child.close(pp)
+		n.pacc.flush(pp)
 		n.buf.Close()
 	}
 	if att := n.att; att != nil {
@@ -478,39 +555,33 @@ func (n *netPair) open(p *sim.Proc) {
 			inner(pp)
 		}
 	}
-	pr := n.e.sim.SpawnDaemonLazy(func() string { return fmt.Sprintf("send:%d->%d", n.from.id, n.to.id) }, body)
+	// Spawning the producer is kernel-visible: the daemon's first dispatch
+	// lands at the current simulated time. Any consumer-side work still
+	// sitting in the accumulator — e.g. the hash charge for a partial last
+	// build page, which no later batch flushes — must be realized first.
+	n.acc.flush(p)
+	pr2 := n.e.sim.SpawnDaemonLazy(func() string { return fmt.Sprintf("send:%d->%d", n.from.id, n.to.id) }, body)
 	if n.att != nil {
-		n.att.addHelper(pr)
+		n.att.addHelper(pr2)
 	}
 }
 
-func (n *netPair) next(p *sim.Proc) (page, bool) {
-	if n.pos < len(n.pending) {
-		pg := n.pending[n.pos]
-		n.pos++
-		return pg, true
-	}
+func (n *netPair) next(p *sim.Proc) (*colBatch, bool) {
+	// Get parks; the consumer's pending charges must land first.
+	n.acc.flush(p)
 	v, ok := n.buf.Get(p)
 	if !ok {
-		return page{}, false
+		return nil, false
 	}
-	params := n.e.cfg.Params
-	switch t := v.(type) {
-	case page:
-		n.to.chargeCPU(p, params, params.msgCPUInstr(params.PageSize))
-		return t, true
-	default:
-		run := t.([]page)
-		n.to.chargeCPU(p, params, params.msgCPUInstr(len(run)*params.PageSize))
-		n.pending, n.pos = run, 1
-		return run[0], true
-	}
+	pr := &n.e.cfg.Params
+	n.acc.add(p, n.to, pr, pr.msgCPUInstr(pr.PageSize))
+	return v.(*colBatch), true
 }
 
 func (n *netPair) close(p *sim.Proc) {}
 
 // pageServer answers page-fault requests at a server: it reads the requested
-// page from the server disk and ships it to the client. One daemon per
+// pages from the server disk and ships them to the client. One daemon per
 // server serves requests in FIFO order.
 type pageServer struct {
 	e    *engine

@@ -93,37 +93,6 @@ func RunBound(cfg Config, root *plan.Node, binding plan.Binding) (Result, error)
 	return res, nil
 }
 
-// build converts a plan subtree into an iterator running at consumerSite's
-// process, inserting a network operator pair wherever a producer is bound to
-// a different site than its consumer (§3.2.1). att supervises the attempt in
-// a failure-aware run; it is nil on the fault-free path. ar is the query's
-// merge arena, shared by every join of the plan.
-func (e *engine) build(n *plan.Node, b plan.Binding, consumerSite catalog.SiteID, att *attemptState, ar *mergeArena) iterator {
-	site := b[n]
-	var it iterator
-	switch n.Kind {
-	case plan.KindScan:
-		it = e.newScan(n, site, att)
-	case plan.KindSelect:
-		child := e.build(n.Left, b, site, att, ar)
-		it = e.newSelect(n.Rel, site, child)
-	case plan.KindAgg:
-		child := e.build(n.Left, b, site, att, ar)
-		it = e.newAgg(site, child)
-	case plan.KindJoin:
-		inner := e.build(n.Left, b, site, att, ar)
-		outer := e.build(n.Right, b, site, att, ar)
-		it = e.newHHJoin(site, inner, outer, n.Left.BaseTables(), n.Right.BaseTables(),
-			e.estPages(n.Left), e.estPages(n.Right), ar)
-	default:
-		panic(fmt.Sprintf("exec: cannot build operator for %v", n.Kind))
-	}
-	if site != consumerSite {
-		it = e.newNetPair(it, site, consumerSite, att)
-	}
-	return it
-}
-
 // estCard estimates a subtree's output cardinality and tuple width from
 // catalog statistics, the same way the optimizer's cost model does. The
 // engine uses it only to size join memory allocations; actual cardinalities

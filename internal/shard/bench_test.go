@@ -45,8 +45,7 @@ func benchFleet(co *Coordinator, rounds int) {
 // rate (events/s) and the schedule-admitted speedup (critical-speedup =
 // Sum(per-shard busy)/Sum(per-window slowest shard)) as custom metrics.
 // On a 1-core host the wall columns cannot scale; critical-speedup is the
-// parallelism the committed schedule exposes regardless — the number
-// scripts/bench_sim.sh snapshots into BENCH_sim.json.
+// parallelism the committed schedule exposes regardless.
 func BenchmarkFleet(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

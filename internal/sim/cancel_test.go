@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestInterruptUnwindsAtPark is the cancel-before-fire case: a process parked
@@ -294,5 +296,60 @@ func TestResourceUseArmedReleasesOnUnwind(t *testing.T) {
 	}
 	if r.InUse() != 0 {
 		t.Fatalf("resource left inUse=%d, want 0", r.InUse())
+	}
+}
+
+// TestInterruptAtResourceHandoff interrupts a queued waiter at the instant
+// Release hands it the server: the hand-off only schedules the waiter's
+// wake-up, and the interrupt is delivered first, so the waiter unwinds
+// inside Acquire without ever running as the holder. The server must pass on
+// to the next waiter — not leak with the unwound one — and no pooled process
+// may be left blocked.
+func TestInterruptAtResourceHandoff(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New()
+	s.ArmInterrupts()
+	r := NewResource(s, "cpu", 1)
+	s.Spawn("holder", func(p *Proc) {
+		r.Use(p, 5) // releases at t=5, handing the server to "first"
+	})
+	first := s.Spawn("first", func(p *Proc) {
+		p.Hold(0.1)
+		r.Use(p, 1)
+		t.Error("interrupted waiter ran as the holder")
+	})
+	var secondAt Time = -1
+	s.Spawn("second", func(p *Proc) {
+		p.Hold(0.2)
+		r.Use(p, 1)
+		secondAt = s.Now()
+	})
+	s.Spawn("killer", func(p *Proc) {
+		// Scheduled at t=5 behind the holder's wake-up and ahead of the
+		// wake-up the hand-off schedules for "first".
+		p.Hold(5)
+		first.Interrupt("crash")
+	})
+	func() {
+		defer func() {
+			if rec := recover(); rec != nil {
+				t.Fatalf("simulation failed: %v", rec)
+			}
+		}()
+		s.Run()
+	}()
+	if secondAt != 6 {
+		t.Fatalf("second waiter finished at t=%g, want 6 (the server must pass on at t=5)", secondAt)
+	}
+	if r.InUse() != 0 || r.QueueLen() != 0 {
+		t.Fatalf("resource left inUse=%d queue=%d, want 0/0", r.InUse(), r.QueueLen())
+	}
+	// Run terminates the pooled workers when it drains; give their
+	// goroutines a moment to exit.
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

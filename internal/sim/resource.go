@@ -35,14 +35,44 @@ func (r *Resource) Name() string { return r.name }
 
 // Acquire obtains one server of the resource, blocking in FIFO order until
 // one is free.
+//
+// In an armed simulation a queued waiter can be interrupted at the very
+// instant Release hands it a server (the hand-off only schedules its
+// wake-up), and it then unwinds here, before its caller could defer a
+// Release. The deferred check gives such a server back, so it passes on to
+// the next waiter instead of leaking.
 func (r *Resource) Acquire(p *Proc) {
 	r.requests++
 	if r.inUse < r.servers && len(r.waiters) == 0 {
 		r.inUse++
 		return
 	}
-	r.waiters = append(r.waiters, p.Ref())
+	ref := p.Ref()
+	r.waiters = append(r.waiters, ref)
+	if r.sim.armed {
+		granted := false
+		defer func() {
+			if !granted && r.handedTo(ref) {
+				r.Release(p)
+			}
+		}()
+		p.Block()
+		granted = true
+		return
+	}
 	p.Block()
+}
+
+// handedTo reports whether Release already passed a server to the waiter
+// queued as ref: Release dequeues exactly the waiter it hands a server to,
+// so a ref no longer queued was served.
+func (r *Resource) handedTo(ref Ref) bool {
+	for _, w := range r.waiters {
+		if w == ref {
+			return false
+		}
+	}
+	return true
 }
 
 // Release frees one server, waking the longest-waiting process, if any.

@@ -26,6 +26,8 @@ echo "== go build ./..."
 go build ./...
 echo "== go test ./..."
 go test ./...
+echo "== go -C bench test ./... (bench/ is its own module, so ./... above never builds it)"
+go -C bench test ./...
 echo "== go vet ./..."
 go vet ./...
 echo "== hslint (project invariants; list waivers: go run ./cmd/hslint -waive ./...)"
@@ -51,8 +53,6 @@ echo "== overload smoke (serving-layer grid end-to-end under the race detector)"
 go run -race ./cmd/csq run -quick -reps 2 overload >/dev/null
 echo "== shardscale smoke (parallel kernel: fleet equality at 1/2/4/8 shards under the race detector)"
 go run -race ./cmd/csq run -quick -reps 1 shardscale >/dev/null
-echo "== vecscale smoke (vectorized engine: batch/page result equality under the race detector)"
-go run -race ./cmd/csq run -quick -reps 1 vecscale >/dev/null
 echo "== fuzz smoke (2s per target)"
 go test -run '^$' -fuzz '^FuzzPlanWellFormed$' -fuzztime 2s ./internal/plan/
 go test -run '^$' -fuzz '^FuzzSeedMix$' -fuzztime 2s ./internal/seedmix/
