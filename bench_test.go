@@ -147,38 +147,6 @@ func BenchmarkFig10(b *testing.B) { benchFigure(b, experiments.Config.Fig10) }
 // BenchmarkFig11 regenerates the same for the HiSel query.
 func BenchmarkFig11(b *testing.B) { benchFigure(b, experiments.Config.Fig11) }
 
-// BenchmarkOptimizer10Way measures what the paper reports in §3.1.1: the
-// time to perform join ordering and site selection for a 10-way join over
-// 10 servers (about 40s on a 1995 SPARCstation 5; a few tens of
-// milliseconds here).
-func BenchmarkOptimizer10Way(b *testing.B) {
-	rels := make([]Relation, 10)
-	preds := make([]JoinPredicate, 0, 9)
-	for i := range rels {
-		rels[i] = Relation{Name: relName(i), Tuples: 10000, TupleBytes: 100, Server: i}
-		if i > 0 {
-			preds = append(preds, JoinPredicate{
-				Left: relName(i - 1), Right: relName(i), Selectivity: 1e-4,
-			})
-		}
-	}
-	sys, err := NewSystem(SystemConfig{Servers: 10}, rels)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := Query{Predicates: preds}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Optimize(q, OptimizeOptions{
-			Policy: HybridShipping, Metric: MinimizeResponseTime, Seed: int64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func relName(i int) string { return string(rune('A' + i)) }
-
 // Extension and ablation benches (see DESIGN.md §2 and EXPERIMENTS.md).
 
 // BenchmarkExtCrossover measures how the DS/QS communication crossover moves

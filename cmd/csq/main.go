@@ -6,6 +6,7 @@
 //	csq run all                 # every figure (slow: full sweeps)
 //	csq run fig2 fig3           # specific figures
 //	csq run -quick -reps 3 fig8 # thinner sweep, fewer repetitions
+//	csq run -cpuprofile fig8.prof -quick fig8  # plus a CPU profile
 //	csq list                    # what can be reproduced
 //
 // Output is a text table per figure: one row per x value, one "mean ±90% CI"
@@ -16,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -95,7 +97,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   csq list
-  csq run [-reps N] [-seed S] [-quick] [-v] <fig2|fig3|...|fig9|fig10|fig11|chaos|failover|coherence|overload|shardscale|all>...`)
+  csq run [-reps N] [-seed S] [-quick] [-v] [-cpuprofile FILE] <fig2|fig3|...|fig9|fig10|fig11|chaos|failover|coherence|overload|shardscale|all>...`)
 }
 
 func list() {
@@ -114,6 +116,7 @@ func runCmd(args []string) {
 	seed := fs.Int64("seed", 42, "random seed")
 	quick := fs.Bool("quick", false, "thin the parameter sweeps")
 	verbose := fs.Bool("v", false, "verbose: per-cell counters (overload/failover) and per-stream attribution (coherence)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to `file` (pprof format; read it with go tool pprof)")
 	fs.Parse(args)
 
 	targets := fs.Args()
@@ -124,21 +127,63 @@ func runCmd(args []string) {
 	if len(targets) == 1 && targets[0] == "all" {
 		targets = allFigures
 	}
-	cfg := experiments.Config{Reps: *reps, Seed: *seed, Quick: *quick}
-
-	for _, name := range targets {
+	exps := make([]experiment, len(targets))
+	for i, name := range targets {
 		e, ok := lookup(name)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (try: csq list)\n", name)
 			os.Exit(2)
 		}
+		exps[i] = e
+	}
+	cfg := experiments.Config{Reps: *reps, Seed: *seed, Quick: *quick}
+
+	stop, err := startCPUProfile(*cpuprofile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "csq: %v\n", err)
+		os.Exit(1)
+	}
+	err = runExperiments(exps, cfg, *verbose)
+	if perr := stop(); err == nil {
+		err = perr
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// runExperiments runs each experiment in turn, printing its tables and then
+// its wall-clock time.
+func runExperiments(exps []experiment, cfg experiments.Config, verbose bool) error {
+	for _, e := range exps {
 		start := time.Now()
-		if err := e.run(cfg, *verbose); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
-			os.Exit(1)
+		if err := e.run(cfg, verbose); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
 		fmt.Printf("  [%s]\n\n", time.Since(start).Round(time.Millisecond))
 	}
+	return nil
+}
+
+// startCPUProfile starts profiling into path, if one is given, and returns
+// the function that stops the profile and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("cpuprofile: %w", err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 // figure adapts a single-figure experiment to the registry.

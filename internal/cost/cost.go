@@ -14,8 +14,8 @@
 package cost
 
 import (
+	"fmt"
 	"math"
-	"sort"
 
 	"hybridship/internal/catalog"
 	"hybridship/internal/plan"
@@ -92,8 +92,8 @@ func (p Params) wireTime(bytes int) float64 {
 	return float64(bytes) * 8 / p.NetBw
 }
 
-func (p Params) diskUtil(site catalog.SiteID) float64 {
-	u := p.ServerDiskUtil[site]
+// clampUtil bounds an external disk utilization to [0, 0.99].
+func clampUtil(u float64) float64 {
 	switch {
 	case u < 0:
 		return 0
@@ -102,11 +102,6 @@ func (p Params) diskUtil(site catalog.SiteID) float64 {
 	default:
 		return u
 	}
-}
-
-// diskTime inflates a raw disk service time by the external load at a site.
-func (p Params) diskTime(site catalog.SiteID, raw float64) float64 {
-	return raw / (1 - p.diskUtil(site))
 }
 
 // ctrlMsgBytes is the size of a small control message (e.g. a page-fault
@@ -172,40 +167,38 @@ type nodeInfo struct {
 }
 
 // accum aggregates resource consumption for the total-cost metric and the
-// bottleneck bound of the response-time metric.
+// bottleneck bound of the response-time metric. Per-site work is indexed by
+// slot, site+1, so the client (site -1) is slot 0 and server s is slot s+1.
 type accum struct {
-	cpu   map[catalog.SiteID]float64
-	disk  map[catalog.SiteID]float64
+	cpu   []float64
+	disk  []float64
 	wire  float64
 	pages float64
 }
 
-func newAccum() *accum {
-	return &accum{cpu: make(map[catalog.SiteID]float64), disk: make(map[catalog.SiteID]float64)}
+// reset zeroes the accumulator and sizes it to slots sites.
+func (a *accum) reset(slots int) {
+	if cap(a.cpu) < slots {
+		a.cpu, a.disk = make([]float64, slots), make([]float64, slots)
+	}
+	a.cpu, a.disk = a.cpu[:slots], a.disk[:slots]
+	clear(a.cpu)
+	clear(a.disk)
+	a.wire, a.pages = 0, 0
 }
 
-// total sums all resource consumption. Keys are visited in sorted order so
-// floating-point rounding is identical across runs — map iteration order
-// would otherwise make estimates differ in their last bits and break the
-// optimizer's seed-determinism.
+// total sums all resource consumption in slot order, i.e. in ascending site
+// order, so floating-point rounding is identical across runs. A site with
+// no work adds +0.0, which leaves the sum exactly unchanged.
 func (a *accum) total() float64 {
 	t := a.wire
-	for _, s := range sortedSiteKeys(a.cpu) {
-		t += a.cpu[s]
+	for _, v := range a.cpu {
+		t += v
 	}
-	for _, s := range sortedSiteKeys(a.disk) {
-		t += a.disk[s]
+	for _, v := range a.disk {
+		t += v
 	}
 	return t
-}
-
-func sortedSiteKeys(m map[catalog.SiteID]float64) []catalog.SiteID {
-	out := make([]catalog.SiteID, 0, len(m))
-	for s := range m { //hslint:ordered -- keys are sorted immediately below
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func (a *accum) bottleneck(disksPerSite int) float64 {
@@ -213,41 +206,138 @@ func (a *accum) bottleneck(disksPerSite int) float64 {
 		disksPerSite = 1
 	}
 	m := a.wire
-	for _, v := range a.cpu { //hslint:ordered -- max is order-insensitive
+	for _, v := range a.cpu {
 		m = math.Max(m, v)
 	}
-	for _, v := range a.disk { //hslint:ordered -- max is order-insensitive
+	for _, v := range a.disk {
 		// A site's disk work spreads over its arms in the best case.
 		m = math.Max(m, v/float64(disksPerSite))
 	}
 	return m
 }
 
+// slot is the accumulator index of a site.
+func slot(s catalog.SiteID) int { return int(s) + 1 }
+
 // Estimate predicts the execution of a plan whose annotations have been
-// bound to sites.
+// bound to sites. It flattens the binding into the pre-order site list an
+// Estimator consumes, so both forms run the same evaluation.
 func (m *Model) Estimate(root *plan.Node, binding plan.Binding) Estimate {
-	var e Estimator
-	return e.Estimate(m, root, binding)
+	var sites []catalog.SiteID
+	root.Walk(func(n *plan.Node) { sites = append(sites, binding[n]) })
+	return NewEstimator(m).Estimate(root, sites)
 }
 
-// Estimator evaluates plans repeatedly while reusing its accumulator maps,
-// so a search loop does not allocate a fresh accumulator per candidate.
+// relFacts is what a scan or a selection needs to know about one base
+// relation, resolved from the catalog and the query once per Estimator.
+type relFacts struct {
+	pages      float64 // pages at the model's page size
+	card       float64 // tuples
+	tupleBytes int
+	home       catalog.SiteID
+	cached     float64 // pages cached at the client, at most pages
+	mask       uint64  // the query's bit for the relation (0 if none)
+	sel        float64 // selectivity of the selection above its scan
+}
+
+// Estimator evaluates plans of one Model repeatedly. It resolves the
+// model's relation facts and per-site disk utilizations once, and reuses
+// its accumulator, so a search loop evaluating candidate after candidate
+// allocates nothing and consults no maps beyond one relation lookup per
+// scan. The model must not change while the Estimator is in use.
 type Estimator struct {
-	acc *accum
+	m      *Model
+	rels   []relFacts
+	relIdx map[string]int
+	util   []float64 // clamped external disk utilization per slot
+	acc    accum
+
+	sites []catalog.SiteID // the plan being estimated, in pre-order
+	pos   int              // next pre-order position eval visits
 }
 
-// Estimate is the reusable-buffer form of Model.Estimate.
-func (e *Estimator) Estimate(m *Model, root *plan.Node, binding plan.Binding) Estimate {
-	if e.acc == nil {
-		e.acc = newAccum()
-	} else {
-		clear(e.acc.cpu)
-		clear(e.acc.disk)
-		e.acc.wire, e.acc.pages = 0, 0
+// NewEstimator resolves m's relation facts and disk utilizations. The
+// estimator serves m alone.
+func NewEstimator(m *Model) *Estimator {
+	names := m.Catalog.Relations()
+	e := &Estimator{m: m, rels: make([]relFacts, 0, len(names)), relIdx: make(map[string]int, len(names))}
+	hi := catalog.SiteID(m.Catalog.NumServers - 1)
+	for _, name := range names {
+		rel := m.Catalog.MustRelation(name)
+		pages := float64(rel.Pages(m.Params.PageSize))
+		cached := float64(m.Catalog.CachedPages(name))
+		if cached > pages {
+			cached = pages
+		}
+		e.relIdx[name] = len(e.rels)
+		e.rels = append(e.rels, relFacts{
+			pages:      pages,
+			card:       float64(rel.Tuples),
+			tupleBytes: rel.TupleBytes,
+			home:       rel.Home,
+			cached:     cached,
+			mask:       m.Query.RelMask(name),
+			sel:        m.Query.SelectSelectivity(name),
+		})
+		for i := 0; i < rel.NumCopies(); i++ {
+			hi = max(hi, rel.CopySite(i))
+		}
 	}
-	info := m.eval(root, binding, e.acc)
-	rt := math.Max(info.rt, e.acc.bottleneck(m.Params.NumDisks))
+	e.grow(hi)
+	return e
+}
+
+// grow extends the per-site tables to cover sites up to hi.
+func (e *Estimator) grow(hi catalog.SiteID) {
+	for s := catalog.SiteID(len(e.util) - 1); s <= hi; s++ {
+		e.util = append(e.util, clampUtil(e.m.Params.ServerDiskUtil[s]))
+	}
+}
+
+// Estimate predicts the execution of root with sites[i] the site of the
+// i-th node in pre-order (the order of plan.Node.Walk), as plan.Binder
+// produces them.
+func (e *Estimator) Estimate(root *plan.Node, sites []catalog.SiteID) Estimate {
+	for _, s := range sites {
+		if s < catalog.Client {
+			panic(fmt.Sprintf("cost: site %d is below the client", s))
+		}
+		if slot(s) >= len(e.util) {
+			e.grow(s)
+		}
+	}
+	e.sites, e.pos = sites, 0
+	e.acc.reset(len(e.util))
+	info := e.eval(root)
+	if e.pos != len(sites) {
+		panic(fmt.Sprintf("cost: %d sites for a plan of %d nodes", len(sites), e.pos))
+	}
+	e.sites = nil
+	rt := math.Max(info.rt, e.acc.bottleneck(e.m.Params.NumDisks))
 	return Estimate{TotalCost: e.acc.total(), ResponseTime: rt, PagesSent: e.acc.pages}
+}
+
+// diskTime inflates a raw disk service time by the external load at a site.
+func (e *Estimator) diskTime(site catalog.SiteID, raw float64) float64 {
+	return raw / (1 - e.util[slot(site)])
+}
+
+// rel returns the facts of a scanned relation. Binding rejects scans of
+// relations the catalog lacks, so a miss is a caller's bug.
+func (e *Estimator) rel(name string) *relFacts {
+	i, ok := e.relIdx[name]
+	if !ok {
+		panic("cost: scan of unknown relation " + name)
+	}
+	return &e.rels[i]
+}
+
+// selectivity is Query.SelectSelectivity through the resolved facts.
+func (e *Estimator) selectivity(name string) float64 {
+	if i, ok := e.relIdx[name]; ok {
+		return e.rels[i].sel
+	}
+	return e.m.Query.SelectSelectivity(name)
 }
 
 func pagesOf(card float64, tupleBytes, pageSize int) float64 {
@@ -263,15 +353,15 @@ func pagesOf(card float64, tupleBytes, pageSize int) float64 {
 
 // ship charges communication for moving `pages` data pages of `bytes` total
 // from one site to another and returns the pipeline stage duration.
-func (m *Model) ship(acc *accum, from, to catalog.SiteID, pages float64, acct bool) float64 {
+func (e *Estimator) ship(from, to catalog.SiteID, pages float64, acct bool) float64 {
 	if from == to || pages <= 0 {
 		return 0
 	}
-	p := m.Params
+	p, acc := &e.m.Params, &e.acc
 	perPageCPU := p.msgCPUTime(p.PageSize)
 	wire := p.wireTime(p.PageSize)
-	acc.cpu[from] += perPageCPU * pages
-	acc.cpu[to] += perPageCPU * pages
+	acc.cpu[slot(from)] += perPageCPU * pages
+	acc.cpu[slot(to)] += perPageCPU * pages
 	acc.wire += wire * pages
 	if acct {
 		acc.pages += pages
@@ -281,19 +371,21 @@ func (m *Model) ship(acc *accum, from, to catalog.SiteID, pages float64, acct bo
 	return pages * math.Max(wire, perPageCPU)
 }
 
-func (m *Model) eval(n *plan.Node, b plan.Binding, acc *accum) nodeInfo {
-	p := m.Params
-	site := b[n]
+// eval evaluates the subtree at n, whose site is the next pre-order entry.
+func (e *Estimator) eval(n *plan.Node) nodeInfo {
+	m, p, acc := e.m, &e.m.Params, &e.acc
+	site := e.sites[e.pos]
+	e.pos++
 	switch n.Kind {
 	case plan.KindScan:
-		return m.evalScan(n, site, acc)
+		return e.evalScan(n, site)
 
 	case plan.KindSelect:
-		child := m.eval(n.Left, b, acc)
-		shipDur := m.ship(acc, child.site, site, child.pages, true)
-		sel := m.Query.SelectSelectivity(n.Rel)
+		child := e.eval(n.Left)
+		shipDur := e.ship(child.site, site, child.pages, true)
+		sel := e.selectivity(n.Rel)
 		cpu := p.cpuTime(p.CompareInst * child.card)
-		acc.cpu[site] += cpu
+		acc.cpu[slot(site)] += cpu
 		out := child.card * sel
 		return nodeInfo{
 			card:       out,
@@ -305,13 +397,13 @@ func (m *Model) eval(n *plan.Node, b plan.Binding, acc *accum) nodeInfo {
 		}
 
 	case plan.KindJoin:
-		return m.evalJoin(n, b, acc)
+		return e.evalJoin(n, site)
 
 	case plan.KindAgg:
-		child := m.eval(n.Left, b, acc)
-		shipDur := m.ship(acc, child.site, site, child.pages, true)
+		child := e.eval(n.Left)
+		shipDur := e.ship(child.site, site, child.pages, true)
 		cpu := p.cpuTime(p.HashInst * child.card)
-		acc.cpu[site] += cpu
+		acc.cpu[slot(site)] += cpu
 		out := float64(m.Query.GroupBy)
 		if out <= 0 || out > child.card {
 			out = math.Min(1, child.card)
@@ -331,10 +423,10 @@ func (m *Model) eval(n *plan.Node, b plan.Binding, acc *accum) nodeInfo {
 		}
 
 	case plan.KindDisplay:
-		child := m.eval(n.Left, b, acc)
-		shipDur := m.ship(acc, child.site, site, child.pages, true)
+		child := e.eval(n.Left)
+		shipDur := e.ship(child.site, site, child.pages, true)
 		cpu := p.cpuTime(p.DisplayInst * child.card)
-		acc.cpu[site] += cpu
+		acc.cpu[slot(site)] += cpu
 		return nodeInfo{
 			card:       child.card,
 			tupleBytes: child.tupleBytes,
@@ -347,25 +439,24 @@ func (m *Model) eval(n *plan.Node, b plan.Binding, acc *accum) nodeInfo {
 	panic("cost: unknown node kind")
 }
 
-func (m *Model) evalScan(n *plan.Node, site catalog.SiteID, acc *accum) nodeInfo {
-	p := m.Params
-	rel := m.Catalog.MustRelation(n.Table)
-	pages := float64(rel.Pages(p.PageSize))
-	card := float64(rel.Tuples)
-	info := nodeInfo{card: card, tupleBytes: rel.TupleBytes, pages: pages, site: site,
-		tables: m.Query.RelMask(n.Table)}
+func (e *Estimator) evalScan(n *plan.Node, site catalog.SiteID) nodeInfo {
+	p, acc := &e.m.Params, &e.acc
+	rel := e.rel(n.Table)
+	pages := rel.pages
+	info := nodeInfo{card: rel.card, tupleBytes: rel.tupleBytes, pages: pages, site: site,
+		tables: rel.mask}
 
 	if site != catalog.Client || pages == 0 {
 		// Scan at a server copy (the primary, or whichever replica the plan
 		// bound): sequential I/O at that copy's site.
 		at := site
 		if at == catalog.Client {
-			at = rel.Home // degenerate empty relation bound at the client
+			at = rel.home // degenerate empty relation bound at the client
 		}
-		d := p.diskTime(at, p.SeqPageTime) * pages
+		d := e.diskTime(at, p.SeqPageTime) * pages
 		cpu := p.cpuTime(p.DiskInst * pages)
-		acc.disk[at] += d
-		acc.cpu[at] += cpu
+		acc.disk[slot(at)] += d
+		acc.cpu[slot(at)] += cpu
 		info.rt = d + cpu
 		return info
 	}
@@ -373,26 +464,23 @@ func (m *Model) evalScan(n *plan.Node, site catalog.SiteID, acc *accum) nodeInfo
 	// Client scan (§2.1): cached pages come from the client disk; missing
 	// pages are faulted in from the home server one page at a time, with no
 	// overlap between request, server I/O, and reply (§4.2.3).
-	cached := float64(m.Catalog.CachedPages(n.Table))
-	if cached > pages {
-		cached = pages
-	}
+	cached := rel.cached
 	missing := pages - cached
 
-	clientDisk := p.diskTime(site, p.SeqPageTime) * cached
+	clientDisk := e.diskTime(site, p.SeqPageTime) * cached
 	clientCPU := p.cpuTime(p.DiskInst * cached)
-	acc.disk[site] += clientDisk
-	acc.cpu[site] += clientCPU
+	acc.disk[slot(site)] += clientDisk
+	acc.cpu[slot(site)] += clientCPU
 
 	var faultDur float64
 	if missing > 0 {
 		reqCPU := p.msgCPUTime(ctrlMsgBytes)
 		pageCPU := p.msgCPUTime(p.PageSize)
-		serverIO := p.diskTime(rel.Home, p.SeqPageTime)
+		serverIO := e.diskTime(rel.home, p.SeqPageTime)
 		serverCPU := p.cpuTime(p.DiskInst)
-		acc.cpu[site] += (reqCPU + pageCPU) * missing
-		acc.cpu[rel.Home] += (reqCPU + pageCPU + serverCPU) * missing
-		acc.disk[rel.Home] += serverIO * missing
+		acc.cpu[slot(site)] += (reqCPU + pageCPU) * missing
+		acc.cpu[slot(rel.home)] += (reqCPU + pageCPU + serverCPU) * missing
+		acc.disk[slot(rel.home)] += serverIO * missing
 		acc.wire += (p.wireTime(ctrlMsgBytes) + p.wireTime(p.PageSize)) * missing
 		acc.pages += missing
 		perFault := reqCPU*2 + p.wireTime(ctrlMsgBytes) + serverCPU + serverIO +
@@ -403,14 +491,13 @@ func (m *Model) evalScan(n *plan.Node, site catalog.SiteID, acc *accum) nodeInfo
 	return info
 }
 
-func (m *Model) evalJoin(n *plan.Node, b plan.Binding, acc *accum) nodeInfo {
-	p := m.Params
-	site := b[n]
-	inner := m.eval(n.Left, b, acc)
-	outer := m.eval(n.Right, b, acc)
+func (e *Estimator) evalJoin(n *plan.Node, site catalog.SiteID) nodeInfo {
+	m, p, acc := e.m, &e.m.Params, &e.acc
+	inner := e.eval(n.Left)
+	outer := e.eval(n.Right)
 
-	innerShip := m.ship(acc, inner.site, site, inner.pages, true)
-	outerShip := m.ship(acc, outer.site, site, outer.pages, true)
+	innerShip := e.ship(inner.site, site, inner.pages, true)
+	outerShip := e.ship(outer.site, site, outer.pages, true)
 
 	// The mask fast path avoids building two base-table map sets per join
 	// per candidate evaluation — the optimizer's dominant allocation.
@@ -427,7 +514,7 @@ func (m *Model) evalJoin(n *plan.Node, b plan.Binding, acc *accum) nodeInfo {
 	// CPU: hash each input tuple once, move each result tuple.
 	buildCPU := p.cpuTime(p.HashInst * inner.card)
 	probeCPU := p.cpuTime(p.HashInst*outer.card + p.MoveInst*(float64(outBytes)/4)*outCard)
-	acc.cpu[site] += buildCPU + probeCPU
+	acc.cpu[slot(site)] += buildCPU + probeCPU
 
 	// Temporary I/O per Shapiro: with the maximum allocation the inner's
 	// hash table is memory resident; with the minimum allocation all but a
@@ -447,14 +534,13 @@ func (m *Model) evalJoin(n *plan.Node, b plan.Binding, acc *accum) nodeInfo {
 		spillInner := (1 - q) * inner.pages
 		spillOuter := (1 - q) * outer.pages
 		ioCPU := p.cpuTime(p.DiskInst)
-		writeInner = (p.diskTime(site, p.SpillWriteTime) + ioCPU) * spillInner
-		writeOuter = (p.diskTime(site, p.SpillWriteTime) + ioCPU) * spillOuter
-		readBack = (p.diskTime(site, p.SpillReadTime) + ioCPU) * (spillInner + spillOuter)
-		acc.disk[site] += p.diskTime(site, p.SpillWriteTime)*(spillInner+spillOuter) +
-			p.diskTime(site, p.SpillReadTime)*(spillInner+spillOuter)
-		acc.cpu[site] += ioCPU * 2 * (spillInner + spillOuter)
+		writeInner = (e.diskTime(site, p.SpillWriteTime) + ioCPU) * spillInner
+		writeOuter = (e.diskTime(site, p.SpillWriteTime) + ioCPU) * spillOuter
+		readBack = (e.diskTime(site, p.SpillReadTime) + ioCPU) * (spillInner + spillOuter)
+		acc.disk[slot(site)] += e.diskTime(site, p.SpillWriteTime)*(spillInner+spillOuter) +
+			e.diskTime(site, p.SpillReadTime)*(spillInner+spillOuter)
+		acc.cpu[slot(site)] += ioCPU * 2 * (spillInner + spillOuter)
 	}
-
 	// Response time. The build blocks on the inner and the probe pipelines
 	// with the outer. Partition writes at this join overlap the producer's
 	// work when the producer runs at a different site (its partition-pass

@@ -230,3 +230,70 @@ func TestQuickResponseTimeLEQTotalCost(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEstimatorWarmZeroAlloc gates the optimizer's estimate hot path: once
+// an Estimator has evaluated a plan, evaluating it again allocates nothing.
+// The plan mixes a faulting client scan, a selection, server joins and a
+// loaded server disk, so every accumulator path runs.
+func TestEstimatorWarmZeroAlloc(t *testing.T) {
+	cat, _ := env(t)
+	if err := cat.SetCachedFraction("A", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	q := &query.Query{
+		Relations:        []string{"A", "B"},
+		Preds:            []query.Pred{{A: "A", B: "B", Selectivity: 1.0 / 10000}},
+		ResultTupleBytes: 100,
+		Selects:          map[string]float64{"A": 0.1},
+	}
+	p := DefaultParams()
+	p.ServerDiskUtil = map[catalog.SiteID]float64{0: 0.5}
+	m := &Model{Params: p, Catalog: cat, Query: q}
+	scanA := plan.NewScan("A")
+	scanA.Ann = plan.AnnClient
+	sel := plan.NewSelect(scanA, "A")
+	sel.Ann = plan.AnnConsumer
+	j := plan.NewJoin(sel, plan.NewScan("B"))
+	j.Ann = plan.AnnOuter
+	root := plan.NewDisplay(j)
+
+	var bd plan.Binder
+	sites, err := bd.Bind(root, cat, catalog.Client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEstimator(m)
+	want := e.Estimate(root, sites)
+	if n := testing.AllocsPerRun(1000, func() {
+		if got := e.Estimate(root, sites); got != want {
+			t.Fatalf("repeated estimate %+v, first %+v", got, want)
+		}
+	}); n != 0 {
+		t.Errorf("warm Estimate allocates %v per call, want 0", n)
+	}
+	if got := estimate(t, m, root); got != want {
+		t.Errorf("Model.Estimate %+v, Estimator %+v", got, want)
+	}
+}
+
+// TestEstimateBindingBeyondCatalog covers a hand-made Binding that places an
+// operator on a server the catalog does not list: the estimator extends its
+// per-site tables, including that server's disk load.
+func TestEstimateBindingBeyondCatalog(t *testing.T) {
+	cat, q := env(t)
+	root := twoWay()
+	annotate(root, plan.QueryShipping)
+	b, err := plan.Bind(root, cat, catalog.Client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[root.Left] = 3
+	idle := &Model{Params: DefaultParams(), Catalog: cat, Query: q}
+	p := DefaultParams()
+	p.ServerDiskUtil = map[catalog.SiteID]float64{3: 0.5}
+	loaded := &Model{Params: p, Catalog: cat, Query: q}
+	e0, e1 := idle.Estimate(root, b), loaded.Estimate(root, b)
+	if e0.PagesSent <= 0 || e1.TotalCost <= e0.TotalCost {
+		t.Errorf("join on server 3: idle %+v, loaded %+v; want pages shipped and a dearer loaded disk", e0, e1)
+	}
+}

@@ -65,40 +65,35 @@ func (d *DP) Optimize() (Result, error) {
 	}
 
 	names := q.Relations
-	bitTables := func(mask uint32) map[string]bool {
-		out := make(map[string]bool)
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				out[names[i]] = true
-			}
-		}
-		return out
-	}
+	var binder plan.Binder
+	estimator := cost.NewEstimator(d.model)
 
 	// best[mask] holds the cheapest subplan for the relation subset, one per
 	// candidate execution "interface" — we keep the single cheapest plan per
 	// mask per top-operator site, since the parent's cost depends on where
-	// the subplan's output materializes.
+	// the subplan's output materializes. Each row is indexed by site+1 (the
+	// client first), so walking it visits sites in ascending order and ties
+	// break deterministically.
 	type entry struct {
 		tree  *plan.Node
 		value float64
 	}
-	best := make(map[uint32]map[catalog.SiteID]entry)
+	full := uint32(1)<<n - 1
+	best := make([][]entry, full+1)
 
 	consider := func(mask uint32, tree *plan.Node) {
 		root := plan.NewDisplay(tree.Clone())
-		b, err := plan.Bind(root, d.model.Catalog, catalog.Client)
+		sites, err := binder.Bind(root, d.model.Catalog, catalog.Client)
 		if err != nil {
 			return
 		}
-		est := d.model.Estimate(root, b)
-		v := est.Value(d.opts.Metric)
-		site := b[root.Left]
-		if best[mask] == nil {
-			best[mask] = make(map[catalog.SiteID]entry)
+		v := estimator.Estimate(root, sites).Value(d.opts.Metric)
+		slot := int(sites[1]) + 1 // the display's child is the subplan's top
+		if slot >= len(best[mask]) {
+			best[mask] = append(best[mask], make([]entry, slot+1-len(best[mask]))...)
 		}
-		if cur, ok := best[mask][site]; !ok || v < cur.value {
-			best[mask][site] = entry{tree: tree, value: v}
+		if cur := best[mask][slot]; cur.tree == nil || v < cur.value {
+			best[mask][slot] = entry{tree: tree, value: v}
 		}
 	}
 
@@ -121,7 +116,6 @@ func (d *DP) Optimize() (Result, error) {
 		}
 	}
 
-	full := uint32(1)<<n - 1
 	// Enumerate subsets in increasing popcount order.
 	masks := make([]uint32, 0, full)
 	for m := uint32(1); m <= full; m++ {
@@ -155,13 +149,18 @@ func (d *DP) Optimize() (Result, error) {
 			if best[left] == nil || best[right] == nil {
 				continue
 			}
-			if !q.Connected(bitTables(left), bitTables(right)) {
+			// Bit i of a DP mask is q.Relations[i], as in the query's masks.
+			if !q.ConnectedMask(uint64(left), uint64(right)) {
 				continue
 			}
-			for _, ls := range sortedSites(best[left]) {
-				le := best[left][ls]
-				for _, rs := range sortedSites(best[right]) {
-					re := best[right][rs]
+			for _, le := range best[left] {
+				if le.tree == nil {
+					continue
+				}
+				for _, re := range best[right] {
+					if re.tree == nil {
+						continue
+					}
 					for _, ann := range joinAnns {
 						j := plan.NewJoin(le.tree.Clone(), re.tree.Clone())
 						j.Ann = ann
@@ -179,13 +178,14 @@ func (d *DP) Optimize() (Result, error) {
 		}
 	}
 
-	entries := best[full]
-	if len(entries) == 0 {
+	if best[full] == nil {
 		return Result{}, fmt.Errorf("opt: join graph is disconnected")
 	}
 	winner := entry{value: math.Inf(1)}
-	for _, s := range sortedSites(entries) {
-		e := entries[s]
+	for _, e := range best[full] {
+		if e.tree == nil {
+			continue
+		}
 		tree := e.tree
 		v := e.value
 		if q.GroupBy > 0 {
@@ -196,11 +196,11 @@ func (d *DP) Optimize() (Result, error) {
 				agg := plan.NewAgg(e.tree.Clone())
 				agg.Ann = ann
 				cand := plan.NewDisplay(agg)
-				b, err := plan.Bind(cand, d.model.Catalog, catalog.Client)
+				sites, err := binder.Bind(cand, d.model.Catalog, catalog.Client)
 				if err != nil {
 					continue
 				}
-				if cv := d.model.Estimate(cand, b).Value(d.opts.Metric); cv < v {
+				if cv := estimator.Estimate(cand, sites).Value(d.opts.Metric); cv < v {
 					v, tree = cv, agg
 				}
 			}
@@ -218,17 +218,6 @@ func (d *DP) Optimize() (Result, error) {
 		return Result{}, err
 	}
 	return Result{Plan: root, Binding: b, Estimate: d.model.Estimate(root, b)}, nil
-}
-
-// sortedSites returns the map's keys in ascending order so tie-breaking is
-// deterministic.
-func sortedSites[V any](m map[catalog.SiteID]V) []catalog.SiteID {
-	out := make([]catalog.SiteID, 0, len(m))
-	for s := range m { //hslint:ordered -- keys are sorted immediately below
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func popcount(x uint32) int {

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"slices"
+
 	"hybridship/internal/catalog"
 	"hybridship/internal/plan"
 	"hybridship/internal/query"
@@ -56,17 +58,45 @@ func indexNodes(root *plan.Node, buf []*plan.Node) []*plan.Node {
 	return buf
 }
 
-// subtreeMask returns the base-relation bitmask scanned under a node; the
-// allocation-free counterpart of plan.Node.BaseTables for mask-capable
-// queries.
-func subtreeMask(q *query.Query, n *plan.Node) uint64 {
-	if n == nil {
-		return 0
+// shapeIndex records, per pre-order position of a node index, the size of
+// the subtree rooted there and the base-relation bitmask it scans (0 for
+// queries too wide for masks). A node's left child, if any, is at i+1 and its
+// right child at i+1+size[i+1]. It is a pure function of the tree's shape,
+// built once per shape alongside indexNodes so the move enumeration looks
+// masks up instead of re-walking subtrees.
+type shapeIndex struct {
+	size []int
+	mask []uint64
+}
+
+// build recomputes the index for nodes, the pre-order index of a tree,
+// visiting positions in reverse so children precede their parents.
+func (s *shapeIndex) build(q *query.Query, nodes []*plan.Node) {
+	s.size = slices.Grow(s.size[:0], len(nodes))[:len(nodes)]
+	s.mask = slices.Grow(s.mask[:0], len(nodes))[:len(nodes)]
+	for i := len(nodes) - 1; i >= 0; i-- {
+		n := nodes[i]
+		size, mask := 1, uint64(0)
+		if n.Kind == plan.KindScan {
+			mask = q.RelMask(n.Table)
+		}
+		if n.Left != nil {
+			size += s.size[i+1]
+			mask |= s.mask[i+1]
+		}
+		if n.Right != nil {
+			r := i + size
+			size += s.size[r]
+			mask |= s.mask[r]
+		}
+		s.size[i], s.mask[i] = size, mask
 	}
-	if n.Kind == plan.KindScan {
-		return q.RelMask(n.Table)
-	}
-	return subtreeMask(q, n.Left) | subtreeMask(q, n.Right)
+}
+
+// children returns the positions of the left and right children of the
+// node at position i, which must have both.
+func (s *shapeIndex) children(i int) (left, right int) {
+	return i + 1, i + 1 + s.size[i+1]
 }
 
 // candidateMoves enumerates every legal move on the plan under the policy,
@@ -79,25 +109,29 @@ func subtreeMask(q *query.Query, n *plan.Node) uint64 {
 // legacy move list. The result depends only on the tree's shape (plus the
 // fixed policy and catalog), so callers cache it until a join-order move is
 // accepted.
-func candidateMoves(q *query.Query, opts Options, cat *catalog.Catalog, nodes []*plan.Node, buf []move) []move {
+func candidateMoves(q *query.Query, opts Options, cat *catalog.Catalog, nodes []*plan.Node, shape *shapeIndex, buf []move) []move {
 	if q.MaskSupported() {
-		return candidateMovesMask(q, opts, cat, nodes, buf)
+		return candidateMovesMask(q, opts, cat, nodes, shape, buf)
 	}
 	return candidateMovesMaps(q, opts, cat, nodes, buf)
 }
 
 // candidateMovesMask is the allocation-free enumeration over relation
-// bitmasks, used for every query of at most 64 relations.
-func candidateMovesMask(q *query.Query, opts Options, cat *catalog.Catalog, nodes []*plan.Node, buf []move) []move {
+// bitmasks, used for every query of at most 64 relations. shape must index
+// nodes.
+func candidateMovesMask(q *query.Query, opts Options, cat *catalog.Catalog, nodes []*plan.Node, shape *shapeIndex, buf []move) []move {
 	moves := buf[:0]
+	mask := shape.mask
 	for i, n := range nodes {
 		switch n.Kind {
 		case plan.KindJoin:
+			ai, bi := shape.children(i)
 			if !opts.FixedJoinOrder && opts.LeftDeepOnly {
-				a, b := n.Left, n.Right
+				a := n.Left
 				if a.Kind == plan.KindJoin {
-					tx, ta := subtreeMask(q, a.Left), subtreeMask(q, a.Right)
-					tb := subtreeMask(q, b)
+					xi, aRi := shape.children(ai)
+					tx, ta := mask[xi], mask[aRi]
+					tb := mask[bi]
 					if q.ConnectedMask(tx, tb) && q.ConnectedMask(tx|tb, ta) {
 						moves = append(moves, move{i, mvSwapAdjacent, 0})
 					}
@@ -110,8 +144,9 @@ func candidateMovesMask(q *query.Query, opts Options, cat *catalog.Catalog, node
 				a, b := n.Left, n.Right
 				if a.Kind == plan.KindJoin {
 					// (A⋈B)⋈C with A=a.Left, B=a.Right, C=b
-					ta, tb := subtreeMask(q, a.Left), subtreeMask(q, a.Right)
-					tc := subtreeMask(q, b)
+					aLi, aRi := shape.children(ai)
+					ta, tb := mask[aLi], mask[aRi]
+					tc := mask[bi]
 					if q.ConnectedMask(tb, tc) && q.ConnectedMask(ta, tb|tc) {
 						moves = append(moves, move{i, mvAssocLeftToRight, 0})
 					}
@@ -121,8 +156,9 @@ func candidateMovesMask(q *query.Query, opts Options, cat *catalog.Catalog, node
 				}
 				if b.Kind == plan.KindJoin {
 					// A⋈(B⋈C) with A=a, B=b.Left, C=b.Right
-					ta := subtreeMask(q, a)
-					tb, tc := subtreeMask(q, b.Left), subtreeMask(q, b.Right)
+					ta := mask[ai]
+					bLi, bRi := shape.children(bi)
+					tb, tc := mask[bLi], mask[bRi]
 					if q.ConnectedMask(ta, tb) && q.ConnectedMask(ta|tb, tc) {
 						moves = append(moves, move{i, mvAssocRightToLeft, 0})
 					}
@@ -358,7 +394,9 @@ func applyMove(nodes []*plan.Node, mv move, p plan.Policy, cat *catalog.Catalog,
 // in-place searchState stepping, kept for one-off exploration and tests.
 func (o *Optimizer) neighbor(root *plan.Node) (*plan.Node, bool) {
 	nodes := indexNodes(root, nil)
-	moves := candidateMoves(o.model.Query, o.opts, o.model.Catalog, nodes, nil)
+	var shape shapeIndex
+	shape.build(o.model.Query, nodes)
+	moves := candidateMoves(o.model.Query, o.opts, o.model.Catalog, nodes, &shape, nil)
 	if len(moves) == 0 {
 		return nil, false
 	}

@@ -302,3 +302,37 @@ func TestQuickNeighborsRespectPolicy(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSearchStepZeroAlloc gates the search's inner loop: once the memo has
+// seen the start plan's neighbourhood, a step (move, bind, estimate,
+// revert) allocates nothing.
+func TestSearchStepZeroAlloc(t *testing.T) {
+	st := neighborFixture(t)
+	var u undoRec
+	for i := 0; i < 5000; i++ {
+		neighborStep(st, &u)
+	}
+	if n := testing.AllocsPerRun(1000, func() { neighborStep(st, &u) }); n != 0 {
+		t.Errorf("search step allocates %v per call, want 0", n)
+	}
+}
+
+// TestEvaluateMissZeroAlloc gates the part of a step the memo cannot
+// absorb: binding and estimating a candidate with the search's warm Binder
+// and Estimator allocates nothing.
+func TestEvaluateMissZeroAlloc(t *testing.T) {
+	st := neighborFixture(t)
+	var u undoRec
+	for i := 0; i < 100; i++ {
+		neighborStep(st, &u)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		sites, err := st.binder.Bind(st.root, st.o.model.Catalog, catalog.Client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.estimator.Estimate(st.root, sites)
+	}); n != 0 {
+		t.Errorf("bind and estimate allocate %v per call, want 0", n)
+	}
+}

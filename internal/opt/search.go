@@ -41,12 +41,14 @@ type memoEntry struct {
 // implementation's inner loop), it applies moves to a single working tree
 // in place and reverts rejected ones from an undo record. It keeps:
 //
-//   - a pre-order node index, rebuilt only when an accepted move changes
-//     the tree's shape (annotation moves leave it valid);
+//   - a pre-order node index with each subtree's relation mask, rebuilt
+//     only when an accepted move changes the tree's shape (annotation moves
+//     leave it valid);
 //   - the cached candidateMoves enumeration, which is a pure function of
 //     the shape and is likewise invalidated only by join-order moves;
-//   - a reusable plan.Binder and cost.Estimator, so evaluating a candidate
-//     allocates no fresh maps;
+//   - a reusable plan.Binder, which resolves sites into a pre-order slice,
+//     and a cost.Estimator over the optimizer's model, which consumes it,
+//     so evaluating a candidate allocates nothing;
 //   - a (shape, annotations) → estimate memo keyed by plan.AppendKey, so
 //     states the walk revisits (annotation toggles do constantly) are not
 //     re-bound and re-estimated.
@@ -61,17 +63,19 @@ type searchState struct {
 	root       *plan.Node
 	est        cost.Estimate
 	nodes      []*plan.Node
+	shape      shapeIndex
 	moves      []move
 	movesValid bool
 
 	binder    plan.Binder
-	estimator cost.Estimator
+	estimator *cost.Estimator
 	memo      map[string]memoEntry
 	keyBuf    []byte
 }
 
 func newSearch(o *Optimizer, opts Options, rng *rand.Rand) *searchState {
-	return &searchState{o: o, opts: opts, rng: rng, memo: make(map[string]memoEntry)}
+	return &searchState{o: o, opts: opts, rng: rng, estimator: cost.NewEstimator(o.model),
+		memo: make(map[string]memoEntry)}
 }
 
 // reset points the search at a mutable working tree with a known estimate.
@@ -79,13 +83,20 @@ func newSearch(o *Optimizer, opts Options, rng *rand.Rand) *searchState {
 func (st *searchState) reset(root *plan.Node, est cost.Estimate) {
 	st.root = root
 	st.est = est
-	st.nodes = indexNodes(root, st.nodes)
+	st.reindex()
+}
+
+// reindex rebuilds the node index and subtree masks of the working tree
+// and drops the move cache.
+func (st *searchState) reindex() {
+	st.nodes = indexNodes(st.root, st.nodes)
+	st.shape.build(st.o.model.Query, st.nodes)
 	st.movesValid = false
 }
 
 func (st *searchState) ensureMoves() []move {
 	if !st.movesValid {
-		st.moves = candidateMoves(st.o.model.Query, st.opts, st.o.model.Catalog, st.nodes, st.moves)
+		st.moves = candidateMoves(st.o.model.Query, st.opts, st.o.model.Catalog, st.nodes, &st.shape, st.moves)
 		st.movesValid = true
 	}
 	return st.moves
@@ -96,8 +107,7 @@ func (st *searchState) ensureMoves() []move {
 func (st *searchState) accept(e cost.Estimate, changedShape bool) {
 	st.est = e
 	if changedShape {
-		st.nodes = indexNodes(st.root, st.nodes)
-		st.movesValid = false
+		st.reindex()
 	}
 }
 
@@ -110,8 +120,8 @@ func (st *searchState) evaluate() (cost.Estimate, bool) {
 		return e.est, e.ok
 	}
 	var entry memoEntry
-	if b, err := st.binder.Bind(st.root, st.o.model.Catalog, catalog.Client); err == nil {
-		entry = memoEntry{est: st.estimator.Estimate(st.o.model, st.root, b), ok: true}
+	if sites, err := st.binder.Bind(st.root, st.o.model.Catalog, catalog.Client); err == nil {
+		entry = memoEntry{est: st.estimator.Estimate(st.root, sites), ok: true}
 	}
 	if len(st.memo) >= memoMax {
 		clear(st.memo)

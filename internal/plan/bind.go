@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"hybridship/internal/catalog"
 )
@@ -19,128 +20,182 @@ type Binding map[*Node]catalog.SiteID
 // is rejected as ill-formed (§2.2.3).
 func Bind(root *Node, cat *catalog.Catalog, submitSite catalog.SiteID) (Binding, error) {
 	var bd Binder
-	return bd.Bind(root, cat, submitSite)
+	sites, err := bd.Bind(root, cat, submitSite)
+	if err != nil {
+		return nil, err
+	}
+	b := make(Binding, len(sites))
+	for i, n := range bd.nodes {
+		b[n] = sites[i]
+	}
+	return b, nil
 }
 
-// Binder resolves plans repeatedly while reusing its internal maps and
-// worklists, so a search loop does not allocate fresh parent and binding
-// maps for every candidate it evaluates. The Binding returned by Bind
-// aliases the Binder's storage and is valid only until the next Bind call;
-// callers that need a persistent Binding must copy it (or use the
-// package-level Bind).
+// Binder resolves plans repeatedly while reusing its scratch slices, so a
+// search loop binds candidate after candidate without allocating. It
+// numbers the nodes in pre-order (the order of Walk) and works on those
+// positions alone: one walk records each node's parent and right child,
+// and every site lookup after it is a slice index.
 type Binder struct {
-	parent     map[*Node]*Node
-	b          Binding
-	unresolved []*Node
-	still      []*Node
+	nodes  []*Node
+	parent []int // pre-order position of each node's parent; -1 for the root
+	right  []int // position of each node's right child; -1 if none
+	sites  []catalog.SiteID
+	state  []bindState
+	chain  []int
 }
 
-// Bind is the reusable-buffer form of the package-level Bind.
-func (bd *Binder) Bind(root *Node, cat *catalog.Catalog, submitSite catalog.SiteID) (Binding, error) {
+// bindState tracks one position through the resolution of annotations.
+type bindState uint8
+
+const (
+	stateOpen    bindState = iota // not yet resolved
+	stateBound                    // sites holds its site
+	stateOnChain                  // on the reference chain being followed
+	stateCycle                    // its references never reach an anchor
+)
+
+// Bind is the reusable-buffer form of the package-level Bind. It returns
+// the site of every node in pre-order; the slice aliases the Binder's
+// storage and is valid only until the next Bind call.
+func (bd *Binder) Bind(root *Node, cat *catalog.Catalog, submitSite catalog.SiteID) ([]catalog.SiteID, error) {
 	if err := CheckStructure(root); err != nil {
 		return nil, err
 	}
-	if bd.parent == nil {
-		bd.parent = make(map[*Node]*Node)
-		bd.b = make(Binding)
-	} else {
-		clear(bd.parent)
-		clear(bd.b)
-	}
-	parent := bd.parent
-	root.Walk(func(n *Node) {
-		if n.Left != nil {
-			parent[n.Left] = n
-		}
-		if n.Right != nil {
-			parent[n.Right] = n
-		}
-	})
+	bd.nodes, bd.parent, bd.right = bd.nodes[:0], bd.parent[:0], bd.right[:0]
+	bd.index(root, -1)
+	n := len(bd.nodes)
+	bd.sites = slices.Grow(bd.sites[:0], n)[:n]
+	bd.state = slices.Grow(bd.state[:0], n)[:n]
+	clear(bd.state)
 
-	b := bd.b
-	unresolved := bd.unresolved[:0]
-
-	// Pass 1: anchors.
-	root.Walk(func(n *Node) {
-		switch n.Kind {
+	// Pass 1: anchors. The display and client scans run at the submitting
+	// site; a primary-annotated scan runs where the copy it names lives.
+	// The first scan in pre-order that cannot be placed is the error.
+	badScan := -1
+	for i, nd := range bd.nodes {
+		switch nd.Kind {
 		case KindDisplay:
-			b[n] = submitSite
+			bd.bind(i, submitSite)
 		case KindScan:
-			switch n.Ann {
+			switch nd.Ann {
 			case AnnClient:
-				b[n] = submitSite
+				bd.bind(i, submitSite)
 			case AnnPrimary:
-				rel, ok := cat.Relation(n.Table)
-				if !ok || n.Copy >= rel.NumCopies() {
-					unresolved = append(unresolved, n) // reported below
-					return
+				rel, ok := cat.Relation(nd.Table)
+				if ok && nd.Copy < rel.NumCopies() {
+					// Copy 0 is the primary at Home; higher indices bind the
+					// scan to a secondary replica of the relation.
+					bd.bind(i, rel.CopySite(nd.Copy))
+				} else if badScan < 0 {
+					badScan = i
 				}
-				// Copy 0 is the primary at Home; higher indices bind the
-				// scan to a secondary replica of the relation.
-				b[n] = rel.CopySite(n.Copy)
 			default:
-				unresolved = append(unresolved, n)
+				if badScan < 0 {
+					badScan = i
+				}
 			}
-		default:
-			unresolved = append(unresolved, n)
 		}
-	})
-	for _, n := range unresolved {
-		if n.Kind == KindScan {
-			rel, ok := cat.Relation(n.Table)
-			if !ok {
-				return nil, fmt.Errorf("plan: scan of unknown relation %q", n.Table)
-			}
-			if n.Ann == AnnPrimary && n.Copy >= rel.NumCopies() {
-				return nil, fmt.Errorf("plan: scan of %q names copy %d, but the relation has %d", n.Table, n.Copy, rel.NumCopies())
-			}
-			return nil, fmt.Errorf("plan: scan of %q has invalid annotation %v", n.Table, n.Ann)
+	}
+	if badScan >= 0 {
+		nd := bd.nodes[badScan]
+		rel, ok := cat.Relation(nd.Table)
+		if !ok {
+			return nil, fmt.Errorf("plan: scan of unknown relation %q", nd.Table)
+		}
+		if nd.Ann == AnnPrimary && nd.Copy >= rel.NumCopies() {
+			return nil, fmt.Errorf("plan: scan of %q names copy %d, but the relation has %d", nd.Table, nd.Copy, rel.NumCopies())
+		}
+		return nil, fmt.Errorf("plan: scan of %q has invalid annotation %v", nd.Table, nd.Ann)
+	}
+	for i, nd := range bd.nodes {
+		if bd.state[i] == stateOpen && bd.ref(i) == refInvalid {
+			return nil, fmt.Errorf("plan: %v has invalid annotation %v", nd.Kind, nd.Ann)
 		}
 	}
 
-	// Pass 2: propagate to fixpoint.
-	refSite := func(n *Node) (*Node, error) {
-		switch {
-		case n.Kind == KindJoin && n.Ann == AnnInner:
-			return n.Left, nil
-		case n.Kind == KindJoin && n.Ann == AnnOuter:
-			return n.Right, nil
-		case (n.Kind == KindSelect || n.Kind == KindAgg) && n.Ann == AnnProducer:
-			return n.Left, nil
-		case (n.Kind == KindJoin || n.Kind == KindSelect || n.Kind == KindAgg) && n.Ann == AnnConsumer:
-			return parent[n], nil
-		}
-		return nil, fmt.Errorf("plan: %v has invalid annotation %v", n.Kind, n.Ann)
-	}
-	still := bd.still[:0]
-	for len(unresolved) > 0 {
-		progress := false
-		still = still[:0]
-		for _, n := range unresolved {
-			ref, err := refSite(n)
-			if err != nil {
-				bd.unresolved, bd.still = unresolved, still
-				return nil, err
-			}
-			if site, ok := b[ref]; ok {
-				b[n] = site
-				progress = true
-			} else {
-				still = append(still, n)
-			}
-		}
-		unresolved, still = still, unresolved
-		if !progress && len(unresolved) > 0 {
-			bd.unresolved, bd.still = unresolved, still
-			return nil, fmt.Errorf("plan: ill-formed: %d operator(s) form an annotation cycle", len(unresolved))
+	// Pass 2: every other operator runs where the node its annotation names
+	// runs. Follow each reference chain to an anchor, or to a cycle.
+	cycle := 0
+	for i := range bd.nodes {
+		if bd.state[i] == stateOpen {
+			cycle += bd.follow(i)
 		}
 	}
-	bd.unresolved, bd.still = unresolved, still
-	return b, nil
+	if cycle > 0 {
+		return nil, fmt.Errorf("plan: ill-formed: %d operator(s) form an annotation cycle", cycle)
+	}
+	return bd.sites, nil
+}
+
+// index appends n's subtree in pre-order and returns n's position.
+func (bd *Binder) index(n *Node, parent int) int {
+	i := len(bd.nodes)
+	bd.nodes = append(bd.nodes, n)
+	bd.parent = append(bd.parent, parent)
+	bd.right = append(bd.right, -1)
+	if n.Left != nil {
+		bd.index(n.Left, i)
+	}
+	if n.Right != nil {
+		bd.right[i] = bd.index(n.Right, i)
+	}
+	return i
+}
+
+func (bd *Binder) bind(i int, s catalog.SiteID) {
+	bd.sites[i], bd.state[i] = s, stateBound
+}
+
+// refInvalid is ref's answer for an annotation the node's kind cannot carry.
+const refInvalid = -2
+
+// ref returns the position whose site an unanchored node takes (§2.2.3):
+// -1 for a consumer without a parent.
+func (bd *Binder) ref(i int) int {
+	n := bd.nodes[i]
+	switch {
+	case n.Kind == KindJoin && n.Ann == AnnInner:
+		return i + 1 // the left child
+	case n.Kind == KindJoin && n.Ann == AnnOuter:
+		return bd.right[i]
+	case (n.Kind == KindSelect || n.Kind == KindAgg) && n.Ann == AnnProducer:
+		return i + 1
+	case (n.Kind == KindJoin || n.Kind == KindSelect || n.Kind == KindAgg) && n.Ann == AnnConsumer:
+		return bd.parent[i]
+	}
+	return refInvalid
+}
+
+// follow resolves the open position i by walking its reference chain. The
+// chain ends at a bound node, whose site every node on it takes, or at a
+// node already known to be in (or to lead into) a cycle, or back on
+// itself; then every node on it is part of the cycle. follow returns how
+// many nodes it found unresolvable.
+func (bd *Binder) follow(i int) int {
+	chain := bd.chain[:0]
+	j := i
+	for j >= 0 && bd.state[j] == stateOpen {
+		bd.state[j] = stateOnChain
+		chain = append(chain, j)
+		j = bd.ref(j)
+	}
+	bd.chain = chain
+	if j >= 0 && bd.state[j] == stateBound {
+		for _, k := range chain {
+			bd.bind(k, bd.sites[j])
+		}
+		return 0
+	}
+	for _, k := range chain {
+		bd.state[k] = stateCycle
+	}
+	return len(chain)
 }
 
 // WellFormed reports whether the plan's annotations can be bound to sites.
 func WellFormed(root *Node, cat *catalog.Catalog, submitSite catalog.SiteID) bool {
-	_, err := Bind(root, cat, submitSite)
+	var bd Binder
+	_, err := bd.Bind(root, cat, submitSite)
 	return err == nil
 }

@@ -152,3 +152,53 @@ func FuzzPlanWellFormed(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBinderReuse binds a sequence of fuzzed trees with one reused Binder
+// and checks each result against a fresh package-level Bind: the same
+// accept/reject decision, the same error text, and the same site for every
+// node. Trees of different sizes and shapes follow each other, so scratch
+// left over from an earlier bind cannot hide.
+func FuzzBinderReuse(f *testing.F) {
+	f.Add([]byte{6, 0, 3, 1, 2, 0, 1, 1, 2, 1, 6, 0, 4, 2, 0, 1})
+	f.Add([]byte{6, 0, 3, 3, 2, 0, 2, 1, 5, 4, 2, 0, 3, 6, 0, 2, 1, 6, 0, 3, 1, 3, 2, 1, 1, 0, 2})
+	f.Add(append(bytes.Repeat([]byte{3, 1}, 20), 6, 0, 2, 0))
+	f.Add([]byte{6, 3, 3, 2, 0, 2, 1, 6, 4, 3, 2, 1, 2, 0})
+
+	cat := fuzzCatalog()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tb := &treeBuilder{data: data}
+		var bd plan.Binder
+		for k := 0; k < 4 && (k == 0 || tb.pos < len(data)); k++ {
+			// Root most trees at a display so binding gets past the
+			// structural check.
+			var root *plan.Node
+			if tb.next()%4 != 0 {
+				root = plan.NewDisplay(tb.build(8))
+			} else {
+				root = tb.build(8)
+			}
+			sites, err := bd.Bind(root, cat, catalog.Client)
+			want, wantErr := plan.Bind(root, cat, catalog.Client)
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("tree %d: reused Binder error %v, fresh Bind error %v", k, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			i := 0
+			root.Walk(func(n *plan.Node) {
+				if i >= len(sites) {
+					t.Fatalf("tree %d: %d sites for a larger plan", k, len(sites))
+				}
+				if sites[i] != want[n] {
+					t.Fatalf("tree %d: node %d (%v/%v) bound to %d by the reused Binder, %d by Bind",
+						k, i, n.Kind, n.Ann, sites[i], want[n])
+				}
+				i++
+			})
+			if i != len(sites) {
+				t.Fatalf("tree %d: %d sites for a plan of %d nodes", k, len(sites), i)
+			}
+		}
+	})
+}

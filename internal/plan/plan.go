@@ -267,55 +267,51 @@ func CheckStructure(root *Node) error {
 	if root.Kind != KindDisplay {
 		return fmt.Errorf("plan: root must be display, got %v", root.Kind)
 	}
-	var err error
-	var check func(n *Node, isRoot bool)
-	check = func(n *Node, isRoot bool) {
-		if err != nil || n == nil {
-			return
-		}
-		switch n.Kind {
-		case KindDisplay:
-			if !isRoot {
-				err = fmt.Errorf("plan: display below the root")
-				return
-			}
-			if n.Left == nil || n.Right != nil {
-				err = fmt.Errorf("plan: display must have exactly one child")
-				return
-			}
-		case KindJoin:
-			if n.Left == nil || n.Right == nil {
-				err = fmt.Errorf("plan: join must have two children")
-				return
-			}
-		case KindSelect, KindAgg:
-			if n.Left == nil || n.Right != nil {
-				err = fmt.Errorf("plan: %v must have exactly one child", n.Kind)
-				return
-			}
-		case KindScan:
-			if n.Left != nil || n.Right != nil {
-				err = fmt.Errorf("plan: scan must be a leaf")
-				return
-			}
-			if n.Table == "" {
-				err = fmt.Errorf("plan: scan without a relation")
-				return
-			}
-			if n.Copy < 0 {
-				err = fmt.Errorf("plan: scan of %q has negative copy index %d", n.Table, n.Copy)
-				return
-			}
-		}
-		if n.Kind != KindScan && n.Copy != 0 {
-			err = fmt.Errorf("plan: %v carries a copy index; only scans read replicas", n.Kind)
-			return
-		}
-		check(n.Left, false)
-		check(n.Right, false)
+	return checkNode(root, true)
+}
+
+// checkNode is CheckStructure's recursion: n's own shape, then its left and
+// right subtrees, so the first violation in pre-order is the one reported.
+// (A plain function rather than a recursive closure, so the binder's hot
+// path allocates nothing even under the race detector.)
+func checkNode(n *Node, isRoot bool) error {
+	if n == nil {
+		return nil
 	}
-	check(root, true)
-	return err
+	switch n.Kind {
+	case KindDisplay:
+		if !isRoot {
+			return fmt.Errorf("plan: display below the root")
+		}
+		if n.Left == nil || n.Right != nil {
+			return fmt.Errorf("plan: display must have exactly one child")
+		}
+	case KindJoin:
+		if n.Left == nil || n.Right == nil {
+			return fmt.Errorf("plan: join must have two children")
+		}
+	case KindSelect, KindAgg:
+		if n.Left == nil || n.Right != nil {
+			return fmt.Errorf("plan: %v must have exactly one child", n.Kind)
+		}
+	case KindScan:
+		if n.Left != nil || n.Right != nil {
+			return fmt.Errorf("plan: scan must be a leaf")
+		}
+		if n.Table == "" {
+			return fmt.Errorf("plan: scan without a relation")
+		}
+		if n.Copy < 0 {
+			return fmt.Errorf("plan: scan of %q has negative copy index %d", n.Table, n.Copy)
+		}
+	}
+	if n.Kind != KindScan && n.Copy != 0 {
+		return fmt.Errorf("plan: %v carries a copy index; only scans read replicas", n.Kind)
+	}
+	if err := checkNode(n.Left, false); err != nil {
+		return err
+	}
+	return checkNode(n.Right, false)
 }
 
 // ValidateFor checks that every node's annotation is allowed under the

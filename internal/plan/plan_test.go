@@ -367,3 +367,23 @@ func TestQuickPurePoliciesAlwaysWellFormed(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBinderWarmZeroAlloc gates the binder's reuse: rebinding a plan with a
+// warm Binder allocates nothing.
+func TestBinderWarmZeroAlloc(t *testing.T) {
+	cat := testCatalog(t, 2)
+	root := twoJoin()
+	root.Left.Ann = AnnConsumer
+	root.Left.Left.Ann = AnnOuter
+	var bd Binder
+	if _, err := bd.Bind(root, cat, catalog.Client); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := bd.Bind(root, cat, catalog.Client); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("warm Bind allocates %v per call, want 0", n)
+	}
+}
