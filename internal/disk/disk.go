@@ -14,7 +14,7 @@ package disk
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"hybridship/internal/sim"
 )
@@ -114,7 +114,8 @@ type Disk struct {
 	cacheOrder []PageAddr // FIFO eviction
 	lastRead   PageAddr   // previous read target, for sequential detection
 	lastEnd    PageAddr   // page just past the last media transfer
-	dirty      map[PageAddr]bool
+	dirty      []PageAddr // write-back cache, sorted by address (at most WriteCachePages)
+	batch      []PageAddr // destage scratch, reused across passes
 
 	stats Stats
 }
@@ -126,7 +127,7 @@ func New(s *sim.Simulator, name string, params Params) *Disk {
 	}
 	d := &Disk{
 		sim: s, name: name, params: params,
-		cache: make(map[PageAddr]bool), dirty: make(map[PageAddr]bool), lastRead: -2, lastEnd: -2,
+		cache: make(map[PageAddr]bool), lastRead: -2, lastEnd: -2,
 	}
 	d.server = s.SpawnDaemonLazy(func() string { return "disk:" + name }, d.serve)
 	d.idle = true
@@ -278,7 +279,7 @@ func (d *Disk) Stalled() bool { return d.stalled }
 func (d *Disk) CrashRestart() {
 	d.cache = make(map[PageAddr]bool)
 	d.cacheOrder = nil
-	d.dirty = make(map[PageAddr]bool)
+	d.dirty = d.dirty[:0]
 	d.lastRead, d.lastEnd = -2, -2
 }
 
@@ -353,7 +354,7 @@ func (d *Disk) serviceRead(p *sim.Proc, page PageAddr, cyl int) {
 	p.Hold(d.params.CtrlOverhead)
 	sequential := page == d.lastRead+1
 	d.lastRead = page
-	if d.cache[page] || d.dirty[page] {
+	if d.cache[page] || d.isDirty(page) {
 		d.stats.CacheHits++
 		p.Hold(d.params.CtrlHitTime)
 		return
@@ -388,11 +389,20 @@ func (d *Disk) serviceWrite(p *sim.Proc, page PageAddr, cyl int) {
 	}
 	// Write-back: absorb the write into the controller cache, paying a
 	// destage first if the cache is full.
-	if len(d.dirty) >= d.params.WriteCachePages && !d.dirty[page] {
-		d.destageOne(p)
+	if i, found := slices.BinarySearch(d.dirty, page); !found {
+		if len(d.dirty) >= d.params.WriteCachePages {
+			d.destageOne(p)
+			i, _ = slices.BinarySearch(d.dirty, page)
+		}
+		d.dirty = slices.Insert(d.dirty, i, page)
 	}
-	d.dirty[page] = true
 	p.Hold(d.params.CtrlHitTime)
+}
+
+// isDirty reports whether the page is in the write-back cache.
+func (d *Disk) isDirty(page PageAddr) bool {
+	_, found := slices.BinarySearch(d.dirty, page)
+	return found
 }
 
 // destageOne flushes dirty pages in one batched mechanical operation: it
@@ -401,37 +411,51 @@ func (d *Disk) serviceWrite(p *sim.Proc, page PageAddr, cyl int) {
 // is what lets sequential partition streams from the hybrid hash join reach
 // near media rate instead of paying a rotation per page.
 func (d *Disk) destageOne(p *sim.Proc) {
-	if len(d.dirty) == 0 {
+	batch := d.takeDestageBatch()
+	if len(batch) == 0 {
 		return
 	}
-	var best PageAddr = -1
-	bestDist := 1 << 30
-	for pg := range d.dirty { //hslint:allow detreach -- min-selection with a total tie-break (distance, then page address), so every iteration order picks the same page
-		dist := d.cylOf(pg) - d.curCyl
-		if dist < 0 {
-			dist = -dist
-		}
-		if dist < bestDist || (dist == bestDist && pg < best) {
-			best, bestDist = pg, dist
-		}
-	}
-	track := d.trackOf(best)
-	var batch []PageAddr
-	for pg := range d.dirty { //hslint:allow detreach -- collection only; batch is sorted immediately below, so iteration order cannot reach the write schedule
-		if d.trackOf(pg) == track {
-			batch = append(batch, pg)
-		}
-	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i] < batch[j] })
 	d.stats.DestageOps++
-	d.seekTo(p, d.cylOf(best))
+	d.seekTo(p, d.cylOf(batch[0]))
 	for _, pg := range batch {
-		delete(d.dirty, pg)
 		d.cacheInsert(pg) // the written data stays in the clean cache
 		d.stats.Destages++
 		d.rotateTo(p, pg) // zero for address-contiguous runs
 		d.transfer(p, pg, 1)
 	}
+}
+
+// takeDestageBatch removes the next destage pass's pages from the write-back
+// cache and returns them in address order. The pass starts at the dirty page
+// nearest the head's cylinder (ties: the lower page address) and takes every
+// dirty page on that page's track, which in the sorted cache is one
+// contiguous run. The result aliases d.batch and is valid until the next call.
+func (d *Disk) takeDestageBatch() []PageAddr {
+	n := len(d.dirty)
+	if n == 0 {
+		return nil
+	}
+	perCyl := PageAddr(d.params.TracksPerCyl * d.params.PagesPerTrack)
+	// dirty[up] is the lowest dirty page at or beyond the head's cylinder;
+	// dirty[up-1], if any, is the highest one below it.
+	up, _ := slices.BinarySearch(d.dirty, PageAddr(d.curCyl)*perCyl)
+	start := up
+	if up > 0 {
+		below := d.cylOf(d.dirty[up-1])
+		if up == n || d.curCyl-below <= d.cylOf(d.dirty[up])-d.curCyl {
+			// The cylinder below is at least as near, and its pages have the
+			// lower addresses: start from its lowest dirty page.
+			start, _ = slices.BinarySearch(d.dirty[:up], PageAddr(below)*perCyl)
+		}
+	}
+	track := d.trackOf(d.dirty[start])
+	end := start + 1
+	for end < n && d.trackOf(d.dirty[end]) == track {
+		end++
+	}
+	d.batch = append(d.batch[:0], d.dirty[start:end]...)
+	d.dirty = slices.Delete(d.dirty, start, end)
+	return d.batch
 }
 
 func (d *Disk) cacheInsert(page PageAddr) {

@@ -3,6 +3,8 @@ package disk
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"hybridship/internal/sim"
@@ -377,5 +379,80 @@ func TestCrashRestartDropsCache(t *testing.T) {
 	}
 	if postCrash < 2*hit || postCrash < 0.002 {
 		t.Errorf("post-crash read took %g s, want full mechanical service (hit was %g)", postCrash, hit)
+	}
+}
+
+// refDestageBatch is the map-based destage selection the sorted write-back
+// cache replaced, kept as the reference for TestDestageOrderMatchesReference:
+// the dirty page nearest the head's cylinder (ties: the lower address), then
+// every dirty page on its track in address order.
+func refDestageBatch(d *Disk, dirty map[PageAddr]bool) []PageAddr {
+	var best PageAddr = -1
+	bestDist := 1 << 30
+	for pg := range dirty {
+		dist := d.cylOf(pg) - d.curCyl
+		if dist < 0 {
+			dist = -dist
+		}
+		if dist < bestDist || (dist == bestDist && pg < best) {
+			best, bestDist = pg, dist
+		}
+	}
+	var batch []PageAddr
+	for pg := range dirty {
+		if d.trackOf(pg) == d.trackOf(best) {
+			batch = append(batch, pg)
+		}
+	}
+	sort.Slice(batch, func(i, j int) bool { return batch[i] < batch[j] })
+	return batch
+}
+
+// TestDestageOrderMatchesReference drives the sorted write-back cache and the
+// map-based reference through the same seeded mix of writes, membership
+// probes and destage passes from random head positions. Pages cluster on a
+// few dozen cylinders so equal-distance ties above and below the head are
+// common.
+func TestDestageOrderMatchesReference(t *testing.T) {
+	params := DefaultParams()
+	perCyl := params.TracksPerCyl * params.PagesPerTrack
+	rng := rand.New(rand.NewSource(15))
+	d := &Disk{params: params}
+	ref := make(map[PageAddr]bool)
+	passes := 0
+	for step := 0; step < 20000; step++ {
+		page := PageAddr(rng.Intn(40 * perCyl))
+		if rng.Intn(50) == 0 {
+			page = PageAddr(rng.Int63n(int64(params.Capacity())))
+		}
+		if d.isDirty(page) != ref[page] {
+			t.Fatalf("step %d: isDirty(%d) = %v, reference %v", step, page, !ref[page], ref[page])
+		}
+		if rng.Intn(3) > 0 && len(ref) < params.WriteCachePages {
+			if i, found := slices.BinarySearch(d.dirty, page); !found {
+				d.dirty = slices.Insert(d.dirty, i, page)
+			}
+			ref[page] = true
+			continue
+		}
+		if len(ref) == 0 {
+			continue
+		}
+		d.curCyl = rng.Intn(45)
+		want := refDestageBatch(d, ref)
+		got := d.takeDestageBatch()
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d, head at cylinder %d: destage batch %v, reference %v", step, d.curCyl, got, want)
+		}
+		for _, pg := range want {
+			delete(ref, pg)
+		}
+		if len(d.dirty) != len(ref) {
+			t.Fatalf("step %d: %d dirty pages left, reference %d", step, len(d.dirty), len(ref))
+		}
+		passes++
+	}
+	if passes < 1000 {
+		t.Fatalf("only %d destage passes exercised", passes)
 	}
 }

@@ -235,6 +235,46 @@ func TestInterruptStormAcrossShards(t *testing.T) {
 	}
 }
 
+// TestWindowedRunLeaksNoGoroutines runs a fleet with daemons and pooled
+// workers on every shard over many windows, then checks that Finish unwinds
+// every process coroutine. Each window runs on a fresh goroutine, so the
+// coroutines are resumed from a different goroutine every window and
+// finally from the coordinator's own in Finish.
+func TestWindowedRunLeaksNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const shards = 3
+	c := New(shards)
+	c.SetLookahead(testLA)
+	for sh := 0; sh < shards; sh++ {
+		s := c.Sim(sh)
+		s.SpawnDaemon(fmt.Sprintf("ticker/%d", sh), func(p *sim.Proc) {
+			for {
+				p.Hold(0.004)
+			}
+		})
+		s.Spawn(fmt.Sprintf("spawner/%d", sh), func(p *sim.Proc) {
+			for i := 0; i < 20; i++ {
+				s.Spawn("short", func(q *sim.Proc) { q.Hold(0.003) })
+				p.Hold(0.002)
+			}
+		})
+	}
+	log := fleetProgram(c, 3, 2, 5)
+	c.Run()
+	if len(*log) != 3*2*5 {
+		t.Fatalf("monitor logged %d reports, want %d", len(*log), 3*2*5)
+	}
+	if w := c.Profile().Windows; w < 5 {
+		t.Fatalf("run took %d windows, want several", w)
+	}
+	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Fatalf("goroutine leak: %d before the run, %d after Finish", before, g)
+	}
+}
+
 // TestSameInstantMergeOrder constructs two messages arriving at exactly the
 // same virtual instant from different shards: the merge must order them by
 // source shard, not by which window goroutine got there first.

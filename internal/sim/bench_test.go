@@ -23,7 +23,7 @@ func BenchmarkHoldFastPath(b *testing.B) {
 }
 
 // BenchmarkHoldDispatch measures one simulated event through the full
-// park/dispatch round-trip (heap push, kernel pop, channel handshake). Trace
+// park/dispatch round-trip (heap push, kernel pop, two coroutine switches). Trace
 // is set to a no-op to force the reference slow path, so this is also the
 // per-event cost of the pre-fast-path kernel minus its container/heap
 // boxing.
@@ -66,9 +66,9 @@ func BenchmarkPingPong(b *testing.B) {
 func shortName(id int64) string { return fmt.Sprintf("short/%d", id) }
 
 // BenchmarkSpawnShortLived measures the lifecycle of a short-lived process:
-// after the first few iterations every spawn reuses a pooled goroutine and
-// wake channel, and the lazy name — a static formatter plus an id, so the
-// call site captures nothing — is never built. 0 allocs/op, asserted by
+// after the first few iterations every spawn reuses a pooled coroutine, and
+// the lazy name — a static formatter plus an id, so the call site captures
+// nothing — is never built. 0 allocs/op, asserted by
 // TestSpawnShortLivedZeroAlloc.
 func BenchmarkSpawnShortLived(b *testing.B) {
 	s := New()
@@ -85,7 +85,7 @@ func BenchmarkSpawnShortLived(b *testing.B) {
 }
 
 // TestSpawnShortLivedZeroAlloc pins the BenchmarkSpawnShortLived result:
-// once the goroutine pool and event heap are warm, spawning a short-lived
+// once the coroutine pool and event heap are warm, spawning a short-lived
 // process allocates nothing.
 func TestSpawnShortLivedZeroAlloc(t *testing.T) {
 	s := New()

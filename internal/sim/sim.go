@@ -1,8 +1,10 @@
+//go:build go1.23
+
 // Package sim provides a deterministic, process-oriented discrete-event
 // simulation kernel in the style of CSIM, the toolkit used by the paper's
 // original C++ simulator.
 //
-// A simulation consists of processes (goroutines) that advance a shared
+// A simulation consists of processes (coroutines) that advance a shared
 // virtual clock by holding for intervals of simulated time and by waiting on
 // resources and buffers. The kernel runs exactly one process at a time:
 // a process executes until it parks (holds, blocks, or finishes), then the
@@ -12,14 +14,21 @@
 // The kernel is built for throughput: the event queue is a value-typed
 // binary heap (no container/heap interface boxing), a process holding to a
 // time before any pending event advances the clock in place without a
-// park/dispatch round-trip, goroutines and wake channels of finished
-// processes are pooled for reuse, and process names can be built lazily so
-// their fmt.Sprintf cost is only paid when Trace is enabled.
+// park/dispatch round-trip, control passes between the kernel and a process
+// by a direct coroutine switch (iter.Pull) rather than through the Go
+// scheduler, the coroutines of finished processes are pooled for reuse, and
+// process names can be built lazily so their fmt.Sprintf cost is only paid
+// when Trace is enabled.
+//
+// The coroutine hand-off needs go1.23 (iter.Pull); there is deliberately no
+// channel-based fallback for older toolchains.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"runtime"
 )
 
 // Time is simulated time in seconds since the start of the run.
@@ -32,12 +41,11 @@ type Simulator struct {
 	seq    int64
 	events eventHeap
 
-	parked  chan struct{} // signalled by a process when it parks or exits
-	running int           // live (spawned, not finished) non-daemon processes
-	daemons []*Proc       // live daemon processes (terminated when Run drains)
-	free    []*Proc       // finished processes whose goroutines await reuse
-	failure any           // panic value captured from a process goroutine
-	armed   bool          // process cancellation enabled (see ArmInterrupts)
+	running int     // live (spawned, not finished) non-daemon processes
+	daemons []*Proc // live daemon processes (terminated when Run drains)
+	free    []*Proc // finished processes whose coroutines await reuse
+	failure any     // panic value captured from a process coroutine
+	armed   bool    // process cancellation enabled (see ArmInterrupts)
 
 	// horizon bounds the in-place Hold fast path when the simulator runs as
 	// one shard of a windowed parallel run (see RunWindow): a hold that would
@@ -56,8 +64,19 @@ type Simulator struct {
 
 // New returns an empty simulator at time zero.
 func New() *Simulator {
-	return &Simulator{parked: make(chan struct{}), horizon: math.Inf(1)}
+	return &Simulator{horizon: math.Inf(1)}
 }
+
+// gcYieldEvery is how many kernel dispatches pass between calls to
+// runtime.Gosched, each made just before resuming a process. A coroutine
+// switch never enters the Go scheduler, so with GOMAXPROCS=1 a simulation
+// would otherwise hand the GC's background mark worker the CPU only when
+// sysmon preempts the kernel (every 10 ms). Marking would then span most of
+// a run, and everything allocated meanwhile is retained as allocated-black,
+// which raises the peak heap by about a third on a Figure 2 cell. Yielding
+// every 64 dispatches keeps marking short for a few percent of the dispatch
+// rate. It affects only wall-clock scheduling, never the simulated schedule.
+const gcYieldEvery = 64
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
@@ -140,10 +159,11 @@ func (s *Simulator) schedule(p *Proc, at Time) {
 type Proc struct {
 	sim       *Simulator
 	name      string
-	namef     func() string       // lazy name; resolved on first Name() call
-	namefID   func(int64) string  // lazy name from a static formatter + nameID
-	nameID    int64               // argument for namefID
-	wake      chan struct{}
+	namef     func() string           // lazy name; resolved on first Name() call
+	namefID   func(int64) string      // lazy name from a static formatter + nameID
+	nameID    int64                   // argument for namefID
+	resume    func() (struct{}, bool) // switches from the kernel into the process
+	yield     func(struct{}) bool     // switches from the process back to the kernel
 	body      func(p *Proc)
 	gen       uint32 // bumped on pool reuse; stale events are discarded
 	done      bool
@@ -176,7 +196,7 @@ func (p *Proc) Name() string {
 func (p *Proc) Sim() *Simulator { return p.sim }
 
 // Spawn creates a process that will begin running at the current virtual
-// time. The body runs in its own goroutine but only while the kernel has
+// time. The body runs in its own coroutine but only while the kernel has
 // handed it control.
 func (s *Simulator) Spawn(name string, body func(p *Proc)) *Proc {
 	return s.spawn(name, nil, nil, 0, body, false)
@@ -185,7 +205,7 @@ func (s *Simulator) Spawn(name string, body func(p *Proc)) *Proc {
 // SpawnDaemon creates a service process (e.g. a disk arm or a background load
 // generator) that runs for the lifetime of the simulation. Daemons do not
 // keep Run alive and do not count as deadlocked; when the event queue drains,
-// Run terminates them by unwinding their goroutines.
+// Run terminates them by unwinding their coroutines.
 func (s *Simulator) SpawnDaemon(name string, body func(p *Proc)) *Proc {
 	return s.spawn(name, nil, nil, 0, body, true)
 }
@@ -204,7 +224,7 @@ func (s *Simulator) SpawnDaemonLazy(namef func() string, body func(p *Proc)) *Pr
 
 // SpawnLazyID is SpawnLazy for the tightest spawn loops: the lazy name is a
 // static formatter applied to an int64 id, so the call site captures nothing
-// and the spawn allocates nothing once the goroutine pool is warm. Callers
+// and the spawn allocates nothing once the coroutine pool is warm. Callers
 // with two coordinates pack them into the id (e.g. site<<32|index).
 func (s *Simulator) SpawnLazyID(namef func(int64) string, id int64, body func(p *Proc)) *Proc {
 	return s.spawn("", nil, namef, id, body, false)
@@ -218,9 +238,9 @@ func (s *Simulator) SpawnDaemonLazyID(namef func(int64) string, id int64, body f
 func (s *Simulator) spawn(name string, namef func() string, namefID func(int64) string, id int64, body func(p *Proc), daemon bool) *Proc {
 	var p *Proc
 	if n := len(s.free); n > 0 {
-		// Reuse the goroutine + wake channel of a finished process. Safe
-		// because only one goroutine runs at a time: the pooled worker is
-		// parked on its wake channel, and gen invalidates any stale events.
+		// Reuse the coroutine of a finished process. Safe because only one
+		// process runs at a time: the pooled worker is suspended in its
+		// yield, and gen invalidates any stale events.
 		p = s.free[n-1]
 		s.free = s.free[:n-1]
 		p.gen++
@@ -228,8 +248,11 @@ func (s *Simulator) spawn(name string, namef func() string, namefID func(int64) 
 		p.done, p.daemon, p.terminate = false, daemon, false
 		p.intr, p.intrReason = false, "" // a prior body may have finished with an undelivered interrupt
 	} else {
-		p = &Proc{sim: s, name: name, namef: namef, namefID: namefID, nameID: id, wake: make(chan struct{}), body: body, daemon: daemon}
-		go s.worker(p)
+		p = &Proc{sim: s, name: name, namef: namef, namefID: namefID, nameID: id, body: body, daemon: daemon}
+		p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			s.worker(p)
+		})
 	}
 	if daemon {
 		s.daemons = append(s.daemons, p)
@@ -240,16 +263,15 @@ func (s *Simulator) spawn(name string, namef func() string, namefID func(int64) 
 	return p
 }
 
-// worker is the reusable goroutine backing one or more successive processes.
-// It runs one body per dispatch cycle, then parks itself in the free pool
-// until the simulator hands it a new body (or terminates it).
+// worker is the reusable coroutine backing one or more successive processes.
+// Each resume after the first hands it a new body; it runs the body, puts
+// itself in the free pool and yields back to the kernel. It returns, ending
+// the coroutine, when the simulator terminates it.
 func (s *Simulator) worker(p *Proc) {
 	for {
-		<-p.wake // wait for first dispatch of the current body
 		if p.terminate {
 			// Simulation ended before this process (or pooled worker) ran.
 			p.done = true
-			s.parked <- struct{}{}
 			return
 		}
 		s.runBody(p)
@@ -257,7 +279,6 @@ func (s *Simulator) worker(p *Proc) {
 			// Unwound by the terminated{} sentinel at Run teardown: exit
 			// instead of returning to the pool.
 			p.done = true
-			s.parked <- struct{}{}
 			return
 		}
 		p.done = true
@@ -265,7 +286,7 @@ func (s *Simulator) worker(p *Proc) {
 			s.running--
 		}
 		s.free = append(s.free, p)
-		s.parked <- struct{}{}
+		p.yield(struct{}{})
 	}
 }
 
@@ -294,6 +315,11 @@ func (s *Simulator) runBody(p *Proc) {
 // has finished (daemons such as disk servers and load generators would
 // otherwise keep the simulation alive forever). It returns the final virtual
 // time.
+//
+// A process body that calls runtime.Goexit (as t.Fatal does) ends the
+// goroutine that called Run: the coroutine hand-off passes the Goexit on to
+// the kernel's caller, so Run never returns and the deferred calls on that
+// goroutine run instead. The simulation cannot be resumed afterwards.
 func (s *Simulator) Run() Time {
 	for len(s.events) > 0 && s.running > 0 {
 		e := s.events.pop()
@@ -336,12 +362,14 @@ func (s *Simulator) dispatch(e event) bool {
 	if s.Trace != nil {
 		s.Trace(s.now, e.proc.Name())
 	}
-	e.proc.wake <- struct{}{}
-	<-s.parked
+	if s.dispatched%gcYieldEvery == 0 {
+		runtime.Gosched()
+	}
+	e.proc.resume()
 	return true
 }
 
-// Finish unwinds surviving daemon goroutines and pooled workers so repeated
+// Finish unwinds surviving daemon coroutines and pooled workers so repeated
 // simulations do not leak. Run calls it when the event queue drains; a shard
 // coordinator calls it once after the last window.
 func (s *Simulator) Finish() {
@@ -350,14 +378,12 @@ func (s *Simulator) Finish() {
 			continue
 		}
 		d.terminate = true
-		d.wake <- struct{}{}
-		<-s.parked
+		d.resume()
 	}
 	s.daemons = nil
 	for _, p := range s.free {
 		p.terminate = true
-		p.wake <- struct{}{}
-		<-s.parked
+		p.resume()
 	}
 	s.free = nil
 }
@@ -367,8 +393,7 @@ func (s *Simulator) Finish() {
 // sentinel instead of resuming, and its generation bump invalidates every
 // pending event and queue Ref it left behind.
 func (p *Proc) park() {
-	p.sim.parked <- struct{}{}
-	<-p.wake
+	p.yield(struct{}{})
 	if p.terminate {
 		panic(terminated{})
 	}

@@ -57,7 +57,7 @@ func (s *Simulator) Dispatched() int64 { return s.dispatched }
 // capped at the horizon, so a process holding past it parks and the window
 // closes with the shard's clock at its last dispatched event.
 //
-// A failure captured from a process goroutine re-panics here, on the
+// A failure captured from a process coroutine re-panics here, on the
 // goroutine driving this shard's window; the coordinator recovers it and
 // re-raises deterministically.
 func (s *Simulator) RunWindow(horizon Time) Time {
