@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -25,41 +26,41 @@ import (
 )
 
 // experiment is one entry of csq's registry: a name on the command line, a
-// one-line description for `csq list`, and a runner that prints the
-// experiment's tables to stdout (runCmd appends the wall-clock line).
+// one-line description for `csq list`, and a driver whose report runCmd
+// prints (followed by the wall-clock line).
 type experiment struct {
 	name     string
 	desc     string
 	ablation bool // listed after the figures and extensions, under "ablation:"
-	run      func(cfg experiments.Config, verbose bool) error
+	run      func(experiments.Config) (*experiments.Report, error)
 }
 
 // registry holds every experiment csq can run, in `csq list` order: figures,
 // extensions and grids sorted by name, then the ablations sorted by name.
 var registry = []experiment{
-	{name: "aggregate", desc: "extension: grouped aggregation vs policy traffic", run: figure(experiments.Config.ExtAggregate)},
-	{name: "chaos", desc: "fault injection: response time and goodput vs site MTBF", run: runChaos},
-	{name: "coherence", desc: "cache coherence: clients x write fraction x lease x MTBF, oracle-checked", run: runCoherence},
-	{name: "crossover", desc: "extension: DS/QS crossover vs join result size", run: figure(experiments.Config.ExtCrossover)},
-	{name: "failover", desc: "replication: availability and goodput vs site MTBF, RF 1-3", run: runFailover},
-	{name: "fig10", desc: "relative response time, static vs 2-step, deep vs bushy", run: figure(experiments.Config.Fig10)},
-	{name: "fig11", desc: "same as fig10 for the HiSel query", run: figure(experiments.Config.Fig11)},
-	{name: "fig2", desc: "pages sent, 2-way join, vary caching", run: figure(experiments.Config.Fig2)},
-	{name: "fig3", desc: "response time, 2-way join, vary caching, min alloc", run: figure(experiments.Config.Fig3)},
-	{name: "fig4", desc: "response time, DS, vary server load and caching", run: figure(experiments.Config.Fig4)},
-	{name: "fig5", desc: "response time, 2-way join, vary caching, max alloc", run: figure(experiments.Config.Fig5)},
-	{name: "fig6", desc: "pages sent, 10-way join, vary servers", run: figure(experiments.Config.Fig6)},
-	{name: "fig7", desc: "pages sent, 10-way join, vary servers, 5 relations cached", run: figure(experiments.Config.Fig7)},
-	{name: "fig8", desc: "response time, 10-way join, vary servers, min alloc", run: figure(experiments.Config.Fig8)},
-	{name: "fig9", desc: "communication of static vs 2-step plans after data migration", run: runFig9},
-	{name: "multiquery", desc: "extension: real concurrency vs the load approximation", run: figure(experiments.Config.ExtMultiQuery)},
-	{name: "overload", desc: "serving layer: goodput and tail latency vs offered load, on/off", run: runOverload},
-	{name: "shardscale", desc: "parallel kernel: one fleet run on 1/2/4/8 shards, equality-checked", run: runShardScale},
-	{name: "star", desc: "extension: figure 8 for star joins", run: figure(experiments.Config.ExtStar)},
-	ablation("commutativity", "optimizer join-commutativity move on/off", experiments.Config.AblationCommutativity),
-	ablation("elevator", "SCAN vs FIFO disk scheduling under load", experiments.Config.AblationElevator),
-	ablation("lookahead", "pipeline lookahead depth (1/4/16 pages)", experiments.Config.AblationLookahead),
-	ablation("writecache", "disk write-back cache vs write-through", experiments.Config.AblationWriteCache),
+	{name: "aggregate", desc: "extension: grouped aggregation vs policy traffic", run: experiments.Lift(experiments.Config.ExtAggregate)},
+	{name: "chaos", desc: "fault injection: response time and goodput vs site MTBF", run: experiments.Config.Chaos},
+	{name: "coherence", desc: "cache coherence: clients x write fraction x lease x MTBF, oracle-checked", run: experiments.Config.Coherence},
+	{name: "crossover", desc: "extension: DS/QS crossover vs join result size", run: experiments.Lift(experiments.Config.ExtCrossover)},
+	{name: "failover", desc: "replication: availability and goodput vs site MTBF, RF 1-3", run: experiments.Config.Failover},
+	{name: "fig10", desc: "relative response time, static vs 2-step, deep vs bushy", run: experiments.Lift(experiments.Config.Fig10)},
+	{name: "fig11", desc: "same as fig10 for the HiSel query", run: experiments.Lift(experiments.Config.Fig11)},
+	{name: "fig2", desc: "pages sent, 2-way join, vary caching", run: experiments.Lift(experiments.Config.Fig2)},
+	{name: "fig3", desc: "response time, 2-way join, vary caching, min alloc", run: experiments.Lift(experiments.Config.Fig3)},
+	{name: "fig4", desc: "response time, DS, vary server load and caching", run: experiments.Lift(experiments.Config.Fig4)},
+	{name: "fig5", desc: "response time, 2-way join, vary caching, max alloc", run: experiments.Lift(experiments.Config.Fig5)},
+	{name: "fig6", desc: "pages sent, 10-way join, vary servers", run: experiments.Lift(experiments.Config.Fig6)},
+	{name: "fig7", desc: "pages sent, 10-way join, vary servers, 5 relations cached", run: experiments.Lift(experiments.Config.Fig7)},
+	{name: "fig8", desc: "response time, 10-way join, vary servers, min alloc", run: experiments.Lift(experiments.Config.Fig8)},
+	{name: "fig9", desc: "communication of static vs 2-step plans after data migration", run: experiments.Lift(experiments.Config.Fig9)},
+	{name: "multiquery", desc: "extension: real concurrency vs the load approximation", run: experiments.Lift(experiments.Config.ExtMultiQuery)},
+	{name: "overload", desc: "serving layer: goodput and tail latency vs offered load, on/off", run: experiments.Config.Overload},
+	{name: "shardscale", desc: "parallel kernel: one fleet run on 1/2/4/8 shards, equality-checked", run: experiments.Config.ShardScale},
+	{name: "star", desc: "extension: figure 8 for star joins", run: experiments.Lift(experiments.Config.ExtStar)},
+	{name: "commutativity", desc: "optimizer join-commutativity move on/off", ablation: true, run: experiments.Lift(experiments.Config.AblationCommutativity)},
+	{name: "elevator", desc: "SCAN vs FIFO disk scheduling under load", ablation: true, run: experiments.Lift(experiments.Config.AblationElevator)},
+	{name: "lookahead", desc: "pipeline lookahead depth (1/4/16 pages)", ablation: true, run: experiments.Lift(experiments.Config.AblationLookahead)},
+	{name: "writecache", desc: "disk write-back cache vs write-through", ablation: true, run: experiments.Lift(experiments.Config.AblationWriteCache)},
 }
 
 // allFigures is what `csq run all` expands to. The chaos, failover,
@@ -78,90 +79,125 @@ func lookup(name string) (experiment, bool) {
 	return experiment{}, false
 }
 
+// resolve maps command-line targets to experiments, in order. "all", in any
+// case and at any position, expands to allFigures.
+func resolve(targets []string) ([]experiment, error) {
+	var exps []experiment
+	for _, target := range targets {
+		names := []string{target}
+		if strings.EqualFold(target, "all") {
+			names = allFigures
+		}
+		for _, name := range names {
+			e, ok := lookup(name)
+			if !ok {
+				return nil, fmt.Errorf("unknown experiment %q (try: csq list)", name)
+			}
+			exps = append(exps, e)
+		}
+	}
+	return exps, nil
+}
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	switch os.Args[1] {
-	case "list":
-		list()
-	case "run":
-		runCmd(os.Args[2:])
-	default:
-		usage()
-		os.Exit(2)
-	}
+	os.Exit(csq(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+// csq executes one command line and returns the process exit status.
+func csq(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		switch args[0] {
+		case "list":
+			list(stdout)
+			return 0
+		case "run":
+			return runCmd(args[1:], stdout, stderr)
+		}
+	}
+	usage(stderr)
+	return 2
+}
+
+func usage(w io.Writer) {
+	names := make([]string, 0, len(registry)+1)
+	for _, e := range registry {
+		names = append(names, e.name)
+	}
+	fmt.Fprintf(w, `usage:
   csq list
-  csq run [-reps N] [-seed S] [-quick] [-v] [-cpuprofile FILE] <fig2|fig3|...|fig9|fig10|fig11|chaos|failover|coherence|overload|shardscale|all>...`)
+  csq run [-reps N] [-seed S] [-quick] [-v] [-cpuprofile FILE] <%s>...
+`, strings.Join(append(names, "all"), "|"))
 }
 
-func list() {
+func list(w io.Writer) {
 	for _, e := range registry {
 		if e.ablation {
-			fmt.Printf("  %-14s ablation: %s\n", e.name, e.desc)
+			fmt.Fprintf(w, "  %-14s ablation: %s\n", e.name, e.desc)
 		} else {
-			fmt.Printf("  %-14s %s\n", e.name, e.desc)
+			fmt.Fprintf(w, "  %-14s %s\n", e.name, e.desc)
 		}
 	}
 }
 
-func runCmd(args []string) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	reps := fs.Int("reps", 5, "repetitions per data point")
+func runCmd(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	reps := fs.Int("reps", 5, "repetitions per data point (at least 1)")
 	seed := fs.Int64("seed", 42, "random seed")
 	quick := fs.Bool("quick", false, "thin the parameter sweeps")
-	verbose := fs.Bool("v", false, "verbose: per-cell counters (overload/failover) and per-stream attribution (coherence)")
+	verbose := fs.Bool("v", false, "verbose: failover's per-cell counters, overload's level transitions, coherence's per-stream attribution and shardscale's checkpoint log")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to `file` (pprof format; read it with go tool pprof)")
-	fs.Parse(args)
-
-	targets := fs.Args()
-	if len(targets) == 0 {
-		usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
-	if len(targets) == 1 && targets[0] == "all" {
-		targets = allFigures
+	if *reps < 1 {
+		fmt.Fprintf(stderr, "csq: -reps must be at least 1, got %d\n", *reps)
+		usage(stderr)
+		return 2
 	}
-	exps := make([]experiment, len(targets))
-	for i, name := range targets {
-		e, ok := lookup(name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (try: csq list)\n", name)
-			os.Exit(2)
-		}
-		exps[i] = e
+	if fs.NArg() == 0 {
+		usage(stderr)
+		return 2
+	}
+	exps, err := resolve(fs.Args())
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	cfg := experiments.Config{Reps: *reps, Seed: *seed, Quick: *quick}
 
 	stop, err := startCPUProfile(*cpuprofile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "csq: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "csq: %v\n", err)
+		return 1
 	}
-	err = runExperiments(exps, cfg, *verbose)
+	err = runExperiments(stdout, exps, cfg, *verbose)
 	if perr := stop(); err == nil {
 		err = perr
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
+	return 0
 }
 
-// runExperiments runs each experiment in turn, printing its tables and then
+// runExperiments runs each experiment in turn, printing its report and then
 // its wall-clock time.
-func runExperiments(exps []experiment, cfg experiments.Config, verbose bool) error {
+func runExperiments(w io.Writer, exps []experiment, cfg experiments.Config, verbose bool) error {
 	for _, e := range exps {
 		start := time.Now()
-		if err := e.run(cfg, verbose); err != nil {
+		rep, err := e.run(cfg)
+		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		fmt.Printf("  [%s]\n\n", time.Since(start).Round(time.Millisecond))
+		if e.ablation {
+			fmt.Fprintf(w, "Ablation %s: %s\n", e.name, e.desc)
+		}
+		rep.Write(w, verbose)
+		fmt.Fprintf(w, "  [%s]\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }
@@ -184,164 +220,4 @@ func startCPUProfile(path string) (stop func() error, err error) {
 		pprof.StopCPUProfile()
 		return f.Close()
 	}, nil
-}
-
-// figure adapts a single-figure experiment to the registry.
-func figure(run func(experiments.Config) (*experiments.Figure, error)) func(experiments.Config, bool) error {
-	return func(cfg experiments.Config, _ bool) error {
-		fig, err := run(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(fig)
-		return nil
-	}
-}
-
-// ablation builds the registry entry of an ablation: one response time per
-// setting.
-func ablation(name, desc string, run func(experiments.Config) ([]experiments.AblationResult, error)) experiment {
-	return experiment{name: name, desc: desc, ablation: true, run: func(cfg experiments.Config, _ bool) error {
-		rows, err := run(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Ablation %s: %s\n", name, desc)
-		for _, r := range rows {
-			fmt.Printf("  %-24s %8.2fs\n", r.Setting, r.ResponseTime)
-		}
-		return nil
-	}}
-}
-
-// runFig9 prints Figure 9's three page counts against the ideal plan.
-func runFig9(cfg experiments.Config, _ bool) error {
-	res, err := cfg.Fig9()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Figure 9: communication after data migration (pages sent)\n")
-	fmt.Printf("  static plan   %5d  (%.2fx of ideal)\n", res.StaticPages, float64(res.StaticPages)/float64(res.IdealPages))
-	fmt.Printf("  2-step plan   %5d  (%.2fx of ideal)\n", res.TwoStepPages, float64(res.TwoStepPages)/float64(res.IdealPages))
-	fmt.Printf("  ideal plan    %5d\n", res.IdealPages)
-	return nil
-}
-
-// runChaos prints the fault-injection grid's figures.
-func runChaos(cfg experiments.Config, _ bool) error {
-	figs, err := cfg.Chaos()
-	if err != nil {
-		return err
-	}
-	for _, fig := range figs {
-		fmt.Println(fig)
-	}
-	return nil
-}
-
-// runFailover prints the replication grid: the availability and goodput
-// figures, and — with -v — the per-cell failure-handling counters: retries,
-// replica failovers (the retry loop re-bound to a surviving copy), and
-// backoff skips (a wait avoided because another copy was already up).
-func runFailover(cfg experiments.Config, verbose bool) error {
-	rep, err := cfg.Failover()
-	if err != nil {
-		return err
-	}
-	for _, fig := range rep.Figures {
-		fmt.Println(fig)
-	}
-	if verbose {
-		fmt.Println("Failover cells (summed over reps): retries, replica failovers, backoff skips")
-		for _, cl := range rep.Cells {
-			fmt.Printf("  mtbf=%-4g %-3s rf=%d retry=%-4d failover=%-4d skip=%d\n",
-				cl.MTBF, cl.Policy, cl.RF, cl.Retries, cl.ReplicaFailovers, cl.BackoffSkips)
-		}
-	}
-	return nil
-}
-
-// runCoherence prints the cache-coherence grid: per-cell served/write/
-// invalidation counters with the staleness oracle's verdict (stale must read
-// 0 everywhere; the driver has already asserted it), and — with -v — the
-// per-client-stream attribution separating callback traffic from queries.
-func runCoherence(cfg experiments.Config, verbose bool) error {
-	rep, err := cfg.Coherence()
-	if err != nil {
-		return err
-	}
-	for _, fig := range rep.Figures {
-		fmt.Println(fig)
-	}
-	fmt.Println("Coherence cells (summed over reps): completed/failed, updates committed/bounded,")
-	fmt.Println("invalidations, cache hit/miss pages, lease renewals, stale reads (oracle)")
-	for _, cl := range rep.Cells {
-		fmt.Printf("  c=%d wf=%-4g lease=%-3g mtbf=%-4g comp=%-4d fail=%-3d upd=%-3d/%-3d bexp=%-2d inv=%-3d hit=%-5d miss=%-4d renew=%-3d stale=%d\n",
-			cl.Clients, cl.WriteFrac, cl.Lease, cl.MTBF,
-			cl.Completed, cl.Failed, cl.UpdatesCommitted, cl.Updates, cl.UpdatesBounded,
-			cl.Invalidations, cl.CacheHitPages, cl.CacheMissPages, cl.LeaseRenewals, cl.StaleReads)
-		if verbose {
-			for s, st := range cl.Streams {
-				fmt.Printf("      stream %d: queries=%-3d updates=%-3d shed=%-2d cbmsgs=%-3d cbbytes=%d\n",
-					s, st.Queries, st.Updates, st.ShedDown, st.CallbackMsgs, st.CallbackBytes)
-			}
-		}
-	}
-	return nil
-}
-
-// runOverload prints the serving-layer grid: the goodput and tail-latency
-// figures, the aggregated shed/expire/degrade counters per cell, and — with
-// -v — the degradation-level transitions of each cell's first repetition.
-func runOverload(cfg experiments.Config, verbose bool) error {
-	rep, err := cfg.Overload()
-	if err != nil {
-		return err
-	}
-	for _, fig := range rep.Figures {
-		fmt.Println(fig)
-	}
-	fmt.Println("Overload cells (summed over reps): offered/rejected/completed/expired/failed,")
-	fmt.Println("degraded admissions, granted retries, breaker opens")
-	levels := []string{"fresh", "cached", "static"}
-	for _, cl := range rep.Cells {
-		fmt.Printf("  mtbf=%-4g %-3s %-3s load=%-4g off=%-4d rej=%-4d comp=%-4d exp=%-4d fail=%-4d degr=%-4d retry=%-3d open=%d\n",
-			cl.MTBF, cl.Policy, cl.Mode, cl.Load,
-			cl.Offered, cl.Rejected, cl.Completed, cl.Expired, cl.Failed,
-			cl.Degraded, cl.RetriesGranted, cl.BreakerOpens)
-		if verbose {
-			for _, tr := range cl.Transitions {
-				fmt.Printf("      t=%8.3fs  %s -> %s  (queue depth %d)\n",
-					tr.At, levels[tr.From], levels[tr.To], tr.Depth)
-			}
-		}
-	}
-	return nil
-}
-
-// runShardScale prints the parallel-kernel grid: the fleet summary, the
-// per-shard-count scaling cells (every cell's observable state has already
-// been asserted DeepEqual to the shards=1 reference before this prints), and
-// — with -v — the fleet monitor's checkpoint log.
-func runShardScale(cfg experiments.Config, verbose bool) error {
-	rep, err := cfg.ShardScale()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Shardscale: one fleet run (%d serving groups x %d queries) on 1/2/4/8 shards\n",
-		rep.Groups, rep.QueriesPerGroup)
-	fmt.Printf("  fleet completed %d queries by t=%.3fs (virtual); identical at every shard count\n",
-		rep.Completed, rep.Elapsed)
-	fmt.Println("  shards  wall(s)   events/s   windows  speedup(wall)  speedup(critical-path)")
-	for _, cl := range rep.Cells {
-		fmt.Printf("  %6d  %7.3f  %9.0f  %7d  %13.2f  %22.2f\n",
-			cl.Shards, cl.WallSec, cl.EventsPerSec, cl.Windows, cl.WallSpeedup, cl.CriticalSpeedup)
-	}
-	if verbose {
-		fmt.Println("  checkpoint log (virtual time at each fleet-wide completion step):")
-		for _, cp := range rep.Checkpoints {
-			fmt.Printf("      t=%8.3fs  completed=%d\n", cp.At, cp.Completed)
-		}
-	}
-	return nil
 }

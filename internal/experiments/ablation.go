@@ -15,7 +15,6 @@ import (
 	"hybridship/internal/exec"
 	"hybridship/internal/opt"
 	"hybridship/internal/plan"
-	"hybridship/internal/stats"
 	"hybridship/internal/workload"
 )
 
@@ -31,53 +30,40 @@ func (c Config) ExtCrossover() (*Figure, error) {
 		XLabel: "cached[%]",
 		YLabel: "pages-sent",
 	}
-	rhos := []float64{0.2, 0.5, 1.0}
-	pols := []plan.Policy{plan.DataShipping, plan.QueryShipping}
-	sweep := c.cachingSweep()
-	reps := c.reps()
-	vals := make([]float64, len(rhos)*len(pols)*len(sweep)*reps)
-	err := parallelFor(len(vals), func(idx int) error {
-		rp, xi, rep := grid3(idx, len(sweep), reps)
-		ri, pi := rp/len(pols), rp%len(pols)
-		q, next := workload.TwoWayScaled(rhos[ri])
-		cat, err := workload.BuildCatalog(4096, 1, workload.PlaceRoundRobin(2, 1))
-		if err != nil {
-			return err
+	type spec struct {
+		rho float64
+		pol plan.Policy
+	}
+	var specs []spec
+	for _, rho := range []float64{0.2, 0.5, 1.0} {
+		for _, pol := range []plan.Policy{plan.DataShipping, plan.QueryShipping} {
+			specs = append(specs, spec{rho, pol})
 		}
-		if err := workload.CacheAllFraction(cat, sweep[xi]); err != nil {
-			return err
+	}
+	sweep := c.cachingSweep()
+	vals, err := plane(len(specs), len(sweep), c.reps(), func(si, xi, rep int) (float64, error) {
+		sp := specs[si]
+		q, next := workload.TwoWayScaled(sp.rho)
+		cat, err := twoWayCatalog(1, sweep[xi])
+		if err != nil {
+			return 0, err
 		}
 		r := run{
 			cat: cat, q: q,
-			policy: pols[pi], metric: cost.MetricPagesSent, maxAlloc: true,
+			policy: sp.pol, metric: cost.MetricPagesSent, maxAlloc: true,
 			next:    next,
-			optSeed: seedFor(c.Seed, int64(pols[pi]), int64(xi), int64(rep), 20),
+			optSeed: seedFor(c.Seed, int64(sp.pol), int64(xi), int64(rep), 20),
 			simSeed: seedFor(c.Seed, int64(xi), int64(rep), 21),
 		}
 		res, err := r.measure()
-		if err != nil {
-			return err
-		}
-		vals[idx] = float64(res.PagesSent)
-		return nil
+		return float64(res.PagesSent), err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for ri, rho := range rhos {
-		for pi, pol := range pols {
-			series := Series{Name: fmt.Sprintf("%s rho=%.1f", policyNames[pol], rho)}
-			for xi, frac := range sweep {
-				var sample stats.Sample
-				for rep := 0; rep < reps; rep++ {
-					sample.Add(vals[((ri*len(pols)+pi)*len(sweep)+xi)*reps+rep])
-				}
-				series.Points = append(series.Points, Point{
-					X: frac * 100, Mean: sample.Mean(), CI: sample.CI90(), N: sample.N(),
-				})
-			}
-			fig.Series = append(fig.Series, series)
-		}
+	for si, sp := range specs {
+		name := fmt.Sprintf("%s rho=%.1f", policyNames[sp.pol], sp.rho)
+		fig.Series = append(fig.Series, curve(name, axis(sweep, 100), vals[si], self))
 	}
 	return fig, nil
 }
@@ -95,15 +81,12 @@ func (c Config) ExtStar() (*Figure, error) {
 	q := workload.StarQuery(10)
 	next := workload.Next(workload.Moderate)
 	sweep := c.serverSweep()
-	reps := c.reps()
-	vals := make([]float64, len(allPolicies)*len(sweep)*reps)
-	err := parallelFor(len(vals), func(idx int) error {
-		pi, ki, rep := grid3(idx, len(sweep), reps)
+	vals, err := plane(len(allPolicies), len(sweep), c.reps(), func(pi, ki, rep int) (float64, error) {
 		k := sweep[ki]
 		rng := newRNG(seedFor(c.Seed, int64(k), int64(rep), 22))
 		cat, err := workload.BuildCatalog(4096, k, workload.PlaceRandom(rng, 10, k))
 		if err != nil {
-			return err
+			return 0, err
 		}
 		r := run{
 			cat: cat, q: q,
@@ -113,27 +96,13 @@ func (c Config) ExtStar() (*Figure, error) {
 			simSeed: seedFor(c.Seed, int64(k), int64(rep), 24),
 		}
 		res, err := r.measure()
-		if err != nil {
-			return err
-		}
-		vals[idx] = res.ResponseTime
-		return nil
+		return res.ResponseTime, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	for pi, pol := range allPolicies {
-		series := Series{Name: policyNames[pol]}
-		for ki, k := range sweep {
-			var sample stats.Sample
-			for rep := 0; rep < reps; rep++ {
-				sample.Add(vals[(pi*len(sweep)+ki)*reps+rep])
-			}
-			series.Points = append(series.Points, Point{
-				X: float64(k), Mean: sample.Mean(), CI: sample.CI90(), N: sample.N(),
-			})
-		}
-		fig.Series = append(fig.Series, series)
+		fig.Series = append(fig.Series, curve(policyNames[pol], axis(sweep, 1), vals[pi], self))
 	}
 	return fig, nil
 }
@@ -171,6 +140,17 @@ func (c Config) ablationRun(mutate func(*exec.Config), seed int64) (float64, err
 type AblationResult struct {
 	Setting      string
 	ResponseTime float64
+}
+
+// ablationReport is a table of one response time per setting.
+func ablationReport(rows []AblationResult) *Report {
+	t := &Table{}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, Row{Fields: []Field{
+			{"setting", "%-24s", r.Setting}, {"rt", "%8.2fs", r.ResponseTime},
+		}})
+	}
+	return &Report{Tables: []*Table{t}}
 }
 
 // AblationLookahead varies the network producer's lookahead depth. The paper
@@ -263,18 +243,14 @@ func (c Config) AblationCommutativity() ([]AblationResult, error) {
 		return nil, err
 	}
 	settings := []bool{true, false}
-	reps := c.reps()
-	vals := make([]float64, len(settings)*reps)
-	err = parallelFor(len(vals), func(idx int) error {
-		comm := settings[idx/reps]
-		rep := idx % reps
+	vals, err := grid(len(settings), c.reps(), func(ci, rep int) (float64, error) {
 		model := &cost.Model{Params: cost.DefaultParams(), Catalog: cat, Query: q}
 		opts := opt.DefaultOptions(plan.HybridShipping, cost.MetricResponseTime,
 			seedFor(c.Seed, int64(rep), 33))
-		opts.Commutativity = comm
+		opts.Commutativity = settings[ci]
 		optRes, err := opt.New(model, opts).Optimize()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		r := run{
 			cat: cat, q: q, maxAlloc: false,
@@ -282,26 +258,18 @@ func (c Config) AblationCommutativity() ([]AblationResult, error) {
 			simSeed: seedFor(c.Seed, int64(rep), 34),
 		}
 		res, err := exec.Run(r.execConfig(), optRes.Plan)
-		if err != nil {
-			return err
-		}
-		vals[idx] = res.ResponseTime
-		return nil
+		return res.ResponseTime, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	var out []AblationResult
 	for ci, comm := range settings {
-		var sample stats.Sample
-		for rep := 0; rep < reps; rep++ {
-			sample.Add(vals[ci*reps+rep])
-		}
 		name := "with commutativity"
 		if !comm {
 			name = "paper move set only"
 		}
-		out = append(out, AblationResult{name, sample.Mean()})
+		out = append(out, AblationResult{name, point(0, vals[ci], self).Mean})
 	}
 	return out, nil
 }
@@ -319,13 +287,10 @@ func (c Config) ExtAggregate() (*Figure, error) {
 		YLabel: "pages-sent",
 	}
 	groupSweep := []int{1, 100, 10000}
-	reps := c.reps()
-	vals := make([]float64, len(allPolicies)*len(groupSweep)*reps)
-	err := parallelFor(len(vals), func(idx int) error {
-		pi, gi, rep := grid3(idx, len(groupSweep), reps)
-		cat, err := workload.BuildCatalog(4096, 1, workload.PlaceRoundRobin(2, 1))
+	vals, err := plane(len(allPolicies), len(groupSweep), c.reps(), func(pi, gi, rep int) (float64, error) {
+		cat, err := twoWayCatalog(1, 0)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		q := workload.ChainQuery(2, workload.Moderate)
 		q.GroupBy = groupSweep[gi]
@@ -337,27 +302,13 @@ func (c Config) ExtAggregate() (*Figure, error) {
 			simSeed: seedFor(c.Seed, int64(gi), int64(rep), 41),
 		}
 		res, err := r.measure()
-		if err != nil {
-			return err
-		}
-		vals[idx] = float64(res.PagesSent)
-		return nil
+		return float64(res.PagesSent), err
 	})
 	if err != nil {
 		return nil, err
 	}
 	for pi, pol := range allPolicies {
-		series := Series{Name: policyNames[pol]}
-		for gi, groups := range groupSweep {
-			var sample stats.Sample
-			for rep := 0; rep < reps; rep++ {
-				sample.Add(vals[(pi*len(groupSweep)+gi)*reps+rep])
-			}
-			series.Points = append(series.Points, Point{
-				X: float64(groups), Mean: sample.Mean(), CI: sample.CI90(), N: sample.N(),
-			})
-		}
-		fig.Series = append(fig.Series, series)
+		fig.Series = append(fig.Series, curve(policyNames[pol], axis(groupSweep, 1), vals[pi], self))
 	}
 	return fig, nil
 }
@@ -375,7 +326,7 @@ func (c Config) ExtMultiQuery() (*Figure, error) {
 		YLabel: "response-time",
 	}
 	buildRun := func() (run, error) {
-		cat, err := workload.BuildCatalog(4096, 1, workload.PlaceRoundRobin(2, 1))
+		cat, err := twoWayCatalog(1, 0)
 		if err != nil {
 			return run{}, err
 		}

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"hybridship/internal/cost"
+	"hybridship/internal/exec"
 	"hybridship/internal/faults"
-	"hybridship/internal/stats"
 	"hybridship/internal/workload"
 )
 
@@ -46,7 +46,7 @@ func (c Config) chaosSweep() []float64 {
 
 // Chaos runs the fault-injection grid and returns the response-time and
 // goodput figures.
-func (c Config) Chaos() ([]*Figure, error) {
+func (c Config) Chaos() (*Report, error) {
 	rtFig := &Figure{
 		ID: "chaos-rt", Title: "Response Time, 2-Way Join; 1 Server, 50% Cached, Min Alloc, Site Crashes (MTTR 2s)",
 		XLabel: "MTBF[s]",
@@ -58,64 +58,55 @@ func (c Config) Chaos() ([]*Figure, error) {
 		YLabel: "goodput[%]",
 	}
 	sweep := c.chaosSweep()
-	reps := c.reps()
 	type cell struct{ rt, goodput float64 }
-	vals := make([]cell, len(allPolicies)*len(sweep)*reps)
-	err := parallelFor(len(vals), func(idx int) error {
-		pi, xi, rep := grid3(idx, len(sweep), reps)
-		cat, err := workload.BuildCatalog(4096, 1, workload.PlaceRoundRobin(2, 1))
+	vals, err := plane(len(allPolicies), len(sweep), c.reps(), func(pi, xi, rep int) (cell, error) {
+		r, err := c.chaosRun(pi, xi, rep)
 		if err != nil {
-			return err
-		}
-		if err := workload.CacheAllFraction(cat, 0.5); err != nil {
-			return err
-		}
-		r := run{
-			cat: cat, q: workload.ChainQuery(2, workload.Moderate),
-			policy: allPolicies[pi], metric: cost.MetricResponseTime, maxAlloc: false,
-			next:    workload.Next(workload.Moderate),
-			optSeed: seedFor(c.Seed, int64(allPolicies[pi]), int64(xi), int64(rep), 60),
-			simSeed: seedFor(c.Seed, int64(xi), int64(rep), 61),
-			faults: &faults.Config{
-				Seed:       seedFor(c.Seed, int64(xi), int64(rep), 62),
-				SiteMTBF:   sweep[xi],
-				SiteMTTR:   chaosMTTR,
-				MaxRetries: chaosRetries,
-			},
+			return cell{}, err
 		}
 		res, err := r.measure()
 		if err != nil {
-			return err
+			return cell{}, err
 		}
-		goodput := 100.0
-		if res.ResponseTime > 0 {
-			goodput = 100 * (res.ResponseTime - res.AbortedWork - res.BackoffTime) / res.ResponseTime
-		}
-		vals[idx] = cell{rt: res.ResponseTime, goodput: goodput}
-		return nil
+		return cell{rt: res.ResponseTime, goodput: goodput(res)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for pi, pol := range allPolicies {
-		rtSeries := Series{Name: policyNames[pol]}
-		gpSeries := Series{Name: policyNames[pol]}
-		for xi, mtbf := range sweep {
-			var rt, gp stats.Sample
-			for rep := 0; rep < reps; rep++ {
-				v := vals[(pi*len(sweep)+xi)*reps+rep]
-				rt.Add(v.rt)
-				gp.Add(v.goodput)
-			}
-			rtSeries.Points = append(rtSeries.Points, Point{
-				X: mtbf, Mean: rt.Mean(), CI: rt.CI90(), N: rt.N(),
-			})
-			gpSeries.Points = append(gpSeries.Points, Point{
-				X: mtbf, Mean: gp.Mean(), CI: gp.CI90(), N: gp.N(),
-			})
-		}
-		rtFig.Series = append(rtFig.Series, rtSeries)
-		gpFig.Series = append(gpFig.Series, gpSeries)
+		rtFig.Series = append(rtFig.Series, curve(policyNames[pol], sweep, vals[pi], func(v cell) float64 { return v.rt }))
+		gpFig.Series = append(gpFig.Series, curve(policyNames[pol], sweep, vals[pi], func(v cell) float64 { return v.goodput }))
 	}
-	return []*Figure{rtFig, gpFig}, nil
+	return &Report{Figures: []*Figure{rtFig, gpFig}}, nil
+}
+
+// chaosRun assembles one chaos-grid cell's run: policy pi under site
+// crashes at MTBF sweep[xi], repetition rep.
+func (c Config) chaosRun(pi, xi, rep int) (run, error) {
+	cat, err := twoWayCatalog(1, 0.5)
+	if err != nil {
+		return run{}, err
+	}
+	return run{
+		cat: cat, q: workload.ChainQuery(2, workload.Moderate),
+		policy: allPolicies[pi], metric: cost.MetricResponseTime, maxAlloc: false,
+		next:    workload.Next(workload.Moderate),
+		optSeed: seedFor(c.Seed, int64(allPolicies[pi]), int64(xi), int64(rep), 60),
+		simSeed: seedFor(c.Seed, int64(xi), int64(rep), 61),
+		faults: &faults.Config{
+			Seed:       seedFor(c.Seed, int64(xi), int64(rep), 62),
+			SiteMTBF:   c.chaosSweep()[xi],
+			SiteMTTR:   chaosMTTR,
+			MaxRetries: chaosRetries,
+		},
+	}, nil
+}
+
+// goodput is the useful fraction of a run's response time, 100·(RT −
+// AbortedWork − BackoffTime)/RT; 100 for an instant run.
+func goodput(res exec.Result) float64 {
+	if res.ResponseTime <= 0 {
+		return 100
+	}
+	return 100 * (res.ResponseTime - res.AbortedWork - res.BackoffTime) / res.ResponseTime
 }

@@ -6,11 +6,9 @@ import (
 
 	"hybridship/internal/coherence"
 	"hybridship/internal/cost"
-	"hybridship/internal/exec"
 	"hybridship/internal/faults"
 	"hybridship/internal/plan"
 	"hybridship/internal/serve"
-	"hybridship/internal/stats"
 	"hybridship/internal/workload"
 )
 
@@ -85,39 +83,10 @@ func (c Config) coherenceQueries() int {
 	return 48
 }
 
-// CoherenceCell is one grid cell's counters, summed over repetitions.
-type CoherenceCell struct {
-	Clients   int
-	WriteFrac float64
-	Lease     float64 // 0 = infinite
-	MTBF      float64 // 0 = fault-free
-
-	Offered, Completed, Expired, Failed int64
-	ShedDown, FailedDown                int64
-
-	Updates, UpdatesCommitted, UpdatesBounded int64
-	Invalidations                             int64
-
-	CacheHitPages, CacheMissPages, LeaseRenewals, CallbackMsgs int64
-
-	// StaleReads is the oracle's verdict, surfaced so the table shows the
-	// zero; the driver fails outright if any cell trips it.
-	StaleReads int64
-
-	// Streams is the first repetition's per-client-stream attribution.
-	Streams []serve.StreamStats
-}
-
-// CoherenceReport is everything `csq run coherence` prints.
-type CoherenceReport struct {
-	Figures []*Figure
-	Cells   []CoherenceCell
-}
-
 // coherencePlans compiles the grid's shared plans: two DS classes (different
 // optimizer seeds) and the static QS fallback.
 func (c Config) coherencePlans() (fresh []*plan.Node, static *plan.Node, err error) {
-	cat, err := overloadCatalog()
+	cat, err := twoWayCatalog(1, 0.5)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -151,35 +120,20 @@ func (c Config) coherencePlans() (fresh []*plan.Node, static *plan.Node, err err
 // runs the legacy engine — no Coherence at all — for the identity check.
 func (c Config) coherenceConfig(fresh []*plan.Node, static *plan.Node,
 	nc int, wf, lease, mtbf float64, rep int) (serve.Config, error) {
-	cat, err := overloadCatalog()
-	if err != nil {
-		return serve.Config{}, err
-	}
 	var fcfg *faults.Config
 	if mtbf > 0 {
-		fcfg = &faults.Config{
-			Seed:         seedFor(c.Seed, int64(rep), 82),
-			SiteMTBF:     mtbf,
-			SiteMTTR:     chaosMTTR,
-			FetchTimeout: 2,
-			MaxRetries:   200,
-			BackoffBase:  0.1,
-			BackoffMax:   1,
-		}
+		fcfg = servingFaults(seedFor(c.Seed, int64(rep), 82), mtbf)
 		if nc > 0 && lease > 0 {
 			fcfg.ClientMTBF = coherenceClientMTBF
 			fcfg.ClientMTTR = coherenceClientMTTR
 		}
 	}
+	ex, err := servingExec(seedFor(c.Seed, int64(rep), 83), fcfg)
+	if err != nil {
+		return serve.Config{}, err
+	}
 	cfg := serve.Config{
-		Exec: exec.Config{
-			Params:  overloadParams(),
-			Catalog: cat,
-			Query:   workload.ChainQuery(2, workload.Moderate),
-			Next:    workload.Next(workload.Moderate),
-			Seed:    seedFor(c.Seed, int64(rep), 83),
-			Faults:  fcfg,
-		},
+		Exec:        ex,
 		Seed:        seedFor(c.Seed, int64(rep), 81),
 		NumQueries:  c.coherenceQueries(),
 		ArrivalRate: coherenceRate,
@@ -195,7 +149,7 @@ func (c Config) coherenceConfig(fresh []*plan.Node, static *plan.Node,
 		cfg.Exec.Coherence = &coherence.Config{NumClients: nc, LeaseDuration: lease}
 	}
 	if wf > 0 {
-		mix := workload.WriteMix(cat, seedFor(c.Seed, 84), wf)
+		mix := workload.WriteMix(ex.Catalog, seedFor(c.Seed, 84), wf)
 		cfg.Updates = func(qi int) (string, int, int, bool) {
 			op, ok := mix(qi)
 			return op.Rel, op.Page0, op.Pages, ok
@@ -211,9 +165,13 @@ type coherenceAxes struct {
 	mtbf      float64
 }
 
-// Coherence runs the cache-coherence grid and returns the goodput figure
-// plus the per-cell counters table.
-func (c Config) Coherence() (*CoherenceReport, error) {
+// Coherence runs the cache-coherence grid and returns the goodput figures
+// plus the per-cell counters table: served/write/invalidation counters,
+// summed over repetitions, with the staleness oracle's verdict (stale must
+// read 0 everywhere; the driver has already asserted it), and as -v detail
+// the first repetition's per-client-stream attribution, which separates
+// callback traffic from queries.
+func (c Config) Coherence() (*Report, error) {
 	fresh, static, err := c.coherencePlans()
 	if err != nil {
 		return nil, err
@@ -231,21 +189,18 @@ func (c Config) Coherence() (*CoherenceReport, error) {
 			}
 		}
 	}
-	reps := c.reps()
-	vals := make([]serve.Result, len(axes)*reps)
-	err = parallelFor(len(vals), func(idx int) error {
-		ai, rep := idx/reps, idx%reps
+	vals, err := grid(len(axes), c.reps(), func(ai, rep int) (serve.Result, error) {
 		ax := axes[ai]
 		cfg, err := c.coherenceConfig(fresh, static, ax.nc, ax.wf, ax.lease, ax.mtbf, rep)
 		if err != nil {
-			return err
+			return serve.Result{}, err
 		}
 		res, err := serve.Run(cfg)
 		if err != nil {
-			return err
+			return serve.Result{}, err
 		}
 		if o := res.Coherence.Oracle; o.StaleReads != 0 || o.StaleCommittedReads != 0 {
-			return fmt.Errorf("coherence: staleness oracle tripped at c=%d wf=%g lease=%g mtbf=%g rep %d: %+v",
+			return serve.Result{}, fmt.Errorf("coherence: staleness oracle tripped at c=%d wf=%g lease=%g mtbf=%g rep %d: %+v",
 				ax.nc, ax.wf, ax.lease, ax.mtbf, rep, o)
 		}
 		if ax.nc == 1 && ax.wf == 0 && ax.lease == 0 {
@@ -253,28 +208,27 @@ func (c Config) Coherence() (*CoherenceReport, error) {
 			// engine (no coherence) and demand the same serving result.
 			lcfg, err := c.coherenceConfig(fresh, static, 0, 0, 0, ax.mtbf, rep)
 			if err != nil {
-				return err
+				return serve.Result{}, err
 			}
 			legacy, err := serve.Run(lcfg)
 			if err != nil {
-				return err
+				return serve.Result{}, err
 			}
 			cmp := res
 			cmp.Streams = nil
 			cmp.Coherence = nil
 			if !reflect.DeepEqual(cmp, legacy) {
-				return fmt.Errorf("coherence: identity cell (mtbf=%g, rep %d) diverges from the legacy engine:\n got %+v\nwant %+v",
+				return serve.Result{}, fmt.Errorf("coherence: identity cell (mtbf=%g, rep %d) diverges from the legacy engine:\n got %+v\nwant %+v",
 					ax.mtbf, rep, cmp, legacy)
 			}
 		}
-		vals[idx] = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	report := &CoherenceReport{}
+	report := &Report{}
 	figs := map[float64]*Figure{}
 	for _, mtbf := range c.coherenceMTBFs() {
 		suffix := "Fault-Free"
@@ -285,57 +239,52 @@ func (c Config) Coherence() (*CoherenceReport, error) {
 			ID: "coherence-goodput", Title: "Goodput vs Write Fraction, 2-Way Join; 1 Server, 50% Cached, Coherent Client Caches, " + suffix,
 			XLabel: "write fraction", YLabel: "goodput[q/s]",
 		}
+		report.Figures = append(report.Figures, figs[mtbf])
 	}
-	series := map[string]*Series{}
-	order := map[float64][]*Series{}
+	cells := &Table{Title: "Coherence cells (summed over reps): completed/failed, updates committed/bounded,\n" +
+		"invalidations, cache hit/miss pages, lease renewals, stale reads (oracle)"}
 	for ai, ax := range axes {
-		var gp stats.Sample
-		agg := CoherenceCell{Clients: ax.nc, WriteFrac: ax.wf, Lease: ax.lease, MTBF: ax.mtbf}
-		for rep := 0; rep < reps; rep++ {
-			v := vals[ai*reps+rep]
-			gp.Add(v.Goodput)
-			agg.Offered += v.Offered
-			agg.Completed += v.Completed
-			agg.Expired += v.Expired
-			agg.Failed += v.Failed
-			agg.ShedDown += v.ShedClientDown
-			agg.FailedDown += v.FailedClientDown
-			agg.Updates += v.Updates
-			agg.UpdatesCommitted += v.UpdatesCommitted
-			agg.UpdatesBounded += v.UpdatesBounded
-			agg.Invalidations += v.Invalidations
+		var comp, fail, upd, committed, bounded, inv, hit, miss, renew, stale int64
+		for _, v := range vals[ai] {
+			comp += v.Completed
+			fail += v.Failed
+			upd += v.Updates
+			committed += v.UpdatesCommitted
+			bounded += v.UpdatesBounded
+			inv += v.Invalidations
 			for _, st := range v.Streams {
-				agg.CacheHitPages += st.CacheHitPages
-				agg.CacheMissPages += st.CacheMissPages
-				agg.LeaseRenewals += st.LeaseRenewals
-				agg.CallbackMsgs += st.CallbackMsgs
+				hit += st.CacheHitPages
+				miss += st.CacheMissPages
+				renew += st.LeaseRenewals
 			}
-			agg.StaleReads += v.Coherence.Oracle.StaleReads
-			if rep == 0 {
-				agg.Streams = v.Streams
-			}
+			stale += v.Coherence.Oracle.StaleReads
 		}
-		report.Cells = append(report.Cells, agg)
+		row := Row{Fields: []Field{
+			{"c", "c=%d", ax.nc}, {"wf", "wf=%-4g", ax.wf}, {"lease", "lease=%-3g", ax.lease}, {"mtbf", "mtbf=%-4g", ax.mtbf},
+			{"comp", "comp=%-4d", comp}, {"fail", "fail=%-3d", fail}, {"upd", "upd=%-3d", outOf{committed, upd}},
+			{"bexp", "bexp=%-2d", bounded}, {"inv", "inv=%-3d", inv}, {"hit", "hit=%-5d", hit},
+			{"miss", "miss=%-4d", miss}, {"renew", "renew=%-3d", renew}, {"stale", "stale=%d", stale},
+		}}
+		for s, st := range vals[ai][0].Streams {
+			row.Detail = append(row.Detail, fmt.Sprintf("stream %d: queries=%-3d updates=%-3d shed=%-2d cbmsgs=%-3d cbbytes=%d",
+				s, st.Queries, st.Updates, st.ShedDown, st.CallbackMsgs, st.CallbackBytes))
+		}
+		cells.Rows = append(cells.Rows, row)
 		if ax.lease == 0 {
 			// The infinite-lease column exists only at wf=0 (writers require
 			// a finite lease), so it has no curve over the write-fraction
 			// axis; its numbers live in the cells table.
 			continue
 		}
-		key := fmt.Sprintf("mtbf=%g c=%d lease=%g", ax.mtbf, ax.nc, ax.lease)
-		s := series[key]
-		if s == nil {
-			s = &Series{Name: fmt.Sprintf("c=%d lease=%g", ax.nc, ax.lease)}
-			series[key] = s
-			order[ax.mtbf] = append(order[ax.mtbf], s)
+		// wf is the innermost axis, so a series' points are consecutive.
+		fig := figs[ax.mtbf]
+		name := fmt.Sprintf("c=%d lease=%g", ax.nc, ax.lease)
+		if n := len(fig.Series); n == 0 || fig.Series[n-1].Name != name {
+			fig.Series = append(fig.Series, Series{Name: name})
 		}
-		s.Points = append(s.Points, Point{X: ax.wf, Mean: gp.Mean(), CI: gp.CI90(), N: gp.N()})
+		s := &fig.Series[len(fig.Series)-1]
+		s.Points = append(s.Points, point(ax.wf, vals[ai], func(v serve.Result) float64 { return v.Goodput }))
 	}
-	for _, mtbf := range c.coherenceMTBFs() {
-		for _, s := range order[mtbf] {
-			figs[mtbf].Series = append(figs[mtbf].Series, *s)
-		}
-		report.Figures = append(report.Figures, figs[mtbf])
-	}
+	report.Tables = []*Table{cells}
 	return report, nil
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"reflect"
-	"runtime"
 	"testing"
 )
 
@@ -10,65 +8,39 @@ import (
 // itself asserts the staleness oracle and the legacy-identity column) and
 // checks the report's structure and the invariants the cells must satisfy.
 func TestCoherenceGridSelfChecks(t *testing.T) {
-	cfg := Config{Reps: 2, Seed: 17, Quick: true}
-	rep, err := cfg.Coherence()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "coherence")
 	// Quick axes: 2 clients x (lease 0: wf 0 only; lease 0.5: wf {0, .25}),
 	// at 2 MTBF levels = 12 cells.
-	if len(rep.Cells) != 12 {
-		t.Fatalf("Cells = %d entries, want 12", len(rep.Cells))
+	rows := rep.Tables[0].Rows
+	if len(rows) != 12 {
+		t.Fatalf("cells table has %d rows, want 12", len(rows))
 	}
 	if len(rep.Figures) != 2 {
 		t.Fatalf("Figures = %d, want one per MTBF level", len(rep.Figures))
 	}
 	var updates, invals, renewals, misses int64
-	for _, cl := range rep.Cells {
-		if cl.StaleReads != 0 {
-			t.Errorf("cell %+v: oracle reports stale reads", cl)
+	for _, row := range rows {
+		upd := row.get("upd").(outOf)[1]
+		renew := row.get("renew").(int64)
+		if row.get("stale").(int64) != 0 {
+			t.Errorf("cell %+v: oracle reports stale reads", row.Fields)
 		}
-		if cl.WriteFrac == 0 && cl.Updates != 0 {
-			t.Errorf("read-only cell dispatched updates: %+v", cl)
+		if row.get("wf").(float64) == 0 && upd != 0 {
+			t.Errorf("read-only cell dispatched updates: %+v", row.Fields)
 		}
-		if cl.Lease == 0 && cl.LeaseRenewals != 0 {
-			t.Errorf("infinite-lease cell renewed leases: %+v", cl)
+		if row.get("lease").(float64) == 0 && renew != 0 {
+			t.Errorf("infinite-lease cell renewed leases: %+v", row.Fields)
 		}
-		if len(cl.Streams) != cl.Clients {
-			t.Errorf("cell c=%d has %d stream entries", cl.Clients, len(cl.Streams))
+		if c := row.get("c").(int); len(row.Detail) != c {
+			t.Errorf("cell c=%d has %d stream entries", c, len(row.Detail))
 		}
-		updates += cl.Updates
-		invals += cl.Invalidations
-		renewals += cl.LeaseRenewals
-		misses += cl.CacheMissPages
+		updates += upd
+		invals += row.get("inv").(int64)
+		renewals += renew
+		misses += row.get("miss").(int64)
 	}
 	if updates == 0 || invals == 0 || renewals == 0 || misses == 0 {
 		t.Errorf("grid never exercised the protocol: updates=%d invalidations=%d renewals=%d misses=%d",
 			updates, invals, renewals, misses)
-	}
-}
-
-// TestCoherenceIdenticalAcrossGOMAXPROCS extends the harness determinism
-// regression to the coherence grid: write mixes, lease schedules, callback
-// deliveries, and crash schedules are all seed-derived, so the full report
-// must be DeepEqual at any parallelism.
-func TestCoherenceIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	cfg := Config{Reps: 2, Seed: 17, Quick: true}
-
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	runtime.GOMAXPROCS(1)
-	seq, err := cfg.Coherence()
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.GOMAXPROCS(8)
-	par, err := cfg.Coherence()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("coherence report differs between GOMAXPROCS=1 and 8:\n--- sequential ---\n%+v\n--- parallel ---\n%+v", seq, par)
 	}
 }

@@ -3,8 +3,10 @@
 // 2-step optimization), using the randomized optimizer to pick plans and the
 // detailed simulator to measure them, exactly as the original study did.
 //
-// Each driver returns a Figure holding one series per policy (or compiled
-// plan flavor) with means and 90% confidence intervals over repeated runs.
+// Each figure driver returns a Figure holding one series per policy (or
+// compiled plan flavor) with means and 90% confidence intervals over
+// repeated runs; the fault, serving and scaling grids return a Report, the
+// one output shape every experiment prints through (report.go).
 package experiments
 
 import (
@@ -20,7 +22,6 @@ import (
 	"hybridship/internal/plan"
 	"hybridship/internal/query"
 	"hybridship/internal/seedmix"
-	"hybridship/internal/stats"
 	"hybridship/internal/workload"
 )
 
@@ -210,6 +211,19 @@ var policyNames = map[plan.Policy]string{
 
 var allPolicies = []plan.Policy{plan.DataShipping, plan.QueryShipping, plan.HybridShipping}
 
+// twoWayCatalog builds the 2-way join's catalog: both relations on server
+// 0 of servers, cachedFrac of each cached at the client.
+func twoWayCatalog(servers int, cachedFrac float64) (*catalog.Catalog, error) {
+	cat, err := workload.BuildCatalog(4096, servers, workload.PlaceRoundRobin(2, 1))
+	if err != nil {
+		return nil, err
+	}
+	if err := workload.CacheAllFraction(cat, cachedFrac); err != nil {
+		return nil, err
+	}
+	return cat, nil
+}
+
 // twoWayFigure runs the common Figure 2/3/5 shape: a 2-way join against one
 // server, sweeping client caching, one series per policy.
 func (c Config) twoWayFigure(id, title string, metric cost.Metric, maxAlloc bool,
@@ -220,18 +234,10 @@ func (c Config) twoWayFigure(id, title string, metric cost.Metric, maxAlloc bool
 		YLabel: metric.String(),
 	}
 	sweep := c.cachingSweep()
-	reps := c.reps()
-	// Every (policy, caching, rep) cell is independent: run the whole grid
-	// on the worker pool, each task writing its measurement into its slot.
-	vals := make([]float64, len(allPolicies)*len(sweep)*reps)
-	err := parallelFor(len(vals), func(idx int) error {
-		pi, xi, rep := grid3(idx, len(sweep), reps)
-		cat, err := workload.BuildCatalog(4096, 1, workload.PlaceRoundRobin(2, 1))
+	vals, err := plane(len(allPolicies), len(sweep), c.reps(), func(pi, xi, rep int) (float64, error) {
+		cat, err := twoWayCatalog(1, sweep[xi])
 		if err != nil {
-			return err
-		}
-		if err := workload.CacheAllFraction(cat, sweep[xi]); err != nil {
-			return err
+			return 0, err
 		}
 		r := run{
 			cat: cat, q: workload.ChainQuery(2, workload.Moderate),
@@ -241,27 +247,13 @@ func (c Config) twoWayFigure(id, title string, metric cost.Metric, maxAlloc bool
 			simSeed: seedFor(c.Seed, int64(xi), int64(rep), 2),
 		}
 		res, err := r.measure()
-		if err != nil {
-			return err
-		}
-		vals[idx] = metricOf(metric, res)
-		return nil
+		return metricOf(metric, res), err
 	})
 	if err != nil {
 		return nil, err
 	}
 	for pi, pol := range allPolicies {
-		series := Series{Name: policyNames[pol]}
-		for xi, frac := range sweep {
-			var sample stats.Sample
-			for rep := 0; rep < reps; rep++ {
-				sample.Add(vals[(pi*len(sweep)+xi)*reps+rep])
-			}
-			series.Points = append(series.Points, Point{
-				X: frac * 100, Mean: sample.Mean(), CI: sample.CI90(), N: sample.N(),
-			})
-		}
-		fig.Series = append(fig.Series, series)
+		fig.Series = append(fig.Series, curve(policyNames[pol], axis(sweep, 100), vals[pi], self))
 	}
 	return fig, nil
 }
@@ -276,24 +268,22 @@ func (c Config) tenWayFigure(id, title string, metric cost.Metric, maxAlloc bool
 		YLabel: metric.String(),
 	}
 	sweep := c.serverSweep()
-	reps := c.reps()
-	// Tasks are (servers, rep) pairs; the three policies stay sequential
-	// inside a task because they share one random placement (paired runs).
-	vals := make([]float64, len(sweep)*reps*len(allPolicies))
-	err := parallelFor(len(sweep)*reps, func(idx int) error {
-		rep := idx % reps
-		ki := idx / reps
+	// A cell is one (servers, rep) placement; the three policies run inside
+	// it, one measurement each, because they share that random placement
+	// (paired runs).
+	vals, err := grid(len(sweep), c.reps(), func(ki, rep int) ([]float64, error) {
 		k := sweep[ki]
 		rng := rand.New(rand.NewSource(seedFor(c.Seed, int64(k), int64(rep), 3)))
 		placement := workload.PlaceRandom(rng, 10, k)
+		out := make([]float64, len(allPolicies))
 		for pi, pol := range allPolicies {
 			cat, err := workload.BuildCatalog(4096, k, placement)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if cachedRels > 0 {
 				if err := workload.CacheFirstK(cat, cachedRels); err != nil {
-					return err
+					return nil, err
 				}
 			}
 			r := run{
@@ -305,27 +295,18 @@ func (c Config) tenWayFigure(id, title string, metric cost.Metric, maxAlloc bool
 			}
 			res, err := r.measure()
 			if err != nil {
-				return err
+				return nil, err
 			}
-			vals[idx*len(allPolicies)+pi] = metricOf(metric, res)
+			out[pi] = metricOf(metric, res)
 		}
-		return nil
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for pi, pol := range allPolicies {
-		series := Series{Name: policyNames[pol]}
-		for ki, k := range sweep {
-			var sample stats.Sample
-			for rep := 0; rep < reps; rep++ {
-				sample.Add(vals[(ki*reps+rep)*len(allPolicies)+pi])
-			}
-			series.Points = append(series.Points, Point{
-				X: float64(k), Mean: sample.Mean(), CI: sample.CI90(), N: sample.N(),
-			})
-		}
-		fig.Series = append(fig.Series, series)
+		fig.Series = append(fig.Series, curve(policyNames[pol], axis(sweep, 1), vals,
+			func(v []float64) float64 { return v[pi] }))
 	}
 	return fig, nil
 }
@@ -354,20 +335,14 @@ func (c Config) Fig4() (*Figure, error) {
 	}
 	loads := []float64{0, 40, 60, 70}
 	sweep := c.cachingSweep()
-	reps := c.reps()
-	vals := make([]float64, len(loads)*len(sweep)*reps)
-	err := parallelFor(len(vals), func(idx int) error {
-		li, xi, rep := grid3(idx, len(sweep), reps)
+	vals, err := plane(len(loads), len(sweep), c.reps(), func(li, xi, rep int) (float64, error) {
 		var load map[catalog.SiteID]float64
 		if loads[li] > 0 {
 			load = map[catalog.SiteID]float64{0: loads[li]}
 		}
-		cat, err := workload.BuildCatalog(4096, 1, workload.PlaceRoundRobin(2, 1))
+		cat, err := twoWayCatalog(1, sweep[xi])
 		if err != nil {
-			return err
-		}
-		if err := workload.CacheAllFraction(cat, sweep[xi]); err != nil {
-			return err
+			return 0, err
 		}
 		r := run{
 			cat: cat, q: workload.ChainQuery(2, workload.Moderate),
@@ -378,27 +353,13 @@ func (c Config) Fig4() (*Figure, error) {
 			simSeed: seedFor(c.Seed, int64(li), int64(xi), int64(rep), 7),
 		}
 		res, err := r.measure()
-		if err != nil {
-			return err
-		}
-		vals[idx] = res.ResponseTime
-		return nil
+		return res.ResponseTime, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	for li, reqs := range loads {
-		series := Series{Name: fmt.Sprintf("%g req/sec", reqs)}
-		for xi, frac := range sweep {
-			var sample stats.Sample
-			for rep := 0; rep < reps; rep++ {
-				sample.Add(vals[(li*len(sweep)+xi)*reps+rep])
-			}
-			series.Points = append(series.Points, Point{
-				X: frac * 100, Mean: sample.Mean(), CI: sample.CI90(), N: sample.N(),
-			})
-		}
-		fig.Series = append(fig.Series, series)
+		fig.Series = append(fig.Series, curve(fmt.Sprintf("%g req/sec", reqs), axis(sweep, 100), vals[li], self))
 	}
 	return fig, nil
 }

@@ -32,10 +32,7 @@ func pointAt(t *testing.T, s Series, x float64) Point {
 }
 
 func TestFig2Shape(t *testing.T) {
-	fig, err := quickCfg().Fig2()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickReport(t, "fig2").Figures[0]
 	t.Logf("\n%s", fig)
 	ds := seriesByName(t, fig, "DS")
 	qs := seriesByName(t, fig, "QS")
@@ -198,10 +195,7 @@ func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10-way sweep")
 	}
-	fig, err := quickCfg().Fig8()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickReport(t, "fig8").Figures[0]
 	t.Logf("\n%s", fig)
 	ds := seriesByName(t, fig, "DS")
 	qs := seriesByName(t, fig, "QS")

@@ -3,11 +3,6 @@ package experiments
 import (
 	"fmt"
 	"reflect"
-
-	"hybridship/internal/cost"
-	"hybridship/internal/faults"
-	"hybridship/internal/stats"
-	"hybridship/internal/workload"
 )
 
 // The failover grid measures what replication buys under the chaos grid's
@@ -51,28 +46,12 @@ const seedReplicaPlace = 63
 // failoverRFs is the replication-factor axis of the grid.
 var failoverRFs = []int{1, 2, 3}
 
-// FailoverCell is one grid cell's failure-handling counters, summed over
-// repetitions, for the `csq run failover -v` table: how often the retry loop
-// actually re-bound to a surviving replica, and how often the replica-aware
-// backoff skipped a wait because another copy was up.
-type FailoverCell struct {
-	MTBF             float64
-	Policy           string
-	RF               int
-	Retries          int64
-	ReplicaFailovers int64
-	BackoffSkips     int64
-}
-
-// FailoverReport is everything `csq run failover` prints.
-type FailoverReport struct {
-	Figures []*Figure
-	Cells   []FailoverCell
-}
-
 // Failover runs the replication grid and returns the availability and
-// response-time figures plus the per-cell failover counters.
-func (c Config) Failover() (*FailoverReport, error) {
+// goodput figures plus the per-cell failure-handling counters, summed over
+// repetitions, for `csq run failover -v`: how often the retry loop actually
+// re-bound to a surviving replica, and how often the replica-aware backoff
+// skipped a wait because another copy was up.
+func (c Config) Failover() (*Report, error) {
 	avFig := &Figure{
 		ID: "failover-avail", Title: "Availability, 2-Way Join; 50% Cached, Min Alloc, Site Crashes (MTTR 2s), RF 1-3",
 		XLabel: "MTBF[s]",
@@ -84,135 +63,109 @@ func (c Config) Failover() (*FailoverReport, error) {
 		YLabel: "goodput[%]",
 	}
 	sweep := c.chaosSweep()
-	reps := c.reps()
-	nRF := len(failoverRFs)
+	type spec struct{ pi, rf int }
+	var specs []spec
+	for pi := range allPolicies {
+		for _, rf := range failoverRFs {
+			specs = append(specs, spec{pi, rf})
+		}
+	}
 	type cell struct {
 		avail, goodput            float64
 		retries, failovers, skips int64
 	}
-	vals := make([]cell, len(allPolicies)*nRF*len(sweep)*reps)
-	err := parallelFor(len(vals), func(idx int) error {
-		pf, xi, rep := grid3(idx, len(sweep), reps)
-		pi, fi := pf/nRF, pf%nRF
-		rf := failoverRFs[fi]
+	vals, err := plane(len(specs), len(sweep), c.reps(), func(si, xi, rep int) (cell, error) {
+		pi, rf := specs[si].pi, specs[si].rf
 		r, err := c.failoverRun(pi, xi, rep, rf)
 		if err != nil {
-			return err
+			return cell{}, err
 		}
 		res, err := r.measure()
 		if err != nil {
-			return err
+			return cell{}, err
 		}
 		if rf == 1 {
 			// The RF=1 column is the exact legacy path: rerun the literal
-			// chaos configuration (no replication fields at all) and demand
+			// chaos cell (no replication, no warm-up delay) and demand
 			// the identical result, fault statistics and disk counters
 			// included.
-			legacy, err := c.failoverRun(pi, xi, rep, 1)
+			legacy, err := c.chaosRun(pi, xi, rep)
 			if err != nil {
-				return err
+				return cell{}, err
 			}
-			legacy.faults.WarmupDelay = 0
 			legacyRes, err := legacy.measure()
 			if err != nil {
-				return err
+				return cell{}, err
 			}
 			if !reflect.DeepEqual(res, legacyRes) {
-				return fmt.Errorf("failover: RF=1 cell (policy %s, MTBF %g, rep %d) diverges from the unreplicated chaos path:\n got %+v\nwant %+v",
+				return cell{}, fmt.Errorf("failover: RF=1 cell (policy %s, MTBF %g, rep %d) diverges from the unreplicated chaos path:\n got %+v\nwant %+v",
 					policyNames[allPolicies[pi]], sweep[xi], rep, res, legacyRes)
 			}
 		}
-		avail, goodput := 100.0, 100.0
+		avail := 100.0
 		if res.ResponseTime > 0 {
 			avail = 100 * (res.ResponseTime - res.BackoffTime) / res.ResponseTime
-			goodput = 100 * (res.ResponseTime - res.AbortedWork - res.BackoffTime) / res.ResponseTime
 		}
-		vals[idx] = cell{
-			avail: avail, goodput: goodput,
+		return cell{
+			avail: avail, goodput: goodput(res),
 			retries: res.Retries, failovers: res.ReplicaFailovers, skips: res.BackoffSkips,
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	report := &FailoverReport{}
-	means := make([]stats.Sample, len(allPolicies)*nRF*len(sweep))
-	for pi := range allPolicies {
-		for fi, rf := range failoverRFs {
-			avSeries := Series{Name: fmt.Sprintf("%s rf=%d", policyNames[allPolicies[pi]], rf)}
-			gpSeries := Series{Name: avSeries.Name}
-			for xi, mtbf := range sweep {
-				var av, gp stats.Sample
-				agg := FailoverCell{MTBF: mtbf, Policy: policyNames[allPolicies[pi]], RF: rf}
-				for rep := 0; rep < reps; rep++ {
-					v := vals[((pi*nRF+fi)*len(sweep)+xi)*reps+rep]
-					av.Add(v.avail)
-					gp.Add(v.goodput)
-					agg.Retries += v.retries
-					agg.ReplicaFailovers += v.failovers
-					agg.BackoffSkips += v.skips
-				}
-				report.Cells = append(report.Cells, agg)
-				means[(pi*nRF+fi)*len(sweep)+xi] = av
-				avSeries.Points = append(avSeries.Points, Point{
-					X: mtbf, Mean: av.Mean(), CI: av.CI90(), N: av.N(),
-				})
-				gpSeries.Points = append(gpSeries.Points, Point{
-					X: mtbf, Mean: gp.Mean(), CI: gp.CI90(), N: gp.N(),
-				})
-			}
-			avFig.Series = append(avFig.Series, avSeries)
-			gpFig.Series = append(gpFig.Series, gpSeries)
+	cells := &Table{Title: "Failover cells (summed over reps): retries, replica failovers, backoff skips", Verbose: true}
+	var base []Point // the current policy's rf=1 availability, which failoverRFs lists first
+	for si, sp := range specs {
+		pol := policyNames[allPolicies[sp.pi]]
+		name := fmt.Sprintf("%s rf=%d", pol, sp.rf)
+		av := curve(name, sweep, vals[si], func(v cell) float64 { return v.avail })
+		avFig.Series = append(avFig.Series, av)
+		gpFig.Series = append(gpFig.Series, curve(name, sweep, vals[si], func(v cell) float64 { return v.goodput }))
+		if sp.rf == 1 {
+			base = av.Points
 		}
-	}
-	report.Figures = []*Figure{avFig, gpFig}
-	// The headline property, checked on every run: replication never costs
-	// availability. Paired seeds make the comparison exact, so no tolerance.
-	for pi := range allPolicies {
 		for xi, mtbf := range sweep {
-			base := means[(pi*nRF+0)*len(sweep)+xi].Mean()
-			for fi := 1; fi < nRF; fi++ {
-				if got := means[(pi*nRF+fi)*len(sweep)+xi].Mean(); got < base {
-					return nil, fmt.Errorf("failover: availability regression: policy %s, MTBF %g: rf=%d mean %.4f%% below rf=1 mean %.4f%%",
-						policyNames[allPolicies[pi]], mtbf, failoverRFs[fi], got, base)
-				}
+			// The headline property, checked on every run: replication never
+			// costs availability. Paired seeds make the comparison exact, so
+			// no tolerance.
+			if got := av.Points[xi].Mean; got < base[xi].Mean {
+				return nil, fmt.Errorf("failover: availability regression: policy %s, MTBF %g: rf=%d mean %.4f%% below rf=1 mean %.4f%%",
+					pol, mtbf, sp.rf, got, base[xi].Mean)
 			}
+			var sum cell
+			for _, v := range vals[si][xi] {
+				sum.retries += v.retries
+				sum.failovers += v.failovers
+				sum.skips += v.skips
+			}
+			cells.Rows = append(cells.Rows, Row{Fields: []Field{
+				{"mtbf", "mtbf=%-4g", mtbf}, {"policy", "%-3s", pol}, {"rf", "rf=%d", sp.rf},
+				{"retry", "retry=%-4d", sum.retries}, {"failover", "failover=%-4d", sum.failovers},
+				{"skip", "skip=%d", sum.skips},
+			}})
 		}
 	}
-	return report, nil
+	return &Report{Figures: []*Figure{avFig, gpFig}, Tables: []*Table{cells}}, nil
 }
 
-// failoverRun assembles one grid cell's run: the chaos configuration (same
-// query, caching, and seed tags) over a catalog with rf servers and rf
-// copies of every relation. rf=1 builds a catalog byte-identical to the
-// chaos grid's.
+// failoverRun assembles one grid cell's run: the chaos cell (same query,
+// caching, and seed tags) over a catalog with rf servers and rf copies of
+// every relation, with the post-restart warm-up delay. rf=1 keeps the chaos
+// cell's catalog.
 func (c Config) failoverRun(pi, xi, rep, rf int) (run, error) {
-	sweep := c.chaosSweep()
-	cat, err := workload.BuildCatalog(4096, rf, workload.PlaceRoundRobin(2, 1))
+	r, err := c.chaosRun(pi, xi, rep)
 	if err != nil {
 		return run{}, err
 	}
-	if err := workload.CacheAllFraction(cat, 0.5); err != nil {
-		return run{}, err
-	}
 	if rf > 1 {
-		if err := cat.ReplicateAll(rf, seedFor(c.Seed, seedReplicaPlace)); err != nil {
+		if r.cat, err = twoWayCatalog(rf, 0.5); err != nil {
+			return run{}, err
+		}
+		if err := r.cat.ReplicateAll(rf, seedFor(c.Seed, seedReplicaPlace)); err != nil {
 			return run{}, err
 		}
 	}
-	return run{
-		cat: cat, q: workload.ChainQuery(2, workload.Moderate),
-		policy: allPolicies[pi], metric: cost.MetricResponseTime, maxAlloc: false,
-		next:    workload.Next(workload.Moderate),
-		optSeed: seedFor(c.Seed, int64(allPolicies[pi]), int64(xi), int64(rep), 60),
-		simSeed: seedFor(c.Seed, int64(xi), int64(rep), 61),
-		faults: &faults.Config{
-			Seed:        seedFor(c.Seed, int64(xi), int64(rep), 62),
-			SiteMTBF:    sweep[xi],
-			SiteMTTR:    chaosMTTR,
-			MaxRetries:  chaosRetries,
-			WarmupDelay: failoverWarmup,
-		},
-	}, nil
+	r.faults.WarmupDelay = failoverWarmup
+	return r, nil
 }

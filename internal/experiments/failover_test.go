@@ -1,45 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 )
-
-// TestFailoverIdenticalAcrossGOMAXPROCS extends the harness determinism
-// regression to the replication grid: replica placement, crash schedules,
-// failover re-binding, warm-up windows, and the availability accounting are
-// all seed-derived, so the rendered failover figures must be byte-identical
-// at any parallelism.
-func TestFailoverIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	cfg := Config{Reps: 2, Seed: 17, Quick: true}
-
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	render := func() string {
-		rep, err := cfg.Failover()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out string
-		for _, f := range rep.Figures {
-			out += f.String() + "\n"
-		}
-		for _, cl := range rep.Cells {
-			out += fmt.Sprintf("%+v\n", cl)
-		}
-		return out
-	}
-	runtime.GOMAXPROCS(1)
-	seq := render()
-	runtime.GOMAXPROCS(8)
-	par := render()
-	if seq != par {
-		t.Errorf("failover output differs between GOMAXPROCS=1 and 8:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
-	}
-}
 
 // TestFailoverReplicationDominates re-checks the grid's headline property
 // from the rendered figure (the driver also asserts it internally, and
@@ -96,21 +60,18 @@ func TestFailoverReplicationDominates(t *testing.T) {
 // cell re-binds to a replica, and some cell skips a backoff because another
 // copy was up. RF=1 cells can never fail over or skip.
 func TestFailoverCellsSurfaceCounters(t *testing.T) {
-	cfg := Config{Reps: 2, Seed: 17, Quick: true}
-	rep, err := cfg.Failover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 3 * len(failoverRFs) * len(cfg.chaosSweep()); len(rep.Cells) != want {
-		t.Fatalf("Cells = %d entries, want %d", len(rep.Cells), want)
+	rows := quickReport(t, "failover").Tables[0].Rows
+	if want := 3 * len(failoverRFs) * len(quickCfg().chaosSweep()); len(rows) != want {
+		t.Fatalf("cells table has %d rows, want %d", len(rows), want)
 	}
 	var failovers, skips int64
-	for _, cl := range rep.Cells {
-		if cl.RF == 1 && (cl.ReplicaFailovers != 0 || cl.BackoffSkips != 0) {
-			t.Errorf("unreplicated cell reports failovers: %+v", cl)
+	for _, row := range rows {
+		fo, sk := row.get("failover").(int64), row.get("skip").(int64)
+		if row.get("rf").(int) == 1 && (fo != 0 || sk != 0) {
+			t.Errorf("unreplicated cell reports failovers: %+v", row.Fields)
 		}
-		failovers += cl.ReplicaFailovers
-		skips += cl.BackoffSkips
+		failovers += fo
+		skips += sk
 	}
 	if failovers == 0 {
 		t.Error("no cell recorded a replica failover under the crash sweep")

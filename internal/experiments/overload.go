@@ -1,13 +1,13 @@
 package experiments
 
 import (
-	"hybridship/internal/catalog"
+	"fmt"
+
 	"hybridship/internal/cost"
 	"hybridship/internal/exec"
 	"hybridship/internal/faults"
 	"hybridship/internal/plan"
 	"hybridship/internal/serve"
-	"hybridship/internal/stats"
 	"hybridship/internal/workload"
 )
 
@@ -63,30 +63,6 @@ func (c Config) overloadMTBFs() []float64 {
 	return []float64{0, 16}
 }
 
-// OverloadCell is one grid cell's counters, aggregated over repetitions,
-// for the counts table and the -v transition log.
-type OverloadCell struct {
-	MTBF   float64
-	Policy string
-	Mode   string // "on" or "off"
-	Load   float64
-
-	Offered, Rejected, Completed, Expired, Failed int64
-	Degraded                                      int64 // cached + static admissions
-	Retries, RetriesGranted                       int64
-	BreakerOpens                                  int64
-
-	// Transitions of the first repetition only (the others are equally
-	// deterministic but add nothing to a debugging log).
-	Transitions []serve.Transition
-}
-
-// OverloadReport is everything `csq run overload` prints.
-type OverloadReport struct {
-	Figures []*Figure
-	Cells   []OverloadCell
-}
-
 // overloadPolicy is one policy's compiled artifacts, shared by every cell.
 type overloadPolicy struct {
 	pol    plan.Policy
@@ -95,33 +71,20 @@ type overloadPolicy struct {
 	soloRT float64      // fault-free solo response time of the class-0 plan
 }
 
-// overloadCatalog builds the grid's catalog: 2-way chain, one server, half
-// the pages cached at the client.
-func overloadCatalog() (*catalog.Catalog, error) {
-	cat, err := workload.BuildCatalog(4096, 1, workload.PlaceRoundRobin(2, 1))
-	if err != nil {
-		return nil, err
-	}
-	if err := workload.CacheAllFraction(cat, 0.5); err != nil {
-		return nil, err
-	}
-	return cat, nil
-}
-
 // overloadCompile compiles every policy's class plans and calibrates their
 // solo response times, once, before the grid fans out.
 func (c Config) overloadCompile() ([]overloadPolicy, error) {
 	out := make([]overloadPolicy, len(allPolicies))
 	var static *plan.Node
 	for pi, pol := range allPolicies {
-		cat, err := overloadCatalog()
+		solo, err := servingExec(seedFor(c.Seed, 72), nil)
 		if err != nil {
 			return nil, err
 		}
 		op := overloadPolicy{pol: pol}
 		for class := 0; class < overloadClasses; class++ {
 			r := run{
-				cat: cat, q: workload.ChainQuery(2, workload.Moderate),
+				cat: solo.Catalog, q: workload.ChainQuery(2, workload.Moderate),
 				policy: pol, metric: cost.MetricResponseTime, maxAlloc: true,
 				next:    workload.Next(workload.Moderate),
 				optSeed: seedFor(c.Seed, int64(pol), int64(class), 70),
@@ -132,16 +95,11 @@ func (c Config) overloadCompile() ([]overloadPolicy, error) {
 			}
 			op.plans = append(op.plans, res.Plan)
 		}
-		solo, err := exec.Run(exec.Config{
-			Params: overloadParams(), Catalog: cat,
-			Query: workload.ChainQuery(2, workload.Moderate),
-			Next:  workload.Next(workload.Moderate),
-			Seed:  seedFor(c.Seed, 72),
-		}, op.plans[0])
+		res, err := exec.Run(solo, op.plans[0])
 		if err != nil {
 			return nil, err
 		}
-		op.soloRT = solo.ResponseTime
+		op.soloRT = res.ResponseTime
 		out[pi] = op
 		if pol == plan.QueryShipping {
 			static = op.plans[0]
@@ -153,10 +111,66 @@ func (c Config) overloadCompile() ([]overloadPolicy, error) {
 	return out, nil
 }
 
-func overloadParams() exec.Params {
-	p := exec.DefaultParams()
-	p.MaxAlloc = true
-	return p
+// servingExec is the serving grids' execution config: the 2-way join over
+// twoWayCatalog(1, 0.5), with maximum memory so concurrent joins never
+// fight over spill space.
+func servingExec(seed int64, fcfg *faults.Config) (exec.Config, error) {
+	cat, err := twoWayCatalog(1, 0.5)
+	if err != nil {
+		return exec.Config{}, err
+	}
+	params := exec.DefaultParams()
+	params.MaxAlloc = true
+	return exec.Config{
+		Params:  params,
+		Catalog: cat,
+		Query:   workload.ChainQuery(2, workload.Moderate),
+		Next:    workload.Next(workload.Moderate),
+		Seed:    seed,
+		Faults:  fcfg,
+	}, nil
+}
+
+// servingFaults is the serving grids' fault environment: fetch timeouts and
+// bounded retries with backoff, plus site crashes when mtbf > 0.
+func servingFaults(seed int64, mtbf float64) *faults.Config {
+	fcfg := &faults.Config{
+		Seed:         seed,
+		FetchTimeout: 2,
+		MaxRetries:   200,
+		BackoffBase:  0.1,
+		BackoffMax:   1,
+	}
+	if mtbf > 0 {
+		fcfg.SiteMTBF = mtbf
+		fcfg.SiteMTTR = chaosMTTR
+	}
+	return fcfg
+}
+
+// serveConfig is the full serving layer over op's plans: n queries offered
+// at mult times the estimated saturation rate, MPL/soloRT.
+func (op overloadPolicy) serveConfig(ex exec.Config, seed int64, n int, mult float64) serve.Config {
+	satRate := overloadMPL / op.soloRT
+	return serve.Config{
+		Exec:        ex,
+		Seed:        seed,
+		NumQueries:  n,
+		ArrivalRate: mult * satRate,
+		Deadline:    overloadDeadlineX * op.soloRT,
+		MPL:         overloadMPL,
+		QueueCap:    overloadQueueCap,
+		RateLimit:   1.25 * satRate,
+		Burst:       4,
+		Breaker:     serve.BreakerParams{Threshold: 3, Cooldown: 1},
+		RetryBudget: overloadBudget,
+		DegradeHi:   3, DegradeLo: 1,
+		StaticHi: 5, StaticLo: 2,
+		OptInst:    overloadOptInst,
+		Classes:    overloadClasses,
+		FreshPlans: op.plans,
+		StaticPlan: op.static,
+	}
 }
 
 // overloadQueries is the offered stream length per cell. The count scales
@@ -173,140 +187,107 @@ func (c Config) overloadQueries(mult float64) int {
 
 // overloadCell runs one (policy, mode, load, MTBF, rep) cell.
 func (c Config) overloadCell(op overloadPolicy, disabled bool, mult, mtbf float64, xi, mi, rep int) (serve.Result, error) {
-	cat, err := overloadCatalog()
+	ex, err := servingExec(seedFor(c.Seed, int64(xi), int64(mi), int64(rep), 72),
+		servingFaults(seedFor(c.Seed, int64(xi), int64(mi), int64(rep), 73), mtbf))
 	if err != nil {
 		return serve.Result{}, err
 	}
-	fcfg := &faults.Config{
-		Seed:         seedFor(c.Seed, int64(xi), int64(mi), int64(rep), 73),
-		FetchTimeout: 2,
-		MaxRetries:   200,
-		BackoffBase:  0.1,
-		BackoffMax:   1,
-	}
-	if mtbf > 0 {
-		fcfg.SiteMTBF = mtbf
-		fcfg.SiteMTTR = chaosMTTR
-	}
-	satRate := overloadMPL / op.soloRT
-	return serve.Run(serve.Config{
-		Exec: exec.Config{
-			Params:  overloadParams(),
-			Catalog: cat,
-			Query:   workload.ChainQuery(2, workload.Moderate),
-			Next:    workload.Next(workload.Moderate),
-			Seed:    seedFor(c.Seed, int64(xi), int64(mi), int64(rep), 72),
-			Faults:  fcfg,
-		},
-		Seed:        seedFor(c.Seed, int64(xi), int64(mi), int64(rep), 71),
-		NumQueries:  c.overloadQueries(mult),
-		ArrivalRate: mult * satRate,
-		Deadline:    overloadDeadlineX * op.soloRT,
-		MPL:         overloadMPL,
-		QueueCap:    overloadQueueCap,
-		RateLimit:   1.25 * satRate,
-		Burst:       4,
-		Breaker:     serve.BreakerParams{Threshold: 3, Cooldown: 1},
-		RetryBudget: overloadBudget,
-		DegradeHi:   3, DegradeLo: 1,
-		StaticHi: 5, StaticLo: 2,
-		OptInst:    overloadOptInst,
-		Classes:    overloadClasses,
-		FreshPlans: op.plans,
-		StaticPlan: op.static,
-		Disabled:   disabled,
-	})
+	cfg := op.serveConfig(ex, seedFor(c.Seed, int64(xi), int64(mi), int64(rep), 71), c.overloadQueries(mult), mult)
+	cfg.Disabled = disabled
+	return serve.Run(cfg)
 }
 
 var overloadModes = []string{"on", "off"}
 
 // Overload runs the serving-layer grid and returns the figures plus the
-// aggregated counts table.
-func (c Config) Overload() (*OverloadReport, error) {
+// counts table: one row per cell, summed over repetitions, whose -v detail
+// is the degradation-level transitions of the cell's first repetition (the
+// others are equally deterministic but add nothing to a debugging log).
+func (c Config) Overload() (*Report, error) {
 	policies, err := c.overloadCompile()
 	if err != nil {
 		return nil, err
 	}
 	sweep := c.overloadSweep()
 	mtbfs := c.overloadMTBFs()
-	reps := c.reps()
-
-	// Flat index: (((mi*P + pi)*M + mo)*X + xi)*reps + rep.
-	nP, nM, nX := len(policies), len(overloadModes), len(sweep)
-	vals := make([]serve.Result, len(mtbfs)*nP*nM*nX*reps)
-	err = parallelFor(len(vals), func(idx int) error {
-		rest, rep := idx/reps, idx%reps
-		rest, xi := rest/nX, rest%nX
-		rest, mo := rest/nM, rest%nM
-		mi, pi := rest/nP, rest%nP
-		res, err := c.overloadCell(policies[pi], overloadModes[mo] == "off", sweep[xi], mtbfs[mi], xi, mi, rep)
-		if err != nil {
-			return err
+	type spec struct {
+		mi   int
+		op   overloadPolicy
+		mode string
+	}
+	var specs []spec
+	for mi := range mtbfs {
+		for _, op := range policies {
+			for _, mode := range overloadModes {
+				specs = append(specs, spec{mi, op, mode})
+			}
 		}
-		vals[idx] = res
-		return nil
+	}
+	vals, err := plane(len(specs), len(sweep), c.reps(), func(si, xi, rep int) (serve.Result, error) {
+		sp := specs[si]
+		return c.overloadCell(sp.op, sp.mode == "off", sweep[xi], mtbfs[sp.mi], xi, sp.mi, rep)
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	rep := &OverloadReport{}
-	cell := func(mi, pi, mo, xi, r int) serve.Result {
-		return vals[((((mi*nP+pi)*nM+mo)*nX+xi)*reps + r)]
-	}
+	report := &Report{}
+	figs := make([][]*Figure, len(mtbfs))
 	for mi, mtbf := range mtbfs {
 		suffix := "Fault-Free"
 		if mtbf > 0 {
 			suffix = "Site Crashes (MTBF 16s, MTTR 2s)"
 		}
-		gpFig := &Figure{
+		figs[mi] = []*Figure{{
 			ID: "overload-goodput", Title: "Goodput vs Offered Load, 2-Way Join; 1 Server, 50% Cached, Max Alloc, " + suffix,
 			XLabel: "offered load[x saturation]", YLabel: "goodput[q/s]",
-		}
-		p50Fig := &Figure{
+		}, {
 			ID: "overload-p50", Title: "Median Response Time vs Offered Load, " + suffix,
 			XLabel: "offered load[x saturation]", YLabel: "p50 RT[s]",
-		}
-		p99Fig := &Figure{
+		}, {
 			ID: "overload-p99", Title: "P99 Response Time vs Offered Load, " + suffix,
 			XLabel: "offered load[x saturation]", YLabel: "p99 RT[s]",
-		}
-		for pi := range policies {
-			for mo, mode := range overloadModes {
-				name := policyNames[policies[pi].pol] + " " + mode
-				gpS, p50S, p99S := Series{Name: name}, Series{Name: name}, Series{Name: name}
-				for xi, mult := range sweep {
-					var gp, p50, p99 stats.Sample
-					agg := OverloadCell{MTBF: mtbfs[mi], Policy: policyNames[policies[pi].pol], Mode: mode, Load: mult}
-					for r := 0; r < reps; r++ {
-						v := cell(mi, pi, mo, xi, r)
-						gp.Add(v.Goodput)
-						p50.Add(v.P50RT)
-						p99.Add(v.P99RT)
-						agg.Offered += v.Offered
-						agg.Rejected += v.RejectedRate + v.RejectedQueue
-						agg.Completed += v.Completed
-						agg.Expired += v.Expired
-						agg.Failed += v.Failed
-						agg.Degraded += v.CachedServed + v.StaticServed
-						agg.Retries += v.Retries
-						agg.RetriesGranted += v.RetriesGranted
-						agg.BreakerOpens += v.BreakerOpens
-						if r == 0 {
-							agg.Transitions = v.Transitions
-						}
-					}
-					gpS.Points = append(gpS.Points, Point{X: mult, Mean: gp.Mean(), CI: gp.CI90(), N: gp.N()})
-					p50S.Points = append(p50S.Points, Point{X: mult, Mean: p50.Mean(), CI: p50.CI90(), N: p50.N()})
-					p99S.Points = append(p99S.Points, Point{X: mult, Mean: p99.Mean(), CI: p99.CI90(), N: p99.N()})
-					rep.Cells = append(rep.Cells, agg)
-				}
-				gpFig.Series = append(gpFig.Series, gpS)
-				p50Fig.Series = append(p50Fig.Series, p50S)
-				p99Fig.Series = append(p99Fig.Series, p99S)
-			}
-		}
-		rep.Figures = append(rep.Figures, gpFig, p50Fig, p99Fig)
+		}}
+		report.Figures = append(report.Figures, figs[mi]...)
 	}
-	return rep, nil
+	metrics := []func(serve.Result) float64{
+		func(v serve.Result) float64 { return v.Goodput },
+		func(v serve.Result) float64 { return v.P50RT },
+		func(v serve.Result) float64 { return v.P99RT },
+	}
+	cells := &Table{Title: "Overload cells (summed over reps): offered/rejected/completed/expired/failed,\n" +
+		"degraded admissions, granted retries, breaker opens"}
+	levels := []string{"fresh", "cached", "static"}
+	for si, sp := range specs {
+		pol := policyNames[sp.op.pol]
+		for k, m := range metrics {
+			figs[sp.mi][k].Series = append(figs[sp.mi][k].Series, curve(pol+" "+sp.mode, sweep, vals[si], m))
+		}
+		for xi, mult := range sweep {
+			var off, rej, comp, exp, fail, degr, granted, opens int64
+			for _, v := range vals[si][xi] {
+				off += v.Offered
+				rej += v.RejectedRate + v.RejectedQueue
+				comp += v.Completed
+				exp += v.Expired
+				fail += v.Failed
+				degr += v.CachedServed + v.StaticServed
+				granted += v.RetriesGranted
+				opens += v.BreakerOpens
+			}
+			row := Row{Fields: []Field{
+				{"mtbf", "mtbf=%-4g", mtbfs[sp.mi]}, {"policy", "%-3s", pol}, {"mode", "%-3s", sp.mode},
+				{"load", "load=%-4g", mult}, {"off", "off=%-4d", off}, {"rej", "rej=%-4d", rej},
+				{"comp", "comp=%-4d", comp}, {"exp", "exp=%-4d", exp}, {"fail", "fail=%-4d", fail},
+				{"degr", "degr=%-4d", degr}, {"retry", "retry=%-3d", granted}, {"open", "open=%d", opens},
+			}}
+			for _, tr := range vals[si][xi][0].Transitions {
+				row.Detail = append(row.Detail, fmt.Sprintf("t=%8.3fs  %s -> %s  (queue depth %d)",
+					tr.At, levels[tr.From], levels[tr.To], tr.Depth))
+			}
+			cells.Rows = append(cells.Rows, row)
+		}
+	}
+	report.Tables = []*Table{cells}
+	return report, nil
 }

@@ -11,9 +11,9 @@ func overloadTestConfig() Config {
 	return Config{Seed: 1996, Quick: true, Reps: 2}
 }
 
-// point returns the mean of the series named name at x in fig, failing the
+// meanAt returns the mean of the series named name at x in fig, failing the
 // test if the point does not exist.
-func point(t *testing.T, fig *Figure, name string, x float64) float64 {
+func meanAt(t *testing.T, fig *Figure, name string, x float64) float64 {
 	t.Helper()
 	for _, s := range fig.Series {
 		if s.Name != name {
@@ -54,8 +54,8 @@ func TestOverloadAcceptance(t *testing.T) {
 	}
 	gp := rep.Figures[0]
 	for _, pol := range []string{"DS", "QS", "HY"} {
-		sat := point(t, gp, pol+" on", 1)
-		over := point(t, gp, pol+" on", 2)
+		sat := meanAt(t, gp, pol+" on", 1)
+		over := meanAt(t, gp, pol+" on", 2)
 		if sat <= 0 {
 			t.Fatalf("%s: saturation goodput is %g, want > 0", pol, sat)
 		}
@@ -63,30 +63,31 @@ func TestOverloadAcceptance(t *testing.T) {
 			t.Errorf("%s enabled: goodput at 2x = %.3f dropped more than 10%% below saturation %.3f",
 				pol, over, sat)
 		}
-		if off := point(t, gp, pol+" off", 2); off > 0.6*sat {
+		if off := meanAt(t, gp, pol+" off", 2); off > 0.6*sat {
 			t.Errorf("%s disabled: goodput at 2x = %.3f did not collapse below 60%% of saturation %.3f",
 				pol, off, sat)
 		}
 	}
 
 	var transitions, degraded int
-	for _, cl := range rep.Cells {
-		started := cl.Completed + cl.Expired + cl.Failed
-		if cl.Mode == "off" {
-			if cl.RetriesGranted != 0 {
-				t.Errorf("disabled cell %+v granted budgeted retries", cl)
+	for _, row := range rep.Tables[0].Rows {
+		count := func(key string) int64 { return row.get(key).(int64) }
+		granted, started := count("retry"), count("comp")+count("exp")+count("fail")
+		if row.get("mode") == "off" {
+			if granted != 0 {
+				t.Errorf("disabled cell %+v granted budgeted retries", row.Fields)
 			}
-			if cl.Rejected != 0 || started != cl.Offered {
-				t.Errorf("disabled cell sheds arrivals: %+v", cl)
+			if count("rej") != 0 || started != count("off") {
+				t.Errorf("disabled cell sheds arrivals: %+v", row.Fields)
 			}
 			continue
 		}
-		if float64(cl.RetriesGranted) > overloadBudget*float64(started) {
+		if float64(granted) > overloadBudget*float64(started) {
 			t.Errorf("cell %s/%s load=%g mtbf=%g: %d retries granted exceeds %.0f%% of %d started",
-				cl.Policy, cl.Mode, cl.Load, cl.MTBF, cl.RetriesGranted, 100*overloadBudget, started)
+				row.get("policy"), row.get("mode"), row.get("load"), row.get("mtbf"), granted, 100*overloadBudget, started)
 		}
-		transitions += len(cl.Transitions)
-		degraded += int(cl.Degraded)
+		transitions += len(row.Detail)
+		degraded += int(count("degr"))
 	}
 	if transitions == 0 {
 		t.Error("no enabled cell recorded a degradation transition")

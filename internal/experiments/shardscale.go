@@ -7,13 +7,11 @@ import (
 
 	"hybridship/internal/catalog"
 	"hybridship/internal/disk"
-	"hybridship/internal/exec"
 	"hybridship/internal/netsim"
 	"hybridship/internal/plan"
 	"hybridship/internal/serve"
 	"hybridship/internal/shard"
 	"hybridship/internal/sim"
-	"hybridship/internal/workload"
 )
 
 // The shardscale grid measures the parallel simulation kernel: one big fleet
@@ -57,8 +55,6 @@ const (
 	shardTickEvery  = 0.25  // base ticker period, seconds
 	shardCtrlBytes  = 128   // progress/shutdown message size
 	shardLoadMult   = 1.5   // offered load multiplier vs estimated capacity
-	shardMPL        = 2
-	shardQueueCap   = 4
 )
 
 // shardCounts is the grid's x axis.
@@ -72,35 +68,13 @@ func (c Config) shardQueries() int {
 	return 96
 }
 
-// FleetCheckpoint is one row of the monitor's progress log: the virtual time
+// fleetCheckpoint is one row of the monitor's progress log: the virtual time
 // at which the fleet-wide completed count crossed another step. The log is
 // ordered by the merged mailbox schedule, so it is sensitive to exactly the
 // cross-shard ordering the tentpole must keep deterministic.
-type FleetCheckpoint struct {
+type fleetCheckpoint struct {
 	At        float64
 	Completed int64
-}
-
-// ShardScaleCell is one shard count's performance row.
-type ShardScaleCell struct {
-	Shards          int
-	WallSec         float64 // measured on this host
-	EventsPerSec    float64 // kernel dispatches / wall
-	Windows         int64   // coordinator windows (0 at shards=1)
-	WallSpeedup     float64 // wall(shards=1) / wall(this cell)
-	CriticalSpeedup float64 // schedule-admitted: Sum(busy)/critical (1 at shards=1)
-}
-
-// ShardScaleReport is everything `csq run shardscale` prints.
-type ShardScaleReport struct {
-	Groups          int
-	QueriesPerGroup int
-	Elapsed         float64 // fleet completion (virtual s), equal at every shard count
-	Completed       int64   // fleet-wide completed queries
-	PerGroup        []serve.Result
-	WAN             netsim.Stats
-	Checkpoints     []FleetCheckpoint
-	Cells           []ShardScaleCell
 }
 
 // shardTickName is the static lazy-name formatter for the fleet tickers.
@@ -120,7 +94,7 @@ type shardOutcome struct {
 	net         []netsim.Stats
 	dsk         []map[catalog.SiteID]disk.Stats
 	wan         netsim.Stats
-	checkpoints []FleetCheckpoint
+	checkpoints []fleetCheckpoint
 	elapsed     float64
 	completed   int64
 
@@ -137,42 +111,17 @@ func (c Config) shardFleet(op overloadPolicy, shards int) (*shardOutcome, error)
 	mbox := co.NewMailbox(0)
 	out := &shardOutcome{}
 
-	satRate := shardMPL / op.soloRT
 	servers := make([]*serve.Server, shardGroups)
 	tickRefs := make([]sim.Ref, shardGroups)
 	for g := 0; g < shardGroups; g++ {
 		g := g
 		sh := g % shards
-		cat, err := overloadCatalog()
+		ex, err := servingExec(seedFor(c.Seed, int64(g), 80), nil)
 		if err != nil {
 			return nil, err
 		}
-		srv, err := serve.Start(serve.Config{
-			Exec: exec.Config{
-				Params:  overloadParams(),
-				Catalog: cat,
-				Query:   workload.ChainQuery(2, workload.Moderate),
-				Next:    workload.Next(workload.Moderate),
-				Seed:    seedFor(c.Seed, int64(g), 80),
-				Kernel:  co.Sim(sh),
-			},
-			Seed:        seedFor(c.Seed, int64(g), 81),
-			NumQueries:  c.shardQueries(),
-			ArrivalRate: shardLoadMult * satRate,
-			Deadline:    overloadDeadlineX * op.soloRT,
-			MPL:         shardMPL,
-			QueueCap:    shardQueueCap,
-			RateLimit:   1.25 * satRate,
-			Burst:       4,
-			Breaker:     serve.BreakerParams{Threshold: 3, Cooldown: 1},
-			RetryBudget: overloadBudget,
-			DegradeHi:   3, DegradeLo: 1,
-			StaticHi: 5, StaticLo: 2,
-			OptInst:    overloadOptInst,
-			Classes:    overloadClasses,
-			FreshPlans: op.plans,
-			StaticPlan: op.static,
-		})
+		ex.Kernel = co.Sim(sh)
+		srv, err := serve.Start(op.serveConfig(ex, seedFor(c.Seed, int64(g), 81), c.shardQueries(), shardLoadMult))
 		if err != nil {
 			return nil, err
 		}
@@ -214,7 +163,7 @@ func (c Config) shardFleet(op overloadPolicy, shards int) (*shardOutcome, error)
 				total += v
 			}
 			for total >= nextMark {
-				out.checkpoints = append(out.checkpoints, FleetCheckpoint{At: p.Sim().Now(), Completed: total})
+				out.checkpoints = append(out.checkpoints, fleetCheckpoint{At: p.Sim().Now(), Completed: total})
 				nextMark += cpStep
 			}
 		}
@@ -273,9 +222,11 @@ func shardCompare(shards int, got, want *shardOutcome) error {
 	return nil
 }
 
-// ShardScale runs the fleet at every shard count, asserts equality against
-// the sequential reference, and reports the scaling cells.
-func (c Config) ShardScale() (*ShardScaleReport, error) {
+// ShardScale runs the fleet at every shard count, one after another so the
+// wall-clock columns measure one fleet at a time, asserts equality against
+// the sequential reference, and reports the scaling table plus, as a -v
+// table, the fleet monitor's checkpoint log.
+func (c Config) ShardScale() (*Report, error) {
 	policies, err := c.overloadCompile()
 	if err != nil {
 		return nil, err
@@ -286,7 +237,7 @@ func (c Config) ShardScale() (*ShardScaleReport, error) {
 			op = p
 		}
 	}
-	rep := &ShardScaleReport{Groups: shardGroups, QueriesPerGroup: c.shardQueries()}
+	cells := &Table{}
 	var base *shardOutcome
 	for _, shards := range shardCounts() {
 		out, err := c.shardFleet(op, shards)
@@ -295,32 +246,39 @@ func (c Config) ShardScale() (*ShardScaleReport, error) {
 		}
 		if shards == 1 {
 			base = out
-			rep.Elapsed = out.elapsed
-			rep.Completed = out.completed
-			rep.PerGroup = out.perGroup
-			rep.WAN = out.wan
-			rep.Checkpoints = out.checkpoints
 		} else if err := shardCompare(shards, out, base); err != nil {
 			return nil, err
 		}
-		cell := ShardScaleCell{
-			Shards:       shards,
-			WallSec:      out.wall,
-			EventsPerSec: float64(out.dispatched) / out.wall,
-			Windows:      out.profile.Windows,
-		}
+		var wallSpeedup float64
 		if base.wall > 0 && out.wall > 0 {
-			cell.WallSpeedup = base.wall / out.wall
+			wallSpeedup = base.wall / out.wall
 		}
-		cell.CriticalSpeedup = 1
+		criticalSpeedup := 1.0
 		if out.profile.CriticalEvents > 0 {
 			var events int64
 			for _, n := range out.profile.Events {
 				events += n
 			}
-			cell.CriticalSpeedup = float64(events) / float64(out.profile.CriticalEvents)
+			criticalSpeedup = float64(events) / float64(out.profile.CriticalEvents)
 		}
-		rep.Cells = append(rep.Cells, cell)
+		cells.Rows = append(cells.Rows, Row{Fields: []Field{
+			{"shards", "%6d", shards},
+			{"wall", " %7.3f", out.wall},
+			{"events/s", " %9.0f", float64(out.dispatched) / out.wall},
+			{"windows", " %7d", out.profile.Windows},
+			{"speedup(wall)", " %13.2f", wallSpeedup},
+			{"speedup(critical-path)", " %22.2f", criticalSpeedup},
+		}})
 	}
-	return rep, nil
+	cells.Title = fmt.Sprintf("Shardscale: one fleet run (%d serving groups x %d queries) on 1/2/4/8 shards\n"+
+		"  fleet completed %d queries by t=%.3fs (virtual); identical at every shard count\n"+
+		"  shards  wall(s)   events/s   windows  speedup(wall)  speedup(critical-path)",
+		shardGroups, c.shardQueries(), base.completed, base.elapsed)
+	log := &Table{Title: "  checkpoint log (virtual time at each fleet-wide completion step):", Verbose: true}
+	for _, cp := range base.checkpoints {
+		log.Rows = append(log.Rows, Row{Fields: []Field{
+			{"t", "    t=%8.3fs", cp.At}, {"completed", " completed=%d", cp.Completed},
+		}})
+	}
+	return &Report{Tables: []*Table{cells, log}}, nil
 }

@@ -9,7 +9,6 @@ import (
 	"hybridship/internal/exec"
 	"hybridship/internal/plan"
 	"hybridship/internal/query"
-	"hybridship/internal/stats"
 	"hybridship/internal/workload"
 )
 
@@ -171,28 +170,26 @@ func (c Config) twoStepFigure(id, title string, sel workload.Selectivity) (*Figu
 	}
 
 	sweep := c.serverSweep()
-	reps := c.reps()
-	// Tasks are (servers, rep) pairs; the four flavors stay sequential
-	// inside a task because they are normalized by one shared ideal run.
-	ratios := make([]float64, len(sweep)*reps*len(seriesNames))
-	err = parallelFor(len(sweep)*reps, func(idx int) error {
-		rep := idx % reps
-		k := sweep[idx/reps]
+	// A cell is one (servers, rep) runtime state; the four flavors run
+	// inside it, one ratio each, because they are normalized by one shared
+	// ideal run.
+	ratios, err := grid(len(sweep), c.reps(), func(ki, rep int) ([]float64, error) {
+		k := sweep[ki]
 		// Compile-time plans know nothing about the true placement.
 		deepPlan, err := compileDeep(central, q, seedFor(c.Seed, int64(k), int64(rep), 10))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		bushyPlan, err := compileBushy(distributed, q, seedFor(c.Seed, int64(k), int64(rep), 11))
 		if err != nil {
-			return err
+			return nil, err
 		}
 
 		// The runtime state: a random placement over k servers.
 		rng := rand.New(rand.NewSource(seedFor(c.Seed, int64(k), int64(rep), 12)))
 		trueCat, err := workload.BuildCatalog(4096, k, workload.PlaceRandom(rng, nRels, k))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		r := run{
 			cat: trueCat, q: q,
@@ -204,13 +201,14 @@ func (c Config) twoStepFigure(id, title string, sel workload.Selectivity) (*Figu
 
 		ideal, err := r.measure()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if ideal.ResponseTime <= 0 {
-			return fmt.Errorf("experiments: ideal plan has zero response time")
+			return nil, fmt.Errorf("experiments: ideal plan has zero response time")
 		}
 
-		for fi, flavor := range []struct {
+		var out []float64
+		for _, flavor := range []struct {
 			compiled   *plan.Node
 			compileCat *catalog.Catalog
 			twoStep    bool
@@ -224,38 +222,28 @@ func (c Config) twoStepFigure(id, title string, sel workload.Selectivity) (*Figu
 			if flavor.twoStep {
 				p, err := r.siteSelect(flavor.compiled)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				res, err = r.executePlan(p)
 				if err != nil {
-					return err
+					return nil, err
 				}
 			} else {
 				res, err = r.executeStatic(flavor.compiled, flavor.compileCat)
 				if err != nil {
-					return err
+					return nil, err
 				}
 			}
-			ratios[idx*len(seriesNames)+fi] = res.ResponseTime / ideal.ResponseTime
+			out = append(out, res.ResponseTime/ideal.ResponseTime)
 		}
-		return nil
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
 	for fi, name := range seriesNames {
-		series := Series{Name: name}
-		for ki, k := range sweep {
-			var sample stats.Sample
-			for rep := 0; rep < reps; rep++ {
-				sample.Add(ratios[(ki*reps+rep)*len(seriesNames)+fi])
-			}
-			series.Points = append(series.Points, Point{
-				X: float64(k), Mean: sample.Mean(), CI: sample.CI90(), N: sample.N(),
-			})
-		}
-		fig.Series = append(fig.Series, series)
+		fig.Series = append(fig.Series, curve(name, axis(sweep, 1), ratios,
+			func(v []float64) float64 { return v[fi] }))
 	}
 	return fig, nil
 }
@@ -364,4 +352,18 @@ func (c Config) Fig9() (*Fig9Result, error) {
 		TwoStepPages: twoStep.PagesSent,
 		IdealPages:   ideal.PagesSent,
 	}, nil
+}
+
+// report renders the three page counts, each against the ideal plan's.
+func (r *Fig9Result) report() *Report {
+	row := func(name string, pages int64) Row {
+		return Row{Fields: []Field{{"plan", "%-13s", name}, {"pages", "%5d", pages},
+			{"ratio", " (%.2fx of ideal)", float64(pages) / float64(r.IdealPages)}}}
+	}
+	ideal := row("ideal plan", r.IdealPages)
+	ideal.Fields = ideal.Fields[:2]
+	return &Report{Tables: []*Table{{
+		Title: "Figure 9: communication after data migration (pages sent)",
+		Rows:  []Row{row("static plan", r.StaticPages), row("2-step plan", r.TwoStepPages), ideal},
+	}}}
 }

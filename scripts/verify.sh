@@ -43,14 +43,11 @@ echo "== hslint -staleness (waiver hygiene: stale or duplicate waivers fail)"
 go run ./cmd/hslint -staleness ./...
 echo "== go test -race ./..."
 go test -race ./...
-echo "== chaos smoke (short MTBF sweep end-to-end under the race detector)"
-go run -race ./cmd/csq run -quick -reps 2 chaos >/dev/null
-echo "== failover smoke (replication availability grid, RF 1-3, under the race detector)"
-go run -race ./cmd/csq run -quick -reps 2 failover >/dev/null
-echo "== coherence smoke (client-cache coherence grid, oracle- and identity-checked, under the race detector)"
-go run -race ./cmd/csq run -quick -reps 2 coherence >/dev/null
-echo "== overload smoke (serving-layer grid end-to-end under the race detector)"
-go run -race ./cmd/csq run -quick -reps 2 overload >/dev/null
+echo "== grid smoke (chaos, failover, coherence, overload under the race detector; diffed against their golden)"
+# The plain-form twin of cmd/csq's TestGridsGolden (which pins the -v form):
+# wall-clock lines are dropped, everything else must match byte for byte.
+go run -race ./cmd/csq run -quick -reps 2 chaos failover coherence overload |
+	sed '/^  \[/d' | diff -u cmd/csq/testdata/grids_quick.txt -
 echo "== shardscale smoke (parallel kernel: fleet equality at 1/2/4/8 shards under the race detector)"
 go run -race ./cmd/csq run -quick -reps 1 shardscale >/dev/null
 echo "== fuzz smoke (2s per target)"
