@@ -7,6 +7,7 @@
 //	csq run fig2 fig3           # specific figures
 //	csq run -quick -reps 3 fig8 # thinner sweep, fewer repetitions
 //	csq run -cpuprofile fig8.prof -quick fig8  # plus a CPU profile
+//	csq run -memprofile fig8.mem -quick fig8   # plus an allocation profile
 //	csq list                    # what can be reproduced
 //
 // Output is a text table per figure: one row per x value, one "mean ±90% CI"
@@ -125,7 +126,7 @@ func usage(w io.Writer) {
 	}
 	fmt.Fprintf(w, `usage:
   csq list
-  csq run [-reps N] [-seed S] [-quick] [-v] [-cpuprofile FILE] <%s>...
+  csq run [-reps N] [-seed S] [-quick] [-v] [-cpuprofile FILE] [-memprofile FILE] <%s>...
 `, strings.Join(append(names, "all"), "|"))
 }
 
@@ -147,6 +148,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "thin the parameter sweeps")
 	verbose := fs.Bool("v", false, "verbose: failover's per-cell counters, overload's level transitions, coherence's per-stream attribution and shardscale's checkpoint log")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to `file` (pprof format; read it with go tool pprof)")
+	memprofile := fs.String("memprofile", "", "write an allocation profile of the whole run to `file` when it ends (pprof format; go tool pprof -sample_index=alloc_space)")
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
 	} else if err != nil {
@@ -176,6 +178,9 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	err = runExperiments(stdout, exps, cfg, *verbose)
 	if perr := stop(); err == nil {
 		err = perr
+	}
+	if err == nil {
+		err = writeMemProfile(*memprofile)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -220,4 +225,21 @@ func startCPUProfile(path string) (stop func() error, err error) {
 		pprof.StopCPUProfile()
 		return f.Close()
 	}, nil
+}
+
+// writeMemProfile writes the allocation profile of everything the process
+// has allocated so far to path, if one is given.
+func writeMemProfile(path string) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	return f.Close()
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -88,6 +89,26 @@ func TestUsageListsRegistry(t *testing.T) {
 	for _, e := range append(registry, experiment{name: "all"}) {
 		if !strings.Contains(b.String(), e.name+"|") && !strings.Contains(b.String(), "|"+e.name+">") {
 			t.Errorf("usage does not list %q:\n%s", e.name, b.String())
+		}
+	}
+}
+
+// TestRunWritesProfiles: -cpuprofile and -memprofile each leave a non-empty
+// pprof file once the run ends, next to the normal report.
+func TestRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	var stdout, stderr bytes.Buffer
+	args := []string{"run", "-quick", "-reps", "1", "-cpuprofile", cpu, "-memprofile", mem, "fig2"}
+	if code := csq(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "Figure 2") {
+		t.Errorf("no report on stdout:\n%s", stdout.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", filepath.Base(path), err)
 		}
 	}
 }

@@ -102,10 +102,16 @@ func (r *Relation) TuplesPerPage(pageSize int) int {
 type Catalog struct {
 	PageSize   int
 	NumServers int
-	relations  map[string]*Relation
-	order      []string
+	rels       []*Relation        // registration order: the relation with ID i is rels[i-1]
+	ids        map[string]RelID   // name -> ID
 	cachedFrac map[string]float64 // fraction of each relation cached at the client
 }
+
+// RelID is a relation's dense identifier within one catalog: its
+// registration position plus one, so the zero RelID names no relation. A
+// hot loop that resolves names to IDs once can then look relations and
+// per-relation facts up by slice index instead of by string.
+type RelID int
 
 // New creates an empty catalog.
 func New(pageSize, numServers int) *Catalog {
@@ -115,14 +121,14 @@ func New(pageSize, numServers int) *Catalog {
 	return &Catalog{
 		PageSize:   pageSize,
 		NumServers: numServers,
-		relations:  make(map[string]*Relation),
+		ids:        make(map[string]RelID),
 		cachedFrac: make(map[string]float64),
 	}
 }
 
 // AddRelation registers a base relation. The home server must exist.
 func (c *Catalog) AddRelation(r Relation) error {
-	if _, dup := c.relations[r.Name]; dup {
+	if _, dup := c.ids[r.Name]; dup {
 		return fmt.Errorf("catalog: duplicate relation %q", r.Name)
 	}
 	if r.Home == Client {
@@ -135,8 +141,8 @@ func (c *Catalog) AddRelation(r Relation) error {
 		return fmt.Errorf("catalog: relation %q: invalid statistics", r.Name)
 	}
 	cp := r
-	c.relations[r.Name] = &cp
-	c.order = append(c.order, r.Name)
+	c.rels = append(c.rels, &cp)
+	c.ids[r.Name] = RelID(len(c.rels))
 	return nil
 }
 
@@ -146,7 +152,7 @@ func (c *Catalog) AddRelation(r Relation) error {
 // the unreplicated form, so such a catalog stays DeepEqual to one that never
 // saw SetCopies.
 func (c *Catalog) SetCopies(name string, sites []SiteID) error {
-	r, ok := c.relations[name]
+	r, ok := c.Relation(name)
 	if !ok {
 		return fmt.Errorf("catalog: unknown relation %q", name)
 	}
@@ -189,8 +195,7 @@ func (c *Catalog) ReplicateAll(rf int, seed int64) error {
 	if rf == 1 {
 		return nil
 	}
-	for ri, name := range c.order {
-		r := c.relations[name]
+	for ri, r := range c.rels {
 		copies := make([]SiteID, 1, rf)
 		copies[0] = r.Home
 		for k := 1; k < rf; k++ {
@@ -221,14 +226,16 @@ func contains(sites []SiteID, s SiteID) bool {
 
 // Relation looks up a relation by name.
 func (c *Catalog) Relation(name string) (*Relation, bool) {
-	r, ok := c.relations[name]
-	return r, ok
+	if id, ok := c.ids[name]; ok {
+		return c.rels[id-1], true
+	}
+	return nil, false
 }
 
 // MustRelation looks up a relation, panicking if absent. For internal use on
 // validated plans.
 func (c *Catalog) MustRelation(name string) *Relation {
-	r, ok := c.relations[name]
+	r, ok := c.Relation(name)
 	if !ok {
 		panic("catalog: unknown relation " + name)
 	}
@@ -237,13 +244,40 @@ func (c *Catalog) MustRelation(name string) *Relation {
 
 // Relations returns relation names in registration order.
 func (c *Catalog) Relations() []string {
-	return append([]string(nil), c.order...)
+	names := make([]string, len(c.rels))
+	for i, r := range c.rels {
+		names[i] = r.Name
+	}
+	return names
+}
+
+// ID returns the named relation's ID, or 0 if the catalog lacks it.
+func (c *Catalog) ID(name string) RelID { return c.ids[name] }
+
+// Resolve is ID with a hint: when hint is already the named relation's ID
+// it is returned after one string comparison, without a map lookup.
+// Anything else — the zero RelID, an ID from another catalog, an ID of
+// another relation — falls back to the lookup by name, so a stale hint
+// costs time but never changes the answer.
+func (c *Catalog) Resolve(hint RelID, name string) RelID {
+	if i := int(hint) - 1; uint(i) < uint(len(c.rels)) && c.rels[i].Name == name {
+		return hint
+	}
+	return c.ids[name]
+}
+
+// Lookup is Relation with an ID hint, as in Resolve.
+func (c *Catalog) Lookup(hint RelID, name string) (*Relation, bool) {
+	if id := c.Resolve(hint, name); id != 0 {
+		return c.rels[id-1], true
+	}
+	return nil, false
 }
 
 // SetCachedFraction declares that the first frac (0..1) of the relation is
 // cached on the client's disk.
 func (c *Catalog) SetCachedFraction(name string, frac float64) error {
-	if _, ok := c.relations[name]; !ok {
+	if _, ok := c.ids[name]; !ok {
 		return fmt.Errorf("catalog: unknown relation %q", name)
 	}
 	if frac < 0 || frac > 1 {
@@ -261,7 +295,7 @@ func (c *Catalog) CachedFraction(name string) float64 {
 // CachedPages reports how many pages of the relation are cached at the
 // client; the cached portion is a contiguous prefix (paper §4.2.1).
 func (c *Catalog) CachedPages(name string) int {
-	r, ok := c.relations[name]
+	r, ok := c.Relation(name)
 	if !ok {
 		return 0
 	}
@@ -272,11 +306,11 @@ func (c *Catalog) CachedPages(name string) int {
 // static and 2-step optimization experiments (§5).
 func (c *Catalog) Clone() *Catalog {
 	n := New(c.PageSize, c.NumServers)
-	for _, name := range c.order {
-		r := *c.relations[name]
-		r.Copies = append([]SiteID(nil), r.Copies...)
-		n.relations[name] = &r
-		n.order = append(n.order, name)
+	for _, r := range c.rels {
+		cp := *r
+		cp.Copies = append([]SiteID(nil), r.Copies...)
+		n.rels = append(n.rels, &cp)
+		n.ids[cp.Name] = RelID(len(n.rels))
 	}
 	for k, v := range c.cachedFrac {
 		n.cachedFrac[k] = v
@@ -290,8 +324,7 @@ func (c *Catalog) Clone() *Catalog {
 func (c *Catalog) WithNumServers(n int) *Catalog {
 	cl := c.Clone()
 	cl.NumServers = n
-	for _, name := range cl.order {
-		r := cl.relations[name]
+	for _, r := range cl.rels {
 		if int(r.Home) >= n {
 			r.Home = SiteID(int(r.Home) % n)
 		}
@@ -322,8 +355,7 @@ func (c *Catalog) WithNumServers(n int) *Catalog {
 // of some relation.
 func (c *Catalog) ServersUsed() []SiteID {
 	seen := make(map[SiteID]bool)
-	for _, name := range c.order {
-		r := c.relations[name]
+	for _, r := range c.rels {
 		for i := 0; i < r.NumCopies(); i++ {
 			seen[r.CopySite(i)] = true
 		}

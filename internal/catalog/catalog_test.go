@@ -157,3 +157,47 @@ func TestQuickCachedPagesMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRelationIDs pins the dense IDs: registration position plus one, kept
+// by Clone, and Resolve/Lookup trusting a hint only when it names the
+// relation asked for.
+func TestRelationIDs(t *testing.T) {
+	c := New(4096, 2)
+	for _, name := range []string{"a", "b", "c"} {
+		mustAdd(t, c, Relation{Name: name, Tuples: 10, TupleBytes: 100, Home: 1})
+	}
+	for want, name := range []string{"", "a", "b", "c"} {
+		if name == "" {
+			continue
+		}
+		if got := c.ID(name); got != RelID(want) {
+			t.Errorf("ID(%q) = %d, want %d", name, got, want)
+		}
+		if got := c.Clone().ID(name); got != RelID(want) {
+			t.Errorf("clone: ID(%q) = %d, want %d", name, got, want)
+		}
+	}
+	if c.ID("z") != 0 {
+		t.Error("unknown relation has a nonzero ID")
+	}
+	for _, tc := range []struct {
+		hint RelID
+		name string
+		want RelID
+	}{
+		{2, "b", 2},  // a valid hint
+		{0, "b", 2},  // no hint
+		{3, "b", 2},  // the hint names another relation
+		{-4, "b", 2}, // out of range either way
+		{9, "b", 2},
+		{1, "z", 0}, // an unknown name, whatever the hint
+	} {
+		if got := c.Resolve(tc.hint, tc.name); got != tc.want {
+			t.Errorf("Resolve(%d, %q) = %d, want %d", tc.hint, tc.name, got, tc.want)
+		}
+		r, ok := c.Lookup(tc.hint, tc.name)
+		if ok != (tc.want != 0) || (ok && r.Name != tc.name) {
+			t.Errorf("Lookup(%d, %q) = %v, %v", tc.hint, tc.name, r, ok)
+		}
+	}
+}

@@ -16,6 +16,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hybridship/internal/catalog"
 	"hybridship/internal/plan"
@@ -201,17 +202,19 @@ func (a *accum) total() float64 {
 	return t
 }
 
+// bottleneck is the busiest single resource. It uses the builtin max, which
+// agrees with math.Max for the non-NaN values the model produces.
 func (a *accum) bottleneck(disksPerSite int) float64 {
 	if disksPerSite < 1 {
 		disksPerSite = 1
 	}
 	m := a.wire
 	for _, v := range a.cpu {
-		m = math.Max(m, v)
+		m = max(m, v)
 	}
 	for _, v := range a.disk {
 		// A site's disk work spreads over its arms in the best case.
-		m = math.Max(m, v/float64(disksPerSite))
+		m = max(m, v/float64(disksPerSite))
 	}
 	return m
 }
@@ -230,6 +233,8 @@ func (m *Model) Estimate(root *plan.Node, binding plan.Binding) Estimate {
 
 // relFacts is what a scan or a selection needs to know about one base
 // relation, resolved from the catalog and the query once per Estimator.
+// Estimator.rels holds them in catalog order, so the relation with
+// catalog.RelID id is rels[id-1].
 type relFacts struct {
 	pages      float64 // pages at the model's page size
 	card       float64 // tuples
@@ -240,27 +245,46 @@ type relFacts struct {
 	sel        float64 // selectivity of the selection above its scan
 }
 
+// siteDisk holds one site's per-page disk times, each inflated by the
+// site's clamped external utilization u to raw / (1 - u).
+type siteDisk struct {
+	seq, spillWrite, spillRead float64
+}
+
 // Estimator evaluates plans of one Model repeatedly. It resolves the
-// model's relation facts and per-site disk utilizations once, and reuses
-// its accumulator, so a search loop evaluating candidate after candidate
-// allocates nothing and consults no maps beyond one relation lookup per
-// scan. The model must not change while the Estimator is in use.
+// model's relation facts, each site's load-inflated disk times and the
+// per-message CPU and wire times once, and reuses its accumulator and
+// per-node scratch, so a search loop evaluating candidate after candidate
+// allocates nothing and, for nodes carrying a valid RelID, consults no map.
+// The model must not change while the Estimator is in use.
 type Estimator struct {
-	m      *Model
-	rels   []relFacts
-	relIdx map[string]int
-	util   []float64 // clamped external disk utilization per slot
-	acc    accum
+	m    *Model
+	rels []relFacts
+	disk []siteDisk // per slot
+	acc  accum
+
+	// Per-message constants: Params.msgCPUTime and wireTime of a data page
+	// and of a control message, and the CPU time of one disk request.
+	pageCPU, pageWire float64
+	ctrlCPU, ctrlWire float64
+	ioCPU             float64
 
 	sites []catalog.SiteID // the plan being estimated, in pre-order
+	info  []nodeInfo       // each node's facts, by pre-order position
 	pos   int              // next pre-order position eval visits
 }
 
-// NewEstimator resolves m's relation facts and disk utilizations. The
-// estimator serves m alone.
+// NewEstimator resolves m's relation facts, disk times and message
+// constants. The estimator serves m alone.
 func NewEstimator(m *Model) *Estimator {
+	p := &m.Params
 	names := m.Catalog.Relations()
-	e := &Estimator{m: m, rels: make([]relFacts, 0, len(names)), relIdx: make(map[string]int, len(names))}
+	e := &Estimator{
+		m: m, rels: make([]relFacts, 0, len(names)),
+		pageCPU: p.msgCPUTime(p.PageSize), pageWire: p.wireTime(p.PageSize),
+		ctrlCPU: p.msgCPUTime(ctrlMsgBytes), ctrlWire: p.wireTime(ctrlMsgBytes),
+		ioCPU: p.cpuTime(p.DiskInst),
+	}
 	hi := catalog.SiteID(m.Catalog.NumServers - 1)
 	for _, name := range names {
 		rel := m.Catalog.MustRelation(name)
@@ -269,7 +293,6 @@ func NewEstimator(m *Model) *Estimator {
 		if cached > pages {
 			cached = pages
 		}
-		e.relIdx[name] = len(e.rels)
 		e.rels = append(e.rels, relFacts{
 			pages:      pages,
 			card:       float64(rel.Tuples),
@@ -289,8 +312,14 @@ func NewEstimator(m *Model) *Estimator {
 
 // grow extends the per-site tables to cover sites up to hi.
 func (e *Estimator) grow(hi catalog.SiteID) {
-	for s := catalog.SiteID(len(e.util) - 1); s <= hi; s++ {
-		e.util = append(e.util, clampUtil(e.m.Params.ServerDiskUtil[s]))
+	p := &e.m.Params
+	for s := catalog.SiteID(len(e.disk) - 1); s <= hi; s++ {
+		idle := 1 - clampUtil(p.ServerDiskUtil[s])
+		e.disk = append(e.disk, siteDisk{
+			seq:        p.SeqPageTime / idle,
+			spillWrite: p.SpillWriteTime / idle,
+			spillRead:  p.SpillReadTime / idle,
+		})
 	}
 }
 
@@ -302,42 +331,38 @@ func (e *Estimator) Estimate(root *plan.Node, sites []catalog.SiteID) Estimate {
 		if s < catalog.Client {
 			panic(fmt.Sprintf("cost: site %d is below the client", s))
 		}
-		if slot(s) >= len(e.util) {
+		if slot(s) >= len(e.disk) {
 			e.grow(s)
 		}
 	}
 	e.sites, e.pos = sites, 0
-	e.acc.reset(len(e.util))
+	e.info = slices.Grow(e.info[:0], len(sites))[:len(sites)]
+	e.acc.reset(len(e.disk))
 	info := e.eval(root)
 	if e.pos != len(sites) {
 		panic(fmt.Sprintf("cost: %d sites for a plan of %d nodes", len(sites), e.pos))
 	}
 	e.sites = nil
-	rt := math.Max(info.rt, e.acc.bottleneck(e.m.Params.NumDisks))
+	rt := max(info.rt, e.acc.bottleneck(e.m.Params.NumDisks))
 	return Estimate{TotalCost: e.acc.total(), ResponseTime: rt, PagesSent: e.acc.pages}
 }
 
-// diskTime inflates a raw disk service time by the external load at a site.
-func (e *Estimator) diskTime(site catalog.SiteID, raw float64) float64 {
-	return raw / (1 - e.util[slot(site)])
+// facts returns the facts of the named relation, or nil if the catalog
+// lacks it. A valid ID hint (a node's RelID) spares the lookup by name.
+func (e *Estimator) facts(hint catalog.RelID, name string) *relFacts {
+	if i := int(e.m.Catalog.Resolve(hint, name)) - 1; uint(i) < uint(len(e.rels)) {
+		return &e.rels[i]
+	}
+	return nil
 }
 
-// rel returns the facts of a scanned relation. Binding rejects scans of
-// relations the catalog lacks, so a miss is a caller's bug.
-func (e *Estimator) rel(name string) *relFacts {
-	i, ok := e.relIdx[name]
-	if !ok {
-		panic("cost: scan of unknown relation " + name)
+// selectivity is Query.SelectSelectivity of the select n through the
+// resolved facts.
+func (e *Estimator) selectivity(n *plan.Node) float64 {
+	if f := e.facts(n.RelID, n.Rel); f != nil {
+		return f.sel
 	}
-	return &e.rels[i]
-}
-
-// selectivity is Query.SelectSelectivity through the resolved facts.
-func (e *Estimator) selectivity(name string) float64 {
-	if i, ok := e.relIdx[name]; ok {
-		return e.rels[i].sel
-	}
-	return e.m.Query.SelectSelectivity(name)
+	return e.m.Query.SelectSelectivity(n.Rel)
 }
 
 func pagesOf(card float64, tupleBytes, pageSize int) float64 {
@@ -357,67 +382,69 @@ func (e *Estimator) ship(from, to catalog.SiteID, pages float64, acct bool) floa
 	if from == to || pages <= 0 {
 		return 0
 	}
-	p, acc := &e.m.Params, &e.acc
-	perPageCPU := p.msgCPUTime(p.PageSize)
-	wire := p.wireTime(p.PageSize)
-	acc.cpu[slot(from)] += perPageCPU * pages
-	acc.cpu[slot(to)] += perPageCPU * pages
-	acc.wire += wire * pages
+	acc := &e.acc
+	acc.cpu[slot(from)] += e.pageCPU * pages
+	acc.cpu[slot(to)] += e.pageCPU * pages
+	acc.wire += e.pageWire * pages
 	if acct {
 		acc.pages += pages
 	}
 	// The shipping stage streams pages; its duration is bounded by the
 	// slower of the wire and the two endpoint CPUs for this stream.
-	return pages * math.Max(wire, perPageCPU)
+	return pages * max(e.pageWire, e.pageCPU)
 }
 
-// eval evaluates the subtree at n, whose site is the next pre-order entry.
-func (e *Estimator) eval(n *plan.Node) nodeInfo {
+// eval evaluates the subtree at n, whose site is the next pre-order entry,
+// into that position's scratch entry and returns it. Children's entries
+// stay valid while their parent reads them: e.info is sized before the
+// walk and never moves during it.
+func (e *Estimator) eval(n *plan.Node) *nodeInfo {
 	m, p, acc := e.m, &e.m.Params, &e.acc
-	site := e.sites[e.pos]
+	i := e.pos
 	e.pos++
+	out, site := &e.info[i], e.sites[i]
 	switch n.Kind {
 	case plan.KindScan:
-		return e.evalScan(n, site)
+		e.evalScan(n, site, out)
 
 	case plan.KindSelect:
 		child := e.eval(n.Left)
 		shipDur := e.ship(child.site, site, child.pages, true)
-		sel := e.selectivity(n.Rel)
+		sel := e.selectivity(n)
 		cpu := p.cpuTime(p.CompareInst * child.card)
 		acc.cpu[slot(site)] += cpu
-		out := child.card * sel
-		return nodeInfo{
-			card:       out,
+		card := child.card * sel
+		*out = nodeInfo{
+			card:       card,
 			tupleBytes: child.tupleBytes,
-			pages:      pagesOf(out, child.tupleBytes, p.PageSize),
-			rt:         math.Max(child.rt, math.Max(shipDur, cpu)),
+			pages:      pagesOf(card, child.tupleBytes, p.PageSize),
+			rt:         max(child.rt, max(shipDur, cpu)),
 			site:       site,
 			tables:     child.tables,
 		}
 
 	case plan.KindJoin:
-		return e.evalJoin(n, site)
+		e.evalJoin(n, site, out)
 
 	case plan.KindAgg:
 		child := e.eval(n.Left)
 		shipDur := e.ship(child.site, site, child.pages, true)
 		cpu := p.cpuTime(p.HashInst * child.card)
 		acc.cpu[slot(site)] += cpu
-		out := float64(m.Query.GroupBy)
-		if out <= 0 || out > child.card {
-			out = math.Min(1, child.card)
+		card := float64(m.Query.GroupBy)
+		if card <= 0 || card > child.card {
+			card = min(1, child.card)
 			if m.Query.GroupBy > 0 {
-				out = math.Min(float64(m.Query.GroupBy), child.card)
+				card = min(float64(m.Query.GroupBy), child.card)
 			}
 		}
 		// Aggregation is blocking: its (small) output appears only after the
 		// whole input has been consumed.
-		return nodeInfo{
-			card:       out,
+		*out = nodeInfo{
+			card:       card,
 			tupleBytes: child.tupleBytes,
-			pages:      pagesOf(out, child.tupleBytes, p.PageSize),
-			rt:         math.Max(child.rt, shipDur) + cpu,
+			pages:      pagesOf(card, child.tupleBytes, p.PageSize),
+			rt:         max(child.rt, shipDur) + cpu,
 			site:       site,
 			tables:     child.tables,
 		}
@@ -427,23 +454,31 @@ func (e *Estimator) eval(n *plan.Node) nodeInfo {
 		shipDur := e.ship(child.site, site, child.pages, true)
 		cpu := p.cpuTime(p.DisplayInst * child.card)
 		acc.cpu[slot(site)] += cpu
-		return nodeInfo{
+		*out = nodeInfo{
 			card:       child.card,
 			tupleBytes: child.tupleBytes,
 			pages:      child.pages,
-			rt:         math.Max(child.rt, math.Max(shipDur, cpu)),
+			rt:         max(child.rt, max(shipDur, cpu)),
 			site:       site,
 			tables:     child.tables,
 		}
+
+	default:
+		panic("cost: unknown node kind")
 	}
-	panic("cost: unknown node kind")
+	return out
 }
 
-func (e *Estimator) evalScan(n *plan.Node, site catalog.SiteID) nodeInfo {
+// evalScan evaluates the scan n into info. Binding rejects scans of
+// relations the catalog lacks, so a miss is a caller's bug.
+func (e *Estimator) evalScan(n *plan.Node, site catalog.SiteID, info *nodeInfo) {
 	p, acc := &e.m.Params, &e.acc
-	rel := e.rel(n.Table)
+	rel := e.facts(n.RelID, n.Table)
+	if rel == nil {
+		panic("cost: scan of unknown relation " + n.Table)
+	}
 	pages := rel.pages
-	info := nodeInfo{card: rel.card, tupleBytes: rel.tupleBytes, pages: pages, site: site,
+	*info = nodeInfo{card: rel.card, tupleBytes: rel.tupleBytes, pages: pages, site: site,
 		tables: rel.mask}
 
 	if site != catalog.Client || pages == 0 {
@@ -453,12 +488,12 @@ func (e *Estimator) evalScan(n *plan.Node, site catalog.SiteID) nodeInfo {
 		if at == catalog.Client {
 			at = rel.home // degenerate empty relation bound at the client
 		}
-		d := e.diskTime(at, p.SeqPageTime) * pages
+		d := e.disk[slot(at)].seq * pages
 		cpu := p.cpuTime(p.DiskInst * pages)
 		acc.disk[slot(at)] += d
 		acc.cpu[slot(at)] += cpu
 		info.rt = d + cpu
-		return info
+		return
 	}
 
 	// Client scan (§2.1): cached pages come from the client disk; missing
@@ -467,31 +502,30 @@ func (e *Estimator) evalScan(n *plan.Node, site catalog.SiteID) nodeInfo {
 	cached := rel.cached
 	missing := pages - cached
 
-	clientDisk := e.diskTime(site, p.SeqPageTime) * cached
+	clientDisk := e.disk[slot(site)].seq * cached
 	clientCPU := p.cpuTime(p.DiskInst * cached)
 	acc.disk[slot(site)] += clientDisk
 	acc.cpu[slot(site)] += clientCPU
 
 	var faultDur float64
 	if missing > 0 {
-		reqCPU := p.msgCPUTime(ctrlMsgBytes)
-		pageCPU := p.msgCPUTime(p.PageSize)
-		serverIO := e.diskTime(rel.home, p.SeqPageTime)
-		serverCPU := p.cpuTime(p.DiskInst)
+		reqCPU, pageCPU := e.ctrlCPU, e.pageCPU
+		serverIO := e.disk[slot(rel.home)].seq
+		serverCPU := e.ioCPU
 		acc.cpu[slot(site)] += (reqCPU + pageCPU) * missing
 		acc.cpu[slot(rel.home)] += (reqCPU + pageCPU + serverCPU) * missing
 		acc.disk[slot(rel.home)] += serverIO * missing
-		acc.wire += (p.wireTime(ctrlMsgBytes) + p.wireTime(p.PageSize)) * missing
+		acc.wire += (e.ctrlWire + e.pageWire) * missing
 		acc.pages += missing
-		perFault := reqCPU*2 + p.wireTime(ctrlMsgBytes) + serverCPU + serverIO +
-			pageCPU*2 + p.wireTime(p.PageSize)
+		perFault := reqCPU*2 + e.ctrlWire + serverCPU + serverIO +
+			pageCPU*2 + e.pageWire
 		faultDur = perFault * missing
 	}
 	info.rt = clientDisk + clientCPU + faultDur
-	return info
 }
 
-func (e *Estimator) evalJoin(n *plan.Node, site catalog.SiteID) nodeInfo {
+// evalJoin evaluates the join n into out.
+func (e *Estimator) evalJoin(n *plan.Node, site catalog.SiteID, out *nodeInfo) {
 	m, p, acc := e.m, &e.m.Params, &e.acc
 	inner := e.eval(n.Left)
 	outer := e.eval(n.Right)
@@ -533,12 +567,12 @@ func (e *Estimator) evalJoin(n *plan.Node, site catalog.SiteID) nodeInfo {
 		}
 		spillInner := (1 - q) * inner.pages
 		spillOuter := (1 - q) * outer.pages
-		ioCPU := p.cpuTime(p.DiskInst)
-		writeInner = (e.diskTime(site, p.SpillWriteTime) + ioCPU) * spillInner
-		writeOuter = (e.diskTime(site, p.SpillWriteTime) + ioCPU) * spillOuter
-		readBack = (e.diskTime(site, p.SpillReadTime) + ioCPU) * (spillInner + spillOuter)
-		acc.disk[slot(site)] += e.diskTime(site, p.SpillWriteTime)*(spillInner+spillOuter) +
-			e.diskTime(site, p.SpillReadTime)*(spillInner+spillOuter)
+		ioCPU, d := e.ioCPU, &e.disk[slot(site)]
+		writeInner = (d.spillWrite + ioCPU) * spillInner
+		writeOuter = (d.spillWrite + ioCPU) * spillOuter
+		readBack = (d.spillRead + ioCPU) * (spillInner + spillOuter)
+		acc.disk[slot(site)] += d.spillWrite*(spillInner+spillOuter) +
+			d.spillRead*(spillInner+spillOuter)
 		acc.cpu[slot(site)] += ioCPU * 2 * (spillInner + spillOuter)
 	}
 	// Response time. The build blocks on the inner and the probe pipelines
@@ -554,15 +588,15 @@ func (e *Estimator) evalJoin(n *plan.Node, site catalog.SiteID) nodeInfo {
 	if inner.site == site {
 		buildDur = inner.rt + buildWork
 	} else {
-		buildDur = math.Max(inner.rt, math.Max(innerShip, buildWork))
+		buildDur = max(inner.rt, max(innerShip, buildWork))
 	}
 	if outer.site == site {
 		probeDur = outer.rt + probeWork
 	} else {
-		probeDur = math.Max(outer.rt, math.Max(outerShip, probeWork))
+		probeDur = max(outer.rt, max(outerShip, probeWork))
 	}
 	rt := buildDur + probeDur + readBack
 
-	return nodeInfo{card: outCard, tupleBytes: outBytes, pages: outPages, rt: rt, site: site,
+	*out = nodeInfo{card: outCard, tupleBytes: outBytes, pages: outPages, rt: rt, site: site,
 		tables: inner.tables | outer.tables}
 }

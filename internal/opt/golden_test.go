@@ -211,7 +211,7 @@ func measureEstimates(t *testing.T, c goldenCell, pol plan.Policy, seed int64) g
 		root := r.Plan
 		nodes := indexNodes(root, nil)
 		var shape shapeIndex
-		shape.build(m.Query, nodes)
+		shape.build(&o.bits, nodes)
 		var u undoRec
 		for step := 0; step < 12; step++ {
 			moves := candidateMoves(m.Query, o.opts, m.Catalog, nodes, &shape, nil)
@@ -224,7 +224,7 @@ func measureEstimates(t *testing.T, c goldenCell, pol plan.Policy, seed int64) g
 			}
 			if applyMove(nodes, mv, pol, m.Catalog, &u) {
 				nodes = indexNodes(root, nodes)
-				shape.build(m.Query, nodes)
+				shape.build(&o.bits, nodes)
 			}
 			buf = plan.AppendKey(buf[:0], root)
 			if e, ok := estimate(root); ok {

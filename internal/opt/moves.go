@@ -58,6 +58,48 @@ func indexNodes(root *plan.Node, buf []*plan.Node) []*plan.Node {
 	return buf
 }
 
+// relBits maps catalog relation IDs to the query's relation bits
+// (Query.RelMask), so the shape index finds a scan's bit by slice index.
+type relBits struct {
+	cat  *catalog.Catalog
+	q    *query.Query
+	bits []uint64 // the bit of the relation with catalog ID id is bits[id-1]
+}
+
+func newRelBits(q *query.Query, cat *catalog.Catalog) relBits {
+	r := relBits{cat: cat, q: q}
+	if cat != nil {
+		for _, name := range cat.Relations() {
+			r.bits = append(r.bits, q.RelMask(name))
+		}
+	}
+	return r
+}
+
+// of returns the query bit of the relation the scan n reads: by its RelID
+// when that is valid, else by name.
+func (r *relBits) of(n *plan.Node) uint64 {
+	if r.cat != nil {
+		if i := int(r.cat.Resolve(n.RelID, n.Table)) - 1; uint(i) < uint(len(r.bits)) {
+			return r.bits[i]
+		}
+	}
+	return r.q.RelMask(n.Table)
+}
+
+// resolveRelIDs sets the RelID of every scan and select under n to its
+// relation's ID in cat (0 for a relation cat lacks).
+func resolveRelIDs(n *plan.Node, cat *catalog.Catalog) {
+	if n == nil || cat == nil {
+		return
+	}
+	if name := n.RelName(); name != "" {
+		n.RelID = cat.ID(name)
+	}
+	resolveRelIDs(n.Left, cat)
+	resolveRelIDs(n.Right, cat)
+}
+
 // shapeIndex records, per pre-order position of a node index, the size of
 // the subtree rooted there and the base-relation bitmask it scans (0 for
 // queries too wide for masks). A node's left child, if any, is at i+1 and its
@@ -71,14 +113,14 @@ type shapeIndex struct {
 
 // build recomputes the index for nodes, the pre-order index of a tree,
 // visiting positions in reverse so children precede their parents.
-func (s *shapeIndex) build(q *query.Query, nodes []*plan.Node) {
+func (s *shapeIndex) build(bits *relBits, nodes []*plan.Node) {
 	s.size = slices.Grow(s.size[:0], len(nodes))[:len(nodes)]
 	s.mask = slices.Grow(s.mask[:0], len(nodes))[:len(nodes)]
 	for i := len(nodes) - 1; i >= 0; i-- {
 		n := nodes[i]
 		size, mask := 1, uint64(0)
 		if n.Kind == plan.KindScan {
-			mask = q.RelMask(n.Table)
+			mask = bits.of(n)
 		}
 		if n.Left != nil {
 			size += s.size[i+1]
@@ -259,14 +301,19 @@ func appendCopyMoves(moves []move, i int, n *plan.Node, cat *catalog.Catalog, p 
 	if p == plan.DataShipping || cat == nil {
 		return moves
 	}
-	rel, ok := cat.Relation(n.Table)
-	if !ok {
-		return moves
-	}
-	for s := 0; s < rel.NumCopies()-1; s++ {
+	for s := 0; s < numCopies(cat, n)-1; s++ {
 		moves = append(moves, move{i, mvScanCopy, s})
 	}
 	return moves
+}
+
+// numCopies is the number of copies of the relation the scan n reads, or 0
+// if the catalog lacks it.
+func numCopies(cat *catalog.Catalog, n *plan.Node) int {
+	if rel, ok := cat.Lookup(n.RelID, n.Table); ok {
+		return rel.NumCopies()
+	}
+	return 0
 }
 
 // targetCopy resolves a slot-based copy move: the slot-th copy index of the
@@ -383,7 +430,7 @@ func applyMove(nodes []*plan.Node, mv move, p plan.Policy, cat *catalog.Catalog,
 	case mvJoinAnn, mvSelectAnn, mvScanAnn:
 		n.Ann = targetAnn(n, p, mv.slot)
 	case mvScanCopy:
-		n.Copy = targetCopy(n, cat.MustRelation(n.Table).NumCopies(), mv.slot)
+		n.Copy = targetCopy(n, numCopies(cat, n), mv.slot)
 	}
 	return u.changedShape
 }
@@ -395,7 +442,7 @@ func applyMove(nodes []*plan.Node, mv move, p plan.Policy, cat *catalog.Catalog,
 func (o *Optimizer) neighbor(root *plan.Node) (*plan.Node, bool) {
 	nodes := indexNodes(root, nil)
 	var shape shapeIndex
-	shape.build(o.model.Query, nodes)
+	shape.build(&o.bits, nodes)
 	moves := candidateMoves(o.model.Query, o.opts, o.model.Catalog, nodes, &shape, nil)
 	if len(moves) == 0 {
 		return nil, false

@@ -22,13 +22,15 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"hybridship/internal/catalog"
 	"hybridship/internal/cost"
 	"hybridship/internal/plan"
+	"hybridship/internal/query"
 )
 
 // Options configures one optimizer instance.
@@ -85,6 +87,7 @@ func DefaultOptions(policy plan.Policy, metric cost.Metric, seed int64) Options 
 type Optimizer struct {
 	model *cost.Model
 	opts  Options
+	bits  relBits // the query's relation bits by catalog ID
 
 	// rng backs the public RandomPlan entry point only; the searches in
 	// Optimize/OptimizeFrom use per-phase derived streams instead. Guarded
@@ -114,7 +117,8 @@ func New(model *cost.Model, opts Options) *Optimizer {
 	if opts.SAFrozenStages <= 0 {
 		opts.SAFrozenStages = 4
 	}
-	return &Optimizer{model: model, opts: opts, rng: rand.New(rand.NewSource(opts.Seed))}
+	return &Optimizer{model: model, opts: opts, bits: newRelBits(model.Query, model.Catalog),
+		rng: rand.New(rand.NewSource(opts.Seed))}
 }
 
 // Result is an optimized plan with its predicted metrics.
@@ -269,16 +273,12 @@ func (o *Optimizer) randomJoinTree(rng *rand.Rand) (*plan.Node, error) {
 	}
 	q := o.model.Query
 	type comp struct {
-		node   *plan.Node
-		tables map[string]bool
+		node *plan.Node
+		rels relSet
 	}
 	var comps []comp
-	for _, r := range q.Relations {
-		var n *plan.Node = plan.NewScan(r)
-		if _, hasSel := q.Selects[r]; hasSel {
-			n = plan.NewSelect(n, r)
-		}
-		comps = append(comps, comp{node: n, tables: map[string]bool{r: true}})
+	for i := range q.Relations {
+		comps = append(comps, comp{node: o.leaf(i), rels: single(q, i)})
 	}
 	for len(comps) > 1 {
 		// Collect joinable pairs.
@@ -286,7 +286,7 @@ func (o *Optimizer) randomJoinTree(rng *rand.Rand) (*plan.Node, error) {
 		var pairs []pair
 		for i := 0; i < len(comps); i++ {
 			for j := i + 1; j < len(comps); j++ {
-				if q.Connected(comps[i].tables, comps[j].tables) {
+				if connected(q, comps[i].rels, comps[j].rels) {
 					pairs = append(pairs, pair{i, j})
 				}
 			}
@@ -300,8 +300,8 @@ func (o *Optimizer) randomJoinTree(rng *rand.Rand) (*plan.Node, error) {
 			i, j = j, i
 		}
 		joined := comp{
-			node:   plan.NewJoin(comps[i].node, comps[j].node),
-			tables: union(comps[i].tables, comps[j].tables),
+			node: plan.NewJoin(comps[i].node, comps[j].node),
+			rels: comps[i].rels.union(comps[j].rels),
 		}
 		// Remove the two inputs (higher index first) and append the join.
 		hi, lo := pk.i, pk.j
@@ -315,6 +315,18 @@ func (o *Optimizer) randomJoinTree(rng *rand.Rand) (*plan.Node, error) {
 	return comps[0].node, nil
 }
 
+// leaf is the scan of the query's i-th relation, under its selection if the
+// query has one.
+func (o *Optimizer) leaf(i int) *plan.Node {
+	q := o.model.Query
+	r := q.Relations[i]
+	var n *plan.Node = plan.NewScan(r)
+	if _, hasSel := q.Selects[r]; hasSel {
+		n = plan.NewSelect(n, r)
+	}
+	return n
+}
+
 // randomizeAnnotations assigns each operator a random annotation allowed by
 // the policy.
 func (o *Optimizer) randomizeAnnotations(rng *rand.Rand, root *plan.Node) {
@@ -325,41 +337,73 @@ func (o *Optimizer) randomizeAnnotations(rng *rand.Rand, root *plan.Node) {
 }
 
 // randomLeftDeepTree grows a left-deep chain from a random starting
-// relation, adding one connected relation as the outer at each step.
+// relation, adding one connected relation as the outer at each step. Each
+// step's candidates are ordered by relation name before the seeded draw.
 func (o *Optimizer) randomLeftDeepTree(rng *rand.Rand) (*plan.Node, error) {
 	q := o.model.Query
-	leaf := func(r string) *plan.Node {
-		var n *plan.Node = plan.NewScan(r)
-		if _, hasSel := q.Selects[r]; hasSel {
-			n = plan.NewSelect(n, r)
-		}
-		return n
+	byName := make([]int, len(q.Relations))
+	for i := range byName {
+		byName[i] = i
 	}
-	remaining := make(map[string]bool, len(q.Relations))
-	for _, r := range q.Relations {
-		remaining[r] = true
-	}
-	start := q.Relations[rng.Intn(len(q.Relations))]
-	delete(remaining, start)
-	tree := leaf(start)
-	joined := map[string]bool{start: true}
-	for len(remaining) > 0 {
-		var candidates []string
-		for r := range remaining { //hslint:ordered -- candidates are sorted before the seeded draw below
-			if q.Connected(joined, map[string]bool{r: true}) {
-				candidates = append(candidates, r)
+	slices.SortFunc(byName, func(a, b int) int { return strings.Compare(q.Relations[a], q.Relations[b]) })
+
+	start := rng.Intn(len(q.Relations))
+	tree := o.leaf(start)
+	joined := single(q, start)
+	var candidates []int
+	for added := 1; added < len(q.Relations); added++ {
+		candidates = candidates[:0]
+		for _, i := range byName {
+			if !joined.has(q, i) && connected(q, joined, single(q, i)) {
+				candidates = append(candidates, i)
 			}
 		}
 		if len(candidates) == 0 {
 			return nil, fmt.Errorf("opt: query join graph is disconnected")
 		}
-		sort.Strings(candidates) // deterministic order under a seed
-		r := candidates[rng.Intn(len(candidates))]
-		delete(remaining, r)
-		joined[r] = true
-		tree = plan.NewJoin(tree, leaf(r))
+		i := candidates[rng.Intn(len(candidates))]
+		joined = joined.union(single(q, i))
+		tree = plan.NewJoin(tree, o.leaf(i))
 	}
 	return tree, nil
+}
+
+// relSet is a set of the query's relations: a bitmask over relation
+// indices when the query fits in one word (Query.MaskSupported), else a
+// set of names.
+type relSet struct {
+	mask  uint64
+	names map[string]bool
+}
+
+// single is the set holding the query's i-th relation.
+func single(q *query.Query, i int) relSet {
+	if q.MaskSupported() {
+		return relSet{mask: 1 << uint(i)}
+	}
+	return relSet{names: map[string]bool{q.Relations[i]: true}}
+}
+
+func (s relSet) has(q *query.Query, i int) bool {
+	if s.names == nil {
+		return s.mask&(1<<uint(i)) != 0
+	}
+	return s.names[q.Relations[i]]
+}
+
+func (s relSet) union(t relSet) relSet {
+	if s.names == nil {
+		return relSet{mask: s.mask | t.mask}
+	}
+	return relSet{names: union(s.names, t.names)}
+}
+
+// connected is Query.ConnectedMask or Query.Connected, by representation.
+func connected(q *query.Query, a, b relSet) bool {
+	if a.names == nil {
+		return q.ConnectedMask(a.mask, b.mask)
+	}
+	return q.Connected(a.names, b.names)
 }
 
 func union(a, b map[string]bool) map[string]bool {

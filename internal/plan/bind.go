@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -21,6 +22,9 @@ type Binding map[*Node]catalog.SiteID
 func Bind(root *Node, cat *catalog.Catalog, submitSite catalog.SiteID) (Binding, error) {
 	var bd Binder
 	sites, err := bd.Bind(root, cat, submitSite)
+	if err == ErrUnbindable {
+		return nil, bd.Err()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -30,6 +34,15 @@ func Bind(root *Node, cat *catalog.Catalog, submitSite catalog.SiteID) (Binding,
 	}
 	return b, nil
 }
+
+// ErrUnbindable is what Binder.Bind returns for a structurally sound plan
+// whose annotations cannot be bound to sites: a scan of a relation the
+// catalog lacks, a copy index beyond the relation's replicas, an annotation
+// the node's kind cannot carry, or an annotation cycle (§2.2.3). It is one
+// fixed value, so a search that rejects ill-formed candidates by the
+// thousand builds no error for them; Binder.Err describes the failure, and
+// the package-level Bind returns that description.
+var ErrUnbindable = errors.New("plan: annotations cannot be bound to sites")
 
 // Binder resolves plans repeatedly while reusing its scratch slices, so a
 // search loop binds candidate after candidate without allocating. It
@@ -43,7 +56,27 @@ type Binder struct {
 	sites  []catalog.SiteID
 	state  []bindState
 	chain  []int
+	fail   bindFailure // why the last Bind returned ErrUnbindable
 }
+
+// bindFailure records an ErrUnbindable result: what went wrong, at which
+// pre-order position, and the one number its message quotes.
+type bindFailure struct {
+	kind failKind
+	pos  int
+	n    int // failCopy: the relation's copy count; failCycle: nodes on cycles
+}
+
+type failKind uint8
+
+const (
+	failNone       failKind = iota
+	failUnknownRel          // a scan of a relation the catalog lacks
+	failCopy                // a primary scan naming a copy beyond the replicas
+	failScanAnn             // a scan annotated neither client nor primary
+	failAnn                 // another operator with an annotation its kind cannot carry
+	failCycle               // operators whose annotations form a cycle
+)
 
 // bindState tracks one position through the resolution of annotations.
 type bindState uint8
@@ -57,8 +90,11 @@ const (
 
 // Bind is the reusable-buffer form of the package-level Bind. It returns
 // the site of every node in pre-order; the slice aliases the Binder's
-// storage and is valid only until the next Bind call.
+// storage and is valid only until the next Bind call. A structurally
+// unsound plan gets CheckStructure's error; a plan whose annotations cannot
+// be bound gets ErrUnbindable, which Err then describes.
 func (bd *Binder) Bind(root *Node, cat *catalog.Catalog, submitSite catalog.SiteID) ([]catalog.SiteID, error) {
+	bd.fail = bindFailure{}
 	if err := CheckStructure(root); err != nil {
 		return nil, err
 	}
@@ -82,7 +118,7 @@ func (bd *Binder) Bind(root *Node, cat *catalog.Catalog, submitSite catalog.Site
 			case AnnClient:
 				bd.bind(i, submitSite)
 			case AnnPrimary:
-				rel, ok := cat.Relation(nd.Table)
+				rel, ok := cat.Lookup(nd.RelID, nd.Table)
 				if ok && nd.Copy < rel.NumCopies() {
 					// Copy 0 is the primary at Home; higher indices bind the
 					// scan to a secondary replica of the relation.
@@ -99,18 +135,18 @@ func (bd *Binder) Bind(root *Node, cat *catalog.Catalog, submitSite catalog.Site
 	}
 	if badScan >= 0 {
 		nd := bd.nodes[badScan]
-		rel, ok := cat.Relation(nd.Table)
-		if !ok {
-			return nil, fmt.Errorf("plan: scan of unknown relation %q", nd.Table)
+		rel, ok := cat.Lookup(nd.RelID, nd.Table)
+		switch {
+		case !ok:
+			return bd.failed(failUnknownRel, badScan, 0)
+		case nd.Ann == AnnPrimary && nd.Copy >= rel.NumCopies():
+			return bd.failed(failCopy, badScan, rel.NumCopies())
 		}
-		if nd.Ann == AnnPrimary && nd.Copy >= rel.NumCopies() {
-			return nil, fmt.Errorf("plan: scan of %q names copy %d, but the relation has %d", nd.Table, nd.Copy, rel.NumCopies())
-		}
-		return nil, fmt.Errorf("plan: scan of %q has invalid annotation %v", nd.Table, nd.Ann)
+		return bd.failed(failScanAnn, badScan, 0)
 	}
-	for i, nd := range bd.nodes {
+	for i := range bd.nodes {
 		if bd.state[i] == stateOpen && bd.ref(i) == refInvalid {
-			return nil, fmt.Errorf("plan: %v has invalid annotation %v", nd.Kind, nd.Ann)
+			return bd.failed(failAnn, i, 0)
 		}
 	}
 
@@ -123,9 +159,38 @@ func (bd *Binder) Bind(root *Node, cat *catalog.Catalog, submitSite catalog.Site
 		}
 	}
 	if cycle > 0 {
-		return nil, fmt.Errorf("plan: ill-formed: %d operator(s) form an annotation cycle", cycle)
+		return bd.failed(failCycle, 0, cycle)
 	}
 	return bd.sites, nil
+}
+
+// failed records why the plan cannot be bound and returns ErrUnbindable.
+func (bd *Binder) failed(kind failKind, pos, n int) ([]catalog.SiteID, error) {
+	bd.fail = bindFailure{kind: kind, pos: pos, n: n}
+	return nil, ErrUnbindable
+}
+
+// Err describes why the last Bind returned ErrUnbindable, in the words the
+// package-level Bind reports; it is nil after any other outcome. Like the
+// sites Bind returns, it refers to the last bound plan, so call it before
+// binding the next one.
+func (bd *Binder) Err() error {
+	f := bd.fail
+	if f.kind == failNone {
+		return nil
+	}
+	nd := bd.nodes[f.pos]
+	switch f.kind {
+	case failUnknownRel:
+		return fmt.Errorf("plan: scan of unknown relation %q", nd.Table)
+	case failCopy:
+		return fmt.Errorf("plan: scan of %q names copy %d, but the relation has %d", nd.Table, nd.Copy, f.n)
+	case failScanAnn:
+		return fmt.Errorf("plan: scan of %q has invalid annotation %v", nd.Table, nd.Ann)
+	case failAnn:
+		return fmt.Errorf("plan: %v has invalid annotation %v", nd.Kind, nd.Ann)
+	}
+	return fmt.Errorf("plan: ill-formed: %d operator(s) form an annotation cycle", f.n)
 }
 
 // index appends n's subtree in pre-order and returns n's position.

@@ -155,8 +155,8 @@ func FuzzPlanWellFormed(f *testing.F) {
 
 // FuzzBinderReuse binds a sequence of fuzzed trees with one reused Binder
 // and checks each result against a fresh package-level Bind: the same
-// accept/reject decision, the same error text, and the same site for every
-// node. Trees of different sizes and shapes follow each other, so scratch
+// accept/reject decision, the same error text (Binder.Err's, for
+// ErrUnbindable), and the same site for every node. Trees of different sizes and shapes follow each other, so scratch
 // left over from an earlier bind cannot hide.
 func FuzzBinderReuse(f *testing.F) {
 	f.Add([]byte{6, 0, 3, 1, 2, 0, 1, 1, 2, 1, 6, 0, 4, 2, 0, 1})
@@ -178,6 +178,9 @@ func FuzzBinderReuse(f *testing.F) {
 				root = tb.build(8)
 			}
 			sites, err := bd.Bind(root, cat, catalog.Client)
+			if err == plan.ErrUnbindable {
+				err = bd.Err()
+			}
 			want, wantErr := plan.Bind(root, cat, catalog.Client)
 			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 				t.Fatalf("tree %d: reused Binder error %v, fresh Bind error %v", k, err, wantErr)

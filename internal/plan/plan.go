@@ -175,6 +175,28 @@ type Node struct {
 	// client-annotated scans and meaningless on other kinds. Zero on every
 	// legacy plan, so unreplicated catalogs bind exactly as before.
 	Copy int
+
+	// RelID caches the catalog ID of the relation a scan reads or a select
+	// filters (RelName). The optimizer sets it once per search on its
+	// private working tree, so the binder, the cost model and the move
+	// enumeration look relations up by slice index. It is only a hint:
+	// readers pass it to catalog.Resolve, which falls back to the name when
+	// the ID is zero or names another relation (a plan optimized against
+	// another catalog). The name stays authoritative, so plan JSON,
+	// AppendKey and String ignore RelID.
+	RelID catalog.RelID
+}
+
+// RelName returns the relation a scan reads or a select filters, and ""
+// for every other kind.
+func (n *Node) RelName() string {
+	switch n.Kind {
+	case KindScan:
+		return n.Table
+	case KindSelect:
+		return n.Rel
+	}
+	return ""
 }
 
 // Constructors for each operator kind.

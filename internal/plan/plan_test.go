@@ -387,3 +387,90 @@ func TestBinderWarmZeroAlloc(t *testing.T) {
 		t.Errorf("warm Bind allocates %v per call, want 0", n)
 	}
 }
+
+// TestBindErrorTexts pins every message a failed binding reports. Binder.Bind
+// returns the ErrUnbindable sentinel for each of them, and both Binder.Err
+// and the package-level Bind give the exact text, with or without a RelID on
+// the failing scan. A structural error passes through Binder.Bind itself.
+func TestBindErrorTexts(t *testing.T) {
+	cat := testCatalog(t, 2)
+	if err := cat.SetCopies("A", []catalog.SiteID{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	scan := func(table string, ann Annotation, copyIdx int) *Node {
+		s := NewScan(table)
+		s.Ann, s.Copy = ann, copyIdx
+		return s
+	}
+	cases := []struct {
+		name string
+		root *Node
+		want string
+	}{
+		{"unknown relation", NewDisplay(scan("Z", AnnPrimary, 0)),
+			`plan: scan of unknown relation "Z"`},
+		{"copy beyond the replicas", NewDisplay(scan("A", AnnPrimary, 2)),
+			`plan: scan of "A" names copy 2, but the relation has 2`},
+		{"copy of an unreplicated relation", NewDisplay(scan("B", AnnPrimary, 1)),
+			`plan: scan of "B" names copy 1, but the relation has 1`},
+		{"scan annotation", NewDisplay(scan("B", AnnInner, 0)),
+			`plan: scan of "B" has invalid annotation inner relation`},
+		{"join annotation", NewDisplay(&Node{Kind: KindJoin, Ann: AnnPrimary,
+			Left: scan("A", AnnPrimary, 0), Right: scan("B", AnnPrimary, 0)}),
+			`plan: join has invalid annotation primary copy`},
+		{"select annotation", NewDisplay(&Node{Kind: KindSelect, Ann: AnnOuter, Rel: "A",
+			Left: scan("A", AnnPrimary, 0)}),
+			`plan: select has invalid annotation outer relation`},
+		{"two-node cycle", func() *Node {
+			j := NewJoin(scan("A", AnnPrimary, 0), scan("B", AnnPrimary, 0))
+			j.Ann = AnnConsumer
+			sel := NewSelect(j, "A")
+			return NewDisplay(sel) // select producer -> join, join consumer -> select
+		}(), `plan: ill-formed: 2 operator(s) form an annotation cycle`},
+		{"two cycles", func() *Node {
+			low := NewJoin(scan("A", AnnPrimary, 0), scan("B", AnnPrimary, 0))
+			low.Ann = AnnConsumer
+			sel := NewSelect(low, "A")
+			top := NewJoin(sel, NewSelect(scan("C", AnnPrimary, 0), "C"))
+			top.Ann = AnnOuter
+			top.Right.Ann = AnnConsumer
+			return NewDisplay(top) // sel<->low, and top<->its right select
+		}(), `plan: ill-formed: 4 operator(s) form an annotation cycle`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, ids := range []bool{false, true} {
+				root := tc.root.Clone()
+				if ids {
+					root.Walk(func(n *Node) {
+						if name := n.RelName(); name != "" {
+							n.RelID = cat.ID(name)
+						}
+					})
+				}
+				var bd Binder
+				if _, err := bd.Bind(root, cat, catalog.Client); err != ErrUnbindable {
+					t.Fatalf("ids=%v: Binder.Bind error %v, want ErrUnbindable", ids, err)
+				}
+				if got := bd.Err(); got == nil || got.Error() != tc.want {
+					t.Errorf("ids=%v: Binder.Err() = %v, want %q", ids, got, tc.want)
+				}
+				if _, err := Bind(root, cat, catalog.Client); err == nil || err.Error() != tc.want {
+					t.Errorf("ids=%v: Bind error = %v, want %q", ids, err, tc.want)
+				}
+			}
+		})
+	}
+
+	var bd Binder
+	if _, err := bd.Bind(NewJoin(NewScan("A"), NewScan("B")), cat, catalog.Client); err == nil ||
+		err == ErrUnbindable || err.Error() != "plan: root must be display, got join" {
+		t.Errorf("structural error = %v, want CheckStructure's", err)
+	}
+	if bd.Err() != nil {
+		t.Errorf("Err() = %v after a structural failure, want nil", bd.Err())
+	}
+	if _, err := bd.Bind(twoJoin(), cat, catalog.Client); err != nil || bd.Err() != nil {
+		t.Errorf("well-formed plan: Bind error %v, Err() %v", err, bd.Err())
+	}
+}

@@ -6,6 +6,7 @@ package query
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -41,6 +42,7 @@ type Query struct {
 	maskOnce  sync.Once
 	relMasks  map[string]uint64
 	predMasks []predMask
+	adjacent  []uint64 // per relation bit: the bits of its join partners
 }
 
 type predMask struct {
@@ -133,10 +135,14 @@ func (q *Query) initMasks() {
 			q.relMasks[r] = 1 << uint(i)
 		}
 		q.predMasks = make([]predMask, 0, len(q.Preds))
+		q.adjacent = make([]uint64, 64) // any mask bit indexes it
 		for _, p := range q.Preds {
-			q.predMasks = append(q.predMasks, predMask{
-				a: q.relMasks[p.A], b: q.relMasks[p.B], sel: p.Selectivity,
-			})
+			pm := predMask{a: q.relMasks[p.A], b: q.relMasks[p.B], sel: p.Selectivity}
+			q.predMasks = append(q.predMasks, pm)
+			if pm.a != 0 && pm.b != 0 {
+				q.adjacent[bits.TrailingZeros64(pm.a)] |= pm.b
+				q.adjacent[bits.TrailingZeros64(pm.b)] |= pm.a
+			}
 		}
 	})
 }
@@ -152,10 +158,13 @@ func (q *Query) RelMask(name string) uint64 {
 }
 
 // ConnectedMask is Connected over relation bitmasks; it allocates nothing.
+// A predicate crosses a and b exactly when some relation of a has a join
+// partner in b, so it tests each set bit of a against that relation's
+// adjacency mask instead of scanning every predicate.
 func (q *Query) ConnectedMask(a, b uint64) bool {
 	q.initMasks()
-	for _, p := range q.predMasks {
-		if (a&p.a != 0 && b&p.b != 0) || (a&p.b != 0 && b&p.a != 0) {
+	for ; a != 0; a &= a - 1 {
+		if q.adjacent[bits.TrailingZeros64(a)]&b != 0 {
 			return true
 		}
 	}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -104,5 +105,81 @@ func TestQuickCrossingSymmetric(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// shapedQuery builds an n-relation query whose join graph is a chain, a
+// star (relation 0 at the hub), a cycle or a clique.
+func shapedQuery(shape string, n int) *Query {
+	q := &Query{ResultTupleBytes: 100}
+	for i := 0; i < n; i++ {
+		q.Relations = append(q.Relations, fmt.Sprintf("R%d", i))
+	}
+	pred := func(i, j int) {
+		q.Preds = append(q.Preds, Pred{A: q.Relations[i], B: q.Relations[j], Selectivity: 0.5})
+	}
+	for i := 1; i < n; i++ {
+		switch shape {
+		case "chain", "cycle":
+			pred(i-1, i)
+		case "star":
+			pred(0, i)
+		case "clique":
+			for j := 0; j < i; j++ {
+				pred(j, i)
+			}
+		}
+	}
+	if shape == "cycle" && n > 2 {
+		pred(n-1, 0)
+	}
+	return q
+}
+
+// TestConnectedMaskMatchesConnected checks the adjacency-mask ConnectedMask
+// against Connected over name sets, for random relation masks (disjoint,
+// overlapping or empty) on each join-graph shape at several widths, up to
+// the full 64 relations a mask can hold.
+func TestConnectedMaskMatchesConnected(t *testing.T) {
+	for _, shape := range []string{"chain", "star", "cycle", "clique"} {
+		for _, n := range []int{2, 3, 7, 12, 64} {
+			q := shapedQuery(shape, n)
+			if err := q.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			full := ^uint64(0) >> (64 - uint(n))
+			names := func(m uint64) map[string]bool {
+				s := map[string]bool{}
+				for i, r := range q.Relations {
+					if m&(1<<uint(i)) != 0 {
+						s[r] = true
+					}
+				}
+				return s
+			}
+			f := func(a, b uint64, disjoint bool) bool {
+				a &= full
+				b &= full
+				if disjoint {
+					b &^= a
+				}
+				return q.ConnectedMask(a, b) == q.Connected(names(a), names(b))
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+				t.Errorf("%s/%d: %v", shape, n, err)
+			}
+			// Single relations against the rest: sparse masks, which random
+			// 64-bit words rarely produce.
+			for i := 0; i < n; i++ {
+				if !f(1<<uint(i), full, true) {
+					t.Errorf("%s/%d: relation %d against the rest disagrees", shape, n, i)
+				}
+				for j := 0; j < n; j++ {
+					if !f(1<<uint(i), 1<<uint(j), false) {
+						t.Errorf("%s/%d: relations %d and %d disagree", shape, n, i, j)
+					}
+				}
+			}
+		}
 	}
 }
