@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	relations := flag.Int("relations", 4, "number of chain relations")
+	relations := flag.Int("relations", 4, "number of chain relations (2 to 64)")
 	servers := flag.Int("servers", 2, "number of servers")
 	policy := flag.String("policy", "HY", "execution policy: DS, QS, or HY")
 	metric := flag.String("metric", "rt", "optimization metric: rt, cost, or pages")

@@ -212,7 +212,9 @@ type JoinPredicate struct {
 	Selectivity float64
 }
 
-// Query is a select-project-join query over declared relations.
+// Query is a select-project-join query over declared relations: at most 64
+// of them, the width of the relation bitmask every plan search and execution
+// uses.
 type Query struct {
 	// Predicates define the join graph; every relation mentioned must be
 	// declared on the system.
@@ -463,11 +465,13 @@ type ExecResult struct {
 	ResultTuples int64   // measured result cardinality
 }
 
-// Execute runs the plan in a fresh simulation of this system.
-func (s *System) Execute(q Query, p *Plan, o ExecOptions) (ExecResult, error) {
+// execConfig builds the engine configuration shared by Execute and
+// ExecuteConcurrent: the query, its join attribute and selection filters,
+// and the external server load.
+func (s *System) execConfig(q Query, o ExecOptions) (exec.Config, error) {
 	iq, err := s.buildQuery(q)
 	if err != nil {
-		return ExecResult{}, err
+		return exec.Config{}, err
 	}
 	next := q.JoinAttribute
 	if next == nil {
@@ -497,6 +501,15 @@ func (s *System) Execute(q Query, p *Plan, o ExecOptions) (ExecResult, error) {
 			cfg.ServerLoad[catalog.SiteID(srv)] = rate
 		}
 	}
+	return cfg, nil
+}
+
+// Execute runs the plan in a fresh simulation of this system.
+func (s *System) Execute(q Query, p *Plan, o ExecOptions) (ExecResult, error) {
+	cfg, err := s.execConfig(q, o)
+	if err != nil {
+		return ExecResult{}, err
+	}
 	res, err := exec.Run(cfg, p.root)
 	if err != nil {
 		return ExecResult{}, err
@@ -521,26 +534,9 @@ type Submission struct {
 // multi-query workloads the paper names as future work (§7). Instances may
 // use different plans and submission times.
 func (s *System) ExecuteConcurrent(q Query, subs []Submission, o ExecOptions) ([]ExecResult, error) {
-	iq, err := s.buildQuery(q)
+	cfg, err := s.execConfig(q, o)
 	if err != nil {
 		return nil, err
-	}
-	next := q.JoinAttribute
-	if next == nil {
-		next = func(_ string, id int64) int64 { return id }
-	}
-	cfg := exec.Config{
-		Params:  s.cfg.execParams(),
-		Catalog: s.cat,
-		Query:   iq,
-		Next:    next,
-		Seed:    o.Seed,
-	}
-	if len(o.ServerLoad) > 0 {
-		cfg.ServerLoad = make(map[catalog.SiteID]float64, len(o.ServerLoad))
-		for srv, rate := range o.ServerLoad {
-			cfg.ServerLoad[catalog.SiteID(srv)] = rate
-		}
 	}
 	runs := make([]exec.QueryRun, len(subs))
 	for i, sub := range subs {

@@ -1,6 +1,7 @@
 package hybridship
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -384,6 +385,61 @@ func TestExecuteConcurrent(t *testing.T) {
 		}
 		if r.ResponseTime < solo.ResponseTime {
 			t.Errorf("query %d: concurrent RT %.2f below solo %.2f", i, r.ResponseTime, solo.ResponseTime)
+		}
+	}
+}
+
+// TestExecuteConcurrentAppliesSelections runs the selection query of
+// TestSelectionsAndCustomJoinAttribute as one concurrent submission at time
+// 0, which must measure exactly what Execute measures: the selection's
+// filter applies on both paths.
+func TestExecuteConcurrentAppliesSelections(t *testing.T) {
+	sys := demoSystem(t, 2, 0)
+	q := Query{
+		Predicates: []JoinPredicate{{Left: "emp", Right: "dept", Selectivity: 1e-4}},
+		Selections: map[string]Selection{
+			"emp": {Selectivity: 0.25, Pass: func(id int64) bool { return id%4 == 0 }},
+		},
+	}
+	pl, err := sys.Optimize(q, OptimizeOptions{Policy: HybridShipping, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := sys.Execute(q, pl, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := sys.ExecuteConcurrent(q, []Submission{{Plan: pl, Start: 0}}, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := results[0]
+	if got.ResultTuples != solo.ResultTuples || got.ResponseTime != solo.ResponseTime {
+		t.Errorf("concurrent run: %d tuples in %v s, Execute: %d tuples in %v s",
+			got.ResultTuples, got.ResponseTime, solo.ResultTuples, solo.ResponseTime)
+	}
+}
+
+// TestWideQueryRejected declares 65 relations, one more than a relation
+// mask holds, and checks that both optimizers refuse their chain query with
+// an error instead of a panic.
+func TestWideQueryRejected(t *testing.T) {
+	var rels []Relation
+	var q Query
+	for i := 0; i < 65; i++ {
+		rels = append(rels, Relation{Name: fmt.Sprint("R", i), Tuples: 100, TupleBytes: 100})
+		if i > 0 {
+			q.Predicates = append(q.Predicates, JoinPredicate{Left: rels[i-1].Name, Right: rels[i].Name, Selectivity: 0.01})
+		}
+	}
+	sys, err := NewSystem(SystemConfig{Servers: 1}, rels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, exhaustive := range []bool{false, true} {
+		_, err := sys.Optimize(q, OptimizeOptions{Policy: HybridShipping, Exhaustive: exhaustive})
+		if err == nil || !strings.Contains(err.Error(), "65 relations exceed the limit of 64") {
+			t.Errorf("exhaustive=%v: error %v, want the relation-limit error", exhaustive, err)
 		}
 	}
 }

@@ -106,20 +106,10 @@ func collectSinks(u *Unit, g *CallGraph, pkg *Package) []detSink {
 // selectSinkDesc describes a scheduler-decided select, or "" for the benign
 // single-case form.
 func selectSinkDesc(sel *ast.SelectStmt) string {
-	comms, def := 0, false
-	for _, clause := range sel.Body.List {
-		if c, ok := clause.(*ast.CommClause); ok {
-			if c.Comm == nil {
-				def = true
-			} else {
-				comms++
-			}
-		}
-	}
-	switch {
-	case comms > 1:
+	switch kind, _ := classifySelect(sel); kind {
+	case selectRandom:
 		return "select choosing among ready communications at random"
-	case def && comms > 0:
+	case selectPoll:
 		return "select with default polling channel readiness"
 	}
 	return ""
@@ -127,27 +117,11 @@ func selectSinkDesc(sel *ast.SelectStmt) string {
 
 // timingSinkDesc describes a wall-clock or global-rand call, or "".
 func timingSinkDesc(pkg *Package, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	f, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || f.Pkg() == nil {
-		return ""
-	}
-	sig, _ := f.Type().(*types.Signature)
-	if sig == nil || sig.Recv() != nil {
-		return ""
-	}
-	switch f.Pkg().Path() {
-	case "time":
-		if f.Name() == "Now" || f.Name() == "Since" {
-			return "wall-clock time." + f.Name()
-		}
-	case "math/rand", "math/rand/v2":
-		if !randConstructors[f.Name()] {
-			return "global math/rand." + f.Name()
-		}
+	switch kind, name := classifyTiming(pkg, call); kind {
+	case wallClock:
+		return "wall-clock time." + name
+	case globalRand:
+		return "global math/rand." + name
 	}
 	return ""
 }

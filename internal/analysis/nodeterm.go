@@ -74,36 +74,65 @@ func runNodeterm(u *Unit) {
 	}
 }
 
-func checkTimingAndRand(u *Unit, pkg *Package, call *ast.CallExpr) {
+// timingKind classifies a call as a wall-clock read, a global-rand call, or
+// neither.
+type timingKind int
+
+const (
+	notTiming  timingKind = iota
+	wallClock             // time.Now, time.Since
+	globalRand            // package-level math/rand other than a constructor
+)
+
+// classifyTiming reports what kind of nondeterministic call call is, and
+// the called function's name. Methods (e.g. (*rand.Rand).Intn) are fine.
+func classifyTiming(pkg *Package, call *ast.CallExpr) (timingKind, string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return
+		return notTiming, ""
 	}
 	f, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || f.Pkg() == nil {
-		return
+		return notTiming, ""
 	}
 	sig, _ := f.Type().(*types.Signature)
-	if sig == nil || sig.Recv() != nil { // methods (e.g. (*rand.Rand).Intn) are fine
-		return
+	if sig == nil || sig.Recv() != nil {
+		return notTiming, ""
 	}
 	switch f.Pkg().Path() {
 	case "time":
 		if f.Name() == "Now" || f.Name() == "Since" {
-			u.Report(call.Pos(), "time.%s reads the wall clock; simulation code must use virtual time (sim.Now)", f.Name())
+			return wallClock, f.Name()
 		}
 	case "math/rand", "math/rand/v2":
 		if !randConstructors[f.Name()] {
-			u.Report(call.Pos(), "global math/rand.%s is shared mutable state; use a *rand.Rand seeded via internal/seedmix", f.Name())
+			return globalRand, f.Name()
 		}
+	}
+	return notTiming, ""
+}
+
+func checkTimingAndRand(u *Unit, pkg *Package, call *ast.CallExpr) {
+	switch kind, name := classifyTiming(pkg, call); kind {
+	case wallClock:
+		u.Report(call.Pos(), "time.%s reads the wall clock; simulation code must use virtual time (sim.Now)", name)
+	case globalRand:
+		u.Report(call.Pos(), "global math/rand.%s is shared mutable state; use a *rand.Rand seeded via internal/seedmix", name)
 	}
 }
 
-// checkSelect flags selects whose outcome depends on goroutine scheduling: a
-// choice between several ready communications is made at random, and a
-// default clause makes the statement a readiness poll. Only a single-case,
-// no-default select — sugar for the plain channel operation — is silent.
-func checkSelect(u *Unit, sel *ast.SelectStmt) {
+// selectKind classifies a select by whether goroutine scheduling decides
+// its outcome.
+type selectKind int
+
+const (
+	selectPlain  selectKind = iota // one case, no default: the plain channel operation
+	selectRandom                   // several communications: a ready one is picked at random
+	selectPoll                     // default beside a communication: a readiness poll
+)
+
+// classifySelect reports sel's kind and its number of communication cases.
+func classifySelect(sel *ast.SelectStmt) (selectKind, int) {
 	comms, def := 0, false
 	for _, clause := range sel.Body.List {
 		if c, ok := clause.(*ast.CommClause); ok {
@@ -116,10 +145,24 @@ func checkSelect(u *Unit, sel *ast.SelectStmt) {
 	}
 	switch {
 	case comms > 1:
+		return selectRandom, comms
+	case def && comms > 0:
+		return selectPoll, comms
+	}
+	return selectPlain, comms
+}
+
+// checkSelect flags selects whose outcome depends on goroutine scheduling: a
+// choice between several ready communications is made at random, and a
+// default clause makes the statement a readiness poll. Only a single-case,
+// no-default select — sugar for the plain channel operation — is silent.
+func checkSelect(u *Unit, sel *ast.SelectStmt) {
+	switch kind, comms := classifySelect(sel); kind {
+	case selectRandom:
 		u.Report(sel.Pos(), "select chooses among %d ready communications at random; "+
 			"cross-goroutine order can reach the result — use the shard coordinator's deterministic merge, "+
 			"or waive with //hslint:allow nodeterm -- why", comms)
-	case def && comms > 0:
+	case selectPoll:
 		u.Report(sel.Pos(), "select with default polls channel readiness; the answer depends on "+
 			"which goroutine ran first — use the shard coordinator's deterministic merge, "+
 			"or waive with //hslint:allow nodeterm -- why")

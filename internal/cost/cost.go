@@ -164,7 +164,7 @@ type nodeInfo struct {
 	pages      float64 // output size in pages
 	rt         float64 // completion time of this node's output
 	site       catalog.SiteID
-	tables     uint64 // base-relation bitmask (when Query.MaskSupported)
+	tables     uint64 // base-relation bitmask (Query.RelMask)
 }
 
 // accum aggregates resource consumption for the total-cost metric and the
@@ -533,15 +533,7 @@ func (e *Estimator) evalJoin(n *plan.Node, site catalog.SiteID, out *nodeInfo) {
 	innerShip := e.ship(inner.site, site, inner.pages, true)
 	outerShip := e.ship(outer.site, site, outer.pages, true)
 
-	// The mask fast path avoids building two base-table map sets per join
-	// per candidate evaluation — the optimizer's dominant allocation.
-	var sel float64
-	if m.Query.MaskSupported() {
-		sel = m.Query.JoinSelectivityMask(inner.tables, outer.tables)
-	} else {
-		sel = m.Query.JoinSelectivity(n.Left.BaseTables(), n.Right.BaseTables())
-	}
-	outCard := inner.card * outer.card * sel
+	outCard := inner.card * outer.card * m.Query.JoinSelectivity(inner.tables, outer.tables)
 	outBytes := m.Query.ResultTupleBytes
 	outPages := pagesOf(outCard, outBytes, p.PageSize)
 

@@ -13,26 +13,23 @@ import (
 	"hybridship/internal/sim"
 )
 
-// fillCoherent serves a run of cached-prefix pages through client s.client's
+// fillCoherent serves cached-prefix page pg through client s.client's
 // private cache: renew the lease if it is no longer fresh, then either read
-// the valid run from the client disk (exactly the legacy charge: DiskInst
-// CPU plus one scatter-gather read) or refetch an invalidated run from the
-// home server through the ordinary page-fault path. Returns the run length
-// actually paid for (<= n: a run never mixes valid and invalid pages, so
-// each run uses one transport).
-func (s *scanOp) fillCoherent(p *sim.Proc, pg, n int) int {
+// the valid page from the client disk (exactly the legacy charge: DiskInst
+// CPU plus one read) or refetch an invalidated page from the home server
+// through the ordinary page-fault path.
+func (s *scanOp) fillCoherent(p *sim.Proc, pg int) {
 	st := s.e.coh
 	params := s.e.cfg.Params
 	if !st.LeaseFresh(s.client, int(s.src.id), s.e.sim.Now()) {
 		s.renewLease(p)
 	}
-	m, valid := st.CachedRun(s.client, s.cohRI, pg, n)
-	if !valid {
-		st.NoteCacheMiss(s.client, m)
-		s.faultRun(p, pg, m)
-		return m
+	if _, valid := st.CachedRun(s.client, s.cohRI, pg, 1); !valid {
+		st.NoteCacheMiss(s.client, 1)
+		s.faultRun(p, pg)
+		return
 	}
-	stale := st.RecordCachedRead(s.client, s.cohRI, pg, m)
+	stale := st.RecordCachedRead(s.client, s.cohRI, pg, 1)
 	if stale > 0 {
 		if s.att != nil {
 			s.att.cohStale += int64(stale)
@@ -41,9 +38,8 @@ func (s *scanOp) fillCoherent(p *sim.Proc, pg, n int) int {
 			st.NoteCommittedReads(int64(stale))
 		}
 	}
-	s.atSite.chargeCPU(p, params, params.DiskInst*float64(m))
-	s.atSite.readRun(p, s.cacheExt.plus(pg), m)
-	return m
+	s.atSite.chargeCPU(p, params, params.DiskInst)
+	s.atSite.read(p, s.cacheExt.plus(pg))
 }
 
 // renewLease performs one lease-renewal round trip with the relation's home

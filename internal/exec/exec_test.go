@@ -5,6 +5,7 @@ import (
 
 	"hybridship/internal/catalog"
 	"hybridship/internal/plan"
+	"hybridship/internal/query"
 	"hybridship/internal/workload"
 )
 
@@ -43,6 +44,20 @@ func leftDeepChain(n int) *plan.Node {
 		tree = plan.NewJoin(tree, plan.NewScan(workload.RelName(i)))
 	}
 	return plan.NewDisplay(tree)
+}
+
+// TestWideQueryRejected checks that Run returns Validate's error for a chain
+// one relation wider than a relation mask, rather than panicking.
+func TestWideQueryRejected(t *testing.T) {
+	n := query.MaxRelations + 1
+	cfg := chainConfig(t, n, 4, workload.Moderate, true)
+	want := cfg.Query.Validate()
+	if want == nil {
+		t.Fatalf("Validate accepted a %d-relation query", n)
+	}
+	if _, err := Run(cfg, annotate(leftDeepChain(n), plan.QueryShipping)); err == nil || err.Error() != want.Error() {
+		t.Errorf("Run: error %v, want %v", err, want)
+	}
 }
 
 func TestQueryShipping2WayCardinality(t *testing.T) {

@@ -1,6 +1,10 @@
 package exec
 
-import "hybridship/internal/query"
+import (
+	"math/bits"
+
+	"hybridship/internal/query"
+)
 
 // hashTable is the hash join's build-side table. Its candidate semantics are
 // part of the calibrated schedule, because the candidate count is charged
@@ -165,19 +169,19 @@ type keyer struct {
 	next    func(rel string, id int64) int64
 }
 
-// newKeyer prepares key extraction for one join side. side maps relation
-// names to true for relations available on that side.
-func newKeyer(q *query.Query, relIdx map[string]int, side map[string]bool, other map[string]bool,
-	next func(string, int64) int64) *keyer {
+// newKeyer prepares key extraction for one join side. side and other are
+// the relation masks (Query.RelMask) of the two sides; a relation's mask
+// bit is its tuple slot.
+func newKeyer(q *query.Query, side, other uint64, next func(string, int64) int64) *keyer {
 	k := &keyer{next: next}
 	for _, p := range q.CrossingPreds(side, other) {
-		switch {
-		case side[p.A]:
-			k.slots = append(k.slots, relIdx[p.A])
+		switch a, b := q.RelMask(p.A), q.RelMask(p.B); {
+		case side&a != 0:
+			k.slots = append(k.slots, bits.TrailingZeros64(a))
 			k.applyNx = append(k.applyNx, true)
 			k.rels = append(k.rels, p.A)
-		case side[p.B]:
-			k.slots = append(k.slots, relIdx[p.B])
+		case side&b != 0:
+			k.slots = append(k.slots, bits.TrailingZeros64(b))
 			k.applyNx = append(k.applyNx, false)
 			k.rels = append(k.rels, p.B)
 		}

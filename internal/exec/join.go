@@ -184,14 +184,14 @@ type hashJoin struct {
 }
 
 func (e *engine) newHashJoin(at catalog.SiteID, inner, outer iterator,
-	innerTables, outerTables map[string]bool, innerPages, outerPages int, acc *chargeAcc) *hashJoin {
+	innerTables, outerTables uint64, innerPages, outerPages int, acc *chargeAcc) *hashJoin {
 	j := &hashJoin{
 		e:      e,
 		atSite: e.site(at),
 		inner:  inner,
 		outer:  outer,
-		bkey:   newKeyer(e.cfg.Query, e.relIdx, innerTables, outerTables, e.cfg.Next),
-		pkey:   newKeyer(e.cfg.Query, e.relIdx, outerTables, innerTables, e.cfg.Next),
+		bkey:   newKeyer(e.cfg.Query, innerTables, outerTables, e.cfg.Next),
+		pkey:   newKeyer(e.cfg.Query, outerTables, innerTables, e.cfg.Next),
 		acc:    acc,
 		tpp:    tuplesPerPage(e.cfg.Params.PageSize, e.cfg.Query.ResultTupleBytes),
 		w:      len(e.relIdx),
@@ -202,10 +202,11 @@ func (e *engine) newHashJoin(at catalog.SiteID, inner, outer iterator,
 	// is one of the subtree's base tables (scans set only their own slot;
 	// joins merge disjoint sides). So merge(build, probe) resolves each
 	// column to a fixed side for the whole join — precompute the split and
-	// emitMerged never re-checks absent per value.
+	// emitMerged never re-checks absent per value. Column i is the slot of
+	// Relations[i], whose mask bit is i.
 	j.fromBuild = make([]bool, j.w)
-	for rel, idx := range e.relIdx { //hslint:ordered -- slot-indexed: each relation writes its own index, order cannot reach the result
-		j.fromBuild[idx] = innerTables[rel]
+	for i := range j.fromBuild {
+		j.fromBuild[i] = innerTables&(1<<uint(i)) != 0
 	}
 	return j
 }

@@ -17,8 +17,7 @@ func TestVecProbeEmitZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := map[string]bool{"R0": true}
-	outer := map[string]bool{"R1": true}
+	inner, outer := cfg.Query.RelMask("R0"), cfg.Query.RelMask("R1")
 	j := e.newHashJoin(catalog.Client, nil, nil, inner, outer, 4, 4, &chargeAcc{site: e.client})
 	j.table = e.pool.getTable(j.w, len(j.bkey.slots))
 

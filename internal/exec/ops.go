@@ -52,7 +52,7 @@ func (e *engine) build(n *plan.Node, b plan.Binding, consumerSite catalog.SiteID
 	case plan.KindJoin:
 		inner := e.build(n.Left, b, site, att, sub)
 		outer := e.build(n.Right, b, site, att, sub)
-		it = e.newHashJoin(site, inner, outer, n.Left.BaseTables(), n.Right.BaseTables(),
+		it = e.newHashJoin(site, inner, outer, e.tables(n.Left), e.tables(n.Right),
 			e.estPages(n.Left), e.estPages(n.Right), sub)
 	default:
 		panic(fmt.Sprintf("exec: cannot build operator for %v", n.Kind))
@@ -174,23 +174,23 @@ func (s *scanOp) fill(p *sim.Proc, pg int) {
 	case pg < s.cachedPages:
 		// Cached prefix on the client disk.
 		if s.e.coh != nil {
-			s.fillCoherent(p, pg, 1)
+			s.fillCoherent(p, pg)
 			return
 		}
 		s.atSite.chargeCPU(p, params, params.DiskInst)
 		s.atSite.read(p, s.atSite.extents[s.rel].plus(pg))
 	default:
-		s.faultRun(p, pg, 1)
+		s.faultRun(p, pg)
 	}
 }
 
-// faultRun pays one page-fault round trip for pages [pg, pg+n): synchronous
+// faultRun pays one page-fault round trip for page pg: synchronous
 // request/response with the fetch source (the home server, or the replica
 // failover chose). The paper notes DS pays for the lack of overlap here
 // (§4.2.3). Under fault injection the round trip is bounded by a watchdog: a
 // server that died (or a partitioned link) just never answers, and only the
 // timeout can tell that apart from queueing delay.
-func (s *scanOp) faultRun(p *sim.Proc, pg, n int) {
+func (s *scanOp) faultRun(p *sim.Proc, pg int) {
 	params := s.e.cfg.Params
 	var sendT float64
 	var seq int64
@@ -218,8 +218,8 @@ func (s *scanOp) faultRun(p *sim.Proc, pg, n int) {
 	}
 	s.atSite.chargeCPU(p, params, params.msgCPUInstr(ctrlMsgBytes))
 	s.e.net.Transmit(p, ctrlMsgBytes, false)
-	s.src.pager.fetchRun(p, s.src.extents[s.rel].plus(pg), n, s.reply)
-	s.atSite.chargeCPU(p, params, params.msgCPUInstr(n*params.PageSize))
+	s.src.pager.fetchRun(p, s.src.extents[s.rel].plus(pg), 1, s.reply)
+	s.atSite.chargeCPU(p, params, params.msgCPUInstr(params.PageSize))
 	if s.att != nil {
 		s.att.endFetch()
 		// A completed round trip is positive evidence the source is healthy.
@@ -229,10 +229,10 @@ func (s *scanOp) faultRun(p *sim.Proc, pg, n int) {
 	}
 	if c := s.e.coh; c != nil {
 		// The round trip completed: it counts as a contact (syncs pending
-		// invalidations, renews the lease as of sendT) and the fetched pages
+		// invalidations, renews the lease as of sendT) and the fetched page
 		// may be cached if no commit raced the fetch.
 		c.SyncContact(s.client, int(s.src.id), sendT)
-		c.RegisterFetch(s.client, s.cohRI, pg, n, seq)
+		c.RegisterFetch(s.client, s.cohRI, pg, 1, seq)
 	}
 }
 

@@ -108,7 +108,7 @@ func (e *engine) estCard(n *plan.Node) (float64, int) {
 	case plan.KindJoin:
 		cl, _ := e.estCard(n.Left)
 		cr, _ := e.estCard(n.Right)
-		sel := e.cfg.Query.JoinSelectivity(n.Left.BaseTables(), n.Right.BaseTables())
+		sel := e.cfg.Query.JoinSelectivity(e.tables(n.Left), e.tables(n.Right))
 		return cl * cr * sel, e.cfg.Query.ResultTupleBytes
 	case plan.KindAgg:
 		card, bytes := e.estCard(n.Left)
@@ -118,6 +118,18 @@ func (e *engine) estCard(n *plan.Node) (float64, int) {
 		return card, bytes
 	}
 	panic("exec: estCard on non-relational node")
+}
+
+// tables is the relation mask (Query.RelMask) of the base relations
+// scanned under n.
+func (e *engine) tables(n *plan.Node) uint64 {
+	var m uint64
+	n.Walk(func(s *plan.Node) {
+		if s.Kind == plan.KindScan {
+			m |= e.cfg.Query.RelMask(s.Table)
+		}
+	})
+	return m
 }
 
 func (e *engine) estPages(n *plan.Node) int {

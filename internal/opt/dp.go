@@ -152,7 +152,7 @@ func (d *DP) Optimize() (Result, error) {
 				continue
 			}
 			// Bit i of a DP mask is q.Relations[i], as in the query's masks.
-			if !q.ConnectedMask(uint64(left), uint64(right)) {
+			if !q.Connected(uint64(left), uint64(right)) {
 				continue
 			}
 			for _, le := range best[left] {

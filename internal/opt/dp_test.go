@@ -70,7 +70,7 @@ func TestDPAvoidsCartesianProducts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, j := range res.Plan.Joins() {
-		if !q.Connected(j.Left.BaseTables(), j.Right.BaseTables()) {
+		if !connectedByName(q, tableSet(j.Left), tableSet(j.Right)) {
 			t.Fatalf("DP plan contains a Cartesian product:\n%s", res.Plan)
 		}
 	}

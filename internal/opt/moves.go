@@ -66,11 +66,17 @@ type relBits struct {
 	bits []uint64 // the bit of the relation with catalog ID id is bits[id-1]
 }
 
+// newRelBits sets bit i for Relations[i], as Query.RelMask does, without
+// calling it: New runs before any search has validated the query, and
+// RelMask panics on one too wide to validate.
 func newRelBits(q *query.Query, cat *catalog.Catalog) relBits {
 	r := relBits{cat: cat, q: q}
 	if cat != nil {
-		for _, name := range cat.Relations() {
-			r.bits = append(r.bits, q.RelMask(name))
+		r.bits = make([]uint64, len(cat.Relations()))
+		for i, name := range q.Relations {
+			if id := cat.ID(name); id != 0 {
+				r.bits[id-1] = 1 << uint(i)
+			}
 		}
 	}
 	return r
@@ -101,11 +107,11 @@ func resolveRelIDs(n *plan.Node, cat *catalog.Catalog) {
 }
 
 // shapeIndex records, per pre-order position of a node index, the size of
-// the subtree rooted there and the base-relation bitmask it scans (0 for
-// queries too wide for masks). A node's left child, if any, is at i+1 and its
-// right child at i+1+size[i+1]. It is a pure function of the tree's shape,
-// built once per shape alongside indexNodes so the move enumeration looks
-// masks up instead of re-walking subtrees.
+// the subtree rooted there and the base-relation bitmask it scans. A node's
+// left child, if any, is at i+1 and its right child at i+1+size[i+1]. It is
+// a pure function of the tree's shape, built once per shape alongside
+// indexNodes so the move enumeration looks masks up instead of re-walking
+// subtrees.
 type shapeIndex struct {
 	size []int
 	mask []uint64
@@ -150,18 +156,8 @@ func (s *shapeIndex) children(i int) (left, right int) {
 // server-side scans, so an unreplicated catalog enumerates exactly the
 // legacy move list. The result depends only on the tree's shape (plus the
 // fixed policy and catalog), so callers cache it until a join-order move is
-// accepted.
+// accepted. It allocates nothing beyond growing buf; shape must index nodes.
 func candidateMoves(q *query.Query, opts Options, cat *catalog.Catalog, nodes []*plan.Node, shape *shapeIndex, buf []move) []move {
-	if q.MaskSupported() {
-		return candidateMovesMask(q, opts, cat, nodes, shape, buf)
-	}
-	return candidateMovesMaps(q, opts, cat, nodes, buf)
-}
-
-// candidateMovesMask is the allocation-free enumeration over relation
-// bitmasks, used for every query of at most 64 relations. shape must index
-// nodes.
-func candidateMovesMask(q *query.Query, opts Options, cat *catalog.Catalog, nodes []*plan.Node, shape *shapeIndex, buf []move) []move {
 	moves := buf[:0]
 	mask := shape.mask
 	for i, n := range nodes {
@@ -169,12 +165,16 @@ func candidateMovesMask(q *query.Query, opts Options, cat *catalog.Catalog, node
 		case plan.KindJoin:
 			ai, bi := shape.children(i)
 			if !opts.FixedJoinOrder && opts.LeftDeepOnly {
+				// Moves closed over the left-deep space: swap the outer with
+				// the adjacent lower outer, and commute the bottom join.
+				// Both are compositions of the paper's moves 1-4 (e.g.
+				// (X⋈A)⋈B → X⋈(A⋈B) → (X⋈B)⋈A).
 				a := n.Left
 				if a.Kind == plan.KindJoin {
 					xi, aRi := shape.children(ai)
 					tx, ta := mask[xi], mask[aRi]
 					tb := mask[bi]
-					if q.ConnectedMask(tx, tb) && q.ConnectedMask(tx|tb, ta) {
+					if q.Connected(tx, tb) && q.Connected(tx|tb, ta) {
 						moves = append(moves, move{i, mvSwapAdjacent, 0})
 					}
 				}
@@ -189,10 +189,10 @@ func candidateMovesMask(q *query.Query, opts Options, cat *catalog.Catalog, node
 					aLi, aRi := shape.children(ai)
 					ta, tb := mask[aLi], mask[aRi]
 					tc := mask[bi]
-					if q.ConnectedMask(tb, tc) && q.ConnectedMask(ta, tb|tc) {
+					if q.Connected(tb, tc) && q.Connected(ta, tb|tc) {
 						moves = append(moves, move{i, mvAssocLeftToRight, 0})
 					}
-					if q.ConnectedMask(ta, tc) && q.ConnectedMask(tb, ta|tc) {
+					if q.Connected(ta, tc) && q.Connected(tb, ta|tc) {
 						moves = append(moves, move{i, mvExchangeLeft, 0})
 					}
 				}
@@ -201,70 +201,10 @@ func candidateMovesMask(q *query.Query, opts Options, cat *catalog.Catalog, node
 					ta := mask[ai]
 					bLi, bRi := shape.children(bi)
 					tb, tc := mask[bLi], mask[bRi]
-					if q.ConnectedMask(ta, tb) && q.ConnectedMask(ta|tb, tc) {
+					if q.Connected(ta, tb) && q.Connected(ta|tb, tc) {
 						moves = append(moves, move{i, mvAssocRightToLeft, 0})
 					}
-					if q.ConnectedMask(ta, tc) && q.ConnectedMask(ta|tc, tb) {
-						moves = append(moves, move{i, mvExchangeRight, 0})
-					}
-				}
-				if opts.Commutativity {
-					moves = append(moves, move{i, mvCommute, 0})
-				}
-			}
-			moves = appendAnnMoves(moves, i, mvJoinAnn, plan.KindJoin, opts.Policy)
-		case plan.KindSelect, plan.KindAgg:
-			moves = appendAnnMoves(moves, i, mvSelectAnn, n.Kind, opts.Policy)
-		case plan.KindScan:
-			moves = appendAnnMoves(moves, i, mvScanAnn, plan.KindScan, opts.Policy)
-			moves = appendCopyMoves(moves, i, n, cat, opts.Policy)
-		}
-	}
-	return moves
-}
-
-// candidateMovesMaps is the map-set fallback for queries too wide for
-// bitmasks.
-func candidateMovesMaps(q *query.Query, opts Options, cat *catalog.Catalog, nodes []*plan.Node, buf []move) []move {
-	moves := buf[:0]
-	for i, n := range nodes {
-		switch n.Kind {
-		case plan.KindJoin:
-			if !opts.FixedJoinOrder && opts.LeftDeepOnly {
-				// Moves closed over the left-deep space: swap the outer with
-				// the adjacent lower outer, and commute the bottom join.
-				// Both are compositions of the paper's moves 1-4 (e.g.
-				// (X⋈A)⋈B → X⋈(A⋈B) → (X⋈B)⋈A).
-				a, b := n.Left, n.Right
-				if a.Kind == plan.KindJoin {
-					tx, ta, tb := a.Left.BaseTables(), a.Right.BaseTables(), b.BaseTables()
-					if q.Connected(tx, tb) && q.Connected(union(tx, tb), ta) {
-						moves = append(moves, move{i, mvSwapAdjacent, 0})
-					}
-				}
-				if opts.Commutativity && a.Kind != plan.KindJoin {
-					moves = append(moves, move{i, mvCommute, 0})
-				}
-			}
-			if !opts.FixedJoinOrder && !opts.LeftDeepOnly {
-				a, b := n.Left, n.Right
-				if a.Kind == plan.KindJoin {
-					// (A⋈B)⋈C with A=a.Left, B=a.Right, C=b
-					ta, tb, tc := a.Left.BaseTables(), a.Right.BaseTables(), b.BaseTables()
-					if q.Connected(tb, tc) && q.Connected(ta, union(tb, tc)) {
-						moves = append(moves, move{i, mvAssocLeftToRight, 0})
-					}
-					if q.Connected(ta, tc) && q.Connected(tb, union(ta, tc)) {
-						moves = append(moves, move{i, mvExchangeLeft, 0})
-					}
-				}
-				if b.Kind == plan.KindJoin {
-					// A⋈(B⋈C) with A=a, B=b.Left, C=b.Right
-					ta, tb, tc := a.BaseTables(), b.Left.BaseTables(), b.Right.BaseTables()
-					if q.Connected(ta, tb) && q.Connected(union(ta, tb), tc) {
-						moves = append(moves, move{i, mvAssocRightToLeft, 0})
-					}
-					if q.Connected(ta, tc) && q.Connected(union(ta, tc), tb) {
+					if q.Connected(ta, tc) && q.Connected(ta|tc, tb) {
 						moves = append(moves, move{i, mvExchangeRight, 0})
 					}
 				}

@@ -30,7 +30,6 @@ import (
 	"hybridship/internal/catalog"
 	"hybridship/internal/cost"
 	"hybridship/internal/plan"
-	"hybridship/internal/query"
 )
 
 // Options configures one optimizer instance.
@@ -157,6 +156,11 @@ func (o *Optimizer) finish(r Result) (Result, error) {
 // winner is chosen by (value, start index), so the result is identical
 // whatever the worker count or scheduling.
 func (o *Optimizer) Optimize() (Result, error) {
+	// Validate up front: each worker's estimator reads the query's
+	// relation masks, which only a valid query has.
+	if err := o.model.Query.Validate(); err != nil {
+		return Result{}, err
+	}
 	type iiOut struct {
 		res Result
 		err error
@@ -220,6 +224,9 @@ func (o *Optimizer) Optimize() (Result, error) {
 // The join-order restriction travels in a copied Options value — the
 // shared receiver is never mutated.
 func (o *Optimizer) OptimizeFrom(root *plan.Node) (Result, error) {
+	if err := o.model.Query.Validate(); err != nil {
+		return Result{}, err
+	}
 	r := root.Clone()
 	_, e, ok := o.evaluate(r)
 	if !ok {
@@ -274,11 +281,11 @@ func (o *Optimizer) randomJoinTree(rng *rand.Rand) (*plan.Node, error) {
 	q := o.model.Query
 	type comp struct {
 		node *plan.Node
-		rels relSet
+		rels uint64
 	}
 	var comps []comp
 	for i := range q.Relations {
-		comps = append(comps, comp{node: o.leaf(i), rels: single(q, i)})
+		comps = append(comps, comp{node: o.leaf(i), rels: 1 << uint(i)})
 	}
 	for len(comps) > 1 {
 		// Collect joinable pairs.
@@ -286,7 +293,7 @@ func (o *Optimizer) randomJoinTree(rng *rand.Rand) (*plan.Node, error) {
 		var pairs []pair
 		for i := 0; i < len(comps); i++ {
 			for j := i + 1; j < len(comps); j++ {
-				if connected(q, comps[i].rels, comps[j].rels) {
+				if q.Connected(comps[i].rels, comps[j].rels) {
 					pairs = append(pairs, pair{i, j})
 				}
 			}
@@ -301,7 +308,7 @@ func (o *Optimizer) randomJoinTree(rng *rand.Rand) (*plan.Node, error) {
 		}
 		joined := comp{
 			node: plan.NewJoin(comps[i].node, comps[j].node),
-			rels: comps[i].rels.union(comps[j].rels),
+			rels: comps[i].rels | comps[j].rels,
 		}
 		// Remove the two inputs (higher index first) and append the join.
 		hi, lo := pk.i, pk.j
@@ -349,12 +356,12 @@ func (o *Optimizer) randomLeftDeepTree(rng *rand.Rand) (*plan.Node, error) {
 
 	start := rng.Intn(len(q.Relations))
 	tree := o.leaf(start)
-	joined := single(q, start)
+	joined := uint64(1) << uint(start)
 	var candidates []int
 	for added := 1; added < len(q.Relations); added++ {
 		candidates = candidates[:0]
 		for _, i := range byName {
-			if !joined.has(q, i) && connected(q, joined, single(q, i)) {
+			if bit := uint64(1) << uint(i); joined&bit == 0 && q.Connected(joined, bit) {
 				candidates = append(candidates, i)
 			}
 		}
@@ -362,57 +369,8 @@ func (o *Optimizer) randomLeftDeepTree(rng *rand.Rand) (*plan.Node, error) {
 			return nil, fmt.Errorf("opt: query join graph is disconnected")
 		}
 		i := candidates[rng.Intn(len(candidates))]
-		joined = joined.union(single(q, i))
+		joined |= 1 << uint(i)
 		tree = plan.NewJoin(tree, o.leaf(i))
 	}
 	return tree, nil
-}
-
-// relSet is a set of the query's relations: a bitmask over relation
-// indices when the query fits in one word (Query.MaskSupported), else a
-// set of names.
-type relSet struct {
-	mask  uint64
-	names map[string]bool
-}
-
-// single is the set holding the query's i-th relation.
-func single(q *query.Query, i int) relSet {
-	if q.MaskSupported() {
-		return relSet{mask: 1 << uint(i)}
-	}
-	return relSet{names: map[string]bool{q.Relations[i]: true}}
-}
-
-func (s relSet) has(q *query.Query, i int) bool {
-	if s.names == nil {
-		return s.mask&(1<<uint(i)) != 0
-	}
-	return s.names[q.Relations[i]]
-}
-
-func (s relSet) union(t relSet) relSet {
-	if s.names == nil {
-		return relSet{mask: s.mask | t.mask}
-	}
-	return relSet{names: union(s.names, t.names)}
-}
-
-// connected is Query.ConnectedMask or Query.Connected, by representation.
-func connected(q *query.Query, a, b relSet) bool {
-	if a.names == nil {
-		return q.ConnectedMask(a.mask, b.mask)
-	}
-	return q.Connected(a.names, b.names)
-}
-
-func union(a, b map[string]bool) map[string]bool {
-	u := make(map[string]bool, len(a)+len(b))
-	for k := range a {
-		u[k] = true
-	}
-	for k := range b {
-		u[k] = true
-	}
-	return u
 }

@@ -74,7 +74,7 @@ func TestRandomPlanAvoidsCartesianProducts(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, j := range r.Plan.Joins() {
-			if !q.Connected(j.Left.BaseTables(), j.Right.BaseTables()) {
+			if !connectedByName(q, tableSet(j.Left), tableSet(j.Right)) {
 				t.Fatalf("Cartesian product in random plan:\n%s", r.Plan)
 			}
 		}
@@ -94,12 +94,12 @@ func TestNeighborPreservesTables(t *testing.T) {
 		if !ok {
 			t.Fatal("no moves available on a 6-way join")
 		}
-		bt := next.BaseTables()
+		bt := tableSet(next)
 		if len(bt) != 6 {
 			t.Fatalf("move lost base tables: %v\n%s", bt, next)
 		}
 		for _, j := range next.Joins() {
-			if !q.Connected(j.Left.BaseTables(), j.Right.BaseTables()) {
+			if !connectedByName(q, tableSet(j.Left), tableSet(j.Right)) {
 				t.Fatalf("move introduced Cartesian product:\n%s", next)
 			}
 		}

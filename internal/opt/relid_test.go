@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -24,8 +25,92 @@ func starEnv(n, servers int) (*catalog.Catalog, *query.Query) {
 	return cat, q
 }
 
+// tableSet is the set of relation names scanned under n, found by walking
+// the tree.
+func tableSet(n *plan.Node) map[string]bool {
+	s := map[string]bool{}
+	n.Walk(func(m *plan.Node) {
+		if m.Kind == plan.KindScan {
+			s[m.Table] = true
+		}
+	})
+	return s
+}
+
+// connectedByName reports whether some predicate of q joins a relation of
+// a to one of b, by a scan over q.Preds.
+func connectedByName(q *query.Query, a, b map[string]bool) bool {
+	for _, p := range q.Preds {
+		if (a[p.A] && b[p.B]) || (a[p.B] && b[p.A]) {
+			return true
+		}
+	}
+	return false
+}
+
+func unionSet(a, b map[string]bool) map[string]bool {
+	u := maps.Clone(a)
+	maps.Copy(u, b)
+	return u
+}
+
+// candidateMovesByName is an independent reference for candidateMoves: the
+// same enumeration, with each subtree's relations found by walking the tree
+// and connectivity tested by scanning the predicates, instead of through the
+// shape index and the query's adjacency masks.
+func candidateMovesByName(q *query.Query, opts Options, cat *catalog.Catalog, nodes []*plan.Node) []move {
+	var moves []move
+	for i, n := range nodes {
+		switch n.Kind {
+		case plan.KindJoin:
+			a, b := n.Left, n.Right
+			if !opts.FixedJoinOrder && opts.LeftDeepOnly {
+				if a.Kind == plan.KindJoin {
+					tx, ta, tb := tableSet(a.Left), tableSet(a.Right), tableSet(b)
+					if connectedByName(q, tx, tb) && connectedByName(q, unionSet(tx, tb), ta) {
+						moves = append(moves, move{i, mvSwapAdjacent, 0})
+					}
+				}
+				if opts.Commutativity && a.Kind != plan.KindJoin {
+					moves = append(moves, move{i, mvCommute, 0})
+				}
+			}
+			if !opts.FixedJoinOrder && !opts.LeftDeepOnly {
+				if a.Kind == plan.KindJoin {
+					ta, tb, tc := tableSet(a.Left), tableSet(a.Right), tableSet(b)
+					if connectedByName(q, tb, tc) && connectedByName(q, ta, unionSet(tb, tc)) {
+						moves = append(moves, move{i, mvAssocLeftToRight, 0})
+					}
+					if connectedByName(q, ta, tc) && connectedByName(q, tb, unionSet(ta, tc)) {
+						moves = append(moves, move{i, mvExchangeLeft, 0})
+					}
+				}
+				if b.Kind == plan.KindJoin {
+					ta, tb, tc := tableSet(a), tableSet(b.Left), tableSet(b.Right)
+					if connectedByName(q, ta, tb) && connectedByName(q, unionSet(ta, tb), tc) {
+						moves = append(moves, move{i, mvAssocRightToLeft, 0})
+					}
+					if connectedByName(q, ta, tc) && connectedByName(q, unionSet(ta, tc), tb) {
+						moves = append(moves, move{i, mvExchangeRight, 0})
+					}
+				}
+				if opts.Commutativity {
+					moves = append(moves, move{i, mvCommute, 0})
+				}
+			}
+			moves = appendAnnMoves(moves, i, mvJoinAnn, plan.KindJoin, opts.Policy)
+		case plan.KindSelect, plan.KindAgg:
+			moves = appendAnnMoves(moves, i, mvSelectAnn, n.Kind, opts.Policy)
+		case plan.KindScan:
+			moves = appendAnnMoves(moves, i, mvScanAnn, plan.KindScan, opts.Policy)
+			moves = appendCopyMoves(moves, i, n, cat, opts.Policy)
+		}
+	}
+	return moves
+}
+
 // TestCandidateMovesMaskMatchesMaps checks the bitmask move enumeration
-// against the map-set fallback, move for move and in order, on random plans
+// against candidateMovesByName, move for move and in order, on random plans
 // of 3 to 12 relations and on the plans a random walk of moves reaches from
 // them. It covers chain and star join graphs, a replicated catalog (copy
 // moves), and every option that changes the move set.
@@ -64,8 +149,8 @@ func TestCandidateMovesMaskMatchesMaps(t *testing.T) {
 					var u undoRec
 					for step := 0; step < 40; step++ {
 						shape.build(&o.bits, nodes)
-						masks := candidateMovesMask(q, o.opts, cat, nodes, &shape, nil)
-						maps := candidateMovesMaps(q, o.opts, cat, nodes, nil)
+						masks := candidateMoves(q, o.opts, cat, nodes, &shape, nil)
+						maps := candidateMovesByName(q, o.opts, cat, nodes)
 						if !slices.Equal(masks, maps) {
 							t.Fatalf("%s start %d step %d: mask moves %v, map moves %v\n%s",
 								name, start, step, masks, maps, r.Plan)
@@ -83,48 +168,49 @@ func TestCandidateMovesMaskMatchesMaps(t *testing.T) {
 	}
 }
 
-// TestWideQueryFallback runs a 65-relation chain, one relation more than a
-// relation bitmask holds, through RandomPlan and 200 in-place HY search
-// steps. Every step's memoized estimate must equal a fresh by-name bind and
-// estimate of the same tree. The start is a QS plan: a random HY
-// annotation of 130 operators is almost never well-formed.
-func TestWideQueryFallback(t *testing.T) {
-	cat, q := chainEnv(65, 5, 0.5)
-	if q.MaskSupported() {
-		t.Fatal("65 relations should not fit a mask")
+// wideChainEnv is chainEnv with one relation more than a relation mask
+// holds. It is built unvalidated: Validate rejects it.
+func wideChainEnv() (*catalog.Catalog, *query.Query) {
+	cat, q := chainEnv(query.MaxRelations, 5, 0)
+	name := fmt.Sprint("R", query.MaxRelations)
+	if err := cat.AddRelation(catalog.Relation{Name: name, Tuples: 10000, TupleBytes: 100}); err != nil {
+		panic(err)
 	}
-	start, err := newOpt(cat, q, plan.QueryShipping, cost.MetricResponseTime, 65).RandomPlan()
-	if err != nil {
-		t.Fatal(err)
+	q.Preds = append(q.Preds, query.Pred{A: q.Relations[len(q.Relations)-1], B: name, Selectivity: 1.0 / 10000})
+	q.Relations = append(q.Relations, name)
+	return cat, q
+}
+
+// TestWideQueryRejected checks that every optimizer entry point returns
+// Validate's error for a query too wide for a relation mask, rather than
+// panicking in the mask tables.
+func TestWideQueryRejected(t *testing.T) {
+	cat, q := wideChainEnv()
+	want := q.Validate()
+	if want == nil {
+		t.Fatal("Validate accepted a 65-relation query")
 	}
 	o := newOpt(cat, q, plan.HybridShipping, cost.MetricResponseTime, 65)
-	if got := len(start.Plan.Scans()); got != 65 {
-		t.Fatalf("random plan scans %d relations, want 65", got)
+	tree := plan.NewScan(q.Relations[0])
+	for _, r := range q.Relations[1:] {
+		tree = plan.NewJoin(tree, plan.NewScan(r))
 	}
-	st := newSearch(o, o.opts, rand.New(rand.NewSource(65)))
-	st.reset(start.Plan, start.Estimate)
-	var u undoRec
-	valid := 0
-	for i := 0; i < 200; i++ {
-		moves := st.ensureMoves()
-		if len(moves) == 0 {
-			t.Fatal("no moves on a 65-way join")
+	root := plan.NewDisplay(tree)
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Optimize", func() error { _, err := o.Optimize(); return err }},
+		{"OptimizeFrom", func() error { _, err := o.OptimizeFrom(root); return err }},
+		{"RandomPlan", func() error { _, err := o.RandomPlan(); return err }},
+		{"DP.Optimize", func() error {
+			_, err := newDP(cat, q, plan.HybridShipping, cost.MetricResponseTime, false).Optimize()
+			return err
+		}},
+	} {
+		if err := c.run(); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: error %v, want %v", c.name, err, want)
 		}
-		changed := applyMove(st.nodes, moves[st.rng.Intn(len(moves))], st.opts.Policy, cat, &u)
-		got, ok := st.evaluate()
-		_, want, wantOK := o.evaluate(stripRelIDs(st.root))
-		if ok != wantOK || got != want {
-			t.Fatalf("step %d: search evaluates (%v, %+v), fresh evaluation (%v, %+v)", i, ok, got, wantOK, want)
-		}
-		if ok {
-			valid++
-			st.accept(got, changed)
-		} else {
-			u.revert()
-		}
-	}
-	if valid == 0 || valid == 200 {
-		t.Errorf("%d of 200 steps well-formed; want a mix", valid)
 	}
 }
 

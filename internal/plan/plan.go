@@ -247,17 +247,6 @@ func (n *Node) Walk(f func(*Node)) {
 	n.Right.Walk(f)
 }
 
-// BaseTables returns the set of base relations scanned under this node.
-func (n *Node) BaseTables() map[string]bool {
-	out := make(map[string]bool)
-	n.Walk(func(m *Node) {
-		if m.Kind == KindScan {
-			out[m.Table] = true
-		}
-	})
-	return out
-}
-
 // Joins returns all join nodes in the subtree, in pre-order.
 func (n *Node) Joins() []*Node {
 	var out []*Node

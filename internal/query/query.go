@@ -7,6 +7,7 @@ package query
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -35,10 +36,9 @@ type Query struct {
 	GroupBy int
 
 	// Lazily built relation-bitmask tables backing the allocation-free
-	// *Mask methods (the optimizer's hot path evaluates thousands of
-	// candidate plans per query, and per-evaluation map-set allocation
-	// dominated its profile). Guarded by maskOnce: Queries are shared
-	// read-only across optimizer workers.
+	// relation-set methods (the optimizer's hot path evaluates thousands
+	// of candidate plans per query). Guarded by maskOnce: Queries are
+	// shared read-only across optimizer workers.
 	maskOnce  sync.Once
 	relMasks  map[string]uint64
 	predMasks []predMask
@@ -50,18 +50,20 @@ type predMask struct {
 	sel  float64
 }
 
-// Validate checks that predicates reference declared relations and that
-// selectivities are sane.
+// Validate checks that the query fits a relation mask, that predicates
+// reference declared relations and that selectivities are sane.
 func (q *Query) Validate() error {
-	rels := make(map[string]bool, len(q.Relations))
-	for _, r := range q.Relations {
-		if rels[r] {
+	if len(q.Relations) > MaxRelations {
+		return fmt.Errorf("query: %d relations exceed the limit of %d", len(q.Relations), MaxRelations)
+	}
+	for i, r := range q.Relations {
+		if slices.Contains(q.Relations[:i], r) {
 			return fmt.Errorf("query: duplicate relation %q", r)
 		}
-		rels[r] = true
 	}
+	declared := func(r string) bool { return slices.Contains(q.Relations, r) }
 	for _, p := range q.Preds {
-		if !rels[p.A] || !rels[p.B] {
+		if !declared(p.A) || !declared(p.B) {
 			return fmt.Errorf("query: predicate %s=%s references undeclared relation", p.A, p.B)
 		}
 		if p.A == p.B {
@@ -80,7 +82,7 @@ func (q *Query) Validate() error {
 	sort.Strings(selRels)
 	for _, r := range selRels {
 		s := q.Selects[r]
-		if !rels[r] {
+		if !declared(r) {
 			return fmt.Errorf("query: selection on undeclared relation %q", r)
 		}
 		if s <= 0 || s > 1 {
@@ -96,39 +98,15 @@ func (q *Query) Validate() error {
 	return nil
 }
 
-// CrossingPreds returns the predicates connecting relation set a to set b.
-func (q *Query) CrossingPreds(a, b map[string]bool) []Pred {
-	var out []Pred
-	for _, p := range q.Preds {
-		if (a[p.A] && b[p.B]) || (a[p.B] && b[p.A]) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Connected reports whether joining relation sets a and b avoids a Cartesian
-// product, i.e. at least one predicate crosses the two sets.
-func (q *Query) Connected(a, b map[string]bool) bool {
-	return len(q.CrossingPreds(a, b)) > 0
-}
-
-// JoinSelectivity returns the combined selectivity of all predicates crossing
-// a and b (their product), or 1.0 for a Cartesian product.
-func (q *Query) JoinSelectivity(a, b map[string]bool) float64 {
-	sel := 1.0
-	for _, p := range q.CrossingPreds(a, b) {
-		sel *= p.Selectivity
-	}
-	return sel
-}
-
-// MaskSupported reports whether the bitmask fast path is available: it
-// represents relation sets as single uint64 words, so queries over more
-// than 64 relations must use the map-based methods above.
-func (q *Query) MaskSupported() bool { return len(q.Relations) <= 64 }
+// MaxRelations is the widest query Validate accepts: every set of a
+// query's relations is one uint64 bitmask, bit i standing for Relations[i].
+const MaxRelations = 64
 
 func (q *Query) initMasks() {
+	if len(q.Relations) > MaxRelations {
+		panic(fmt.Sprintf("query: %d relations exceed the %d a relation mask holds (Validate rejects such queries)",
+			len(q.Relations), MaxRelations))
+	}
 	q.maskOnce.Do(func() {
 		q.relMasks = make(map[string]uint64, len(q.Relations))
 		for i, r := range q.Relations {
@@ -148,20 +126,36 @@ func (q *Query) initMasks() {
 }
 
 // RelMask returns the single-bit mask of a base relation, or 0 when the
-// relation is unknown or the query is too wide for masks.
+// relation is unknown.
 func (q *Query) RelMask(name string) uint64 {
-	if !q.MaskSupported() {
-		return 0
-	}
 	q.initMasks()
 	return q.relMasks[name]
 }
 
-// ConnectedMask is Connected over relation bitmasks; it allocates nothing.
-// A predicate crosses a and b exactly when some relation of a has a join
-// partner in b, so it tests each set bit of a against that relation's
+// crosses reports whether the predicate joins a relation of a to one of b.
+func (p predMask) crosses(a, b uint64) bool {
+	return (a&p.a != 0 && b&p.b != 0) || (a&p.b != 0 && b&p.a != 0)
+}
+
+// CrossingPreds returns the predicates connecting relation set a to set b,
+// in Preds order.
+func (q *Query) CrossingPreds(a, b uint64) []Pred {
+	q.initMasks()
+	var out []Pred
+	for i, p := range q.predMasks {
+		if p.crosses(a, b) {
+			out = append(out, q.Preds[i])
+		}
+	}
+	return out
+}
+
+// Connected reports whether joining relation sets a and b avoids a Cartesian
+// product, i.e. at least one predicate crosses the two sets. It allocates
+// nothing: a predicate crosses a and b exactly when some relation of a has a
+// join partner in b, so it tests each set bit of a against that relation's
 // adjacency mask instead of scanning every predicate.
-func (q *Query) ConnectedMask(a, b uint64) bool {
+func (q *Query) Connected(a, b uint64) bool {
 	q.initMasks()
 	for ; a != 0; a &= a - 1 {
 		if q.adjacent[bits.TrailingZeros64(a)]&b != 0 {
@@ -171,13 +165,14 @@ func (q *Query) ConnectedMask(a, b uint64) bool {
 	return false
 }
 
-// JoinSelectivityMask is JoinSelectivity over relation bitmasks; it
-// allocates nothing.
-func (q *Query) JoinSelectivityMask(a, b uint64) float64 {
+// JoinSelectivity returns the combined selectivity of all predicates crossing
+// a and b (their product, in Preds order), or 1.0 for a Cartesian product.
+// It allocates nothing.
+func (q *Query) JoinSelectivity(a, b uint64) float64 {
 	q.initMasks()
 	sel := 1.0
 	for _, p := range q.predMasks {
-		if (a&p.a != 0 && b&p.b != 0) || (a&p.b != 0 && b&p.a != 0) {
+		if p.crosses(a, b) {
 			sel *= p.sel
 		}
 	}

@@ -2,6 +2,8 @@ package query
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -39,16 +41,18 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func set(names ...string) map[string]bool {
-	m := make(map[string]bool)
+// maskOf is the relation mask of the named relations of q.
+func maskOf(q *Query, names ...string) uint64 {
+	var m uint64
 	for _, n := range names {
-		m[n] = true
+		m |= q.RelMask(n)
 	}
 	return m
 }
 
 func TestConnectivity(t *testing.T) {
 	q := chain(4, 1e-4) // A-B-C-D
+	set := func(names ...string) uint64 { return maskOf(q, names...) }
 	if !q.Connected(set("A"), set("B")) {
 		t.Error("A-B should be connected")
 	}
@@ -65,6 +69,7 @@ func TestConnectivity(t *testing.T) {
 
 func TestJoinSelectivityMultiplies(t *testing.T) {
 	q := chain(4, 0.5)
+	set := func(names ...string) uint64 { return maskOf(q, names...) }
 	// AC vs B crosses two predicates: A-B and B-C.
 	got := q.JoinSelectivity(set("A", "C"), set("B"))
 	if got != 0.25 {
@@ -92,15 +97,15 @@ func TestQuickCrossingSymmetric(t *testing.T) {
 	q := chain(6, 1e-4)
 	names := []string{"A", "B", "C", "D", "E", "F"}
 	f := func(maskA, maskB uint8) bool {
-		a, b := make(map[string]bool), make(map[string]bool)
+		var a, b uint64
 		for i, n := range names {
 			if maskA&(1<<i) != 0 {
-				a[n] = true
+				a |= q.RelMask(n)
 			} else if maskB&(1<<i) != 0 {
-				b[n] = true
+				b |= q.RelMask(n)
 			}
 		}
-		return len(q.CrossingPreds(a, b)) == len(q.CrossingPreds(b, a)) &&
+		return slices.Equal(q.CrossingPreds(a, b), q.CrossingPreds(b, a)) &&
 			q.Connected(a, b) == q.Connected(b, a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -136,10 +141,26 @@ func shapedQuery(shape string, n int) *Query {
 	return q
 }
 
-// TestConnectedMaskMatchesConnected checks the adjacency-mask ConnectedMask
-// against Connected over name sets, for random relation masks (disjoint,
-// overlapping or empty) on each join-graph shape at several widths, up to
-// the full 64 relations a mask can hold.
+// crossesByName is an independent reference for Connected: a scan over
+// every predicate, testing its relations' positions in q.Relations against
+// the two masks.
+func crossesByName(q *Query, a, b uint64) bool {
+	in := func(m uint64, rel string) bool {
+		i := slices.Index(q.Relations, rel)
+		return i >= 0 && m&(1<<uint(i)) != 0
+	}
+	for _, p := range q.Preds {
+		if (in(a, p.A) && in(b, p.B)) || (in(a, p.B) && in(b, p.A)) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestConnectedMaskMatchesConnected checks the adjacency-mask Connected, and
+// whether CrossingPreds is empty, against a scan over the predicates, for
+// random relation masks (disjoint, overlapping or empty) on each join-graph
+// shape at several widths, up to the full 64 relations a mask can hold.
 func TestConnectedMaskMatchesConnected(t *testing.T) {
 	for _, shape := range []string{"chain", "star", "cycle", "clique"} {
 		for _, n := range []int{2, 3, 7, 12, 64} {
@@ -148,22 +169,14 @@ func TestConnectedMaskMatchesConnected(t *testing.T) {
 				t.Fatal(err)
 			}
 			full := ^uint64(0) >> (64 - uint(n))
-			names := func(m uint64) map[string]bool {
-				s := map[string]bool{}
-				for i, r := range q.Relations {
-					if m&(1<<uint(i)) != 0 {
-						s[r] = true
-					}
-				}
-				return s
-			}
 			f := func(a, b uint64, disjoint bool) bool {
 				a &= full
 				b &= full
 				if disjoint {
 					b &^= a
 				}
-				return q.ConnectedMask(a, b) == q.Connected(names(a), names(b))
+				want := crossesByName(q, a, b)
+				return q.Connected(a, b) == want && (len(q.CrossingPreds(a, b)) > 0) == want
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 				t.Errorf("%s/%d: %v", shape, n, err)
@@ -182,4 +195,21 @@ func TestConnectedMaskMatchesConnected(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestValidateRejectsWideQuery(t *testing.T) {
+	q := shapedQuery("chain", MaxRelations+1)
+	err := q.Validate()
+	if err == nil || !strings.Contains(err.Error(), "exceed the limit of 64") {
+		t.Fatalf("Validate on %d relations = %v, want the width error", len(q.Relations), err)
+	}
+	if err := shapedQuery("chain", MaxRelations).Validate(); err != nil {
+		t.Fatalf("Validate on %d relations: %v", MaxRelations, err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("RelMask on an unvalidated wide query did not panic")
+		}
+	}()
+	q.RelMask("R0")
 }
