@@ -76,6 +76,11 @@ func batchCols(b *colBatch, dst [][]int64) [][]int64 {
 type batchPool struct {
 	batches []*colBatch
 	tables  []*hashTable
+
+	// newBatches and newTables count the batches and tables the pool has
+	// ever created; once every owner has released its storage, the free
+	// lists hold exactly that many.
+	newBatches, newTables int
 }
 
 // get returns a batch with w columns and room for rows rows, n = 0.
@@ -86,6 +91,7 @@ func (bp *batchPool) get(w, rows int) *colBatch {
 		bp.batches = bp.batches[:n-1]
 	} else {
 		b = &colBatch{}
+		bp.newBatches++
 	}
 	if need := w * rows; cap(b.data) < need {
 		b.data = make([]int64, need)
@@ -110,6 +116,7 @@ func (bp *batchPool) getTable(w, kw int) *hashTable {
 		t.reshape(w, kw)
 		return t
 	}
+	bp.newTables++
 	return newHashTable(w, kw)
 }
 

@@ -255,7 +255,6 @@ type engine struct {
 	client  *site
 	servers []*site
 	relIdx  map[string]int // relation name -> tuple slot
-	rng     *rand.Rand
 
 	// Failure awareness; all nil/empty when faults are disabled (e.ftl ==
 	// nil selects the legacy execution path throughout).
@@ -308,7 +307,6 @@ func newEngine(cfg Config) (*engine, error) {
 		cfg:    cfg,
 		sim:    cfg.Kernel,
 		relIdx: make(map[string]int),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 	if e.sim == nil {
 		e.sim = sim.New()

@@ -15,17 +15,18 @@ import (
 // tail-appended, so walking a chain and filtering on the stored hash yields
 // precisely that sequence.
 //
-// Storage is columnar and arena-like: entry e's tuple is
-// (cols[0][e], …, cols[w-1][e]) and its precomputed join-key vector is
-// (keys[0][e], …, keys[kw-1][e]). Key values are computed once at insert —
-// unobservable, since key extraction is pure and only the comparisons are
-// charged, which still happen per candidate at probe time.
+// Storage is columnar and arena-like, and holds only the build side's
+// columns: entry e's build-side values are (cols[0][e], …, cols[w-1][e]),
+// where cols[k] is the join's buildCols[k], and its precomputed join-key
+// vector is (keys[0][e], …, keys[kw-1][e]). Key values are computed once at
+// insert — unobservable, since key extraction is pure and only the
+// comparisons are charged, which still happen per candidate at probe time.
 type hashTable struct {
 	head, tail []int32 // per bucket: first/last entry, -1 when empty
 	mask       uint64
 	hashes     []uint64
 	next       []int32   // per entry: next in bucket chain, -1 at tail
-	cols       [][]int64 // w tuple columns
+	cols       [][]int64 // w build-side columns
 	keys       [][]int64 // kw key-value columns
 }
 
@@ -144,17 +145,6 @@ func (t *hashTable) insert(h uint64) int32 {
 		t.link(e)
 	}
 	return e
-}
-
-// candidates appends to dst the entries whose hash equals h, in insertion
-// order.
-func (t *hashTable) candidates(h uint64, dst []int32) []int32 {
-	for e := t.head[h&t.mask]; e >= 0; e = t.next[e] {
-		if t.hashes[e] == h {
-			dst = append(dst, e)
-		}
-	}
-	return dst
 }
 
 // keyer evaluates, for one side of a join, the key values of the crossing

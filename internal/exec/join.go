@@ -65,45 +65,60 @@ func (al joinAlloc) route(h uint64) int {
 	return 1 + int(h%uint64(al.nParts))
 }
 
-// partition is one spilled partition: all its rows in columnar storage,
-// paged into the join site's temp region. Each partition writes into its own
-// contiguous extent (allocated in chunks), so reading a partition back is
-// sequential while concurrent partition writes force arm movement — the
-// access pattern of a real hybrid hash join.
+// partition is one spilled partition: its rows in page-sized batches from
+// the engine pool, paged into the join site's temp region. Each partition
+// writes into its own contiguous extent (allocated in chunks), so reading a
+// partition back is sequential while concurrent partition writes force arm
+// movement — the access pattern of a real hybrid hash join.
+//
+// A page holds only the columns its pass reads (cols): the build side's for
+// an inner partition, every other column for an outer one. Pool batches keep
+// full width, so the remaining columns hold stale values; the read-back pass
+// never reads them (the keyer's slots and the merged emit both stay inside
+// cols).
 type partition struct {
-	cols   [][]int64 // w columns, every row in insertion order
-	starts []int     // start row of each sealed page
-	addrs  []diskAddr
-	n      int // total rows
-	sealed int // rows covered by sealed pages
+	pages []*colBatch // sealed pages in write order; nil once read back
+	addrs []diskAddr  // temp page of each sealed page
+	cur   *colBatch   // page being filled; nil when empty
+	cols  []int       // columns copied into the pages
 
-	tpp   int
-	chunk int      // extent chunk size, pages
-	next  diskAddr // next free page of the current chunk
-	left  int      // pages remaining in the current chunk
+	w, tpp int
+	chunk  int      // extent chunk size, pages
+	next   diskAddr // next free page of the current chunk
+	left   int      // pages remaining in the current chunk
 }
 
-func newPartition(w, tpp, chunk int) *partition {
-	return &partition{cols: make([][]int64, w), tpp: tpp, chunk: chunk}
+// newPartition pre-sizes the page lists to one extent chunk, the join's
+// estimate of a partition's page count; like hashTable.reserve, the hint
+// moves memory only.
+func newPartition(cols []int, w, tpp, chunk int) *partition {
+	return &partition{cols: cols, w: w, tpp: tpp, chunk: chunk,
+		pages: make([]*colBatch, 0, chunk), addrs: make([]diskAddr, 0, chunk)}
 }
 
-// addRow appends row i of src, sealing a page every tpp rows.
+// addRow copies row i of src onto the page being filled, sealing it at tpp
+// rows.
 func (pt *partition) addRow(e *engine, p *sim.Proc, s *site, acc *chargeAcc, src [][]int64, i int) {
-	for c := range pt.cols {
-		pt.cols[c] = append(pt.cols[c], src[c][i])
+	b := pt.cur
+	if b == nil {
+		b = e.pool.get(pt.w, pt.tpp)
+		pt.cur = b
 	}
-	pt.n++
-	if pt.n-pt.sealed >= pt.tpp {
+	for _, c := range pt.cols {
+		b.data[c*b.stride+b.n] = src[c][i]
+	}
+	b.n++
+	if b.n == pt.tpp {
 		pt.complete(e, p, s, acc)
 	}
 }
 
-// complete seals the unsealed rows into the next temp page and writes it:
-// one DiskInst charge, then the disk write. The pending charges land first —
-// both the chunk allocation from the site's shared temp region and the
-// write are visible to the other processes of the site.
+// complete seals the page being filled into the next temp page and writes
+// it: one DiskInst charge, then the disk write. The pending charges land
+// first — both the chunk allocation from the site's shared temp region and
+// the write are visible to the other processes of the site.
 func (pt *partition) complete(e *engine, p *sim.Proc, s *site, acc *chargeAcc) {
-	if pt.n == pt.sealed {
+	if pt.cur == nil {
 		return
 	}
 	acc.flush(p)
@@ -111,8 +126,8 @@ func (pt *partition) complete(e *engine, p *sim.Proc, s *site, acc *chargeAcc) {
 		pt.next = s.allocTemp(pt.chunk)
 		pt.left = pt.chunk
 	}
-	pt.starts = append(pt.starts, pt.sealed)
-	pt.sealed = pt.n
+	pt.pages = append(pt.pages, pt.cur)
+	pt.cur = nil
 	pt.addrs = append(pt.addrs, pt.next)
 	addr := pt.next
 	pt.next = pt.next.plus(1)
@@ -121,14 +136,12 @@ func (pt *partition) complete(e *engine, p *sim.Proc, s *site, acc *chargeAcc) {
 	s.write(p, addr)
 }
 
-// pageSpan reports page i's row range; valid once the partition is flushed.
-func (pt *partition) pageSpan(i int) (start, count int) {
-	start = pt.starts[i]
-	end := pt.n
-	if i+1 < len(pt.starts) {
-		end = pt.starts[i+1]
+// release returns every page the partition still holds to the pool.
+func (pt *partition) release(bp *batchPool) {
+	for _, b := range pt.pages {
+		bp.put(b)
 	}
-	return start, end - start
+	bp.put(pt.cur)
 }
 
 // hashJoin is a hybrid hash join (Shapiro 1986), the only join method of
@@ -160,6 +173,15 @@ type hashJoin struct {
 	// granting the optimizer's memory request)
 	al joinAlloc
 
+	// buildCols are the build side's columns, in the table's column order;
+	// probeCols are all the others. A column is non-absent in a subtree's
+	// output exactly when its relation is one of the subtree's base tables
+	// (scans set only their own slot; joins merge disjoint sides), so
+	// merge(build, probe) takes buildCols from the table and probeCols from
+	// the probe row, never re-checking absent per value. Column i is the slot
+	// of Relations[i], whose mask bit is i.
+	buildCols, probeCols []int
+
 	table      *hashTable
 	innerParts []*partition
 	outerParts []*partition
@@ -168,19 +190,30 @@ type hashJoin struct {
 	partIdx  int
 	partPage int
 
-	cur       *colBatch
-	curCols   [][]int64 // resolved columns of cur
-	fromBuild []bool    // per column: merged value comes from the build side
-	rdy       batchRing
+	cur     *colBatch
+	curCols [][]int64 // resolved columns of cur
+	rdy     batchRing
 
-	// reused scratch, refilled per input batch (build/probe phases) or per
-	// partition (spill passes)
-	icols, ikcols [][]int64 // build-input columns / key slot columns
-	ocols, okcols [][]int64 // probe-input columns / key slot columns
-	ikeyv, okeyv  [][]int64 // evaluated key-value columns (Next applied)
-	ihash, ohash  []uint64  // per-row composite key hashes
-	estBuild      int       // optimizer's estimate of in-memory build rows
-	outCount      int64
+	build, probe pageKeys // reused per-page scratch of each side
+	estBuild     int      // optimizer's estimate of in-memory build rows
+	outCount     int64
+}
+
+// pageKeys is one join side's scratch for the page in hand: its resolved
+// columns, key slot columns, evaluated key values (Next applied) and
+// per-row composite key hashes.
+type pageKeys struct {
+	cols, kcols, keyv [][]int64
+	hash              []uint64
+}
+
+// load evaluates k's keys and hashes for every row of b. Key extraction is
+// pure, so when it runs is unobservable; only the HashInst charges are.
+func (pk *pageKeys) load(k *keyer, b *colBatch) {
+	pk.cols = batchCols(b, pk.cols)
+	pk.kcols = k.slotCols(pk.cols, pk.kcols)
+	pk.keyv = k.evalCols(pk.kcols, b.n, pk.keyv)
+	pk.hash = hashKeyCols(pk.keyv, b.n, pk.hash)
 }
 
 func (e *engine) newHashJoin(at catalog.SiteID, inner, outer iterator,
@@ -198,15 +231,12 @@ func (e *engine) newHashJoin(at catalog.SiteID, inner, outer iterator,
 		al:     e.joinAllocFor(innerPages, outerPages),
 	}
 	j.estBuild = int(float64(innerPages) * j.al.frac0 * float64(j.tpp))
-	// A column is non-absent in a subtree's output exactly when its relation
-	// is one of the subtree's base tables (scans set only their own slot;
-	// joins merge disjoint sides). So merge(build, probe) resolves each
-	// column to a fixed side for the whole join — precompute the split and
-	// emitMerged never re-checks absent per value. Column i is the slot of
-	// Relations[i], whose mask bit is i.
-	j.fromBuild = make([]bool, j.w)
-	for i := range j.fromBuild {
-		j.fromBuild[i] = innerTables&(1<<uint(i)) != 0
+	for c := 0; c < j.w; c++ {
+		if innerTables&(1<<uint(c)) != 0 {
+			j.buildCols = append(j.buildCols, c)
+		} else {
+			j.probeCols = append(j.probeCols, c)
+		}
 	}
 	return j
 }
@@ -219,30 +249,28 @@ func (j *hashJoin) open(p *sim.Proc) {
 	j.inner.open(p)
 	j.outer.open(p)
 
-	j.table = j.e.pool.getTable(j.w, len(j.bkey.slots))
+	j.table = j.e.pool.getTable(len(j.buildCols), len(j.bkey.slots))
 	j.table.reserve(j.estBuild)
 	for i := 0; i < j.al.nParts; i++ {
-		j.innerParts = append(j.innerParts, newPartition(j.w, j.tpp, j.al.chunkPages))
-		j.outerParts = append(j.outerParts, newPartition(j.w, j.tpp, j.al.chunkPages))
+		j.innerParts = append(j.innerParts, newPartition(j.buildCols, j.w, j.tpp, j.al.chunkPages))
+		j.outerParts = append(j.outerParts, newPartition(j.probeCols, j.w, j.tpp, j.al.chunkPages))
 	}
 
 	// Build phase: consume the inner completely.
+	bk := &j.build
 	for {
 		b, ok := j.inner.next(p)
 		if !ok {
 			break
 		}
 		j.acc.add(p, j.atSite, pr, pr.HashInst*float64(b.n))
-		j.icols = batchCols(b, j.icols)
-		j.ikcols = j.bkey.slotCols(j.icols, j.ikcols)
-		j.ikeyv = j.bkey.evalCols(j.ikcols, b.n, j.ikeyv)
-		j.ihash = hashKeyCols(j.ikeyv, b.n, j.ihash)
+		bk.load(j.bkey, b)
 		for i := 0; i < b.n; i++ {
-			h := j.ihash[i]
+			h := bk.hash[i]
 			if part := j.al.route(h); part == 0 {
-				j.insertRow(j.icols, j.ikeyv, i, h)
+				j.insertRow(bk.cols, bk.keyv, i, h)
 			} else {
-				j.innerParts[part-1].addRow(j.e, p, j.atSite, j.acc, j.icols, i)
+				j.innerParts[part-1].addRow(j.e, p, j.atSite, j.acc, bk.cols, i)
 			}
 		}
 		j.e.pool.put(b)
@@ -253,13 +281,13 @@ func (j *hashJoin) open(p *sim.Proc) {
 	j.phase = 0
 }
 
-// insertRow copies row i (tuple columns and pre-evaluated key values) into
-// the build table under hash h.
+// insertRow copies row i's build-side columns and pre-evaluated key values
+// into the build table under hash h.
 func (j *hashJoin) insertRow(cols, keyv [][]int64, i int, h uint64) {
 	t := j.table
 	t.insert(h)
-	for c := range t.cols {
-		t.cols[c] = append(t.cols[c], cols[c][i])
+	for k, c := range j.buildCols {
+		t.cols[k] = append(t.cols[k], cols[c][i])
 	}
 	for s := range t.keys {
 		t.keys[s] = append(t.keys[s], keyv[s][i])
@@ -317,8 +345,8 @@ func (j *hashJoin) probeRow(p *sim.Proc, cols, keyv [][]int64, i int, h uint64) 
 	}
 }
 
-// emitMerged appends merge(build, probe) to the output page under
-// construction, completing pages at exactly tpp rows.
+// emitMerged appends merge(build entry e, probe row i) to the output page
+// under construction, completing pages at exactly tpp rows.
 func (j *hashJoin) emitMerged(e int32, cols [][]int64, i int) {
 	if j.cur == nil {
 		j.cur = j.e.pool.get(j.w, j.tpp)
@@ -326,13 +354,11 @@ func (j *hashJoin) emitMerged(e int32, cols [][]int64, i int) {
 	}
 	cur := j.cur
 	at := cur.n
-	tcols := j.table.cols
-	for c := 0; c < j.w; c++ {
-		if j.fromBuild[c] {
-			j.curCols[c][at] = tcols[c][e]
-		} else {
-			j.curCols[c][at] = cols[c][i]
-		}
+	for k, c := range j.buildCols {
+		j.curCols[c][at] = j.table.cols[k][e]
+	}
+	for _, c := range j.probeCols {
+		j.curCols[c][at] = cols[c][i]
 	}
 	cur.n++
 	if cur.n == j.tpp {
@@ -341,16 +367,21 @@ func (j *hashJoin) emitMerged(e int32, cols [][]int64, i int) {
 	}
 }
 
-// readSpillPage reads one spilled page back from temp disk: one DiskInst
-// charge, then the read.
-func (j *hashJoin) readSpillPage(p *sim.Proc, addr diskAddr) {
+// readSpillPage reads spilled page i of pt back from temp disk (one
+// DiskInst charge, then the read) and takes it out of the partition: the
+// caller returns it to the pool once its rows are used.
+func (j *hashJoin) readSpillPage(p *sim.Proc, pt *partition, i int) *colBatch {
+	b := pt.pages[i]
+	pt.pages[i] = nil
 	j.acc.flush(p)
 	j.atSite.chargeCPU(p, j.e.cfg.Params, j.e.cfg.Params.DiskInst)
-	j.atSite.read(p, addr)
+	j.atSite.read(p, pt.addrs[i])
+	return b
 }
 
 func (j *hashJoin) next(p *sim.Proc) (*colBatch, bool) {
 	pr := &j.e.cfg.Params
+	bk, pk := &j.build, &j.probe
 	// Run the probe pipeline only while no completed output page is queued:
 	// a join produces its next page on demand.
 	for j.rdy.empty() && j.phase < 2 {
@@ -367,21 +398,18 @@ func (j *hashJoin) next(p *sim.Proc) (*colBatch, bool) {
 				continue
 			}
 			j.acc.add(p, j.atSite, pr, pr.HashInst*float64(b.n))
-			j.ocols = batchCols(b, j.ocols)
-			j.okcols = j.pkey.slotCols(j.ocols, j.okcols)
-			j.okeyv = j.pkey.evalCols(j.okcols, b.n, j.okeyv)
-			j.ohash = hashKeyCols(j.okeyv, b.n, j.ohash)
+			pk.load(j.pkey, b)
 			for i := 0; i < b.n; i++ {
-				h := j.ohash[i]
+				h := pk.hash[i]
 				if part := j.al.route(h); part == 0 {
-					j.probeRow(p, j.ocols, j.okeyv, i, h)
+					j.probeRow(p, pk.cols, pk.keyv, i, h)
 				} else {
-					j.outerParts[part-1].addRow(j.e, p, j.atSite, j.acc, j.ocols, i)
+					j.outerParts[part-1].addRow(j.e, p, j.atSite, j.acc, pk.cols, i)
 				}
 			}
 			j.e.pool.put(b)
 		case 1:
-			if j.partIdx < 0 || j.partPage >= len(j.outerParts[j.partIdx].starts) {
+			if j.partIdx < 0 || j.partPage >= len(j.outerParts[j.partIdx].pages) {
 				// Advance to the next spilled partition pair: rebuild the
 				// table from the inner partition read back from temp disk.
 				j.partIdx++
@@ -392,34 +420,25 @@ func (j *hashJoin) next(p *sim.Proc) (*colBatch, bool) {
 				}
 				j.table.reset()
 				in := j.innerParts[j.partIdx]
-				j.ikcols = j.bkey.slotCols(in.cols, j.ikcols)
-				j.ikeyv = j.bkey.evalCols(j.ikcols, in.n, j.ikeyv)
-				j.ihash = hashKeyCols(j.ikeyv, in.n, j.ihash)
-				// Pre-evaluate this partition's outer side too; its pages
-				// are probed across the next calls below (key extraction is
-				// pure, so evaluation time is unobservable).
-				opart := j.outerParts[j.partIdx]
-				j.okcols = j.pkey.slotCols(opart.cols, j.okcols)
-				j.okeyv = j.pkey.evalCols(j.okcols, opart.n, j.okeyv)
-				j.ohash = hashKeyCols(j.okeyv, opart.n, j.ohash)
-				for pi := range in.starts {
-					j.readSpillPage(p, in.addrs[pi])
-					start, cnt := in.pageSpan(pi)
-					j.acc.add(p, j.atSite, pr, pr.HashInst*float64(cnt))
-					for r := start; r < start+cnt; r++ {
-						j.insertRow(in.cols, j.ikeyv, r, j.ihash[r])
+				for pi := range in.pages {
+					b := j.readSpillPage(p, in, pi)
+					j.acc.add(p, j.atSite, pr, pr.HashInst*float64(b.n))
+					bk.load(j.bkey, b)
+					for r := 0; r < b.n; r++ {
+						j.insertRow(bk.cols, bk.keyv, r, bk.hash[r])
 					}
+					j.e.pool.put(b)
 				}
 				continue
 			}
-			out := j.outerParts[j.partIdx]
-			start, cnt := out.pageSpan(j.partPage)
-			j.readSpillPage(p, out.addrs[j.partPage])
+			b := j.readSpillPage(p, j.outerParts[j.partIdx], j.partPage)
 			j.partPage++
-			j.acc.add(p, j.atSite, pr, pr.HashInst*float64(cnt))
-			for r := start; r < start+cnt; r++ {
-				j.probeRow(p, out.cols, j.okeyv, r, j.ohash[r])
+			j.acc.add(p, j.atSite, pr, pr.HashInst*float64(b.n))
+			pk.load(j.pkey, b)
+			for r := 0; r < b.n; r++ {
+				j.probeRow(p, pk.cols, pk.keyv, r, pk.hash[r])
 			}
+			j.e.pool.put(b)
 		}
 	}
 	if !j.rdy.empty() {
@@ -438,6 +457,12 @@ func (j *hashJoin) close(p *sim.Proc) {
 	j.outer.close(p)
 	j.e.pool.putTable(j.table)
 	j.table = nil
+	for _, pt := range j.innerParts {
+		pt.release(&j.e.pool)
+	}
+	for _, pt := range j.outerParts {
+		pt.release(&j.e.pool)
+	}
 	j.innerParts = nil
 	j.outerParts = nil
 	j.rdy.drainTo(&j.e.pool)
