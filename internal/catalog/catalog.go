@@ -254,24 +254,12 @@ func (c *Catalog) Relations() []string {
 // ID returns the named relation's ID, or 0 if the catalog lacks it.
 func (c *Catalog) ID(name string) RelID { return c.ids[name] }
 
-// Resolve is ID with a hint: when hint is already the named relation's ID
-// it is returned after one string comparison, without a map lookup.
-// Anything else — the zero RelID, an ID from another catalog, an ID of
-// another relation — falls back to the lookup by name, so a stale hint
-// costs time but never changes the answer.
-func (c *Catalog) Resolve(hint RelID, name string) RelID {
-	if i := int(hint) - 1; uint(i) < uint(len(c.rels)) && c.rels[i].Name == name {
-		return hint
+// ByID returns the relation with the given ID, or nil if there is none.
+func (c *Catalog) ByID(id RelID) *Relation {
+	if i := int(id) - 1; uint(i) < uint(len(c.rels)) {
+		return c.rels[i]
 	}
-	return c.ids[name]
-}
-
-// Lookup is Relation with an ID hint, as in Resolve.
-func (c *Catalog) Lookup(hint RelID, name string) (*Relation, bool) {
-	if id := c.Resolve(hint, name); id != 0 {
-		return c.rels[id-1], true
-	}
-	return nil, false
+	return nil
 }
 
 // SetCachedFraction declares that the first frac (0..1) of the relation is

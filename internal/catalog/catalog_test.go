@@ -159,8 +159,7 @@ func TestQuickCachedPagesMonotone(t *testing.T) {
 }
 
 // TestRelationIDs pins the dense IDs: registration position plus one, kept
-// by Clone, and Resolve/Lookup trusting a hint only when it names the
-// relation asked for.
+// by Clone, and ByID naming no relation outside them.
 func TestRelationIDs(t *testing.T) {
 	c := New(4096, 2)
 	for _, name := range []string{"a", "b", "c"} {
@@ -181,23 +180,17 @@ func TestRelationIDs(t *testing.T) {
 		t.Error("unknown relation has a nonzero ID")
 	}
 	for _, tc := range []struct {
-		hint RelID
-		name string
-		want RelID
+		id   RelID
+		want string
 	}{
-		{2, "b", 2},  // a valid hint
-		{0, "b", 2},  // no hint
-		{3, "b", 2},  // the hint names another relation
-		{-4, "b", 2}, // out of range either way
-		{9, "b", 2},
-		{1, "z", 0}, // an unknown name, whatever the hint
+		{2, "b"},
+		{0, ""}, // the zero ID names no relation
+		{-4, ""},
+		{9, ""},
 	} {
-		if got := c.Resolve(tc.hint, tc.name); got != tc.want {
-			t.Errorf("Resolve(%d, %q) = %d, want %d", tc.hint, tc.name, got, tc.want)
-		}
-		r, ok := c.Lookup(tc.hint, tc.name)
-		if ok != (tc.want != 0) || (ok && r.Name != tc.name) {
-			t.Errorf("Lookup(%d, %q) = %v, %v", tc.hint, tc.name, r, ok)
+		r := c.ByID(tc.id)
+		if (r != nil) != (tc.want != "") || (r != nil && r.Name != tc.want) {
+			t.Errorf("ByID(%d) = %v, want %q", tc.id, r, tc.want)
 		}
 	}
 }

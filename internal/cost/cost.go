@@ -157,78 +157,144 @@ type Model struct {
 	Query   *query.Query
 }
 
-// nodeInfo carries per-node derived quantities up the tree.
-type nodeInfo struct {
+// facts are what a node hands its parent: its output and the site that
+// produces it.
+type facts struct {
 	card       float64 // output cardinality, tuples
-	tupleBytes int
 	pages      float64 // output size in pages
-	rt         float64 // completion time of this node's output
-	site       catalog.SiteID
+	rt         float64 // completion time of this node's output (needAll only)
+	tupleBytes int
 	tables     uint64 // base-relation bitmask (Query.RelMask)
+	site       catalog.SiteID
 }
 
-// accum aggregates resource consumption for the total-cost metric and the
-// bottleneck bound of the response-time metric. Per-site work is indexed by
-// slot, site+1, so the client (site -1) is slot 0 and server s is slot s+1.
-type accum struct {
-	cpu   []float64
-	disk  []float64
-	wire  float64
-	pages float64
+// change classifies how a node's facts moved in one pass, and so how much
+// of its parent must be recomputed: all of it after a shape change, its
+// charges and rt terms after a site change, and its rt alone (from its
+// rtTerms) after an rt change.
+type change uint8
+
+const (
+	unchanged    change = iota
+	rtChanged           // only rt differs
+	siteChanged         // the site differs, and maybe rt
+	shapeChanged        // the cardinality, pages, tuple width or relations differ
+)
+
+// diff classifies the change from old to a, bit for bit.
+func (a *facts) diff(old *facts) change {
+	switch {
+	case math.Float64bits(a.card) != math.Float64bits(old.card) ||
+		math.Float64bits(a.pages) != math.Float64bits(old.pages) ||
+		a.tupleBytes != old.tupleBytes || a.tables != old.tables:
+		return shapeChanged
+	case a.site != old.site:
+		return siteChanged
+	case math.Float64bits(a.rt) != math.Float64bits(old.rt):
+		return rtChanged
+	}
+	return unchanged
 }
 
-// reset zeroes the accumulator and sizes it to slots sites.
-func (a *accum) reset(slots int) {
-	if cap(a.cpu) < slots {
-		a.cpu, a.disk = make([]float64, slots), make([]float64, slots)
-	}
-	a.cpu, a.disk = a.cpu[:slots], a.disk[:slots]
-	clear(a.cpu)
-	clear(a.disk)
-	a.wire, a.pages = 0, 0
-}
+// The accumulators are one slice: the wire, the pages sent, and then each
+// site's CPU and disk interleaved by slot (site+1, so the client is slot 0),
+// so that growing the site tables never moves an accumulator.
+const (
+	toWire  = 0
+	toPages = 1
+)
 
-// total sums all resource consumption in slot order, i.e. in ascending site
-// order, so floating-point rounding is identical across runs. A site with
-// no work adds +0.0, which leaves the sum exactly unchanged.
-func (a *accum) total() float64 {
-	t := a.wire
-	for _, v := range a.cpu {
-		t += v
-	}
-	for _, v := range a.disk {
-		t += v
-	}
-	return t
-}
+func cpuAt(s catalog.SiteID) int32  { return int32(2 + 2*slot(s)) }
+func diskAt(s catalog.SiteID) int32 { return int32(3 + 2*slot(s)) }
 
-// bottleneck is the busiest single resource. It uses the builtin max, which
-// agrees with math.Max for the non-NaN values the model produces.
-func (a *accum) bottleneck(disksPerSite int) float64 {
-	if disksPerSite < 1 {
-		disksPerSite = 1
-	}
-	m := a.wire
-	for _, v := range a.cpu {
-		m = max(m, v)
-	}
-	for _, v := range a.disk {
-		// A site's disk work spreads over its arms in the best case.
-		m = max(m, v/float64(disksPerSite))
-	}
-	return m
-}
-
-// slot is the accumulator index of a site.
+// slot is the per-site table index of a site.
 func slot(s catalog.SiteID) int { return int(s) + 1 }
 
+// charge is one addition a node makes to one accumulator.
+type charge struct {
+	to int32
+	v  float64
+}
+
+// maxCharges is the most charges one node makes: a join ships both inputs
+// (four charges each), then charges its CPU and, under the minimum
+// allocation, its spill disk and CPU.
+const maxCharges = 11
+
+// node is the estimator's record of one plan node, by node ID: the facts it
+// hands its parent, the charges it adds, the terms its rt combines with its
+// children's, and the inputs all of them were computed from.
+type node struct {
+	facts
+	shapeTerms
+	rtTerms
+	known       bool  // facts and ch are valid for left, right and site
+	left, right int32 // the children the facts were computed from
+	n           int   // charges in ch
+	ch          [maxCharges]charge
+}
+
+// shapeTerms are the parts of a node's charges that depend only on its
+// shape facts and its inputs', so that a site change alone recomputes
+// neither: a unary node's CPU time, and a join's build and probe CPU times
+// and the pages of each input it spills.
+type shapeTerms struct {
+	cpu, probeCPU     float64
+	spillIn, spillOut float64
+}
+
+// rtTerms are the parts of a node's rt that do not depend on its
+// children's rt, so that a change in a child's rt alone recomputes rt from
+// them with the same operations in the same order (see rtOf).
+type rtTerms struct {
+	a, b, c        float64
+	colocL, colocR bool // a join's input is produced at the join's site
+}
+
+// add appends the charge (to, v) to r's list. A zero charge is left out:
+// added to an accumulator, which starts at +0.0 and only grows, it would
+// change no bit.
+func (e *Estimator) add(r *node, to int32, v float64) {
+	if v == 0 {
+		return
+	}
+	r.ch[r.n] = charge{to, v}
+	r.n++
+}
+
+// need is how much of the model a metric reads. Cardinalities, pages and
+// the pages-sent charges are always computed; needCharges adds the CPU,
+// disk and wire charges; needAll adds the response-time arithmetic.
+type need uint8
+
+const (
+	needPages need = iota
+	needCharges
+	needAll
+)
+
+// needFor is what Estimate.Value(m) reads.
+func needFor(m Metric) need {
+	switch m {
+	case MetricPagesSent:
+		return needPages
+	case MetricResponseTime:
+		return needAll
+	}
+	return needCharges
+}
+
 // Estimate predicts the execution of a plan whose annotations have been
-// bound to sites. It flattens the binding into the pre-order site list an
-// Estimator consumes, so both forms run the same evaluation.
+// bound to sites. It flattens the plan and orders the binding's sites by
+// node, so both forms run the same evaluation.
 func (m *Model) Estimate(root *plan.Node, binding plan.Binding) Estimate {
-	var sites []catalog.SiteID
-	root.Walk(func(n *plan.Node) { sites = append(sites, binding[n]) })
-	return NewEstimator(m).Estimate(root, sites)
+	e := NewEstimator(m)
+	e.reset(root)
+	sites := make([]catalog.SiteID, len(e.flat.Src))
+	for i, n := range e.flat.Src {
+		sites[i] = binding[n]
+	}
+	return e.EstimateFlat(&e.flat, sites)
 }
 
 // relFacts is what a scan or a selection needs to know about one base
@@ -243,6 +309,8 @@ type relFacts struct {
 	cached     float64 // pages cached at the client, at most pages
 	mask       uint64  // the query's bit for the relation (0 if none)
 	sel        float64 // selectivity of the selection above its scan
+	// CPU time of the disk requests reading every page, and the cached ones
+	scanCPU, cachedCPU float64
 }
 
 // siteDisk holds one site's per-page disk times, each inflated by the
@@ -253,15 +321,23 @@ type siteDisk struct {
 
 // Estimator evaluates plans of one Model repeatedly. It resolves the
 // model's relation facts, each site's load-inflated disk times and the
-// per-message CPU and wire times once, and reuses its accumulator and
-// per-node scratch, so a search loop evaluating candidate after candidate
-// allocates nothing and, for nodes carrying a valid RelID, consults no map.
-// The model must not change while the Estimator is in use.
+// per-message CPU and wire times once, and reuses its per-node records and
+// accumulators, so a search loop evaluating candidate after candidate
+// allocates nothing and consults no map.
+//
+// It evaluates a flat plan as a delta from the last plan it evaluated, when
+// that was the same Flat (same generation) evaluated for the same need: a
+// node's facts and charges are recomputed only if its site or its children
+// changed, or a child's facts did, and a recomputed node whose facts come
+// out bit-equal stops the change from travelling further up. Every charge
+// is then re-added in post-order, so each sum is formed in the order a
+// recursive evaluation adds them, and the result is bit-identical to
+// evaluating the plan from scratch. The model must not change while the
+// Estimator is in use.
 type Estimator struct {
 	m    *Model
 	rels []relFacts
 	disk []siteDisk // per slot
-	acc  accum
 
 	// Per-message constants: Params.msgCPUTime and wireTime of a data page
 	// and of a control message, and the CPU time of one disk request.
@@ -269,9 +345,13 @@ type Estimator struct {
 	ctrlCPU, ctrlWire float64
 	ioCPU             float64
 
-	sites []catalog.SiteID // the plan being estimated, in pre-order
-	info  []nodeInfo       // each node's facts, by pre-order position
-	pos   int              // next pre-order position eval visits
+	flat    plan.Flat // Estimate's flattening of a tree
+	nodes   []node    // by node ID of the plan last evaluated
+	changed []change  // by node ID: how the current pass changed its facts
+	acc     []float64 // see toWire
+	of      *plan.Flat
+	gen     uint64
+	need    need
 }
 
 // NewEstimator resolves m's relation facts, disk times and message
@@ -286,6 +366,7 @@ func NewEstimator(m *Model) *Estimator {
 		ioCPU: p.cpuTime(p.DiskInst),
 	}
 	hi := catalog.SiteID(m.Catalog.NumServers - 1)
+	e.disk = make([]siteDisk, 0, slot(hi)+1)
 	for _, name := range names {
 		rel := m.Catalog.MustRelation(name)
 		pages := float64(rel.Pages(m.Params.PageSize))
@@ -301,6 +382,8 @@ func NewEstimator(m *Model) *Estimator {
 			cached:     cached,
 			mask:       m.Query.RelMask(name),
 			sel:        m.Query.SelectSelectivity(name),
+			scanCPU:    p.cpuTime(p.DiskInst * pages),
+			cachedCPU:  p.cpuTime(p.DiskInst * cached),
 		})
 		for i := 0; i < rel.NumCopies(); i++ {
 			hi = max(hi, rel.CopySite(i))
@@ -323,10 +406,51 @@ func (e *Estimator) grow(hi catalog.SiteID) {
 	}
 }
 
+// reset flattens root into e.flat.
+func (e *Estimator) reset(root *plan.Node) {
+	if err := e.flat.Reset(root, e.m.Catalog); err != nil {
+		panic("cost: " + err.Error())
+	}
+}
+
 // Estimate predicts the execution of root with sites[i] the site of the
 // i-th node in pre-order (the order of plan.Node.Walk), as plan.Binder
 // produces them.
 func (e *Estimator) Estimate(root *plan.Node, sites []catalog.SiteID) Estimate {
+	e.reset(root)
+	return e.EstimateFlat(&e.flat, sites)
+}
+
+// EstimateFlat predicts the execution of the flat plan f, whose relation
+// IDs come from the model's catalog and whose Post is current, with
+// sites[i] the site of node i, as plan.Binder.BindFlat produces them.
+func (e *Estimator) EstimateFlat(f *plan.Flat, sites []catalog.SiteID) Estimate {
+	e.run(f, sites, needAll)
+	return Estimate{TotalCost: e.total(), ResponseTime: e.responseTime(), PagesSent: e.acc[toPages]}
+}
+
+// Value is EstimateFlat(f, sites).Value(m), computing only what the metric
+// reads: pages sent need no CPU, disk or response-time arithmetic, and
+// total cost needs no response time.
+func (e *Estimator) Value(f *plan.Flat, sites []catalog.SiteID, m Metric) float64 {
+	need := needFor(m)
+	e.run(f, sites, need)
+	switch need {
+	case needPages:
+		return e.acc[toPages]
+	case needAll:
+		return e.responseTime()
+	}
+	return e.total()
+}
+
+// run brings the node records up to date for f and sites and re-adds every
+// charge into the accumulators.
+func (e *Estimator) run(f *plan.Flat, sites []catalog.SiteID, need need) {
+	n := len(f.Nodes)
+	if len(sites) != n {
+		panic(fmt.Sprintf("cost: %d sites for a plan of %d nodes", len(sites), n))
+	}
 	for _, s := range sites {
 		if s < catalog.Client {
 			panic(fmt.Sprintf("cost: site %d is below the client", s))
@@ -335,34 +459,98 @@ func (e *Estimator) Estimate(root *plan.Node, sites []catalog.SiteID) Estimate {
 			e.grow(s)
 		}
 	}
-	e.sites, e.pos = sites, 0
-	e.info = slices.Grow(e.info[:0], len(sites))[:len(sites)]
-	e.acc.reset(len(e.disk))
-	info := e.eval(root)
-	if e.pos != len(sites) {
-		panic(fmt.Sprintf("cost: %d sites for a plan of %d nodes", len(sites), e.pos))
+	if e.of != f || e.gen != f.Generation() || e.need != need || len(e.nodes) != n {
+		e.of, e.gen, e.need = f, f.Generation(), need
+		e.nodes = slices.Grow(e.nodes[:0], n)[:n]
+		e.changed = slices.Grow(e.changed[:0], n)[:n]
+		for i := range e.nodes {
+			e.nodes[i].known = false
+		}
 	}
-	e.sites = nil
-	rt := max(info.rt, e.acc.bottleneck(e.m.Params.NumDisks))
-	return Estimate{TotalCost: e.acc.total(), ResponseTime: rt, PagesSent: e.acc.pages}
+	nodes, changed := e.nodes, e.changed
+	for _, i := range f.Post {
+		row, r := &f.Nodes[i], &nodes[i]
+		cl, cr := unchanged, unchanged
+		if row.Left >= 0 {
+			cl = changed[row.Left]
+		}
+		if row.Right >= 0 {
+			cr = changed[row.Right]
+		}
+		relinked := r.left != row.Left || r.right != row.Right
+		switch {
+		case !r.known || relinked || r.site != sites[i] || max(cl, cr) >= siteChanged:
+			old, known := r.facts, r.known
+			e.eval(f, i, sites[i], need, !known || relinked || max(cl, cr) == shapeChanged)
+			changed[i] = shapeChanged
+			if known {
+				changed[i] = r.facts.diff(&old)
+			}
+		case cl == rtChanged || cr == rtChanged:
+			old := r.rt
+			r.rt = e.rtOf(row, r)
+			changed[i] = unchanged
+			if math.Float64bits(r.rt) != math.Float64bits(old) {
+				changed[i] = rtChanged
+			}
+		default:
+			changed[i] = unchanged
+		}
+	}
+	acc := slices.Grow(e.acc[:0], 2+2*len(e.disk))[:2+2*len(e.disk)]
+	clear(acc)
+	for _, i := range f.Post {
+		r := &nodes[i]
+		for _, c := range r.ch[:r.n] {
+			acc[c.to] += c.v
+		}
+	}
+	e.acc = acc
 }
 
-// facts returns the facts of the named relation, or nil if the catalog
-// lacks it. A valid ID hint (a node's RelID) spares the lookup by name.
-func (e *Estimator) facts(hint catalog.RelID, name string) *relFacts {
-	if i := int(e.m.Catalog.Resolve(hint, name)) - 1; uint(i) < uint(len(e.rels)) {
-		return &e.rels[i]
+// total sums all resource consumption: the wire, then every site's CPU and
+// then every site's disk in ascending site order, so floating-point
+// rounding is identical across runs. A site with no work adds +0.0, which
+// leaves the sum exactly unchanged.
+func (e *Estimator) total() float64 {
+	t := e.acc[toWire]
+	for i := 2; i < len(e.acc); i += 2 {
+		t += e.acc[i]
 	}
-	return nil
+	for i := 3; i < len(e.acc); i += 2 {
+		t += e.acc[i]
+	}
+	return t
 }
 
-// selectivity is Query.SelectSelectivity of the select n through the
-// resolved facts.
-func (e *Estimator) selectivity(n *plan.Node) float64 {
-	if f := e.facts(n.RelID, n.Rel); f != nil {
-		return f.sel
+// responseTime is the root's completion time, bounded below by the busiest
+// single resource. The bound uses the builtin max, which agrees with
+// math.Max for the non-NaN values the model produces.
+func (e *Estimator) responseTime() float64 {
+	// max is exact, commutative and associative, so running the CPU and
+	// the disk maxima apart gives the same bits as one running maximum.
+	acc := e.acc
+	mc, md := acc[toWire], acc[diskAt(catalog.Client)]
+	if disks := e.m.Params.NumDisks; disks > 1 {
+		// A site's disk work spreads over its arms in the best case.
+		md /= float64(disks)
+		for i := 2; i+1 < len(acc); i += 2 {
+			mc, md = max(mc, acc[i]), max(md, acc[i+1]/float64(disks))
+		}
+	} else {
+		for i := 2; i+1 < len(acc); i += 2 {
+			mc, md = max(mc, acc[i]), max(md, acc[i+1])
+		}
 	}
-	return e.m.Query.SelectSelectivity(n.Rel)
+	return max(e.nodes[0].rt, mc, md)
+}
+
+// selectivity is Query.SelectSelectivity of the select at node i.
+func (e *Estimator) selectivity(f *plan.Flat, i int32) float64 {
+	if rel := f.Nodes[i].Rel; rel != 0 {
+		return e.rels[rel-1].sel
+	}
+	return e.m.Query.SelectSelectivity(f.Src[i].Rel)
 }
 
 func pagesOf(card float64, tupleBytes, pageSize int) float64 {
@@ -376,123 +564,172 @@ func pagesOf(card float64, tupleBytes, pageSize int) float64 {
 	return math.Ceil(card / perPage)
 }
 
-// ship charges communication for moving `pages` data pages of `bytes` total
-// from one site to another and returns the pipeline stage duration.
-func (e *Estimator) ship(from, to catalog.SiteID, pages float64, acct bool) float64 {
+// ship charges r for moving pages data pages from one site to another and
+// returns the pipeline stage duration.
+func (e *Estimator) ship(r *node, from, to catalog.SiteID, pages float64, need need) float64 {
 	if from == to || pages <= 0 {
 		return 0
 	}
-	acc := &e.acc
-	acc.cpu[slot(from)] += e.pageCPU * pages
-	acc.cpu[slot(to)] += e.pageCPU * pages
-	acc.wire += e.pageWire * pages
-	if acct {
-		acc.pages += pages
+	if need >= needCharges {
+		e.add(r, cpuAt(from), e.pageCPU*pages)
+		e.add(r, cpuAt(to), e.pageCPU*pages)
+		e.add(r, toWire, e.pageWire*pages)
 	}
+	e.add(r, toPages, pages)
 	// The shipping stage streams pages; its duration is bounded by the
 	// slower of the wire and the two endpoint CPUs for this stream.
 	return pages * max(e.pageWire, e.pageCPU)
 }
 
-// eval evaluates the subtree at n, whose site is the next pre-order entry,
-// into that position's scratch entry and returns it. Children's entries
-// stay valid while their parent reads them: e.info is sized before the
-// walk and never moves during it.
-func (e *Estimator) eval(n *plan.Node) *nodeInfo {
-	m, p, acc := e.m, &e.m.Params, &e.acc
-	i := e.pos
-	e.pos++
-	out, site := &e.info[i], e.sites[i]
-	switch n.Kind {
+// eval recomputes node i, bound to site, from its children's records. Its
+// shape facts (cardinality, pages, tuple width, relations) depend only on
+// its children's, so unless shape is set they stand as last computed; its
+// charges and rt terms are always recomputed.
+func (e *Estimator) eval(f *plan.Flat, i int32, site catalog.SiteID, need need, shape bool) {
+	row, r := &f.Nodes[i], &e.nodes[i]
+	r.known, r.left, r.right, r.n, r.site = true, row.Left, row.Right, 0, site
+	var l, o *facts
+	if row.Left >= 0 {
+		l = &e.nodes[row.Left].facts
+	}
+	if row.Right >= 0 {
+		o = &e.nodes[row.Right].facts
+	}
+	if shape {
+		e.shape(f, i, l, o)
+	}
+	switch row.Kind {
 	case plan.KindScan:
-		e.evalScan(n, site, out)
-
-	case plan.KindSelect:
-		child := e.eval(n.Left)
-		shipDur := e.ship(child.site, site, child.pages, true)
-		sel := e.selectivity(n)
-		cpu := p.cpuTime(p.CompareInst * child.card)
-		acc.cpu[slot(site)] += cpu
-		card := child.card * sel
-		*out = nodeInfo{
-			card:       card,
-			tupleBytes: child.tupleBytes,
-			pages:      pagesOf(card, child.tupleBytes, p.PageSize),
-			rt:         max(child.rt, max(shipDur, cpu)),
-			site:       site,
-			tables:     child.tables,
-		}
-
+		e.placeScan(f, i, need)
+		return
 	case plan.KindJoin:
-		e.evalJoin(n, site, out)
+		e.placeJoin(r, l, o, need)
+	default:
+		shipDur := e.ship(r, l.site, site, l.pages, need)
+		if need < needCharges {
+			break
+		}
+		cpu := r.cpu
+		e.add(r, cpuAt(site), cpu)
+		if row.Kind == plan.KindAgg {
+			r.a, r.b = shipDur, cpu
+		} else {
+			r.a = max(shipDur, cpu)
+		}
+	}
+	if need == needAll {
+		r.rt = e.rtOf(row, r)
+	}
+}
 
+// shape recomputes the shape facts of node i from its left and right
+// inputs' (nil where it has none).
+func (e *Estimator) shape(f *plan.Flat, i int32, l, o *facts) {
+	m, p, r := e.m, &e.m.Params, &e.nodes[i]
+	switch f.Nodes[i].Kind {
+	case plan.KindScan:
+		id := f.Nodes[i].Rel
+		if id == 0 {
+			panic("cost: scan of unknown relation " + f.Src[i].Table)
+		}
+		rel := &e.rels[id-1]
+		r.card, r.tupleBytes, r.pages, r.tables = rel.card, rel.tupleBytes, rel.pages, rel.mask
+	case plan.KindSelect:
+		card := l.card * e.selectivity(f, i)
+		r.card, r.tupleBytes, r.pages, r.tables = card, l.tupleBytes, pagesOf(card, l.tupleBytes, p.PageSize), l.tables
+		r.cpu = p.cpuTime(p.CompareInst * l.card)
 	case plan.KindAgg:
-		child := e.eval(n.Left)
-		shipDur := e.ship(child.site, site, child.pages, true)
-		cpu := p.cpuTime(p.HashInst * child.card)
-		acc.cpu[slot(site)] += cpu
 		card := float64(m.Query.GroupBy)
-		if card <= 0 || card > child.card {
-			card = min(1, child.card)
+		if card <= 0 || card > l.card {
+			card = min(1, l.card)
 			if m.Query.GroupBy > 0 {
-				card = min(float64(m.Query.GroupBy), child.card)
+				card = min(float64(m.Query.GroupBy), l.card)
 			}
 		}
-		// Aggregation is blocking: its (small) output appears only after the
-		// whole input has been consumed.
-		*out = nodeInfo{
-			card:       card,
-			tupleBytes: child.tupleBytes,
-			pages:      pagesOf(card, child.tupleBytes, p.PageSize),
-			rt:         max(child.rt, shipDur) + cpu,
-			site:       site,
-			tables:     child.tables,
-		}
-
+		r.card, r.tupleBytes, r.pages, r.tables = card, l.tupleBytes, pagesOf(card, l.tupleBytes, p.PageSize), l.tables
+		r.cpu = p.cpuTime(p.HashInst * l.card)
 	case plan.KindDisplay:
-		child := e.eval(n.Left)
-		shipDur := e.ship(child.site, site, child.pages, true)
-		cpu := p.cpuTime(p.DisplayInst * child.card)
-		acc.cpu[slot(site)] += cpu
-		*out = nodeInfo{
-			card:       child.card,
-			tupleBytes: child.tupleBytes,
-			pages:      child.pages,
-			rt:         max(child.rt, max(shipDur, cpu)),
-			site:       site,
-			tables:     child.tables,
+		r.card, r.tupleBytes, r.pages, r.tables = l.card, l.tupleBytes, l.pages, l.tables
+		r.cpu = p.cpuTime(p.DisplayInst * l.card)
+	case plan.KindJoin:
+		card := l.card * o.card * m.Query.JoinSelectivity(l.tables, o.tables)
+		bytes := m.Query.ResultTupleBytes
+		r.card, r.tupleBytes, r.pages, r.tables = card, bytes, pagesOf(card, bytes, p.PageSize), l.tables|o.tables
+		// CPU: hash each input tuple once, move each result tuple.
+		r.cpu = p.cpuTime(p.HashInst * l.card)
+		r.probeCPU = p.cpuTime(p.HashInst*o.card + p.MoveInst*(float64(bytes)/4)*card)
+		// Temporary I/O per Shapiro: with the maximum allocation the
+		// inner's hash table is memory resident; with the minimum
+		// allocation all but a memory-sized slice of both inputs is
+		// written to and re-read from the join site's disk.
+		if !p.MaxAlloc {
+			fn := p.FudgeF * l.pages
+			mem := math.Ceil(math.Sqrt(fn))
+			q := 0.0
+			if fn > 0 {
+				q = mem / fn
+			}
+			if q > 1 {
+				q = 1
+			}
+			r.spillIn, r.spillOut = (1-q)*l.pages, (1-q)*o.pages
 		}
-
 	default:
 		panic("cost: unknown node kind")
 	}
-	return out
 }
 
-// evalScan evaluates the scan n into info. Binding rejects scans of
-// relations the catalog lacks, so a miss is a caller's bug.
-func (e *Estimator) evalScan(n *plan.Node, site catalog.SiteID, info *nodeInfo) {
-	p, acc := &e.m.Params, &e.acc
-	rel := e.facts(n.RelID, n.Table)
-	if rel == nil {
-		panic("cost: scan of unknown relation " + n.Table)
+// rtOf is the response time of the non-scan node r from its rtTerms and
+// its children's rt.
+func (e *Estimator) rtOf(row *plan.FlatNode, r *node) float64 {
+	l := e.nodes[row.Left].rt
+	switch row.Kind {
+	case plan.KindJoin:
+		// The build blocks on the inner and the probe pipelines with the
+		// outer; see evalJoin.
+		buildDur, probeDur := max(l, r.a), 0.0
+		if r.colocL {
+			buildDur = l + r.a
+		}
+		o := e.nodes[row.Right].rt
+		if r.colocR {
+			probeDur = o + r.b
+		} else {
+			probeDur = max(o, r.b)
+		}
+		return buildDur + probeDur + r.c
+	case plan.KindAgg:
+		// Aggregation is blocking: its (small) output appears only after
+		// the whole input has been consumed.
+		return max(l, r.a) + r.b
 	}
-	pages := rel.pages
-	*info = nodeInfo{card: rel.card, tupleBytes: rel.tupleBytes, pages: pages, site: site,
-		tables: rel.mask}
+	return max(l, r.a)
+}
+
+// placeScan charges the scan at node i for its site. Binding rejects
+// primary scans of relations the catalog lacks, and shape panics on them.
+func (e *Estimator) placeScan(f *plan.Flat, i int32, need need) {
+	r := &e.nodes[i]
+	rel := &e.rels[f.Nodes[i].Rel-1]
+	pages, site := r.pages, r.site
 
 	if site != catalog.Client || pages == 0 {
 		// Scan at a server copy (the primary, or whichever replica the plan
 		// bound): sequential I/O at that copy's site.
+		if need < needCharges {
+			return
+		}
 		at := site
 		if at == catalog.Client {
 			at = rel.home // degenerate empty relation bound at the client
 		}
 		d := e.disk[slot(at)].seq * pages
-		cpu := p.cpuTime(p.DiskInst * pages)
-		acc.disk[slot(at)] += d
-		acc.cpu[slot(at)] += cpu
-		info.rt = d + cpu
+		cpu := rel.scanCPU
+		e.add(r, diskAt(at), d)
+		e.add(r, cpuAt(at), cpu)
+		if need == needAll {
+			r.rt = d + cpu
+		}
 		return
 	}
 
@@ -501,71 +738,60 @@ func (e *Estimator) evalScan(n *plan.Node, site catalog.SiteID, info *nodeInfo) 
 	// overlap between request, server I/O, and reply (§4.2.3).
 	cached := rel.cached
 	missing := pages - cached
+	if need < needCharges {
+		if missing > 0 {
+			e.add(r, toPages, missing)
+		}
+		return
+	}
 
 	clientDisk := e.disk[slot(site)].seq * cached
-	clientCPU := p.cpuTime(p.DiskInst * cached)
-	acc.disk[slot(site)] += clientDisk
-	acc.cpu[slot(site)] += clientCPU
+	clientCPU := rel.cachedCPU
+	e.add(r, diskAt(site), clientDisk)
+	e.add(r, cpuAt(site), clientCPU)
 
 	var faultDur float64
 	if missing > 0 {
 		reqCPU, pageCPU := e.ctrlCPU, e.pageCPU
 		serverIO := e.disk[slot(rel.home)].seq
 		serverCPU := e.ioCPU
-		acc.cpu[slot(site)] += (reqCPU + pageCPU) * missing
-		acc.cpu[slot(rel.home)] += (reqCPU + pageCPU + serverCPU) * missing
-		acc.disk[slot(rel.home)] += serverIO * missing
-		acc.wire += (e.ctrlWire + e.pageWire) * missing
-		acc.pages += missing
+		e.add(r, cpuAt(site), (reqCPU+pageCPU)*missing)
+		e.add(r, cpuAt(rel.home), (reqCPU+pageCPU+serverCPU)*missing)
+		e.add(r, diskAt(rel.home), serverIO*missing)
+		e.add(r, toWire, (e.ctrlWire+e.pageWire)*missing)
+		e.add(r, toPages, missing)
 		perFault := reqCPU*2 + e.ctrlWire + serverCPU + serverIO +
 			pageCPU*2 + e.pageWire
 		faultDur = perFault * missing
 	}
-	info.rt = clientDisk + clientCPU + faultDur
+	if need == needAll {
+		r.rt = clientDisk + clientCPU + faultDur
+	}
 }
 
-// evalJoin evaluates the join n into out.
-func (e *Estimator) evalJoin(n *plan.Node, site catalog.SiteID, out *nodeInfo) {
-	m, p, acc := e.m, &e.m.Params, &e.acc
-	inner := e.eval(n.Left)
-	outer := e.eval(n.Right)
+// placeJoin charges the join r for its site and sets its rt terms.
+func (e *Estimator) placeJoin(r *node, inner, outer *facts, need need) {
+	p, site := &e.m.Params, r.site
+	innerShip := e.ship(r, inner.site, site, inner.pages, need)
+	outerShip := e.ship(r, outer.site, site, outer.pages, need)
+	if need < needCharges {
+		return
+	}
 
-	innerShip := e.ship(inner.site, site, inner.pages, true)
-	outerShip := e.ship(outer.site, site, outer.pages, true)
+	buildCPU, probeCPU := r.cpu, r.probeCPU
+	e.add(r, cpuAt(site), buildCPU+probeCPU)
 
-	outCard := inner.card * outer.card * m.Query.JoinSelectivity(inner.tables, outer.tables)
-	outBytes := m.Query.ResultTupleBytes
-	outPages := pagesOf(outCard, outBytes, p.PageSize)
-
-	// CPU: hash each input tuple once, move each result tuple.
-	buildCPU := p.cpuTime(p.HashInst * inner.card)
-	probeCPU := p.cpuTime(p.HashInst*outer.card + p.MoveInst*(float64(outBytes)/4)*outCard)
-	acc.cpu[slot(site)] += buildCPU + probeCPU
-
-	// Temporary I/O per Shapiro: with the maximum allocation the inner's
-	// hash table is memory resident; with the minimum allocation all but a
-	// memory-sized slice of both inputs is written to and re-read from the
-	// join site's disk.
+	// Spill I/O: see shape.
 	var writeInner, writeOuter, readBack float64
 	if !p.MaxAlloc {
-		fn := p.FudgeF * inner.pages
-		mem := math.Ceil(math.Sqrt(fn))
-		q := 0.0
-		if fn > 0 {
-			q = mem / fn
-		}
-		if q > 1 {
-			q = 1
-		}
-		spillInner := (1 - q) * inner.pages
-		spillOuter := (1 - q) * outer.pages
+		spillInner, spillOuter := r.spillIn, r.spillOut
 		ioCPU, d := e.ioCPU, &e.disk[slot(site)]
 		writeInner = (d.spillWrite + ioCPU) * spillInner
 		writeOuter = (d.spillWrite + ioCPU) * spillOuter
 		readBack = (d.spillRead + ioCPU) * (spillInner + spillOuter)
-		acc.disk[slot(site)] += d.spillWrite*(spillInner+spillOuter) +
-			d.spillRead*(spillInner+spillOuter)
-		acc.cpu[slot(site)] += ioCPU * 2 * (spillInner + spillOuter)
+		e.add(r, diskAt(site), d.spillWrite*(spillInner+spillOuter)+
+			d.spillRead*(spillInner+spillOuter))
+		e.add(r, cpuAt(site), ioCPU*2*(spillInner+spillOuter))
 	}
 	// Response time. The build blocks on the inner and the probe pipelines
 	// with the outer. Partition writes at this join overlap the producer's
@@ -573,22 +799,16 @@ func (e *Estimator) evalJoin(n *plan.Node, site catalog.SiteID, out *nodeInfo) {
 	// reads stream while we write); co-located producer and consumer share
 	// one disk, so their phases serialize. The final partition passes
 	// (readBack) are this join's output emission and are in turn overlapped
-	// by our consumer, which applies the same rule.
+	// by our consumer, which applies the same rule. rtOf adds the inputs'
+	// rt.
 	buildWork := buildCPU + writeInner
 	probeWork := probeCPU + writeOuter
-	var buildDur, probeDur float64
-	if inner.site == site {
-		buildDur = inner.rt + buildWork
-	} else {
-		buildDur = max(inner.rt, max(innerShip, buildWork))
+	r.colocL, r.colocR, r.c = inner.site == site, outer.site == site, readBack
+	r.a, r.b = buildWork, probeWork
+	if !r.colocL {
+		r.a = max(innerShip, buildWork)
 	}
-	if outer.site == site {
-		probeDur = outer.rt + probeWork
-	} else {
-		probeDur = max(outer.rt, max(outerShip, probeWork))
+	if !r.colocR {
+		r.b = max(outerShip, probeWork)
 	}
-	rt := buildDur + probeDur + readBack
-
-	*out = nodeInfo{card: outCard, tupleBytes: outBytes, pages: outPages, rt: rt, site: site,
-		tables: inner.tables | outer.tables}
 }

@@ -99,6 +99,7 @@ type Disk struct {
 	params Params
 
 	queue  []*request
+	free   []*request // completed requests, for submit to reuse
 	server *sim.Proc
 	idle   bool
 	seq    int64
@@ -174,7 +175,13 @@ func (d *Disk) submit(p *sim.Proc, kind opKind, page PageAddr, n int) {
 		panic(fmt.Sprintf("disk %s: run [%d,%d) out of range [0,%d)", d.name, page, page+PageAddr(n), d.params.Capacity()))
 	}
 	d.seq++
-	r := &request{kind: kind, page: page, pages: n, cyl: d.cylOf(page), waiter: p.Ref(), seq: d.seq}
+	var r *request
+	if k := len(d.free); k > 0 {
+		r, d.free = d.free[k-1], d.free[:k-1]
+	} else {
+		r = new(request)
+	}
+	*r = request{kind: kind, page: page, pages: n, cyl: d.cylOf(page), waiter: p.Ref(), seq: d.seq}
 	d.queue = append(d.queue, r)
 	if d.idle {
 		d.idle = false
@@ -183,6 +190,13 @@ func (d *Disk) submit(p *sim.Proc, kind opKind, page PageAddr, n int) {
 	for !r.done {
 		p.Block()
 	}
+	// Done means served: the request has left the queue, and the service
+	// process has let go of it. A submitter interrupted while waiting never
+	// gets here, so a request that may still be queued or in service is
+	// never reused; the collector takes it. A kept request is cleared so
+	// that it holds no finished process alive.
+	*r = request{}
+	d.free = append(d.free, r)
 }
 
 func (d *Disk) cylOf(page PageAddr) int {

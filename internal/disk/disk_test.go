@@ -456,3 +456,26 @@ func TestDestageOrderMatchesReference(t *testing.T) {
 		t.Fatalf("only %d destage passes exercised", passes)
 	}
 }
+
+// TestWarmRunsZeroAlloc pins the request free list: once a disk has served
+// a few runs, submitting more reads and writes allocates nothing.
+func TestWarmRunsZeroAlloc(t *testing.T) {
+	s := sim.New()
+	d := New(s, "d0", DefaultParams())
+	var allocs float64
+	s.Spawn("io", func(p *sim.Proc) {
+		run := func() {
+			d.ReadRun(p, 0, 8)
+			d.WriteRun(p, 4096, 8)
+			d.Read(p, 64)
+		}
+		for i := 0; i < 16; i++ { // warm the free list, cache and heap
+			run()
+		}
+		allocs = testing.AllocsPerRun(100, run)
+	})
+	s.Run()
+	if allocs != 0 {
+		t.Errorf("warm disk runs allocate %v per round, want 0", allocs)
+	}
+}

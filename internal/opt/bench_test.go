@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -33,7 +34,7 @@ func neighborFixture(tb testing.TB) *searchState {
 		tb.Fatal(err)
 	}
 	st := newSearch(o, o.opts, rand.New(rand.NewSource(1)))
-	st.reset(start.Plan, start.Estimate)
+	st.reset(start.Plan)
 	return st
 }
 
@@ -41,10 +42,9 @@ func neighborFixture(tb testing.TB) *searchState {
 // it: pick a move, apply it in place, evaluate the mutated tree, revert.
 func neighborStep(st *searchState, u *undoRec) {
 	moves := st.ensureMoves()
-	mv := moves[st.rng.Intn(len(moves))]
-	applyMove(st.nodes, mv, st.opts.Policy, st.o.model.Catalog, u)
+	st.apply(moves[st.rng.Intn(len(moves))], u)
 	st.evaluate() // ok=false (an ill-formed candidate) is a normal outcome
-	u.revert()
+	st.revert(u)
 }
 
 // BenchmarkNeighborEvaluate measures one search step (neighborStep). This
@@ -72,6 +72,48 @@ func BenchmarkOptimize10Way(b *testing.B) {
 		o := newOpt(cat, q, plan.HybridShipping, cost.MetricResponseTime, int64(i))
 		if _, err := o.Optimize(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOptimize2Way measures the search of the 2-way figures (2-5) and
+// of the join2 benchmark workload: a 2-way chain on one server, each op one
+// Optimize, cycling through the three policies and the two metrics those
+// figures minimize. Its plan space is a few dozen states, so the memo
+// answers about 99% of the candidates.
+func BenchmarkOptimize2Way(b *testing.B) {
+	cat, q := chainEnv(2, 1, 0)
+	pols := []plan.Policy{plan.DataShipping, plan.QueryShipping, plan.HybridShipping}
+	metrics := []cost.Metric{cost.MetricPagesSent, cost.MetricResponseTime}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := newOpt(cat, q, pols[i%3], metrics[i/3%2], int64(i))
+		if _, err := o.Optimize(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOptimize10WayCells measures one 10-way optimization on 10
+// servers per op for each policy and metric of the join10 benchmark
+// workload's cells (Figures 6-8): response time under the minimum memory
+// allocation, pages sent under the maximum.
+func BenchmarkOptimize10WayCells(b *testing.B) {
+	cat, q := chainEnv(10, 10, 0)
+	for _, pol := range []plan.Policy{plan.DataShipping, plan.QueryShipping, plan.HybridShipping} {
+		for _, metric := range []cost.Metric{cost.MetricResponseTime, cost.MetricPagesSent} {
+			p := cost.DefaultParams()
+			p.MaxAlloc = metric == cost.MetricPagesSent
+			m := &cost.Model{Params: p, Catalog: cat, Query: q}
+			b.Run(fmt.Sprintf("%v/%v", pol, metric), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := New(m, DefaultOptions(pol, metric, int64(i))).Optimize(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

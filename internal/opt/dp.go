@@ -98,18 +98,16 @@ func (d *DP) Optimize() (Result, error) {
 	}
 
 	// Base cases: single-relation scans (with selections), per allowed scan
-	// annotation. They carry their relation's ID, and so does every clone
-	// the enumeration makes of them.
+	// annotation.
 	for i, name := range names {
-		id := d.model.Catalog.ID(name)
 		for _, ann := range plan.AllowedAnnotations(plan.KindScan, d.opts.Policy) {
 			sc := plan.NewScan(name)
-			sc.Ann, sc.RelID = ann, id
+			sc.Ann = ann
 			var tree *plan.Node = sc
 			if _, ok := q.Selects[name]; ok {
 				for _, sann := range plan.AllowedAnnotations(plan.KindSelect, d.opts.Policy) {
 					sel := plan.NewSelect(sc.Clone(), name)
-					sel.Ann, sel.RelID = sann, id
+					sel.Ann = sann
 					consider(1<<i, sel)
 				}
 				continue

@@ -208,13 +208,14 @@ func measureEstimates(t *testing.T, c goldenCell, pol plan.Policy, seed int64) g
 		out.Plans = append(out.Plans, estBits(e))
 
 		// A random walk over in-place moves, as the search takes them.
-		root := r.Plan
-		nodes := indexNodes(root, nil)
-		var shape shapeIndex
-		shape.build(&o.bits, nodes)
+		var f plan.Flat
+		if err := f.Reset(r.Plan, m.Catalog); err != nil {
+			t.Fatal(err)
+		}
+		mask := subtreeMasks(&f, o.bits, nil)
 		var u undoRec
 		for step := 0; step < 12; step++ {
-			moves := candidateMoves(m.Query, o.opts, m.Catalog, nodes, &shape, nil)
+			moves := candidateMoves(m.Query, o.opts, m.Catalog, &f, mask, nil)
 			if len(moves) == 0 {
 				break
 			}
@@ -222,11 +223,10 @@ func measureEstimates(t *testing.T, c goldenCell, pol plan.Policy, seed int64) g
 			if mv.kind == mvScanCopy {
 				out.CopyMove++
 			}
-			if applyMove(nodes, mv, pol, m.Catalog, &u) {
-				nodes = indexNodes(root, nodes)
-				shape.build(&o.bits, nodes)
-			}
-			buf = plan.AppendKey(buf[:0], root)
+			applyMove(&f, mask, mv, pol, m.Catalog, &u)
+			f.Order()
+			root := f.Tree()
+			buf = appendKey(buf[:0], root)
 			if e, ok := estimate(root); ok {
 				for _, v := range estBits(e) {
 					buf = binary.LittleEndian.AppendUint64(buf, v)
@@ -244,7 +244,29 @@ func measureEstimates(t *testing.T, c goldenCell, pol plan.Policy, seed int64) g
 }
 
 func winner(r Result) goldenWinner {
-	return goldenWinner{Plan: hex.EncodeToString(plan.AppendKey(nil, r.Plan)), Bits: estBits(r.Estimate)}
+	return goldenWinner{Plan: hex.EncodeToString(appendKey(nil, r.Plan)), Bits: estBits(r.Estimate)}
+}
+
+// appendKey appends the golden's encoding of the subtree's shape and
+// annotations to buf: per node in pre-order, kind<<4|annotation, then for
+// a scan its copy index and relation name and for a select its relation
+// name, each name 0-terminated.
+func appendKey(buf []byte, n *plan.Node) []byte {
+	if n == nil {
+		return buf
+	}
+	buf = append(buf, byte(n.Kind)<<4|byte(n.Ann))
+	switch n.Kind {
+	case plan.KindScan:
+		buf = append(buf, byte(n.Copy))
+		buf = append(buf, n.Table...)
+		buf = append(buf, 0)
+	case plan.KindSelect:
+		buf = append(buf, n.Rel...)
+		buf = append(buf, 0)
+	}
+	buf = appendKey(buf, n.Left)
+	return appendKey(buf, n.Right)
 }
 
 // measureGolden computes the whole golden from the current code.

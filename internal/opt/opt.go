@@ -127,8 +127,6 @@ type Result struct {
 	Estimate cost.Estimate
 }
 
-func (o *Optimizer) value(e cost.Estimate) float64 { return e.Value(o.opts.Metric) }
-
 // evaluate binds and estimates a plan; ok is false for ill-formed plans.
 func (o *Optimizer) evaluate(root *plan.Node) (plan.Binding, cost.Estimate, bool) {
 	b, err := plan.Bind(root, o.model.Catalog, catalog.Client)
@@ -138,15 +136,15 @@ func (o *Optimizer) evaluate(root *plan.Node) (plan.Binding, cost.Estimate, bool
 	return b, o.model.Estimate(root, b), true
 }
 
-// finish rebinds a snapshot so the returned Result carries a Binding over
-// the returned tree's own nodes.
-func (o *Optimizer) finish(r Result) (Result, error) {
-	b, err := plan.Bind(r.Plan, o.model.Catalog, catalog.Client)
+// finish binds the plan a search returned and estimates it in full: the
+// search itself computed only its metric. The metric's value is the same
+// bits the search saw.
+func (o *Optimizer) finish(r searchResult) (Result, error) {
+	b, err := plan.Bind(r.plan, o.model.Catalog, catalog.Client)
 	if err != nil {
 		return Result{}, fmt.Errorf("opt: best plan failed to rebind: %w", err)
 	}
-	r.Binding = b
-	return r, nil
+	return Result{Plan: r.plan, Binding: b, Estimate: o.model.Estimate(r.plan, b)}, nil
 }
 
 // Optimize runs two-phase optimization (II then SA) and returns the best
@@ -162,7 +160,7 @@ func (o *Optimizer) Optimize() (Result, error) {
 		return Result{}, err
 	}
 	type iiOut struct {
-		res Result
+		res searchResult
 		err error
 		ok  bool
 	}
@@ -185,22 +183,22 @@ func (o *Optimizer) Optimize() (Result, error) {
 					return
 				}
 				st.rng = rand.New(rand.NewSource(deriveSeed(o.opts.Seed, seedPhaseII, int64(i))))
-				r, err := o.randomPlan(st.rng)
+				root, err := o.randomTree(st.rng, &st.binder)
 				if err != nil {
 					outs[i] = iiOut{err: err}
 					continue
 				}
-				st.reset(r.Plan, r.Estimate)
+				st.reset(root)
 				st.descend()
-				outs[i] = iiOut{res: st.snapshot(), ok: true}
+				outs[i] = iiOut{res: st.result(), ok: true}
 			}
 		}()
 	}
 	wg.Wait()
 
-	best, found := Result{}, false
+	best, found := searchResult{}, false
 	for _, out := range outs { // ascending start index breaks value ties
-		if out.ok && (!found || o.value(out.res.Estimate) < o.value(best.Estimate)) {
+		if out.ok && (!found || out.res.val < best.val) {
 			best, found = out.res, true
 		}
 	}
@@ -214,7 +212,7 @@ func (o *Optimizer) Optimize() (Result, error) {
 	}
 
 	st := newSearch(o, o.opts, rand.New(rand.NewSource(deriveSeed(o.opts.Seed, seedPhaseSA))))
-	st.reset(best.Plan, best.Estimate) // best.Plan is a private clone
+	st.reset(best.plan)
 	return o.finish(st.anneal())
 }
 
@@ -227,15 +225,13 @@ func (o *Optimizer) OptimizeFrom(root *plan.Node) (Result, error) {
 	if err := o.model.Query.Validate(); err != nil {
 		return Result{}, err
 	}
-	r := root.Clone()
-	_, e, ok := o.evaluate(r)
-	if !ok {
+	if !plan.WellFormed(root, o.model.Catalog, catalog.Client) {
 		return Result{}, fmt.Errorf("opt: starting plan is ill-formed")
 	}
 	opts := o.opts
 	opts.FixedJoinOrder = true
 	st := newSearch(o, opts, rand.New(rand.NewSource(deriveSeed(o.opts.Seed, seedPhaseFrom))))
-	st.reset(r, e)
+	st.reset(root)
 	return o.finish(st.anneal())
 }
 
@@ -247,28 +243,40 @@ func (o *Optimizer) RandomPlan() (Result, error) {
 	return o.randomPlan(o.rng)
 }
 
-// randomPlan is RandomPlan over an explicit random stream, so concurrent
-// II starts can each draw their own without sharing state.
+// randomPlan is RandomPlan over an explicit random stream.
 func (o *Optimizer) randomPlan(rng *rand.Rand) (Result, error) {
+	var bd plan.Binder
+	root, err := o.randomTree(rng, &bd)
+	if err != nil {
+		return Result{}, err
+	}
+	b, e, _ := o.evaluate(root)
+	return Result{Plan: root, Binding: b, Estimate: e}, nil
+}
+
+// randomTree draws the random plan randomPlan returns, checking each
+// attempt's well-formedness with bd, so concurrent II starts can each draw
+// their own without sharing state.
+func (o *Optimizer) randomTree(rng *rand.Rand, bd *plan.Binder) (*plan.Node, error) {
 	q := o.model.Query
 	if err := q.Validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	for attempt := 0; attempt < 100; attempt++ {
 		tree, err := o.randomJoinTree(rng)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		if q.GroupBy > 0 {
 			tree = plan.NewAgg(tree)
 		}
 		root := plan.NewDisplay(tree)
 		o.randomizeAnnotations(rng, root)
-		if b, e, ok := o.evaluate(root); ok {
-			return Result{Plan: root, Binding: b, Estimate: e}, nil
+		if _, err := bd.Bind(root, o.model.Catalog, catalog.Client); err == nil {
+			return root, nil
 		}
 	}
-	return Result{}, fmt.Errorf("opt: could not generate a well-formed plan after 100 attempts")
+	return nil, fmt.Errorf("opt: could not generate a well-formed plan after 100 attempts")
 }
 
 // randomJoinTree builds a random join tree over the query's relations by

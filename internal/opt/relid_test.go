@@ -55,12 +55,15 @@ func unionSet(a, b map[string]bool) map[string]bool {
 }
 
 // candidateMovesByName is an independent reference for candidateMoves: the
-// same enumeration, with each subtree's relations found by walking the tree
-// and connectivity tested by scanning the predicates, instead of through the
-// shape index and the query's adjacency masks.
-func candidateMovesByName(q *query.Query, opts Options, cat *catalog.Catalog, nodes []*plan.Node) []move {
+// same enumeration over a tree, with each subtree's relations found by
+// walking it, connectivity tested by scanning the predicates and copies
+// counted by name, instead of through the flat plan's masks, the query's
+// adjacency masks and relation IDs. nodes is the tree in pre-order and
+// ids[i] the flat node ID of nodes[i], which the moves carry.
+func candidateMovesByName(q *query.Query, opts Options, cat *catalog.Catalog, nodes []*plan.Node, ids []int32) []move {
 	var moves []move
-	for i, n := range nodes {
+	for p, n := range nodes {
+		i := ids[p]
 		switch n.Kind {
 		case plan.KindJoin:
 			a, b := n.Left, n.Right
@@ -103,7 +106,11 @@ func candidateMovesByName(q *query.Query, opts Options, cat *catalog.Catalog, no
 			moves = appendAnnMoves(moves, i, mvSelectAnn, n.Kind, opts.Policy)
 		case plan.KindScan:
 			moves = appendAnnMoves(moves, i, mvScanAnn, plan.KindScan, opts.Policy)
-			moves = appendCopyMoves(moves, i, n, cat, opts.Policy)
+			if opts.Policy != plan.DataShipping {
+				for s := 0; s < cat.MustRelation(n.Table).NumCopies()-1; s++ {
+					moves = append(moves, move{i, mvScanCopy, s})
+				}
+			}
 		}
 	}
 	return moves
@@ -144,23 +151,27 @@ func TestCandidateMovesMaskMatchesMaps(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					nodes := indexNodes(r.Plan, nil)
-					var shape shapeIndex
+					var f plan.Flat
+					if err := f.Reset(r.Plan, cat); err != nil {
+						t.Fatal(err)
+					}
+					mask := subtreeMasks(&f, o.bits, nil)
 					var u undoRec
 					for step := 0; step < 40; step++ {
-						shape.build(&o.bits, nodes)
-						masks := candidateMoves(q, o.opts, cat, nodes, &shape, nil)
-						maps := candidateMovesByName(q, o.opts, cat, nodes)
+						tree := f.Tree()
+						var nodes []*plan.Node
+						tree.Walk(func(n *plan.Node) { nodes = append(nodes, n) })
+						masks := candidateMoves(q, o.opts, cat, &f, mask, nil)
+						maps := candidateMovesByName(q, o.opts, cat, nodes, f.Pre)
 						if !slices.Equal(masks, maps) {
 							t.Fatalf("%s start %d step %d: mask moves %v, map moves %v\n%s",
-								name, start, step, masks, maps, r.Plan)
+								name, start, step, masks, maps, tree)
 						}
 						if len(masks) == 0 {
 							break
 						}
-						if applyMove(nodes, masks[rng.Intn(len(masks))], o.opts.Policy, cat, &u) {
-							nodes = indexNodes(r.Plan, nodes)
-						}
+						applyMove(&f, mask, masks[rng.Intn(len(masks))], o.opts.Policy, cat, &u)
+						f.Order()
 					}
 				}
 			}
@@ -214,21 +225,14 @@ func TestWideQueryRejected(t *testing.T) {
 	}
 }
 
-// stripRelIDs returns a clone of root with every RelID cleared, so the
-// binder and the estimator look each relation up by name.
-func stripRelIDs(root *plan.Node) *plan.Node {
-	c := root.Clone()
-	c.Walk(func(n *plan.Node) { n.RelID = 0 })
-	return c
-}
-
-// TestForeignRelIDs takes plans whose nodes carry relation IDs from one
-// search and uses them against another model, as 2-step optimization does
-// with a plan compiled against an assumed catalog: a cloned catalog (IDs
-// still valid), a catalog registering the relations in reverse order (every
-// ID names another relation), and a query listing its relations in reverse
-// order (other mask bits). Model.Estimate, plan.Bind and OptimizeFrom must
-// give the same bits as for the same plan without IDs.
+// TestForeignRelIDs takes a plan optimized against one model and uses it
+// against others, as 2-step optimization does with a plan compiled against
+// an assumed catalog: a cloned catalog with a query listing its relations
+// in reverse order (other mask bits), a catalog registering the relations
+// in reverse order (every relation ID names another relation), and both.
+// Relation IDs exist only inside a flattening, resolved against the catalog
+// at hand, so plan.Bind, Model.Estimate and OptimizeFrom must treat the
+// search's plan exactly like a copy decoded from its JSON.
 func TestForeignRelIDs(t *testing.T) {
 	cat, q := chainEnv(6, 3, 0.5)
 	q.Selects = map[string]float64{"R1": 0.5, "R4": 0.1}
@@ -239,22 +243,14 @@ func TestForeignRelIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withIDs := 0
-	src.Plan.Walk(func(n *plan.Node) {
-		if n.RelID != 0 {
-			withIDs++
-		}
-	})
-	if withIDs != 8 { // six scans and two selects
-		t.Fatalf("optimized plan carries %d relation IDs, want 8", withIDs)
+	enc, err := plan.Marshal(src.Plan)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The same plan with every ID pointing at the wrong relation.
-	shifted := src.Plan.Clone()
-	shifted.Walk(func(n *plan.Node) {
-		if n.RelID != 0 {
-			n.RelID = n.RelID%6 + 1
-		}
-	})
+	fresh, err := plan.Unmarshal(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	reversedCat := catalog.New(cat.PageSize, cat.NumServers)
 	names := cat.Relations()
@@ -283,38 +279,32 @@ func TestForeignRelIDs(t *testing.T) {
 		{"reversed catalog and query", reversedCat, reversedQ},
 	} {
 		m := &cost.Model{Params: cost.DefaultParams(), Catalog: env.cat, Query: env.q}
-		bare := stripRelIDs(src.Plan)
-		wantB, err := plan.Bind(bare, env.cat, catalog.Client)
+		wantB, err := plan.Bind(fresh, env.cat, catalog.Client)
 		if err != nil {
 			t.Fatalf("%s: %v", env.name, err)
 		}
-		want := m.Estimate(bare, wantB)
-		wantOpt, err := New(m, DefaultOptions(plan.HybridShipping, cost.MetricResponseTime, 8)).OptimizeFrom(bare)
+		want := m.Estimate(fresh, wantB)
+		wantOpt, err := New(m, DefaultOptions(plan.HybridShipping, cost.MetricResponseTime, 8)).OptimizeFrom(fresh)
 		if err != nil {
 			t.Fatalf("%s: %v", env.name, err)
 		}
-		for _, p := range []struct {
-			name string
-			root *plan.Node
-		}{{"search IDs", src.Plan}, {"wrong IDs", shifted}} {
-			root := p.root.Clone()
-			b, err := plan.Bind(root, env.cat, catalog.Client)
-			if err != nil {
-				t.Fatalf("%s, %s: %v", env.name, p.name, err)
-			}
-			if got := plan.FormatBound(root, b); got != plan.FormatBound(bare, wantB) {
-				t.Errorf("%s, %s: binding\n%s\nwant\n%s", env.name, p.name, got, plan.FormatBound(bare, wantB))
-			}
-			if got := m.Estimate(root, b); estBits(got) != estBits(want) {
-				t.Errorf("%s, %s: estimate %+v, want %+v", env.name, p.name, got, want)
-			}
-			got, err := New(m, DefaultOptions(plan.HybridShipping, cost.MetricResponseTime, 8)).OptimizeFrom(root)
-			if err != nil {
-				t.Fatalf("%s, %s: %v", env.name, p.name, err)
-			}
-			if winner(got) != winner(wantOpt) {
-				t.Errorf("%s, %s: OptimizeFrom gives %+v, want %+v", env.name, p.name, winner(got), winner(wantOpt))
-			}
+		root := src.Plan.Clone()
+		b, err := plan.Bind(root, env.cat, catalog.Client)
+		if err != nil {
+			t.Fatalf("%s: %v", env.name, err)
+		}
+		if got := plan.FormatBound(root, b); got != plan.FormatBound(fresh, wantB) {
+			t.Errorf("%s: binding\n%s\nwant\n%s", env.name, got, plan.FormatBound(fresh, wantB))
+		}
+		if got := m.Estimate(root, b); estBits(got) != estBits(want) {
+			t.Errorf("%s: estimate %+v, want %+v", env.name, got, want)
+		}
+		got, err := New(m, DefaultOptions(plan.HybridShipping, cost.MetricResponseTime, 8)).OptimizeFrom(root)
+		if err != nil {
+			t.Fatalf("%s: %v", env.name, err)
+		}
+		if winner(got) != winner(wantOpt) {
+			t.Errorf("%s: OptimizeFrom gives %+v, want %+v", env.name, winner(got), winner(wantOpt))
 		}
 	}
 }

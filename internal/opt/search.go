@@ -3,6 +3,7 @@ package opt
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"hybridship/internal/catalog"
 	"hybridship/internal/cost"
@@ -26,48 +27,25 @@ func deriveSeed(base int64, parts ...int64) int64 {
 	return seedmix.Derive(base, parts...)
 }
 
-// memoMax bounds the per-search estimate memo; see searchState.
-const memoMax = 1 << 12
-
-type memoEntry struct {
-	est cost.Estimate
-	ok  bool
-}
-
-// searchState is the allocation-lean working state of one search thread.
-// Instead of deep-cloning the plan for every candidate move (the seed
-// implementation's inner loop), it applies moves to a single working tree
-// in place and reverts rejected ones from an undo record. It keeps:
+// searchState is the allocation-lean working state of one search thread:
+// one flat plan (plan.Flat) per start, which the §3.1.1 moves edit in place
+// and an undo record reverts, so no candidate copies the plan. The same
+// rows serve every part of a step:
 //
-//   - a pre-order node index with each subtree's relation mask, rebuilt
-//     only when an accepted move changes the tree's shape (annotation moves
-//     leave it valid);
-//   - the cached candidateMoves enumeration, which is a pure function of
-//     the shape and is likewise invalidated only by join-order moves;
-//   - a reusable plan.Binder, which resolves sites into a pre-order slice,
-//     and a cost.Estimator over the optimizer's model, which consumes it,
-//     so evaluating a candidate allocates nothing;
-//   - a (shape, annotations) → estimate memo keyed by plan.AppendKey, so
-//     states the walk revisits (annotation toggles do constantly) are not
-//     re-bound and re-estimated.
+//   - the memo key: each node's code (kind and relation), annotation and
+//     copy, packed in pre-order into a few words (see memo);
+//   - the binder, plan.Binder.BindFlat, which re-derives every site;
+//   - the estimator, cost.Estimator.Value, which recomputes only the nodes
+//     whose site, children or children's facts changed since the plan it
+//     last evaluated, and computes only what Options.Metric reads;
+//   - the move enumeration, which reads the rows in pre-order with the
+//     subtree masks the moves keep up to date, and which is redone only
+//     when an accepted move changes the tree's shape.
 //
-// The working tree's scans and selects carry their relation's catalog ID
-// (plan.Node.RelID), resolved once in reset: no move creates or renames a
-// node, so the IDs stay valid for the whole search, and the binder, the
-// estimator, the shape index and the copy moves read them instead of
-// looking names up.
-//
-// The memo holds at most memoMax entries and is cleared wholesale when
-// full. A 10-way search evaluates about 20k candidates and would otherwise
-// grow the memo to about 18k entries, for a hit rate of 8-19%: the states
-// the walk revisits, it mostly revisits within a few thousand steps.
-// Measured over 10-way chains on 1, 2, 5 and 10 servers (response time,
-// three seeds each), going from 1<<15 to 1<<12 entries moves the hit rate
-// from 13.4% to 12.0% under HY, 8.5% to 8.1% under DS and 19.2% to 17.7%
-// under QS, and halves the bytes an optimization allocates, most of which
-// were the memo's key strings and buckets. 2-way searches never hold more
-// than 24 entries, so the bound never binds there. Hits and misses return
-// the same bits, so the bound changes speed, never a plan.
+// Relation IDs are resolved once, when reset flattens the start plan: no
+// move creates or renames a node, so they stay valid for the whole search.
+// The search tracks only the metric's value; Optimizer.finish estimates
+// the returned plan in full once.
 //
 // A searchState must not be shared between goroutines; the worker pool in
 // Optimize gives each worker its own.
@@ -76,91 +54,189 @@ type searchState struct {
 	opts Options
 	rng  *rand.Rand
 
-	root       *plan.Node
-	est        cost.Estimate
-	nodes      []*plan.Node
-	shape      shapeIndex
-	moves      []move
+	flat plan.Flat
+	// ordered is whether flat.Pre, flat.Post and the key coder's key and
+	// positions describe the working plan. A shape-changing move clears
+	// it, setting them aside in before, which its revert swaps back; an
+	// annotation or copy move patches its node's code in the key.
+	ordered    bool
+	before     savedOrder
+	mask       []uint64 // relations under each node, by node ID
+	val        float64  // the metric's value for the accepted plan
+	moves      []move   // every node's moves, in pre-order
 	movesValid bool
+	nodeMoves  [][]move // each node's moves, by node ID
+	staleMoves []bool   // by node ID: nodeMoves must be enumerated again
 
 	binder    plan.Binder
 	estimator *cost.Estimator
-	memo      map[string]memoEntry
-	keyBuf    []byte
+	memo      memo
+	keys      keyCoder
+	best      []plan.FlatNode // anneal's best rows so far
 }
 
 func newSearch(o *Optimizer, opts Options, rng *rand.Rand) *searchState {
-	return &searchState{o: o, opts: opts, rng: rng, estimator: cost.NewEstimator(o.model),
-		memo: make(map[string]memoEntry)}
+	return &searchState{o: o, opts: opts, rng: rng, estimator: cost.NewEstimator(o.model)}
 }
 
-// reset points the search at a mutable working tree with a known estimate.
-// The tree is owned by the search from here on: moves mutate it in place,
-// and its relation IDs are resolved against the model's catalog.
-func (st *searchState) reset(root *plan.Node, est cost.Estimate) {
-	st.root = root
-	st.est = est
-	resolveRelIDs(root, st.o.model.Catalog)
-	st.reindex()
+// reset points the search at a copy of the well-formed plan root and
+// evaluates it. The tree itself is never modified.
+func (st *searchState) reset(root *plan.Node) {
+	cat := st.o.model.Catalog
+	if err := st.flat.Reset(root, cat); err != nil {
+		panic("opt: " + err.Error())
+	}
+	st.mask = subtreeMasks(&st.flat, st.o.bits, st.mask)
+	if st.keys.reset(&st.flat, cat) {
+		st.memo.clear()
+	}
+	st.keys.encode(&st.flat)
+	st.movesValid, st.ordered = false, true
+	for i := range st.staleMoves {
+		st.staleMoves[i] = true
+	}
+	v, ok := st.evaluate()
+	if !ok {
+		panic("opt: search started from an unbindable plan")
+	}
+	st.val = v
 }
 
-// reindex rebuilds the node index and subtree masks of the working tree
-// and drops the move cache.
-func (st *searchState) reindex() {
-	st.nodes = indexNodes(st.root, st.nodes)
-	st.shape.build(&st.o.bits, st.nodes)
-	st.movesValid = false
-}
-
+// ensureMoves returns candidateMoves of the working plan. It keeps each
+// node's moves and, after a join-order move, enumerates again only the
+// nodes whose moves it changed (see nodeMoves).
 func (st *searchState) ensureMoves() []move {
-	if !st.movesValid {
-		st.moves = candidateMoves(st.o.model.Query, st.opts, st.o.model.Catalog, st.nodes, &st.shape, st.moves)
-		st.movesValid = true
+	if st.movesValid {
+		return st.moves
 	}
-	return st.moves
+	f, q, cat := &st.flat, st.o.model.Query, st.o.model.Catalog
+	if len(st.nodeMoves) != len(f.Nodes) {
+		st.nodeMoves = slices.Grow(st.nodeMoves[:0], len(f.Nodes))[:len(f.Nodes)]
+		st.staleMoves = slices.Grow(st.staleMoves[:0], len(f.Nodes))[:len(f.Nodes)]
+		for i := range st.staleMoves {
+			st.staleMoves[i] = true
+		}
+	}
+	moves := st.moves[:0]
+	for _, i := range f.Pre {
+		if st.staleMoves[i] {
+			st.nodeMoves[i] = nodeMoves(q, &st.opts, cat, f, st.mask, i, st.nodeMoves[i][:0])
+			st.staleMoves[i] = false
+		}
+		moves = append(moves, st.nodeMoves[i]...)
+	}
+	st.moves, st.movesValid = moves, true
+	return moves
 }
 
-// accept keeps the last applied move: it records the new estimate and, for
-// shape-changing moves, rebuilds the node index and drops the move cache.
-func (st *searchState) accept(e cost.Estimate, changedShape bool) {
-	st.est = e
-	if changedShape {
-		st.reindex()
+// savedOrder is the traversal orders and key of a plan, kept across a
+// shape-changing move so that reverting it costs no new walk. It swaps
+// buffers with the working ones rather than copying them.
+type savedOrder struct {
+	valid     bool
+	pre, post []int32
+	pos       []int32
+	key       []uint64
+}
+
+// swap exchanges the saved buffers with the search's working ones.
+func (b *savedOrder) swap(st *searchState) {
+	f, k := &st.flat, &st.keys
+	f.Pre, b.pre = b.pre, f.Pre
+	f.Post, b.post = b.post, f.Post
+	k.pos, b.pos = b.pos, k.pos
+	k.key, b.key = b.key, k.key
+}
+
+// apply applies mv to the working plan, recording its undo in u.
+func (st *searchState) apply(mv move, u *undoRec) {
+	shape := mv.kind.reshapes()
+	if b := &st.before; shape {
+		b.valid = st.ordered
+		if b.valid {
+			b.swap(st)
+		}
+		st.ordered = false
+	}
+	applyMove(&st.flat, st.mask, mv, st.opts.Policy, st.o.model.Catalog, u)
+	if !shape && st.ordered {
+		st.keys.patch(&st.flat, mv.node)
 	}
 }
 
-// evaluate binds and estimates the working tree, memoizing by plan key; ok
+// revert undoes the move u recorded.
+func (st *searchState) revert(u *undoRec) {
+	u.revert(&st.flat, st.mask)
+	switch b := &st.before; {
+	case !u.changedShape:
+		if st.ordered {
+			st.keys.patch(&st.flat, u.n)
+		}
+	case b.valid:
+		b.swap(st)
+		b.valid, st.ordered = false, true
+	}
+}
+
+// accept keeps the move u recorded, whose plan has value v; a
+// shape-changing move drops the moves of the nodes it touched. evaluate
+// left flat.Pre in the accepted plan's order, which is what the next
+// enumeration reads.
+func (st *searchState) accept(v float64, u *undoRec) {
+	st.val = v
+	if !u.changedShape {
+		return
+	}
+	st.movesValid = false
+	st.staleMoves[u.n] = true
+	if u.k >= 0 {
+		st.staleMoves[u.k] = true
+	}
+	if p := st.flat.Nodes[u.n].Parent; p >= 0 {
+		st.staleMoves[p] = true
+	}
+}
+
+// evaluate binds and estimates the working plan, memoizing by its key; ok
 // is false for ill-formed plans (annotation cycles), which are memoized
-// too so the walk doesn't repeatedly re-derive their failure.
-func (st *searchState) evaluate() (cost.Estimate, bool) {
-	st.keyBuf = plan.AppendKey(st.keyBuf[:0], st.root)
-	if e, hit := st.memo[string(st.keyBuf)]; hit {
-		return e.est, e.ok
+// too so the walk doesn't repeatedly re-derive their failure. A memo hit
+// returns the bits a miss computes: the value is a function of the plan,
+// which the key identifies.
+func (st *searchState) evaluate() (float64, bool) {
+	f := &st.flat
+	if !st.ordered {
+		f.Order()
+		st.keys.encode(f)
+		st.ordered = true
 	}
-	var entry memoEntry
+	h := hashKey(st.keys.key)
+	if v, ok, hit := st.memo.get(h, st.keys.key); hit {
+		return v, ok
+	}
+	var v float64
 	// An ill-formed candidate comes back as plan.ErrUnbindable, which
 	// costs nothing to return; its description is never needed here.
-	if sites, err := st.binder.Bind(st.root, st.o.model.Catalog, catalog.Client); err == nil {
-		entry = memoEntry{est: st.estimator.Estimate(st.root, sites), ok: true}
+	sites, err := st.binder.BindFlat(f, st.o.model.Catalog, catalog.Client)
+	if err == nil {
+		v = st.estimator.Value(f, sites, st.opts.Metric)
 	}
-	if len(st.memo) >= memoMax {
-		clear(st.memo)
-	}
-	st.memo[string(st.keyBuf)] = entry
-	return entry.est, entry.ok
+	st.memo.put(h, st.keys.key, v, err == nil)
+	return v, err == nil
 }
 
-// value is the metric being minimized.
-func (st *searchState) value(e cost.Estimate) float64 { return e.Value(st.opts.Metric) }
+// result is the working plan as a fresh tree with its value.
+func (st *searchState) result() searchResult {
+	return searchResult{plan: st.flat.Tree(), val: st.val}
+}
 
-// snapshot clones the working tree so the caller can keep mutating it. The
-// Binding is left nil; Optimizer.finish rebinds the winning snapshot once.
-func (st *searchState) snapshot() Result {
-	return Result{Plan: st.root.Clone(), Estimate: st.est}
+// searchResult is a plan a search returns, with its metric's value.
+type searchResult struct {
+	plan *plan.Node
+	val  float64
 }
 
 // descend runs one iterative-improvement descent: random downhill moves
-// until IIMaxFailures consecutive tries fail to improve. The working tree
+// until IIMaxFailures consecutive tries fail to improve. The working plan
 // ends at the local minimum.
 func (st *searchState) descend() {
 	var u undoRec
@@ -170,65 +246,66 @@ func (st *searchState) descend() {
 		if len(moves) == 0 {
 			return // no legal moves at all (e.g. DS 2-way join)
 		}
-		mv := moves[st.rng.Intn(len(moves))]
-		changedShape := applyMove(st.nodes, mv, st.opts.Policy, st.o.model.Catalog, &u)
-		if e, ok := st.evaluate(); ok && st.value(e) < st.value(st.est) {
-			st.accept(e, changedShape)
+		st.apply(moves[st.rng.Intn(len(moves))], &u)
+		if v, ok := st.evaluate(); ok && v < st.val {
+			st.accept(v, &u)
 			failures = 0
 		} else {
-			u.revert()
+			st.revert(&u)
 			failures++
 		}
 	}
 }
 
-// anneal refines the working tree with the IK90 annealing schedule and
-// returns the best state seen as a snapshot.
-func (st *searchState) anneal() Result {
-	best := st.snapshot()
+// anneal refines the working plan with the IK90 annealing schedule and
+// returns the best state seen.
+func (st *searchState) anneal() searchResult {
+	st.best = append(st.best[:0], st.flat.Nodes...)
+	bestVal := st.val
 	joins := 0
-	for _, n := range st.nodes {
+	for _, n := range st.flat.Nodes {
 		if n.Kind == plan.KindJoin {
 			joins++
 		}
 	}
 	if joins == 0 {
-		return best
+		return st.result()
 	}
-	temp := st.opts.SATempFactor * st.value(st.est)
+	temp := st.opts.SATempFactor * st.val
 	if temp <= 0 {
 		temp = 1e-9
 	}
-	floor := 1e-4 * st.value(st.est)
+	floor := 1e-4 * st.val
 	if floor <= 0 {
 		floor = 1e-12
 	}
 	var u undoRec
 	stagesSinceImprove := 0
+stages:
 	for stagesSinceImprove < st.opts.SAFrozenStages || temp > floor {
 		improved := false
 		inner := st.opts.SAInnerFactor * joins
 		for i := 0; i < inner; i++ {
 			moves := st.ensureMoves()
 			if len(moves) == 0 {
-				return best
+				break stages
 			}
-			mv := moves[st.rng.Intn(len(moves))]
-			changedShape := applyMove(st.nodes, mv, st.opts.Policy, st.o.model.Catalog, &u)
-			e, ok := st.evaluate()
+			st.apply(moves[st.rng.Intn(len(moves))], &u)
+			v, ok := st.evaluate()
 			if !ok {
-				u.revert()
+				st.revert(&u)
 				continue
 			}
-			delta := st.value(e) - st.value(st.est)
+			delta := v - st.val
 			if delta <= 0 || st.rng.Float64() < math.Exp(-delta/temp) {
-				st.accept(e, changedShape)
-				if st.value(e) < st.value(best.Estimate) {
-					best = st.snapshot()
+				st.accept(v, &u)
+				if v < bestVal {
+					st.best = append(st.best[:0], st.flat.Nodes...)
+					bestVal = v
 					improved = true
 				}
 			} else {
-				u.revert()
+				st.revert(&u)
 			}
 		}
 		if improved {
@@ -238,5 +315,9 @@ func (st *searchState) anneal() Result {
 		}
 		temp *= st.opts.SATempReduce
 	}
-	return best
+	// The search ends here, so only the rows and the value are brought
+	// back to the best plan's; result reads no more.
+	copy(st.flat.Nodes, st.best)
+	st.val = bestVal
+	return st.result()
 }

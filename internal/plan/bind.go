@@ -29,7 +29,7 @@ func Bind(root *Node, cat *catalog.Catalog, submitSite catalog.SiteID) (Binding,
 		return nil, err
 	}
 	b := make(Binding, len(sites))
-	for i, n := range bd.nodes {
+	for i, n := range bd.own.Src {
 		b[n] = sites[i]
 	}
 	return b, nil
@@ -45,22 +45,19 @@ func Bind(root *Node, cat *catalog.Catalog, submitSite catalog.SiteID) (Binding,
 var ErrUnbindable = errors.New("plan: annotations cannot be bound to sites")
 
 // Binder resolves plans repeatedly while reusing its scratch slices, so a
-// search loop binds candidate after candidate without allocating. It
-// numbers the nodes in pre-order (the order of Walk) and works on those
-// positions alone: one walk records each node's parent and right child,
-// and every site lookup after it is a slice index.
+// search loop binds candidate after candidate without allocating. It works
+// on a Flat plan: every site lookup is a slice index by node ID.
 type Binder struct {
-	nodes  []*Node
-	parent []int // pre-order position of each node's parent; -1 for the root
-	right  []int // position of each node's right child; -1 if none
-	sites  []catalog.SiteID
-	state  []bindState
-	chain  []int
-	fail   bindFailure // why the last Bind returned ErrUnbindable
+	own   Flat  // Bind's flattening of the tree it was given
+	flat  *Flat // the plan last bound, for Err
+	sites []catalog.SiteID
+	state []bindState
+	fail  bindFailure // why the last Bind returned ErrUnbindable
 }
 
 // bindFailure records an ErrUnbindable result: what went wrong, at which
-// pre-order position, and the one number its message quotes.
+// node (by ID, the pre-order position of a fresh flattening), and the one
+// number its message quotes.
 type bindFailure struct {
 	kind failKind
 	pos  int
@@ -78,90 +75,144 @@ const (
 	failCycle               // operators whose annotations form a cycle
 )
 
-// bindState tracks one position through the resolution of annotations.
+// bindState tracks one node through the resolution of annotations.
 type bindState uint8
 
 const (
-	stateOpen    bindState = iota // not yet resolved
-	stateBound                    // sites holds its site
-	stateOnChain                  // on the reference chain being followed
-	stateCycle                    // its references never reach an anchor
+	stateBound bindState = iota // sites holds its site
+	stateUp                     // a consumer, resolved from its parent in pass 2
+	stateCycle                  // its references never reach an anchor
 )
 
-// Bind is the reusable-buffer form of the package-level Bind. It returns
-// the site of every node in pre-order; the slice aliases the Binder's
-// storage and is valid only until the next Bind call. A structurally
-// unsound plan gets CheckStructure's error; a plan whose annotations cannot
-// be bound gets ErrUnbindable, which Err then describes.
+// Bind is the reusable-buffer form of the package-level Bind. It flattens
+// root and returns BindFlat's sites, which for a fresh flattening are in
+// pre-order (the order of Walk). A structurally unsound plan gets
+// CheckStructure's error.
 func (bd *Binder) Bind(root *Node, cat *catalog.Catalog, submitSite catalog.SiteID) ([]catalog.SiteID, error) {
 	bd.fail = bindFailure{}
-	if err := CheckStructure(root); err != nil {
+	if err := bd.own.Reset(root, cat); err != nil {
 		return nil, err
 	}
-	bd.nodes, bd.parent, bd.right = bd.nodes[:0], bd.parent[:0], bd.right[:0]
-	bd.index(root, -1)
-	n := len(bd.nodes)
-	bd.sites = slices.Grow(bd.sites[:0], n)[:n]
-	bd.state = slices.Grow(bd.state[:0], n)[:n]
-	clear(bd.state)
+	return bd.BindFlat(&bd.own, cat, submitSite)
+}
 
-	// Pass 1: anchors. The display and client scans run at the submitting
-	// site; a primary-annotated scan runs where the copy it names lives.
-	// The first scan in pre-order that cannot be placed is the error.
-	badScan := -1
-	for i, nd := range bd.nodes {
+// BindFlat resolves the annotations of the flat plan f, whose relation IDs
+// must come from cat and whose Pre and Post must be current, and returns
+// the site of every node by ID. The slice aliases the Binder's storage and
+// is valid only until the next call. A plan whose annotations cannot be
+// bound gets ErrUnbindable, which Err then describes.
+//
+// A node takes the site of the node its annotation names (§2.2.3): a
+// consumer its parent's, an inner or outer join its left or right input's,
+// a producer its input's. Following those references from any node goes up
+// through consumers and then down through the others to an anchor (the
+// display or a scan); a reference down to a consumer child comes straight
+// back, a cycle. So one post-order pass resolves every node whose chain
+// goes only down, and a pre-order pass then hands each consumer its
+// parent's site.
+func (bd *Binder) BindFlat(f *Flat, cat *catalog.Catalog, submitSite catalog.SiteID) ([]catalog.SiteID, error) {
+	bd.fail = bindFailure{}
+	bd.flat = f
+	nodes := f.Nodes
+	n := len(nodes)
+	sites := slices.Grow(bd.sites[:0], n)[:n]
+	state := slices.Grow(bd.state[:0], n)[:n]
+	bd.sites, bd.state = sites, state
+
+	// Pass 1, children first: anchors, and references down. The display
+	// and client scans run at the submitting site; a primary-annotated
+	// scan runs where the copy it names lives. The scan with the lowest ID
+	// (pre-order, for a fresh flattening) that cannot be placed is the
+	// error.
+	badScan, invalid := -1, false
+	for _, i := range f.Post {
+		nd := &nodes[i]
+		var down int32 = -1
 		switch nd.Kind {
 		case KindDisplay:
-			bd.bind(i, submitSite)
+			sites[i], state[i] = submitSite, stateBound
+			continue
 		case KindScan:
+			state[i] = stateBound
 			switch nd.Ann {
 			case AnnClient:
-				bd.bind(i, submitSite)
+				sites[i] = submitSite
+				continue
 			case AnnPrimary:
-				rel, ok := cat.Lookup(nd.RelID, nd.Table)
-				if ok && nd.Copy < rel.NumCopies() {
-					// Copy 0 is the primary at Home; higher indices bind the
-					// scan to a secondary replica of the relation.
-					bd.bind(i, rel.CopySite(nd.Copy))
-				} else if badScan < 0 {
-					badScan = i
-				}
-			default:
-				if badScan < 0 {
-					badScan = i
+				// Copy 0 is the primary at Home; higher indices bind the
+				// scan to a secondary replica of the relation.
+				if rel := cat.ByID(nd.Rel); rel != nil && nd.Copy < rel.NumCopies() {
+					sites[i] = rel.CopySite(nd.Copy)
+					continue
 				}
 			}
+			if badScan < 0 || int(i) < badScan {
+				badScan = int(i)
+			}
+			continue
+		case KindJoin:
+			switch nd.Ann {
+			case AnnInner:
+				down = nd.Left
+			case AnnOuter:
+				down = nd.Right
+			}
+		case KindSelect, KindAgg:
+			if nd.Ann == AnnProducer {
+				down = nd.Left
+			}
+		}
+		switch {
+		case down >= 0 && state[down] == stateBound:
+			sites[i], state[i] = sites[down], stateBound
+		case down >= 0:
+			state[i] = stateCycle // into a cycle, or back up from a consumer
+		case nd.Ann == AnnConsumer && (nd.Kind == KindJoin || nd.Kind == KindSelect || nd.Kind == KindAgg):
+			state[i] = stateUp
+		default:
+			state[i], invalid = stateCycle, true
 		}
 	}
 	if badScan >= 0 {
-		nd := bd.nodes[badScan]
-		rel, ok := cat.Lookup(nd.RelID, nd.Table)
+		nd := &nodes[badScan]
+		rel := cat.ByID(nd.Rel)
 		switch {
-		case !ok:
+		case rel == nil:
 			return bd.failed(failUnknownRel, badScan, 0)
 		case nd.Ann == AnnPrimary && nd.Copy >= rel.NumCopies():
 			return bd.failed(failCopy, badScan, rel.NumCopies())
 		}
 		return bd.failed(failScanAnn, badScan, 0)
 	}
-	for i := range bd.nodes {
-		if bd.state[i] == stateOpen && bd.ref(i) == refInvalid {
-			return bd.failed(failAnn, i, 0)
+	if invalid {
+		// The lowest ID among annotations their kinds cannot carry is the
+		// error, whatever cycles there are.
+		for i := range nodes {
+			if k := nodes[i].Kind; k != KindDisplay && k != KindScan && !validAnn(&nodes[i]) {
+				return bd.failed(failAnn, i, 0)
+			}
 		}
 	}
 
-	// Pass 2: every other operator runs where the node its annotation names
-	// runs. Follow each reference chain to an anchor, or to a cycle.
+	// Pass 2, parents first: each consumer takes its parent's site.
 	cycle := 0
-	for i := range bd.nodes {
-		if bd.state[i] == stateOpen {
-			cycle += bd.follow(i)
+	for _, i := range f.Pre {
+		switch state[i] {
+		case stateUp:
+			if p := nodes[i].Parent; p >= 0 && state[p] == stateBound {
+				sites[i], state[i] = sites[p], stateBound
+				continue
+			}
+			state[i] = stateCycle
+			cycle++
+		case stateCycle:
+			cycle++
 		}
 	}
 	if cycle > 0 {
 		return bd.failed(failCycle, 0, cycle)
 	}
-	return bd.sites, nil
+	return sites, nil
 }
 
 // failed records why the plan cannot be bound and returns ErrUnbindable.
@@ -179,83 +230,30 @@ func (bd *Binder) Err() error {
 	if f.kind == failNone {
 		return nil
 	}
-	nd := bd.nodes[f.pos]
+	nd, table := &bd.flat.Nodes[f.pos], bd.flat.Src[f.pos].Table
 	switch f.kind {
 	case failUnknownRel:
-		return fmt.Errorf("plan: scan of unknown relation %q", nd.Table)
+		return fmt.Errorf("plan: scan of unknown relation %q", table)
 	case failCopy:
-		return fmt.Errorf("plan: scan of %q names copy %d, but the relation has %d", nd.Table, nd.Copy, f.n)
+		return fmt.Errorf("plan: scan of %q names copy %d, but the relation has %d", table, nd.Copy, f.n)
 	case failScanAnn:
-		return fmt.Errorf("plan: scan of %q has invalid annotation %v", nd.Table, nd.Ann)
+		return fmt.Errorf("plan: scan of %q has invalid annotation %v", table, nd.Ann)
 	case failAnn:
 		return fmt.Errorf("plan: %v has invalid annotation %v", nd.Kind, nd.Ann)
 	}
 	return fmt.Errorf("plan: ill-formed: %d operator(s) form an annotation cycle", f.n)
 }
 
-// index appends n's subtree in pre-order and returns n's position.
-func (bd *Binder) index(n *Node, parent int) int {
-	i := len(bd.nodes)
-	bd.nodes = append(bd.nodes, n)
-	bd.parent = append(bd.parent, parent)
-	bd.right = append(bd.right, -1)
-	if n.Left != nil {
-		bd.index(n.Left, i)
+// validAnn reports whether the join, select or aggregate n carries an
+// annotation its kind can (Table 1's union over the policies).
+func validAnn(n *FlatNode) bool {
+	switch n.Kind {
+	case KindJoin:
+		return n.Ann == AnnInner || n.Ann == AnnOuter || n.Ann == AnnConsumer
+	case KindSelect, KindAgg:
+		return n.Ann == AnnProducer || n.Ann == AnnConsumer
 	}
-	if n.Right != nil {
-		bd.right[i] = bd.index(n.Right, i)
-	}
-	return i
-}
-
-func (bd *Binder) bind(i int, s catalog.SiteID) {
-	bd.sites[i], bd.state[i] = s, stateBound
-}
-
-// refInvalid is ref's answer for an annotation the node's kind cannot carry.
-const refInvalid = -2
-
-// ref returns the position whose site an unanchored node takes (§2.2.3):
-// -1 for a consumer without a parent.
-func (bd *Binder) ref(i int) int {
-	n := bd.nodes[i]
-	switch {
-	case n.Kind == KindJoin && n.Ann == AnnInner:
-		return i + 1 // the left child
-	case n.Kind == KindJoin && n.Ann == AnnOuter:
-		return bd.right[i]
-	case (n.Kind == KindSelect || n.Kind == KindAgg) && n.Ann == AnnProducer:
-		return i + 1
-	case (n.Kind == KindJoin || n.Kind == KindSelect || n.Kind == KindAgg) && n.Ann == AnnConsumer:
-		return bd.parent[i]
-	}
-	return refInvalid
-}
-
-// follow resolves the open position i by walking its reference chain. The
-// chain ends at a bound node, whose site every node on it takes, or at a
-// node already known to be in (or to lead into) a cycle, or back on
-// itself; then every node on it is part of the cycle. follow returns how
-// many nodes it found unresolvable.
-func (bd *Binder) follow(i int) int {
-	chain := bd.chain[:0]
-	j := i
-	for j >= 0 && bd.state[j] == stateOpen {
-		bd.state[j] = stateOnChain
-		chain = append(chain, j)
-		j = bd.ref(j)
-	}
-	bd.chain = chain
-	if j >= 0 && bd.state[j] == stateBound {
-		for _, k := range chain {
-			bd.bind(k, bd.sites[j])
-		}
-		return 0
-	}
-	for _, k := range chain {
-		bd.state[k] = stateCycle
-	}
-	return len(chain)
+	return false
 }
 
 // WellFormed reports whether the plan's annotations can be bound to sites.

@@ -87,7 +87,8 @@ func (b *treeBuilder) build(depth int) *plan.Node {
 // FuzzPlanWellFormed feeds random annotated trees through the plan
 // validators and the binder. Invariants: nothing panics on any input, a
 // plan the checkers accept binds successfully with every node bound, and
-// an accepted plan survives a Marshal/Unmarshal round trip bit for bit.
+// an accepted plan survives a Marshal/Unmarshal round trip bit for bit and
+// a flattening back into the same tree.
 func FuzzPlanWellFormed(f *testing.F) {
 	f.Add([]byte{6, 0, 3, 1, 2, 0, 1, 1, 2, 1})                   // display(join(scan,scan))
 	f.Add([]byte{6, 0, 4, 2, 0, 1})                               // display(select(scan))
@@ -143,11 +144,13 @@ func FuzzPlanWellFormed(f *testing.F) {
 					t.Fatalf("round trip not stable:\n%s\nvs\n%s", enc, enc2)
 				}
 			}
-			// The structural key is deterministic.
-			k1 := plan.AppendKey(nil, root)
-			k2 := plan.AppendKey(nil, root)
-			if !bytes.Equal(k1, k2) {
-				t.Fatalf("AppendKey not deterministic")
+			// The flat form rebuilds the same tree.
+			var flat plan.Flat
+			if err := flat.Reset(root, cat); err != nil {
+				t.Fatalf("Flat.Reset of a bound plan: %v", err)
+			}
+			if got, want := flat.Tree().String(), root.String(); got != want {
+				t.Fatalf("flat round trip:\n%s\nwant\n%s", got, want)
 			}
 		}
 	})

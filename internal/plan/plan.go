@@ -175,16 +175,6 @@ type Node struct {
 	// client-annotated scans and meaningless on other kinds. Zero on every
 	// legacy plan, so unreplicated catalogs bind exactly as before.
 	Copy int
-
-	// RelID caches the catalog ID of the relation a scan reads or a select
-	// filters (RelName). The optimizer sets it once per search on its
-	// private working tree, so the binder, the cost model and the move
-	// enumeration look relations up by slice index. It is only a hint:
-	// readers pass it to catalog.Resolve, which falls back to the name when
-	// the ID is zero or names another relation (a plan optimized against
-	// another catalog). The name stays authoritative, so plan JSON,
-	// AppendKey and String ignore RelID.
-	RelID catalog.RelID
 }
 
 // RelName returns the relation a scan reads or a select filters, and ""
@@ -272,23 +262,40 @@ func (n *Node) Scans() []*Node {
 // CheckStructure validates operator arities and the position of the display
 // root.
 func CheckStructure(root *Node) error {
+	if err := checkRoot(root); err != nil {
+		return err
+	}
+	return checkNode(root, true)
+}
+
+// checkRoot is CheckStructure's test of the root itself.
+func checkRoot(root *Node) error {
 	if root == nil {
 		return fmt.Errorf("plan: empty plan")
 	}
 	if root.Kind != KindDisplay {
 		return fmt.Errorf("plan: root must be display, got %v", root.Kind)
 	}
-	return checkNode(root, true)
+	return nil
 }
 
 // checkNode is CheckStructure's recursion: n's own shape, then its left and
 // right subtrees, so the first violation in pre-order is the one reported.
-// (A plain function rather than a recursive closure, so the binder's hot
-// path allocates nothing even under the race detector.)
 func checkNode(n *Node, isRoot bool) error {
 	if n == nil {
 		return nil
 	}
+	if err := checkOne(n, isRoot); err != nil {
+		return err
+	}
+	if err := checkNode(n.Left, false); err != nil {
+		return err
+	}
+	return checkNode(n.Right, false)
+}
+
+// checkOne checks the shape of the node n alone.
+func checkOne(n *Node, isRoot bool) error {
 	switch n.Kind {
 	case KindDisplay:
 		if !isRoot {
@@ -319,10 +326,7 @@ func checkNode(n *Node, isRoot bool) error {
 	if n.Kind != KindScan && n.Copy != 0 {
 		return fmt.Errorf("plan: %v carries a copy index; only scans read replicas", n.Kind)
 	}
-	if err := checkNode(n.Left, false); err != nil {
-		return err
-	}
-	return checkNode(n.Right, false)
+	return nil
 }
 
 // ValidateFor checks that every node's annotation is allowed under the

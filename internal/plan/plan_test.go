@@ -386,8 +386,8 @@ func TestBinderWarmZeroAlloc(t *testing.T) {
 
 // TestBindErrorTexts pins every message a failed binding reports. Binder.Bind
 // returns the ErrUnbindable sentinel for each of them, and both Binder.Err
-// and the package-level Bind give the exact text, with or without a RelID on
-// the failing scan. A structural error passes through Binder.Bind itself.
+// and the package-level Bind give the exact text. A structural error passes
+// through Binder.Bind itself.
 func TestBindErrorTexts(t *testing.T) {
 	cat := testCatalog(t, 2)
 	if err := cat.SetCopies("A", []catalog.SiteID{0, 1}); err != nil {
@@ -435,25 +435,16 @@ func TestBindErrorTexts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, ids := range []bool{false, true} {
-				root := tc.root.Clone()
-				if ids {
-					root.Walk(func(n *Node) {
-						if name := n.RelName(); name != "" {
-							n.RelID = cat.ID(name)
-						}
-					})
-				}
-				var bd Binder
-				if _, err := bd.Bind(root, cat, catalog.Client); err != ErrUnbindable {
-					t.Fatalf("ids=%v: Binder.Bind error %v, want ErrUnbindable", ids, err)
-				}
-				if got := bd.Err(); got == nil || got.Error() != tc.want {
-					t.Errorf("ids=%v: Binder.Err() = %v, want %q", ids, got, tc.want)
-				}
-				if _, err := Bind(root, cat, catalog.Client); err == nil || err.Error() != tc.want {
-					t.Errorf("ids=%v: Bind error = %v, want %q", ids, err, tc.want)
-				}
+			root := tc.root.Clone()
+			var bd Binder
+			if _, err := bd.Bind(root, cat, catalog.Client); err != ErrUnbindable {
+				t.Fatalf("Binder.Bind error %v, want ErrUnbindable", err)
+			}
+			if got := bd.Err(); got == nil || got.Error() != tc.want {
+				t.Errorf("Binder.Err() = %v, want %q", got, tc.want)
+			}
+			if _, err := Bind(root, cat, catalog.Client); err == nil || err.Error() != tc.want {
+				t.Errorf("Bind error = %v, want %q", err, tc.want)
 			}
 		})
 	}
