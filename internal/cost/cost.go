@@ -285,16 +285,9 @@ func needFor(m Metric) need {
 }
 
 // Estimate predicts the execution of a plan whose annotations have been
-// bound to sites. It flattens the plan and orders the binding's sites by
-// node, so both forms run the same evaluation.
+// bound to sites, one per node in pre-order.
 func (m *Model) Estimate(root *plan.Node, binding plan.Binding) Estimate {
-	e := NewEstimator(m)
-	e.reset(root)
-	sites := make([]catalog.SiteID, len(e.flat.Src))
-	for i, n := range e.flat.Src {
-		sites[i] = binding[n]
-	}
-	return e.EstimateFlat(&e.flat, sites)
+	return NewEstimator(m).Estimate(root, binding)
 }
 
 // relFacts is what a scan or a selection needs to know about one base

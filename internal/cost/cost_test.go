@@ -287,7 +287,7 @@ func TestEstimateBindingBeyondCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[root.Left] = 3
+	b[1] = 3 // the join
 	idle := &Model{Params: DefaultParams(), Catalog: cat, Query: q}
 	p := DefaultParams()
 	p.ServerDiskUtil = map[catalog.SiteID]float64{3: 0.5}

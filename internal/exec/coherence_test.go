@@ -111,7 +111,7 @@ func newCohSession(t *testing.T, n, servers, clients int, lease float64, fc *fau
 func TestUpdateInvalidatesAndRefetch(t *testing.T) {
 	ses := newCohSession(t, 2, 1, 2, 100.0, nil)
 	root := annotate(leftDeepChain(2), plan.DataShipping)
-	binding, err := ses.Bind(root)
+	bound, err := ses.Bind(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +122,9 @@ func TestUpdateInvalidatesAndRefetch(t *testing.T) {
 	)
 	ses.Simulator().Spawn("driver", func(p *sim.Proc) {
 		var e1, e2, e3 error
-		q1, e1 = ses.Execute(p, 0, root, binding, QueryOpts{Client: 0})
+		q1, e1 = ses.Execute(p, 0, bound, QueryOpts{Client: 0})
 		up, e3 = ses.ExecuteUpdate(p, 1, workload.RelName(0), 0, 2)
-		q2, e2 = ses.Execute(p, 1, root, binding, QueryOpts{Client: 0})
+		q2, e2 = ses.Execute(p, 1, bound, QueryOpts{Client: 0})
 		errs = append(errs, e1, e3, e2)
 	})
 	ses.Run()
@@ -182,7 +182,7 @@ func TestUpdateWaitsOutCrashedClientLease(t *testing.T) {
 	}
 	ses := newCohSession(t, 2, 1, 2, 100.0, fc)
 	root := annotate(leftDeepChain(2), plan.DataShipping)
-	binding, err := ses.Bind(root)
+	bound, err := ses.Bind(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestUpdateWaitsOutCrashedClientLease(t *testing.T) {
 		// Client 0 reads first, renewing its lease (valid until read time
 		// + 100); then it crashes at t=50 and the update at t=60 finds its
 		// lease still fresh but its callback undeliverable.
-		_, e1 := ses.Execute(p, 0, root, binding, QueryOpts{Client: 0})
+		_, e1 := ses.Execute(p, 0, bound, QueryOpts{Client: 0})
 		if dt := 60 - ses.Now(); dt > 0 {
 			p.Hold(dt)
 		}
@@ -239,7 +239,7 @@ func TestClientCrashAbortsQueryAndDiscardsCache(t *testing.T) {
 	}
 	ses := newCohSession(t, 2, 1, 1, 50.0, fc)
 	root := annotate(leftDeepChain(2), plan.DataShipping)
-	binding, err := ses.Bind(root)
+	bound, err := ses.Bind(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +249,11 @@ func TestClientCrashAbortsQueryAndDiscardsCache(t *testing.T) {
 		secondErr error
 	)
 	ses.Simulator().Spawn("driver", func(p *sim.Proc) {
-		_, firstErr = ses.Execute(p, 0, root, binding, QueryOpts{Client: 0})
+		_, firstErr = ses.Execute(p, 0, bound, QueryOpts{Client: 0})
 		if dt := 6.0 - ses.Now(); dt > 0 {
 			p.Hold(dt) // until after the client restarts
 		}
-		second, secondErr = ses.Execute(p, 1, root, binding, QueryOpts{Client: 0})
+		second, secondErr = ses.Execute(p, 1, bound, QueryOpts{Client: 0})
 	})
 	ses.Run()
 	if !errors.Is(firstErr, ErrClientDown) {
@@ -322,7 +322,7 @@ func TestCoherenceDeterministic(t *testing.T) {
 		}
 		ses := newCohSession(t, 2, 2, 2, 5.0, fc)
 		root := annotate(leftDeepChain(2), plan.QueryShipping)
-		binding, err := ses.Bind(root)
+		bound, err := ses.Bind(root)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,9 +331,9 @@ func TestCoherenceDeterministic(t *testing.T) {
 			up     UpdateResult
 		)
 		ses.Simulator().Spawn("driver", func(p *sim.Proc) {
-			q1, _ = ses.Execute(p, 0, root, binding, QueryOpts{Client: 0})
+			q1, _ = ses.Execute(p, 0, bound, QueryOpts{Client: 0})
 			up, _ = ses.ExecuteUpdate(p, 1, workload.RelName(0), 0, 1)
-			q2, _ = ses.Execute(p, 1, root, binding, QueryOpts{Client: 0})
+			q2, _ = ses.Execute(p, 1, bound, QueryOpts{Client: 0})
 		})
 		ses.Run()
 		return q1, q2, up, ses.Coherence().Summary()
@@ -363,7 +363,7 @@ func TestCoherenceDeterministic(t *testing.T) {
 func TestWriterNeverServesOwnPreWritePages(t *testing.T) {
 	ses := newCohSession(t, 2, 1, 2, 100.0, nil)
 	root := annotate(leftDeepChain(2), plan.DataShipping)
-	binding, err := ses.Bind(root)
+	bound, err := ses.Bind(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestWriterNeverServesOwnPreWritePages(t *testing.T) {
 	for c := 0; c < 2; c++ {
 		c := c
 		ses.Simulator().Spawn("reader", func(p *sim.Proc) {
-			if _, err := ses.Execute(p, c, root, binding, QueryOpts{Client: c}); err != nil {
+			if _, err := ses.Execute(p, c, bound, QueryOpts{Client: c}); err != nil {
 				errs = append(errs, err)
 			}
 		})

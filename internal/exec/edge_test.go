@@ -113,24 +113,33 @@ func TestRunRejectsBadPlans(t *testing.T) {
 }
 
 func TestRunBoundRejectsBadBindings(t *testing.T) {
-	cfg := chainConfig(t, 2, 1, workload.Moderate, true)
+	cfg := chainConfig(t, 2, 2, workload.Moderate, true)
 	root := annotate(leftDeepChain(2), plan.QueryShipping)
-
-	// Missing node.
-	if _, err := RunBound(cfg, root, plan.Binding{}); err == nil ||
-		!strings.Contains(err.Error(), "missing from binding") {
-		t.Errorf("incomplete binding accepted: %v", err)
-	}
-
-	// Out-of-range site.
-	b, err := plan.Bind(root, cfg.Catalog, catalog.Client)
+	good, err := plan.Bind(root, cfg.Catalog, catalog.Client)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[root.Left] = catalog.SiteID(9)
-	if _, err := RunBound(cfg, root, b); err == nil ||
-		!strings.Contains(err.Error(), "nonexistent site") {
-		t.Errorf("out-of-range site accepted: %v", err)
+	edit := func(f func(b plan.Binding) plan.Binding) plan.Binding {
+		return f(append(plan.Binding(nil), good...))
+	}
+	for _, tc := range []struct {
+		name string
+		root *plan.Node
+		b    plan.Binding
+		want string
+	}{
+		{"empty binding", root, plan.Binding{}, "missing from binding"},
+		{"binding one site short", root, good[:len(good)-1], "missing from binding"},
+		{"binding one site long", root, edit(func(b plan.Binding) plan.Binding { return append(b, catalog.Client) }), "binding has 5 sites for a plan of 4 nodes"},
+		{"out-of-range site", root, edit(func(b plan.Binding) plan.Binding { b[1] = 9; return b }), "nonexistent site"},
+		// The scan of R0 (node 2) at server 1, which holds no copy of it.
+		{"scan away from its data", root, edit(func(b plan.Binding) plan.Binding { b[2] = 1; return b }), "holds no copy"},
+		{"scan of an unknown relation", plan.NewDisplay(plan.NewScan("ZZZ")), plan.Binding{catalog.Client, catalog.Client}, `unknown relation "ZZZ"`},
+		{"root not a display", root.Left, good[1:], "root must be display"},
+	} {
+		if _, err := RunBound(cfg, tc.root, tc.b); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -144,7 +153,7 @@ func TestRunBoundFrozenJoinSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[root.Left] = catalog.SiteID(1) // the join; scans stay at their homes
+	b[1] = catalog.SiteID(1) // the join; scans stay at their homes
 	res, err := RunBound(cfg, root, b)
 	if err != nil {
 		t.Fatal(err)

@@ -290,19 +290,27 @@ func (e *engine) site(id catalog.SiteID) *site {
 	return e.servers[int(id)]
 }
 
-func newEngine(cfg Config) (*engine, error) {
+// validate checks what every entry point needs of cfg before it binds a
+// plan or builds an engine.
+func (cfg *Config) validate() error {
 	if cfg.Catalog == nil || cfg.Query == nil {
-		return nil, fmt.Errorf("exec: config needs catalog and query")
+		return fmt.Errorf("exec: config needs catalog and query")
 	}
 	if cfg.Next == nil {
-		return nil, fmt.Errorf("exec: config needs a Next join-attribute function")
+		return fmt.Errorf("exec: config needs a Next join-attribute function")
 	}
 	if err := cfg.Query.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.Params.NumDisks < 1 {
-		return nil, fmt.Errorf("exec: NumDisks must be at least 1")
+		return fmt.Errorf("exec: NumDisks must be at least 1")
 	}
+	return nil
+}
+
+// newEngine builds the simulated machine park for cfg, which must have
+// passed validate.
+func newEngine(cfg Config) (*engine, error) {
 	e := &engine{
 		cfg:    cfg,
 		sim:    cfg.Kernel,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"hybridship/internal/catalog"
 	"hybridship/internal/faults"
@@ -115,9 +116,8 @@ type attemptState struct {
 	cohStale int64
 }
 
-func (e *engine) newAttempt(p *sim.Proc, root *plan.Node, b plan.Binding) *attemptState {
-	att := &attemptState{e: e, mainProc: p, main: p.Ref(), deps: e.attemptDeps(root, b), failSite: -1}
-	return att
+func (e *engine) newAttempt(p *sim.Proc, bp *BoundPlan, b plan.Binding) *attemptState {
+	return &attemptState{e: e, mainProc: p, main: p.Ref(), deps: e.attemptDeps(bp, b), failSite: -1}
 }
 
 // Dependency role bits: a scan served by the relation's home depends on the
@@ -133,46 +133,31 @@ const (
 // attemptDeps computes which server sites the attempt needs alive, as a
 // per-server role bitmask: every site an operator is bound to, plus the
 // fetch source of any client-bound scan whose relation is not fully cached
-// (page faults go to the chosen replica; the primary by default).
-func (e *engine) attemptDeps(root *plan.Node, b plan.Binding) []uint8 {
+// (page faults go to the replica the attempt's rebind chose).
+func (e *engine) attemptDeps(bp *BoundPlan, b plan.Binding) []uint8 {
 	deps := make([]uint8, len(e.servers))
-	root.Walk(func(n *plan.Node) {
-		s := b[n]
-		if s != catalog.Client {
-			bit := uint8(depPrimaryBit)
-			if n.Kind == plan.KindScan && s != e.cfg.Catalog.MustRelation(n.Table).Home {
-				bit = depSecondaryBit
+	for i := range bp.flat.Nodes {
+		nd, s := &bp.flat.Nodes[i], b[i]
+		if nd.Kind != plan.KindScan {
+			if s != catalog.Client {
+				deps[int(s)] |= depPrimaryBit
 			}
-			deps[int(s)] |= bit
-			return
+			continue
 		}
-		if n.Kind == plan.KindScan {
-			r := e.cfg.Catalog.MustRelation(n.Table)
-			if e.cachedPagesOf(n.Table) < r.Pages(e.cfg.Params.PageSize) {
-				src := r.Home
-				if v, ok := e.rb.srcs[n]; ok {
-					src = v
-				}
-				bit := uint8(depPrimaryBit)
-				if src != r.Home {
-					bit = depSecondaryBit
-				}
-				deps[int(src)] |= bit
+		if s == catalog.Client {
+			if bp.facts[i].cached {
+				continue
 			}
+			s = e.rb.srcs[i]
 		}
-	})
-	return deps
-}
-
-// cachedPagesOf returns the client-cached prefix length, clamped to the
-// relation size (the same clamp newScan applies).
-func (e *engine) cachedPagesOf(rel string) int {
-	r := e.cfg.Catalog.MustRelation(rel)
-	cp := e.cfg.Catalog.CachedPages(rel)
-	if max := r.Pages(e.cfg.Params.PageSize); cp > max {
-		cp = max
+		r := e.cfg.Catalog.ByID(nd.Rel)
+		bit := uint8(depPrimaryBit)
+		if s != r.Home {
+			bit = depSecondaryBit
+		}
+		deps[int(s)] |= bit
 	}
-	return cp
+	return deps
 }
 
 // abort requests the attempt be torn down: called by crash hooks and fetch
@@ -347,14 +332,14 @@ func (e *engine) pickCopy(r *catalog.Relation, want catalog.SiteID) (_ catalog.S
 }
 
 // rebindState is the engine's reused re-binding scratch: the effective
-// binding, the per-scan page-fault sources that differ from the relation
-// home, and the attempt's verdict. One instance lives on the engine — the
+// binding, each client scan's page-fault source, and the attempt's verdict,
+// as slices indexed by node ID. One instance lives on the engine — the
 // kernel runs one process at a time and a binding is consumed synchronously
 // (gate check, dependency set, operator construction) before the next park
 // point, so reuse is safe and the per-attempt hot path allocates nothing.
 type rebindState struct {
 	eff       plan.Binding
-	srcs      map[*plan.Node]catalog.SiteID // client scans fetching from a non-home replica
+	srcs      []catalog.SiteID // client scans: the replica page faults go to
 	runnable  bool
 	failovers int64
 }
@@ -377,43 +362,40 @@ type rebindState struct {
 // Every scan served by a replica other than the one the binding chose
 // counts as a replica failover. The returned binding aliases the engine's
 // scratch and is valid only until the next rebind call.
-func (e *engine) rebind(root *plan.Node, base plan.Binding) (plan.Binding, bool) {
+func (e *engine) rebind(bp *BoundPlan) (plan.Binding, bool) {
 	rb := &e.rb
-	if rb.eff == nil {
-		rb.eff = make(plan.Binding, len(base))
-		rb.srcs = make(map[*plan.Node]catalog.SiteID)
-	} else {
-		clear(rb.eff)
-		clear(rb.srcs)
-	}
+	n := len(bp.sites)
+	rb.eff = slices.Grow(rb.eff[:0], n)[:n]
+	rb.srcs = slices.Grow(rb.srcs[:0], n)[:n]
 	rb.runnable = true
 	rb.failovers = 0
-	e.assignSite(rb, root, base)
-	return rb.eff, rb.runnable
-}
-
-// assignSite is rebind's recursion; method form so the per-attempt hot path
-// builds no closures.
-func (e *engine) assignSite(rb *rebindState, n *plan.Node, base plan.Binding) catalog.SiteID {
-	want := base[n]
-	if n.Kind == plan.KindScan {
-		r := e.cfg.Catalog.MustRelation(n.Table)
-		fully := e.cachedPagesOf(n.Table) >= r.Pages(e.cfg.Params.PageSize)
+	for _, i := range bp.flat.Post {
+		nd, want := &bp.flat.Nodes[i], bp.sites[i]
+		if nd.Kind != plan.KindScan {
+			eff := want
+			if !e.siteUp(eff) {
+				eff = catalog.Client
+				if nd.Left >= 0 && e.siteUp(rb.eff[nd.Left]) {
+					eff = rb.eff[nd.Left]
+				}
+			}
+			rb.eff[i] = eff
+			continue
+		}
+		r, fully := e.cfg.Catalog.ByID(nd.Rel), bp.facts[i].cached
+		rb.eff[i], rb.srcs[i] = want, r.Home
 		if want != catalog.Client {
 			if s, ok := e.pickCopy(r, want); ok {
 				if s != want {
 					rb.failovers++
 				}
-				rb.eff[n] = s
-				return s
+				rb.eff[i] = s
+			} else if fully {
+				rb.eff[i] = catalog.Client // ship cached data client-side
+			} else {
+				rb.runnable = false
 			}
-			if fully {
-				rb.eff[n] = catalog.Client // ship cached data client-side
-				return catalog.Client
-			}
-			rb.runnable = false
-			rb.eff[n] = want
-			return want
+			continue
 		}
 		if !fully {
 			// The faulted remainder needs a live copy as its fetch source.
@@ -421,39 +403,11 @@ func (e *engine) assignSite(rb *rebindState, n *plan.Node, base plan.Binding) ca
 				rb.runnable = false
 			} else if s != r.Home {
 				rb.failovers++
-				rb.srcs[n] = s
+				rb.srcs[i] = s
 			}
 		}
-		rb.eff[n] = catalog.Client
-		return catalog.Client
 	}
-	left := catalog.Client
-	if n.Left != nil {
-		left = e.assignSite(rb, n.Left, base)
-	}
-	if n.Right != nil {
-		e.assignSite(rb, n.Right, base)
-	}
-	if e.siteUp(want) {
-		rb.eff[n] = want
-		return want
-	}
-	tgt := left
-	if !e.siteUp(tgt) {
-		tgt = catalog.Client
-	}
-	rb.eff[n] = tgt
-	return tgt
-}
-
-// queryOutcome is what one query's retry loop reports up to Run/RunMulti.
-type queryOutcome struct {
-	tuples           int64
-	retries          int64
-	abortedWork      float64
-	backoffTime      float64
-	replicaFailovers int64
-	backoffSkips     int64
+	return rb.eff, rb.runnable
 }
 
 // deadlineState is the per-query deadline watchdog's shared state. The
@@ -515,8 +469,8 @@ func holdInterruptible(p *sim.Proc, dt float64) (completed bool) {
 
 // gateDenied returns the first attempt-dependency (site, role) the session's
 // circuit breakers refuse, or -1 when every needed dependency is admitted.
-func (e *engine) gateDenied(root *plan.Node, b plan.Binding) int {
-	for i, bits := range e.attemptDeps(root, b) {
+func (e *engine) gateDenied(bp *BoundPlan, b plan.Binding) int {
+	for i, bits := range e.attemptDeps(bp, b) {
 		if bits&depPrimaryBit != 0 && !e.siteGate.Allow(i, RolePrimary) {
 			return i
 		}
@@ -551,6 +505,15 @@ func (e *engine) reportAttempt(att *attemptState, completed bool) {
 	}
 }
 
+// execute runs one query on process p and reports it: every entry point's
+// per-query result is assembled here.
+func (e *engine) execute(p *sim.Proc, qi int, bp *BoundPlan, qo QueryOpts) (QueryResult, error) {
+	start := e.sim.Now()
+	out, err := e.runQuery(p, qi, bp, qo)
+	out.ResponseTime = e.sim.Now() - start
+	return out, err
+}
+
 // runQuery executes one query to completion on process p. With faults
 // disabled this is exactly the legacy path — build once, drain the display
 // operator — so fault-free runs stay byte-identical. With faults enabled it
@@ -558,10 +521,11 @@ func (e *engine) reportAttempt(att *attemptState, completed bool) {
 // off exponentially (deterministically jittered per query) before retrying.
 // qo carries the per-query serving-layer options (deadline); sessions
 // additionally install site and retry gates on the engine.
-func (e *engine) runQuery(p *sim.Proc, qi int, root *plan.Node, base plan.Binding, qo QueryOpts) (queryOutcome, error) {
-	var out queryOutcome
+// It fills every field of the result but the response time.
+func (e *engine) runQuery(p *sim.Proc, qi int, bp *BoundPlan, qo QueryOpts) (QueryResult, error) {
+	var out QueryResult
 	if e.ftl == nil {
-		out.tuples = e.runPlan(p, root, base, nil)
+		out.ResultTuples = e.runPlan(p, bp, bp.sites, nil)
 		return out, nil
 	}
 	rng := rand.New(rand.NewSource(retrySeed(e.ftl.seed, qi)))
@@ -580,22 +544,22 @@ func (e *engine) runQuery(p *sim.Proc, qi int, root *plan.Node, base plan.Bindin
 			// to deliver the answer to (or to retry for).
 			return out, fmt.Errorf("exec: query %d: %w", qi, ErrClientDown)
 		}
-		eff, runnable := e.rebind(root, base)
+		eff, runnable := e.rebind(bp)
 		if runnable && e.siteGate != nil {
-			if s := e.gateDenied(root, eff); s >= 0 {
+			if s := e.gateDenied(bp, eff); s >= 0 {
 				runnable = false
 				lastReason = reasonBreakerOpen
 			}
 		}
 		if runnable {
-			out.replicaFailovers += e.rb.failovers
+			out.ReplicaFailovers += e.rb.failovers
 			start := e.sim.Now()
-			att := e.newAttempt(p, root, eff)
+			att := e.newAttempt(p, bp, eff)
 			att.client = qo.Client
 			if dl != nil {
 				dl.att = att
 			}
-			tuples, completed := e.attemptOnce(p, att, root, eff)
+			tuples, completed := e.attemptOnce(p, att, bp, eff)
 			if dl != nil {
 				dl.att = nil
 			}
@@ -605,13 +569,13 @@ func (e *engine) runQuery(p *sim.Proc, qi int, root *plan.Node, base plan.Bindin
 				if e.coh != nil && att.cohStale > 0 {
 					e.coh.NoteCommittedReads(att.cohStale)
 				}
-				out.tuples = tuples
+				out.ResultTuples = tuples
 				return out, nil
 			}
 			lastReason = att.reason
-			out.abortedWork += e.sim.Now() - start
+			out.AbortedWork += e.sim.Now() - start
 		}
-		out.retries++
+		out.Retries++
 		if attempt >= e.ftl.maxRetries {
 			return out, fmt.Errorf("exec: query %d failed after %d attempts: %s", qi, attempt+1, lastReason)
 		}
@@ -629,8 +593,8 @@ func (e *engine) runQuery(p *sim.Proc, qi int, root *plan.Node, base plan.Bindin
 		// no virtual time, no RNG draw — and with a single copy failovers is
 		// always zero, so the legacy backoff sequence is bit-identical.
 		if runnable {
-			if _, ok := e.rebind(root, base); ok && e.rb.failovers > 0 {
-				out.backoffSkips++
+			if _, ok := e.rebind(bp); ok && e.rb.failovers > 0 {
+				out.BackoffSkips++
 				continue
 			}
 		}
@@ -639,7 +603,7 @@ func (e *engine) runQuery(p *sim.Proc, qi int, root *plan.Node, base plan.Bindin
 			// Only a completed sleep is backoff time actually spent; an
 			// interrupted one (deadline mid-backoff) is accounted by the
 			// expiry check on the next iteration.
-			out.backoffTime += d
+			out.BackoffTime += d
 		}
 	}
 }
@@ -647,7 +611,7 @@ func (e *engine) runQuery(p *sim.Proc, qi int, root *plan.Node, base plan.Bindin
 // attemptOnce runs a single bound attempt under the supervisor. It returns
 // completed == false when the attempt was aborted (the Interrupted unwind is
 // absorbed here and the helpers are torn down); any other panic propagates.
-func (e *engine) attemptOnce(p *sim.Proc, att *attemptState, root *plan.Node, b plan.Binding) (tuples int64, completed bool) {
+func (e *engine) attemptOnce(p *sim.Proc, att *attemptState, bp *BoundPlan, b plan.Binding) (tuples int64, completed bool) {
 	defer func() {
 		r := recover()
 		att.finished = true
@@ -661,5 +625,5 @@ func (e *engine) attemptOnce(p *sim.Proc, att *attemptState, root *plan.Node, b 
 		}
 	}()
 	e.registerAttempt(att)
-	return e.runPlan(p, root, b, att), true
+	return e.runPlan(p, bp, b, att), true
 }

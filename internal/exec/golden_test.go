@@ -505,15 +505,15 @@ func engineGoldenScenarios() []goldenScenario {
 				ups []UpdateResult
 			)
 			ses.Simulator().Spawn("driver", func(p *sim.Proc) {
-				q, _ := ses.Execute(p, 0, ds, dsb, QueryOpts{Client: 0})
+				q, _ := ses.Execute(p, 0, dsb, QueryOpts{Client: 0})
 				qrs = append(qrs, q)
 				u, _ := ses.ExecuteUpdate(p, 1, workload.RelName(0), 0, 2)
 				ups = append(ups, u)
-				q, _ = ses.Execute(p, 1, ds, dsb, QueryOpts{Client: 0})
+				q, _ = ses.Execute(p, 1, dsb, QueryOpts{Client: 0})
 				qrs = append(qrs, q)
-				q, _ = ses.Execute(p, 2, qs, qsb, QueryOpts{Client: 1})
+				q, _ = ses.Execute(p, 2, qsb, QueryOpts{Client: 1})
 				qrs = append(qrs, q)
-				q, _ = ses.Execute(p, 3, ds, dsb, QueryOpts{Client: 1})
+				q, _ = ses.Execute(p, 3, dsb, QueryOpts{Client: 1})
 				qrs = append(qrs, q)
 			})
 			ses.Run()

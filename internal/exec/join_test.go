@@ -144,18 +144,14 @@ func TestSpillReturnsPoolStorage(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := chainConfig(t, tc.n, tc.servers, workload.Moderate, false)
-			root := annotate(leftDeepChain(tc.n), tc.pol)
-			binding, err := plan.Bind(root, cfg.Catalog, catalog.Client)
-			if err != nil {
-				t.Fatal(err)
-			}
+			bound := mustBind(t, &cfg, annotate(leftDeepChain(tc.n), tc.pol))
 			e, err := newEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var tuples int64
 			e.sim.Spawn("query", func(p *sim.Proc) {
-				tuples = e.runPlan(p, root, binding, nil)
+				tuples = e.runPlan(p, bound, bound.sites, nil)
 			})
 			e.sim.Run()
 			if tuples == 0 {

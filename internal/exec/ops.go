@@ -18,44 +18,44 @@ type iterator interface {
 	close(p *sim.Proc)
 }
 
-// runPlan executes a bound plan on process p and returns the number of
-// result tuples displayed at the client.
-func (e *engine) runPlan(p *sim.Proc, root *plan.Node, b plan.Binding, att *attemptState) int64 {
+// runPlan executes bp with its nodes at sites b on process p and returns
+// the number of result tuples displayed at the client.
+func (e *engine) runPlan(p *sim.Proc, bp *BoundPlan, b plan.Binding, att *attemptState) int64 {
 	acc := &chargeAcc{}
-	d := &displayOp{e: e, acc: acc, child: e.build(root.Left, b, b[root], att, acc)}
+	d := &displayOp{e: e, acc: acc, child: e.build(bp, b, bp.flat.Nodes[0].Left, b[0], att, acc)}
 	d.run(p)
 	return d.tuples
 }
 
-// build converts a plan subtree into an iterator running at consumerSite's
+// build converts node i's subtree into an iterator running at consumerSite's
 // process, inserting a network operator pair wherever a producer is bound to
 // a different site than its consumer (§3.2.1). A subtree on the far side of
 // a network pair runs on the producer daemon's process, so it accumulates
 // charges into the producer's own accumulator, created here. att supervises
 // the attempt in a failure-aware run; it is nil on the fault-free path.
-func (e *engine) build(n *plan.Node, b plan.Binding, consumerSite catalog.SiteID, att *attemptState, acc *chargeAcc) iterator {
-	site := b[n]
+func (e *engine) build(bp *BoundPlan, b plan.Binding, i int32, consumerSite catalog.SiteID, att *attemptState, acc *chargeAcc) iterator {
+	nd, site := &bp.flat.Nodes[i], b[i]
 	sub := acc
 	if site != consumerSite {
 		sub = &chargeAcc{}
 	}
 	var it iterator
-	switch n.Kind {
+	switch nd.Kind {
 	case plan.KindScan:
-		it = e.newScan(n, site, att, sub)
+		it = e.newScan(bp, i, site, att, sub)
 	case plan.KindSelect:
-		child := e.build(n.Left, b, site, att, sub)
-		it = e.newSelect(n.Rel, site, child, sub)
+		child := e.build(bp, b, nd.Left, site, att, sub)
+		it = e.newSelect(bp.flat.Src[i].Rel, site, child, sub)
 	case plan.KindAgg:
-		child := e.build(n.Left, b, site, att, sub)
+		child := e.build(bp, b, nd.Left, site, att, sub)
 		it = e.newAgg(site, child, sub)
 	case plan.KindJoin:
-		inner := e.build(n.Left, b, site, att, sub)
-		outer := e.build(n.Right, b, site, att, sub)
-		it = e.newHashJoin(site, inner, outer, e.tables(n.Left), e.tables(n.Right),
-			e.estPages(n.Left), e.estPages(n.Right), sub)
+		inner := e.build(bp, b, nd.Left, site, att, sub)
+		outer := e.build(bp, b, nd.Right, site, att, sub)
+		l, r := &bp.facts[nd.Left], &bp.facts[nd.Right]
+		it = e.newHashJoin(site, inner, outer, l.mask, r.mask, l.pages, r.pages, sub)
 	default:
-		panic(fmt.Sprintf("exec: cannot build operator for %v", n.Kind))
+		panic(fmt.Sprintf("exec: cannot build operator for %v", nd.Kind))
 	}
 	if site != consumerSite {
 		it = e.newNetPair(it, site, consumerSite, att, sub, acc)
@@ -106,9 +106,9 @@ type scanOp struct {
 	cacheExt diskAddr
 }
 
-func (e *engine) newScan(n *plan.Node, at catalog.SiteID, att *attemptState, acc *chargeAcc) *scanIter {
-	rel := n.Table
-	r := e.cfg.Catalog.MustRelation(rel)
+// newScan builds the scan at node i of bp, bound to site at.
+func (e *engine) newScan(bp *BoundPlan, i int32, at catalog.SiteID, att *attemptState, acc *chargeAcc) *scanIter {
+	rel, r := bp.flat.Src[i].Table, e.cfg.Catalog.ByID(bp.flat.Nodes[i].Rel)
 	s := &scanOp{
 		e:         e,
 		rel:       rel,
@@ -123,11 +123,12 @@ func (e *engine) newScan(n *plan.Node, at catalog.SiteID, att *attemptState, acc
 		if s.cachedPages > s.relPages {
 			s.cachedPages = s.relPages
 		}
-		// Page faults go to the home server unless this attempt's re-binding
-		// chose another replica as the fetch source (failover.go).
+		// Page faults go to the home server, unless this is an attempt
+		// whose re-binding chose another replica as the fetch source
+		// (failover.go).
 		fetchFrom := r.Home
-		if v, ok := e.rb.srcs[n]; ok {
-			fetchFrom = v
+		if att != nil {
+			fetchFrom = e.rb.srcs[i]
 		}
 		s.src = e.site(fetchFrom)
 		if fetchFrom != r.Home {

@@ -206,9 +206,9 @@ func TestWarmupInertAtRF1(t *testing.T) {
 // attempt warms the engine's scratch, a full rebind over a replicated
 // catalog with a dead primary allocates nothing.
 func TestReplicaRebindZeroAlloc(t *testing.T) {
-	e, root, binding := rebindFixture(t)
+	e, bp := rebindFixture(t)
 	if n := testing.AllocsPerRun(1000, func() {
-		if _, ok := e.rebind(root, binding); !ok {
+		if _, ok := e.rebind(bp); !ok {
 			t.Fatal("rebind not runnable with a live replica")
 		}
 	}); n != 0 {
@@ -219,36 +219,32 @@ func TestReplicaRebindZeroAlloc(t *testing.T) {
 // rebindFixture builds a warmed engine over an RF=3 catalog with the primary
 // down and half-cached relations (so the client-source redirection path runs
 // too), plus a bound plan to re-bind.
-func rebindFixture(t testing.TB) (*engine, *plan.Node, plan.Binding) {
+func rebindFixture(t testing.TB) (*engine, *BoundPlan) {
 	t.Helper()
 	cfg := replicatedChainConfig(t, 2, 3, 3, workload.Moderate)
 	if err := workload.CacheAllFraction(cfg.Catalog, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Faults = &faults.Config{Seed: 1, Script: []faults.Event{{At: 1e9, Kind: faults.SiteCrash, Site: 0, Duration: 1}}}
-	root := annotate(leftDeepChain(2), plan.QueryShipping)
-	binding, err := plan.Bind(root, cfg.Catalog, catalog.Client)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bp := mustBind(t, &cfg, annotate(leftDeepChain(2), plan.QueryShipping))
 	e, err := newEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.servers[0].up = false
-	e.rebind(root, binding) // warm the scratch maps
-	return e, root, binding
+	e.rebind(bp) // warm the scratch slices
+	return e, bp
 }
 
 // BenchmarkReplicaRebindFaults measures the failover re-binding hot path —
 // what every retry pays before its attempt is built. Its 0 allocs/op is
 // gated by TestReplicaRebindZeroAlloc.
 func BenchmarkReplicaRebindFaults(b *testing.B) {
-	e, root, binding := rebindFixture(b)
+	e, bp := rebindFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := e.rebind(root, binding); !ok {
+		if _, ok := e.rebind(bp); !ok {
 			b.Fatal("rebind not runnable with a live replica")
 		}
 	}

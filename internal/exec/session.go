@@ -2,7 +2,6 @@ package exec
 
 import (
 	"errors"
-	"fmt"
 
 	"hybridship/internal/catalog"
 	"hybridship/internal/coherence"
@@ -99,6 +98,9 @@ type Session struct {
 // parameters always present, synthesized from a default faults.Config when
 // cfg.Faults is nil or disabled.
 func NewSession(cfg Config, opts SessionOptions) (*Session, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	e, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
@@ -135,50 +137,20 @@ func (s *Session) ChargeClientCPU(p *sim.Proc, instr float64) {
 	s.e.client.chargeCPU(p, s.e.cfg.Params, instr)
 }
 
-// Bind validates root and binds its logical annotations to physical sites,
-// the same checks RunBound applies. Bindings are bound once at session setup
-// and reused across the queries that share the plan.
-func (s *Session) Bind(root *plan.Node) (plan.Binding, error) {
-	if root.Kind != plan.KindDisplay {
-		return nil, fmt.Errorf("exec: plan root must be display")
-	}
-	binding, err := plan.Bind(root, s.e.cfg.Catalog, catalog.Client)
-	if err != nil {
-		return nil, err
-	}
-	var bindErr error
-	root.Walk(func(n *plan.Node) {
-		site, ok := binding[n]
-		if !ok {
-			bindErr = fmt.Errorf("exec: node %v missing from binding", n.Kind)
-			return
-		}
-		if site != catalog.Client && (int(site) < 0 || int(site) >= s.e.cfg.Catalog.NumServers) {
-			bindErr = fmt.Errorf("exec: node %v bound to nonexistent site %d", n.Kind, site)
-		}
-	})
-	if bindErr != nil {
-		return nil, bindErr
-	}
-	return binding, nil
+// Bind binds root's logical annotations to physical sites and checks the
+// result as RunBound checks an explicit binding. A plan is bound once, at
+// session setup, and the BoundPlan serves every query that runs it.
+func (s *Session) Bind(root *plan.Node) (*BoundPlan, error) {
+	return bind(&s.e.cfg, root)
 }
 
-// Execute runs one query to completion (or failure) on the calling process,
-// which must be a process of this session's simulation. The returned
-// QueryResult is populated even on error, so the serving layer can account
-// the wasted work of expired and budget-killed queries.
-func (s *Session) Execute(p *sim.Proc, qi int, root *plan.Node, binding plan.Binding, qo QueryOpts) (QueryResult, error) {
-	start := s.e.sim.Now()
-	out, err := s.e.runQuery(p, qi, root, binding, qo)
-	return QueryResult{
-		ResponseTime:     s.e.sim.Now() - start,
-		ResultTuples:     out.tuples,
-		Retries:          out.retries,
-		AbortedWork:      out.abortedWork,
-		BackoffTime:      out.backoffTime,
-		ReplicaFailovers: out.replicaFailovers,
-		BackoffSkips:     out.backoffSkips,
-	}, err
+// Execute runs the plan bp, which this session's Bind returned, as one
+// query to completion (or failure) on the calling process, which must be a
+// process of this session's simulation. The returned QueryResult is
+// populated even on error, so the serving layer can account the wasted
+// work of expired and budget-killed queries.
+func (s *Session) Execute(p *sim.Proc, qi int, bp *BoundPlan, qo QueryOpts) (QueryResult, error) {
+	return s.e.execute(p, qi, bp, qo)
 }
 
 // ExecuteUpdate runs one update — client writes pages [page0, page0+pages)

@@ -16,7 +16,7 @@ import (
 // runOnSession executes one query on a fresh driver process of the session.
 func runOnSession(t *testing.T, ses *Session, root *plan.Node, qo QueryOpts) (QueryResult, error) {
 	t.Helper()
-	binding, err := ses.Bind(root)
+	bound, err := ses.Bind(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func runOnSession(t *testing.T, ses *Session, root *plan.Node, qo QueryOpts) (Qu
 		qerr error
 	)
 	ses.Simulator().Spawn("driver", func(p *sim.Proc) {
-		qr, qerr = ses.Execute(p, 0, root, binding, qo)
+		qr, qerr = ses.Execute(p, 0, bound, qo)
 	})
 	ses.Run()
 	return qr, qerr

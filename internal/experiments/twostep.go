@@ -88,34 +88,33 @@ func compileBushy(assumed *catalog.Catalog, q *query.Query, seed int64) (*plan.N
 // can only be read where its primary copy actually lives. Compile-time
 // server numbers beyond the runtime population wrap around.
 func freezeBinding(root *plan.Node, compileCat, runtimeCat *catalog.Catalog) (plan.Binding, error) {
-	bc, err := plan.Bind(root, compileCat, catalog.Client)
+	b, err := plan.Bind(root, compileCat, catalog.Client)
 	if err != nil {
 		return nil, err
 	}
-	b := make(plan.Binding)
 	var werr error
+	i := 0 // n's node ID: Walk visits in pre-order
 	root.Walk(func(n *plan.Node) {
 		switch n.Kind {
 		case plan.KindDisplay:
-			b[n] = catalog.Client
+			b[i] = catalog.Client
 		case plan.KindScan:
 			if n.Ann == plan.AnnClient {
-				b[n] = catalog.Client
-				return
+				b[i] = catalog.Client
+				break
 			}
 			rel, ok := runtimeCat.Relation(n.Table)
 			if !ok {
 				werr = fmt.Errorf("experiments: relation %q missing at runtime", n.Table)
-				return
+				break
 			}
-			b[n] = rel.Home
+			b[i] = rel.Home
 		default:
-			s := bc[n]
-			if s != catalog.Client {
-				s = catalog.SiteID(int(s) % runtimeCat.NumServers)
+			if b[i] != catalog.Client {
+				b[i] = catalog.SiteID(int(b[i]) % runtimeCat.NumServers)
 			}
-			b[n] = s
 		}
+		i++
 	})
 	return b, werr
 }

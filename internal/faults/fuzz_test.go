@@ -139,7 +139,7 @@ func FuzzFaultSchedule(f *testing.F) {
 		root.Walk(func(n *plan.Node) {
 			n.Ann = plan.AllowedAnnotations(n.Kind, plan.DataShipping)[0]
 		})
-		binding, err := ses.Bind(root)
+		bound, err := ses.Bind(root)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func FuzzFaultSchedule(f *testing.F) {
 					_, err := ses.ExecuteUpdate(p, c, workload.RelName(i%2), i, 2)
 					note(err)
 				} else {
-					qr, err := ses.Execute(p, i, root, binding, exec.QueryOpts{Client: c})
+					qr, err := ses.Execute(p, i, bound, exec.QueryOpts{Client: c})
 					note(err)
 					if err == nil {
 						out.Tuples = append(out.Tuples, qr.ResultTuples)

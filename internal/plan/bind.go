@@ -8,8 +8,10 @@ import (
 	"hybridship/internal/catalog"
 )
 
-// Binding maps plan nodes to the physical sites where they will execute.
-type Binding map[*Node]catalog.SiteID
+// Binding is the physical site of every node of a plan, indexed by node ID:
+// node i is the i-th node in pre-order (the order of Walk, and of a fresh
+// Flat.Reset).
+type Binding []catalog.SiteID
 
 // Bind resolves the logical annotations of a plan to physical sites, given a
 // catalog (for primary-copy locations) and the site submitting the query
@@ -25,14 +27,7 @@ func Bind(root *Node, cat *catalog.Catalog, submitSite catalog.SiteID) (Binding,
 	if err == ErrUnbindable {
 		return nil, bd.Err()
 	}
-	if err != nil {
-		return nil, err
-	}
-	b := make(Binding, len(sites))
-	for i, n := range bd.own.Src {
-		b[n] = sites[i]
-	}
-	return b, nil
+	return sites, err
 }
 
 // ErrUnbindable is what Binder.Bind returns for a structurally sound plan

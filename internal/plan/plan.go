@@ -378,36 +378,36 @@ func (n *Node) String() string {
 	return b.String()
 }
 
-// FormatBound renders the plan with both annotations and bound sites.
+// FormatBound renders the plan with both annotations and bound sites; a
+// node beyond the end of the binding shows its site as "?".
 func FormatBound(n *Node, b Binding) string {
 	var sb strings.Builder
 	var rec func(m *Node, depth int)
-	site := func(m *Node) string {
-		s, ok := b[m]
-		if !ok {
-			return "?"
-		}
-		if s == catalog.Client {
-			return "client"
-		}
-		return fmt.Sprintf("server %d", int(s))
-	}
+	id := 0 // the next node's ID: rec visits in pre-order
 	rec = func(m *Node, depth int) {
 		if m == nil {
 			return
 		}
+		site := "?"
+		if id < len(b) {
+			site = "client"
+			if s := b[id]; s != catalog.Client {
+				site = fmt.Sprintf("server %d", int(s))
+			}
+		}
+		id++
 		sb.WriteString(strings.Repeat("  ", depth))
 		switch m.Kind {
 		case KindScan:
 			if m.Copy != 0 {
-				fmt.Fprintf(&sb, "scan(%s) [%v #%d] @ %s\n", m.Table, m.Ann, m.Copy, site(m))
+				fmt.Fprintf(&sb, "scan(%s) [%v #%d] @ %s\n", m.Table, m.Ann, m.Copy, site)
 			} else {
-				fmt.Fprintf(&sb, "scan(%s) [%v] @ %s\n", m.Table, m.Ann, site(m))
+				fmt.Fprintf(&sb, "scan(%s) [%v] @ %s\n", m.Table, m.Ann, site)
 			}
 		case KindSelect:
-			fmt.Fprintf(&sb, "select(%s) [%v] @ %s\n", m.Rel, m.Ann, site(m))
+			fmt.Fprintf(&sb, "select(%s) [%v] @ %s\n", m.Rel, m.Ann, site)
 		default:
-			fmt.Fprintf(&sb, "%v [%v] @ %s\n", m.Kind, m.Ann, site(m))
+			fmt.Fprintf(&sb, "%v [%v] @ %s\n", m.Kind, m.Ann, site)
 		}
 		rec(m.Left, depth+1)
 		rec(m.Right, depth+1)

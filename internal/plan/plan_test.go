@@ -107,11 +107,24 @@ func TestBindDataShipping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Walk(func(n *Node) {
-		if b[n] != catalog.Client {
-			t.Errorf("%v bound to %v, want client", n.Kind, b[n])
+	for i, site := range b {
+		if site != catalog.Client {
+			t.Errorf("node %d bound to %v, want client", i, site)
 		}
+	}
+}
+
+// nodeID returns n's node ID in the plan rooted at root: its pre-order
+// position, which indexes its site in a Binding.
+func nodeID(root, n *Node) int {
+	id, i := -1, 0
+	root.Walk(func(m *Node) {
+		if m == n {
+			id = i
+		}
+		i++
 	})
+	return id
 }
 
 func TestBindQueryShipping(t *testing.T) {
@@ -126,21 +139,21 @@ func TestBindQueryShipping(t *testing.T) {
 	scans := p.Scans()
 	wantSites := []catalog.SiteID{0, 1, 0}
 	for i, s := range scans {
-		if b[s] != wantSites[i] {
-			t.Errorf("scan %s at %v, want %v", s.Table, b[s], wantSites[i])
+		if got := b[nodeID(p, s)]; got != wantSites[i] {
+			t.Errorf("scan %s at %v, want %v", s.Table, got, wantSites[i])
 		}
 	}
 	// join(A,B) annotated inner -> site of scan A = server 0
 	joins := p.Joins()
-	if b[joins[1]] != 0 {
-		t.Errorf("inner join bound to %v, want server 0", b[joins[1]])
+	if got := b[nodeID(p, joins[1])]; got != 0 {
+		t.Errorf("inner join bound to %v, want server 0", got)
 	}
 	// top join annotated inner -> site of join(A,B) = server 0
-	if b[joins[0]] != 0 {
-		t.Errorf("top join bound to %v, want server 0", b[joins[0]])
+	if got := b[nodeID(p, joins[0])]; got != 0 {
+		t.Errorf("top join bound to %v, want server 0", got)
 	}
-	if b[p] != catalog.Client {
-		t.Errorf("display bound to %v, want client", b[p])
+	if b[0] != catalog.Client {
+		t.Errorf("display bound to %v, want client", b[0])
 	}
 }
 
@@ -154,11 +167,11 @@ func TestBindOuterAnnotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b[p.Left.Left] != 1 {
-		t.Errorf("join(A,B) bound to %v, want server 1", b[p.Left.Left])
+	if got := b[nodeID(p, p.Left.Left)]; got != 1 {
+		t.Errorf("join(A,B) bound to %v, want server 1", got)
 	}
-	if b[p.Left] != 0 {
-		t.Errorf("top join bound to %v, want server 0", b[p.Left])
+	if got := b[nodeID(p, p.Left)]; got != 0 {
+		t.Errorf("top join bound to %v, want server 0", got)
 	}
 }
 
@@ -188,8 +201,8 @@ func TestBindResolvableConsumerChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b[j] != catalog.Client {
-		t.Errorf("consumer join bound to %v, want client", b[j])
+	if b[1] != catalog.Client {
+		t.Errorf("consumer join bound to %v, want client", b[1])
 	}
 }
 
@@ -313,12 +326,15 @@ func TestQuickBindConsistency(t *testing.T) {
 			}
 		})
 		ok := true
+		nodes := 0
 		p.Walk(func(n *Node) {
-			site, bound := b[n]
-			if !bound {
+			nodes++
+			id := nodeID(p, n)
+			if id >= len(b) {
 				ok = false
 				return
 			}
+			site := b[id]
 			switch {
 			case n.Kind == KindDisplay:
 				ok = ok && site == catalog.Client
@@ -327,14 +343,14 @@ func TestQuickBindConsistency(t *testing.T) {
 			case n.Kind == KindScan && n.Ann == AnnPrimary:
 				ok = ok && site == cat.MustRelation(n.Table).Home
 			case n.Ann == AnnConsumer:
-				ok = ok && site == b[parent[n]]
+				ok = ok && site == b[nodeID(p, parent[n])]
 			case n.Ann == AnnInner || (n.Kind == KindSelect && n.Ann == AnnProducer):
-				ok = ok && site == b[n.Left]
+				ok = ok && site == b[nodeID(p, n.Left)]
 			case n.Ann == AnnOuter:
-				ok = ok && site == b[n.Right]
+				ok = ok && site == b[nodeID(p, n.Right)]
 			}
 		})
-		return ok
+		return ok && nodes == len(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

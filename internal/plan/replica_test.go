@@ -30,7 +30,7 @@ func TestBindCopySelectsReplica(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := b[p.Scans()[0]]; got != want {
+		if got := b[1]; got != want {
 			t.Errorf("copy %d bound to %v, want %v", copyIdx, got, want)
 		}
 	}

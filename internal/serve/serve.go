@@ -308,8 +308,8 @@ type server struct {
 	budget  *retryBudget
 	brk     *BreakerSet
 	level   int
-	freshB  []plan.Binding
-	staticB plan.Binding
+	freshB  []*exec.BoundPlan
+	staticB *exec.BoundPlan
 	res     Result
 	rts     []float64
 	streams []StreamStats // per client stream; nil without coherence
@@ -641,11 +641,11 @@ func (s *server) execute(p *sim.Proc, t task) {
 	if len(s.streams) > 0 {
 		s.streams[t.client].Queries++
 	}
-	root, binding := s.planFor(p, t)
+	bp := s.planFor(p, t)
 	if s.budget != nil {
 		s.budget.requests++
 	}
-	qr, err := s.ses.Execute(p, t.id, root, binding, exec.QueryOpts{Deadline: t.deadline, Client: t.client})
+	qr, err := s.ses.Execute(p, t.id, bp, exec.QueryOpts{Deadline: t.deadline, Client: t.client})
 	s.res.Retries += qr.Retries
 	s.res.AbortedWork += qr.AbortedWork
 	s.res.BackoffTime += qr.BackoffTime
@@ -695,11 +695,11 @@ func (s *server) executeUpdate(p *sim.Proc, t task, rel string, pg0, n int) {
 
 // planFor returns the plan the query runs, charging the client CPU for the
 // planning work its degradation level implies.
-func (s *server) planFor(p *sim.Proc, t task) (*plan.Node, plan.Binding) {
+func (s *server) planFor(p *sim.Proc, t task) *exec.BoundPlan {
 	switch t.level {
 	case LevelFresh:
 		s.ses.ChargeClientCPU(p, s.cfg.OptInst)
-		return s.cfg.FreshPlans[t.class], s.freshB[t.class]
+		return s.freshB[t.class]
 	case LevelCached:
 		if s.cache.hit(t.class) {
 			s.res.PlanCacheHits++
@@ -709,9 +709,9 @@ func (s *server) planFor(p *sim.Proc, t task) (*plan.Node, plan.Binding) {
 			s.ses.ChargeClientCPU(p, s.cfg.OptInst)
 			s.cache.insert(t.class)
 		}
-		return s.cfg.FreshPlans[t.class], s.freshB[t.class]
+		return s.freshB[t.class]
 	default:
-		return s.cfg.StaticPlan, s.staticB
+		return s.staticB
 	}
 }
 

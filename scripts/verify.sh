@@ -52,6 +52,7 @@ echo "== shardscale smoke (parallel kernel: fleet equality at 1/2/4/8 shards und
 go run -race ./cmd/csq run -quick -reps 1 shardscale >/dev/null
 echo "== fuzz smoke (2s per target)"
 go test -run '^$' -fuzz '^FuzzPlanWellFormed$' -fuzztime 2s ./internal/plan/
+go test -run '^$' -fuzz '^FuzzBinderReuse$' -fuzztime 2s ./internal/plan/
 go test -run '^$' -fuzz '^FuzzSearchDelta$' -fuzztime 2s ./internal/opt/
 go test -run '^$' -fuzz '^FuzzSeedMix$' -fuzztime 2s ./internal/seedmix/
 go test -run '^$' -fuzz '^FuzzFaultSchedule$' -fuzztime 2s ./internal/faults/
