@@ -183,6 +183,13 @@ func (s *Simulator) SpawnLazy(namef func() string, body func(*Proc)) *Proc {
 	return &Proc{name: namef()}
 }
 
+type Task struct{ name string }
+
+func (s *Simulator) SpawnTaskLazy(namef func() string, step func(*Task)) *Task {
+	return &Task{name: namef()}
+}
+func (s *Simulator) SpawnTimer(name string, dt float64, fire func(any, int64), arg any, id int64) {}
+
 func (s *Simulator) Hold(dt float64) {
 	s.note("hold", dt)
 }
@@ -210,6 +217,13 @@ func Launch(s *sim.Simulator, i int) {
 	s.SpawnDaemon("d:"+suffix(i), nil) // want simhot
 	s.Spawn("ok", nil)
 	s.SpawnLazy(func() string { return fmt.Sprintf("q%d", i) }, nil)
+}
+
+func LaunchTasks(s *sim.Simulator, i int) {
+	s.SpawnTimer(fmt.Sprintf("watchdog%d", i), 1, nil, nil, 0) // want simhot
+	s.SpawnTimer("watchdog:"+suffix(i), 1, nil, nil, 0) // want simhot
+	s.SpawnTimer("watchdog", 1, nil, nil, int64(i))
+	s.SpawnTaskLazy(func() string { return fmt.Sprintf("arm%d", i) }, nil)
 }
 
 func suffix(i int) string { return "x" }
@@ -408,6 +422,7 @@ func TestDiagnosticFormat(t *testing.T) {
 	checks := []struct{ analyzer, file, substr string }{
 		{"simhot", "hot/hot.go", "use SpawnLazy"},
 		{"simhot", "hot/hot.go", "use SpawnDaemonLazy"},
+		{"simhot", "hot/hot.go", "SpawnTimer with an eagerly built name argument; pass a constant"},
 		{"simhot", "vexec/vec.go", "columnar batch"},
 		{"simhot", "vexec/legacy.go", "engine hot path"},
 		{"seedflow", "seedstuff/seed.go", "use seedmix.Derive"},

@@ -10,15 +10,15 @@
 // all consume this one graph.
 //
 // The taxonomy of kernel-visible operations is rooted in the sim package's
-// primitives (see kernelOps below): Spawn* (a new process dispatches at the
-// current time), Resource Use/UseRun/Acquire/Release (queueing and clock
-// advance), Buffer Put/Get/Close (park and wake), and the Proc park points
-// (Hold, Block, Yield, Unblock, Interrupt). Everything else — netsim
-// transmits, disk requests, shard mailbox ops — is kernel-visible
-// *transitively*, because its implementation bottoms out in these
-// primitives; rooting the taxonomy at the bottom keeps it closed under
-// refactoring (a new disk scheduler is classified correctly the day it is
-// written, with no table update). Config.SharedStateFuncs adds one more
+// primitives (see kernelOps below): Spawn* (a new process or kernel task
+// dispatches at the current time), Resource Use/UseRun/Acquire/Release
+// (queueing and clock advance), Buffer Put/Get/Close (park and wake), the
+// Proc park points (Hold, Block, Yield, Unblock, Interrupt) and their task
+// twins (Task Wake, Hold). Everything else — netsim transmits, disk
+// requests, shard mailbox ops — is kernel-visible *transitively*, because
+// its implementation bottoms out in these primitives; rooting the taxonomy
+// at the bottom keeps it closed under refactoring (a new disk scheduler is
+// classified correctly the day it is written, with no table update). Config.SharedStateFuncs adds one more
 // root class, "shared": functions that change state other processes read
 // without any kernel event (a site's temp-region allocator), so their
 // placement against the event schedule matters just as a primitive's does.
@@ -59,6 +59,7 @@ var kernelOps = map[string]map[string]string{
 		"Spawn": "spawn", "SpawnDaemon": "spawn",
 		"SpawnLazy": "spawn", "SpawnDaemonLazy": "spawn",
 		"SpawnLazyID": "spawn", "SpawnDaemonLazyID": "spawn",
+		"SpawnTaskLazy": "spawn", "SpawnTimer": "spawn",
 	},
 	"Resource": {
 		"Use": "resource", "UseRun": "resource",
@@ -73,6 +74,9 @@ var kernelOps = map[string]map[string]string{
 	},
 	"Ref": {
 		"Unblock": "park", "Interrupt": "park",
+	},
+	"Task": {
+		"Wake": "park", "Hold": "park",
 	},
 }
 

@@ -29,6 +29,11 @@ func (s *Simulator) SpawnDaemonLazy(namef func() string, body func(*Proc)) {
 	body(&Proc{})
 }
 
+type Task struct{ woken int }
+
+func (t *Task) Wake()                 { t.woken++ }
+func (t *Task) Hold(dt float64) bool { return dt == 0 }
+
 type Resource struct{}
 
 func (r *Resource) Use(p *Proc, dt float64)  { p.Hold(dt) }
@@ -127,6 +132,24 @@ func SendCloser(p *sim.Proc, buf *sim.Buffer) {
 	send()
 	acc.flush(p)
 	buf.Put(p, 2)
+}
+
+// A kernel task's wake is kernel-visible, directly and through a helper
+// (the shape of a disk's stall release).
+type arm struct{ t *sim.Task }
+
+func (a *arm) release() { a.t.Wake() }
+
+func BadWake(p *sim.Proc, acc *chargeAcc, a *arm) {
+	acc.add(1)
+	a.release() // want chargeflow
+}
+
+func GoodWake(p *sim.Proc, acc *chargeAcc, a *arm) {
+	acc.add(1)
+	acc.flush(p)
+	a.release()
+	a.t.Wake()
 }
 
 func Waived(p *sim.Proc, acc *chargeAcc, buf *sim.Buffer) {
@@ -347,6 +370,7 @@ func TestFlowDiagnosticContent(t *testing.T) {
 	checks := []struct{ analyzer, file, substr string }{
 		{"chargeflow", "vexec/vec.go", "accumulator acc may hold unflushed charges"},
 		{"chargeflow", "vexec/vec.go", "kernel-visible (buffer: sim.(*Buffer).Put)"},
+		{"chargeflow", "vexec/vec.go", "sim.(*Task).Wake"},
 		{"parksafe", "armed/armed.go", "defer r.Release(p)"},
 		{"parksafe", "armed/armed.go", "inside a loop runs at function return"},
 		{"detreach", "helper/helper.go", "det.Entry (det.Entry → helper.Keys)"},

@@ -11,11 +11,13 @@ import (
 // Simhot enforces the PR 1/2 allocation-lean discipline on the simulation
 // kernel's hot path. Three rules:
 //
-//  1. Anywhere in the module, Spawn / SpawnDaemon must not be handed an
-//     eagerly built name — `Spawn(fmt.Sprintf("query%d", i), ...)` pays the
-//     Sprintf on every spawn even when nobody reads the name. Use SpawnLazy
-//     / SpawnDaemonLazy, whose name thunk runs only if Trace (or a panic
-//     message) actually asks for it.
+//  1. Anywhere in the module, the kernel constructors that take a name
+//     string (Spawn, SpawnDaemon, SpawnTimer) must not be handed an eagerly
+//     built name — `Spawn(fmt.Sprintf("query%d", i), ...)` pays the Sprintf
+//     on every spawn even when nobody reads the name. Use SpawnLazy /
+//     SpawnDaemonLazy / SpawnTaskLazy, whose name thunk runs only if Trace
+//     (or a panic message) actually asks for it; a timer takes a constant
+//     name.
 //
 //  2. Inside any function statically reachable from the kernel package's
 //     own functions — the per-event machinery: Hold, park, schedule, the
@@ -44,6 +46,14 @@ func runSimhot(u *Unit) {
 	checkRowAlloc(u)
 }
 
+// eagerNameFix maps each kernel constructor that takes a name string to the
+// advice for an eagerly built one.
+var eagerNameFix = map[string]string{
+	"Spawn":       "use SpawnLazy",
+	"SpawnDaemon": "use SpawnDaemonLazy",
+	"SpawnTimer":  "pass a constant",
+}
+
 // checkSpawnNames flags eager name arguments to the kernel's Spawn methods.
 func checkSpawnNames(u *Unit) {
 	for _, pkg := range u.Packages {
@@ -54,7 +64,11 @@ func checkSpawnNames(u *Unit) {
 					return true
 				}
 				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || (sel.Sel.Name != "Spawn" && sel.Sel.Name != "SpawnDaemon") {
+				if !ok {
+					return true
+				}
+				fix, ok := eagerNameFix[sel.Sel.Name]
+				if !ok {
 					return true
 				}
 				f, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
@@ -62,8 +76,8 @@ func checkSpawnNames(u *Unit) {
 					return true
 				}
 				if eagerName(pkg.Info, call.Args[0]) {
-					u.Report(call.Pos(), "%s with an eagerly built name argument; use %sLazy so the name is only built when traced",
-						sel.Sel.Name, sel.Sel.Name)
+					u.Report(call.Pos(), "%s with an eagerly built name argument; %s so the name is only built when traced",
+						sel.Sel.Name, fix)
 				}
 				return true
 			})

@@ -92,7 +92,7 @@ type Stats struct {
 	XferTime   float64 // seconds of media transfer (incl. read-ahead)
 }
 
-// Disk is one simulated disk drive with its own service process.
+// Disk is one simulated disk drive with its own service task, the arm.
 type Disk struct {
 	sim    *sim.Simulator
 	name   string
@@ -100,13 +100,14 @@ type Disk struct {
 
 	queue  []*request
 	free   []*request // completed requests, for submit to reuse
-	server *sim.Proc
+	server *sim.Task  // the arm; its service state is arm
+	arm    arm
 	idle   bool
 	seq    int64
 
 	// Fault state, driven by internal/faults through the engine's hooks.
-	stalled     bool // serve loop pauses between requests while set
-	stallParked bool // serve loop is blocked waiting for the stall to clear
+	stalled     bool // the arm pauses between requests while set
+	stallParked bool // the arm is parked waiting for the stall to clear
 
 	curCyl  int
 	sweepUp bool
@@ -121,18 +122,23 @@ type Disk struct {
 	stats Stats
 }
 
-// New creates a disk and spawns its service process on s.
+// New creates a disk and spawns its service task, the arm, on s.
 func New(s *sim.Simulator, name string, params Params) *Disk {
+	d := newDisk(s, name, params)
+	d.server = s.SpawnTaskLazy(func() string { return "disk:" + name }, d.step)
+	d.idle = true
+	return d
+}
+
+// newDisk returns a disk with no service task yet.
+func newDisk(s *sim.Simulator, name string, params Params) *Disk {
 	if params.Cylinders <= 0 || params.PagesPerTrack <= 0 || params.TracksPerCyl <= 0 {
 		panic("disk: invalid geometry")
 	}
-	d := &Disk{
+	return &Disk{
 		sim: s, name: name, params: params,
 		cache: make(map[PageAddr]bool), lastRead: -2, lastEnd: -2,
 	}
-	d.server = s.SpawnDaemonLazy(func() string { return "disk:" + name }, d.serve)
-	d.idle = true
-	return d
 }
 
 // Name returns the disk's name.
@@ -156,11 +162,11 @@ func (d *Disk) Read(p *sim.Proc, page PageAddr) { d.submit(p, opRead, page, 1) }
 func (d *Disk) Write(p *sim.Proc, page PageAddr) { d.submit(p, opWrite, page, 1) }
 
 // ReadRun performs a blocking scatter-gather read of n contiguous pages as a
-// single request. The service process applies the same per-page mechanics
-// (controller overhead, cache hits, read-ahead) as n back-to-back single
-// reads, so the virtual service time of an uncontended run is identical —
-// only the queueing granularity (one elevator entry, one waiter handshake)
-// is coarser.
+// single request. The arm applies the same per-page mechanics (controller
+// overhead, cache hits, read-ahead) as n back-to-back single reads, so the
+// virtual service time of an uncontended run is identical — only the
+// queueing granularity (one elevator entry, one waiter handshake) is
+// coarser.
 func (d *Disk) ReadRun(p *sim.Proc, page PageAddr, n int) { d.submit(p, opRead, page, n) }
 
 // WriteRun performs a blocking scatter-gather write of n contiguous pages as
@@ -185,16 +191,16 @@ func (d *Disk) submit(p *sim.Proc, kind opKind, page PageAddr, n int) {
 	d.queue = append(d.queue, r)
 	if d.idle {
 		d.idle = false
-		d.server.Unblock()
+		d.server.Wake()
 	}
 	for !r.done {
 		p.Block()
 	}
-	// Done means served: the request has left the queue, and the service
-	// process has let go of it. A submitter interrupted while waiting never
-	// gets here, so a request that may still be queued or in service is
-	// never reused; the collector takes it. A kept request is cleared so
-	// that it holds no finished process alive.
+	// Done means served: the request has left the queue, and the arm has
+	// let go of it. A submitter interrupted while waiting never gets here,
+	// so a request that may still be queued or in service is never reused;
+	// the collector takes it. A kept request is cleared so that it holds no
+	// finished process alive.
 	*r = request{}
 	d.free = append(d.free, r)
 }
@@ -211,73 +217,280 @@ func (d *Disk) sectorOf(page PageAddr) int {
 	return int(page) % d.params.PagesPerTrack
 }
 
-// rotateTo charges rotational latency before transferring the given page:
-// zero when the transfer continues exactly where the last one ended (track
-// skew lets contiguous runs stream across track boundaries), otherwise the
+// leg names the service leg the disk arm is holding for, which is where the
+// arm resumes when its hold elapses; legTop is the arm between requests.
+type leg uint8
+
+const (
+	legTop    leg = iota // between requests: stall check, next request, idle destage
+	legCtrl              // controller overhead of a request page
+	legHit               // controller-cache hit time, or a write absorbed by the write-back cache
+	legSeek              // seek to arm.cyl
+	legRotate            // rotational latency before arm.pg
+	legXfer              // media transfer of arm.n pages from arm.pg
+)
+
+// arm is the disk arm's service state between two legs. The arm is a kernel
+// task, so the serve loop a process would run is unrolled into legs: each
+// hold ends one leg, and the state here is what the legs after it need.
+type arm struct {
+	leg   leg
+	req   *request // request in service; nil between requests and in an idle destage
+	i     int      // index of the request page in service
+	pg    PageAddr // page of the current mechanical access
+	n     int      // pages the current transfer moves (1 + read-ahead)
+	cyl   int      // target cylinder of the seek in progress
+	start float64  // time the request, or the idle destage, began service
+	dest  bool     // a destage pass is in progress
+	di    int      // index into batch of the page being destaged
+}
+
+// step is the arm task's step function: from the end of the leg that just
+// elapsed it runs up to the start of the next one and holds for it, and
+// returns when the hold parks or the arm has nothing to do.
+func (d *Disk) step(t *sim.Task) {
+	for {
+		dt, ok := d.advance()
+		if !ok || !t.Hold(dt) {
+			return
+		}
+	}
+}
+
+// advance finishes the leg the arm was holding for and starts the next one.
+// It returns that leg's duration, or ok false when the arm parks without a
+// hold: idle with an empty queue, or stalled. Every state change happens
+// between the same two holds as in a serve loop run by a process; a leg
+// reads the state it depends on when it begins (a rotation reads lastEnd
+// only after the seek before it), so a CrashRestart between two legs acts
+// as it would on that process.
+func (d *Disk) advance() (dt float64, ok bool) {
+	a := &d.arm
+	switch a.leg {
+	case legCtrl:
+		return d.afterCtrl()
+	case legHit:
+		a.i++
+		return d.page()
+	case legSeek:
+		d.curCyl = a.cyl
+		return d.seated()
+	case legRotate:
+		return d.transfer()
+	case legXfer:
+		d.lastEnd = a.pg + PageAddr(a.n)
+		if a.dest {
+			a.di++
+			return d.destagePage()
+		}
+		if a.req.kind == opRead {
+			for i := 1; i < a.n; i++ {
+				d.cacheInsert(a.pg + PageAddr(i))
+			}
+		}
+		a.i++
+		return d.page()
+	}
+	return d.top()
+}
+
+// top is the arm between requests: it honours a stall, then serves the next
+// request, or destages the write-back cache, or goes idle.
+func (d *Disk) top() (float64, bool) {
+	a := &d.arm
+	a.leg = legTop
+	if d.stalled {
+		// An injected I/O stall: finish nothing until SetStalled(false).
+		d.stallParked = true
+		return 0, false
+	}
+	if len(d.queue) == 0 {
+		// Destage the write-back cache when no requests are waiting and the
+		// cache is above its low-water mark. Waiting for the mark lets
+		// address-contiguous runs accumulate so a destage pass writes
+		// several pages per rotation instead of one.
+		if len(d.dirty) > d.params.WriteCachePages*3/4 {
+			a.req = nil
+			a.start = d.sim.Now()
+			return d.destage()
+		}
+		d.idle = true
+		return 0, false
+	}
+	a.req = d.pickElevator()
+	a.start = d.sim.Now()
+	a.i = 0
+	return d.page()
+}
+
+// page starts the controller overhead of the request's next page, or
+// completes the request once every page is served. A run request is served
+// page by page with exactly the mechanics of that many back-to-back
+// single-page requests; stats count pages, so per-page and batched
+// submission report the same totals.
+func (d *Disk) page() (float64, bool) {
+	a := &d.arm
+	r := a.req
+	if a.i == r.pages {
+		d.stats.BusyTime += d.sim.Now() - a.start
+		a.req = nil
+		r.done = true
+		r.waiter.Unblock() // no-op if the submitter was interrupted meanwhile
+		return d.top()
+	}
+	a.pg = r.page + PageAddr(a.i)
+	if r.kind == opRead {
+		d.stats.Reads++
+	} else {
+		d.stats.Writes++
+	}
+	a.leg = legCtrl
+	return d.params.CtrlOverhead, true
+}
+
+// afterCtrl serves a request page once its controller overhead has elapsed.
+func (d *Disk) afterCtrl() (float64, bool) {
+	a := &d.arm
+	page := a.pg
+	if a.req.kind == opRead {
+		sequential := page == d.lastRead+1
+		d.lastRead = page
+		if d.cache[page] || d.isDirty(page) {
+			d.stats.CacheHits++
+			a.leg = legHit
+			return d.params.CtrlHitTime, true
+		}
+		// Read-ahead triggers only on a detected sequential pattern, as in
+		// real controllers: the rest of the track (up to the read-ahead
+		// limit) is transferred into the controller cache along with the
+		// requested page.
+		ahead := 0
+		if sequential {
+			ahead = min(d.params.PagesPerTrack-1-d.sectorOf(page), d.params.ReadAheadPages)
+		}
+		a.n = 1 + ahead
+		return d.seek(d.cylOf(page))
+	}
+	delete(d.cache, page) // the write-back copy supersedes any prefetch
+	if d.params.WriteCachePages <= 0 {
+		// Write-through: pay the full mechanical access now.
+		a.n = 1
+		return d.seek(d.cylOf(page))
+	}
+	// Write-back: absorb the write into the controller cache, paying a
+	// destage first if the cache is full.
+	if i, found := slices.BinarySearch(d.dirty, page); !found {
+		if len(d.dirty) >= d.params.WriteCachePages {
+			return d.destage()
+		}
+		d.dirty = slices.Insert(d.dirty, i, page)
+	}
+	a.leg = legHit
+	return d.params.CtrlHitTime, true
+}
+
+// seek starts moving the head to the cylinder; a head already there goes
+// straight on.
+func (d *Disk) seek(cyl int) (float64, bool) {
+	if cyl == d.curCyl {
+		return d.seated()
+	}
+	dist := cyl - d.curCyl
+	if dist < 0 {
+		dist = -dist
+	}
+	t := d.params.SettleTime + d.params.SeekFactor*math.Sqrt(float64(dist))
+	d.stats.SeekTime += t
+	d.arm.cyl = cyl
+	d.arm.leg = legSeek
+	return t, true
+}
+
+// seated goes on from a head on its target cylinder: to the first page of a
+// destage pass, or to the rotation before a single access.
+func (d *Disk) seated() (float64, bool) {
+	if d.arm.dest {
+		return d.destagePage()
+	}
+	return d.rotate()
+}
+
+// rotate starts the rotational latency before transferring arm.pg: zero
+// when the transfer continues exactly where the last one ended (track skew
+// lets contiguous runs stream across track boundaries), otherwise the
 // expected half revolution.
-func (d *Disk) rotateTo(p *sim.Proc, page PageAddr) {
-	if page == d.lastEnd {
-		return
+func (d *Disk) rotate() (float64, bool) {
+	if d.arm.pg == d.lastEnd {
+		return d.transfer()
 	}
 	t := d.params.RotationTime / 2
 	d.stats.RotTime += t
-	p.Hold(t)
+	d.arm.leg = legRotate
+	return t, true
 }
 
-func (d *Disk) serve(p *sim.Proc) {
-	lowWater := d.params.WriteCachePages * 3 / 4
-	for {
-		for d.stalled {
-			// An injected I/O stall: finish nothing until SetStalled(false).
-			d.stallParked = true
-			p.Block()
-		}
-		if len(d.queue) == 0 {
-			// Destage the write-back cache when no requests are waiting and
-			// the cache is above its low-water mark. Waiting for the mark
-			// lets address-contiguous runs accumulate so a destage pass
-			// writes several pages per rotation instead of one.
-			if len(d.dirty) > lowWater {
-				start := d.sim.Now()
-				d.destageOne(p)
-				d.stats.BusyTime += d.sim.Now() - start
-				continue
-			}
-			d.idle = true
-			p.Block()
-			continue // re-check the stall flag before serving
-		}
-		r := d.pickElevator()
-		start := d.sim.Now()
-		// A run request is serviced page by page with exactly the mechanics
-		// of that many back-to-back single-page requests; stats count pages,
-		// so per-page and batched submission report the same totals.
-		for i := 0; i < r.pages; i++ {
-			pg := r.page + PageAddr(i)
-			switch r.kind {
-			case opRead:
-				d.stats.Reads++
-				d.serviceRead(p, pg, d.cylOf(pg))
-			case opWrite:
-				d.stats.Writes++
-				d.serviceWrite(p, pg, d.cylOf(pg))
-			}
-		}
-		d.stats.BusyTime += d.sim.Now() - start
-		r.done = true
-		r.waiter.Unblock() // no-op if the submitter was interrupted meanwhile
+// transfer starts moving arm.n pages at media rate from arm.pg.
+func (d *Disk) transfer() (float64, bool) {
+	t := float64(d.arm.n) * d.params.RotationTime / float64(d.params.PagesPerTrack)
+	d.stats.XferTime += t
+	d.arm.leg = legXfer
+	return t, true
+}
+
+// destage starts one batched destage pass: it picks the dirty page nearest
+// to the head, seeks there once, and writes every dirty page on the same
+// track during the pass. Batched write-behind is what lets sequential
+// partition streams from the hybrid hash join reach near media rate instead
+// of paying a rotation per page.
+func (d *Disk) destage() (float64, bool) {
+	batch := d.takeDestageBatch()
+	if len(batch) == 0 {
+		return d.destaged()
 	}
+	d.stats.DestageOps++
+	d.arm.dest, d.arm.di = true, 0
+	return d.seek(d.cylOf(batch[0]))
 }
 
-// SetStalled pauses (true) or resumes (false) the disk's service process
-// between requests, modelling a transient I/O fault. Requests submitted
+// destagePage starts writing the pass's next page, or ends the pass.
+func (d *Disk) destagePage() (float64, bool) {
+	a := &d.arm
+	if a.di == len(d.batch) {
+		a.dest = false
+		return d.destaged()
+	}
+	pg := d.batch[a.di]
+	d.cacheInsert(pg) // the written data stays in the clean cache
+	d.stats.Destages++
+	a.pg, a.n = pg, 1
+	return d.rotate() // zero for address-contiguous runs
+}
+
+// destaged goes on after a destage pass: an idle pass counts its busy time
+// and returns to the top; a pass forced by a full write-back cache absorbs
+// the write that forced it.
+func (d *Disk) destaged() (float64, bool) {
+	a := &d.arm
+	if a.req == nil {
+		d.stats.BusyTime += d.sim.Now() - a.start
+		return d.top()
+	}
+	page := a.req.page + PageAddr(a.i)
+	i, _ := slices.BinarySearch(d.dirty, page)
+	d.dirty = slices.Insert(d.dirty, i, page)
+	a.leg = legHit
+	return d.params.CtrlHitTime, true
+}
+
+// SetStalled pauses (true) or resumes (false) the disk's arm between
+// requests, modelling a transient I/O fault. Requests submitted
 // during a stall queue up and are served when the stall clears; a request
 // already being serviced completes normally.
 func (d *Disk) SetStalled(stalled bool) {
 	d.stalled = stalled
 	if !stalled && d.stallParked {
 		d.stallParked = false
-		d.server.Unblock()
+		d.server.Wake()
 	}
 }
 
@@ -341,102 +554,10 @@ func closer(a, b *request, cur int, up bool) bool {
 	return a.seq < b.seq
 }
 
-// seekTo moves the head to the cylinder, charging seek time, and returns.
-func (d *Disk) seekTo(p *sim.Proc, cyl int) {
-	if cyl == d.curCyl {
-		return
-	}
-	dist := cyl - d.curCyl
-	if dist < 0 {
-		dist = -dist
-	}
-	t := d.params.SettleTime + d.params.SeekFactor*math.Sqrt(float64(dist))
-	d.stats.SeekTime += t
-	p.Hold(t)
-	d.curCyl = cyl
-}
-
-// transfer moves pages at media rate, starting at the given address.
-func (d *Disk) transfer(p *sim.Proc, start PageAddr, pages int) {
-	t := float64(pages) * d.params.RotationTime / float64(d.params.PagesPerTrack)
-	d.stats.XferTime += t
-	p.Hold(t)
-	d.lastEnd = start + PageAddr(pages)
-}
-
-func (d *Disk) serviceRead(p *sim.Proc, page PageAddr, cyl int) {
-	p.Hold(d.params.CtrlOverhead)
-	sequential := page == d.lastRead+1
-	d.lastRead = page
-	if d.cache[page] || d.isDirty(page) {
-		d.stats.CacheHits++
-		p.Hold(d.params.CtrlHitTime)
-		return
-	}
-	d.seekTo(p, cyl)
-	d.rotateTo(p, page)
-	// Read-ahead triggers only on a detected sequential pattern, as in real
-	// controllers: the rest of the track (up to the read-ahead limit) is
-	// transferred into the controller cache along with the requested page.
-	ahead := 0
-	if sequential {
-		ahead = d.params.PagesPerTrack - 1 - d.sectorOf(page)
-		if ahead > d.params.ReadAheadPages {
-			ahead = d.params.ReadAheadPages
-		}
-	}
-	d.transfer(p, page, 1+ahead)
-	for i := 1; i <= ahead; i++ {
-		d.cacheInsert(page + PageAddr(i))
-	}
-}
-
-func (d *Disk) serviceWrite(p *sim.Proc, page PageAddr, cyl int) {
-	p.Hold(d.params.CtrlOverhead)
-	delete(d.cache, page) // the write-back copy supersedes any prefetch
-	if d.params.WriteCachePages <= 0 {
-		// Write-through: pay the full mechanical access now.
-		d.seekTo(p, cyl)
-		d.rotateTo(p, page)
-		d.transfer(p, page, 1)
-		return
-	}
-	// Write-back: absorb the write into the controller cache, paying a
-	// destage first if the cache is full.
-	if i, found := slices.BinarySearch(d.dirty, page); !found {
-		if len(d.dirty) >= d.params.WriteCachePages {
-			d.destageOne(p)
-			i, _ = slices.BinarySearch(d.dirty, page)
-		}
-		d.dirty = slices.Insert(d.dirty, i, page)
-	}
-	p.Hold(d.params.CtrlHitTime)
-}
-
 // isDirty reports whether the page is in the write-back cache.
 func (d *Disk) isDirty(page PageAddr) bool {
 	_, found := slices.BinarySearch(d.dirty, page)
 	return found
-}
-
-// destageOne flushes dirty pages in one batched mechanical operation: it
-// picks the dirty page nearest to the head, seeks there once, and writes
-// every dirty page on the same track during the pass. Batched write-behind
-// is what lets sequential partition streams from the hybrid hash join reach
-// near media rate instead of paying a rotation per page.
-func (d *Disk) destageOne(p *sim.Proc) {
-	batch := d.takeDestageBatch()
-	if len(batch) == 0 {
-		return
-	}
-	d.stats.DestageOps++
-	d.seekTo(p, d.cylOf(batch[0]))
-	for _, pg := range batch {
-		d.cacheInsert(pg) // the written data stays in the clean cache
-		d.stats.Destages++
-		d.rotateTo(p, pg) // zero for address-contiguous runs
-		d.transfer(p, pg, 1)
-	}
 }
 
 // takeDestageBatch removes the next destage pass's pages from the write-back

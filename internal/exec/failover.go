@@ -232,13 +232,17 @@ func (a *attemptState) beginFetch(site, role int) {
 	a.fetchOn = true
 	a.fetchSite = site
 	a.fetchRole = role
-	seq := a.fetchSeq
-	a.e.sim.SpawnDaemonLazy(func() string { return "fetch-watchdog" }, func(w *sim.Proc) {
-		w.Hold(a.e.ftl.fetchTimeout)
-		if a.fetchOn && a.fetchSeq == seq {
-			a.abortFrom(reasonFetchTimeout, a.fetchSite, a.fetchRole)
-		}
-	})
+	a.e.sim.SpawnTimer("fetch-watchdog", a.e.ftl.fetchTimeout, fetchWatchdog, a, a.fetchSeq)
+}
+
+// fetchWatchdog fires fetchTimeout after beginFetch armed it for fetch seq
+// of attempt arg. It is a static function with the attempt as its argument,
+// so arming a watchdog on a warm kernel allocates nothing.
+func fetchWatchdog(arg any, seq int64) {
+	a := arg.(*attemptState)
+	if a.fetchOn && a.fetchSeq == seq {
+		a.abortFrom(reasonFetchTimeout, a.fetchSite, a.fetchRole)
+	}
 }
 
 func (a *attemptState) endFetch() { a.fetchOn = false }
@@ -411,10 +415,10 @@ func (e *engine) rebind(bp *BoundPlan) (plan.Binding, bool) {
 }
 
 // deadlineState is the per-query deadline watchdog's shared state. The
-// watchdog daemon cannot hold a sim.Ref to the query process — every
-// delivered attempt abort bumps the process generation and would invalidate
-// it — so it works through a done flag (the kernel runs one process at a
-// time, so plain fields suffice): if an attempt is in flight at the deadline
+// watchdog cannot hold a sim.Ref to the query process — every delivered
+// attempt abort bumps the process generation and would invalidate it — so
+// it works through a done flag (the kernel runs one process at a time, so
+// plain fields suffice): if an attempt is in flight at the deadline
 // the watchdog aborts it through the supervisor; if the query is between
 // attempts (backoff sleep) it interrupts the process directly.
 type deadlineState struct {
@@ -427,20 +431,21 @@ type deadlineState struct {
 // armDeadline spawns the watchdog that enforces the absolute deadline at.
 func (e *engine) armDeadline(p *sim.Proc, at float64) *deadlineState {
 	dl := &deadlineState{proc: p, at: at}
-	e.sim.SpawnDaemonLazy(func() string { return "deadline-watchdog" }, func(w *sim.Proc) {
-		if dt := at - e.sim.Now(); dt > 0 {
-			w.Hold(dt)
-		}
-		if dl.done {
-			return
-		}
-		if dl.att != nil {
-			dl.att.abort(reasonDeadline)
-			return
-		}
-		dl.proc.Interrupt(reasonDeadline)
-	})
+	e.sim.SpawnTimer("deadline-watchdog", at-e.sim.Now(), deadlineWatchdog, dl, 0)
 	return dl
+}
+
+// deadlineWatchdog fires at the deadline of the query whose state is arg.
+func deadlineWatchdog(arg any, _ int64) {
+	dl := arg.(*deadlineState)
+	if dl.done {
+		return
+	}
+	if dl.att != nil {
+		dl.att.abort(reasonDeadline)
+		return
+	}
+	dl.proc.Interrupt(reasonDeadline)
 }
 
 func (dl *deadlineState) disarm() { dl.done = true }

@@ -8,6 +8,7 @@ import (
 
 	"hybridship/internal/faults"
 	"hybridship/internal/plan"
+	"hybridship/internal/sim"
 	"hybridship/internal/workload"
 )
 
@@ -198,5 +199,33 @@ func TestFaultedRunDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	if ref.Retries < 1 {
 		t.Errorf("Retries = %d; the MTBF is too long to exercise the retry counters", ref.Retries)
+	}
+}
+
+// TestFetchWatchdogZeroAlloc pins the warm page-fault watchdog: arming it
+// for a fetch, ending the fetch, and letting the stale watchdog fire and
+// retire allocates nothing once the kernel's timer pool is warm.
+func TestFetchWatchdogZeroAlloc(t *testing.T) {
+	e, _ := rebindFixture(t)
+	a := &attemptState{e: e, failSite: -1}
+	var allocs float64
+	e.sim.Spawn("fetcher", func(p *sim.Proc) {
+		round := func() {
+			a.beginFetch(0, RolePrimary)
+			p.Hold(1e-6)
+			a.endFetch()
+			p.Hold(e.ftl.fetchTimeout) // the watchdog fires, finds the fetch over, and retires
+		}
+		for i := 0; i < 8; i++ {
+			round()
+		}
+		allocs = testing.AllocsPerRun(50, round)
+	})
+	e.sim.Run()
+	if a.failed {
+		t.Fatalf("a stale watchdog aborted the attempt: %s", a.reason)
+	}
+	if allocs != 0 {
+		t.Errorf("warm fetch watchdog allocates %v per fetch, want 0", allocs)
 	}
 }

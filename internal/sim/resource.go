@@ -140,7 +140,7 @@ func (r *Resource) UseRun(p *Proc, parts []Time) {
 		target += dt
 	}
 	if s.Trace == nil && r.inUse < r.servers && len(r.waiters) == 0 &&
-		target < s.horizon && (len(s.events) == 0 || s.events[0].at > target) {
+		target < s.horizon && s.events.nextAt() > target {
 		// Quiet window: no other process can run before target, so the
 		// intermediate acquire/release states of the per-part sequence are
 		// unobservable. Fold the counters and jump the clock in place.

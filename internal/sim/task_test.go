@@ -1,0 +1,266 @@
+package sim
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// actorOp is one step of an actor script: hold for dt, or (block) wait
+// until a waker clears the actor's waiting flag.
+type actorOp struct {
+	block bool
+	dt    Time
+}
+
+// wakerOp is one step of a waker script: hold for dt, then wake the actor,
+// either only if it is waiting or unconditionally (a spurious wake, which
+// cuts short whatever the actor is parked in, for a process and a task
+// alike).
+type wakerOp struct {
+	dt       Time
+	spurious bool
+}
+
+type actorScript struct {
+	actor  []actorOp
+	wakers [2][]wakerOp
+}
+
+// randomActorScript draws a script whose holds land on a coarse grid, so
+// that the actor's wakeups tie with the wakers' often.
+func randomActorScript(rng *rand.Rand) actorScript {
+	dt := func() Time {
+		if rng.Intn(4) == 0 {
+			return rng.Float64()
+		}
+		return Time(rng.Intn(4)) * 0.25
+	}
+	var sc actorScript
+	for i := rng.Intn(30); i >= 0; i-- {
+		sc.actor = append(sc.actor, actorOp{block: rng.Intn(3) == 0, dt: dt()})
+	}
+	for w := range sc.wakers {
+		for i := rng.Intn(20); i >= 0; i-- {
+			sc.wakers[w] = append(sc.wakers[w], wakerOp{dt: dt(), spurious: rng.Intn(5) == 0})
+		}
+	}
+	return sc
+}
+
+// actorRun is what a run of an actor script is compared on.
+type actorRun struct {
+	Log        []string // actor op completions, "op@time"
+	Trace      []string
+	End        Time
+	Dispatched int64
+}
+
+// runActorScript runs the script with the actor as a daemon process
+// (asTask false) or as a task, on a plain Run or, when window > 0, on
+// RunWindow steps of that width.
+func runActorScript(sc actorScript, asTask, traced bool, window Time) actorRun {
+	s := New()
+	var run actorRun
+	if traced {
+		s.Trace = func(t Time, name string) { run.Trace = append(run.Trace, fmt.Sprintf("%.17g %s", t, name)) }
+	}
+	waiting := false
+	record := func(i int) { run.Log = append(run.Log, fmt.Sprintf("%d@%.17g", i, s.Now())) }
+
+	var wake func()
+	if asTask {
+		pc, inOp := 0, false
+		t := s.SpawnTaskLazy(func() string { return "actor" }, func(t *Task) {
+			for pc < len(sc.actor) {
+				o := sc.actor[pc]
+				if !inOp {
+					inOp = true
+					if o.block {
+						waiting = true
+					} else if !t.Hold(o.dt) {
+						return
+					}
+				}
+				if o.block && waiting {
+					return
+				}
+				inOp = false
+				record(pc)
+				pc++
+			}
+		})
+		wake = t.Wake
+	} else {
+		p := s.SpawnDaemon("actor", func(p *Proc) {
+			for i, o := range sc.actor {
+				if o.block {
+					waiting = true
+					for waiting {
+						p.Block()
+					}
+				} else {
+					p.Hold(o.dt)
+				}
+				record(i)
+			}
+			for {
+				p.Block() // stay alive, like the task, for later wakes
+			}
+		})
+		wake = p.Unblock
+	}
+	for w, ops := range sc.wakers {
+		ops := ops
+		s.Spawn(fmt.Sprintf("w%d", w), func(p *Proc) {
+			for _, o := range ops {
+				p.Hold(o.dt)
+				if waiting || o.spurious {
+					waiting = false
+					wake()
+				}
+			}
+		})
+	}
+	if window > 0 {
+		for h := window; s.Running() > 0; h += window {
+			s.RunWindow(h)
+		}
+		s.Finish()
+		run.End = s.Now()
+	} else {
+		run.End = s.Run()
+	}
+	run.Dispatched = s.Dispatched()
+	return run
+}
+
+// TestTaskMatchesProcess runs random hold/wake scripts with the actor as a
+// process and as a task, traced and untraced, on a plain Run and under
+// RunWindow, and requires the same op completions, dispatch trace, final
+// clock and dispatch count.
+func TestTaskMatchesProcess(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 400; i++ {
+		sc := randomActorScript(rng)
+		for _, window := range []Time{0, 0.25, 0.7} {
+			for _, traced := range []bool{false, true} {
+				want := runActorScript(sc, false, traced, window)
+				got := runActorScript(sc, true, traced, window)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("script %d (window %g, traced %v): task diverged from process\n got %+v\nwant %+v",
+						i, window, traced, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestTimerMatchesProcess checks SpawnTimer against the daemon process it
+// replaces: dispatched at spawn, a hold of dt unless dt <= 0, then fire.
+// Timers are spawned at tied instants, with zero and negative durations
+// among them, and pooled timers are reused across the run.
+func TestTimerMatchesProcess(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	type arm struct{ at, dt Time }
+	for i := 0; i < 100; i++ {
+		var arms []arm
+		for k := rng.Intn(40); k >= 0; k-- {
+			arms = append(arms, arm{at: Time(rng.Intn(8)) * 0.5, dt: Time(rng.Intn(5)-1) * 0.25})
+		}
+		run := func(timers bool) (log, trace []string, dispatched int64) {
+			s := New()
+			s.Trace = func(t Time, name string) { trace = append(trace, fmt.Sprintf("%.17g %s", t, name)) }
+			fire := func(arg any, id int64) {
+				log = append(log, fmt.Sprintf("%d@%.17g %v", id, s.Now(), arg))
+			}
+			s.Spawn("driver", func(p *Proc) {
+				for k, a := range arms {
+					p.Hold(math.Max(0, a.at-s.Now()))
+					k, dt := int64(k), a.dt
+					if timers {
+						s.SpawnTimer("timer", dt, fire, "x", k)
+						continue
+					}
+					s.SpawnDaemon("timer", func(q *Proc) {
+						if dt > 0 {
+							q.Hold(dt)
+						}
+						fire("x", k)
+					})
+				}
+				p.Hold(10)
+			})
+			s.Run()
+			return log, trace, s.Dispatched()
+		}
+		gl, gt, gd := run(true)
+		wl, wt, wd := run(false)
+		if !reflect.DeepEqual(gl, wl) || !reflect.DeepEqual(gt, wt) || gd != wd {
+			t.Fatalf("case %d: timers diverged from processes\n got %v\n%v (%d)\nwant %v\n%v (%d)", i, gl, gt, gd, wl, wt, wd)
+		}
+	}
+}
+
+// TestTaskHoldNegativePanics mirrors TestHoldNegativePanics for tasks.
+func TestTaskHoldNegativePanics(t *testing.T) {
+	s := New()
+	s.SpawnTaskLazy(func() string { return "bad" }, func(t *Task) { t.Hold(-1) })
+	s.Spawn("driver", func(p *Proc) { p.Hold(1) })
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("negative task hold did not panic")
+		}
+	}()
+	s.Run()
+}
+
+// fireNop is a static timer callback: with it and a pointer argument a warm
+// SpawnTimer captures nothing.
+func fireNop(any, int64) {}
+
+// TestSpawnTimerZeroAlloc pins the timer pool: once warm, arming a one-shot
+// timer and letting it fire allocates nothing, as a warm short-lived spawn
+// does (TestSpawnShortLivedZeroAlloc).
+func TestSpawnTimerZeroAlloc(t *testing.T) {
+	s := New()
+	arg := new(int)
+	var allocs float64
+	s.Spawn("driver", func(p *Proc) {
+		for i := 0; i < 16; i++ { // warm the timer pool and the heap
+			s.SpawnTimer("timer", 1e-6, fireNop, arg, int64(i))
+			p.Hold(2e-6)
+		}
+		allocs = testing.AllocsPerRun(100, func() {
+			s.SpawnTimer("timer", 1e-6, fireNop, arg, 42)
+			p.Hold(2e-6)
+		})
+	})
+	s.Run()
+	if allocs != 0 {
+		t.Fatalf("warm SpawnTimer allocates %v per op, want 0", allocs)
+	}
+}
+
+// BenchmarkTaskDispatch is BenchmarkHoldDispatch for a task: one simulated
+// event through the full schedule/dispatch round trip (heap push, kernel
+// pop, an inline call of the step function, no coroutine switch). Trace is
+// a no-op, as there, to force the slow path.
+func BenchmarkTaskDispatch(b *testing.B) {
+	s := New()
+	s.Trace = func(Time, string) {}
+	n := 0
+	s.SpawnTaskLazy(func() string { return "bench" }, func(t *Task) {
+		for n < b.N {
+			n++
+			if !t.Hold(1e-9) {
+				return
+			}
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.RunWindow(math.Inf(1))
+}

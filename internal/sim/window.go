@@ -8,8 +8,6 @@ package sim
 // half (horizon computation, the barrier, deterministic message merge) lives
 // in internal/shard so the kernel stays free of goroutine fan-out.
 
-import "math"
-
 // At schedules fn to run on the kernel goroutine at virtual time t, which
 // must not be in the past. Timer callbacks are how a shard coordinator
 // injects cross-shard deliveries: fn runs between process dispatches, with
@@ -36,10 +34,7 @@ func (s *Simulator) Running() int { return s.running }
 // they make the result conservative (never later than the true next event),
 // which only shrinks the coordinator's horizon, never breaks it.
 func (s *Simulator) NextEventTime() Time {
-	if len(s.events) == 0 {
-		return math.Inf(1)
-	}
-	return s.events[0].at
+	return s.events.nextAt()
 }
 
 // Dispatched reports the cumulative number of kernel dispatches and timer
@@ -62,7 +57,7 @@ func (s *Simulator) Dispatched() int64 { return s.dispatched }
 // re-raises deterministically.
 func (s *Simulator) RunWindow(horizon Time) Time {
 	s.horizon = horizon
-	for len(s.events) > 0 && s.events[0].at < horizon {
+	for s.events.nextAt() < horizon {
 		e := s.events.pop()
 		if !s.dispatch(e) {
 			continue

@@ -56,6 +56,7 @@ go test -run '^$' -fuzz '^FuzzBinderReuse$' -fuzztime 2s ./internal/plan/
 go test -run '^$' -fuzz '^FuzzSearchDelta$' -fuzztime 2s ./internal/opt/
 go test -run '^$' -fuzz '^FuzzSeedMix$' -fuzztime 2s ./internal/seedmix/
 go test -run '^$' -fuzz '^FuzzFaultSchedule$' -fuzztime 2s ./internal/faults/
+go test -run '^$' -fuzz '^FuzzDiskTaskMatchesProcess$' -fuzztime 2s ./internal/disk/
 echo "== bench smoke (1 iteration per benchmark, every package with benchmarks)"
 # Derive the package list instead of hardcoding it, so new bench files are
 # exercised automatically.
