@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"sync"
 
 	"hybridship/internal/catalog"
 	"hybridship/internal/coherence"
@@ -115,7 +116,29 @@ func NewSession(cfg Config, opts SessionOptions) (*Session, error) {
 	e.siteGate = opts.Gate
 	e.retryGate = opts.Retry
 	e.sim.ArmInterrupts()
+	if bp, ok := spareStorage.Get().(*batchPool); ok {
+		e.pool = *bp
+	}
 	return &Session{e: e}, nil
+}
+
+// spareStorage holds the batch pools of released sessions. A new session
+// starts from one, so a serving layer that runs session after session of the
+// same shape reuses the join tables and batches of the last one instead of
+// allocating them afresh, and its live heap no longer climbs a step per
+// first-time join in every session. Only storage crosses: a pooled batch or
+// table carries no rows into its next use, and which pool a session gets
+// changes nothing simulated. Run, RunBound and RunMulti keep private pools.
+var spareStorage sync.Pool
+
+// Release hands the storage the session's pool holds to the next session
+// built by NewSession. Call it once the session's simulation is over. The
+// session stays usable: it continues on an empty pool, into which operators
+// still holding storage release it.
+func (s *Session) Release() {
+	bp := new(batchPool)
+	*bp, s.e.pool = s.e.pool, batchPool{}
+	spareStorage.Put(bp)
 }
 
 // Simulator returns the session's simulation, for the caller's own processes.

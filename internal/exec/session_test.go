@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"hybridship/internal/faults"
@@ -12,6 +13,15 @@ import (
 	"hybridship/internal/sim"
 	"hybridship/internal/workload"
 )
+
+func mustSession(t *testing.T, cfg Config) *Session {
+	t.Helper()
+	ses, err := NewSession(cfg, SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ses
+}
 
 // runOnSession executes one query on a fresh driver process of the session.
 func runOnSession(t *testing.T, ses *Session, root *plan.Node, qo QueryOpts) (QueryResult, error) {
@@ -58,6 +68,104 @@ func TestSessionFaultFreeMatchesRun(t *testing.T) {
 	if qr.Retries != 0 {
 		t.Errorf("fault-free session run retried %d times", qr.Retries)
 	}
+}
+
+// TestSessionReleaseHandsStorageOn: a session built after another one's
+// Release starts from the released join tables and batches, creates none
+// of its own for the same query, and returns the same answer at the same
+// virtual time as the session that left them. The released session goes on
+// with an empty pool.
+func TestSessionReleaseHandsStorageOn(t *testing.T) {
+	root := annotate(leftDeepChain(2), plan.HybridShipping)
+	cfg := chainConfig(t, 2, 1, workload.Moderate, true)
+	// sync.Pool may drop what it is handed (under a collection between Put
+	// and Get, or at random under the race detector), so retry until a new
+	// session receives the released storage.
+	var (
+		want            QueryResult
+		tables, batches int
+		ses             *Session
+	)
+	for range 16 {
+		first := mustSession(t, cfg)
+		var err error
+		if want, err = runOnSession(t, first, root, QueryOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		tables, batches = len(first.e.pool.tables), len(first.e.pool.batches)
+		if tables == 0 {
+			t.Fatal("the query left no table in the pool; the check is not exercising join storage")
+		}
+		first.Release()
+		if n := len(first.e.pool.tables) + len(first.e.pool.batches); n != 0 {
+			t.Fatalf("released session still pools %d items", n)
+		}
+		if ses = mustSession(t, cfg); len(ses.e.pool.tables) > 0 {
+			break
+		}
+	}
+	if len(ses.e.pool.tables) != tables || len(ses.e.pool.batches) != batches {
+		t.Fatalf("new session pools %d tables and %d batches, want the released %d and %d",
+			len(ses.e.pool.tables), len(ses.e.pool.batches), tables, batches)
+	}
+	created := ses.e.pool.newTables
+	got, err := runOnSession(t, ses, root, QueryOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ses.e.pool.newTables != created {
+		t.Errorf("session on released storage created %d tables", ses.e.pool.newTables-created)
+	}
+	if got.ResultTuples != want.ResultTuples || got.ResponseTime != want.ResponseTime {
+		t.Errorf("on released storage: %d tuples at %g, want %d at %g",
+			got.ResultTuples, got.ResponseTime, want.ResultTuples, want.ResponseTime)
+	}
+}
+
+// TestSessionReleaseConcurrent: sessions built, run and released on several
+// goroutines at once pass storage among themselves and all return the
+// answer a lone session returns. Run it under -race.
+func TestSessionReleaseConcurrent(t *testing.T) {
+	root := annotate(leftDeepChain(2), plan.HybridShipping)
+	cfg := chainConfig(t, 2, 1, workload.Moderate, true)
+	want, err := runOnSession(t, mustSession(t, cfg), root, QueryOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 8 {
+				ses, err := NewSession(cfg, SessionOptions{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				bound, err := ses.Bind(root)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var (
+					got  QueryResult
+					qerr error
+				)
+				ses.Simulator().Spawn("driver", func(p *sim.Proc) {
+					got, qerr = ses.Execute(p, 0, bound, QueryOpts{})
+				})
+				ses.Run()
+				ses.Release()
+				if qerr != nil || got.ResultTuples != want.ResultTuples || got.ResponseTime != want.ResponseTime {
+					t.Errorf("concurrent session: %d tuples at %g (err %v), want %d at %g",
+						got.ResultTuples, got.ResponseTime, qerr, want.ResultTuples, want.ResponseTime)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestSessionDeadlineAbortsInFlightAttempt: a deadline far below the solo

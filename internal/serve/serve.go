@@ -401,7 +401,8 @@ func (sv *Server) Done() bool {
 	return r.Completed+r.Expired+r.Failed+r.RejectedRate+r.RejectedQueue+r.ShedClientDown == int64(sv.s.cfg.NumQueries)
 }
 
-// Finish derives the run's summary statistics and returns the Result. The
+// Finish derives the run's summary statistics, releases the session's
+// engine storage to the next server's session, and returns the Result. The
 // caller passes the run's elapsed virtual time — the kernel's final time for
 // a standalone run, or the fleet-wide completion time for a sharded one (a
 // shard's own final clock depends on how far its last window overshot, so it
@@ -409,6 +410,7 @@ func (sv *Server) Done() bool {
 func (sv *Server) Finish(elapsed float64) Result {
 	sv.s.res.Elapsed = elapsed
 	sv.s.finish()
+	sv.s.ses.Release()
 	return sv.s.res
 }
 
