@@ -532,7 +532,8 @@ type Submission struct {
 // ExecuteConcurrent runs several instances of the same query concurrently in
 // one simulation, sharing every machine, disk, and the network — the
 // multi-query workloads the paper names as future work (§7). Instances may
-// use different plans and submission times.
+// use different plans and submission times; a start time that is not finite
+// and >= 0 is an error.
 func (s *System) ExecuteConcurrent(q Query, subs []Submission, o ExecOptions) ([]ExecResult, error) {
 	cfg, err := s.execConfig(q, o)
 	if err != nil {

@@ -125,8 +125,9 @@ type Disk struct {
 // New creates a disk and spawns its service task, the arm, on s.
 func New(s *sim.Simulator, name string, params Params) *Disk {
 	d := newDisk(s, name, params)
+	// The arm marks itself idle at its first dispatch, not here, so that a
+	// request queued before that dispatch does not wake it a second time.
 	d.server = s.SpawnTaskLazy(func() string { return "disk:" + name }, d.step)
-	d.idle = true
 	return d
 }
 

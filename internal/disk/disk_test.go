@@ -479,3 +479,45 @@ func TestWarmRunsZeroAlloc(t *testing.T) {
 		t.Errorf("warm disk runs allocate %v per round, want 0", allocs)
 	}
 }
+
+// TestEarlyReaderMatchesLateReader pins the arm's start: a reader spawned
+// before the disk, whose first read reaches the disk ahead of the arm's
+// first dispatch, must see the same service times as a reader spawned after
+// the disk, on the arm task and on the reference serve loop alike. An arm
+// marked idle before that dispatch is woken twice by such a read, and the
+// spare wake cuts the holds of the legs after it short.
+func TestEarlyReaderMatchesLateReader(t *testing.T) {
+	type reader interface{ Read(*sim.Proc, PageAddr) }
+	for _, tc := range []struct {
+		name string
+		mk   func(*sim.Simulator) reader
+	}{
+		{"task", func(s *sim.Simulator) reader { return New(s, "d0", DefaultParams()) }},
+		{"reference", func(s *sim.Simulator) reader { return newRefDisk(s, "d0", DefaultParams()) }},
+	} {
+		times := func(early bool) []float64 {
+			s := sim.New()
+			var d reader
+			var out []float64
+			read := func(p *sim.Proc) {
+				for _, pg := range []PageAddr{100, 5000, 40000} {
+					start := s.Now()
+					d.Read(p, pg)
+					out = append(out, s.Now()-start)
+				}
+			}
+			if early {
+				s.Spawn("reader", read)
+				d = tc.mk(s)
+			} else {
+				d = tc.mk(s)
+				s.Spawn("reader", read)
+			}
+			s.Run()
+			return out
+		}
+		if early, late := times(true), times(false); !slices.Equal(early, late) {
+			t.Errorf("%s: early reader's read times %v, late reader's %v", tc.name, early, late)
+		}
+	}
+}

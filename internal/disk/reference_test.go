@@ -22,7 +22,6 @@ type refDisk struct {
 func newRefDisk(s *sim.Simulator, name string, params Params) *refDisk {
 	d := &refDisk{Disk: newDisk(s, name, params)}
 	d.server = s.SpawnDaemonLazy(func() string { return "disk:" + name }, d.serve)
-	d.idle = true
 	return d
 }
 

@@ -43,39 +43,16 @@ func (s *scanOp) fillCoherent(p *sim.Proc, pg int) {
 }
 
 // renewLease performs one lease-renewal round trip with the relation's home
-// server: a control message each way through the server's pager (pages == 0
-// marks a renewal), sharing the page-fault path's watchdog, breaker shed,
-// and drop-when-down behaviour. Completing the round trip is a contact: it
-// applies every pending invalidation before the lease is renewed, so a
-// renewal can never carry a stale cache past a writer's wait bound.
+// server: the page-fault path's supervised roundTrip, with a control message
+// each way and no page read (pages == 0 marks a renewal). Completing the
+// round trip is a contact: it applies every pending invalidation before the
+// lease is renewed, so a renewal can never carry a stale cache past a
+// writer's wait bound.
 func (s *scanOp) renewLease(p *sim.Proc) {
-	st := s.e.coh
-	params := s.e.cfg.Params
 	sendT := s.e.sim.Now()
-	if s.reply == nil {
-		s.reply = sim.NewBuffer(s.e.sim, "fault-reply", 1)
-	}
-	if s.att != nil {
-		if !s.src.up {
-			s.att.failFromSite(p, reasonSiteDown, int(s.src.id), s.srcRole)
-		}
-		if g := s.e.siteGate; g != nil && g.Shed(int(s.src.id), s.srcRole) {
-			s.att.failFrom(p, reasonBreakerOpen)
-		}
-		s.att.beginFetch(int(s.src.id), s.srcRole)
-	}
-	s.atSite.chargeCPU(p, params, params.msgCPUInstr(ctrlMsgBytes))
-	s.e.net.Transmit(p, ctrlMsgBytes, false)
-	s.src.pager.fetchRun(p, diskAddr{}, 0, s.reply)
-	s.atSite.chargeCPU(p, params, params.msgCPUInstr(ctrlMsgBytes))
-	if s.att != nil {
-		s.att.endFetch()
-		if g := s.e.siteGate; g != nil {
-			g.ReportSuccess(int(s.src.id), s.srcRole)
-		}
-	}
-	st.NoteRenewal(s.client)
-	st.SyncContact(s.client, int(s.src.id), sendT)
+	s.roundTrip(p, diskAddr{}, 0, ctrlMsgBytes)
+	s.e.coh.NoteRenewal(s.client)
+	s.e.coh.SyncContact(s.client, int(s.src.id), sendT)
 }
 
 // crashClient is the injector's client-crash hook: mark the workstation down

@@ -7,6 +7,7 @@ import (
 	"hybridship/internal/catalog"
 	"hybridship/internal/plan"
 	"hybridship/internal/query"
+	"hybridship/internal/sim"
 	"hybridship/internal/workload"
 )
 
@@ -122,23 +123,45 @@ func TestRunBoundRejectsBadBindings(t *testing.T) {
 	edit := func(f func(b plan.Binding) plan.Binding) plan.Binding {
 		return f(append(plan.Binding(nil), good...))
 	}
+	// Each case runs on a fresh shared kernel, which a rejected run must
+	// leave empty: the plan is bound before the engine spawns its disk arms
+	// or load clocks. A multi case runs RunMulti on the good plan and then
+	// root, so it is the second plan that fails to bind.
 	for _, tc := range []struct {
-		name string
-		root *plan.Node
-		b    plan.Binding
-		want string
+		name  string
+		root  *plan.Node
+		b     plan.Binding
+		want  string
+		multi bool
 	}{
-		{"empty binding", root, plan.Binding{}, "missing from binding"},
-		{"binding one site short", root, good[:len(good)-1], "missing from binding"},
-		{"binding one site long", root, edit(func(b plan.Binding) plan.Binding { return append(b, catalog.Client) }), "binding has 5 sites for a plan of 4 nodes"},
-		{"out-of-range site", root, edit(func(b plan.Binding) plan.Binding { b[1] = 9; return b }), "nonexistent site"},
+		{"empty binding", root, plan.Binding{}, "missing from binding", false},
+		{"binding one site short", root, good[:len(good)-1], "missing from binding", false},
+		{"binding one site long", root, edit(func(b plan.Binding) plan.Binding { return append(b, catalog.Client) }), "binding has 5 sites for a plan of 4 nodes", false},
+		{"out-of-range site", root, edit(func(b plan.Binding) plan.Binding { b[1] = 9; return b }), "nonexistent site", false},
 		// The scan of R0 (node 2) at server 1, which holds no copy of it.
-		{"scan away from its data", root, edit(func(b plan.Binding) plan.Binding { b[2] = 1; return b }), "holds no copy"},
-		{"scan of an unknown relation", plan.NewDisplay(plan.NewScan("ZZZ")), plan.Binding{catalog.Client, catalog.Client}, `unknown relation "ZZZ"`},
-		{"root not a display", root.Left, good[1:], "root must be display"},
+		{"scan away from its data", root, edit(func(b plan.Binding) plan.Binding { b[2] = 1; return b }), "holds no copy", false},
+		{"scan of an unknown relation", plan.NewDisplay(plan.NewScan("ZZZ")), plan.Binding{catalog.Client, catalog.Client}, `unknown relation "ZZZ"`, false},
+		{"root not a display", root.Left, good[1:], "root must be display", false},
+		{"multi: second plan of an unknown relation", plan.NewDisplay(plan.NewScan("ZZZ")), nil, `query 1: plan: scan of unknown relation "ZZZ"`, true},
+		{"multi: second root not a display", root.Left, nil, "query 1: plan: root must be display", true},
 	} {
-		if _, err := RunBound(cfg, tc.root, tc.b); err == nil || !strings.Contains(err.Error(), tc.want) {
+		kernel := sim.New()
+		cfg.Kernel = kernel
+		var err error
+		if tc.multi {
+			_, err = RunMulti(cfg, []QueryRun{{Plan: root}, {Plan: tc.root}})
+		} else {
+			_, err = RunBound(cfg, tc.root, tc.b)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		// Tasks such as disk arms do not keep Run going on their own, so a
+		// probe process makes it dispatch whatever the run left scheduled.
+		kernel.Spawn("probe", func(*sim.Proc) {})
+		kernel.Run()
+		if n := kernel.Dispatched(); n != 1 {
+			t.Errorf("%s: the rejected run left %d dispatches on the kernel, want none", tc.name, n-1)
 		}
 	}
 }

@@ -271,16 +271,17 @@ type engine struct {
 	coh    *coherence.State
 	cohExt map[string][]diskAddr
 
-	// Serving-layer hooks, set only through NewSession; nil on every other
-	// path so Run/RunBound/RunMulti behave exactly as before.
+	// Serving-layer hooks, set only by NewSession; nil in the closed runs
+	// (runClosed), which have no breakers or retry budget.
 	siteGate  SiteGate
 	retryGate RetryGate
 
 	// pool recycles the columnar batches and join hash tables across
 	// operators and queries. It is a plain free list: the kernel runs one
 	// process at a time, so no locking, and recycling never touches the
-	// event schedule. A Session's pool passes to the next session on
-	// Release (session.go).
+	// event schedule. A serving session starts from the pool a released
+	// session handed on (NewSession, Release); a closed run's pool is
+	// private and dies with its run.
 	pool batchPool
 }
 
@@ -405,8 +406,8 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 
 	// Fault injection (opt-in): wire the injector's hooks to the simulated
-	// hardware and spawn its daemons. This is the only place the simulation
-	// is armed for interrupts.
+	// hardware and spawn its daemons. This is the only place a closed run's
+	// simulation is armed for interrupts; NewSession arms every session.
 	if cfg.Faults.Enabled() {
 		e.ftl = newFailoverParams(cfg.Faults)
 		hooks := faults.Hooks{Sites: make([]faults.SiteHooks, len(e.servers))}

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"hybridship/internal/catalog"
@@ -381,9 +383,13 @@ func TestRunMultiValidation(t *testing.T) {
 	if _, err := RunMulti(cfg, nil); err == nil {
 		t.Error("empty query list accepted")
 	}
-	if _, err := RunMulti(cfg, []QueryRun{
-		{Plan: annotate(leftDeepChain(2), plan.QueryShipping), Start: -1},
-	}); err == nil {
-		t.Error("negative start accepted")
+	// A start that is not finite and >= 0 is rejected: NaN would run at
+	// time 0, and +Inf would report a NaN response time.
+	for _, start := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := RunMulti(cfg, []QueryRun{
+			{Plan: annotate(leftDeepChain(2), plan.QueryShipping), Start: start},
+		}); err == nil || !strings.Contains(err.Error(), "want a finite time >= 0") {
+			t.Errorf("start %v: got error %v, want a rejected start", start, err)
+		}
 	}
 }

@@ -14,10 +14,11 @@ import (
 func newTestJoin(t *testing.T) (*engine, *hashJoin) {
 	t.Helper()
 	cfg := chainConfig(t, 2, 1, workload.Moderate, true)
-	e, err := newEngine(cfg)
+	s, _, err := newSession(cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := s.e
 	inner, outer := cfg.Query.RelMask("R0"), cfg.Query.RelMask("R1")
 	j := e.newHashJoin(catalog.Client, nil, nil, inner, outer, 4, 4, &chargeAcc{site: e.client})
 	j.table = e.pool.getTable(len(j.buildCols), len(j.bkey.slots))
@@ -145,10 +146,11 @@ func TestSpillReturnsPoolStorage(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := chainConfig(t, tc.n, tc.servers, workload.Moderate, false)
 			bound := mustBind(t, &cfg, annotate(leftDeepChain(tc.n), tc.pol))
-			e, err := newEngine(cfg)
+			s, _, err := newSession(cfg, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			e := s.e
 			var tuples int64
 			e.sim.Spawn("query", func(p *sim.Proc) {
 				tuples = e.runPlan(p, bound, bound.sites, nil)

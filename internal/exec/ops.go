@@ -185,14 +185,10 @@ func (s *scanOp) fill(p *sim.Proc, pg int) {
 	}
 }
 
-// faultRun pays one page-fault round trip for page pg: synchronous
-// request/response with the fetch source (the home server, or the replica
-// failover chose). The paper notes DS pays for the lack of overlap here
-// (§4.2.3). Under fault injection the round trip is bounded by a watchdog: a
-// server that died (or a partitioned link) just never answers, and only the
-// timeout can tell that apart from queueing delay.
+// faultRun pays one page-fault round trip for page pg with the fetch source
+// (the home server, or the replica failover chose). The paper notes DS pays
+// for the lack of overlap here (§4.2.3).
 func (s *scanOp) faultRun(p *sim.Proc, pg int) {
-	params := s.e.cfg.Params
 	var sendT float64
 	var seq int64
 	if c := s.e.coh; c != nil {
@@ -201,6 +197,25 @@ func (s *scanOp) faultRun(p *sim.Proc, pg int) {
 		sendT = s.e.sim.Now()
 		seq = c.CommitSeq(s.cohRI)
 	}
+	s.roundTrip(p, s.src.extents[s.rel].plus(pg), 1, s.e.cfg.Params.PageSize)
+	if c := s.e.coh; c != nil {
+		// The round trip completed: it counts as a contact (syncs pending
+		// invalidations, renews the lease as of sendT) and the fetched page
+		// may be cached if no commit raced the fetch.
+		c.SyncContact(s.client, int(s.src.id), sendT)
+		c.RegisterFetch(s.client, s.cohRI, pg, 1, seq)
+	}
+}
+
+// roundTrip pays one synchronous request/response with the fetch source: a
+// control message out, the source's pager reading pages pages at a (none
+// for a lease renewal), and a reply of replyBytes. Under fault injection the
+// round trip is supervised: it fails at once if the source is down, a
+// session's circuit breaker may shed it, and a watchdog bounds it, because a
+// server that died (or a partitioned link) just never answers, and only the
+// timeout can tell that apart from queueing delay.
+func (s *scanOp) roundTrip(p *sim.Proc, a diskAddr, pages, replyBytes int) {
+	params := s.e.cfg.Params
 	if s.reply == nil {
 		s.reply = sim.NewBuffer(s.e.sim, "fault-reply", 1)
 	}
@@ -219,21 +234,14 @@ func (s *scanOp) faultRun(p *sim.Proc, pg int) {
 	}
 	s.atSite.chargeCPU(p, params, params.msgCPUInstr(ctrlMsgBytes))
 	s.e.net.Transmit(p, ctrlMsgBytes, false)
-	s.src.pager.fetchRun(p, s.src.extents[s.rel].plus(pg), 1, s.reply)
-	s.atSite.chargeCPU(p, params, params.msgCPUInstr(params.PageSize))
+	s.src.pager.fetchRun(p, a, pages, s.reply)
+	s.atSite.chargeCPU(p, params, params.msgCPUInstr(replyBytes))
 	if s.att != nil {
 		s.att.endFetch()
 		// A completed round trip is positive evidence the source is healthy.
 		if g := s.e.siteGate; g != nil {
 			g.ReportSuccess(int(s.src.id), s.srcRole)
 		}
-	}
-	if c := s.e.coh; c != nil {
-		// The round trip completed: it counts as a contact (syncs pending
-		// invalidations, renews the lease as of sendT) and the fetched page
-		// may be cached if no commit raced the fetch.
-		c.SyncContact(s.client, int(s.src.id), sendT)
-		c.RegisterFetch(s.client, s.cohRI, pg, 1, seq)
 	}
 }
 

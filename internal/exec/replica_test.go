@@ -227,10 +227,11 @@ func rebindFixture(t testing.TB) (*engine, *BoundPlan) {
 	}
 	cfg.Faults = &faults.Config{Seed: 1, Script: []faults.Event{{At: 1e9, Kind: faults.SiteCrash, Site: 0, Duration: 1}}}
 	bp := mustBind(t, &cfg, annotate(leftDeepChain(2), plan.QueryShipping))
-	e, err := newEngine(cfg)
+	s, _, err := newSession(cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := s.e
 	e.servers[0].up = false
 	e.rebind(bp) // warm the scratch slices
 	return e, bp

@@ -2,9 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
-	"hybridship/internal/catalog"
-	"hybridship/internal/disk"
 	"hybridship/internal/plan"
 	"hybridship/internal/sim"
 )
@@ -13,14 +12,7 @@ import (
 // the start of a query, per §4.1) and reports the measured metrics. The
 // plan's logical annotations are bound to physical sites at execution time.
 func Run(cfg Config, root *plan.Node) (Result, error) {
-	if cfg.Catalog == nil {
-		return Result{}, fmt.Errorf("exec: config needs catalog and query")
-	}
-	binding, err := plan.Bind(root, cfg.Catalog, catalog.Client)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunBound(cfg, root, binding)
+	return runOne(cfg, func(cfg *Config, _ int) (*BoundPlan, error) { return bind(cfg, root) })
 }
 
 // RunBound executes a plan under an explicit operator-to-site binding, one
@@ -31,52 +23,34 @@ func Run(cfg Config, root *plan.Node) (Result, error) {
 // it lives); a binding that breaks that, names a site the catalog lacks, or
 // does not have exactly one site per node is rejected before anything runs.
 func RunBound(cfg Config, root *plan.Node, binding plan.Binding) (Result, error) {
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
-	}
-	bp, err := bindPlan(&cfg, root, binding)
-	if err != nil {
-		return Result{}, err
-	}
-	e, err := newEngine(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	var (
-		q      QueryResult
-		runErr error
-	)
-	e.sim.Spawn("query", func(p *sim.Proc) {
-		q, runErr = e.execute(p, 0, bp, QueryOpts{})
-	})
-	e.sim.Run()
-	if runErr != nil {
-		return Result{}, runErr
-	}
+	return runOne(cfg, func(cfg *Config, _ int) (*BoundPlan, error) { return bindPlan(cfg, root, binding) })
+}
 
+// runOne runs the one plan bindQ binds as the process "query" and reports
+// it with the session's traffic, disk, fault and coherence counters.
+func runOne(cfg Config, bindQ func(*Config, int) (*BoundPlan, error)) (Result, error) {
+	s, m, err := runClosed(cfg, make([]QueryRun, 1), oneQueryName, bindQ)
+	if err != nil {
+		return Result{}, err
+	}
+	q, net := m.PerQuery[0], s.NetStats()
 	res := Result{
 		ResponseTime: q.ResponseTime,
+		PagesSent:    m.PagesSent,
+		Messages:     m.Messages,
 		ResultTuples: q.ResultTuples,
-		NetStats:     e.net.Stats(),
-		DiskStats:    make(map[catalog.SiteID]disk.Stats),
+		DiskStats:    s.DiskStats(),
+		NetStats:     net,
 		Retries:      q.Retries,
 		AbortedWork:  q.AbortedWork,
 		BackoffTime:  q.BackoffTime,
 
 		ReplicaFailovers: q.ReplicaFailovers,
 		BackoffSkips:     q.BackoffSkips,
+		FaultStats:       s.FaultStats(),
 	}
-	if e.inj != nil {
-		res.FaultStats = e.inj.Stats()
-	}
-	if e.coh != nil {
-		res.Coherence = e.coh.Summary()
-	}
-	res.PagesSent = res.NetStats.DataPages
-	res.Messages = res.NetStats.Messages
-	res.DiskStats[catalog.Client] = e.client.aggregateStats()
-	for _, s := range e.servers {
-		res.DiskStats[s.id] = s.aggregateStats()
+	if coh := s.Coherence(); coh != nil {
+		res.Coherence = coh.Summary()
 	}
 	return res, nil
 }
@@ -111,58 +85,63 @@ type QueryResult struct {
 	BackoffSkips     int64
 }
 
-// multiQueryName is the static lazy-name formatter for RunMulti's per-query
-// processes (SpawnLazyID keeps the spawn loop allocation-free for the name).
+// oneQueryName and multiQueryName are the static lazy-name formatters of
+// the closed runs' query processes: a one-shot run's query is "query", and
+// RunMulti's are "query0", "query1", ... (the engine goldens hash them).
+func oneQueryName(int64) string      { return "query" }
 func multiQueryName(id int64) string { return fmt.Sprintf("query%d", id) }
 
 // RunMulti executes several instances of the same query concurrently in one
 // simulation, sharing every resource — the "multi-query workloads" the paper
 // leaves as future work (§7). All instances run against cfg's query and
-// catalog; each may use a different plan and submission time.
+// catalog; each may use a different plan and a finite, non-negative
+// submission time.
 func RunMulti(cfg Config, queries []QueryRun) (MultiResult, error) {
-	if err := cfg.validate(); err != nil {
-		return MultiResult{}, err
-	}
 	if len(queries) == 0 {
 		return MultiResult{}, fmt.Errorf("exec: no queries to run")
 	}
-	bound := make([]*BoundPlan, len(queries))
-	for i, qr := range queries {
-		if qr.Start < 0 {
-			return MultiResult{}, fmt.Errorf("exec: query %d has negative start time", i)
+	_, m, err := runClosed(cfg, queries, multiQueryName, func(cfg *Config, i int) (*BoundPlan, error) {
+		if st := queries[i].Start; st < 0 || math.IsNaN(st) || math.IsInf(st, 0) {
+			return nil, fmt.Errorf("exec: query %d has start time %v, want a finite time >= 0", i, st)
 		}
-		var err error
-		if bound[i], err = bind(&cfg, qr.Plan); err != nil {
-			return MultiResult{}, fmt.Errorf("exec: query %d: %w", i, err)
+		bp, err := bind(cfg, queries[i].Plan)
+		if err != nil {
+			return nil, fmt.Errorf("exec: query %d: %w", i, err)
 		}
-	}
-	e, err := newEngine(cfg)
+		return bp, nil
+	})
+	return m, err
+}
+
+// runClosed is the one loop of the closed runs. It builds a Session through
+// newSession, binding query i with bindQ, submits query i at its start time
+// as the process name(i), drives the simulation to its end, and collects
+// one QueryResult per query and the shared traffic counters. The session is
+// not NewSession's: it arms interrupts only when cfg.Faults is enabled, and
+// its pool is private.
+func runClosed(cfg Config, queries []QueryRun, name func(int64) string, bindQ func(*Config, int) (*BoundPlan, error)) (*Session, MultiResult, error) {
+	s, bound, err := newSession(cfg, len(queries), bindQ)
 	if err != nil {
-		return MultiResult{}, err
+		return nil, MultiResult{}, err
 	}
 	results := make([]QueryResult, len(queries))
 	errs := make([]error, len(queries))
 	for i, qr := range queries {
-		e.sim.SpawnLazyID(multiQueryName, int64(i), func(p *sim.Proc) {
+		s.e.sim.SpawnLazyID(name, int64(i), func(p *sim.Proc) {
 			if qr.Start > 0 {
 				p.Hold(qr.Start)
 			}
 			// Operators are built at submission time, so temp extents are
 			// allocated in arrival order like a real shared system.
-			results[i], errs[i] = e.execute(p, i, bound[i], QueryOpts{})
+			results[i], errs[i] = s.Execute(p, i, bound[i], QueryOpts{})
 		})
 	}
-	elapsed := e.sim.Run()
+	elapsed := s.e.sim.Run()
 	for _, err := range errs {
 		if err != nil {
-			return MultiResult{}, err
+			return nil, MultiResult{}, err
 		}
 	}
-	st := e.net.Stats()
-	return MultiResult{
-		PerQuery:     results,
-		TotalElapsed: elapsed,
-		PagesSent:    st.DataPages,
-		Messages:     st.Messages,
-	}, nil
+	st := s.NetStats()
+	return s, MultiResult{PerQuery: results, TotalElapsed: elapsed, PagesSent: st.DataPages, Messages: st.Messages}, nil
 }

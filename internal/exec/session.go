@@ -16,8 +16,11 @@ import (
 // The Session API exposes the execution engine to a serving layer (see
 // internal/serve): one long-lived engine whose simulation is driven by the
 // caller's own processes, executing many queries with per-query deadlines,
-// per-site circuit breakers, and a fleet-wide retry budget. Run/RunBound/
-// RunMulti stay the closed one-shot entry points; a Session is the open one.
+// per-site circuit breakers, and a fleet-wide retry budget. A Session is
+// also the only engine: newSession builds every one, and Run, RunBound and
+// RunMulti are closed runs on a Session (runClosed, run.go) that submit
+// their queries, drive the simulation to its end, and read their counters
+// from the Session's accessors.
 
 // Sentinel errors the retry loop wraps when a serving-layer limit, rather
 // than the retry cap, ends a query. Match with errors.Is.
@@ -99,13 +102,11 @@ type Session struct {
 // parameters always present, synthesized from a default faults.Config when
 // cfg.Faults is nil or disabled.
 func NewSession(cfg Config, opts SessionOptions) (*Session, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	e, err := newEngine(cfg)
+	s, _, err := newSession(cfg, 0, nil)
 	if err != nil {
 		return nil, err
 	}
+	e := s.e
 	if e.ftl == nil {
 		fc := cfg.Faults
 		if fc == nil {
@@ -119,7 +120,30 @@ func NewSession(cfg Config, opts SessionOptions) (*Session, error) {
 	if bp, ok := spareStorage.Get().(*batchPool); ok {
 		e.pool = *bp
 	}
-	return &Session{e: e}, nil
+	return s, nil
+}
+
+// newSession is the engine's one constructor, shared by NewSession and the
+// closed runs. It validates cfg, binds n plans with bindQ, and only then
+// builds the machine park, so a config or plan it rejects spawns nothing,
+// not even on a shared Config.Kernel. The session it returns is armed for
+// interrupts only when cfg.Faults is enabled, and has a private pool.
+func newSession(cfg Config, n int, bindQ func(*Config, int) (*BoundPlan, error)) (*Session, []*BoundPlan, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, nil, err
+	}
+	bound := make([]*BoundPlan, n)
+	for i := range bound {
+		var err error
+		if bound[i], err = bindQ(&cfg, i); err != nil {
+			return nil, nil, err
+		}
+	}
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Session{e: e}, bound, nil
 }
 
 // spareStorage holds the batch pools of released sessions. A new session

@@ -28,6 +28,8 @@ echo "== go test ./..."
 go test ./...
 echo "== go -C bench test ./... (bench/ is its own module, so ./... above never builds it)"
 go -C bench test ./...
+echo "== go -C bench vet ./... (bench/ calls exec.RunBound on a shared Kernel)"
+go -C bench vet ./...
 echo "== go vet ./..."
 go vet ./...
 echo "== hslint (project invariants; list waivers: go run ./cmd/hslint -waive ./...)"
