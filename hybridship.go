@@ -42,6 +42,7 @@ import (
 	"hybridship/internal/cost"
 	"hybridship/internal/exec"
 	"hybridship/internal/experiments"
+	"hybridship/internal/machine"
 	"hybridship/internal/opt"
 	"hybridship/internal/plan"
 	"hybridship/internal/query"
@@ -125,7 +126,7 @@ type SystemConfig struct {
 }
 
 func (c SystemConfig) withDefaults() SystemConfig {
-	d := exec.DefaultParams()
+	d := machine.DefaultParams()
 	if c.Servers <= 0 {
 		c.Servers = 1
 	}
@@ -162,38 +163,36 @@ func (c SystemConfig) withDefaults() SystemConfig {
 	return c
 }
 
-func (c SystemConfig) execParams() exec.Params {
-	p := exec.DefaultParams()
-	p.PageSize = c.PageSize
-	p.Mips = c.Mips
-	p.NetBw = c.NetBwBits
-	p.MsgInst = c.MsgInst
-	p.PerSizeMI = c.PerSizeMI
-	p.DisplayInst = c.DisplayInst
-	p.CompareInst = c.CompareInst
-	p.HashInst = c.HashInst
-	p.MoveInst = c.MoveInst
-	p.DiskInst = c.DiskInst
-	p.NumDisks = c.NumDisks
-	p.MaxAlloc = c.MaxAlloc
-	return p
+// machine maps the configuration onto Table 2, which the engine and the cost
+// model share.
+func (c SystemConfig) machine() machine.Params {
+	return machine.Params{
+		Mips:        c.Mips,
+		NumDisks:    c.NumDisks,
+		DiskInst:    c.DiskInst,
+		PageSize:    c.PageSize,
+		NetBw:       c.NetBwBits,
+		MsgInst:     c.MsgInst,
+		PerSizeMI:   c.PerSizeMI,
+		DisplayInst: c.DisplayInst,
+		CompareInst: c.CompareInst,
+		HashInst:    c.HashInst,
+		MoveInst:    c.MoveInst,
+		MaxAlloc:    c.MaxAlloc,
+		FudgeF:      machine.DefaultParams().FudgeF, // not a SystemConfig setting
+	}
 }
 
-func (c SystemConfig) costParams() cost.Params {
-	p := cost.DefaultParams()
-	p.PageSize = c.PageSize
-	p.Mips = c.Mips
-	p.NetBw = c.NetBwBits
-	p.MsgInst = c.MsgInst
-	p.PerSizeMI = c.PerSizeMI
-	p.DisplayInst = c.DisplayInst
-	p.CompareInst = c.CompareInst
-	p.HashInst = c.HashInst
-	p.MoveInst = c.MoveInst
-	p.DiskInst = c.DiskInst
-	p.NumDisks = c.NumDisks
-	p.MaxAlloc = c.MaxAlloc
-	return p
+// siteLoad keys an external load by server site; an empty load is nil.
+func siteLoad(load map[int]float64) map[catalog.SiteID]float64 {
+	if len(load) == 0 {
+		return nil
+	}
+	out := make(map[catalog.SiteID]float64, len(load))
+	for srv, rate := range load {
+		out[catalog.SiteID(srv)] = rate
+	}
+	return out
 }
 
 // Relation declares one base relation of the database.
@@ -389,17 +388,9 @@ func (p *Plan) Policy() Policy {
 }
 
 func (s *System) model(q *query.Query, load map[int]float64) *cost.Model {
-	params := s.cfg.costParams()
-	if len(load) > 0 {
-		params.ServerDiskUtil = make(map[catalog.SiteID]float64, len(load))
-		for srv, rate := range load {
-			u := rate * params.RandPageTime
-			if u > 0.95 {
-				u = 0.95
-			}
-			params.ServerDiskUtil[catalog.SiteID(srv)] = u
-		}
-	}
+	params := cost.DefaultParams()
+	params.Params = s.cfg.machine()
+	params.SetServerLoad(siteLoad(load))
 	return &cost.Model{Params: params, Catalog: s.cat, Query: q}
 }
 
@@ -487,21 +478,17 @@ func (s *System) execConfig(q Query, o ExecOptions) (exec.Config, error) {
 			return sel.Pass(id)
 		}
 	}
-	cfg := exec.Config{
-		Params:  s.cfg.execParams(),
-		Catalog: s.cat,
-		Query:   iq,
-		Next:    next,
-		Pass:    pass,
-		Seed:    o.Seed,
-	}
-	if len(o.ServerLoad) > 0 {
-		cfg.ServerLoad = make(map[catalog.SiteID]float64, len(o.ServerLoad))
-		for srv, rate := range o.ServerLoad {
-			cfg.ServerLoad[catalog.SiteID(srv)] = rate
-		}
-	}
-	return cfg, nil
+	params := exec.DefaultParams()
+	params.Params = s.cfg.machine()
+	return exec.Config{
+		Params:     params,
+		Catalog:    s.cat,
+		Query:      iq,
+		Next:       next,
+		Pass:       pass,
+		ServerLoad: siteLoad(o.ServerLoad),
+		Seed:       o.Seed,
+	}, nil
 }
 
 // Execute runs the plan in a fresh simulation of this system.

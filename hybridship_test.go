@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"hybridship/internal/cost"
+	"hybridship/internal/exec"
+	"hybridship/internal/machine"
 )
 
 func demoSystem(t testing.TB, servers int, cached float64) *System {
@@ -207,27 +211,52 @@ func TestInvalidInputsRejected(t *testing.T) {
 
 // TestDefaultConfigMatchesPaperTable2 pins the Table 2 defaults.
 func TestDefaultConfigMatchesPaperTable2(t *testing.T) {
-	c := SystemConfig{Servers: 1}.withDefaults()
-	cases := []struct {
-		name string
-		got  float64
-		want float64
-	}{
-		{"Mips", c.Mips, 50},
-		{"PageSize", float64(c.PageSize), 4096},
-		{"NetBw", c.NetBwBits, 100e6},
-		{"MsgInst", c.MsgInst, 20000},
-		{"PerSizeMI", c.PerSizeMI, 12000},
-		{"Display", c.DisplayInst, 0},
-		{"Compare", c.CompareInst, 2},
-		{"HashInst", c.HashInst, 9},
-		{"MoveInst", c.MoveInst, 1},
-		{"DiskInst", c.DiskInst, 5000},
+	table2 := machine.Params{
+		Mips: 50, NumDisks: 1, DiskInst: 5000, PageSize: 4096, NetBw: 100e6,
+		MsgInst: 20000, PerSizeMI: 12000, DisplayInst: 0, CompareInst: 2,
+		HashInst: 9, MoveInst: 1, MaxAlloc: false, FudgeF: 1.2,
 	}
-	for _, cse := range cases {
-		if cse.got != cse.want {
-			t.Errorf("%s = %g, want %g (Table 2)", cse.name, cse.got, cse.want)
+	for name, got := range map[string]machine.Params{
+		"SystemConfig{}":     SystemConfig{Servers: 1}.withDefaults().machine(),
+		"exec.DefaultParams": exec.DefaultParams().Params,
+		"cost.DefaultParams": cost.DefaultParams().Params,
+	} {
+		if got != table2 {
+			t.Errorf("%s: %+v, want Table 2 %+v", name, got, table2)
 		}
+	}
+
+	// Every Table 2 setting of SystemConfig away from its default: the
+	// engine and the cost model built from it must read the same values.
+	sys, err := NewSystem(SystemConfig{
+		Servers: 2, Mips: 25, NumDisks: 2, DiskInst: 4000, PageSize: 8192,
+		NetBwBits: 10e6, MsgInst: 15000, PerSizeMI: 9000, DisplayInst: 7,
+		CompareInst: 3, HashInst: 11, MoveInst: 2, MaxAlloc: true,
+	}, []Relation{
+		{Name: "emp", Tuples: 100, TupleBytes: 100, Server: 0},
+		{Name: "dept", Tuples: 100, TupleBytes: 100, Server: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := machine.Params{
+		Mips: 25, NumDisks: 2, DiskInst: 4000, PageSize: 8192, NetBw: 10e6,
+		MsgInst: 15000, PerSizeMI: 9000, DisplayInst: 7, CompareInst: 3,
+		HashInst: 11, MoveInst: 2, MaxAlloc: true, FudgeF: 1.2,
+	}
+	ecfg, err := sys.execConfig(demoQuery(), ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	iq, err := sys.buildQuery(demoQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ecfg.Params.Params; got != want {
+		t.Errorf("engine: %+v, want %+v", got, want)
+	}
+	if got := sys.model(iq, nil).Params.Params; got != want {
+		t.Errorf("cost model: %+v, want %+v", got, want)
 	}
 }
 

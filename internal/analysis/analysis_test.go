@@ -177,9 +177,11 @@ type Proc struct{ name string }
 
 type Simulator struct{}
 
-func (s *Simulator) Spawn(name string, body func(*Proc)) *Proc       { return &Proc{name: name} }
-func (s *Simulator) SpawnDaemon(name string, body func(*Proc)) *Proc { return &Proc{name: name} }
-func (s *Simulator) SpawnLazy(namef func() string, body func(*Proc)) *Proc {
+func (s *Simulator) Spawn(name string, body func(*Proc)) *Proc { return &Proc{name: name} }
+func (s *Simulator) SpawnLazyID(namef func(int64) string, id int64, body func(*Proc)) *Proc {
+	return &Proc{name: namef(id)}
+}
+func (s *Simulator) SpawnDaemonLazy(namef func() string, body func(*Proc)) *Proc {
 	return &Proc{name: namef()}
 }
 
@@ -214,9 +216,10 @@ import (
 
 func Launch(s *sim.Simulator, i int) {
 	s.Spawn(fmt.Sprintf("q%d", i), nil) // want simhot
-	s.SpawnDaemon("d:"+suffix(i), nil) // want simhot
+	s.Spawn("d:"+suffix(i), nil) // want simhot
 	s.Spawn("ok", nil)
-	s.SpawnLazy(func() string { return fmt.Sprintf("q%d", i) }, nil)
+	s.SpawnLazyID(func(id int64) string { return fmt.Sprintf("q%d", id) }, int64(i), nil)
+	s.SpawnDaemonLazy(func() string { return fmt.Sprintf("d%d", i) }, nil)
 }
 
 func LaunchTasks(s *sim.Simulator, i int) {
@@ -420,8 +423,7 @@ func TestDiagnosticFormat(t *testing.T) {
 	// The contract consumed by verify.sh and CI: "file:line: [analyzer]
 	// message", and messages that tell the reader what to do instead.
 	checks := []struct{ analyzer, file, substr string }{
-		{"simhot", "hot/hot.go", "use SpawnLazy"},
-		{"simhot", "hot/hot.go", "use SpawnDaemonLazy"},
+		{"simhot", "hot/hot.go", "Spawn with an eagerly built name argument; use SpawnLazyID"},
 		{"simhot", "hot/hot.go", "SpawnTimer with an eagerly built name argument; pass a constant"},
 		{"simhot", "vexec/vec.go", "columnar batch"},
 		{"simhot", "vexec/legacy.go", "engine hot path"},

@@ -56,9 +56,7 @@ type fnBody struct {
 // used in findings and -graph output.
 var kernelOps = map[string]map[string]string{
 	"Simulator": {
-		"Spawn": "spawn", "SpawnDaemon": "spawn",
-		"SpawnLazy": "spawn", "SpawnDaemonLazy": "spawn",
-		"SpawnLazyID": "spawn", "SpawnDaemonLazyID": "spawn",
+		"Spawn": "spawn", "SpawnLazyID": "spawn", "SpawnDaemonLazy": "spawn",
 		"SpawnTaskLazy": "spawn", "SpawnTimer": "spawn",
 	},
 	"Resource": {

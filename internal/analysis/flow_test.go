@@ -22,8 +22,7 @@ func (p *Proc) Yield()          {}
 
 type Simulator struct{}
 
-func (s *Simulator) Spawn(name string, body func(*Proc))       { body(&Proc{}) }
-func (s *Simulator) SpawnDaemon(name string, body func(*Proc)) { body(&Proc{}) }
+func (s *Simulator) Spawn(name string, body func(*Proc)) { body(&Proc{}) }
 func (s *Simulator) SpawnDaemonLazy(namef func() string, body func(*Proc)) {
 	_ = namef()
 	body(&Proc{})
@@ -270,11 +269,11 @@ type Server struct {
 	keys []string
 }
 
-// NewServer hands the unexported run body to SpawnDaemon as a method value —
+// NewServer hands the unexported run body to SpawnDaemonLazy as a method value —
 // a reference edge, not a call edge; detreach must still see through it.
 func NewServer(sm *sim.Simulator, m map[string]int) *Server {
 	s := &Server{m: m}
-	sm.SpawnDaemon("srv", s.run)
+	sm.SpawnDaemonLazy(func() string { return "srv" }, s.run)
 	return s
 }
 

@@ -12,9 +12,9 @@ import (
 // kernel's hot path. Three rules:
 //
 //  1. Anywhere in the module, the kernel constructors that take a name
-//     string (Spawn, SpawnDaemon, SpawnTimer) must not be handed an eagerly
-//     built name — `Spawn(fmt.Sprintf("query%d", i), ...)` pays the Sprintf
-//     on every spawn even when nobody reads the name. Use SpawnLazy /
+//     string (Spawn, SpawnTimer) must not be handed an eagerly built name —
+//     `Spawn(fmt.Sprintf("query%d", i), ...)` pays the Sprintf on every
+//     spawn even when nobody reads the name. Use SpawnLazyID /
 //     SpawnDaemonLazy / SpawnTaskLazy, whose name thunk runs only if Trace
 //     (or a panic message) actually asks for it; a timer takes a constant
 //     name.
@@ -49,9 +49,8 @@ func runSimhot(u *Unit) {
 // eagerNameFix maps each kernel constructor that takes a name string to the
 // advice for an eagerly built one.
 var eagerNameFix = map[string]string{
-	"Spawn":       "use SpawnLazy",
-	"SpawnDaemon": "use SpawnDaemonLazy",
-	"SpawnTimer":  "pass a constant",
+	"Spawn":      "use SpawnLazyID",
+	"SpawnTimer": "pass a constant",
 }
 
 // checkSpawnNames flags eager name arguments to the kernel's Spawn methods.

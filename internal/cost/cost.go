@@ -19,25 +19,17 @@ import (
 	"slices"
 
 	"hybridship/internal/catalog"
+	"hybridship/internal/machine"
 	"hybridship/internal/plan"
 	"hybridship/internal/query"
 )
 
-// Params configures the cost model. Table 2 of the paper defines the CPU and
-// message constants; the per-page disk times are the calibration aggregates
-// of §4.1 (obtained from separate simulation runs, exactly as the paper did).
+// Params configures the cost model: Table 2 of the paper, shared with the
+// simulator, plus the per-page disk times, which are the calibration
+// aggregates of §4.1 (obtained from separate simulation runs, exactly as the
+// paper did).
 type Params struct {
-	Mips        float64 // CPU speed, 10^6 instructions per second
-	PageSize    int     // bytes per page
-	NetBw       float64 // network bandwidth, bits per second
-	MsgInst     float64 // instructions to send or receive a message
-	PerSizeMI   float64 // instructions to send or receive PageSize bytes
-	DisplayInst float64 // instructions to display a tuple
-	CompareInst float64 // instructions to apply a predicate
-	HashInst    float64 // instructions to hash a tuple
-	MoveInst    float64 // instructions to copy 4 bytes
-	DiskInst    float64 // instructions per disk I/O request
-	NumDisks    int     // disk arms per site (default 1)
+	machine.Params
 
 	SeqPageTime  float64 // seconds per sequential page I/O (calibrated)
 	RandPageTime float64 // seconds per random page I/O (calibrated)
@@ -48,9 +40,6 @@ type Params struct {
 	SpillWriteTime float64
 	SpillReadTime  float64
 
-	FudgeF   float64 // Shapiro's hash-table fudge factor (1.2)
-	MaxAlloc bool    // joins get maximum (true) or minimum (false) allocation
-
 	// ServerDiskUtil is the utilization of each server's disk due to
 	// external load (multi-client contention, §4.2.2). Disk service times at
 	// a loaded server are inflated by 1/(1-u).
@@ -60,33 +49,30 @@ type Params struct {
 // DefaultParams returns the Table 2 defaults with the §4.1 disk calibration.
 func DefaultParams() Params {
 	return Params{
-		Mips:           50,
-		PageSize:       4096,
-		NetBw:          100e6,
-		MsgInst:        20000,
-		PerSizeMI:      12000,
-		DisplayInst:    0,
-		CompareInst:    2,
-		HashInst:       9,
-		MoveInst:       1,
-		DiskInst:       5000,
-		NumDisks:       1,
+		Params:         machine.DefaultParams(),
 		SeqPageTime:    0.0035,
 		RandPageTime:   0.0118,
 		SpillWriteTime: 0.0045,
 		SpillReadTime:  0.0035,
-		FudgeF:         1.2,
-		MaxAlloc:       false,
 	}
 }
 
-func (p Params) cpuTime(instructions float64) float64 {
-	return instructions / (p.Mips * 1e6)
-}
-
-// msgCPUTime is the endpoint CPU time to send or receive one message.
-func (p Params) msgCPUTime(bytes int) float64 {
-	return p.cpuTime(p.MsgInst + p.PerSizeMI*float64(bytes)/float64(p.PageSize))
+// SetServerLoad sets ServerDiskUtil from the external load on each server,
+// in random page reads per second (§4.2.2): a rate keeps the disk busy
+// rate × RandPageTime of the time, capped at 0.95. An empty load leaves
+// ServerDiskUtil unset.
+func (p *Params) SetServerLoad(load map[catalog.SiteID]float64) {
+	if len(load) == 0 {
+		return
+	}
+	p.ServerDiskUtil = make(map[catalog.SiteID]float64, len(load))
+	for s, rate := range load {
+		u := rate * p.RandPageTime
+		if u > 0.95 {
+			u = 0.95
+		}
+		p.ServerDiskUtil[s] = u
+	}
 }
 
 func (p Params) wireTime(bytes int) float64 {
@@ -104,10 +90,6 @@ func clampUtil(u float64) float64 {
 		return u
 	}
 }
-
-// ctrlMsgBytes is the size of a small control message (e.g. a page-fault
-// request).
-const ctrlMsgBytes = 128
 
 // Estimate is the optimizer's prediction for a bound plan.
 type Estimate struct {
@@ -332,7 +314,7 @@ type Estimator struct {
 	rels []relFacts
 	disk []siteDisk // per slot
 
-	// Per-message constants: Params.msgCPUTime and wireTime of a data page
+	// Per-message constants: the endpoint CPU time and wireTime of a data page
 	// and of a control message, and the CPU time of one disk request.
 	pageCPU, pageWire float64
 	ctrlCPU, ctrlWire float64
@@ -354,9 +336,9 @@ func NewEstimator(m *Model) *Estimator {
 	names := m.Catalog.Relations()
 	e := &Estimator{
 		m: m, rels: make([]relFacts, 0, len(names)),
-		pageCPU: p.msgCPUTime(p.PageSize), pageWire: p.wireTime(p.PageSize),
-		ctrlCPU: p.msgCPUTime(ctrlMsgBytes), ctrlWire: p.wireTime(ctrlMsgBytes),
-		ioCPU: p.cpuTime(p.DiskInst),
+		pageCPU: p.CPUTime(p.MsgInstr(p.PageSize)), pageWire: p.wireTime(p.PageSize),
+		ctrlCPU: p.CPUTime(p.MsgInstr(machine.CtrlMsgBytes)), ctrlWire: p.wireTime(machine.CtrlMsgBytes),
+		ioCPU: p.CPUTime(p.DiskInst),
 	}
 	hi := catalog.SiteID(m.Catalog.NumServers - 1)
 	e.disk = make([]siteDisk, 0, slot(hi)+1)
@@ -375,8 +357,8 @@ func NewEstimator(m *Model) *Estimator {
 			cached:     cached,
 			mask:       m.Query.RelMask(name),
 			sel:        m.Query.SelectSelectivity(name),
-			scanCPU:    p.cpuTime(p.DiskInst * pages),
-			cachedCPU:  p.cpuTime(p.DiskInst * cached),
+			scanCPU:    p.CPUTime(p.DiskInst * pages),
+			cachedCPU:  p.CPUTime(p.DiskInst * cached),
 		})
 		for i := 0; i < rel.NumCopies(); i++ {
 			hi = max(hi, rel.CopySite(i))
@@ -630,7 +612,7 @@ func (e *Estimator) shape(f *plan.Flat, i int32, l, o *facts) {
 	case plan.KindSelect:
 		card := l.card * e.selectivity(f, i)
 		r.card, r.tupleBytes, r.pages, r.tables = card, l.tupleBytes, pagesOf(card, l.tupleBytes, p.PageSize), l.tables
-		r.cpu = p.cpuTime(p.CompareInst * l.card)
+		r.cpu = p.CPUTime(p.CompareInst * l.card)
 	case plan.KindAgg:
 		card := float64(m.Query.GroupBy)
 		if card <= 0 || card > l.card {
@@ -640,17 +622,17 @@ func (e *Estimator) shape(f *plan.Flat, i int32, l, o *facts) {
 			}
 		}
 		r.card, r.tupleBytes, r.pages, r.tables = card, l.tupleBytes, pagesOf(card, l.tupleBytes, p.PageSize), l.tables
-		r.cpu = p.cpuTime(p.HashInst * l.card)
+		r.cpu = p.CPUTime(p.HashInst * l.card)
 	case plan.KindDisplay:
 		r.card, r.tupleBytes, r.pages, r.tables = l.card, l.tupleBytes, l.pages, l.tables
-		r.cpu = p.cpuTime(p.DisplayInst * l.card)
+		r.cpu = p.CPUTime(p.DisplayInst * l.card)
 	case plan.KindJoin:
 		card := l.card * o.card * m.Query.JoinSelectivity(l.tables, o.tables)
 		bytes := m.Query.ResultTupleBytes
 		r.card, r.tupleBytes, r.pages, r.tables = card, bytes, pagesOf(card, bytes, p.PageSize), l.tables|o.tables
 		// CPU: hash each input tuple once, move each result tuple.
-		r.cpu = p.cpuTime(p.HashInst * l.card)
-		r.probeCPU = p.cpuTime(p.HashInst*o.card + p.MoveInst*(float64(bytes)/4)*card)
+		r.cpu = p.CPUTime(p.HashInst * l.card)
+		r.probeCPU = p.CPUTime(p.HashInst*o.card + p.MoveInst*(float64(bytes)/4)*card)
 		// Temporary I/O per Shapiro: with the maximum allocation the
 		// inner's hash table is memory resident; with the minimum
 		// allocation all but a memory-sized slice of both inputs is

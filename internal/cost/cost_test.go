@@ -170,6 +170,26 @@ func TestServerLoadInflatesQS(t *testing.T) {
 	}
 }
 
+// TestSetServerLoad pins the §4.2.2 rule: a server's disk utilization is
+// its external read rate times RandPageTime, capped at 0.95.
+func TestSetServerLoad(t *testing.T) {
+	p := DefaultParams()
+	p.SetServerLoad(nil)
+	if p.ServerDiskUtil != nil {
+		t.Fatalf("no load set utilizations %v", p.ServerDiskUtil)
+	}
+	p.SetServerLoad(map[catalog.SiteID]float64{0: 40, 2: 100})
+	want := map[catalog.SiteID]float64{0: 40 * p.RandPageTime, 2: 0.95}
+	if len(p.ServerDiskUtil) != len(want) {
+		t.Fatalf("utilizations %v, want %v", p.ServerDiskUtil, want)
+	}
+	for s, u := range want {
+		if p.ServerDiskUtil[s] != u {
+			t.Errorf("server %d: utilization %v, want %v", s, p.ServerDiskUtil[s], u)
+		}
+	}
+}
+
 func TestSelectReducesDownstreamCost(t *testing.T) {
 	cat, _ := env(t)
 	q := &query.Query{

@@ -263,7 +263,7 @@ func TestConcurrentReadersInterfere(t *testing.T) {
 			}
 			dur = s.Now()
 		})
-		s.SpawnDaemon("random-load", func(p *sim.Proc) {
+		s.SpawnDaemonLazy(func() string { return "random-load" }, func(p *sim.Proc) {
 			rng := rand.New(rand.NewSource(3))
 			for {
 				d.Read(p, PageAddr(rng.Int63n(int64(params.Capacity()))))

@@ -147,9 +147,7 @@ func (a *chargeAcc) add(p *sim.Proc, s *site, pr *Params, instr float64) {
 		a.flush(p)
 		a.site = s
 	}
-	// Inlined Params.cpuTime (same expression, so the same float64 result);
-	// calling the value-receiver method here would copy Params per charge.
-	a.parts = append(a.parts, sim.Time(instr/(pr.Mips*1e6)))
+	a.parts = append(a.parts, sim.Time(pr.CPUTime(instr)))
 }
 
 // flush realizes the pending charges. Callers invoke it immediately before

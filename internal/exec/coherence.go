@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"hybridship/internal/coherence"
+	"hybridship/internal/machine"
 	"hybridship/internal/sim"
 )
 
@@ -50,7 +51,7 @@ func (s *scanOp) fillCoherent(p *sim.Proc, pg int) {
 // writer's wait bound.
 func (s *scanOp) renewLease(p *sim.Proc) {
 	sendT := s.e.sim.Now()
-	s.roundTrip(p, diskAddr{}, 0, ctrlMsgBytes)
+	s.roundTrip(p, diskAddr{}, 0, machine.CtrlMsgBytes)
 	s.e.coh.NoteRenewal(s.client)
 	s.e.coh.SyncContact(s.client, int(s.src.id), sendT)
 }
@@ -127,12 +128,12 @@ func (e *engine) runUpdate(p *sim.Proc, client int, rel string, pg0, n int) (Upd
 
 	// Submission: one control message to the home server. The completed
 	// receive is a client contact (sync + renew, stamped at send time).
-	e.client.chargeCPU(p, params, params.msgCPUInstr(ctrlMsgBytes))
-	e.net.Transmit(p, ctrlMsgBytes, false)
+	e.client.chargeCPU(p, params, params.MsgInstr(machine.CtrlMsgBytes))
+	e.net.Transmit(p, machine.CtrlMsgBytes, false)
 	if !srv.up {
 		return fail("home server crashed during submission") // request lost in flight
 	}
-	srv.chargeCPU(p, params, params.msgCPUInstr(ctrlMsgBytes))
+	srv.chargeCPU(p, params, params.MsgInstr(machine.CtrlMsgBytes))
 	st.SyncContact(client, home, start)
 
 	// Hold through any post-restart write grace, then take the relation's
@@ -216,10 +217,10 @@ func (e *engine) runUpdate(p *sim.Proc, client int, rel string, pg0, n int) (Upd
 	// Commit acknowledgement back to the writer: a contact that syncs and
 	// renews its lease. (Its cached copies of the dirtied pages were
 	// already dropped at BeginWrite.)
-	srv.chargeCPU(p, params, params.msgCPUInstr(ctrlMsgBytes))
-	e.net.Transmit(p, ctrlMsgBytes, false)
+	srv.chargeCPU(p, params, params.MsgInstr(machine.CtrlMsgBytes))
+	e.net.Transmit(p, machine.CtrlMsgBytes, false)
 	if st.ClientUp(client) {
-		e.client.chargeCPU(p, params, params.msgCPUInstr(ctrlMsgBytes))
+		e.client.chargeCPU(p, params, params.MsgInstr(machine.CtrlMsgBytes))
 		st.SyncContact(client, home, e.sim.Now())
 	}
 	res.ResponseTime = e.sim.Now() - start
@@ -242,23 +243,23 @@ func (e *engine) spawnInvalidation(w *coherence.Write, c, home int) {
 		if !srv.up {
 			return // crashed before the callback left; the write is aborted anyway
 		}
-		srv.chargeCPU(q, params, params.msgCPUInstr(ctrlMsgBytes))
-		e.net.Transmit(q, ctrlMsgBytes, false)
-		st.NoteCallbackTraffic(c, 1, ctrlMsgBytes)
+		srv.chargeCPU(q, params, params.MsgInstr(machine.CtrlMsgBytes))
+		e.net.Transmit(q, machine.CtrlMsgBytes, false)
+		st.NoteCallbackTraffic(c, 1, machine.CtrlMsgBytes)
 		if !st.ClientUp(c) {
 			st.NoteInvalidationLost()
 			return
 		}
-		e.client.chargeCPU(q, params, params.msgCPUInstr(ctrlMsgBytes))
+		e.client.chargeCPU(q, params, params.MsgInstr(machine.CtrlMsgBytes))
 		st.DeliverInvalidation(c, home)
 		// Acknowledgement: client back to server.
-		e.client.chargeCPU(q, params, params.msgCPUInstr(ctrlMsgBytes))
-		e.net.Transmit(q, ctrlMsgBytes, false)
-		st.NoteCallbackTraffic(c, 1, ctrlMsgBytes)
+		e.client.chargeCPU(q, params, params.MsgInstr(machine.CtrlMsgBytes))
+		e.net.Transmit(q, machine.CtrlMsgBytes, false)
+		st.NoteCallbackTraffic(c, 1, machine.CtrlMsgBytes)
 		if !srv.up {
 			return // ack lost; delivery already released the writer's wait
 		}
-		srv.chargeCPU(q, params, params.msgCPUInstr(ctrlMsgBytes))
+		srv.chargeCPU(q, params, params.MsgInstr(machine.CtrlMsgBytes))
 		st.AckInvalidation(w, c)
 	})
 }

@@ -21,27 +21,17 @@ import (
 	"hybridship/internal/coherence"
 	"hybridship/internal/disk"
 	"hybridship/internal/faults"
+	"hybridship/internal/machine"
 	"hybridship/internal/netsim"
 	"hybridship/internal/query"
 	"hybridship/internal/seedmix"
 	"hybridship/internal/sim"
 )
 
-// Params is the simulator configuration, Table 2 of the paper.
+// Params is the simulator configuration: Table 2 of the paper, shared with
+// the cost model, plus the engine's own settings.
 type Params struct {
-	Mips        float64 // CPU speed, 10^6 instructions per second
-	NumDisks    int     // disks per site
-	DiskInst    float64 // instructions per disk I/O request
-	PageSize    int     // bytes per data page
-	NetBw       float64 // network bandwidth, bits per second
-	MsgInst     float64 // instructions to send or receive a message
-	PerSizeMI   float64 // instructions to send or receive PageSize bytes
-	DisplayInst float64 // instructions to display a tuple
-	CompareInst float64 // instructions to apply a predicate
-	HashInst    float64 // instructions to hash a tuple
-	MoveInst    float64 // instructions to copy 4 bytes
-	MaxAlloc    bool    // BufAlloc: joins get max (true) or min (false) memory
-	FudgeF      float64 // Shapiro fudge factor
+	machine.Params
 
 	// LookaheadPages is how far a network producer may run ahead of its
 	// consumer (default 1: "each producer has a process that tries to stay
@@ -53,25 +43,8 @@ type Params struct {
 
 // DefaultParams returns Table 2's default settings.
 func DefaultParams() Params {
-	return Params{
-		Mips:        50,
-		NumDisks:    1,
-		DiskInst:    5000,
-		PageSize:    4096,
-		NetBw:       100e6,
-		MsgInst:     20000,
-		PerSizeMI:   12000,
-		DisplayInst: 0,
-		CompareInst: 2,
-		HashInst:    9,
-		MoveInst:    1,
-		MaxAlloc:    false,
-		FudgeF:      1.2,
-		Disk:        disk.DefaultParams(),
-	}
+	return Params{Params: machine.DefaultParams(), Disk: disk.DefaultParams()}
 }
-
-func (p Params) cpuTime(instr float64) float64 { return instr / (p.Mips * 1e6) }
 
 // lookahead returns the network producer lookahead, defaulting to one page.
 func (p Params) lookahead() int {
@@ -80,15 +53,6 @@ func (p Params) lookahead() int {
 	}
 	return p.LookaheadPages
 }
-
-// msgCPUInstr is the endpoint CPU cost of one message of the given size.
-func (p Params) msgCPUInstr(bytes int) float64 {
-	return p.MsgInst + p.PerSizeMI*float64(bytes)/float64(p.PageSize)
-}
-
-// ctrlMsgBytes is the size of small control messages such as page-fault
-// requests.
-const ctrlMsgBytes = 128
 
 // Config describes one query execution: the machine park, the data, and the
 // external load.
@@ -213,7 +177,7 @@ func (s *site) chargeCPU(p *sim.Proc, params Params, instr float64) {
 	if instr <= 0 {
 		return
 	}
-	s.cpu.Use(p, params.cpuTime(instr))
+	s.cpu.Use(p, params.CPUTime(instr))
 }
 
 // allocTemp reserves n contiguous pages in a temp region, rotating across

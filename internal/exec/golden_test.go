@@ -196,11 +196,13 @@ func TestVectorizedSessionMatches(t *testing.T) { checkGolden(t, "session/qs-3wa
 
 // TestEngineGolden covers the remaining scenarios: selections and grouped
 // aggregation, a coherent two-client session with an update and crashes, a
-// replicated catalog losing its primary, and a multi-query run.
+// coherent session under every fault class at once, a replicated catalog
+// losing its primary, and a multi-query run.
 func TestEngineGolden(t *testing.T) {
 	for _, name := range []string{
 		"select-agg/QS", "select-agg/DS",
 		"coherent/ds-2clients-update-crashes",
+		"faults/every-class",
 		"replica/rf2-permanent-primary-crash",
 		"multi/staggered-mixed-policies",
 	} {
@@ -518,6 +520,55 @@ func engineGoldenScenarios() []goldenScenario {
 			})
 			ses.Run()
 			return sessionOutcomeOf(ses, qrs, ups)
+		},
+	})
+	out = append(out, goldenScenario{
+		name: "faults/every-class",
+		run: func(t *testing.T, tr func(sim.Time, string)) any {
+			cfg := cohConfig(t, 2, 2, 2, 5.0)
+			cfg.Faults = &faults.Config{
+				Seed: 3, MaxRetries: 200,
+				SiteMTBF: 30, SiteMTTR: 1,
+				DiskMTBF: 20, DiskMTTR: 0.5,
+				NetMTBF: 25, NetMTTR: 0.3,
+				DegradeMTBF: 15, DegradeMTTR: 2,
+				ClientMTBF: 40, ClientMTTR: 2,
+				Script: []faults.Event{
+					{At: 0.5, Kind: faults.NetOutage, Duration: 0.2},
+					{At: 1.0, Kind: faults.DiskStall, Site: 1, Duration: 0.4},
+					{At: 2.0, Kind: faults.NetDegrade, Duration: 1.5, Factor: 3},
+					{At: 4.0, Kind: faults.SiteCrash, Site: 0, Duration: 1.0},
+					{At: 6.0, Kind: faults.ClientCrash, Site: 1, Duration: 2.0},
+				},
+			}
+			cfg.Trace = tr
+			ses, err := NewSession(cfg, SessionOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dsb, err := ses.Bind(annotate(leftDeepChain(2), plan.DataShipping))
+			if err != nil {
+				t.Fatal(err)
+			}
+			qsb, err := ses.Bind(annotate(leftDeepChain(2), plan.QueryShipping))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Client 0 runs the first three queries and client 1 the rest,
+			// so the scripted client crash finds client 1 idle: a crash
+			// under a running query fails it for good.
+			var qrs []QueryResult
+			ses.Simulator().Spawn("driver", func(p *sim.Proc) {
+				for i, b := range []*BoundPlan{dsb, qsb, dsb, qsb, dsb, qsb} {
+					q, _ := ses.Execute(p, i, b, QueryOpts{Client: i / 3})
+					qrs = append(qrs, q)
+				}
+			})
+			ses.Run()
+			return struct {
+				sessionOutcome
+				Faults faults.Stats
+			}{sessionOutcomeOf(ses, qrs, nil), ses.FaultStats()}
 		},
 	})
 	out = append(out, goldenScenario{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hybridship/internal/catalog"
+	"hybridship/internal/machine"
 	"hybridship/internal/plan"
 	"hybridship/internal/sim"
 )
@@ -232,10 +233,10 @@ func (s *scanOp) roundTrip(p *sim.Proc, a diskAddr, pages, replyBytes int) {
 		}
 		s.att.beginFetch(int(s.src.id), s.srcRole)
 	}
-	s.atSite.chargeCPU(p, params, params.msgCPUInstr(ctrlMsgBytes))
-	s.e.net.Transmit(p, ctrlMsgBytes, false)
+	s.atSite.chargeCPU(p, params, params.MsgInstr(machine.CtrlMsgBytes))
+	s.e.net.Transmit(p, machine.CtrlMsgBytes, false)
 	s.src.pager.fetchRun(p, a, pages, s.reply)
-	s.atSite.chargeCPU(p, params, params.msgCPUInstr(replyBytes))
+	s.atSite.chargeCPU(p, params, params.MsgInstr(replyBytes))
 	if s.att != nil {
 		s.att.endFetch()
 		// A completed round trip is positive evidence the source is healthy.
@@ -538,7 +539,7 @@ func (n *netPair) open(p *sim.Proc) {
 			if !ok {
 				break
 			}
-			n.pacc.add(pp, n.from, pr, pr.msgCPUInstr(pr.PageSize))
+			n.pacc.add(pp, n.from, pr, pr.MsgInstr(pr.PageSize))
 			n.pacc.flush(pp)
 			n.e.net.Transmit(pp, pr.PageSize, true)
 			n.buf.Put(pp, b)
@@ -583,7 +584,7 @@ func (n *netPair) next(p *sim.Proc) (*colBatch, bool) {
 		return nil, false
 	}
 	pr := &n.e.cfg.Params
-	n.acc.add(p, n.to, pr, pr.msgCPUInstr(pr.PageSize))
+	n.acc.add(p, n.to, pr, pr.MsgInstr(pr.PageSize))
 	return v.(*colBatch), true
 }
 
@@ -623,16 +624,16 @@ func newPageServer(e *engine, s *site) *pageServer {
 			if r.pages == 0 {
 				// Lease renewal (coherence.go): a control-message round
 				// trip with no data payload.
-				ps.s.chargeCPU(p, params, params.msgCPUInstr(ctrlMsgBytes)) // receive request
-				ps.s.chargeCPU(p, params, params.msgCPUInstr(ctrlMsgBytes)) // send reply
-				e.net.Transmit(p, ctrlMsgBytes, false)
+				ps.s.chargeCPU(p, params, params.MsgInstr(machine.CtrlMsgBytes)) // receive request
+				ps.s.chargeCPU(p, params, params.MsgInstr(machine.CtrlMsgBytes)) // send reply
+				e.net.Transmit(p, machine.CtrlMsgBytes, false)
 				r.reply.Put(p, struct{}{})
 				continue
 			}
-			ps.s.chargeCPU(p, params, params.msgCPUInstr(ctrlMsgBytes)) // receive request
+			ps.s.chargeCPU(p, params, params.MsgInstr(machine.CtrlMsgBytes)) // receive request
 			ps.s.chargeCPU(p, params, params.DiskInst*float64(r.pages))
 			ps.s.readRun(p, r.addr, r.pages)
-			ps.s.chargeCPU(p, params, params.msgCPUInstr(r.pages*params.PageSize)) // send pages
+			ps.s.chargeCPU(p, params, params.MsgInstr(r.pages*params.PageSize)) // send pages
 			e.net.TransmitPages(p, params.PageSize, r.pages)
 			r.reply.Put(p, struct{}{})
 		}

@@ -117,16 +117,7 @@ type run struct {
 func (r run) costParams() cost.Params {
 	p := cost.DefaultParams()
 	p.MaxAlloc = r.maxAlloc
-	if len(r.load) > 0 {
-		p.ServerDiskUtil = make(map[catalog.SiteID]float64, len(r.load))
-		for s, rate := range r.load {
-			u := rate * p.RandPageTime
-			if u > 0.95 {
-				u = 0.95
-			}
-			p.ServerDiskUtil[s] = u
-		}
-	}
+	p.SetServerLoad(r.load)
 	return p
 }
 

@@ -32,9 +32,10 @@ type DPOptions struct {
 	// LeftDeepOnly restricts enumeration to left-deep trees, the classical
 	// System-R space.
 	LeftDeepOnly bool
-	// MaxRelations bounds the exponential subset enumeration (default 14).
-	MaxRelations int
 }
+
+// dpMaxRelations bounds the exponential subset enumeration.
+const dpMaxRelations = 14
 
 // DP is the deterministic optimizer.
 type DP struct {
@@ -44,9 +45,6 @@ type DP struct {
 
 // NewDP creates a System-R-style optimizer over the model's query/catalog.
 func NewDP(model *cost.Model, opts DPOptions) *DP {
-	if opts.MaxRelations <= 0 {
-		opts.MaxRelations = 14
-	}
 	return &DP{model: model, opts: opts}
 }
 
@@ -60,8 +58,8 @@ func (d *DP) Optimize() (Result, error) {
 	if n == 0 {
 		return Result{}, fmt.Errorf("opt: query has no relations")
 	}
-	if n > d.opts.MaxRelations {
-		return Result{}, fmt.Errorf("opt: %d relations exceed the DP limit of %d", n, d.opts.MaxRelations)
+	if n > dpMaxRelations {
+		return Result{}, fmt.Errorf("opt: %d relations exceed the DP limit of %d", n, dpMaxRelations)
 	}
 
 	names := q.Relations

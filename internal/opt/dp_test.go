@@ -100,9 +100,9 @@ func TestDPErrors(t *testing.T) {
 		t.Error("disconnected query accepted")
 	}
 
-	cat2, q := chainEnv(5, 2, 0)
+	cat2, q := chainEnv(dpMaxRelations+1, 2, 0)
 	dp := NewDP(&cost.Model{Params: cost.DefaultParams(), Catalog: cat2, Query: q},
-		DPOptions{Policy: plan.HybridShipping, MaxRelations: 3})
+		DPOptions{Policy: plan.HybridShipping})
 	if _, err := dp.Optimize(); err == nil {
 		t.Error("query above the DP relation limit accepted")
 	}

@@ -53,30 +53,21 @@ type Options struct {
 	// parallelism). Join-order exploration then uses adjacent-operand swaps
 	// and bottom-join commutes, which stay inside the left-deep space.
 	LeftDeepOnly bool
-
-	// II/SA parameters, following the settings of IK90 (§3.1.1 note 6).
-	IIStarts       int     // random starts for iterative improvement
-	IIMaxFailures  int     // consecutive non-improving tries = local minimum
-	SATempFactor   float64 // T0 = SATempFactor * cost(best II plan)
-	SATempReduce   float64 // temperature decay per stage
-	SAInnerFactor  int     // moves per stage = SAInnerFactor * #joins
-	SAFrozenStages int     // stages without improvement before freezing
 }
 
-// DefaultOptions returns the IK90-derived defaults used in the study.
+// The II/SA settings of IK90 (§3.1.1 note 6).
+const (
+	iiStarts       = 10   // random starts for iterative improvement
+	iiMaxFailures  = 64   // consecutive non-improving tries = local minimum
+	saTempFactor   = 0.1  // T0 = saTempFactor * cost(best II plan)
+	saTempReduce   = 0.95 // temperature decay per stage
+	saInnerFactor  = 16   // moves per stage = saInnerFactor * #joins
+	saFrozenStages = 4    // stages without improvement before freezing
+)
+
+// DefaultOptions returns the options used in the study.
 func DefaultOptions(policy plan.Policy, metric cost.Metric, seed int64) Options {
-	return Options{
-		Policy:         policy,
-		Metric:         metric,
-		Seed:           seed,
-		Commutativity:  true,
-		IIStarts:       10,
-		IIMaxFailures:  64,
-		SATempFactor:   0.1,
-		SATempReduce:   0.95,
-		SAInnerFactor:  16,
-		SAFrozenStages: 4,
-	}
+	return Options{Policy: policy, Metric: metric, Seed: seed, Commutativity: true}
 }
 
 // Optimizer searches for a good plan for one query against one catalog.
@@ -98,24 +89,6 @@ type Optimizer struct {
 // New creates an optimizer. The model carries the catalog, query and cost
 // parameters.
 func New(model *cost.Model, opts Options) *Optimizer {
-	if opts.IIStarts <= 0 {
-		opts.IIStarts = 1
-	}
-	if opts.IIMaxFailures <= 0 {
-		opts.IIMaxFailures = 64
-	}
-	if opts.SATempFactor <= 0 {
-		opts.SATempFactor = 0.1
-	}
-	if opts.SATempReduce <= 0 || opts.SATempReduce >= 1 {
-		opts.SATempReduce = 0.95
-	}
-	if opts.SAInnerFactor <= 0 {
-		opts.SAInnerFactor = 16
-	}
-	if opts.SAFrozenStages <= 0 {
-		opts.SAFrozenStages = 4
-	}
 	return &Optimizer{model: model, opts: opts, bits: newRelBits(model.Query, model.Catalog),
 		rng: rand.New(rand.NewSource(opts.Seed))}
 }
@@ -148,7 +121,7 @@ func (o *Optimizer) finish(r searchResult) (Result, error) {
 }
 
 // Optimize runs two-phase optimization (II then SA) and returns the best
-// plan found. The IIStarts random descents run concurrently on a worker
+// plan found. The iiStarts random descents run concurrently on a worker
 // pool bounded by GOMAXPROCS; each start draws from its own rand.Rand
 // derived deterministically from Options.Seed and the start index, and the
 // winner is chosen by (value, start index), so the result is identical
@@ -164,9 +137,8 @@ func (o *Optimizer) Optimize() (Result, error) {
 		err error
 		ok  bool
 	}
-	starts := o.opts.IIStarts
-	outs := make([]iiOut, starts)
-	workers := min(runtime.GOMAXPROCS(0), starts)
+	outs := make([]iiOut, iiStarts)
+	workers := min(runtime.GOMAXPROCS(0), iiStarts)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -179,7 +151,7 @@ func (o *Optimizer) Optimize() (Result, error) {
 			st := newSearch(o, o.opts, nil)
 			for {
 				i := int(next.Add(1) - 1)
-				if i >= starts {
+				if i >= iiStarts {
 					return
 				}
 				st.rng = rand.New(rand.NewSource(deriveSeed(o.opts.Seed, seedPhaseII, int64(i))))

@@ -236,12 +236,12 @@ type searchResult struct {
 }
 
 // descend runs one iterative-improvement descent: random downhill moves
-// until IIMaxFailures consecutive tries fail to improve. The working plan
+// until iiMaxFailures consecutive tries fail to improve. The working plan
 // ends at the local minimum.
 func (st *searchState) descend() {
 	var u undoRec
 	failures := 0
-	for failures < st.opts.IIMaxFailures {
+	for failures < iiMaxFailures {
 		moves := st.ensureMoves()
 		if len(moves) == 0 {
 			return // no legal moves at all (e.g. DS 2-way join)
@@ -271,7 +271,7 @@ func (st *searchState) anneal() searchResult {
 	if joins == 0 {
 		return st.result()
 	}
-	temp := st.opts.SATempFactor * st.val
+	temp := saTempFactor * st.val
 	if temp <= 0 {
 		temp = 1e-9
 	}
@@ -282,9 +282,9 @@ func (st *searchState) anneal() searchResult {
 	var u undoRec
 	stagesSinceImprove := 0
 stages:
-	for stagesSinceImprove < st.opts.SAFrozenStages || temp > floor {
+	for stagesSinceImprove < saFrozenStages || temp > floor {
 		improved := false
-		inner := st.opts.SAInnerFactor * joins
+		inner := saInnerFactor * joins
 		for i := 0; i < inner; i++ {
 			moves := st.ensureMoves()
 			if len(moves) == 0 {
@@ -313,7 +313,7 @@ stages:
 		} else {
 			stagesSinceImprove++
 		}
-		temp *= st.opts.SATempReduce
+		temp *= saTempReduce
 	}
 	// The search ends here, so only the rows and the value are brought
 	// back to the best plan's; result reads no more.

@@ -16,7 +16,7 @@ import "hybridship/internal/seedmix"
 //	            same crash do not probe in lockstep.
 //	half-open — exactly one probe attempt is admitted; its success closes
 //	            the breaker, its failure re-opens it. A probe that neither
-//	            reports back within ProbeTimeout (e.g. its query died on an
+//	            reports back within twice Cooldown (e.g. its query died on an
 //	            unrelated deadline) releases the slot so the breaker cannot
 //	            wedge.
 //
@@ -38,9 +38,8 @@ const numBreakerRoles = 2
 
 // BreakerParams configures every site's breaker.
 type BreakerParams struct {
-	Threshold    int     // consecutive failures that open the breaker (default 3)
-	Cooldown     float64 // mean open→probe delay, seconds (default 1)
-	ProbeTimeout float64 // half-open slot reclaim time (default 2×Cooldown)
+	Threshold int     // consecutive failures that open the breaker (default 3)
+	Cooldown  float64 // mean open→probe delay, seconds (default 1)
 }
 
 func (p BreakerParams) threshold() int {
@@ -57,12 +56,8 @@ func (p BreakerParams) cooldown() float64 {
 	return p.Cooldown
 }
 
-func (p BreakerParams) probeTimeout() float64 {
-	if p.ProbeTimeout <= 0 {
-		return 2 * p.cooldown()
-	}
-	return p.ProbeTimeout
-}
+// probeTimeout is the half-open slot reclaim time.
+func (p BreakerParams) probeTimeout() float64 { return 2 * p.cooldown() }
 
 // Breaker states.
 const (

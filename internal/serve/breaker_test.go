@@ -34,7 +34,7 @@ type step struct {
 func TestBreakerStateMachine(t *testing.T) {
 	// Cooldown 1 with jitter in [0.75, 1.25): advancing by 1.25 is always
 	// past the probe time, advancing by 0.5 never is.
-	params := BreakerParams{Threshold: 3, Cooldown: 1, ProbeTimeout: 2}
+	params := BreakerParams{Threshold: 3, Cooldown: 1}
 	cases := []struct {
 		name  string
 		steps []step

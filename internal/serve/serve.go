@@ -106,10 +106,9 @@ type Config struct {
 	// Query classes: an admitted query belongs to class id%Classes and runs
 	// FreshPlans[class] (also the plan-cache entry for that class). The
 	// static fallback is StaticPlan for every class.
-	Classes      int
-	FreshPlans   []*plan.Node
-	StaticPlan   *plan.Node
-	PlanCacheCap int // bounded plan-cache capacity (default: Classes)
+	Classes    int
+	FreshPlans []*plan.Node
+	StaticPlan *plan.Node
 
 	// Updates makes the workload write-bearing: when it returns ok for an
 	// admitted slot qi, the worker dirties pages [page0, page0+pages) of rel
@@ -255,9 +254,9 @@ func (a *admission) allow(now float64, depth, queueCap int) int {
 	return admitOK
 }
 
-// planCache is the bounded LRU of compiled plans, keyed by query class. A
-// linear scan over at most PlanCacheCap entries keeps it allocation-free and
-// trivially deterministic.
+// planCache is the bounded LRU of compiled plans, keyed by query class, with
+// room for Classes entries. A linear scan over them keeps it
+// allocation-free and trivially deterministic.
 type planCache struct {
 	cap   int
 	order []int // class ids, most recently used last
@@ -370,7 +369,7 @@ func Start(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.adm = admission{rate: cfg.RateLimit, burst: float64(burst(cfg)), tokens: float64(burst(cfg))}
-	s.cache = planCache{cap: cacheCap(cfg)}
+	s.cache = planCache{cap: cfg.Classes}
 	if c := cfg.Exec.Coherence; c != nil {
 		s.streams = make([]StreamStats, c.NumClients)
 	}
@@ -451,13 +450,6 @@ func burst(cfg Config) int {
 		return 1
 	}
 	return cfg.Burst
-}
-
-func cacheCap(cfg Config) int {
-	if cfg.PlanCacheCap <= 0 {
-		return cfg.Classes
-	}
-	return cfg.PlanCacheCap
 }
 
 // unit maps a seedmix stream value into [0, 1).

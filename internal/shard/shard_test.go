@@ -247,7 +247,7 @@ func TestWindowedRunLeaksNoGoroutines(t *testing.T) {
 	c.SetLookahead(testLA)
 	for sh := 0; sh < shards; sh++ {
 		s := c.Sim(sh)
-		s.SpawnDaemon(fmt.Sprintf("ticker/%d", sh), func(p *sim.Proc) {
+		s.SpawnDaemonLazy(func() string { return fmt.Sprintf("ticker/%d", sh) }, func(p *sim.Proc) {
 			for {
 				p.Hold(0.004)
 			}

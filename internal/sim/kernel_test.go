@@ -54,7 +54,7 @@ func TestPooledProcessReuse(t *testing.T) {
 	var ran int
 	s.Spawn("driver", func(p *Proc) {
 		for i := 0; i < 1000; i++ {
-			s.SpawnLazy(func() string { return "short" }, func(q *Proc) {
+			s.SpawnLazyID(func(int64) string { return "short" }, 0, func(q *Proc) {
 				q.Hold(0.001)
 				ran++
 			})
@@ -68,14 +68,14 @@ func TestPooledProcessReuse(t *testing.T) {
 	}
 }
 
-// TestLazyNameNotBuiltWithoutTrace checks that SpawnLazy never materializes
+// TestLazyNameNotBuiltWithoutTrace checks that SpawnLazyID never materializes
 // the name when nothing asks for it, and resolves it exactly once when
 // something does.
 func TestLazyNameNotBuiltWithoutTrace(t *testing.T) {
 	s := New()
 	builds := 0
 	var got string
-	s.SpawnLazy(func() string { builds++; return "lazy/0" }, func(p *Proc) {
+	s.SpawnLazyID(func(int64) string { builds++; return "lazy/0" }, 0, func(p *Proc) {
 		p.Hold(1)
 	})
 	s.Spawn("observer", func(p *Proc) {
@@ -88,7 +88,7 @@ func TestLazyNameNotBuiltWithoutTrace(t *testing.T) {
 
 	s2 := New()
 	var p2 *Proc
-	s2.SpawnLazy(func() string { builds++; return "lazy/1" }, func(p *Proc) {
+	s2.SpawnLazyID(func(int64) string { builds++; return "lazy/1" }, 1, func(p *Proc) {
 		p2 = p
 		p.Hold(1)
 	})

@@ -29,7 +29,7 @@ func TestGoexitInProcessEndsRun(t *testing.T) {
 		returned := false
 		defer func() { ended <- returned }()
 		s := New()
-		s.SpawnDaemon("daemon", func(p *Proc) {
+		s.SpawnDaemonLazy(func() string { return "daemon" }, func(p *Proc) {
 			for {
 				p.Hold(0.5)
 			}
@@ -59,13 +59,13 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New()
 	for i := 0; i < 3; i++ {
-		s.SpawnDaemon("daemon", func(p *Proc) {
+		s.SpawnDaemonLazy(func() string { return "daemon" }, func(p *Proc) {
 			for {
 				p.Hold(0.25)
 			}
 		})
 	}
-	s.SpawnDaemon("blocked", func(p *Proc) { p.Block() })
+	s.SpawnDaemonLazy(func() string { return "blocked" }, func(p *Proc) { p.Block() })
 	s.Spawn("driver", func(p *Proc) {
 		for wave := 0; wave < 5; wave++ {
 			for i := 0; i < 8; i++ {

@@ -260,9 +260,10 @@ type Proc struct {
 // simulation ends.
 type terminated struct{}
 
-// Name returns the process name. A lazily named process (SpawnLazy) builds
-// the name on first use, so the construction cost is only paid when someone
-// — typically a Trace hook or a panic message — actually asks for it.
+// Name returns the process name. A lazily named process (SpawnLazyID,
+// SpawnDaemonLazy) builds the name on first use, so the construction cost is
+// only paid when someone — typically a Trace hook or a panic message —
+// actually asks for it.
 func (p *Proc) Name() string {
 	if p.name == "" {
 		if p.namef != nil {
@@ -284,37 +285,22 @@ func (s *Simulator) Spawn(name string, body func(p *Proc)) *Proc {
 	return s.spawn(name, nil, nil, 0, body, false)
 }
 
-// SpawnDaemon creates a service process (e.g. a disk arm or a background load
-// generator) that runs for the lifetime of the simulation. Daemons do not
-// keep Run alive and do not count as deadlocked; when the event queue drains,
-// Run terminates them by unwinding their coroutines.
-func (s *Simulator) SpawnDaemon(name string, body func(p *Proc)) *Proc {
-	return s.spawn(name, nil, nil, 0, body, true)
-}
-
-// SpawnLazy is Spawn with a lazily built name: namef runs only if the name
-// is ever needed. Hot paths that spawn many short-lived processes use this
-// to keep fmt.Sprintf out of the per-spawn cost.
-func (s *Simulator) SpawnLazy(namef func() string, body func(p *Proc)) *Proc {
-	return s.spawn("", namef, nil, 0, body, false)
-}
-
-// SpawnDaemonLazy is SpawnDaemon with a lazily built name.
+// SpawnDaemonLazy creates a service process (e.g. a network producer or a
+// background load generator) that runs for the lifetime of the simulation,
+// with a lazily built name: namef runs only if the name is ever needed.
+// Daemons do not keep Run alive and do not count as deadlocked; when the
+// event queue drains, Run terminates them by unwinding their coroutines.
 func (s *Simulator) SpawnDaemonLazy(namef func() string, body func(p *Proc)) *Proc {
 	return s.spawn("", namef, nil, 0, body, true)
 }
 
-// SpawnLazyID is SpawnLazy for the tightest spawn loops: the lazy name is a
-// static formatter applied to an int64 id, so the call site captures nothing
-// and the spawn allocates nothing once the coroutine pool is warm. Callers
-// with two coordinates pack them into the id (e.g. site<<32|index).
+// SpawnLazyID is Spawn with a lazily built name for the tightest spawn
+// loops: the name is a static formatter applied to an int64 id, built only
+// if someone asks for it, so the call site captures nothing and the spawn
+// allocates nothing once the coroutine pool is warm. Callers with two
+// coordinates pack them into the id (e.g. site<<32|index).
 func (s *Simulator) SpawnLazyID(namef func(int64) string, id int64, body func(p *Proc)) *Proc {
 	return s.spawn("", nil, namef, id, body, false)
-}
-
-// SpawnDaemonLazyID is SpawnDaemon with a static-formatter lazy name.
-func (s *Simulator) SpawnDaemonLazyID(namef func(int64) string, id int64, body func(p *Proc)) *Proc {
-	return s.spawn("", nil, namef, id, body, true)
 }
 
 func (s *Simulator) spawn(name string, namef func() string, namefID func(int64) string, id int64, body func(p *Proc), daemon bool) *Proc {

@@ -94,7 +94,7 @@ func runActorScript(sc actorScript, asTask, traced bool, window Time) actorRun {
 		})
 		wake = t.Wake
 	} else {
-		p := s.SpawnDaemon("actor", func(p *Proc) {
+		p := s.SpawnDaemonLazy(func() string { return "actor" }, func(p *Proc) {
 			for i, o := range sc.actor {
 				if o.block {
 					waiting = true
@@ -184,7 +184,7 @@ func TestTimerMatchesProcess(t *testing.T) {
 						s.SpawnTimer("timer", dt, fire, "x", k)
 						continue
 					}
-					s.SpawnDaemon("timer", func(q *Proc) {
+					s.SpawnDaemonLazy(func() string { return "timer" }, func(q *Proc) {
 						if dt > 0 {
 							q.Hold(dt)
 						}

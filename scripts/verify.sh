@@ -1,5 +1,5 @@
 #!/bin/sh
-# Full verification: tier-1 (build + tests) plus vet, hslint, the race
+# Full verification: a gofmt gate, tier-1 (build + tests) plus vet, hslint, the race
 # detector, a fuzz smoke and a bench smoke.
 #
 # The race tier matters here because the optimizer and the experiment
@@ -22,6 +22,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "== gofmt -l . (the whole tree, bench/ included)"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "$unformatted"
+	echo "gofmt: the files above are not formatted — run gofmt -w on them" >&2
+	exit 1
+fi
 echo "== go build ./..."
 go build ./...
 echo "== go test ./..."
