@@ -88,15 +88,6 @@ func (r *Relation) Pages(pageSize int) int {
 	return (r.Tuples + perPage - 1) / perPage
 }
 
-// TuplesPerPage returns how many tuples fit on one page.
-func (r *Relation) TuplesPerPage(pageSize int) int {
-	n := pageSize / r.TupleBytes
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // Catalog is the schema plus placement and client-cache state for one system
 // configuration.
 type Catalog struct {

@@ -58,13 +58,11 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// relInfo is the static shape of one relation, indexed densely in catalog
-// registration order so every protocol walk is slice-ordered (hslint
-// det-pkg: no map iteration reaches results).
+// relInfo is the static shape of one relation, indexed by ri = RelID−1
+// (catalog registration order) so every protocol walk is slice-ordered
+// (hslint det-pkg: no map iteration reaches results).
 type relInfo struct {
-	name        string
 	home        int // server index of the (single) home copy
-	pages       int
 	cachedPages int // length of the client-cacheable prefix
 }
 
@@ -108,7 +106,7 @@ type serverState struct {
 // AbortWrite. The issuing process parks on it until every fresh leaseholder
 // has acknowledged or the wait bound passes.
 type Write struct {
-	RelIdx   int
+	RelIdx   int // the written relation's RelID−1
 	Page0    int
 	N        int
 	Writer   int     // issuing client
@@ -199,12 +197,17 @@ type Summary struct {
 // cache and lease view, every server's lease/callback tables, the in-flight
 // writes, and the committed page-version shadow map the oracle checks
 // against. All mutating methods are called from simulation processes at the
-// virtual time the corresponding protocol step happens.
+// virtual time the corresponding protocol step happens. Every ri parameter
+// is a relation's catalog.RelID−1, its catalog registration position.
 type State struct {
-	cfg       Config
-	committed *catalog.VersionMap
+	cfg Config
+	// committed[ri][pg] is the committed version of page pg: it advances
+	// when an update commits at the home copy, and a cached copy of the
+	// page is fresh exactly when its version matches. Pure bookkeeping,
+	// charged nothing, so the oracle can read it without moving the
+	// schedule.
+	committed [][]int64
 	rels      []relInfo
-	relIdx    map[string]int
 	homeRels  [][]int // per server, relation indices homed there
 	clients   []clientState
 	servers   []serverState
@@ -231,10 +234,8 @@ func NewState(cfg Config, cat *catalog.Catalog) (*State, error) {
 		return nil, err
 	}
 	st := &State{
-		cfg:       cfg,
-		committed: catalog.NewVersionMap(cat),
-		relIdx:    make(map[string]int),
-		homeRels:  make([][]int, cat.NumServers),
+		cfg:      cfg,
+		homeRels: make([][]int, cat.NumServers),
 	}
 	for ri, name := range cat.Relations() {
 		r := cat.MustRelation(name)
@@ -243,13 +244,8 @@ func NewState(cfg Config, cat *catalog.Catalog) (*State, error) {
 				name, r.NumCopies())
 		}
 		home := int(r.Home)
-		st.rels = append(st.rels, relInfo{
-			name:        name,
-			home:        home,
-			pages:       r.Pages(cat.PageSize),
-			cachedPages: cat.CachedPages(name),
-		})
-		st.relIdx[name] = ri
+		st.rels = append(st.rels, relInfo{home: home, cachedPages: cat.CachedPages(name)})
+		st.committed = append(st.committed, make([]int64, r.Pages(cat.PageSize)))
 		st.homeRels[home] = append(st.homeRels[home], ri)
 	}
 	nr := len(st.rels)
@@ -302,17 +298,11 @@ func (st *State) NumClients() int { return st.cfg.NumClients }
 // LeaseDuration returns the configured lease length (0 = infinite).
 func (st *State) LeaseDuration() float64 { return st.cfg.LeaseDuration }
 
-// RelIndex maps a relation name to its dense index.
-func (st *State) RelIndex(rel string) (int, bool) {
-	ri, ok := st.relIdx[rel]
-	return ri, ok
-}
-
 // Home returns the server index of relation ri's home copy.
 func (st *State) Home(ri int) int { return st.rels[ri].home }
 
 // RelPages returns relation ri's total page count.
-func (st *State) RelPages(ri int) int { return st.rels[ri].pages }
+func (st *State) RelPages(ri int) int { return len(st.committed[ri]) }
 
 // ClientUp reports whether client c is currently running.
 func (st *State) ClientUp(c int) bool { return st.clients[c].up }
@@ -357,7 +347,7 @@ func (st *State) CachedRun(c, ri, pg, n int) (m int, valid bool) {
 func (st *State) RecordCachedRead(c, ri, pg, n int) (stale int) {
 	cache := st.clients[c].cache[ri]
 	for i := 0; i < n; i++ {
-		if cache.ver[pg+i] != st.committed.Get(ri, pg+i) {
+		if cache.ver[pg+i] != st.committed[ri][pg+i] {
 			stale++
 		}
 	}
@@ -501,7 +491,7 @@ func (st *State) RegisterFetch(c, ri, pg, n int, seqAtSend int64) {
 	cd := st.servers[info.home].cached[c][ri]
 	for i := pg; i < hi; i++ {
 		cache.valid[i] = true
-		cache.ver[i] = st.committed.Get(ri, i)
+		cache.ver[i] = st.committed[ri][i]
 		cd[i] = true
 	}
 }
@@ -688,7 +678,10 @@ func (st *State) NoteWriterWait(dt float64, boundExpired bool) {
 // passes to the next writer. Sound only after w's pending set drained or its
 // deadline passed — the caller's wait loop guarantees it.
 func (st *State) CommitWrite(w *Write) {
-	st.committed.BumpRun(w.RelIdx, w.Page0, w.N)
+	vers := st.committed[w.RelIdx]
+	for pg := w.Page0; pg < w.Page0+w.N; pg++ {
+		vers[pg]++
+	}
 	st.commitSeq[w.RelIdx]++
 	st.unlinkWrite(w)
 	st.wstats.Committed++
@@ -797,19 +790,13 @@ func (st *State) Summary() *Summary {
 func (st *State) Oracle() OracleStats { return st.oracle }
 
 // CommittedVersion exposes the shadow map for tests.
-func (st *State) CommittedVersion(ri, pg int) int64 { return st.committed.Get(ri, pg) }
+func (st *State) CommittedVersion(ri, pg int) int64 { return st.committed[ri][pg] }
 
 // ClientValid reports whether client c currently caches page pg of relation
 // ri as valid (tests).
 func (st *State) ClientValid(c, ri, pg int) bool {
 	cache := st.clients[c].cache[ri]
 	return cache.valid != nil && cache.valid[pg]
-}
-
-// LeaseView returns copies of the client- and server-side lease records for
-// the (c, s) pair (tests).
-func (st *State) LeaseView(c, s int) (client, server Lease) {
-	return st.clients[c].leases[s], st.servers[s].leases[c]
 }
 
 func clearBits(b []bool) {

@@ -495,9 +495,6 @@ func (d *Disk) SetStalled(stalled bool) {
 	}
 }
 
-// Stalled reports whether the disk is currently stalled by SetStalled.
-func (d *Disk) Stalled() bool { return d.stalled }
-
 // CrashRestart models the disk coming back after its site crashed: all
 // volatile controller state — the clean cache, the write-back cache's dirty
 // pages, and the sequential-detection state — is lost. Media contents are

@@ -40,7 +40,7 @@ func (s *scanOp) fillCoherent(p *sim.Proc, pg int) {
 		}
 	}
 	s.atSite.chargeCPU(p, params, params.DiskInst)
-	s.atSite.read(p, s.cacheExt.plus(pg))
+	s.atSite.read(p, s.ext.plus(pg))
 }
 
 // renewLease performs one lease-renewal round trip with the relation's home
@@ -99,10 +99,11 @@ func (e *engine) runUpdate(p *sim.Proc, client int, rel string, pg0, n int) (Upd
 		// leaseholder would stall this writer forever.
 		return res, fmt.Errorf("exec: updates require a finite lease duration")
 	}
-	ri, ok := st.RelIndex(rel)
-	if !ok {
+	id := e.cfg.Catalog.ID(rel)
+	if id == 0 {
 		return res, fmt.Errorf("exec: update on unknown relation %q", rel)
 	}
+	ri := int(id) - 1
 	if n < 1 || pg0 < 0 || pg0+n > st.RelPages(ri) {
 		return res, fmt.Errorf("exec: update pages [%d,%d) out of range for %s (%d pages)",
 			pg0, pg0+n, rel, st.RelPages(ri))
@@ -166,7 +167,7 @@ func (e *engine) runUpdate(p *sim.Proc, client int, rel string, pg0, n int) (Upd
 
 	// Dirty the pages on the home server's disk.
 	srv.chargeCPU(p, params, params.DiskInst*float64(n))
-	srv.writeRun(p, srv.extents[rel].plus(pg0), n)
+	srv.writeRun(p, srv.extents[ri].plus(pg0), n)
 
 	w := st.BeginWrite(ri, pg0, n, client, e.sim.Now())
 	res.PagesDirtied = n

@@ -3,9 +3,12 @@ package exec
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
+	"hybridship/internal/catalog"
 	"hybridship/internal/coherence"
+	"hybridship/internal/disk"
 	"hybridship/internal/faults"
 	"hybridship/internal/plan"
 	"hybridship/internal/sim"
@@ -399,5 +402,118 @@ func TestWriterNeverServesOwnPreWritePages(t *testing.T) {
 	}
 	if sum.PerClient[0].CacheMissPages != 1 {
 		t.Fatalf("client 0 refetched %d pages, want exactly the one it updated", sum.PerClient[0].CacheMissPages)
+	}
+}
+
+// TestCoherenceCatalogOrderDiffersFromQuery: past binding the engine finds a
+// relation's extents and coherence state by its RelID−1 and its tuple column
+// by its query mask bit. A query that lists the relations in the reverse of
+// catalog order makes the two differ for every relation; its run must give
+// exact answers with a clean oracle, leave the update on the relation it
+// named, and match, counter for counter, the run whose query lists them in
+// catalog order. So must a run without coherence, whose client scans read
+// the one shared cache extent.
+func TestCoherenceCatalogOrderDiffersFromQuery(t *testing.T) {
+	config := func(reverse bool) Config {
+		cfg := chainConfig(t, 2, 1, workload.HiSel, true)
+		if reverse {
+			slices.Reverse(cfg.Query.Relations)
+		}
+		// Unequal prefixes: one relation's coherence state read for the
+		// other runs off its end.
+		for i, frac := range []float64{0.5, 0.25} {
+			if err := cfg.Catalog.SetCachedFraction(workload.RelName(i), frac); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cfg
+	}
+	legacy := func(reverse bool) Result {
+		res, err := Run(config(reverse), annotate(leftDeepChain(2), plan.DataShipping))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if inOrder, reversed := legacy(false), legacy(true); !reflect.DeepEqual(reversed, inOrder) {
+		t.Fatalf("query order changed the run without coherence:\nreversed %+v\nin order %+v", reversed, inOrder)
+	}
+
+	type outcome struct {
+		Queries []QueryResult
+		Update  UpdateResult
+		Disk    map[catalog.SiteID]disk.Stats
+		Summary *coherence.Summary
+	}
+	run := func(reverse bool) outcome {
+		cfg := config(reverse)
+		cfg.Coherence = &coherence.Config{NumClients: 2, LeaseDuration: 100}
+		ses, err := NewSession(cfg, SessionOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := ses.Bind(annotate(leftDeepChain(2), plan.DataShipping))
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs, err := ses.Bind(annotate(leftDeepChain(2), plan.QueryShipping))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			out  outcome
+			errs []error
+		)
+		ses.Simulator().Spawn("driver", func(p *sim.Proc) {
+			read := func(qi, client int, bp *BoundPlan) {
+				q, err := ses.Execute(p, qi, bp, QueryOpts{Client: client})
+				out.Queries = append(out.Queries, q)
+				errs = append(errs, err)
+			}
+			read(0, 0, ds)
+			var err error
+			out.Update, err = ses.ExecuteUpdate(p, 1, workload.RelName(0), 0, 2)
+			errs = append(errs, err)
+			read(1, 0, ds)
+			read(2, 1, ds)
+			read(3, 0, qs)
+		})
+		ses.Run()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
+		want := workload.ExpectedResult(2, workload.HiSel)
+		for i, q := range out.Queries {
+			if q.ResultTuples != want {
+				t.Fatalf("reverse=%v: query %d returned %d tuples, want %d", reverse, i, q.ResultTuples, want)
+			}
+		}
+		st := ses.Coherence()
+		out.Summary, out.Disk = st.Summary(), ses.DiskStats()
+		if o := out.Summary.Oracle; o.StaleReads != 0 || o.StaleCommittedReads != 0 {
+			t.Fatalf("reverse=%v: oracle = %+v, want zero stale", reverse, o)
+		}
+		if !out.Update.Committed {
+			t.Fatalf("reverse=%v: update did not commit: %+v", reverse, out.Update)
+		}
+		if miss := out.Summary.PerClient[0].CacheMissPages; miss != 2 {
+			t.Fatalf("reverse=%v: client 0 refetched %d pages, want the 2 updated", reverse, miss)
+		}
+		r0, r1 := int(cfg.Catalog.ID(workload.RelName(0)))-1, int(cfg.Catalog.ID(workload.RelName(1)))-1
+		for pg, v := range []int64{1, 1, 0} {
+			if got := st.CommittedVersion(r0, pg); got != v {
+				t.Fatalf("reverse=%v: %s page %d at version %d, want %d", reverse, workload.RelName(0), pg, got, v)
+			}
+		}
+		for pg := 0; pg < cfg.Catalog.CachedPages(workload.RelName(1)); pg++ {
+			if st.CommittedVersion(r1, pg) != 0 || !st.ClientValid(0, r1, pg) {
+				t.Fatalf("reverse=%v: %s page %d changed or dropped from client 0's cache", reverse, workload.RelName(1), pg)
+			}
+		}
+		return out
+	}
+	inOrder, reversed := run(false), run(true)
+	if !reflect.DeepEqual(reversed, inOrder) {
+		t.Fatalf("query order changed the coherent run:\nreversed %+v\nin order %+v", reversed, inOrder)
 	}
 }

@@ -159,9 +159,9 @@ type site struct {
 	// robin; each disk's remaining space is its temporary region for join
 	// partitions, with temp chunks also allocated round robin so concurrent
 	// partition streams exploit all arms.
-	extents  map[string]diskAddr // relation -> extent start
-	tempNext []disk.PageAddr     // per-disk temp bump pointer
-	tempRR   int                 // round-robin cursor for temp chunks
+	extents  []diskAddr      // by RelID−1: extent start; zero where the site holds none
+	tempNext []disk.PageAddr // per-disk temp bump pointer
+	tempRR   int             // round-robin cursor for temp chunks
 
 	pager *pageServer // server-side page-fault handler
 }
@@ -218,7 +218,6 @@ type engine struct {
 	net     *netsim.Network
 	client  *site
 	servers []*site
-	relIdx  map[string]int // relation name -> tuple slot
 
 	// Failure awareness; all nil/empty when faults are disabled (e.ftl ==
 	// nil selects the legacy execution path throughout).
@@ -228,12 +227,13 @@ type engine struct {
 	rb       rebindState     // reused per-attempt re-binding scratch (failover.go)
 
 	// Cache coherence; both nil when Config.Coherence is unset (the legacy
-	// shared-cache path). cohExt[rel][c] is client c's cache extent for the
-	// relation's cacheable prefix; cohExt[rel][0] is the extent the legacy
-	// layout places, so client 0's disk addresses match the legacy engine
-	// exactly (coherence.go).
+	// shared-cache path). cohExt[ri][c] is client c's cache extent for the
+	// cacheable prefix of the relation with RelID ri+1 (nil when none is
+	// cached); cohExt[ri][0] is the extent the legacy layout places, so
+	// client 0's disk addresses match the legacy engine exactly
+	// (coherence.go).
 	coh    *coherence.State
-	cohExt map[string][]diskAddr
+	cohExt [][]diskAddr
 
 	// Serving-layer hooks, set only by NewSession; nil in the closed runs
 	// (runClosed), which have no breakers or retry budget.
@@ -277,11 +277,7 @@ func (cfg *Config) validate() error {
 // newEngine builds the simulated machine park for cfg, which must have
 // passed validate.
 func newEngine(cfg Config) (*engine, error) {
-	e := &engine{
-		cfg:    cfg,
-		sim:    cfg.Kernel,
-		relIdx: make(map[string]int),
-	}
+	e := &engine{cfg: cfg, sim: cfg.Kernel}
 	if e.sim == nil {
 		e.sim = sim.New()
 	}
@@ -289,23 +285,21 @@ func newEngine(cfg Config) (*engine, error) {
 		e.sim.Trace = cfg.Trace
 	}
 	e.net = netsim.New(e.sim, cfg.Params.NetBw)
-	for i, r := range cfg.Query.Relations {
-		e.relIdx[r] = i
-	}
+	rels := cfg.Catalog.Relations()
 	if cfg.Coherence != nil {
 		st, err := coherence.NewState(*cfg.Coherence, cfg.Catalog)
 		if err != nil {
 			return nil, err
 		}
 		e.coh = st
-		e.cohExt = make(map[string][]diskAddr)
+		e.cohExt = make([][]diskAddr, len(rels))
 	}
 
 	newSite := func(id catalog.SiteID, name string) *site {
 		s := &site{
 			id:      id,
 			cpu:     sim.NewResource(e.sim, "cpu:"+name, 1),
-			extents: make(map[string]diskAddr),
+			extents: make([]diskAddr, len(rels)),
 			up:      true,
 		}
 		for d := 0; d < cfg.Params.NumDisks; d++ {
@@ -323,36 +317,36 @@ func newEngine(cfg Config) (*engine, error) {
 	// client disk, rotating relations across each site's disks; every
 	// disk's remaining space is temporary storage (the client reserves
 	// separate regions for cache and temp, §3.2.1).
-	place := func(s *site, name string, pages int) {
+	place := func(s *site, pages int) diskAddr {
 		d := 0
 		for i := range s.disks {
 			if s.tempNext[i] < s.tempNext[d] {
 				d = i
 			}
 		}
-		s.extents[name] = diskAddr{dsk: d, page: s.tempNext[d]}
+		a := diskAddr{dsk: d, page: s.tempNext[d]}
 		s.tempNext[d] += disk.PageAddr(pages)
+		return a
 	}
-	for _, name := range cfg.Catalog.Relations() {
+	for ri, name := range rels {
 		rel := cfg.Catalog.MustRelation(name)
 		for c := 0; c < rel.NumCopies(); c++ {
-			place(e.site(rel.CopySite(c)), name, rel.Pages(cfg.Params.PageSize))
+			s := e.site(rel.CopySite(c))
+			s.extents[ri] = place(s, rel.Pages(cfg.Params.PageSize))
 		}
 		if cp := cfg.Catalog.CachedPages(name); cp > 0 {
-			place(e.client, name, cp)
+			e.client.extents[ri] = place(e.client, cp)
 			if e.coh != nil {
 				// Per-client cache extents: client 0 reuses the slot the
 				// legacy layout just placed, so a single-client run has a
 				// bit-identical disk layout; clients 1..C-1 get their own
 				// extents immediately after it.
 				ext := make([]diskAddr, e.coh.NumClients())
-				ext[0] = e.client.extents[name]
-				for c := 1; c < e.coh.NumClients(); c++ {
-					key := fmt.Sprintf("%s@%d", name, c)
-					place(e.client, key, cp)
-					ext[c] = e.client.extents[key]
+				ext[0] = e.client.extents[ri]
+				for c := 1; c < len(ext); c++ {
+					ext[c] = place(e.client, cp)
 				}
-				e.cohExt[name] = ext
+				e.cohExt[ri] = ext
 			}
 		}
 	}

@@ -227,7 +227,7 @@ func (e *engine) newHashJoin(at catalog.SiteID, inner, outer iterator,
 		pkey:   newKeyer(e.cfg.Query, outerTables, innerTables, e.cfg.Next),
 		acc:    acc,
 		tpp:    tuplesPerPage(e.cfg.Params.PageSize, e.cfg.Query.ResultTupleBytes),
-		w:      len(e.relIdx),
+		w:      len(e.cfg.Query.Relations),
 		al:     e.joinAllocFor(innerPages, outerPages),
 	}
 	j.estBuild = int(float64(innerPages) * j.al.frac0 * float64(j.tpp))

@@ -35,7 +35,7 @@ func relPage(e *engine, j *hashJoin, rel string) *colBatch {
 		col := b.col(c)
 		for i := range col {
 			col[i] = absent
-			if c == e.relIdx[rel] {
+			if uint64(1)<<c == e.cfg.Query.RelMask(rel) {
 				col[i] = int64(i)
 			}
 		}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hybridship/internal/catalog"
 	"hybridship/internal/machine"
@@ -83,9 +84,10 @@ type scanIter struct {
 // another copy as the fetch source), one page at a time.
 type scanOp struct {
 	e      *engine
-	rel    string
 	atSite *site
-	atRole int // RolePrimary when atSite is the relation's home
+	atRole int      // RolePrimary when atSite is the relation's home
+	ext    diskAddr // the extent read at atSite: a server copy or a client cache prefix
+	srcExt diskAddr // the fetch source's copy, for page faults
 
 	relPages    int
 	relTuples   int64
@@ -100,25 +102,24 @@ type scanOp struct {
 	att   *attemptState
 
 	// Coherence wiring (zero when the engine has no coherence state): the
-	// owning client stream, the relation's dense coherence index, and the
-	// stream's private cache extent for the relation's prefix.
-	client   int
-	cohRI    int
-	cacheExt diskAddr
+	// owning client stream and the relation's coherence index, its RelID−1.
+	client int
+	cohRI  int
 }
 
 // newScan builds the scan at node i of bp, bound to site at.
 func (e *engine) newScan(bp *BoundPlan, i int32, at catalog.SiteID, att *attemptState, acc *chargeAcc) *scanIter {
-	rel, r := bp.flat.Src[i].Table, e.cfg.Catalog.ByID(bp.flat.Nodes[i].Rel)
+	rel, id := bp.flat.Src[i].Table, bp.flat.Nodes[i].Rel
+	r, ri := e.cfg.Catalog.ByID(id), int(id)-1
 	s := &scanOp{
 		e:         e,
-		rel:       rel,
 		atSite:    e.site(at),
 		relPages:  r.Pages(e.cfg.Params.PageSize),
 		relTuples: int64(r.Tuples),
 		tpp:       tuplesPerPage(e.cfg.Params.PageSize, r.TupleBytes),
 		att:       att,
 	}
+	s.ext = s.atSite.extents[ri]
 	if at == catalog.Client {
 		s.cachedPages = e.cfg.Catalog.CachedPages(rel)
 		if s.cachedPages > s.relPages {
@@ -135,15 +136,14 @@ func (e *engine) newScan(bp *BoundPlan, i int32, at catalog.SiteID, att *attempt
 		if fetchFrom != r.Home {
 			s.srcRole = RoleSecondary
 		}
+		s.srcExt = s.src.extents[ri]
 		if e.coh != nil {
 			if att != nil {
 				s.client = att.client
 			}
-			if ri, ok := e.coh.RelIndex(rel); ok {
-				s.cohRI = ri
-			}
-			if ext, ok := e.cohExt[rel]; ok {
-				s.cacheExt = ext[s.client]
+			s.cohRI = ri
+			if ext := e.cohExt[ri]; ext != nil {
+				s.ext = ext[s.client]
 			}
 		}
 	} else if !r.HasCopy(at) {
@@ -154,7 +154,7 @@ func (e *engine) newScan(bp *BoundPlan, i int32, at catalog.SiteID, att *attempt
 			s.atRole = RoleSecondary
 		}
 	}
-	return &scanIter{scanOp: s, acc: acc, w: len(e.relIdx), idx: e.relIdx[rel]}
+	return &scanIter{scanOp: s, acc: acc, w: len(e.cfg.Query.Relations), idx: bits.TrailingZeros64(bp.facts[i].mask)}
 }
 
 func (s *scanIter) open(p *sim.Proc) {
@@ -172,7 +172,7 @@ func (s *scanOp) fill(p *sim.Proc, pg int) {
 			s.att.failFromSite(p, reasonSiteDown, int(s.atSite.id), s.atRole)
 		}
 		s.atSite.chargeCPU(p, params, params.DiskInst)
-		s.atSite.read(p, s.atSite.extents[s.rel].plus(pg))
+		s.atSite.read(p, s.ext.plus(pg))
 	case pg < s.cachedPages:
 		// Cached prefix on the client disk.
 		if s.e.coh != nil {
@@ -180,7 +180,7 @@ func (s *scanOp) fill(p *sim.Proc, pg int) {
 			return
 		}
 		s.atSite.chargeCPU(p, params, params.DiskInst)
-		s.atSite.read(p, s.atSite.extents[s.rel].plus(pg))
+		s.atSite.read(p, s.ext.plus(pg))
 	default:
 		s.faultRun(p, pg)
 	}
@@ -198,7 +198,7 @@ func (s *scanOp) faultRun(p *sim.Proc, pg int) {
 		sendT = s.e.sim.Now()
 		seq = c.CommitSeq(s.cohRI)
 	}
-	s.roundTrip(p, s.src.extents[s.rel].plus(pg), 1, s.e.cfg.Params.PageSize)
+	s.roundTrip(p, s.srcExt.plus(pg), 1, s.e.cfg.Params.PageSize)
 	if c := s.e.coh; c != nil {
 		// The round trip completed: it counts as a contact (syncs pending
 		// invalidations, renews the lease as of sendT) and the fetched page
@@ -304,8 +304,8 @@ type selectOp struct {
 func (e *engine) newSelect(rel string, at catalog.SiteID, child iterator, acc *chargeAcc) *selectOp {
 	return &selectOp{
 		e: e, rel: rel, atSite: e.site(at), child: child, acc: acc,
-		idx: e.relIdx[rel],
-		w:   len(e.relIdx),
+		idx: bits.TrailingZeros64(e.cfg.Query.RelMask(rel)),
+		w:   len(e.cfg.Query.Relations),
 		tpp: tuplesPerPage(e.cfg.Params.PageSize, e.cfg.Query.ResultTupleBytes),
 	}
 }

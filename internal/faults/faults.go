@@ -309,9 +309,6 @@ func (in *Injector) Stats() Stats { return in.stats }
 // SiteDown reports whether server site i is currently crashed.
 func (in *Injector) SiteDown(i int) bool { return in.siteDown[i] }
 
-// ClientDown reports whether client workstation i is currently crashed.
-func (in *Injector) ClientDown(i int) bool { return in.clientDown[i] }
-
 // spawnCycle runs an alternating up/down renewal process: hold ~Exp(mtbf),
 // fail, hold ~Exp(mttr), recover, repeat. A zero mttr recovers immediately
 // (Hold(0) still yields, so the failure and recovery are distinct events).

@@ -63,9 +63,6 @@ func (w *WAN) Charge(src, bytes int, isDataPage bool) float64 {
 	return d
 }
 
-// SrcStats returns a copy of one sending party's traffic counters.
-func (w *WAN) SrcStats(src int) Stats { return w.perSrc[src] }
-
 // Stats returns the fleet-wide traffic counters, merged over parties in
 // index order.
 func (w *WAN) Stats() Stats {

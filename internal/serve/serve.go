@@ -254,30 +254,15 @@ func (a *admission) allow(now float64, depth, queueCap int) int {
 	return admitOK
 }
 
-// planCache is the bounded LRU of compiled plans, keyed by query class, with
-// room for Classes entries. A linear scan over them keeps it
-// allocation-free and trivially deterministic.
-type planCache struct {
-	cap   int
-	order []int // class ids, most recently used last
-}
+// planCache records, per query class, whether its compiled plan is cached.
+// It has room for every class, so nothing is ever evicted: two workers that
+// miss one class while the first still charges OptInst both insert it, and
+// the second insert changes nothing.
+type planCache []bool
 
-func (c *planCache) hit(class int) bool {
-	for i, id := range c.order {
-		if id == class {
-			c.order = append(append(c.order[:i:i], c.order[i+1:]...), class)
-			return true
-		}
-	}
-	return false
-}
+func (c planCache) hit(class int) bool { return c[class] }
 
-func (c *planCache) insert(class int) {
-	c.order = append(c.order, class)
-	if len(c.order) > c.cap {
-		c.order = c.order[1:]
-	}
-}
+func (c planCache) insert(class int) { c[class] = true }
 
 // retryBudget implements exec.RetryGate: grant-if-under-budget, so granted
 // retries can never exceed ratio × requests at any point in the run.
@@ -369,7 +354,7 @@ func Start(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.adm = admission{rate: cfg.RateLimit, burst: float64(burst(cfg)), tokens: float64(burst(cfg))}
-	s.cache = planCache{cap: cfg.Classes}
+	s.cache = make(planCache, cfg.Classes)
 	if c := cfg.Exec.Coherence; c != nil {
 		s.streams = make([]StreamStats, c.NumClients)
 	}

@@ -83,6 +83,22 @@ func mustRun(t testing.TB, cfg Config) Result {
 // TestServeCountersConsistent checks the accounting identities every run
 // must satisfy: every arrival is rejected or admitted, every admission ends
 // exactly one way, and every admission ran at exactly one level.
+// TestPlanCacheKeepsEveryClass replays the inserts of two workers that miss
+// class 0 together, the second before the first has finished charging
+// OptInst: with room for every class, the duplicate insert must not evict
+// a live class.
+func TestPlanCacheKeepsEveryClass(t *testing.T) {
+	c := make(planCache, 3)
+	for _, class := range []int{1, 0, 0, 2} {
+		c.insert(class)
+	}
+	for class := 0; class < 3; class++ {
+		if !c.hit(class) {
+			t.Errorf("class %d missing after inserts 1, 0, 0, 2", class)
+		}
+	}
+}
+
 func TestServeCountersConsistent(t *testing.T) {
 	res := mustRun(t, testConfig(t))
 	if got := int64(testConfig(t).NumQueries); res.Offered != got {

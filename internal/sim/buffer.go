@@ -70,9 +70,6 @@ func (b *Buffer) Close() {
 // Len reports the number of buffered items.
 func (b *Buffer) Len() int { return len(b.items) }
 
-// Closed reports whether Close has been called.
-func (b *Buffer) Closed() bool { return b.closed }
-
 // wakeGetter wakes the longest-waiting live consumer, skipping queue entries
 // whose process has unwound since queueing (stale Refs).
 func (b *Buffer) wakeGetter() {

@@ -59,13 +59,13 @@ go run -race ./cmd/csq run -quick -reps 2 chaos failover coherence overload |
 	sed '/^  \[/d' | diff -u cmd/csq/testdata/grids_quick.txt -
 echo "== shardscale smoke (parallel kernel: fleet equality at 1/2/4/8 shards under the race detector)"
 go run -race ./cmd/csq run -quick -reps 1 shardscale >/dev/null
-echo "== fuzz smoke (2s per target)"
-go test -run '^$' -fuzz '^FuzzPlanWellFormed$' -fuzztime 2s ./internal/plan/
-go test -run '^$' -fuzz '^FuzzBinderReuse$' -fuzztime 2s ./internal/plan/
-go test -run '^$' -fuzz '^FuzzSearchDelta$' -fuzztime 2s ./internal/opt/
-go test -run '^$' -fuzz '^FuzzSeedMix$' -fuzztime 2s ./internal/seedmix/
-go test -run '^$' -fuzz '^FuzzFaultSchedule$' -fuzztime 2s ./internal/faults/
-go test -run '^$' -fuzz '^FuzzDiskTaskMatchesProcess$' -fuzztime 2s ./internal/disk/
+echo "== fuzz smoke (2s per target, every Fuzz function in the tree)"
+# Derived like the bench smoke's package list, so a new fuzz target runs
+# here without being listed. Each line is "<package dir> <target>".
+grep -r --include='*_test.go' -o '^func Fuzz[A-Za-z0-9_]*' . | sed 's|/[^/]*:func | |' | sort |
+	while read -r dir target; do
+		go test -run '^$' -fuzz "^$target\$" -fuzztime 2s "$dir/"
+	done
 echo "== bench smoke (1 iteration per benchmark, every package with benchmarks)"
 # Derive the package list instead of hardcoding it, so new bench files are
 # exercised automatically.
