@@ -190,7 +190,6 @@ type Task struct{ name string }
 func (s *Simulator) SpawnTaskLazy(namef func() string, step func(*Task)) *Task {
 	return &Task{name: namef()}
 }
-func (s *Simulator) SpawnTimer(name string, dt float64, fire func(any, int64), arg any, id int64) {}
 
 func (s *Simulator) Hold(dt float64) {
 	s.note("hold", dt)
@@ -223,9 +222,6 @@ func Launch(s *sim.Simulator, i int) {
 }
 
 func LaunchTasks(s *sim.Simulator, i int) {
-	s.SpawnTimer(fmt.Sprintf("watchdog%d", i), 1, nil, nil, 0) // want simhot
-	s.SpawnTimer("watchdog:"+suffix(i), 1, nil, nil, 0) // want simhot
-	s.SpawnTimer("watchdog", 1, nil, nil, int64(i))
 	s.SpawnTaskLazy(func() string { return fmt.Sprintf("arm%d", i) }, nil)
 }
 
@@ -424,7 +420,6 @@ func TestDiagnosticFormat(t *testing.T) {
 	// message", and messages that tell the reader what to do instead.
 	checks := []struct{ analyzer, file, substr string }{
 		{"simhot", "hot/hot.go", "Spawn with an eagerly built name argument; use SpawnLazyID"},
-		{"simhot", "hot/hot.go", "SpawnTimer with an eagerly built name argument; pass a constant"},
 		{"simhot", "vexec/vec.go", "columnar batch"},
 		{"simhot", "vexec/legacy.go", "engine hot path"},
 		{"seedflow", "seedstuff/seed.go", "use seedmix.Derive"},

@@ -11,10 +11,11 @@
 //
 // The taxonomy of kernel-visible operations is rooted in the sim package's
 // primitives (see kernelOps below): Spawn* (a new process or kernel task
-// dispatches at the current time), Resource Use/UseRun/Acquire/Release
-// (queueing and clock advance), Buffer Put/Get/Close (park and wake), the
-// Proc park points (Hold, Block, Yield, Unblock, Interrupt) and their task
-// twins (Task Wake, Hold). Everything else — netsim transmits, disk
+// dispatches at the current time), Simulator At/After (a callback is
+// scheduled, exactly as a spawn schedules its first dispatch), Resource
+// Use/UseRun/Acquire/Release (queueing and clock advance), Buffer
+// Put/Get/Close (park and wake), the Proc park points (Hold, Block, Yield,
+// Unblock, Interrupt) and their task twins (Task Wake, Hold). Everything else — netsim transmits, disk
 // requests, shard mailbox ops — is kernel-visible *transitively*, because
 // its implementation bottoms out in these primitives; rooting the taxonomy
 // at the bottom keeps it closed under refactoring (a new disk scheduler is
@@ -57,7 +58,7 @@ type fnBody struct {
 var kernelOps = map[string]map[string]string{
 	"Simulator": {
 		"Spawn": "spawn", "SpawnLazyID": "spawn", "SpawnDaemonLazy": "spawn",
-		"SpawnTaskLazy": "spawn", "SpawnTimer": "spawn",
+		"SpawnTaskLazy": "spawn", "At": "timer", "After": "timer",
 	},
 	"Resource": {
 		"Use": "resource", "UseRun": "resource",
@@ -268,9 +269,9 @@ func (g *CallGraph) KernelChain(f *types.Func) []*types.Func {
 	return chain
 }
 
-// KernelOpClass reports the operation class ("spawn", "resource", "buffer",
-// "park", "shared") of the primitive at the end of f's shortest kernel
-// chain, or "" if f is not kernel-visible.
+// KernelOpClass reports the operation class ("spawn", "timer", "resource",
+// "buffer", "park", "shared") of the primitive at the end of f's shortest
+// kernel chain, or "" if f is not kernel-visible.
 func (g *CallGraph) KernelOpClass(f *types.Func) string {
 	chain := g.KernelChain(f)
 	if chain == nil {

@@ -10,8 +10,8 @@ import (
 )
 
 // flowSim is the sim-kernel stub shared by the flow-sensitive pass fixtures:
-// just enough surface for the kernel-visible-op taxonomy (Spawn*, Resource,
-// Buffer, Proc park points) to classify its methods as primitives.
+// just enough surface for the kernel-visible-op taxonomy (Spawn*, At,
+// Resource, Buffer, Proc park points) to classify its methods as primitives.
 const flowSim = `package sim
 
 type Proc struct{ t float64 }
@@ -23,6 +23,7 @@ func (p *Proc) Yield()          {}
 type Simulator struct{}
 
 func (s *Simulator) Spawn(name string, body func(*Proc)) { body(&Proc{}) }
+func (s *Simulator) At(t float64, fn func())              {}
 func (s *Simulator) SpawnDaemonLazy(namef func() string, body func(*Proc)) {
 	_ = namef()
 	body(&Proc{})
@@ -149,6 +150,19 @@ func GoodWake(p *sim.Proc, acc *chargeAcc, a *arm) {
 	acc.flush(p)
 	a.release()
 	a.t.Wake()
+}
+
+// Scheduling a callback is kernel-visible (the shape of arming a
+// watchdog).
+func BadAt(p *sim.Proc, acc *chargeAcc, s *sim.Simulator, fire func()) {
+	acc.add(1)
+	s.At(1, fire) // want chargeflow
+}
+
+func GoodAt(p *sim.Proc, acc *chargeAcc, s *sim.Simulator, fire func()) {
+	acc.add(1)
+	acc.flush(p)
+	s.At(1, fire)
 }
 
 func Waived(p *sim.Proc, acc *chargeAcc, buf *sim.Buffer) {
@@ -370,6 +384,7 @@ func TestFlowDiagnosticContent(t *testing.T) {
 		{"chargeflow", "vexec/vec.go", "accumulator acc may hold unflushed charges"},
 		{"chargeflow", "vexec/vec.go", "kernel-visible (buffer: sim.(*Buffer).Put)"},
 		{"chargeflow", "vexec/vec.go", "sim.(*Task).Wake"},
+		{"chargeflow", "vexec/vec.go", "kernel-visible (timer: sim.(*Simulator).At)"},
 		{"parksafe", "armed/armed.go", "defer r.Release(p)"},
 		{"parksafe", "armed/armed.go", "inside a loop runs at function return"},
 		{"detreach", "helper/helper.go", "det.Entry (det.Entry → helper.Keys)"},

@@ -11,13 +11,12 @@ import (
 // Simhot enforces the PR 1/2 allocation-lean discipline on the simulation
 // kernel's hot path. Three rules:
 //
-//  1. Anywhere in the module, the kernel constructors that take a name
-//     string (Spawn, SpawnTimer) must not be handed an eagerly built name —
+//  1. Anywhere in the module, the one kernel constructor that takes a name
+//     string (Spawn) must not be handed an eagerly built name —
 //     `Spawn(fmt.Sprintf("query%d", i), ...)` pays the Sprintf on every
 //     spawn even when nobody reads the name. Use SpawnLazyID /
 //     SpawnDaemonLazy / SpawnTaskLazy, whose name thunk runs only if Trace
-//     (or a panic message) actually asks for it; a timer takes a constant
-//     name.
+//     (or a panic message) actually asks for it.
 //
 //  2. Inside any function statically reachable from the kernel package's
 //     own functions — the per-event machinery: Hold, park, schedule, the
@@ -46,14 +45,7 @@ func runSimhot(u *Unit) {
 	checkRowAlloc(u)
 }
 
-// eagerNameFix maps each kernel constructor that takes a name string to the
-// advice for an eagerly built one.
-var eagerNameFix = map[string]string{
-	"Spawn":      "use SpawnLazyID",
-	"SpawnTimer": "pass a constant",
-}
-
-// checkSpawnNames flags eager name arguments to the kernel's Spawn methods.
+// checkSpawnNames flags eager name arguments to the kernel's Spawn method.
 func checkSpawnNames(u *Unit) {
 	for _, pkg := range u.Packages {
 		for _, file := range pkg.Files {
@@ -63,11 +55,7 @@ func checkSpawnNames(u *Unit) {
 					return true
 				}
 				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				fix, ok := eagerNameFix[sel.Sel.Name]
-				if !ok {
+				if !ok || sel.Sel.Name != "Spawn" {
 					return true
 				}
 				f, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
@@ -75,8 +63,7 @@ func checkSpawnNames(u *Unit) {
 					return true
 				}
 				if eagerName(pkg.Info, call.Args[0]) {
-					u.Report(call.Pos(), "%s with an eagerly built name argument; %s so the name is only built when traced",
-						sel.Sel.Name, fix)
+					u.Report(call.Pos(), "Spawn with an eagerly built name argument; use SpawnLazyID so the name is only built when traced")
 				}
 				return true
 			})

@@ -2,96 +2,47 @@ package coherence
 
 import "math"
 
-// LeaseState is one edge of the lease state machine. A lease covers every
-// page a client caches from relations homed at one server: while the lease is
-// Held and unexpired, the server promises to invalidate the client before any
-// write to those pages commits, so the client may serve cached pages without
-// contacting the server. Once the lease expires (or is revoked), the cached
-// pages are still physically present but may no longer be served until a
-// renewal round trip re-establishes the promise.
-type LeaseState int
-
-const (
-	// LeaseNone: never granted, or revoked (client recovered under a new
-	// epoch, server lost its tables in a crash).
-	LeaseNone LeaseState = iota
-	// LeaseHeld: granted and unexpired as of the last observation.
-	LeaseHeld
-	// LeaseExpired: past its expiry time. The holder must renew before
-	// serving cached pages; the grantor is free to commit writes without
-	// invalidating the holder.
-	LeaseExpired
-)
-
-func (s LeaseState) String() string {
-	switch s {
-	case LeaseNone:
-		return "none"
-	case LeaseHeld:
-		return "held"
-	case LeaseExpired:
-		return "expired"
-	}
-	return "invalid"
-}
-
-// Lease is one (client, server) lease. Both endpoints keep their own copy;
-// soundness requires only that the server's view never expires before the
-// client's, which the protocol guarantees by stamping both views with the
-// same expiry, taken at the instant the client initiated the contact (the
-// most conservative time the client could believe the lease began).
+// Lease is one (client, server) lease. A lease covers every page a client
+// caches from relations homed at one server: while it is fresh, the server
+// promises to invalidate the client before any write to those pages
+// commits, so the client may serve cached pages without contacting the
+// server. Once it expires (or is revoked), the cached pages are still
+// physically present but may no longer be served until a renewal round
+// trip re-establishes the promise.
 //
-// The zero value is an ungranted lease. All methods are plain state
-// transitions — no allocation, no simulator interaction — so grant/renew sit
+// Both endpoints keep their own copy; soundness requires only that the
+// server's view never expires before the client's, which the protocol
+// guarantees by stamping both views with the same expiry, taken at the
+// instant the client initiated the contact (the most conservative time the
+// client could believe the lease began).
+//
+// The zero value is an ungranted lease. Expiry is lazy: nothing fires at the
+// expiry instant, and both endpoints simply observe it on their next
+// decision. The methods are plain arithmetic on one field, so renewals sit
 // on the read fast path at zero cost.
 type Lease struct {
-	State  LeaseState
-	Expiry float64 // absolute virtual time; +Inf for infinite leases
+	Expiry float64 // absolute virtual time; +Inf for infinite leases, 0 when ungranted or revoked
 }
 
-// Grant (re)establishes the lease at time now for duration dur; dur <= 0
-// grants an infinite lease (read-only configurations only — an infinite
-// lease can never be waited out by a writer).
-func (l *Lease) Grant(now, dur float64) {
-	l.State = LeaseHeld
+// Renew extends the lease to at least now+dur; dur <= 0 makes it infinite
+// (read-only configurations only — an infinite lease can never be waited
+// out by a writer). The max keeps overlapping contacts monotonic: two
+// in-flight round trips from the same client may complete out of
+// initiation order, and a renewal must never shorten a promise already made.
+func (l *Lease) Renew(now, dur float64) {
 	if dur <= 0 {
 		l.Expiry = math.Inf(1)
 		return
 	}
-	l.Expiry = now + dur
+	l.Expiry = max(l.Expiry, now+dur)
 }
 
-// Renew extends the lease to at least now+dur. The max keeps overlapping
-// contacts monotonic: two in-flight round trips from the same client may
-// complete out of initiation order, and a renewal must never shorten a
-// promise already made.
-func (l *Lease) Renew(now, dur float64) {
-	if l.State != LeaseHeld || l.Expiry < now+dur || dur <= 0 {
-		l.Grant(now, dur)
-	}
-}
+// Revoke withdraws the lease: the grant no longer exists on either side
+// (epoch change, server table loss).
+func (l *Lease) Revoke() { l.Expiry = 0 }
 
-// Revoke returns the lease to LeaseNone: the grant no longer exists on
-// either side (epoch change, server table loss).
-func (l *Lease) Revoke() {
-	l.State = LeaseNone
-	l.Expiry = 0
-}
-
-// Observe rolls a Held lease past its expiry forward to LeaseExpired and
-// returns the state as of time now. Expiry is lazy — nothing fires at the
-// expiry instant; both endpoints simply observe it on their next decision.
-func (l *Lease) Observe(now float64) LeaseState {
-	if l.State == LeaseHeld && now >= l.Expiry {
-		l.State = LeaseExpired
-	}
-	return l.State
-}
-
-// Fresh reports whether the lease is Held and unexpired at time now — the
-// one predicate that authorizes serving cached pages (client side) and
-// obliges invalidation before commit (server side). Both sides evaluate the
+// Fresh reports whether the lease is unexpired at time now — the one
+// predicate that authorizes serving cached pages (client side) and obliges
+// invalidation before commit (server side). Both sides evaluate the
 // identical expression on the identical expiry, so they can never disagree.
-func (l *Lease) Fresh(now float64) bool {
-	return l.Observe(now) == LeaseHeld
-}
+func (l *Lease) Fresh(now float64) bool { return now < l.Expiry }

@@ -5,66 +5,78 @@ import (
 	"testing"
 )
 
-// TestLeaseTransitions walks the lease state machine through every
-// grant/renew/expire/revoke edge as a table of steps applied to one lease.
+// TestLeaseTransitions walks a lease through every renew/expire/revoke edge
+// as a table of steps applied to one lease; a renewal of the zero lease is
+// its grant.
 func TestLeaseTransitions(t *testing.T) {
 	type step struct {
-		op      string // grant | renew | revoke | observe | fresh | !fresh
+		op      string // renew | revoke | fresh | !fresh
 		now     float64
 		dur     float64
-		want    LeaseState // for grant/renew/revoke/observe: state after
-		wantExp float64
+		wantExp float64 // for renew/revoke: the expiry after
 	}
 	cases := []struct {
 		name  string
 		steps []step
 	}{
 		{"zero value is ungranted", []step{
-			{op: "observe", now: 0, want: LeaseNone},
 			{op: "!fresh", now: 0},
 		}},
 		{"grant then expire lazily", []step{
-			{op: "grant", now: 1, dur: 2, want: LeaseHeld, wantExp: 3},
+			{op: "renew", now: 1, dur: 2, wantExp: 3},
 			{op: "fresh", now: 2.9},
-			{op: "observe", now: 2.9, want: LeaseHeld},
 			{op: "!fresh", now: 3}, // boundary: now >= expiry is expired
-			{op: "observe", now: 3.1, want: LeaseExpired},
+			{op: "!fresh", now: 3.1},
 		}},
 		{"renew extends before expiry", []step{
-			{op: "grant", now: 0, dur: 2, want: LeaseHeld, wantExp: 2},
-			{op: "renew", now: 1, dur: 2, want: LeaseHeld, wantExp: 3},
+			{op: "renew", now: 0, dur: 2, wantExp: 2},
+			{op: "renew", now: 1, dur: 2, wantExp: 3},
 			{op: "fresh", now: 2.5},
 		}},
 		{"renew never shortens (out-of-order contacts)", []step{
-			{op: "grant", now: 5, dur: 2, want: LeaseHeld, wantExp: 7},
+			{op: "renew", now: 5, dur: 2, wantExp: 7},
 			// A contact initiated earlier completes later: its stamp must not
 			// pull the promise back.
-			{op: "renew", now: 4, dur: 2, want: LeaseHeld, wantExp: 7},
+			{op: "renew", now: 4, dur: 2, wantExp: 7},
+			{op: "fresh", now: 6.5},
+		}},
+		{"late renewal after expiry stays expired", []step{
+			{op: "renew", now: 0, dur: 2, wantExp: 2},
+			{op: "!fresh", now: 3},
+			// A contact initiated at 0.5 completes after the expiry was
+			// observed. Its expiry, 1.5, is as past as the one it cannot
+			// shorten, so the lease stays expired either way.
+			{op: "renew", now: 0.5, dur: 1, wantExp: 2},
+			{op: "!fresh", now: 3},
+			{op: "renew", now: 3, dur: 1, wantExp: 4},
+			{op: "fresh", now: 3.5},
 		}},
 		{"renew after expiry regrants", []step{
-			{op: "grant", now: 0, dur: 1, want: LeaseHeld, wantExp: 1},
-			{op: "observe", now: 2, want: LeaseExpired},
-			{op: "renew", now: 2, dur: 1, want: LeaseHeld, wantExp: 3},
+			{op: "renew", now: 0, dur: 1, wantExp: 1},
+			{op: "!fresh", now: 2},
+			{op: "renew", now: 2, dur: 1, wantExp: 3},
 			{op: "fresh", now: 2.5},
 		}},
 		{"revoke from held", []step{
-			{op: "grant", now: 0, dur: 5, want: LeaseHeld, wantExp: 5},
-			{op: "revoke", want: LeaseNone},
+			{op: "renew", now: 0, dur: 5, wantExp: 5},
+			{op: "revoke", wantExp: 0},
 			{op: "!fresh", now: 1},
+			{op: "renew", now: 1, dur: 1, wantExp: 2},
+			{op: "fresh", now: 1.5},
 		}},
 		{"revoke from expired", []step{
-			{op: "grant", now: 0, dur: 1, want: LeaseHeld, wantExp: 1},
-			{op: "observe", now: 2, want: LeaseExpired},
-			{op: "revoke", want: LeaseNone},
+			{op: "renew", now: 0, dur: 1, wantExp: 1},
+			{op: "!fresh", now: 2},
+			{op: "revoke", wantExp: 0},
+			{op: "!fresh", now: 2},
 		}},
 		{"infinite lease never expires", []step{
-			{op: "grant", now: 3, dur: 0, want: LeaseHeld, wantExp: math.Inf(1)},
+			{op: "renew", now: 3, dur: 0, wantExp: math.Inf(1)},
 			{op: "fresh", now: 1e12},
-			{op: "observe", now: 1e12, want: LeaseHeld},
 		}},
 		{"finite renew of infinite lease keeps it infinite", []step{
-			{op: "grant", now: 0, dur: 0, want: LeaseHeld, wantExp: math.Inf(1)},
-			{op: "renew", now: 5, dur: 2, want: LeaseHeld, wantExp: math.Inf(1)},
+			{op: "renew", now: 0, dur: 0, wantExp: math.Inf(1)},
+			{op: "renew", now: 5, dur: 2, wantExp: math.Inf(1)},
 		}},
 	}
 	for _, tc := range cases {
@@ -72,17 +84,10 @@ func TestLeaseTransitions(t *testing.T) {
 			var l Lease
 			for i, s := range tc.steps {
 				switch s.op {
-				case "grant":
-					l.Grant(s.now, s.dur)
 				case "renew":
 					l.Renew(s.now, s.dur)
 				case "revoke":
 					l.Revoke()
-				case "observe":
-					if got := l.Observe(s.now); got != s.want {
-						t.Fatalf("step %d: Observe(%g) = %v, want %v", i, s.now, got, s.want)
-					}
-					continue
 				case "fresh":
 					if !l.Fresh(s.now) {
 						t.Fatalf("step %d: Fresh(%g) = false, want true", i, s.now)
@@ -94,24 +99,11 @@ func TestLeaseTransitions(t *testing.T) {
 					}
 					continue
 				}
-				if l.State != s.want {
-					t.Fatalf("step %d (%s): state %v, want %v", i, s.op, l.State, s.want)
-				}
-				if s.op != "revoke" && l.Expiry != s.wantExp {
+				if l.Expiry != s.wantExp {
 					t.Fatalf("step %d (%s): expiry %g, want %g", i, s.op, l.Expiry, s.wantExp)
 				}
 			}
 		})
-	}
-}
-
-func TestLeaseStateString(t *testing.T) {
-	for s, want := range map[LeaseState]string{
-		LeaseNone: "none", LeaseHeld: "held", LeaseExpired: "expired", LeaseState(42): "invalid",
-	} {
-		if got := s.String(); got != want {
-			t.Fatalf("LeaseState(%d).String() = %q, want %q", int(s), got, want)
-		}
 	}
 }
 
@@ -123,15 +115,8 @@ var (
 )
 
 // The lease fast path sits inside every cached read; it must not allocate.
-func BenchmarkLeaseGrant(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		leaseSink.Grant(float64(i), 0.5)
-	}
-}
-
 func BenchmarkLeaseRenew(b *testing.B) {
-	leaseSink.Grant(0, 0.5)
+	leaseSink.Renew(0, 0.5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		leaseSink.Renew(float64(i)*1e-9, 0.5)
@@ -140,7 +125,7 @@ func BenchmarkLeaseRenew(b *testing.B) {
 
 func BenchmarkLeaseFresh(b *testing.B) {
 	var l Lease
-	l.Grant(0, 1e18)
+	l.Renew(0, 1e18)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		fresh := l.Fresh(float64(i) * 1e-9)

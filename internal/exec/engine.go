@@ -223,7 +223,8 @@ type engine struct {
 	// nil selects the legacy execution path throughout).
 	ftl      *failoverParams
 	inj      *faults.Injector
-	attempts []*attemptState // in-flight attempts, consulted by crash hooks
+	attempts []*attemptState // in-flight attempts, consulted by crash hooks and the fetch watchdog
+	watch    fetchWatch      // the one watchdog over every outstanding page-fault fetch (failover.go)
 	rb       rebindState     // reused per-attempt re-binding scratch (failover.go)
 
 	// Cache coherence; both nil when Config.Coherence is unset (the legacy
@@ -278,6 +279,7 @@ func (cfg *Config) validate() error {
 // passed validate.
 func newEngine(cfg Config) (*engine, error) {
 	e := &engine{cfg: cfg, sim: cfg.Kernel}
+	e.watch.check = e.checkFetches
 	if e.sim == nil {
 		e.sim = sim.New()
 	}

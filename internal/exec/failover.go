@@ -101,13 +101,14 @@ type attemptState struct {
 	failSite int
 	failRole int
 
-	// One synchronous page-fault fetch may be outstanding per attempt; the
-	// sequence number pairs each watchdog with its fetch so a stale watchdog
-	// (its fetch long since completed) cannot fire.
-	fetchSeq  int64
+	// One synchronous page-fault fetch may be outstanding per attempt. The
+	// engine's fetch watchdog aborts the attempt if it is still on
+	// fetchTimeout after fetchAt.
 	fetchOn   bool
-	fetchSite int // source server of the outstanding fetch
-	fetchRole int // replica role of that source
+	fetchNo   int64   // the fetch's place in the engine's begin order
+	fetchAt   float64 // when the fetch began
+	fetchSite int     // source server of the outstanding fetch
+	fetchRole int     // replica role of that source
 
 	// Coherence: the client stream this attempt reads through (0 without
 	// coherence) and how many stale cached pages the attempt read — folded
@@ -223,32 +224,66 @@ func (a *attemptState) teardown() {
 	a.helpers = nil
 }
 
-// beginFetch marks a synchronous page-fault round trip as outstanding and
-// arms a watchdog: if the fetch is still the outstanding one when
-// fetchTimeout elapses, the attempt aborts (a dead or partitioned server is
-// indistinguishable from a slow one at the protocol level).
-func (a *attemptState) beginFetch(site, role int) {
-	a.fetchSeq++
-	a.fetchOn = true
-	a.fetchSite = site
-	a.fetchRole = role
-	a.e.sim.SpawnTimer("fetch-watchdog", a.e.ftl.fetchTimeout, fetchWatchdog, a, a.fetchSeq)
+// fetchWatch is the engine's one fetch watchdog. It supervises every
+// outstanding page-fault fetch of the engine's registered attempts with at
+// most one pending kernel event: a fetch still on fetchTimeout after it
+// began aborts its attempt, since a dead or partitioned server is
+// indistinguishable from a slow one at the protocol level. The timeout is
+// the same for every fetch and fetches begin in time order, so the instant
+// the watchdog is armed for is never later than any outstanding deadline.
+type fetchWatch struct {
+	begun int64  // fetches begun on the engine, numbering them in begin order
+	armed bool   // a check is pending
+	check func() // e.checkFetches, bound once in newEngine
 }
 
-// fetchWatchdog fires fetchTimeout after beginFetch armed it for fetch seq
-// of attempt arg. It is a static function with the attempt as its argument,
-// so arming a watchdog on a warm kernel allocates nothing.
-func fetchWatchdog(arg any, seq int64) {
-	a := arg.(*attemptState)
-	if a.fetchOn && a.fetchSeq == seq {
-		a.abortFrom(reasonFetchTimeout, a.fetchSite, a.fetchRole)
+// beginFetch marks a synchronous page-fault round trip as outstanding and
+// arms the engine's fetch watchdog for its deadline if the watchdog is idle.
+func (a *attemptState) beginFetch(site, role int) {
+	e := a.e
+	w := &e.watch
+	w.begun++
+	a.fetchOn, a.fetchNo, a.fetchAt = true, w.begun, e.sim.Now()
+	a.fetchSite, a.fetchRole = site, role
+	if !w.armed {
+		w.armed = true
+		e.sim.At(a.fetchAt+e.ftl.fetchTimeout, w.check)
 	}
 }
 
 func (a *attemptState) endFetch() { a.fetchOn = false }
 
+// checkFetches is the fetch watchdog's callback. It aborts every registered
+// attempt whose fetch has reached its deadline, in the order the fetches
+// began, then re-arms for the earliest deadline left or goes idle.
+func (e *engine) checkFetches() {
+	now, timeout := e.sim.Now(), e.ftl.fetchTimeout
+	for {
+		var first *attemptState
+		for _, a := range e.attempts {
+			if a.fetchOn && !a.failed && a.fetchAt+timeout <= now && (first == nil || a.fetchNo < first.fetchNo) {
+				first = a
+			}
+		}
+		if first == nil {
+			break
+		}
+		first.abortFrom(reasonFetchTimeout, first.fetchSite, first.fetchRole)
+	}
+	next := math.Inf(1)
+	for _, a := range e.attempts {
+		if a.fetchOn && !a.failed {
+			next = min(next, a.fetchAt+timeout)
+		}
+	}
+	e.watch.armed = next < math.Inf(1)
+	if e.watch.armed {
+		e.sim.At(next, e.watch.check)
+	}
+}
+
 // registerAttempt/unregisterAttempt maintain the engine's list of in-flight
-// attempts that crash hooks consult.
+// attempts that crash hooks and the fetch watchdog consult.
 func (e *engine) registerAttempt(a *attemptState) {
 	e.attempts = append(e.attempts, a)
 }
@@ -428,16 +463,22 @@ type deadlineState struct {
 	done bool
 }
 
-// armDeadline spawns the watchdog that enforces the absolute deadline at.
+// armDeadline schedules the watchdog that enforces the absolute deadline
+// at; a deadline already passed fires at once.
 func (e *engine) armDeadline(p *sim.Proc, at float64) *deadlineState {
 	dl := &deadlineState{proc: p, at: at}
-	e.sim.SpawnTimer("deadline-watchdog", at-e.sim.Now(), deadlineWatchdog, dl, 0)
+	now := e.sim.Now()
+	if at > now {
+		// Where a hold of at-now lands, which rounding can set apart from
+		// at; the simulated results are pinned to this instant.
+		now += at - now
+	}
+	e.sim.At(now, dl.fire)
 	return dl
 }
 
-// deadlineWatchdog fires at the deadline of the query whose state is arg.
-func deadlineWatchdog(arg any, _ int64) {
-	dl := arg.(*deadlineState)
+// fire is the deadline watchdog's callback.
+func (dl *deadlineState) fire() {
 	if dl.done {
 		return
 	}

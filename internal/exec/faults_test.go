@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -202,19 +204,130 @@ func TestFaultedRunDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// superviseFetch spawns the main process of a registered attempt: it holds
+// for begin, yields yields times, begins a fetch from (site, role) and ends
+// it after hang, or never when hang < 0. The attempt's abort is logged as
+// "name@time".
+func superviseFetch(e *engine, name string, begin float64, yields int, site, role int, hang float64, log *[]string) *attemptState {
+	a := &attemptState{e: e, failSite: -1}
+	e.sim.Spawn(name, func(p *sim.Proc) {
+		a.mainProc, a.main = p, p.Ref()
+		e.registerAttempt(a)
+		defer e.unregisterAttempt(a)
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(sim.Interrupted); !ok {
+					panic(r)
+				}
+				*log = append(*log, fmt.Sprintf("%s@%g", name, e.sim.Now()))
+			}
+		}()
+		p.Hold(begin)
+		for range yields {
+			p.Yield()
+		}
+		a.beginFetch(site, role)
+		if hang < 0 {
+			p.Hold(10 * e.ftl.fetchTimeout)
+			return
+		}
+		p.Hold(hang)
+		a.endFetch()
+	})
+	return a
+}
+
+// TestFetchWatchdogAbortsInBeginOrder: two attempts whose fetches begin at
+// one instant and both hang are aborted exactly fetchTimeout later, in the
+// order the fetches began (not the order the attempts registered), each
+// attributed to its own source site and role.
+func TestFetchWatchdogAbortsInBeginOrder(t *testing.T) {
+	e, _ := rebindFixture(t)
+	e.sim.ArmInterrupts()
+	var log []string
+	const begin = 0.25
+	first := superviseFetch(e, "registered-first", begin, 1, 1, RoleSecondary, -1, &log)
+	second := superviseFetch(e, "registered-second", begin, 0, 2, RolePrimary, -1, &log)
+	e.sim.Run()
+	at := begin + e.ftl.fetchTimeout
+	want := []string{fmt.Sprintf("registered-second@%g", at), fmt.Sprintf("registered-first@%g", at)}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("aborts %v, want %v", log, want)
+	}
+	for _, c := range []struct {
+		a          *attemptState
+		site, role int
+	}{{first, 1, RoleSecondary}, {second, 2, RolePrimary}} {
+		if c.a.reason != reasonFetchTimeout || c.a.failSite != c.site || c.a.failRole != c.role {
+			t.Errorf("abort %q attributed to site %d role %d, want %q at site %d role %d",
+				c.a.reason, c.a.failSite, c.a.failRole, reasonFetchTimeout, c.site, c.role)
+		}
+	}
+}
+
+// TestFetchWatchdogUsesLaterDeadline: a fetch that ends quickly does not
+// cut short the next one. The watchdog armed for the first fetch's deadline
+// finds it over and re-arms, and the second fetch, begun 0.5 s later and
+// hanging, aborts at its own deadline.
+func TestFetchWatchdogUsesLaterDeadline(t *testing.T) {
+	e, _ := rebindFixture(t)
+	e.sim.ArmInterrupts()
+	var log []string
+	superviseFetch(e, "quick", 0, 0, 1, RolePrimary, 0.1, &log)
+	hung := superviseFetch(e, "hung", 0.5, 0, 1, RolePrimary, -1, &log)
+	e.sim.Run()
+	if want := []string{fmt.Sprintf("hung@%g", hung.fetchAt+e.ftl.fetchTimeout)}; !reflect.DeepEqual(log, want) {
+		t.Fatalf("aborts %v, want %v", log, want)
+	}
+}
+
+// TestFetchWatchdogOneCallbackPerTimeout: a thousand back-to-back short
+// fetches within one timeout cost the kernel at most one watchdog callback.
+func TestFetchWatchdogOneCallbackPerTimeout(t *testing.T) {
+	e, _ := rebindFixture(t)
+	calls := 0
+	check := e.watch.check
+	e.watch.check = func() { calls++; check() }
+	a := &attemptState{e: e, failSite: -1}
+	e.sim.Spawn("fetcher", func(p *sim.Proc) {
+		a.mainProc, a.main = p, p.Ref()
+		e.registerAttempt(a)
+		defer e.unregisterAttempt(a)
+		for range 1000 {
+			a.beginFetch(0, RolePrimary)
+			p.Hold(e.ftl.fetchTimeout / 2000)
+			a.endFetch()
+		}
+		p.Hold(2 * e.ftl.fetchTimeout)
+	})
+	e.sim.Run()
+	if a.failed {
+		t.Fatalf("a finished fetch aborted the attempt: %s", a.reason)
+	}
+	if calls > 1 {
+		t.Errorf("%d watchdog callbacks for 1000 short fetches, want at most 1", calls)
+	}
+}
+
 // TestFetchWatchdogZeroAlloc pins the warm page-fault watchdog: arming it
-// for a fetch, ending the fetch, and letting the stale watchdog fire and
-// retire allocates nothing once the kernel's timer pool is warm.
+// for a registered attempt's fetch, ending the fetch, and letting the
+// watchdog fire, scan the attempts and go idle allocates nothing.
 func TestFetchWatchdogZeroAlloc(t *testing.T) {
 	e, _ := rebindFixture(t)
 	a := &attemptState{e: e, failSite: -1}
+	calls := 0
+	check := e.watch.check
+	e.watch.check = func() { calls++; check() }
 	var allocs float64
 	e.sim.Spawn("fetcher", func(p *sim.Proc) {
+		a.mainProc, a.main = p, p.Ref()
+		e.registerAttempt(a)
+		defer e.unregisterAttempt(a)
 		round := func() {
 			a.beginFetch(0, RolePrimary)
 			p.Hold(1e-6)
 			a.endFetch()
-			p.Hold(e.ftl.fetchTimeout) // the watchdog fires, finds the fetch over, and retires
+			p.Hold(e.ftl.fetchTimeout) // the watchdog fires, finds the fetch over, and goes idle
 		}
 		for i := 0; i < 8; i++ {
 			round()
@@ -223,9 +336,58 @@ func TestFetchWatchdogZeroAlloc(t *testing.T) {
 	})
 	e.sim.Run()
 	if a.failed {
-		t.Fatalf("a stale watchdog aborted the attempt: %s", a.reason)
+		t.Fatalf("the watchdog aborted an attempt whose fetch had ended: %s", a.reason)
+	}
+	if calls != 8+51 {
+		t.Errorf("%d watchdog callbacks for %d rounds, want one per round", calls, 8+51)
 	}
 	if allocs != 0 {
 		t.Errorf("warm fetch watchdog allocates %v per fetch, want 0", allocs)
+	}
+}
+
+// TestPassedDeadlineFiresAtOnce: a deadline that has already passed when
+// the query starts executing fires at that instant. A process that arms one
+// is interrupted without any virtual time passing, and Execute fails at
+// once, before any attempt.
+func TestPassedDeadlineFiresAtOnce(t *testing.T) {
+	ses := mustSession(t, chainConfig(t, 2, 1, workload.Moderate, true))
+	e := ses.e
+	firedAt := -1.0
+	e.sim.Spawn("late", func(p *sim.Proc) {
+		p.Hold(2)
+		e.armDeadline(p, 1)
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(sim.Interrupted); !ok {
+					panic(r)
+				}
+				firedAt = e.sim.Now()
+			}
+		}()
+		p.Hold(1)
+	})
+	e.sim.Run()
+	if firedAt != 2 {
+		t.Errorf("passed deadline fired at %g, want 2 (the instant it was armed)", firedAt)
+	}
+
+	ses = mustSession(t, chainConfig(t, 2, 1, workload.Moderate, true))
+	bound, err := ses.Bind(annotate(leftDeepChain(2), plan.QueryShipping))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		qr   QueryResult
+		qerr error
+	)
+	ses.Simulator().Spawn("late-query", func(p *sim.Proc) {
+		p.Hold(2)
+		qr, qerr = ses.Execute(p, 0, bound, QueryOpts{Deadline: 1})
+	})
+	ses.Run()
+	if !errors.Is(qerr, ErrDeadlineExceeded) || qr.ResponseTime != 0 || qr.Retries != 0 {
+		t.Errorf("Execute past its deadline: err %v, response time %g, %d retries; want ErrDeadlineExceeded at once",
+			qerr, qr.ResponseTime, qr.Retries)
 	}
 }

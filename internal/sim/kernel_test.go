@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -118,52 +117,5 @@ func TestTraceSeesEveryDispatch(t *testing.T) {
 	want := []string{"solo@0", "solo@1", "solo@2", "solo@3"}
 	if !reflect.DeepEqual(events, want) {
 		t.Fatalf("trace saw %v, want %v", events, want)
-	}
-}
-
-// TestEventQueueOrder checks the queue's timer lane against a lone heap:
-// random heap and timer pushes, in lane order and out of it, with ties,
-// interleaved with pops, must come out in exactly (at, seq) order, and
-// nextAt and empty must agree with the heap throughout. Long runs with the
-// lane never draining exercise its compaction.
-func TestEventQueueOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for round := 0; round < 40; round++ {
-		q := newEventQueue()
-		var ref eventHeap
-		var seq int64
-		now := 0.0
-		for step := 0; step < 4000; step++ {
-			switch r := rng.Intn(10); {
-			case r < 4:
-				seq++
-				e := event{at: now + 1, seq: seq}
-				if rng.Intn(5) == 0 {
-					e.at = now + float64(rng.Intn(5))*0.5
-				}
-				q.pushTimer(e)
-				ref.push(e)
-			case r < 6:
-				seq++
-				e := event{at: now + float64(rng.Intn(4))*0.5, seq: seq}
-				q.push(e)
-				ref.push(e)
-			default:
-				if len(ref) == 0 {
-					continue
-				}
-				if q.nextAt() != ref[0].at {
-					t.Fatalf("round %d step %d: nextAt %g, want %g", round, step, q.nextAt(), ref[0].at)
-				}
-				got, want := q.pop(), ref.pop()
-				if got.at != want.at || got.seq != want.seq {
-					t.Fatalf("round %d step %d: popped (%g, %d), want (%g, %d)", round, step, got.at, got.seq, want.at, want.seq)
-				}
-				now = got.at
-			}
-			if q.empty() != (len(ref) == 0) {
-				t.Fatalf("round %d step %d: empty %v with %d pending", round, step, q.empty(), len(ref))
-			}
-		}
 	}
 }

@@ -11,14 +11,15 @@
 // kernel resumes the process with the earliest pending event. Events with
 // equal timestamps fire in schedule order, so a run is fully deterministic.
 //
-// Actors that only hold, block and wake others (the disk arm, watchdogs, a
-// load generator's arrival clock) run as kernel tasks instead (task.go): a
-// step function the kernel calls inline on each wake, with no coroutine,
-// on exactly the schedule of the process it replaces.
+// Actors that only hold, block and wake others (the disk arm, a load
+// generator's arrival clock) run as kernel tasks instead (task.go): a step
+// function the kernel calls inline on each wake, with no coroutine, on
+// exactly the schedule of the process it replaces. One-shot work with no
+// schedule of its own, such as a watchdog, is a callback scheduled with At
+// (window.go).
 //
 // The kernel is built for throughput: the event queue is a value-typed
-// binary heap (no container/heap interface boxing) with an O(1) lane for
-// timer wakes that arrive in order, a process holding to a
+// binary heap (no container/heap interface boxing), a process holding to a
 // time before any pending event advances the clock in place without a
 // park/dispatch round-trip, control passes between the kernel and a process
 // by a direct coroutine switch (iter.Pull) rather than through the Go
@@ -45,12 +46,11 @@ type Time = float64
 type Simulator struct {
 	now    Time
 	seq    int64
-	events eventQueue
+	events eventHeap
 
 	running int     // live (spawned, not finished) non-daemon processes
 	daemons []*Proc // live daemon processes (terminated when Run drains)
 	free    []*Proc // finished processes whose coroutines await reuse
-	timers  []*Task // retired one-shot timer tasks awaiting reuse
 	failure any     // panic value captured from a process coroutine
 	armed   bool    // process cancellation enabled (see ArmInterrupts)
 
@@ -60,7 +60,7 @@ type Simulator struct {
 	// regains control at the barrier. Sequential runs keep it at +Inf, which
 	// makes the extra fast-path comparison always true.
 	horizon    Time
-	dispatched int64 // kernel dispatches + timer callbacks (fast-path holds elided)
+	dispatched int64 // kernel dispatches + At callbacks (fast-path holds elided)
 
 	// Trace, when non-nil, receives a line per kernel dispatch. Intended for
 	// debugging tests only. Setting Trace disables the in-place Hold fast
@@ -71,7 +71,7 @@ type Simulator struct {
 
 // New returns an empty simulator at time zero.
 func New() *Simulator {
-	return &Simulator{events: newEventQueue(), horizon: math.Inf(1)}
+	return &Simulator{horizon: math.Inf(1)}
 }
 
 // gcYieldEvery is how many kernel dispatches pass between calls to
@@ -91,7 +91,7 @@ func (s *Simulator) Now() Time { return s.now }
 
 // event is one pending wakeup. gen guards against stale events delivered to
 // a pooled Proc that has since been reused for a new process. An event with
-// fn != nil is a timer callback or a task wake instead: the kernel runs fn
+// fn != nil is an At callback or a task wake instead: the kernel runs fn
 // inline on the kernel goroutine at the event's timestamp (proc is nil for
 // these). A task's fn is its dispatch method, bound once, so tasks share
 // the field with At callbacks and the entry stays 40 bytes.
@@ -159,73 +159,12 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// eventQueue is the kernel's pending-event set: a heap, plus a FIFO lane
-// for the wakes of one-shot timers (SpawnTimer). Timers armed with one delay
-// (the fetch watchdogs' 1 s) wake in the order they were armed, and a
-// serving run keeps about a hundred of them pending; in the lane they cost
-// O(1) each and leave the heap shallow. A timer wake that would break the
-// lane's (at, seq) order goes to the heap instead. pop takes the earlier of
-// the two heads, so events come out in exactly the (at, seq) order of one
-// heap.
-type eventQueue struct {
-	heap   eventHeap
-	lane   []event // lane[head:] are pending, in (at, seq) order
-	head   int
-	laneAt Time // lane[head].at, or +Inf when the lane is empty
-}
-
-func newEventQueue() eventQueue { return eventQueue{laneAt: math.Inf(1)} }
-
-func (q *eventQueue) empty() bool { return len(q.heap) == 0 && q.head == len(q.lane) }
-
 // nextAt returns the timestamp of the earliest pending event, or +Inf.
-func (q *eventQueue) nextAt() Time {
-	if len(q.heap) > 0 && q.heap[0].at < q.laneAt {
-		return q.heap[0].at
+func (h eventHeap) nextAt() Time {
+	if len(h) == 0 {
+		return math.Inf(1)
 	}
-	return q.laneAt
-}
-
-func (q *eventQueue) push(e event) { q.heap.push(e) }
-
-// pushTimer queues a timer wake in the lane when that keeps the lane in
-// order (e.seq is the largest yet, so e.at no earlier than the tail's is
-// enough), and in the heap otherwise.
-func (q *eventQueue) pushTimer(e event) {
-	if n := len(q.lane); n == q.head || e.at >= q.lane[n-1].at {
-		if n == q.head {
-			q.laneAt = e.at
-		}
-		q.lane = append(q.lane, e)
-		return
-	}
-	q.heap.push(e)
-}
-
-func (q *eventQueue) pop() event {
-	if q.head < len(q.lane) && (len(q.heap) == 0 || q.lane[q.head].before(&q.heap[0])) {
-		return q.popLane()
-	}
-	return q.heap.pop()
-}
-
-func (q *eventQueue) popLane() event {
-	e := q.lane[q.head]
-	q.lane[q.head] = event{} // drop the callback reference
-	q.head++
-	switch {
-	case q.head == len(q.lane):
-		q.lane, q.head, q.laneAt = q.lane[:0], 0, math.Inf(1)
-		return e
-	case q.head >= 64 && 2*q.head >= len(q.lane):
-		// Slide the pending run to the front, so a lane that never drains
-		// reuses its backing array instead of growing without bound.
-		n := copy(q.lane, q.lane[q.head:])
-		clear(q.lane[n:])
-		q.lane, q.head = q.lane[:n], 0
-	}
-	q.laneAt = q.lane[q.head].at
-	return e
+	return h[0].at
 }
 
 func (s *Simulator) schedule(p *Proc, at Time) {
@@ -389,7 +328,7 @@ func (s *Simulator) runBody(p *Proc) {
 // the kernel's caller, so Run never returns and the deferred calls on that
 // goroutine run instead. The simulation cannot be resumed afterwards.
 func (s *Simulator) Run() Time {
-	for !s.events.empty() && s.running > 0 {
+	for len(s.events) > 0 && s.running > 0 {
 		e := s.events.pop()
 		if !s.dispatch(e) {
 			continue // stale event of a finished (possibly reused) process
@@ -405,7 +344,7 @@ func (s *Simulator) Run() Time {
 	return s.now
 }
 
-// dispatch advances the clock to e.at and delivers one popped event: a timer
+// dispatch advances the clock to e.at and delivers one popped event: an At
 // callback or a task step runs inline on the kernel goroutine; a process
 // wakeup hands control to the process until it parks again. Returns false
 // for a stale event (nothing ran).

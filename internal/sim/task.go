@@ -1,9 +1,9 @@
 package sim
 
 // Kernel-run tasks. A Task is an actor that only holds, blocks and wakes
-// others — a disk arm, a watchdog, a load generator's arrival clock — run
-// without a coroutine: the kernel calls its step function inline, on the
-// kernel goroutine, every time the task wakes. The step function is a
+// others — a disk arm, a load generator's arrival clock — run without a
+// coroutine: the kernel calls its step function inline, on the kernel
+// goroutine, every time the task wakes. The step function is a
 // resumable state machine. It runs until it reaches a point where the
 // process it replaces would park, and returns; the next wake calls it again
 // and it carries on from the state it left itself.
@@ -12,7 +12,7 @@ package sim
 // process: Wake consumes one seq exactly where Proc.Unblock would, and Hold
 // takes the in-place fast path under the same condition as Proc.Hold and
 // otherwise schedules one wake event. Its wake events share the event
-// entry's timer-callback field (a callback bound to the task once), so the
+// entry's At-callback field (a callback bound to the task once), so the
 // entry does not grow. A task dispatch is traced under the task's name,
 // counted in Dispatched, and takes part in the gcYieldEvery cadence, like a
 // process dispatch.
@@ -36,13 +36,6 @@ type Task struct {
 	namef func() string // lazy name; resolved on first Name() call
 	step  func(t *Task)
 	wake  func() // t.dispatch, bound once, so scheduling a wake allocates nothing
-
-	// One-shot timer state (SpawnTimer); unused by long-lived tasks.
-	dt   Time
-	held bool
-	fire func(arg any, id int64)
-	arg  any
-	id   int64
 }
 
 // SpawnTaskLazy creates a long-lived task that first runs at the current
@@ -53,40 +46,6 @@ func (s *Simulator) SpawnTaskLazy(namef func() string, step func(t *Task)) *Task
 	t.wake = t.dispatch
 	t.Wake()
 	return t
-}
-
-// SpawnTimer starts a one-shot task named name: it first runs at the current
-// virtual time, holds for dt (skipped when dt <= 0), and then calls
-// fire(arg, id) and retires. Its schedule is that of a daemon process whose
-// body is `if dt > 0 { p.Hold(dt) }; fire(arg, id)`. Retired timers are
-// pooled, so with a static fire function and a pointer arg a warm SpawnTimer
-// allocates nothing; for the same reason the task is not returned to the
-// caller.
-func (s *Simulator) SpawnTimer(name string, dt Time, fire func(arg any, id int64), arg any, id int64) {
-	var t *Task
-	if n := len(s.timers); n > 0 {
-		t = s.timers[n-1]
-		s.timers = s.timers[:n-1]
-	} else {
-		t = &Task{sim: s, step: timerStep}
-		t.wake = t.dispatch
-	}
-	t.name, t.dt, t.held, t.fire, t.arg, t.id = name, dt, false, fire, arg, id
-	t.Wake()
-}
-
-// timerStep is the step function of every SpawnTimer task.
-func timerStep(t *Task) {
-	if !t.held {
-		t.held = true
-		if t.dt > 0 && !t.hold(t.dt, true) {
-			return
-		}
-	}
-	fire, arg, id := t.fire, t.arg, t.id
-	t.fire, t.arg = nil, nil // hold nothing alive from the pool
-	t.sim.timers = append(t.sim.timers, t)
-	fire(arg, id)
 }
 
 // Name returns the task name, building a lazy one on first use.
@@ -124,11 +83,7 @@ func (t *Task) Wake() {
 // is scheduled at now+dt and the step function must return. The fast-path
 // condition is Proc.Hold's: Trace unset, the target below the horizon, and
 // no pending event at or before the target.
-func (t *Task) Hold(dt Time) bool { return t.hold(dt, false) }
-
-// hold is Hold; a timer's hold passes timer, so that its wake is queued in
-// the event queue's timer lane.
-func (t *Task) hold(dt Time, timer bool) bool {
+func (t *Task) Hold(dt Time) bool {
 	if dt < 0 || math.IsNaN(dt) {
 		panic(fmt.Sprintf("sim: Hold(%g) in task %q", dt, t.Name()))
 	}
@@ -139,10 +94,6 @@ func (t *Task) hold(dt Time, timer bool) bool {
 		return true
 	}
 	s.seq++
-	if timer {
-		s.events.pushTimer(event{at: at, seq: s.seq, fn: t.wake})
-	} else {
-		s.events.push(event{at: at, seq: s.seq, fn: t.wake})
-	}
+	s.events.push(event{at: at, seq: s.seq, fn: t.wake})
 	return false
 }

@@ -158,52 +158,6 @@ func TestTaskMatchesProcess(t *testing.T) {
 	}
 }
 
-// TestTimerMatchesProcess checks SpawnTimer against the daemon process it
-// replaces: dispatched at spawn, a hold of dt unless dt <= 0, then fire.
-// Timers are spawned at tied instants, with zero and negative durations
-// among them, and pooled timers are reused across the run.
-func TestTimerMatchesProcess(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	type arm struct{ at, dt Time }
-	for i := 0; i < 100; i++ {
-		var arms []arm
-		for k := rng.Intn(40); k >= 0; k-- {
-			arms = append(arms, arm{at: Time(rng.Intn(8)) * 0.5, dt: Time(rng.Intn(5)-1) * 0.25})
-		}
-		run := func(timers bool) (log, trace []string, dispatched int64) {
-			s := New()
-			s.Trace = func(t Time, name string) { trace = append(trace, fmt.Sprintf("%.17g %s", t, name)) }
-			fire := func(arg any, id int64) {
-				log = append(log, fmt.Sprintf("%d@%.17g %v", id, s.Now(), arg))
-			}
-			s.Spawn("driver", func(p *Proc) {
-				for k, a := range arms {
-					p.Hold(math.Max(0, a.at-s.Now()))
-					k, dt := int64(k), a.dt
-					if timers {
-						s.SpawnTimer("timer", dt, fire, "x", k)
-						continue
-					}
-					s.SpawnDaemonLazy(func() string { return "timer" }, func(q *Proc) {
-						if dt > 0 {
-							q.Hold(dt)
-						}
-						fire("x", k)
-					})
-				}
-				p.Hold(10)
-			})
-			s.Run()
-			return log, trace, s.Dispatched()
-		}
-		gl, gt, gd := run(true)
-		wl, wt, wd := run(false)
-		if !reflect.DeepEqual(gl, wl) || !reflect.DeepEqual(gt, wt) || gd != wd {
-			t.Fatalf("case %d: timers diverged from processes\n got %v\n%v (%d)\nwant %v\n%v (%d)", i, gl, gt, gd, wl, wt, wd)
-		}
-	}
-}
-
 // TestTaskHoldNegativePanics mirrors TestHoldNegativePanics for tasks.
 func TestTaskHoldNegativePanics(t *testing.T) {
 	s := New()
@@ -215,33 +169,6 @@ func TestTaskHoldNegativePanics(t *testing.T) {
 		}
 	}()
 	s.Run()
-}
-
-// fireNop is a static timer callback: with it and a pointer argument a warm
-// SpawnTimer captures nothing.
-func fireNop(any, int64) {}
-
-// TestSpawnTimerZeroAlloc pins the timer pool: once warm, arming a one-shot
-// timer and letting it fire allocates nothing, as a warm short-lived spawn
-// does (TestSpawnShortLivedZeroAlloc).
-func TestSpawnTimerZeroAlloc(t *testing.T) {
-	s := New()
-	arg := new(int)
-	var allocs float64
-	s.Spawn("driver", func(p *Proc) {
-		for i := 0; i < 16; i++ { // warm the timer pool and the heap
-			s.SpawnTimer("timer", 1e-6, fireNop, arg, int64(i))
-			p.Hold(2e-6)
-		}
-		allocs = testing.AllocsPerRun(100, func() {
-			s.SpawnTimer("timer", 1e-6, fireNop, arg, 42)
-			p.Hold(2e-6)
-		})
-	})
-	s.Run()
-	if allocs != 0 {
-		t.Fatalf("warm SpawnTimer allocates %v per op, want 0", allocs)
-	}
 }
 
 // BenchmarkTaskDispatch is BenchmarkHoldDispatch for a task: one simulated

@@ -9,10 +9,13 @@ package sim
 // in internal/shard so the kernel stays free of goroutine fan-out.
 
 // At schedules fn to run on the kernel goroutine at virtual time t, which
-// must not be in the past. Timer callbacks are how a shard coordinator
-// injects cross-shard deliveries: fn runs between process dispatches, with
-// the clock set to t, and must not park (it has no process of its own).
-// Like daemon events, pending callbacks do not keep Run alive: a callback
+// must not be in the past. fn runs between process dispatches, with the
+// clock set to t, and must not park (it has no process of its own); it is
+// counted in Dispatched but not traced. Callbacks are the kernel's one-shot
+// timers: a shard coordinator injects cross-shard deliveries with them, and
+// the engine's watchdogs fire through them. A caller that binds fn once (a
+// method value stored at construction) arms it without allocating. Like
+// daemon events, pending callbacks do not keep Run alive: a callback
 // scheduled after the last non-daemon process finishes never runs.
 func (s *Simulator) At(t Time, fn func()) {
 	if t < s.now {
@@ -37,7 +40,7 @@ func (s *Simulator) NextEventTime() Time {
 	return s.events.nextAt()
 }
 
-// Dispatched reports the cumulative number of kernel dispatches and timer
+// Dispatched reports the cumulative number of kernel dispatches and At
 // callbacks. In-place fast-path holds are elided by design (they cost no
 // kernel work), so this counts the events the kernel actually processed —
 // the unit the shardscale grid's events/sec metric is built on.
