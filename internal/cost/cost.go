@@ -16,6 +16,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"hybridship/internal/catalog"
@@ -203,26 +204,39 @@ type charge struct {
 // allocation, its spill disk and CPU.
 const maxCharges = 11
 
-// node is the estimator's record of one plan node, by node ID: the facts it
-// hands its parent, the charges it adds, the terms its rt combines with its
-// children's, and the inputs all of them were computed from.
+// charges are the additions one node makes, in the order it makes them.
+type charges struct {
+	n  int
+	ch [maxCharges]charge
+}
+
+// link is the part of a node's record that the change walk reads: the
+// inputs and the site its facts and charges were computed for.
+type link struct {
+	left, right int32
+	site        catalog.SiteID
+	known       bool // the record is valid for left, right and site
+}
+
+// node is the rest of the estimator's record of one plan node: the facts
+// it hands its parent and the terms its charges and rt were combined from.
 type node struct {
 	facts
 	shapeTerms
 	rtTerms
-	known       bool  // facts and ch are valid for left, right and site
-	left, right int32 // the children the facts were computed from
-	n           int   // charges in ch
-	ch          [maxCharges]charge
 }
 
 // shapeTerms are the parts of a node's charges that depend only on its
 // shape facts and its inputs', so that a site change alone recomputes
 // neither: a unary node's CPU time, and a join's build and probe CPU times
-// and the pages of each input it spills.
+// and the pages of each input it spills. A join also keeps the selectivity
+// of the predicates between its inputs' relations, which a reshaping below
+// it seldom changes.
 type shapeTerms struct {
 	cpu, probeCPU     float64
 	spillIn, spillOut float64
+	sel               float64
+	selL, selO        uint64 // the relations sel is for
 }
 
 // rtTerms are the parts of a node's rt that do not depend on its
@@ -233,15 +247,20 @@ type rtTerms struct {
 	colocL, colocR bool // a join's input is produced at the join's site
 }
 
-// add appends the charge (to, v) to r's list. A zero charge is left out:
-// added to an accumulator, which starts at +0.0 and only grows, it would
-// change no bit.
-func (e *Estimator) add(r *node, to int32, v float64) {
+// add makes the charge (to, v): it appends it to ch, or adds it to its
+// accumulator at once when ch is nil. A zero charge is left out: added to
+// an accumulator, which starts at +0.0 and only grows, it would change no
+// bit.
+func (e *Estimator) add(ch *charges, to int32, v float64) {
 	if v == 0 {
 		return
 	}
-	r.ch[r.n] = charge{to, v}
-	r.n++
+	if ch == nil {
+		e.acc[to] += v
+		return
+	}
+	ch.ch[ch.n] = charge{to, v}
+	ch.n++
 }
 
 // need is how much of the model a metric reads. Cardinalities, pages and
@@ -300,15 +319,17 @@ type siteDisk struct {
 // accumulators, so a search loop evaluating candidate after candidate
 // allocates nothing and consults no map.
 //
-// It evaluates a flat plan as a delta from the last plan it evaluated, when
-// that was the same Flat (same generation) evaluated for the same need: a
-// node's facts and charges are recomputed only if its site or its children
-// changed, or a child's facts did, and a recomputed node whose facts come
-// out bit-equal stops the change from travelling further up. Every charge
-// is then re-added in post-order, so each sum is formed in the order a
-// recursive evaluation adds them, and the result is bit-identical to
-// evaluating the plan from scratch. The model must not change while the
-// Estimator is in use.
+// Estimate evaluates a tree in one post-order pass that adds each node's
+// charges as it makes them and keeps no record. Value and EstimateFlat
+// evaluate a flat plan as a delta from the last plan they evaluated, when
+// that was the same Flat (same generation) evaluated for the same need
+// (see run): only the nodes whose site or children changed are visited,
+// and then the ancestors their change reaches; a recomputed node whose
+// facts come out bit-equal stops the change from travelling further up.
+// The charges are then re-added in post-order, so each sum is formed from
+// the same operands in the order a recursive evaluation adds them, and the
+// result is bit-identical to evaluating the plan from scratch. The model
+// must not change while the Estimator is in use.
 type Estimator struct {
 	m    *Model
 	rels []relFacts
@@ -320,14 +341,29 @@ type Estimator struct {
 	ctrlCPU, ctrlWire float64
 	ioCPU             float64
 
-	flat    plan.Flat // Estimate's flattening of a tree
-	nodes   []node    // by node ID of the plan last evaluated
-	changed []change  // by node ID: how the current pass changed its facts
-	acc     []float64 // see toWire
-	of      *plan.Flat
-	gen     uint64
-	need    need
+	flat plan.Flat // Estimate's flattening of a tree
+	acc  []float64 // see toWire
+
+	// The delta state, by node ID of the plan last evaluated (see run).
+	links []link
+	nodes []node
+	chs   []charges
+	flags []flags  // by node ID, during run
+	visit []uint64 // a set of post-order positions, during run
+	busy  float64  // the busiest resource's time, for the sums in acc
+	of    *plan.Flat
+	gen   uint64
+	need  need
 }
+
+// flags are one node's state in one pass of run: how its facts changed,
+// and whether its charges were recomputed.
+type flags uint8
+
+const (
+	changeBits flags = 3 // a change
+	charged    flags = 4
+)
 
 // NewEstimator resolves m's relation facts, disk times and message
 // constants. The estimator serves m alone.
@@ -381,106 +417,218 @@ func (e *Estimator) grow(hi catalog.SiteID) {
 	}
 }
 
-// reset flattens root into e.flat.
-func (e *Estimator) reset(root *plan.Node) {
-	if err := e.flat.Reset(root, e.m.Catalog); err != nil {
-		panic("cost: " + err.Error())
+// place checks that the site s can hold an operator and extends the
+// per-site tables to cover it.
+func (e *Estimator) place(s catalog.SiteID) {
+	if s < catalog.Client {
+		panic(fmt.Sprintf("cost: site %d is below the client", s))
+	}
+	if slot(s) >= len(e.disk) {
+		e.grow(s)
 	}
 }
 
+// width is the number of accumulators.
+func (e *Estimator) width() int { return 2 + 2*len(e.disk) }
+
 // Estimate predicts the execution of root with sites[i] the site of the
 // i-th node in pre-order (the order of plan.Node.Walk), as plan.Binder
-// produces them.
+// produces them. It keeps no per-node record, and it leaves Value's next
+// pass to evaluate its plan whole.
 func (e *Estimator) Estimate(root *plan.Node, sites []catalog.SiteID) Estimate {
-	e.reset(root)
-	return e.EstimateFlat(&e.flat, sites)
+	if err := e.flat.Reset(root, e.m.Catalog); err != nil {
+		panic("cost: " + err.Error())
+	}
+	f := &e.flat
+	if len(sites) != len(f.Nodes) {
+		panic(fmt.Sprintf("cost: %d sites for a plan of %d nodes", len(sites), len(f.Nodes)))
+	}
+	for _, s := range sites {
+		e.place(s)
+	}
+	e.of = nil // acc no longer holds the delta state's sums
+	e.acc = slices.Grow(e.acc[:0], e.width())[:e.width()]
+	clear(e.acc)
+	out := e.once(f, sites, 0)
+	return Estimate{TotalCost: e.total(), ResponseTime: max(out.rt, e.busiest()), PagesSent: e.acc[toPages]}
+}
+
+// once evaluates node i's subtree in post-order, adding every charge to the
+// accumulators as it is made, and returns node i's facts.
+func (e *Estimator) once(f *plan.Flat, sites []catalog.SiteID, i int32) facts {
+	row := &f.Nodes[i]
+	var l, o facts
+	var lp, op *facts
+	if row.Left >= 0 {
+		l = e.once(f, sites, row.Left)
+		lp = &l
+	}
+	if row.Right >= 0 {
+		o = e.once(f, sites, row.Right)
+		op = &o
+	}
+	var r node
+	e.eval(f, i, &r, nil, sites[i], lp, op, needAll, true)
+	return r.facts
 }
 
 // EstimateFlat predicts the execution of the flat plan f, whose relation
 // IDs come from the model's catalog and whose Post is current, with
-// sites[i] the site of node i, as plan.Binder.BindFlat produces them.
+// sites[i] the site of node i, as plan.Binder.BindFlat produces them. It
+// evaluates every node.
 func (e *Estimator) EstimateFlat(f *plan.Flat, sites []catalog.SiteID) Estimate {
-	e.run(f, sites, needAll)
-	return Estimate{TotalCost: e.total(), ResponseTime: e.responseTime(), PagesSent: e.acc[toPages]}
+	e.of = nil
+	e.run(f, sites, needAll, nil)
+	return Estimate{TotalCost: e.total(), ResponseTime: max(e.nodes[0].rt, e.busy), PagesSent: e.acc[toPages]}
 }
 
-// Value is EstimateFlat(f, sites).Value(m), computing only what the metric
-// reads: pages sent need no CPU, disk or response-time arithmetic, and
-// total cost needs no response time.
-func (e *Estimator) Value(f *plan.Flat, sites []catalog.SiteID, m Metric) float64 {
+// Value is the metric m of the flat plan f, whose relation IDs come from
+// the model's catalog and whose Post is current, with sites[i] the site of
+// node i. It computes only what the metric reads: pages sent need no CPU,
+// disk or response-time arithmetic, and total cost needs no response time.
+//
+// If f is the plan this Estimator last evaluated for the same metric need,
+// edited since, changed must list every node whose children or site the
+// edit changed; only they and their ancestors are visited. Any other plan
+// is evaluated whole.
+func (e *Estimator) Value(f *plan.Flat, sites []catalog.SiteID, changed []int32, m Metric) float64 {
 	need := needFor(m)
-	e.run(f, sites, need)
+	e.run(f, sites, need, changed)
 	switch need {
 	case needPages:
 		return e.acc[toPages]
 	case needAll:
-		return e.responseTime()
+		return max(e.nodes[0].rt, e.busy)
 	}
 	return e.total()
 }
 
-// run brings the node records up to date for f and sites and re-adds every
-// charge into the accumulators.
-func (e *Estimator) run(f *plan.Flat, sites []catalog.SiteID, need need) {
+// Sums returns the accumulators of the plan last evaluated: the wire, the
+// pages sent, and then each site's CPU and disk by site, client first. Two
+// evaluations of one plan for one metric give equal sums bit for bit. The
+// slice aliases the Estimator's storage.
+func (e *Estimator) Sums() []float64 { return e.acc }
+
+// run brings the node records up to date for f and sites and re-adds the
+// charges. It visits, in post-order, the nodes of changed and every node
+// whose child's facts changed in this pass, so a change travels up only as
+// far as it moves facts. If a visited node's charges were recomputed, it
+// re-adds every charge in post-order; otherwise the sums stand.
+//
+// The fold does not restart at the first position whose charges changed:
+// that position averages a third of the way into a 10-way plan's 20, and
+// keeping what a restart needs (the sums before each position, or the sum
+// each charge found) cost more stores than the restart saved additions in
+// each form tried (see DESIGN.md §6).
+func (e *Estimator) run(f *plan.Flat, sites []catalog.SiteID, need need, changed []int32) {
 	n := len(f.Nodes)
 	if len(sites) != n {
 		panic(fmt.Sprintf("cost: %d sites for a plan of %d nodes", len(sites), n))
 	}
-	for _, s := range sites {
-		if s < catalog.Client {
-			panic(fmt.Sprintf("cost: site %d is below the client", s))
+	full := e.of != f || e.gen != f.Generation() || e.need != need || len(e.links) != n
+	if !full {
+		for _, i := range changed {
+			e.place(sites[i])
 		}
-		if slot(s) >= len(e.disk) {
-			e.grow(s)
-		}
+		full = len(e.acc) != e.width() // a new site widened the sums
 	}
-	if e.of != f || e.gen != f.Generation() || e.need != need || len(e.nodes) != n {
+	if full {
+		for _, s := range sites {
+			e.place(s)
+		}
+		w := e.width()
 		e.of, e.gen, e.need = f, f.Generation(), need
+		e.links = slices.Grow(e.links[:0], n)[:n]
 		e.nodes = slices.Grow(e.nodes[:0], n)[:n]
-		e.changed = slices.Grow(e.changed[:0], n)[:n]
-		for i := range e.nodes {
-			e.nodes[i].known = false
+		e.chs = slices.Grow(e.chs[:0], n)[:n]
+		e.flags = slices.Grow(e.flags[:0], n)[:n]
+		e.visit = slices.Grow(e.visit[:0], (n+63)/64)[:(n+63)/64]
+		e.acc = slices.Grow(e.acc[:0], w)[:w]
+		clear(e.flags)
+		clear(e.visit)
+		clear(e.acc)
+		for i := range e.links {
+			e.links[i].known = false
+		}
+		changed = f.Post
+	}
+
+	// Visit the positions in visit, lowest first; a node whose facts
+	// changed adds its parent's, which comes later.
+	visit, pos, state := e.visit, f.PostPos, e.flags
+	for _, i := range changed {
+		p := pos[i]
+		visit[p>>6] |= 1 << (p & 63)
+	}
+	recharged := false
+	for w := int32(0); w < int32(len(visit)); {
+		if visit[w] == 0 {
+			w++
+			continue
+		}
+		q := w<<6 | int32(bits.TrailingZeros64(visit[w]))
+		visit[w] &^= 1 << (q & 63)
+		i := f.Post[q]
+		fl := e.update(f, i, sites[i], need)
+		state[i] = fl
+		recharged = recharged || fl&charged != 0
+		if p := f.Nodes[i].Parent; p >= 0 && fl&changeBits != 0 {
+			p = pos[p]
+			visit[p>>6] |= 1 << (p & 63)
 		}
 	}
-	nodes, changed := e.nodes, e.changed
-	for _, i := range f.Post {
-		row, r := &f.Nodes[i], &nodes[i]
-		cl, cr := unchanged, unchanged
-		if row.Left >= 0 {
-			cl = changed[row.Left]
-		}
-		if row.Right >= 0 {
-			cr = changed[row.Right]
-		}
-		relinked := r.left != row.Left || r.right != row.Right
-		switch {
-		case !r.known || relinked || r.site != sites[i] || max(cl, cr) >= siteChanged:
-			old, known := r.facts, r.known
-			e.eval(f, i, sites[i], need, !known || relinked || max(cl, cr) == shapeChanged)
-			changed[i] = shapeChanged
-			if known {
-				changed[i] = r.facts.diff(&old)
-			}
-		case cl == rtChanged || cr == rtChanged:
-			old := r.rt
-			r.rt = e.rtOf(row, r)
-			changed[i] = unchanged
-			if math.Float64bits(r.rt) != math.Float64bits(old) {
-				changed[i] = rtChanged
-			}
-		default:
-			changed[i] = unchanged
-		}
+	clear(state)
+	if !recharged {
+		return // no charge changed, and so no node moved
 	}
-	acc := slices.Grow(e.acc[:0], 2+2*len(e.disk))[:2+2*len(e.disk)]
+
+	// Re-add every charge in post-order, as a recursive evaluation adds
+	// them.
+	acc := e.acc
 	clear(acc)
 	for _, i := range f.Post {
-		r := &nodes[i]
-		for _, c := range r.ch[:r.n] {
+		ch := &e.chs[i]
+		for _, c := range ch.ch[:ch.n] {
 			acc[c.to] += c.v
 		}
 	}
-	e.acc = acc
+	if need == needAll {
+		e.busy = e.busiest()
+	}
+}
+
+// update recomputes what changed of node i, now bound to site, from its
+// children's flags and its record, and returns its flags.
+func (e *Estimator) update(f *plan.Flat, i int32, site catalog.SiteID, need need) flags {
+	row, h, r := &f.Nodes[i], &e.links[i], &e.nodes[i]
+	cl, cr := unchanged, unchanged
+	var l, o *facts
+	if row.Left >= 0 {
+		cl, l = change(e.flags[row.Left]&changeBits), &e.nodes[row.Left].facts
+	}
+	if row.Right >= 0 {
+		cr, o = change(e.flags[row.Right]&changeBits), &e.nodes[row.Right].facts
+	}
+	relinked := h.left != row.Left || h.right != row.Right
+	switch {
+	case !h.known || relinked || h.site != site || max(cl, cr) >= siteChanged:
+		old, known := r.facts, h.known
+		*h = link{left: row.Left, right: row.Right, site: site, known: true}
+		ch := &e.chs[i]
+		ch.n = 0
+		e.eval(f, i, r, ch, site, l, o, need, !known || relinked || max(cl, cr) == shapeChanged)
+		if !known {
+			return flags(shapeChanged) | charged
+		}
+		return flags(r.facts.diff(&old)) | charged
+	case cl == rtChanged || cr == rtChanged:
+		old := r.rt
+		r.rt = e.rtOf(row, r, l, o)
+		if math.Float64bits(r.rt) != math.Float64bits(old) {
+			return flags(rtChanged)
+		}
+	}
+	return flags(unchanged)
 }
 
 // total sums all resource consumption: the wire, then every site's CPU and
@@ -498,12 +646,13 @@ func (e *Estimator) total() float64 {
 	return t
 }
 
-// responseTime is the root's completion time, bounded below by the busiest
-// single resource. The bound uses the builtin max, which agrees with
-// math.Max for the non-NaN values the model produces.
-func (e *Estimator) responseTime() float64 {
+// busiest is the time of the busiest single resource, which bounds the
+// response time below. It uses the builtin max, which agrees with math.Max
+// for the non-NaN values the model produces.
+func (e *Estimator) busiest() float64 {
 	// max is exact, commutative and associative, so running the CPU and
-	// the disk maxima apart gives the same bits as one running maximum.
+	// the disk maxima apart, and taking the root's rt in last, gives the
+	// same bits as one running maximum.
 	acc := e.acc
 	mc, md := acc[toWire], acc[diskAt(catalog.Client)]
 	if disks := e.m.Params.NumDisks; disks > 1 {
@@ -517,7 +666,7 @@ func (e *Estimator) responseTime() float64 {
 			mc, md = max(mc, acc[i]), max(md, acc[i+1])
 		}
 	}
-	return max(e.nodes[0].rt, mc, md)
+	return max(mc, md)
 }
 
 // selectivity is Query.SelectSelectivity of the select at node i.
@@ -539,53 +688,47 @@ func pagesOf(card float64, tupleBytes, pageSize int) float64 {
 	return math.Ceil(card / perPage)
 }
 
-// ship charges r for moving pages data pages from one site to another and
+// ship charges ch for moving pages data pages from one site to another and
 // returns the pipeline stage duration.
-func (e *Estimator) ship(r *node, from, to catalog.SiteID, pages float64, need need) float64 {
+func (e *Estimator) ship(ch *charges, from, to catalog.SiteID, pages float64, need need) float64 {
 	if from == to || pages <= 0 {
 		return 0
 	}
 	if need >= needCharges {
-		e.add(r, cpuAt(from), e.pageCPU*pages)
-		e.add(r, cpuAt(to), e.pageCPU*pages)
-		e.add(r, toWire, e.pageWire*pages)
+		e.add(ch, cpuAt(from), e.pageCPU*pages)
+		e.add(ch, cpuAt(to), e.pageCPU*pages)
+		e.add(ch, toWire, e.pageWire*pages)
 	}
-	e.add(r, toPages, pages)
+	e.add(ch, toPages, pages)
 	// The shipping stage streams pages; its duration is bounded by the
 	// slower of the wire and the two endpoint CPUs for this stream.
 	return pages * max(e.pageWire, e.pageCPU)
 }
 
-// eval recomputes node i, bound to site, from its children's records. Its
-// shape facts (cardinality, pages, tuple width, relations) depend only on
-// its children's, so unless shape is set they stand as last computed; its
-// charges and rt terms are always recomputed.
-func (e *Estimator) eval(f *plan.Flat, i int32, site catalog.SiteID, need need, shape bool) {
-	row, r := &f.Nodes[i], &e.nodes[i]
-	r.known, r.left, r.right, r.n, r.site = true, row.Left, row.Right, 0, site
-	var l, o *facts
-	if row.Left >= 0 {
-		l = &e.nodes[row.Left].facts
-	}
-	if row.Right >= 0 {
-		o = &e.nodes[row.Right].facts
-	}
+// eval recomputes node i's record r for the site, from its left and right
+// inputs' facts l and o (nil where it has none), making its charges into
+// ch. Its shape facts (cardinality, pages, tuple width, relations) depend
+// only on its inputs', so unless shape is set they stand as last computed;
+// its charges and rt terms are always recomputed.
+func (e *Estimator) eval(f *plan.Flat, i int32, r *node, ch *charges, site catalog.SiteID, l, o *facts, need need, shape bool) {
+	row := &f.Nodes[i]
+	r.site = site
 	if shape {
-		e.shape(f, i, l, o)
+		e.shape(f, i, r, l, o)
 	}
 	switch row.Kind {
 	case plan.KindScan:
-		e.placeScan(f, i, need)
+		e.placeScan(f, i, r, ch, need)
 		return
 	case plan.KindJoin:
-		e.placeJoin(r, l, o, need)
+		e.placeJoin(r, ch, l, o, need)
 	default:
-		shipDur := e.ship(r, l.site, site, l.pages, need)
+		shipDur := e.ship(ch, l.site, site, l.pages, need)
 		if need < needCharges {
 			break
 		}
 		cpu := r.cpu
-		e.add(r, cpuAt(site), cpu)
+		e.add(ch, cpuAt(site), cpu)
 		if row.Kind == plan.KindAgg {
 			r.a, r.b = shipDur, cpu
 		} else {
@@ -593,14 +736,14 @@ func (e *Estimator) eval(f *plan.Flat, i int32, site catalog.SiteID, need need, 
 		}
 	}
 	if need == needAll {
-		r.rt = e.rtOf(row, r)
+		r.rt = e.rtOf(row, r, l, o)
 	}
 }
 
-// shape recomputes the shape facts of node i from its left and right
-// inputs' (nil where it has none).
-func (e *Estimator) shape(f *plan.Flat, i int32, l, o *facts) {
-	m, p, r := e.m, &e.m.Params, &e.nodes[i]
+// shape recomputes the shape facts of node i, into r, from its left and
+// right inputs' (nil where it has none).
+func (e *Estimator) shape(f *plan.Flat, i int32, r *node, l, o *facts) {
+	m, p := e.m, &e.m.Params
 	switch f.Nodes[i].Kind {
 	case plan.KindScan:
 		id := f.Nodes[i].Rel
@@ -627,7 +770,10 @@ func (e *Estimator) shape(f *plan.Flat, i int32, l, o *facts) {
 		r.card, r.tupleBytes, r.pages, r.tables = l.card, l.tupleBytes, l.pages, l.tables
 		r.cpu = p.CPUTime(p.DisplayInst * l.card)
 	case plan.KindJoin:
-		card := l.card * o.card * m.Query.JoinSelectivity(l.tables, o.tables)
+		if r.sel == 0 || r.selL != l.tables || r.selO != o.tables {
+			r.sel, r.selL, r.selO = m.Query.JoinSelectivity(l.tables, o.tables), l.tables, o.tables
+		}
+		card := l.card * o.card * r.sel
 		bytes := m.Query.ResultTupleBytes
 		r.card, r.tupleBytes, r.pages, r.tables = card, bytes, pagesOf(card, bytes, p.PageSize), l.tables|o.tables
 		// CPU: hash each input tuple once, move each result tuple.
@@ -655,36 +801,34 @@ func (e *Estimator) shape(f *plan.Flat, i int32, l, o *facts) {
 }
 
 // rtOf is the response time of the non-scan node r from its rtTerms and
-// its children's rt.
-func (e *Estimator) rtOf(row *plan.FlatNode, r *node) float64 {
-	l := e.nodes[row.Left].rt
+// its inputs' rt (o is nil but for a join).
+func (e *Estimator) rtOf(row *plan.FlatNode, r *node, l, o *facts) float64 {
 	switch row.Kind {
 	case plan.KindJoin:
 		// The build blocks on the inner and the probe pipelines with the
-		// outer; see evalJoin.
-		buildDur, probeDur := max(l, r.a), 0.0
+		// outer; see placeJoin.
+		buildDur, probeDur := max(l.rt, r.a), 0.0
 		if r.colocL {
-			buildDur = l + r.a
+			buildDur = l.rt + r.a
 		}
-		o := e.nodes[row.Right].rt
 		if r.colocR {
-			probeDur = o + r.b
+			probeDur = o.rt + r.b
 		} else {
-			probeDur = max(o, r.b)
+			probeDur = max(o.rt, r.b)
 		}
 		return buildDur + probeDur + r.c
 	case plan.KindAgg:
 		// Aggregation is blocking: its (small) output appears only after
 		// the whole input has been consumed.
-		return max(l, r.a) + r.b
+		return max(l.rt, r.a) + r.b
 	}
-	return max(l, r.a)
+	return max(l.rt, r.a)
 }
 
-// placeScan charges the scan at node i for its site. Binding rejects
-// primary scans of relations the catalog lacks, and shape panics on them.
-func (e *Estimator) placeScan(f *plan.Flat, i int32, need need) {
-	r := &e.nodes[i]
+// placeScan charges the scan at node i, whose record is r, for its site.
+// Binding rejects primary scans of relations the catalog lacks, and shape
+// panics on them.
+func (e *Estimator) placeScan(f *plan.Flat, i int32, r *node, ch *charges, need need) {
 	rel := &e.rels[f.Nodes[i].Rel-1]
 	pages, site := r.pages, r.site
 
@@ -700,8 +844,8 @@ func (e *Estimator) placeScan(f *plan.Flat, i int32, need need) {
 		}
 		d := e.disk[slot(at)].seq * pages
 		cpu := rel.scanCPU
-		e.add(r, diskAt(at), d)
-		e.add(r, cpuAt(at), cpu)
+		e.add(ch, diskAt(at), d)
+		e.add(ch, cpuAt(at), cpu)
 		if need == needAll {
 			r.rt = d + cpu
 		}
@@ -715,26 +859,26 @@ func (e *Estimator) placeScan(f *plan.Flat, i int32, need need) {
 	missing := pages - cached
 	if need < needCharges {
 		if missing > 0 {
-			e.add(r, toPages, missing)
+			e.add(ch, toPages, missing)
 		}
 		return
 	}
 
 	clientDisk := e.disk[slot(site)].seq * cached
 	clientCPU := rel.cachedCPU
-	e.add(r, diskAt(site), clientDisk)
-	e.add(r, cpuAt(site), clientCPU)
+	e.add(ch, diskAt(site), clientDisk)
+	e.add(ch, cpuAt(site), clientCPU)
 
 	var faultDur float64
 	if missing > 0 {
 		reqCPU, pageCPU := e.ctrlCPU, e.pageCPU
 		serverIO := e.disk[slot(rel.home)].seq
 		serverCPU := e.ioCPU
-		e.add(r, cpuAt(site), (reqCPU+pageCPU)*missing)
-		e.add(r, cpuAt(rel.home), (reqCPU+pageCPU+serverCPU)*missing)
-		e.add(r, diskAt(rel.home), serverIO*missing)
-		e.add(r, toWire, (e.ctrlWire+e.pageWire)*missing)
-		e.add(r, toPages, missing)
+		e.add(ch, cpuAt(site), (reqCPU+pageCPU)*missing)
+		e.add(ch, cpuAt(rel.home), (reqCPU+pageCPU+serverCPU)*missing)
+		e.add(ch, diskAt(rel.home), serverIO*missing)
+		e.add(ch, toWire, (e.ctrlWire+e.pageWire)*missing)
+		e.add(ch, toPages, missing)
 		perFault := reqCPU*2 + e.ctrlWire + serverCPU + serverIO +
 			pageCPU*2 + e.pageWire
 		faultDur = perFault * missing
@@ -745,16 +889,16 @@ func (e *Estimator) placeScan(f *plan.Flat, i int32, need need) {
 }
 
 // placeJoin charges the join r for its site and sets its rt terms.
-func (e *Estimator) placeJoin(r *node, inner, outer *facts, need need) {
+func (e *Estimator) placeJoin(r *node, ch *charges, inner, outer *facts, need need) {
 	p, site := &e.m.Params, r.site
-	innerShip := e.ship(r, inner.site, site, inner.pages, need)
-	outerShip := e.ship(r, outer.site, site, outer.pages, need)
+	innerShip := e.ship(ch, inner.site, site, inner.pages, need)
+	outerShip := e.ship(ch, outer.site, site, outer.pages, need)
 	if need < needCharges {
 		return
 	}
 
 	buildCPU, probeCPU := r.cpu, r.probeCPU
-	e.add(r, cpuAt(site), buildCPU+probeCPU)
+	e.add(ch, cpuAt(site), buildCPU+probeCPU)
 
 	// Spill I/O: see shape.
 	var writeInner, writeOuter, readBack float64
@@ -764,9 +908,9 @@ func (e *Estimator) placeJoin(r *node, inner, outer *facts, need need) {
 		writeInner = (d.spillWrite + ioCPU) * spillInner
 		writeOuter = (d.spillWrite + ioCPU) * spillOuter
 		readBack = (d.spillRead + ioCPU) * (spillInner + spillOuter)
-		e.add(r, diskAt(site), d.spillWrite*(spillInner+spillOuter)+
+		e.add(ch, diskAt(site), d.spillWrite*(spillInner+spillOuter)+
 			d.spillRead*(spillInner+spillOuter))
-		e.add(r, cpuAt(site), ioCPU*2*(spillInner+spillOuter))
+		e.add(ch, cpuAt(site), ioCPU*2*(spillInner+spillOuter))
 	}
 	// Response time. The build blocks on the inner and the probe pipelines
 	// with the outer. Partition writes at this join overlap the producer's

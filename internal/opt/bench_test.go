@@ -41,16 +41,15 @@ func neighborFixture(tb testing.TB) *searchState {
 // neighborStep is one inner-loop step of the search as the hot path runs
 // it: pick a move, apply it in place, evaluate the mutated tree, revert.
 func neighborStep(st *searchState, u *undoRec) {
-	moves := st.ensureMoves()
-	st.apply(moves[st.rng.Intn(len(moves))], u)
+	st.apply(st.moveAt(st.rng.Intn(st.moveCount())), u)
 	st.evaluate() // ok=false (an ill-formed candidate) is a normal outcome
 	st.revert(u)
 }
 
-// BenchmarkNeighborEvaluate measures one search step (neighborStep). This
-// is the unit the allocation-lean rewrite targets (the seed implementation
-// cloned the whole tree per step); TestSearchStepZeroAlloc gates its
-// allocations.
+// BenchmarkNeighborEvaluate measures one search step (neighborStep) as the
+// memo answers it: the fixture reverts every step, so after a few hundred
+// steps every candidate is one the memo holds, and the step neither binds
+// nor estimates. TestSearchStepZeroAlloc gates its allocations.
 func BenchmarkNeighborEvaluate(b *testing.B) {
 	st := neighborFixture(b)
 	var u undoRec
@@ -58,6 +57,34 @@ func BenchmarkNeighborEvaluate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		neighborStep(st, &u)
+	}
+}
+
+// missStep is one step of an annealing-like walk that the memo cannot
+// answer: pick a move, apply it, clear the memo and evaluate, then keep a
+// well-formed candidate with probability one half and revert the rest. The
+// walk keeps moving, so every step binds and estimates a plan the last
+// step's differs from by one move.
+func missStep(st *searchState, u *undoRec) {
+	st.apply(st.moveAt(st.rng.Intn(st.moveCount())), u)
+	st.memo.clear()
+	if v, ok := st.evaluate(); ok && st.rng.Intn(2) == 0 {
+		st.accept(v, u)
+	} else {
+		st.revert(u)
+	}
+}
+
+// BenchmarkNeighborEvaluateMiss measures one search step on the memo's
+// miss path (missStep): the move, the bind and the estimate of what it
+// changed, and the accept or revert, on a 10-way plan over 5 servers.
+func BenchmarkNeighborEvaluateMiss(b *testing.B) {
+	st := neighborFixture(b)
+	var u undoRec
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		missStep(st, &u)
 	}
 }
 

@@ -71,8 +71,8 @@ func freshValue(st *searchState, root *plan.Node) (float64, bool) {
 
 // checkFlat compares the search's flat plan with a fresh flattening of the
 // tree it describes, node by node in pre-order: kind, annotation, copy,
-// relation, parent, subtree mask and, where the search holds them, the
-// traversal orders, positions and memo key.
+// relation, parent, subtree mask, and the traversal orders, positions and
+// memo key.
 func checkFlat(tb testing.TB, st *searchState, where string) {
 	tb.Helper()
 	f := &st.flat
@@ -115,16 +115,16 @@ func checkFlat(tb testing.TB, st *searchState, where string) {
 			tb.Fatalf("%s: node at pre-order %d has mask %b, fresh %b", where, p, st.mask[i], freshMask[p])
 		}
 	}
-	if !st.ordered {
-		return
-	}
 	if !slices.Equal(f.Pre, pre) {
 		tb.Fatalf("%s: Pre %v, links give %v", where, f.Pre, pre)
 	}
-	post := slices.Clone(f.Post)
+	post, prePos, postPos := slices.Clone(f.Post), slices.Clone(f.PrePos), slices.Clone(f.PostPos)
 	f.Order()
 	if !slices.Equal(post, f.Post) {
 		tb.Fatalf("%s: Post %v, links give %v", where, post, f.Post)
+	}
+	if !slices.Equal(prePos, f.PrePos) || !slices.Equal(postPos, f.PostPos) {
+		tb.Fatalf("%s: positions %v %v, links give %v %v", where, prePos, postPos, f.PrePos, f.PostPos)
 	}
 	key := slices.Clone(st.keys.key)
 	st.keys.encode(f)
@@ -133,51 +133,177 @@ func checkFlat(tb testing.TB, st *searchState, where string) {
 	}
 }
 
-// deltaWalk takes steps random moves from the search's start, accepting
-// each bindable candidate with probability one half, and checks every
-// candidate's verdict and value, memo hit or miss, against a fresh bind
-// and estimate, and the flat plan and the kept move list after every
-// accept and revert. It returns how many candidates the memo answered.
+// deltaWalk is walk, counting the candidates the memo answered.
 func deltaWalk(tb testing.TB, st *searchState, rng *rand.Rand, steps int, name string) (hits int) {
 	tb.Helper()
+	return walk(tb, st, rng, steps, name).hits
+}
+
+// walkStats counts what a walk met.
+type walkStats struct {
+	hits int // candidates the memo answered
+	// The most memo hits, and unbindable candidates, between two binds and
+	// two estimates: the runs the dirty sets had to span.
+	hitRun, unbindableRun int
+}
+
+// walk takes steps random moves from the search's start, accepting each
+// bindable candidate with probability one half; after a revert, it tries
+// the same move again with probability one half, which the memo answers,
+// so that runs of hits come between two binds. It checks:
+//
+//   - every candidate's verdict and value, memo hit or miss, against a
+//     fresh bind and estimate;
+//   - after every bind, the binder's sites and verdict against a fresh
+//     BindFlat, and after every estimate, the estimator's sums against a
+//     fresh EstimateFlat: the incremental passes redid all that the
+//     dirty set reached, across the hits and unbindable candidates since
+//     the last pass;
+//   - after every accept and revert, the flat plan (checkFlat), the kept
+//     move list, and that every row edited since the last bind is in the
+//     dirty set, and every row edited since the last estimate in the
+//     dirty set or the estimator's pending set.
+func walk(tb testing.TB, st *searchState, rng *rand.Rand, steps int, name string) walkStats {
+	tb.Helper()
 	checkFlat(tb, st, name+" start")
-	var u undoRec
+	var (
+		stats              walkStats
+		u                  undoRec
+		hitRun, unbindable int
+	)
+	retry := move{kind: -1}
+	bound := slices.Clone(st.flat.Nodes)  // the rows as of the last bind
+	priced := slices.Clone(st.flat.Nodes) // and as of the last estimate
 	for step := 0; step < steps; step++ {
-		moves := st.ensureMoves()
+		moves := keptMoves(st)
 		if len(moves) == 0 {
-			return hits
+			return stats
 		}
 		mv := moves[rng.Intn(len(moves))]
+		if retry.kind >= 0 && slices.Contains(moves, retry) {
+			mv = retry
+		}
+		retry.kind = -1
 		st.apply(mv, &u)
 		where := fmt.Sprintf("%s step %d (%+v)", name, step, mv)
 
 		want, wantOK := freshValue(st, st.flat.Tree())
-		if !st.ordered {
-			st.flat.Order()
-			st.keys.encode(&st.flat)
-			st.ordered = true
-		}
 		_, _, hit := st.memo.get(hashKey(st.keys.key), st.keys.key)
 		got, ok := st.evaluate()
 		if ok != wantOK || (ok && math.Float64bits(got) != math.Float64bits(want)) {
 			tb.Fatalf("%s: memo hit %v gives %v %v, fresh %v %v\n%s", where, hit, got, ok, want, wantOK, st.flat.Tree())
 		}
 		if hit {
-			hits++
+			stats.hits++
+			hitRun++
+		} else {
+			checkPasses(tb, st, ok, where)
+			stats.hitRun = max(stats.hitRun, hitRun)
+			hitRun = 0
+			copy(bound, st.flat.Nodes)
+			if ok {
+				stats.unbindableRun = max(stats.unbindableRun, unbindable)
+				unbindable = 0
+				copy(priced, st.flat.Nodes)
+			} else {
+				unbindable++
+			}
 		}
 		if ok && rng.Intn(2) == 0 {
 			st.accept(got, &u)
-			checkFlat(tb, st, where+" accepted")
+			where += " accepted"
 		} else {
 			st.revert(&u)
-			checkFlat(tb, st, where+" reverted")
+			where += " reverted"
+			if rng.Intn(2) == 0 {
+				retry = mv
+			}
 		}
+		checkFlat(tb, st, where)
+		checkDirty(tb, st, bound, priced, where)
 		m := st.o.model
-		if got, want := st.ensureMoves(), candidateMoves(m.Query, st.opts, m.Catalog, &st.flat, st.mask, nil); !slices.Equal(got, want) {
+		if got, want := keptMoves(st), candidateMoves(m.Query, st.opts, m.Catalog, &st.flat, st.mask, nil); !slices.Equal(got, want) {
 			tb.Fatalf("%s: kept moves %v, enumerated afresh %v", where, got, want)
 		}
 	}
-	return hits
+	return stats
+}
+
+// keptMoves lists the search's candidate moves as moveCount and moveAt
+// keep them.
+func keptMoves(st *searchState) []move {
+	moves := make([]move, st.moveCount())
+	for r := range moves {
+		moves[r] = st.moveAt(r)
+	}
+	return moves
+}
+
+// checkPasses compares the binder's and, for a bindable plan (ok), the
+// estimator's state after a memo miss with fresh ones: the same verdict,
+// error text and sites as a fresh BindFlat, and the same sums, bit for
+// bit, as a fresh estimate for the search's metric.
+func checkPasses(tb testing.TB, st *searchState, ok bool, where string) {
+	tb.Helper()
+	cat, f := st.o.model.Catalog, &st.flat
+	// A rebind with nothing dirty redoes nothing: it reads the state back.
+	sites, err := st.binder.Rebind(f, cat, catalog.Client, nil)
+	var fresh plan.Binder
+	want, wantErr := fresh.BindFlat(f, cat, catalog.Client)
+	if (err == nil) != (wantErr == nil) || (err != nil && st.binder.Err().Error() != fresh.Err().Error()) {
+		tb.Fatalf("%s: incremental bind gives %v, fresh %v", where, err, wantErr)
+	}
+	if err == nil && !slices.Equal(sites, want) {
+		tb.Fatalf("%s: incremental sites %v, fresh %v", where, sites, want)
+	}
+	if (err == nil) != ok {
+		tb.Fatalf("%s: bind verdict %v, evaluate said %v", where, err, ok)
+	}
+	if !ok {
+		return
+	}
+	e := cost.NewEstimator(st.o.model)
+	e.Value(f, want, nil, st.opts.Metric)
+	if got, want := st.estimator.Sums(), e.Sums(); !slices.EqualFunc(got, want, func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b)
+	}) {
+		tb.Fatalf("%s: incremental sums %v, fresh %v", where, got, want)
+	}
+}
+
+// checkDirty checks that the dirty set holds every row that differs from
+// bound, the rows as of the last bind, and that the dirty and pending
+// sets together hold every row that differs from priced, the rows as of
+// the last estimate. (A site that moved since then is found by the next
+// bind, which checkPasses checks.)
+func checkDirty(tb testing.TB, st *searchState, bound, priced []plan.FlatNode, where string) {
+	tb.Helper()
+	for i, row := range st.flat.Nodes {
+		if row != bound[i] && !st.dirty.in[i] {
+			tb.Fatalf("%s: node %d's row changed since the last bind but is not dirty", where, i)
+		}
+		if row != priced[i] && !st.dirty.in[i] && !st.unpriced.in[i] {
+			tb.Fatalf("%s: node %d's row changed since the last estimate but is in neither set", where, i)
+		}
+	}
+}
+
+// TestSearchDeltaSpans runs the walk in every environment and checks that
+// the walks bound and estimated across runs of memo hits and of unbindable
+// candidates, so that the dirty and pending sets were tested across them.
+func TestSearchDeltaSpans(t *testing.T) {
+	var stats walkStats
+	for i, env := range deltaEnvs() {
+		seed := int64(300 + i)
+		s := walk(t, env.search(t, seed), rand.New(rand.NewSource(seed)), 150, env.String())
+		stats.hitRun = max(stats.hitRun, s.hitRun)
+		stats.unbindableRun = max(stats.unbindableRun, s.unbindableRun)
+	}
+	t.Logf("longest runs between passes: %d memo hits, %d unbindable candidates", stats.hitRun, stats.unbindableRun)
+	if stats.hitRun < 3 || stats.unbindableRun < 2 {
+		t.Errorf("longest runs between passes: %d memo hits, %d unbindable candidates; want at least 3 and 2",
+			stats.hitRun, stats.unbindableRun)
+	}
 }
 
 // deltaEnvs covers every policy and metric, with and without replicas,

@@ -109,15 +109,19 @@ func (o *Optimizer) evaluate(root *plan.Node) (plan.Binding, cost.Estimate, bool
 	return b, o.model.Estimate(root, b), true
 }
 
-// finish binds the plan a search returned and estimates it in full: the
-// search itself computed only its metric. The metric's value is the same
-// bits the search saw.
-func (o *Optimizer) finish(r searchResult) (Result, error) {
-	b, err := plan.Bind(r.plan, o.model.Catalog, catalog.Client)
+// finish binds the plan a search returned and estimates it in full with
+// the search's own binder and estimator: the search itself computed only
+// its metric. The metric's value is the same bits the search saw.
+func (o *Optimizer) finish(st *searchState, r searchResult) (Result, error) {
+	sites, err := st.binder.Bind(r.plan, o.model.Catalog, catalog.Client)
+	if err == plan.ErrUnbindable {
+		err = st.binder.Err()
+	}
 	if err != nil {
 		return Result{}, fmt.Errorf("opt: best plan failed to rebind: %w", err)
 	}
-	return Result{Plan: r.plan, Binding: b, Estimate: o.model.Estimate(r.plan, b)}, nil
+	b := plan.Binding(slices.Clone(sites))
+	return Result{Plan: r.plan, Binding: b, Estimate: st.estimator.Estimate(r.plan, b)}, nil
 }
 
 // Optimize runs two-phase optimization (II then SA) and returns the best
@@ -139,6 +143,7 @@ func (o *Optimizer) Optimize() (Result, error) {
 	}
 	outs := make([]iiOut, iiStarts)
 	workers := min(runtime.GOMAXPROCS(0), iiStarts)
+	states := make([]*searchState, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -149,6 +154,7 @@ func (o *Optimizer) Optimize() (Result, error) {
 			// across the starts this worker happens to pick up, which never
 			// affects the (deterministic) per-start results.
 			st := newSearch(o, o.opts, nil)
+			states[w] = st
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= iiStarts {
@@ -183,9 +189,13 @@ func (o *Optimizer) Optimize() (Result, error) {
 		return Result{}, fmt.Errorf("opt: no iterative-improvement start succeeded")
 	}
 
-	st := newSearch(o, o.opts, rand.New(rand.NewSource(deriveSeed(o.opts.Seed, seedPhaseSA))))
+	// The annealing reuses a worker's state, memo included: a memo hit
+	// returns the bits a miss computes, so what the descents left in it
+	// changes the speed, never the result.
+	st := states[0]
+	st.rng = rand.New(rand.NewSource(deriveSeed(o.opts.Seed, seedPhaseSA)))
 	st.reset(best.plan)
-	return o.finish(st.anneal())
+	return o.finish(st, st.anneal())
 }
 
 // OptimizeFrom runs site-selection-only simulated annealing starting from
@@ -204,7 +214,7 @@ func (o *Optimizer) OptimizeFrom(root *plan.Node) (Result, error) {
 	opts.FixedJoinOrder = true
 	st := newSearch(o, opts, rand.New(rand.NewSource(deriveSeed(o.opts.Seed, seedPhaseFrom))))
 	st.reset(root)
-	return o.finish(st.anneal())
+	return o.finish(st, st.anneal())
 }
 
 // RandomPlan draws a random, well-formed plan from the policy's search

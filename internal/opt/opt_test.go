@@ -319,29 +319,30 @@ func TestSearchStepZeroAlloc(t *testing.T) {
 
 // TestEvaluateMissZeroAlloc gates the part of a step the memo cannot
 // absorb: binding and estimating a candidate with the search's warm Binder
-// and Estimator allocates nothing, whether the estimator recomputes the
-// nodes a move changed or, after a fresh flattening, every node.
+// and Estimator allocates nothing, whether they redo only what a move
+// changed or, for a whole flat plan or a tree, every node.
 func TestEvaluateMissZeroAlloc(t *testing.T) {
 	st := neighborFixture(t)
 	var u undoRec
 	for i := 0; i < 100; i++ {
 		neighborStep(st, &u)
 	}
-	cat := st.o.model.Catalog
 	step := 0
 	if n := testing.AllocsPerRun(1000, func() {
-		moves := st.ensureMoves()
-		st.apply(moves[step%len(moves)], &u)
+		st.apply(st.moveAt(step%st.moveCount()), &u)
 		step++
-		st.flat.Order()
-		st.keys.encode(&st.flat)
-		st.ordered = true
-		if sites, err := st.binder.BindFlat(&st.flat, cat, catalog.Client); err == nil {
-			st.estimator.Value(&st.flat, sites, st.opts.Metric)
-		}
+		st.compute()
 		st.revert(&u)
 	}); n != 0 {
 		t.Errorf("delta bind and estimate allocate %v per call, want 0", n)
+	}
+	cat := st.o.model.Catalog
+	if n := testing.AllocsPerRun(1000, func() {
+		if sites, err := st.binder.BindFlat(&st.flat, cat, catalog.Client); err == nil {
+			st.estimator.EstimateFlat(&st.flat, sites)
+		}
+	}); n != 0 {
+		t.Errorf("bind and estimate of the whole flat plan allocate %v per call, want 0", n)
 	}
 	tree := st.flat.Tree()
 	if n := testing.AllocsPerRun(1000, func() {

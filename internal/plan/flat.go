@@ -1,6 +1,10 @@
 package plan
 
-import "hybridship/internal/catalog"
+import (
+	"slices"
+
+	"hybridship/internal/catalog"
+)
 
 // Flat is a plan as one row per node: the form the binder, the cost model
 // and the optimizer's search work on. Reset numbers the nodes of a tree in
@@ -17,7 +21,9 @@ type Flat struct {
 	Src  []*Node
 	Pre  []int32 // node IDs in pre-order
 	Post []int32 // node IDs in post-order: left subtree, right subtree, node
-	gen  uint64
+	// PrePos[i] and PostPos[i] are node i's positions in Pre and Post.
+	PrePos, PostPos []int32
+	gen             uint64
 }
 
 // FlatNode is one operator of a Flat plan.
@@ -40,15 +46,26 @@ func (f *Flat) Reset(root *Node, cat *catalog.Catalog) error {
 	if err := checkRoot(root); err != nil {
 		return err
 	}
-	if n := size(root); cap(f.Nodes) < n {
-		order := make([]int32, 2*n)
+	n := size(root)
+	if cap(f.Nodes) < n {
+		order := make([]int32, 4*n)
 		f.Nodes, f.Src = make([]FlatNode, 0, n), make([]*Node, 0, n)
-		f.Pre, f.Post = order[:0:n], order[n:n]
+		f.Pre, f.Post = order[:0:n], order[n:n:2*n]
+		f.PrePos, f.PostPos = order[2*n:2*n:3*n], order[3*n:3*n]
 	}
 	f.Nodes, f.Src, f.Pre, f.Post = f.Nodes[:0], f.Src[:0], f.Pre[:0], f.Post[:0]
 	f.gen++
-	_, err := f.add(root, -1, cat)
-	return err
+	if _, err := f.add(root, -1, cat); err != nil {
+		return err
+	}
+	f.PrePos, f.PostPos = f.PrePos[:n], f.PostPos[:n]
+	for p, i := range f.Pre {
+		f.PrePos[i] = int32(p)
+	}
+	for p, i := range f.Post {
+		f.PostPos[i] = int32(p)
+	}
+	return nil
 }
 
 // Generation identifies the plan f holds: it changes on every Reset and
@@ -95,22 +112,52 @@ func (f *Flat) add(n *Node, parent int32, cat *catalog.Catalog) (int32, error) {
 	return id, nil
 }
 
-// Order recomputes Pre and Post from the rows' child links.
+// Order recomputes Pre, Post and the positions from the rows' child links.
 func (f *Flat) Order() {
-	f.Pre, f.Post = f.Pre[:0], f.Post[:0]
-	f.order(0)
+	n := len(f.Nodes)
+	f.Pre, f.Post = slices.Grow(f.Pre[:0], n)[:n], slices.Grow(f.Post[:0], n)[:n]
+	f.PrePos, f.PostPos = slices.Grow(f.PrePos[:0], n)[:n], slices.Grow(f.PostPos[:0], n)[:n]
+	f.Reorder(0, 0, 0)
 }
 
-func (f *Flat) order(i int32) {
-	f.Pre = append(f.Pre, i)
-	nd := &f.Nodes[i]
-	if nd.Left >= 0 {
-		f.order(nd.Left)
+// Reorder recomputes the stretch of Pre and Post that node i's subtree
+// occupies, starting at position pre in Pre and post in Post, and its
+// nodes' positions, and returns the subtree's size. A subtree is
+// contiguous in both orders, so after an edit that rearranged node i's
+// subtree and nothing else, its nodes fill the same stretches as before
+// and the rest of both orders stands. Node i's first position in Post is
+// its position in Pre less its depth: the nodes before its subtree in
+// post-order are those before it in pre-order but its ancestors. The walk
+// follows the child and parent links, which must agree.
+func (f *Flat) Reorder(i, pre, post int32) int32 {
+	start, nodes := pre, f.Nodes
+	for at := i; ; {
+		// Enter at: place it in Pre and go down to its first child.
+		f.Pre[pre], f.PrePos[at] = at, pre
+		pre++
+		if nd := &nodes[at]; nd.Left >= 0 {
+			at = nd.Left
+			continue
+		} else if nd.Right >= 0 {
+			at = nd.Right
+			continue
+		}
+		// Leave at, and every ancestor whose last child it closes, placing
+		// each in Post; then enter the next right sibling.
+		for {
+			f.Post[post], f.PostPos[at] = at, post
+			post++
+			if at == i {
+				return pre - start
+			}
+			p := nodes[at].Parent
+			if r := nodes[p].Right; r >= 0 && r != at {
+				at = r
+				break
+			}
+			at = p
+		}
 	}
-	if nd.Right >= 0 {
-		f.order(nd.Right)
-	}
-	f.Post = append(f.Post, i)
 }
 
 // Tree builds a fresh operator tree from the rows: the edited plan at the

@@ -42,7 +42,9 @@ type Query struct {
 	maskOnce  sync.Once
 	relMasks  map[string]uint64
 	predMasks []predMask
-	adjacent  []uint64 // per relation bit: the bits of its join partners
+	// near[k][v] is the join partners of the relations whose bits are v
+	// shifted up by 8k: the union of their rows of the adjacency matrix.
+	near [][256]uint64
 }
 
 type predMask struct {
@@ -113,13 +115,19 @@ func (q *Query) initMasks() {
 			q.relMasks[r] = 1 << uint(i)
 		}
 		q.predMasks = make([]predMask, 0, len(q.Preds))
-		q.adjacent = make([]uint64, 64) // any mask bit indexes it
+		var adjacent [64]uint64 // per relation bit: the bits of its join partners
 		for _, p := range q.Preds {
 			pm := predMask{a: q.relMasks[p.A], b: q.relMasks[p.B], sel: p.Selectivity}
 			q.predMasks = append(q.predMasks, pm)
 			if pm.a != 0 && pm.b != 0 {
-				q.adjacent[bits.TrailingZeros64(pm.a)] |= pm.b
-				q.adjacent[bits.TrailingZeros64(pm.b)] |= pm.a
+				adjacent[bits.TrailingZeros64(pm.a)] |= pm.b
+				adjacent[bits.TrailingZeros64(pm.b)] |= pm.a
+			}
+		}
+		q.near = make([][256]uint64, (len(q.Relations)+7)/8)
+		for k := range q.near {
+			for v := 1; v < 256; v++ {
+				q.near[k][v] = q.near[k][v&(v-1)] | adjacent[8*k+bits.TrailingZeros8(uint8(v))]
 			}
 		}
 	})
@@ -153,16 +161,15 @@ func (q *Query) CrossingPreds(a, b uint64) []Pred {
 // Connected reports whether joining relation sets a and b avoids a Cartesian
 // product, i.e. at least one predicate crosses the two sets. It allocates
 // nothing: a predicate crosses a and b exactly when some relation of a has a
-// join partner in b, so it tests each set bit of a against that relation's
-// adjacency mask instead of scanning every predicate.
+// join partner in b, so it looks the partners of a up eight relations at a
+// time instead of scanning every predicate.
 func (q *Query) Connected(a, b uint64) bool {
 	q.initMasks()
-	for ; a != 0; a &= a - 1 {
-		if q.adjacent[bits.TrailingZeros64(a)]&b != 0 {
-			return true
-		}
+	var near uint64
+	for k := range q.near { // bits past the relations have no partners
+		near |= q.near[k][uint8(a>>(8*k))]
 	}
-	return false
+	return near&b != 0
 }
 
 // JoinSelectivity returns the combined selectivity of all predicates crossing

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Full verification: a gofmt gate, tier-1 (build + tests) plus vet, hslint, the race
-# detector, a fuzz smoke and a bench smoke.
+# detector, a fuzz smoke, a bench smoke and a bench-pairs smoke.
 #
 # The race tier matters here because the optimizer and the experiment
 # harness both run on worker pools; `go test -race` exercises the parallel
@@ -71,4 +71,6 @@ echo "== bench smoke (1 iteration per benchmark, every package with benchmarks)"
 # exercised automatically.
 bench_pkgs=$(grep -rl --include='*_test.go' '^func Benchmark' . | xargs -n1 dirname | sort -u)
 go test -run '^$' -bench . -benchtime 1x $bench_pkgs
+echo "== bench pairs smoke (scripts/bench_pairs.sh against HEAD: 1 pair of one-request runs per workload)"
+bash scripts/bench_pairs.sh HEAD 1 1e-9 >/dev/null
 echo "verify: OK"
