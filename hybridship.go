@@ -520,7 +520,9 @@ type Submission struct {
 // one simulation, sharing every machine, disk, and the network — the
 // multi-query workloads the paper names as future work (§7). Instances may
 // use different plans and submission times; a start time that is not finite
-// and >= 0 is an error.
+// and >= 0 is an error. The instances share the network, so a per-instance
+// ExecResult carries only ResponseTime and ResultTuples: its PagesSent and
+// Messages are zero.
 func (s *System) ExecuteConcurrent(q Query, subs []Submission, o ExecOptions) ([]ExecResult, error) {
 	cfg, err := s.execConfig(q, o)
 	if err != nil {

@@ -91,11 +91,6 @@ type Config struct {
 	// whose flush-before-kernel-visible-operation contract chargeflow
 	// enforces; empty disables the pass.
 	ChargeAccType string
-	// InterruptArmedPkgs are the packages that run under sim.ArmInterrupts,
-	// where an Interrupted panic can unwind through any park point: parksafe
-	// requires every manual Resource.Acquire there to pair with a deferred
-	// Release.
-	InterruptArmedPkgs []string
 }
 
 // DefaultConfig returns the hybridship configuration for a module rooted at
@@ -111,15 +106,6 @@ func DefaultConfig(modulePath string) *Config {
 		ChargeAccType: "chargeAcc",
 		SharedStateFuncs: []string{
 			"(*" + modulePath + "/internal/exec.site).allocTemp",
-		},
-		InterruptArmedPkgs: []string{
-			modulePath + "/internal/exec",
-			modulePath + "/internal/faults",
-			modulePath + "/internal/serve",
-			modulePath + "/internal/shard",
-			modulePath + "/internal/netsim",
-			modulePath + "/internal/disk",
-			modulePath + "/internal/coherence",
 		},
 		TimingExemptPrefixes: []string{
 			modulePath + "/cmd/",

@@ -171,7 +171,7 @@ func Waived(p *sim.Proc, acc *chargeAcc, buf *sim.Buffer) {
 }
 `,
 
-	// parksafe: hold hygiene in the configured interrupt-armed package.
+	// parksafe: hold hygiene, checked in every package.
 	"armed/armed.go": `package armed
 
 import "flowfix/sim"
@@ -208,18 +208,6 @@ func UseOnly(p *sim.Proc, r *sim.Resource) {
 func HandOff(p *sim.Proc, r *sim.Resource, done *sim.Buffer) {
 	r.Acquire(p) //hslint:allow parksafe -- fixture: hold handed to the consumer, which releases it
 	done.Put(p, 1)
-}
-`,
-
-	// The same shape outside InterruptArmedPkgs is not parksafe's business.
-	"unarmed/unarmed.go": `package unarmed
-
-import "flowfix/sim"
-
-func Plain(p *sim.Proc, r *sim.Resource) {
-	r.Acquire(p)
-	p.Hold(1)
-	r.Release(p)
 }
 `,
 
@@ -352,7 +340,6 @@ func flowConfig() *analysis.Config {
 		TimingExemptPrefixes: []string{"flowfix/exempt"},
 		ExecPkg:              "flowfix/vexec",
 		ChargeAccType:        "chargeAcc",
-		InterruptArmedPkgs:   []string{"flowfix/armed"},
 	}
 }
 

@@ -5,15 +5,15 @@ import (
 	"go/types"
 )
 
-// Parksafe guards hold hygiene in interrupt-armed packages. Once a process
-// group runs under sim.ArmInterrupts, the Interrupted panic sentinel can
-// unwind the stack from *any* park point — Hold, a Buffer Get/Put, a
-// Resource queue. A manually acquired Resource hold that is released by a
-// plain statement after the park leaks when the unwind skips it, and a
-// leaked hold deadlocks every later process that queues on the resource,
-// silently corrupting the event schedule the determinism contract replays.
+// Parksafe guards hold hygiene under interrupts. Every simulation is
+// interruptible, so the Interrupted panic sentinel can unwind the stack from
+// *any* park point — Hold, a Buffer Get/Put, a Resource queue. A manually
+// acquired Resource hold that is released by a plain statement after the
+// park leaks when the unwind skips it, and a leaked hold deadlocks every
+// later process that queues on the resource, silently corrupting the event
+// schedule the determinism contract replays.
 //
-// The rules, per function in Config.InterruptArmedPkgs:
+// The rules, per function of every package:
 //
 //  1. Every call to sim's Resource.Acquire must be paired with a
 //     `defer r.Release(p)` on the same receiver expression in the same
@@ -31,22 +31,12 @@ import (
 // transfer: `//hslint:allow parksafe -- reason`.
 var Parksafe = &Analyzer{
 	Name: "parksafe",
-	Doc:  "Resource.Acquire without a deferred Release in an interrupt-armed package",
+	Doc:  "Resource.Acquire without a deferred Release",
 	Run:  runParksafe,
 }
 
 func runParksafe(u *Unit) {
-	armed := make(map[string]bool)
-	for _, p := range u.Config.InterruptArmedPkgs {
-		armed[p] = true
-	}
-	if len(armed) == 0 {
-		return
-	}
 	for _, pkg := range u.Packages {
-		if !armed[pkg.Path] {
-			continue
-		}
 		for _, file := range pkg.Files {
 			for _, d := range file.Decls {
 				decl, ok := d.(*ast.FuncDecl)
@@ -144,9 +134,9 @@ func checkParksafe(u *Unit, pkg *Package, decl *ast.FuncDecl) {
 			continue
 		}
 		if released[a.recv] {
-			u.Report(a.pos.Pos(), "%s.Acquire in an interrupt-armed package pairs with a non-deferred Release; an Interrupted panic at a park point between them leaks the hold — use `defer %s.Release(p)` or Resource.Use", a.recv, a.recv)
+			u.Report(a.pos.Pos(), "%s.Acquire pairs with a non-deferred Release; an Interrupted panic at a park point between them leaks the hold — use `defer %s.Release(p)` or Resource.Use", a.recv, a.recv)
 		} else {
-			u.Report(a.pos.Pos(), "%s.Acquire in an interrupt-armed package has no matching deferred Release in this function; an Interrupted panic unwinding past this point leaks the hold — use `defer %s.Release(p)` or Resource.Use, or waive with the hold-transfer reason", a.recv, a.recv)
+			u.Report(a.pos.Pos(), "%s.Acquire has no matching deferred Release in this function; an Interrupted panic unwinding past this point leaks the hold — use `defer %s.Release(p)` or Resource.Use, or waive with the hold-transfer reason", a.recv, a.recv)
 		}
 	}
 }

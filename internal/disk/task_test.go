@@ -35,12 +35,12 @@ type scriptRun struct {
 //
 // The first byte picks the configuration: FIFO or SCAN, write-through or a
 // small write-back cache (so forced and idle destages are frequent), and
-// whether interrupts are armed. The rest is read three bytes at a time as
+// whether the fault process interrupts submitters. The rest is read three bytes at a time as
 // (actor, op, arg). Actors 0–2 are submitters: single-page reads and
 // writes, ReadRun/WriteRun runs, and holds, some of them exactly a disk
 // leg's length so that their wakeups tie with the arm's. Actor 3 is a fault
 // process: it holds, stalls and resumes the disk, crashes its controller
-// state, storms of either at a sub-leg grain, and (when armed) interrupts a
+// state, storms of either at a sub-leg grain, and (when enabled) interrupts a
 // submitter, which recovers and goes on to its next op. Pages cluster on a
 // few cylinders so that cache hits, read-ahead and destage batches are
 // common.
@@ -57,12 +57,9 @@ func runDiskScript(data []byte, traced bool, newDisk func(*sim.Simulator, Params
 	} else {
 		params.WriteCachePages = 2 + int(flags>>4)
 	}
-	armed := flags&4 != 0
+	interrupts := flags&4 != 0
 
 	s := sim.New()
-	if armed {
-		s.ArmInterrupts()
-	}
 	var run scriptRun
 	if traced {
 		s.Trace = func(t sim.Time, name string) {
@@ -149,7 +146,7 @@ func runDiskScript(data []byte, traced bool, newDisk func(*sim.Simulator, Params
 			case 3:
 				d.CrashRestart()
 			case 4:
-				if armed {
+				if interrupts {
 					subs[o.arg%3].Interrupt("fault")
 				}
 			case 5:

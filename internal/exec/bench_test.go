@@ -50,12 +50,11 @@ func BenchmarkRunSpill(b *testing.B) {
 	benchRun(b, cfg, annotate(leftDeepChain(10), plan.QueryShipping))
 }
 
-// BenchmarkRun10WayQSFaultsArmed is BenchmarkRun10WayQS with the fault
-// subsystem armed but idle: the only scripted fault lies far beyond the end
-// of the run, so the delta against the unarmed benchmark is the price of
-// fault-capability (supervised attempts, interruptible waits, deferred
-// resource releases) on a fault-free run.
-func BenchmarkRun10WayQSFaultsArmed(b *testing.B) {
+// BenchmarkRun10WayQSFaultsIdle is BenchmarkRun10WayQS with a fault
+// injector that never fires: the only scripted fault lies far beyond the end
+// of the run, so the delta against BenchmarkRun10WayQS is the price of the
+// injector's daemons on a fault-free run.
+func BenchmarkRun10WayQSFaultsIdle(b *testing.B) {
 	cfg := chainConfig(b, 10, 4, workload.Moderate, true)
 	cfg.Faults = &faults.Config{
 		Seed:   1,

@@ -30,15 +30,8 @@ func (s *scanOp) fillCoherent(p *sim.Proc, pg int) {
 		s.faultRun(p, pg)
 		return
 	}
-	stale := st.RecordCachedRead(s.client, s.cohRI, pg, 1)
-	if stale > 0 {
-		if s.att != nil {
-			s.att.cohStale += int64(stale)
-		} else {
-			// No attempt supervision means no aborts: the read will commit.
-			st.NoteCommittedReads(int64(stale))
-		}
-	}
+	// Stale reads count as committed only if the attempt commits.
+	s.att.cohStale += int64(st.RecordCachedRead(s.client, s.cohRI, pg, 1))
 	s.atSite.chargeCPU(p, params, params.DiskInst)
 	s.atSite.read(p, s.ext.plus(pg))
 }

@@ -77,11 +77,12 @@ type Config struct {
 	// Seed drives the external load arrival process.
 	Seed int64
 
-	// Faults, when non-nil and enabled, injects deterministic failures
-	// (site crashes, network outages/degradation, disk stalls) and turns on
-	// the failure-aware retry loop. Nil (or a disabled config) keeps the
-	// exact fault-free engine: no injector daemons, no interrupt arming, no
-	// extra state on the hot path.
+	// Faults, when enabled, injects deterministic failures (site crashes,
+	// network outages/degradation, disk stalls). Every query runs as
+	// supervised attempts either way, under the recovery settings of this
+	// config (fetch timeout, retry cap, backoff); nil means the defaults,
+	// with the backoff jitter seeded from Seed. A nil or disabled config
+	// spawns no injector daemons.
 	Faults *faults.Config
 
 	// Coherence, when non-nil, gives every client stream its own disk cache
@@ -117,7 +118,7 @@ type Result struct {
 	DiskStats    map[catalog.SiteID]disk.Stats
 	NetStats     netsim.Stats
 
-	// Failure-awareness counters; all zero when faults are disabled.
+	// Failure-awareness counters; all zero unless an attempt aborted.
 	Retries          int64        // aborted or unrunnable rounds before completion
 	AbortedWork      float64      // virtual seconds of attempts that were aborted
 	BackoffTime      float64      // virtual seconds spent waiting between attempts
@@ -219,9 +220,9 @@ type engine struct {
 	client  *site
 	servers []*site
 
-	// Failure awareness; all nil/empty when faults are disabled (e.ftl ==
-	// nil selects the legacy execution path throughout).
-	ftl      *failoverParams
+	// Failure awareness: ftl holds the recovery settings every query runs
+	// under; inj is nil unless Config.Faults enables injection.
+	ftl      failoverParams
 	inj      *faults.Injector
 	attempts []*attemptState // in-flight attempts, consulted by crash hooks and the fetch watchdog
 	watch    fetchWatch      // the one watchdog over every outstanding page-fault fetch (failover.go)
@@ -365,11 +366,17 @@ func newEngine(cfg Config) (*engine, error) {
 		e.spawnLoad(e.site(id), rate)
 	}
 
+	// Every query runs supervised; without a fault config the recovery
+	// settings take their defaults, seeded from the run seed.
+	fc := cfg.Faults
+	if fc == nil {
+		fc = &faults.Config{Seed: cfg.Seed}
+	}
+	e.ftl = newFailoverParams(fc)
+
 	// Fault injection (opt-in): wire the injector's hooks to the simulated
-	// hardware and spawn its daemons. This is the only place a closed run's
-	// simulation is armed for interrupts; NewSession arms every session.
-	if cfg.Faults.Enabled() {
-		e.ftl = newFailoverParams(cfg.Faults)
+	// hardware and spawn its daemons.
+	if fc.Enabled() {
 		hooks := faults.Hooks{Sites: make([]faults.SiteHooks, len(e.servers))}
 		for i, s := range e.servers {
 			dh := make([]faults.DiskHooks, len(s.disks))
@@ -411,7 +418,7 @@ func newEngine(cfg Config) (*engine, error) {
 				}
 			}
 		}
-		e.inj = faults.New(e.sim, *cfg.Faults, hooks)
+		e.inj = faults.New(e.sim, *fc, hooks)
 	}
 	return e, nil
 }

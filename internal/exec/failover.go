@@ -13,14 +13,13 @@ import (
 	"hybridship/internal/sim"
 )
 
-// Failure-aware execution. When Config.Faults enables injection, every query
-// runs as a sequence of attempts: the plan's site annotations are re-bound
-// against the sites that are up right now (the execution-time half of §5's
-// 2-step optimization, applied to availability instead of load), the attempt
-// runs under an attemptState supervisor, and on abort the query backs off
-// exponentially and tries again. A crash tears down the attempt through the
-// sim kernel's Interrupt primitive; the wasted virtual time is accounted as
-// AbortedWork.
+// Failure-aware execution. Every query runs as a sequence of attempts: the
+// plan's site annotations are re-bound against the sites that are up right
+// now (the execution-time half of §5's 2-step optimization, applied to
+// availability instead of load), the attempt runs under an attemptState
+// supervisor, and on abort the query backs off exponentially and tries
+// again. A crash tears down the attempt through the sim kernel's Interrupt
+// primitive; the wasted virtual time is accounted as AbortedWork.
 
 // seedRetryLoop tags the per-query backoff-jitter RNG stream derived from
 // the fault seed (seedLoadGen = 101 is the neighboring engine tag).
@@ -34,9 +33,8 @@ func retrySeed(seed int64, qi int) int64 {
 	return seedmix.Derive(seed, seedRetryLoop, int64(qi))
 }
 
-// failoverParams is Config.Faults with its defaults resolved, present on the
-// engine only when injection is enabled; e.ftl == nil selects the exact
-// legacy execution path.
+// failoverParams is Config.Faults' recovery settings with their defaults
+// resolved, the engine's e.ftl.
 type failoverParams struct {
 	seed         int64
 	fetchTimeout float64
@@ -46,8 +44,8 @@ type failoverParams struct {
 	warmup       float64
 }
 
-func newFailoverParams(fc *faults.Config) *failoverParams {
-	return &failoverParams{
+func newFailoverParams(fc *faults.Config) failoverParams {
+	return failoverParams{
 		seed:         fc.Seed,
 		fetchTimeout: fc.FetchTimeoutOrDefault(),
 		maxRetries:   fc.MaxRetriesOrDefault(),
@@ -560,21 +558,17 @@ func (e *engine) execute(p *sim.Proc, qi int, bp *BoundPlan, qo QueryOpts) (Quer
 	return out, err
 }
 
-// runQuery executes one query to completion on process p. With faults
-// disabled this is exactly the legacy path — build once, drain the display
-// operator — so fault-free runs stay byte-identical. With faults enabled it
-// is the retry loop: re-bind against survivors, attempt, and on failure back
-// off exponentially (deterministically jittered per query) before retrying.
-// qo carries the per-query serving-layer options (deadline); sessions
-// additionally install site and retry gates on the engine.
+// runQuery executes one query to completion on process p. It is the retry
+// loop: re-bind against survivors, attempt under a supervisor, and on
+// failure back off exponentially (deterministically jittered per query)
+// before retrying. A query whose first attempt completes draws nothing, so
+// the jitter RNG is seeded at the first backoff. qo carries the per-query
+// serving-layer options (deadline); sessions additionally install site and
+// retry gates on the engine.
 // It fills every field of the result but the response time.
 func (e *engine) runQuery(p *sim.Proc, qi int, bp *BoundPlan, qo QueryOpts) (QueryResult, error) {
 	var out QueryResult
-	if e.ftl == nil {
-		out.ResultTuples = e.runPlan(p, bp, bp.sites, nil)
-		return out, nil
-	}
-	rng := rand.New(rand.NewSource(retrySeed(e.ftl.seed, qi)))
+	var rng *rand.Rand
 	var dl *deadlineState
 	if qo.Deadline > 0 {
 		dl = e.armDeadline(p, qo.Deadline)
@@ -643,6 +637,9 @@ func (e *engine) runQuery(p *sim.Proc, qi int, bp *BoundPlan, qo QueryOpts) (Que
 				out.BackoffSkips++
 				continue
 			}
+		}
+		if rng == nil {
+			rng = rand.New(rand.NewSource(retrySeed(e.ftl.seed, qi)))
 		}
 		d := e.ftl.backoff(attempt, rng)
 		if holdInterruptible(p, d) {

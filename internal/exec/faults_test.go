@@ -141,9 +141,9 @@ func TestFetchTimeoutRecoversFromOutage(t *testing.T) {
 }
 
 // TestFaultFreeConfigsAgree compares three executions of the same query: the
-// legacy path (Faults nil), a disabled fault config (Enabled() == false), and
-// an armed config whose only scripted fault lies far beyond the end of the
-// run. All three must produce the same virtual-time behavior — the
+// default recovery settings (Faults nil), a disabled fault config
+// (Enabled() == false), and an injecting config whose only scripted fault
+// lies far beyond the end of the run. All three must produce the same virtual-time behavior — the
 // fault-handling machinery may not shift a single event when no fault fires.
 func TestFaultFreeConfigsAgree(t *testing.T) {
 	run := func(fc *faults.Config) Result {
@@ -155,21 +155,41 @@ func TestFaultFreeConfigsAgree(t *testing.T) {
 		}
 		return res
 	}
-	legacy := run(nil)
+	base := run(nil)
 	disabled := run(&faults.Config{MaxRetries: 5}) // tuning only: not enabled
-	if !reflect.DeepEqual(legacy, disabled) {
-		t.Errorf("disabled fault config diverged from legacy:\n got %+v\nwant %+v", disabled, legacy)
+	if !reflect.DeepEqual(base, disabled) {
+		t.Errorf("disabled fault config diverged from the defaults:\n got %+v\nwant %+v", disabled, base)
 	}
-	armed := run(&faults.Config{
+	idle := run(&faults.Config{
 		Seed:   9,
 		Script: []faults.Event{{At: 1e9, Kind: faults.SiteCrash, Site: 0, Duration: 1}},
 	})
-	if armed.ResultTuples != legacy.ResultTuples ||
-		armed.ResponseTime != legacy.ResponseTime ||
-		armed.PagesSent != legacy.PagesSent ||
-		armed.Messages != legacy.Messages ||
-		armed.Retries != 0 {
-		t.Errorf("armed-but-idle fault config changed the run:\n got %+v\nwant %+v", armed, legacy)
+	if idle.ResultTuples != base.ResultTuples ||
+		idle.ResponseTime != base.ResponseTime ||
+		idle.PagesSent != base.PagesSent ||
+		idle.Messages != base.Messages ||
+		idle.Retries != 0 {
+		t.Errorf("injecting-but-idle fault config changed the run:\n got %+v\nwant %+v", idle, base)
+	}
+}
+
+// TestDisabledFaultConfigFetchTimeoutRetries: a fault config that injects
+// nothing still sets the recovery policy of a closed run, because every
+// query runs supervised. A fetch timeout shorter than any page-fault round
+// trip times out every attempt of a data-shipping query on a half-cached
+// catalog, which retries until its cap.
+func TestDisabledFaultConfigFetchTimeoutRetries(t *testing.T) {
+	cfg := chainConfig(t, 2, 1, workload.Moderate, true)
+	if err := workload.CacheAllFraction(cfg.Catalog, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = &faults.Config{FetchTimeout: 1e-4, MaxRetries: 2}
+	if cfg.Faults.Enabled() {
+		t.Fatal("the config injects faults; the test needs a disabled one")
+	}
+	_, err := Run(cfg, annotate(leftDeepChain(2), plan.DataShipping))
+	if want := "failed after 3 attempts: " + reasonFetchTimeout; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run error = %v, want one containing %q", err, want)
 	}
 }
 
@@ -243,7 +263,6 @@ func superviseFetch(e *engine, name string, begin float64, yields int, site, rol
 // attributed to its own source site and role.
 func TestFetchWatchdogAbortsInBeginOrder(t *testing.T) {
 	e, _ := rebindFixture(t)
-	e.sim.ArmInterrupts()
 	var log []string
 	const begin = 0.25
 	first := superviseFetch(e, "registered-first", begin, 1, 1, RoleSecondary, -1, &log)
@@ -271,7 +290,6 @@ func TestFetchWatchdogAbortsInBeginOrder(t *testing.T) {
 // hanging, aborts at its own deadline.
 func TestFetchWatchdogUsesLaterDeadline(t *testing.T) {
 	e, _ := rebindFixture(t)
-	e.sim.ArmInterrupts()
 	var log []string
 	superviseFetch(e, "quick", 0, 0, 1, RolePrimary, 0.1, &log)
 	hung := superviseFetch(e, "hung", 0.5, 0, 1, RolePrimary, -1, &log)

@@ -151,12 +151,18 @@ func TestSpillReturnsPoolStorage(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := s.e
-			var tuples int64
+			var (
+				qr   QueryResult
+				qerr error
+			)
 			e.sim.Spawn("query", func(p *sim.Proc) {
-				tuples = e.runPlan(p, bound, bound.sites, nil)
+				qr, qerr = s.Execute(p, 0, bound, QueryOpts{})
 			})
 			e.sim.Run()
-			if tuples == 0 {
+			if qerr != nil {
+				t.Fatal(qerr)
+			}
+			if qr.ResultTuples == 0 {
 				t.Fatal("the query produced no tuples")
 			}
 			writes := e.client.aggregateStats().Writes

@@ -34,7 +34,7 @@ func (e *engine) runPlan(p *sim.Proc, bp *BoundPlan, b plan.Binding, att *attemp
 // a different site than its consumer (§3.2.1). A subtree on the far side of
 // a network pair runs on the producer daemon's process, so it accumulates
 // charges into the producer's own accumulator, created here. att supervises
-// the attempt in a failure-aware run; it is nil on the fault-free path.
+// the attempt.
 func (e *engine) build(bp *BoundPlan, b plan.Binding, i int32, consumerSite catalog.SiteID, att *attemptState, acc *chargeAcc) iterator {
 	nd, site := &bp.flat.Nodes[i], b[i]
 	sub := acc
@@ -125,22 +125,17 @@ func (e *engine) newScan(bp *BoundPlan, i int32, at catalog.SiteID, att *attempt
 		if s.cachedPages > s.relPages {
 			s.cachedPages = s.relPages
 		}
-		// Page faults go to the home server, unless this is an attempt
-		// whose re-binding chose another replica as the fetch source
+		// Page faults go to the replica the attempt's re-binding chose as
+		// the fetch source, the home server unless it failed over
 		// (failover.go).
-		fetchFrom := r.Home
-		if att != nil {
-			fetchFrom = e.rb.srcs[i]
-		}
+		fetchFrom := e.rb.srcs[i]
 		s.src = e.site(fetchFrom)
 		if fetchFrom != r.Home {
 			s.srcRole = RoleSecondary
 		}
 		s.srcExt = s.src.extents[ri]
 		if e.coh != nil {
-			if att != nil {
-				s.client = att.client
-			}
+			s.client = att.client
 			s.cohRI = ri
 			if ext := e.cohExt[ri]; ext != nil {
 				s.ext = ext[s.client]
@@ -168,7 +163,7 @@ func (s *scanOp) fill(p *sim.Proc, pg int) {
 	switch {
 	case s.atSite.id != catalog.Client:
 		// Server-copy scan: sequential read of the relation extent.
-		if s.att != nil && !s.atSite.up {
+		if !s.atSite.up {
 			s.att.failFromSite(p, reasonSiteDown, int(s.atSite.id), s.atRole)
 		}
 		s.atSite.chargeCPU(p, params, params.DiskInst)
@@ -210,39 +205,35 @@ func (s *scanOp) faultRun(p *sim.Proc, pg int) {
 
 // roundTrip pays one synchronous request/response with the fetch source: a
 // control message out, the source's pager reading pages pages at a (none
-// for a lease renewal), and a reply of replyBytes. Under fault injection the
-// round trip is supervised: it fails at once if the source is down, a
-// session's circuit breaker may shed it, and a watchdog bounds it, because a
-// server that died (or a partitioned link) just never answers, and only the
-// timeout can tell that apart from queueing delay.
+// for a lease renewal), and a reply of replyBytes. The round trip is
+// supervised: it fails at once if the source is down, a session's circuit
+// breaker may shed it, and a watchdog bounds it, because a server that died
+// (or a partitioned link) just never answers, and only the timeout can tell
+// that apart from queueing delay.
 func (s *scanOp) roundTrip(p *sim.Proc, a diskAddr, pages, replyBytes int) {
 	params := s.e.cfg.Params
 	if s.reply == nil {
 		s.reply = sim.NewBuffer(s.e.sim, "fault-reply", 1)
 	}
-	if s.att != nil {
-		if !s.src.up {
-			s.att.failFromSite(p, reasonSiteDown, int(s.src.id), s.srcRole)
-		}
-		// A session's circuit breaker sheds the fetch before any network
-		// round trip when the source site's role is hard-open (another
-		// query's failures tripped it mid-attempt): a breaker-open shed
-		// is not a failure observation, so no site is attributed.
-		if g := s.e.siteGate; g != nil && g.Shed(int(s.src.id), s.srcRole) {
-			s.att.failFrom(p, reasonBreakerOpen)
-		}
-		s.att.beginFetch(int(s.src.id), s.srcRole)
+	if !s.src.up {
+		s.att.failFromSite(p, reasonSiteDown, int(s.src.id), s.srcRole)
 	}
+	// A session's circuit breaker sheds the fetch before any network round
+	// trip when the source site's role is hard-open (another query's
+	// failures tripped it mid-attempt): a breaker-open shed is not a failure
+	// observation, so no site is attributed.
+	if g := s.e.siteGate; g != nil && g.Shed(int(s.src.id), s.srcRole) {
+		s.att.failFrom(p, reasonBreakerOpen)
+	}
+	s.att.beginFetch(int(s.src.id), s.srcRole)
 	s.atSite.chargeCPU(p, params, params.MsgInstr(machine.CtrlMsgBytes))
 	s.e.net.Transmit(p, machine.CtrlMsgBytes, false)
 	s.src.pager.fetchRun(p, a, pages, s.reply)
 	s.atSite.chargeCPU(p, params, params.MsgInstr(replyBytes))
-	if s.att != nil {
-		s.att.endFetch()
-		// A completed round trip is positive evidence the source is healthy.
-		if g := s.e.siteGate; g != nil {
-			g.ReportSuccess(int(s.src.id), s.srcRole)
-		}
+	s.att.endFetch()
+	// A completed round trip is positive evidence the source is healthy.
+	if g := s.e.siteGate; g != nil {
+		g.ReportSuccess(int(s.src.id), s.srcRole)
 	}
 }
 
@@ -548,32 +539,26 @@ func (n *netPair) open(p *sim.Proc) {
 		n.pacc.flush(pp)
 		n.buf.Close()
 	}
-	if att := n.att; att != nil {
-		// Supervised producer: a cancellation unwinding this daemon (its
-		// own failFrom, or the attempt's teardown) is absorbed here — and
-		// converted into an abort of the attempt if one isn't in progress.
-		inner := body
-		body = func(pp *sim.Proc) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(sim.Interrupted); !ok {
-						panic(r)
-					}
-					att.abort(reasonHelper)
+	// Supervised producer: a cancellation unwinding this daemon (its own
+	// failFrom, or the attempt's teardown) is absorbed here — and converted
+	// into an abort of the attempt if one isn't in progress.
+	supervised := func(pp *sim.Proc) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(sim.Interrupted); !ok {
+					panic(r)
 				}
-			}()
-			inner(pp)
-		}
+				n.att.abort(reasonHelper)
+			}
+		}()
+		body(pp)
 	}
 	// Spawning the producer is kernel-visible: the daemon's first dispatch
 	// lands at the current simulated time. Any consumer-side work still
 	// sitting in the accumulator — e.g. the hash charge for a partial last
 	// build page, which no later batch flushes — must be realized first.
 	n.acc.flush(p)
-	pr2 := n.e.sim.SpawnDaemonLazy(func() string { return fmt.Sprintf("send:%d->%d", n.from.id, n.to.id) }, body)
-	if n.att != nil {
-		n.att.addHelper(pr2)
-	}
+	n.att.addHelper(n.e.sim.SpawnDaemonLazy(func() string { return fmt.Sprintf("send:%d->%d", n.from.id, n.to.id) }, supervised))
 }
 
 func (n *netPair) next(p *sim.Proc) (*colBatch, bool) {

@@ -77,7 +77,7 @@ type QueryResult struct {
 	ResponseTime float64 // from the query's submission to its last tuple
 	ResultTuples int64
 
-	// Failure-awareness counters; zero when faults are disabled.
+	// Failure-awareness counters; zero unless an attempt aborted.
 	Retries          int64
 	AbortedWork      float64
 	BackoffTime      float64
@@ -116,9 +116,9 @@ func RunMulti(cfg Config, queries []QueryRun) (MultiResult, error) {
 // runClosed is the one loop of the closed runs. It builds a Session through
 // newSession, binding query i with bindQ, submits query i at its start time
 // as the process name(i), drives the simulation to its end, and collects
-// one QueryResult per query and the shared traffic counters. The session is
-// not NewSession's: it arms interrupts only when cfg.Faults is enabled, and
-// its pool is private.
+// one QueryResult per query and the shared traffic counters. Its queries
+// run supervised like a session's, but with no serving-layer gates, and its
+// pool is private.
 func runClosed(cfg Config, queries []QueryRun, name func(int64) string, bindQ func(*Config, int) (*BoundPlan, error)) (*Session, MultiResult, error) {
 	s, bound, err := newSession(cfg, len(queries), bindQ)
 	if err != nil {

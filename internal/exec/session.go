@@ -97,26 +97,17 @@ type Session struct {
 	e *engine
 }
 
-// NewSession builds the engine and arms it for serving: interrupts are always
-// armed (deadlines need them even without fault injection) and the failover
-// parameters always present, synthesized from a default faults.Config when
-// cfg.Faults is nil or disabled.
+// NewSession builds the engine for serving: it installs the session's
+// circuit breakers and retry budget, and starts from the storage of a
+// released session's pool.
 func NewSession(cfg Config, opts SessionOptions) (*Session, error) {
 	s, _, err := newSession(cfg, 0, nil)
 	if err != nil {
 		return nil, err
 	}
 	e := s.e
-	if e.ftl == nil {
-		fc := cfg.Faults
-		if fc == nil {
-			fc = &faults.Config{Seed: cfg.Seed}
-		}
-		e.ftl = newFailoverParams(fc)
-	}
 	e.siteGate = opts.Gate
 	e.retryGate = opts.Retry
-	e.sim.ArmInterrupts()
 	if bp, ok := spareStorage.Get().(*batchPool); ok {
 		e.pool = *bp
 	}
@@ -126,8 +117,8 @@ func NewSession(cfg Config, opts SessionOptions) (*Session, error) {
 // newSession is the engine's one constructor, shared by NewSession and the
 // closed runs. It validates cfg, binds n plans with bindQ, and only then
 // builds the machine park, so a config or plan it rejects spawns nothing,
-// not even on a shared Config.Kernel. The session it returns is armed for
-// interrupts only when cfg.Faults is enabled, and has a private pool.
+// not even on a shared Config.Kernel. The session it returns has no
+// serving-layer gates and a private pool.
 func newSession(cfg Config, n int, bindQ func(*Config, int) (*BoundPlan, error)) (*Session, []*BoundPlan, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err

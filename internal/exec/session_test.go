@@ -2,12 +2,16 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"hybridship/internal/catalog"
+	"hybridship/internal/coherence"
 	"hybridship/internal/faults"
 	"hybridship/internal/plan"
 	"hybridship/internal/sim"
@@ -41,33 +45,87 @@ func runOnSession(t *testing.T, ses *Session, root *plan.Node, qo QueryOpts) (Qu
 	return qr, qerr
 }
 
-// TestSessionFaultFreeMatchesRun checks the session path against the closed
-// one-shot entry point: same plan, same config, same answer and same virtual
-// response time, even though the session always arms interrupts and runs the
-// retry loop.
+// TestSessionFaultFreeMatchesRun checks the closed runs against a session:
+// the same plans on the same config give DeepEqual QueryResults whichever
+// entry point runs them, across the three policies, an unloaded and a
+// Figure-4-style loaded server, and with and without single-client
+// coherence (a half-cached catalog, so page faults and lease renewals run
+// the supervised round trip). The last row submits two queries through
+// RunMulti and the same two, at the same instants, on one session.
 func TestSessionFaultFreeMatchesRun(t *testing.T) {
-	root := annotate(leftDeepChain(2), plan.QueryShipping)
-	base, err := Run(chainConfig(t, 2, 1, workload.Moderate, true), root)
-	if err != nil {
-		t.Fatal(err)
+	config := func(loaded, coh bool) Config {
+		cfg := chainConfig(t, 2, 1, workload.Moderate, true)
+		if err := workload.CacheAllFraction(cfg.Catalog, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		if loaded {
+			cfg.ServerLoad = map[catalog.SiteID]float64{0: 40}
+		}
+		if coh {
+			cfg.Coherence = &coherence.Config{NumClients: 1, LeaseDuration: 0.5}
+		}
+		return cfg
 	}
-	ses, err := NewSession(chainConfig(t, 2, 1, workload.Moderate, true), SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
+	// onSession runs queries on a fresh session of cfg, query i on its own
+	// process submitted at its start time, as RunMulti does.
+	onSession := func(t *testing.T, cfg Config, queries []QueryRun) []QueryResult {
+		ses := mustSession(t, cfg)
+		out := make([]QueryResult, len(queries))
+		for i, qr := range queries {
+			bound, err := ses.Bind(qr.Plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ses.Simulator().Spawn("driver", func(p *sim.Proc) {
+				p.Hold(qr.Start)
+				var err error
+				if out[i], err = ses.Execute(p, i, bound, QueryOpts{}); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		ses.Run()
+		return out
 	}
-	qr, err := runOnSession(t, ses, root, QueryOpts{})
-	if err != nil {
-		t.Fatal(err)
+	for _, pol := range []plan.Policy{plan.DataShipping, plan.QueryShipping, plan.HybridShipping} {
+		for _, loaded := range []bool{false, true} {
+			for _, coh := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%v/loaded=%v/coherence=%v", pol, loaded, coh), func(t *testing.T) {
+					root := annotate(leftDeepChain(2), pol)
+					res, err := Run(config(loaded, coh), root)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := QueryResult{
+						ResponseTime:     res.ResponseTime,
+						ResultTuples:     res.ResultTuples,
+						Retries:          res.Retries,
+						AbortedWork:      res.AbortedWork,
+						BackoffTime:      res.BackoffTime,
+						ReplicaFailovers: res.ReplicaFailovers,
+						BackoffSkips:     res.BackoffSkips,
+					}
+					want := onSession(t, config(loaded, coh), []QueryRun{{Plan: root}})[0]
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("Run = %+v, session = %+v", got, want)
+					}
+				})
+			}
+		}
 	}
-	if qr.ResultTuples != base.ResultTuples {
-		t.Errorf("session tuples = %d, want %d", qr.ResultTuples, base.ResultTuples)
-	}
-	if qr.ResponseTime != base.ResponseTime {
-		t.Errorf("session response time = %g, want %g", qr.ResponseTime, base.ResponseTime)
-	}
-	if qr.Retries != 0 {
-		t.Errorf("fault-free session run retried %d times", qr.Retries)
-	}
+	t.Run("RunMulti", func(t *testing.T) {
+		queries := []QueryRun{
+			{Plan: annotate(leftDeepChain(2), plan.QueryShipping)},
+			{Plan: annotate(leftDeepChain(2), plan.DataShipping), Start: 0.3},
+		}
+		m, err := RunMulti(config(true, false), queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := onSession(t, config(true, false), queries); !reflect.DeepEqual(m.PerQuery, want) {
+			t.Errorf("RunMulti = %+v, session = %+v", m.PerQuery, want)
+		}
+	})
 }
 
 // TestSessionReleaseHandsStorageOn: a session built after another one's

@@ -12,8 +12,7 @@
 // configuration produces bit-identical fault schedules (and therefore
 // bit-identical Results) regardless of GOMAXPROCS or wall-clock timing.
 // Injection is strictly additive: with a nil or disabled Config no daemon is
-// spawned, the simulation is never armed for interrupts, and the kernel's
-// 0-alloc uncontended Hold fast path is untouched.
+// spawned and the kernel's 0-alloc uncontended Hold fast path is untouched.
 package faults
 
 import (
@@ -69,7 +68,9 @@ type Config struct {
 
 	// FetchTimeout bounds one synchronous page-fault-shipping round trip; a
 	// fetch outstanding longer than this aborts the attempt (the requester
-	// cannot tell a dead server from a slow one). 0 defaults to 1s.
+	// cannot tell a dead server from a slow one). 0 defaults to 1s. Like the
+	// retry and backoff settings below, it applies whether or not the
+	// config injects anything: the engine supervises every query.
 	FetchTimeout float64
 
 	// MaxRetries bounds how many times a query is retried (re-bound and
@@ -250,8 +251,7 @@ type Injector struct {
 	diskDownAt   [][]float64
 }
 
-// New builds the injector for a simulation and arms the kernel for process
-// cancellation. It spawns one daemon per stochastic fault stream (site,
+// New builds the injector for a simulation. It spawns one daemon per stochastic fault stream (site,
 // disk, network, degradation) plus one for the script; each daemon draws
 // from its own seedmix-derived RNG, so streams never perturb one another.
 func New(s *sim.Simulator, cfg Config, hooks Hooks) *Injector {
@@ -266,7 +266,6 @@ func New(s *sim.Simulator, cfg Config, hooks Hooks) *Injector {
 	}
 	in.clientDown = make([]bool, len(hooks.Clients))
 	in.clientDownAt = make([]float64, len(hooks.Clients))
-	s.ArmInterrupts()
 
 	if cfg.SiteMTBF > 0 {
 		for i := range hooks.Sites {

@@ -100,9 +100,6 @@ func TestScriptedEventsFireInOrder(t *testing.T) {
 	if st != wantStats {
 		t.Errorf("stats %+v, want %+v", st, wantStats)
 	}
-	if !s.Interruptible() {
-		t.Error("New did not arm the simulation for interrupts")
-	}
 }
 
 // TestOverlappingFaultsIdempotent checks the state transitions: a crash of an

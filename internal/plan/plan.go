@@ -351,36 +351,15 @@ func ValidateFor(root *Node, p Policy) error {
 }
 
 // String renders the plan as an indented tree with annotations.
-func (n *Node) String() string {
-	var b strings.Builder
-	var rec func(m *Node, depth int)
-	rec = func(m *Node, depth int) {
-		if m == nil {
-			return
-		}
-		b.WriteString(strings.Repeat("  ", depth))
-		switch m.Kind {
-		case KindScan:
-			if m.Copy != 0 {
-				fmt.Fprintf(&b, "scan(%s) [%v #%d]\n", m.Table, m.Ann, m.Copy)
-			} else {
-				fmt.Fprintf(&b, "scan(%s) [%v]\n", m.Table, m.Ann)
-			}
-		case KindSelect:
-			fmt.Fprintf(&b, "select(%s) [%v]\n", m.Rel, m.Ann)
-		default:
-			fmt.Fprintf(&b, "%v [%v]\n", m.Kind, m.Ann)
-		}
-		rec(m.Left, depth+1)
-		rec(m.Right, depth+1)
-	}
-	rec(n, 0)
-	return b.String()
-}
+func (n *Node) String() string { return format(n, nil, false) }
 
 // FormatBound renders the plan with both annotations and bound sites; a
 // node beyond the end of the binding shows its site as "?".
-func FormatBound(n *Node, b Binding) string {
+func FormatBound(n *Node, b Binding) string { return format(n, b, true) }
+
+// format renders n as an indented pre-order tree, one node per line with
+// its annotation, and with its site in b appended when bound is set.
+func format(n *Node, b Binding, bound bool) string {
 	var sb strings.Builder
 	var rec func(m *Node, depth int)
 	id := 0 // the next node's ID: rec visits in pre-order
@@ -388,27 +367,31 @@ func FormatBound(n *Node, b Binding) string {
 		if m == nil {
 			return
 		}
-		site := "?"
-		if id < len(b) {
-			site = "client"
-			if s := b[id]; s != catalog.Client {
-				site = fmt.Sprintf("server %d", int(s))
-			}
-		}
-		id++
 		sb.WriteString(strings.Repeat("  ", depth))
 		switch m.Kind {
 		case KindScan:
 			if m.Copy != 0 {
-				fmt.Fprintf(&sb, "scan(%s) [%v #%d] @ %s\n", m.Table, m.Ann, m.Copy, site)
+				fmt.Fprintf(&sb, "scan(%s) [%v #%d]", m.Table, m.Ann, m.Copy)
 			} else {
-				fmt.Fprintf(&sb, "scan(%s) [%v] @ %s\n", m.Table, m.Ann, site)
+				fmt.Fprintf(&sb, "scan(%s) [%v]", m.Table, m.Ann)
 			}
 		case KindSelect:
-			fmt.Fprintf(&sb, "select(%s) [%v] @ %s\n", m.Rel, m.Ann, site)
+			fmt.Fprintf(&sb, "select(%s) [%v]", m.Rel, m.Ann)
 		default:
-			fmt.Fprintf(&sb, "%v [%v] @ %s\n", m.Kind, m.Ann, site)
+			fmt.Fprintf(&sb, "%v [%v]", m.Kind, m.Ann)
 		}
+		if bound {
+			site := "?"
+			if id < len(b) {
+				site = "client"
+				if s := b[id]; s != catalog.Client {
+					site = fmt.Sprintf("server %d", int(s))
+				}
+			}
+			sb.WriteString(" @ " + site)
+		}
+		id++
+		sb.WriteByte('\n')
 		rec(m.Left, depth+1)
 		rec(m.Right, depth+1)
 	}

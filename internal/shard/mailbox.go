@@ -68,8 +68,7 @@ func (m *Mailbox) Len() int { return len(m.items) }
 // dst — delay seconds after p's current time, using the same posted-delivery
 // path as mailbox sends: the ref is only dereferenced on dst's own kernel
 // goroutine, inside a window, so cross-shard cancellation is race-free and
-// lands at a deterministic point in dst's schedule. The destination kernel
-// must be armed (sim.ArmInterrupts).
+// lands at a deterministic point in dst's schedule.
 func (c *Coordinator) InterruptAfter(p *sim.Proc, dst int, delay float64, ref sim.Ref, reason string) {
 	c.Post(p, dst, delay, func() { ref.Interrupt(reason) })
 }

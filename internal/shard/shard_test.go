@@ -174,9 +174,6 @@ func TestInterruptStormAcrossShards(t *testing.T) {
 	const shards, victimsPer, waves = 4, 8, 5
 	c := New(shards)
 	c.SetLookahead(testLA)
-	for i := 0; i < shards; i++ {
-		c.Sim(i).ArmInterrupts()
-	}
 	counts := make([]int64, shards) // per-shard so concurrent windows never share a slot
 	refs := make([]sim.Ref, 0, (shards-1)*victimsPer)
 	for wave := 0; wave < waves; wave++ {
@@ -215,9 +212,6 @@ func TestInterruptStormAcrossShards(t *testing.T) {
 		if wave < waves-1 {
 			c = New(shards)
 			c.SetLookahead(testLA)
-			for i := 0; i < shards; i++ {
-				c.Sim(i).ArmInterrupts()
-			}
 		}
 	}
 	var interrupted int64

@@ -142,20 +142,3 @@ func BenchmarkEventHeap(b *testing.B) {
 		h.push(e)
 	}
 }
-
-// BenchmarkHoldFastPathArmed is BenchmarkHoldFastPath on a simulation armed
-// for interrupts: the fast-path condition is untouched by arming, so this
-// must match the unarmed benchmark — 0 allocs and the same ns/op.
-func BenchmarkHoldFastPathArmed(b *testing.B) {
-	s := New()
-	s.ArmInterrupts()
-	s.Spawn("bench", func(p *Proc) {
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p.Hold(1e-9)
-		}
-		b.StopTimer()
-	})
-	s.Run()
-}

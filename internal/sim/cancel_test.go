@@ -12,7 +12,6 @@ import (
 // at the interrupt time — not at the original wakeup — with the reason intact.
 func TestInterruptUnwindsAtPark(t *testing.T) {
 	s := New()
-	s.ArmInterrupts()
 	var (
 		when     Time
 		reason   string
@@ -55,7 +54,6 @@ func TestInterruptUnwindsAtPark(t *testing.T) {
 // to the pool (or to the next live waiter) instead of waking the corpse.
 func TestInterruptWhileQueuedOnResource(t *testing.T) {
 	s := New()
-	s.ArmInterrupts()
 	r := NewResource(s, "cpu", 1)
 	var cGotAt Time = -1
 	s.Spawn("holder", func(p *Proc) {
@@ -92,7 +90,6 @@ func TestInterruptWhileQueuedOnResource(t *testing.T) {
 // than waking the unwound one.
 func TestInterruptWhileQueuedOnBuffer(t *testing.T) {
 	s := New()
-	s.ArmInterrupts()
 	b := NewBuffer(s, "pipe", 1)
 	var got any
 	dead := s.Spawn("dead-getter", func(p *Proc) {
@@ -128,7 +125,6 @@ func TestInterruptWhileQueuedOnBuffer(t *testing.T) {
 // runs produce identical traces.
 func interruptTieTrace() []string {
 	s := New()
-	s.ArmInterrupts()
 	var trace []string
 	mark := func(m string) { trace = append(trace, fmt.Sprintf("%g:%s", s.Now(), m)) }
 	victim := s.Spawn("victim", func(p *Proc) {
@@ -177,7 +173,6 @@ func TestInterruptTieOrderDeterministic(t *testing.T) {
 // wakeup event left in the heap must neither fire nor advance the clock.
 func TestSelfInterruptCleared(t *testing.T) {
 	s := New()
-	s.ArmInterrupts()
 	var doneAt Time = -1
 	s.Spawn("self", func(p *Proc) {
 		p.Interrupt("oops")
@@ -191,29 +186,12 @@ func TestSelfInterruptCleared(t *testing.T) {
 	}
 }
 
-// TestInterruptRequiresArming pins the opt-in: Interrupt on an unarmed
-// simulation is a programming error, not a silent misdelivery.
-func TestInterruptRequiresArming(t *testing.T) {
-	s := New()
-	var recovered any
-	s.Spawn("p", func(p *Proc) {
-		q := p
-		defer func() { recovered = recover() }()
-		q.Interrupt("nope")
-	})
-	s.Run()
-	if recovered == nil {
-		t.Fatal("Interrupt on an unarmed simulation did not panic")
-	}
-}
-
 // TestInterruptStormPoolReuse tears down many parked processes at once and
 // then spawns fresh work that reuses the pooled goroutines. Run under -race
 // this checks the unwind/reuse handshake; functionally it checks that pooled
 // reuse clears interrupt state and that the simulation drains cleanly.
 func TestInterruptStormPoolReuse(t *testing.T) {
 	s := New()
-	s.ArmInterrupts()
 	const n = 50
 	victims := make([]*Proc, n)
 	for i := 0; i < n; i++ {
@@ -248,32 +226,24 @@ func TestInterruptStormPoolReuse(t *testing.T) {
 }
 
 // TestHoldFastPathZeroAllocs asserts the uncontended Hold fast path stays
-// allocation-free — with interrupts unarmed (the fault-free configuration the
-// figures run under) and armed (a fault-capable but currently fault-free
-// simulation pays nothing on the hot path either).
+// allocation-free: interruptibility costs the hot path nothing.
 func TestHoldFastPathZeroAllocs(t *testing.T) {
-	for _, armed := range []bool{false, true} {
-		s := New()
-		if armed {
-			s.ArmInterrupts()
-		}
-		var allocs float64
-		s.Spawn("bench", func(p *Proc) {
-			allocs = testing.AllocsPerRun(200, func() { p.Hold(1e-9) })
-		})
-		s.Run()
-		if allocs != 0 {
-			t.Errorf("armed=%v: Hold fast path allocates %.1f per op, want 0", armed, allocs)
-		}
+	s := New()
+	var allocs float64
+	s.Spawn("bench", func(p *Proc) {
+		allocs = testing.AllocsPerRun(200, func() { p.Hold(1e-9) })
+	})
+	s.Run()
+	if allocs != 0 {
+		t.Errorf("Hold fast path allocates %.1f per op, want 0", allocs)
 	}
 }
 
-// TestResourceUseArmedReleasesOnUnwind checks the armed Use path: a holder
+// TestResourceUseArmedReleasesOnUnwind checks Use's deferred release: a holder
 // unwound mid-hold must still free its server via the deferred Release, so a
 // queued live waiter proceeds.
 func TestResourceUseArmedReleasesOnUnwind(t *testing.T) {
 	s := New()
-	s.ArmInterrupts()
 	r := NewResource(s, "cpu", 1)
 	var gotAt Time = -1
 	holder := s.Spawn("holder", func(p *Proc) {
@@ -308,7 +278,6 @@ func TestResourceUseArmedReleasesOnUnwind(t *testing.T) {
 func TestInterruptAtResourceHandoff(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New()
-	s.ArmInterrupts()
 	r := NewResource(s, "cpu", 1)
 	s.Spawn("holder", func(p *Proc) {
 		r.Use(p, 5) // releases at t=5, handing the server to "first"

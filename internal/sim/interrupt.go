@@ -22,10 +22,6 @@ package sim
 //     Ref to it sitting in resource/buffer/disk wait queues, so the kernel
 //     and the wait queues need no other bookkeeping to forget an unwound
 //     waiter.
-//
-//   - The whole mechanism is gated on ArmInterrupts. An unarmed simulation
-//     pays nothing: no extra branches on the Hold fast path, no deferred
-//     releases in Resource.Use.
 
 // Interrupted is the panic value delivered to a process cancelled with
 // Interrupt. Operator code that needs to clean up (or convert the unwind
@@ -43,15 +39,6 @@ func (i Interrupted) Error() string {
 	//hslint:allow simhot -- formatted only when a caught interrupt is reported; cold path
 	return "sim: process interrupted: " + i.Reason
 }
-
-// ArmInterrupts enables process cancellation for this simulation. Arming
-// makes Resource.Use release its server when the holder is unwound mid-hold;
-// that costs a deferred call per acquisition, which is why it is opt-in:
-// fault-free simulations keep the exact PR 2 hot path.
-func (s *Simulator) ArmInterrupts() { s.armed = true }
-
-// Interruptible reports whether ArmInterrupts has been called.
-func (s *Simulator) Interruptible() bool { return s.armed }
 
 // Ref is a generation-stamped reference to a process, the handle wait queues
 // hold instead of a bare *Proc once cancellation is in play. A Ref taken
@@ -88,7 +75,7 @@ func (r Ref) Interrupt(reason string) {
 // Interrupt cancels the process: at its next park point it panics with
 // Interrupted{reason} instead of resuming, invalidating its pending events
 // and queue positions. Interrupting a finished process, or one that already
-// has an undelivered interrupt, is a no-op. The simulation must be armed.
+// has an undelivered interrupt, is a no-op.
 //
 // Unlike the other Proc methods, Interrupt is called from a *different*
 // process (the currently running one — typically a fault daemon); the victim
@@ -96,9 +83,6 @@ func (r Ref) Interrupt(reason string) {
 // wakeup forces its next Hold onto the slow path, where the interrupt is
 // delivered.
 func (p *Proc) Interrupt(reason string) {
-	if !p.sim.armed {
-		panic("sim: Interrupt requires ArmInterrupts")
-	}
 	if p.done || p.intr {
 		return
 	}

@@ -88,7 +88,6 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 func TestInterruptedParkedProcessesLeakNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New()
-	s.ArmInterrupts()
 	r := NewResource(s, "cpu", 1)
 	var victims []*Proc
 	unwound := 0

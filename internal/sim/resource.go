@@ -36,11 +36,10 @@ func (r *Resource) Name() string { return r.name }
 // Acquire obtains one server of the resource, blocking in FIFO order until
 // one is free.
 //
-// In an armed simulation a queued waiter can be interrupted at the very
-// instant Release hands it a server (the hand-off only schedules its
-// wake-up), and it then unwinds here, before its caller could defer a
-// Release. The deferred check gives such a server back, so it passes on to
-// the next waiter instead of leaking.
+// A queued waiter can be interrupted at the very instant Release hands it a
+// server (the hand-off only schedules its wake-up), and it then unwinds
+// here, before its caller could defer a Release. The deferred check gives
+// such a server back, so it passes on to the next waiter instead of leaking.
 func (r *Resource) Acquire(p *Proc) {
 	r.requests++
 	if r.inUse < r.servers && len(r.waiters) == 0 {
@@ -49,18 +48,14 @@ func (r *Resource) Acquire(p *Proc) {
 	}
 	ref := p.Ref()
 	r.waiters = append(r.waiters, ref)
-	if r.sim.armed {
-		granted := false
-		defer func() {
-			if !granted && r.handedTo(ref) {
-				r.Release(p)
-			}
-		}()
-		p.Block()
-		granted = true
-		return
-	}
+	granted := false
+	defer func() {
+		if !granted && r.handedTo(ref) {
+			r.Release(p)
+		}
+	}()
 	p.Block()
+	granted = true
 }
 
 // handedTo reports whether Release already passed a server to the waiter
@@ -97,19 +92,13 @@ func (r *Resource) Release(p *Proc) {
 // Use acquires the resource, holds it busy for dt, and releases it. This is
 // the common pattern for charging CPU time or network wire time.
 //
-// In an armed (interruptible) simulation the release is deferred, so a
-// holder unwound mid-hold by Interrupt still frees its server. Unarmed
-// simulations keep the straight-line path with no defer.
+// The release is deferred, so a holder unwound mid-hold by Interrupt still
+// frees its server.
 func (r *Resource) Use(p *Proc, dt Time) {
 	r.Acquire(p)
 	r.busy += dt
-	if r.sim.armed {
-		defer r.Release(p)
-		p.Hold(dt)
-		return
-	}
+	defer r.Release(p)
 	p.Hold(dt)
-	r.Release(p)
 }
 
 // UseRun charges a sequence of busy intervals against the resource, exactly

@@ -52,7 +52,6 @@ type Simulator struct {
 	daemons []*Proc // live daemon processes (terminated when Run drains)
 	free    []*Proc // finished processes whose coroutines await reuse
 	failure any     // panic value captured from a process coroutine
-	armed   bool    // process cancellation enabled (see ArmInterrupts)
 
 	// horizon bounds the in-place Hold fast path when the simulator runs as
 	// one shard of a windowed parallel run (see RunWindow): a hold that would

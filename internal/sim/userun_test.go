@@ -146,7 +146,7 @@ func TestUseRunTraceForcesReference(t *testing.T) {
 	}
 }
 
-// TestUseRunInterruptMatchesPerPartUse: an armed interrupt landing mid-run
+// TestUseRunInterruptMatchesPerPartUse: an interrupt landing mid-run
 // must unwind the holder at the same virtual time, with the same counters,
 // as the per-part reference (the deferred Release in Use frees the server
 // either way).
@@ -154,7 +154,6 @@ func TestUseRunInterruptMatchesPerPartUse(t *testing.T) {
 	parts := []Time{0.3, 0.3, 0.3}
 	run := func(coalesce bool) useRunOutcome {
 		s := New()
-		s.ArmInterrupts()
 		r := NewResource(s, "cpu", 1)
 		var out useRunOutcome
 		victim := s.Spawn("victim", func(p *Proc) {
