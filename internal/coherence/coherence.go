@@ -32,18 +32,17 @@ import (
 	"hybridship/internal/sim"
 )
 
-// Config enables per-client caching for one engine.
+// Config shapes one engine's client caches. The engine's default, when it is
+// given none, is Config{NumClients: 1}: the paper's single static client
+// cache.
 type Config struct {
-	// NumClients is the number of client cache streams (>= 1). Client 0 uses
-	// the legacy cache extent placement, so a single-client configuration is
-	// laid out bit-identically to the legacy engine.
+	// NumClients is the number of client cache streams (>= 1).
 	NumClients int
 	// LeaseDuration is the lease length in virtual seconds. 0 grants
 	// infinite leases — sound only for read-only workloads (the engine
 	// rejects updates under infinite leases, because a crashed leaseholder
-	// could then stall writers forever) and guarantees the zero-write
-	// configuration behaves identically to the legacy engine: no renewals,
-	// no expiries, no invalidations.
+	// could then stall writers forever): no renewals, no expiries, no
+	// invalidations, and no page version ever advances.
 	LeaseDuration float64
 }
 
@@ -96,9 +95,12 @@ type serverState struct {
 	// c has not yet synchronized. Only relations homed at this server have
 	// non-nil rows. cached is always a superset of the client's valid bits,
 	// so invalidating every unsynced page reaches every stale page.
-	cached   [][][]bool
-	unsynced [][][]bool
-	writes   []*Write // writes between BeginWrite and Commit/Abort
+	// anyUnsynced[c] is set whenever some unsynced[c] bit may be set, so a
+	// contact with nothing owed skips the sweep.
+	cached      [][][]bool
+	unsynced    [][][]bool
+	anyUnsynced []bool
+	writes      []*Write // writes between BeginWrite and Commit/Abort
 }
 
 // Write is one in-flight update at its relation's home server, from
@@ -223,12 +225,15 @@ type State struct {
 // NewState validates the configuration against the catalog and builds the
 // initial protocol state. Caches start warm: every client holds the cacheable
 // prefix of every relation, valid at version zero and registered in the home
-// server's callback tables — mirroring the legacy engine, whose static client
-// cache is preloaded before the run begins. Leases start ungranted, so under
-// finite leases the first read from each server pays one renewal round trip.
-// Coherence requires an unreplicated catalog — updates go to the single home
-// copy, and a replicated secondary would serve stale pages the protocol
-// never learns about.
+// server's callback tables — the paper's static client cache, preloaded
+// before the run begins. Leases start ungranted, so under finite leases the
+// first read from each server pays one renewal round trip.
+//
+// A finite lease requires an unreplicated catalog: updates go to the single
+// home copy, and a replicated secondary would serve stale pages the protocol
+// never learns about. Infinite leases (LeaseDuration 0) accept replicas: the
+// engine rejects every update under them, so no page version ever advances
+// and every copy of a page stays at the version the client cached.
 func NewState(cfg Config, cat *catalog.Catalog) (*State, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -239,8 +244,8 @@ func NewState(cfg Config, cat *catalog.Catalog) (*State, error) {
 	}
 	for ri, name := range cat.Relations() {
 		r := cat.MustRelation(name)
-		if r.NumCopies() != 1 {
-			return nil, fmt.Errorf("coherence: relation %q has %d copies; coherence requires an unreplicated catalog (RF=1)",
+		if cfg.LeaseDuration > 0 && r.NumCopies() != 1 {
+			return nil, fmt.Errorf("coherence: relation %q has %d copies; finite leases require an unreplicated catalog (RF=1)",
 				name, r.NumCopies())
 		}
 		home := int(r.Home)
@@ -277,6 +282,7 @@ func NewState(cfg Config, cat *catalog.Catalog) (*State, error) {
 		sv.epochs = make([]int64, cfg.NumClients) // epoch 0: fleet registered at boot
 		sv.cached = make([][][]bool, cfg.NumClients)
 		sv.unsynced = make([][][]bool, cfg.NumClients)
+		sv.anyUnsynced = make([]bool, cfg.NumClients)
 		for c := 0; c < cfg.NumClients; c++ {
 			sv.cached[c] = make([][]bool, nr)
 			sv.unsynced[c] = make([][]bool, nr)
@@ -391,6 +397,7 @@ func (st *State) reconcileEpoch(c, s int) {
 		clearBits(sv.cached[c][ri])
 		clearBits(sv.unsynced[c][ri])
 	}
+	sv.anyUnsynced[c] = false
 	sv.leases[c].Revoke()
 	for _, w := range sv.writes {
 		st.ackWrite(w, c)
@@ -402,8 +409,7 @@ func (st *State) reconcileEpoch(c, s int) {
 // at server s if s has restarted since c last talked to it: the server lost
 // its callback tables in the crash, so it can no longer promise to
 // invalidate those pages. Skipped under infinite leases (read-only mode —
-// nothing can go stale, and the legacy engine keeps its cache across server
-// crashes too).
+// nothing can go stale, so the static cache survives server crashes).
 func (st *State) reconcileIncarnation(c, s int) {
 	if st.cfg.LeaseDuration <= 0 {
 		return
@@ -427,23 +433,26 @@ func (st *State) syncClient(c, s int) int {
 	sv := &st.servers[s]
 	cs := &st.clients[c]
 	dropped := 0
-	for _, ri := range st.homeRels[s] {
-		un := sv.unsynced[c][ri]
-		if un == nil {
-			continue
-		}
-		cache := cs.cache[ri]
-		cd := sv.cached[c][ri]
-		for pg := range un {
-			if un[pg] {
-				if cache.valid[pg] {
-					dropped++
+	if sv.anyUnsynced[c] {
+		for _, ri := range st.homeRels[s] {
+			un := sv.unsynced[c][ri]
+			if un == nil {
+				continue
+			}
+			cache := cs.cache[ri]
+			cd := sv.cached[c][ri]
+			for pg := range un {
+				if un[pg] {
+					if cache.valid[pg] {
+						dropped++
+					}
+					cache.valid[pg] = false
+					cd[pg] = false
+					un[pg] = false
 				}
-				cache.valid[pg] = false
-				cd[pg] = false
-				un[pg] = false
 			}
 		}
+		sv.anyUnsynced[c] = false
 	}
 	for _, w := range sv.writes {
 		st.ackWrite(w, c)
@@ -595,6 +604,7 @@ func (st *State) BeginWrite(ri, pg0, n, writer int, now float64) *Write {
 		if !touched {
 			continue
 		}
+		sv.anyUnsynced[c] = true
 		if sv.leases[c].Fresh(now) {
 			w.Pending = append(w.Pending, c)
 			if exp := sv.leases[c].Expiry; exp > w.Deadline {
@@ -758,6 +768,7 @@ func (st *State) CrashServer(s int) {
 			clearBits(sv.cached[c][ri])
 			clearBits(sv.unsynced[c][ri])
 		}
+		sv.anyUnsynced[c] = false
 	}
 	for len(sv.writes) > 0 {
 		w := sv.writes[0]

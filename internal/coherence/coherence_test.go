@@ -35,19 +35,47 @@ func newTestState(t *testing.T, clients int, lease float64) *State {
 	return st
 }
 
-func TestNewStateRejectsReplicas(t *testing.T) {
+// replicatedCatalog is testCatalog with relation A copied onto both servers.
+func replicatedCatalog(t *testing.T) *catalog.Catalog {
+	t.Helper()
 	cat := testCatalog(t)
 	if err := cat.SetCopies("A", []catalog.SiteID{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewState(Config{NumClients: 1}, cat); err == nil {
-		t.Fatal("NewState accepted a replicated catalog")
+	return cat
+}
+
+// TestNewStateRejectsReplicas: finite leases need one copy per relation,
+// because a secondary would serve pages a committed write made stale.
+func TestNewStateRejectsReplicas(t *testing.T) {
+	if _, err := NewState(Config{NumClients: 1, LeaseDuration: 5}, replicatedCatalog(t)); err == nil {
+		t.Fatal("NewState accepted finite leases over a replicated catalog")
 	}
 	if _, err := NewState(Config{NumClients: 0}, testCatalog(t)); err == nil {
 		t.Fatal("NewState accepted NumClients=0")
 	}
 	if _, err := NewState(Config{NumClients: 1, LeaseDuration: -1}, testCatalog(t)); err == nil {
 		t.Fatal("NewState accepted a negative lease duration")
+	}
+}
+
+// TestNewStateAcceptsReadOnlyReplicas: infinite leases admit no update, so
+// no page version can advance and every copy stays fresh; the replicated
+// relation's callback registrations live at its home server alone.
+func TestNewStateAcceptsReadOnlyReplicas(t *testing.T) {
+	for _, nc := range []int{1, 2} {
+		st, err := NewState(Config{NumClients: nc}, replicatedCatalog(t))
+		if err != nil {
+			t.Fatalf("NumClients %d: %v", nc, err)
+		}
+		if st.Home(0) != 0 {
+			t.Fatalf("home of A = %d, want 0", st.Home(0))
+		}
+		for c := 0; c < nc; c++ {
+			if !st.ClientValid(c, 0, 0) {
+				t.Fatalf("client %d does not start with A's prefix cached", c)
+			}
+		}
 	}
 }
 
@@ -58,7 +86,7 @@ func fetchAll(st *State, c int, now float64) {
 }
 
 // Caches start warm: every client serves the full prefix at version 0, as
-// the legacy engine's preloaded static cache does, and the warm pages are
+// the paper's preloaded static cache does, and the warm pages are
 // registered in the home server's callback tables from the start.
 func TestWarmStart(t *testing.T) {
 	st := newTestState(t, 2, 0.5)
@@ -337,7 +365,7 @@ func TestServerCrashIncarnationAndGrace(t *testing.T) {
 }
 
 // Under infinite leases (read-only mode) a server restart must NOT discard
-// client caches — that is the legacy-identical configuration.
+// client caches — that is the engine's default static cache.
 func TestInfiniteLeaseKeepsCacheAcrossServerRestart(t *testing.T) {
 	st := newTestState(t, 1, 0)
 	fetchAll(st, 0, 0.0)

@@ -3,8 +3,10 @@ package exec
 // Cache-coherence execution paths (DESIGN.md §15). The protocol state machine
 // lives in internal/coherence; this file charges the CPU, disk, and network
 // costs of every protocol step at the right virtual times and drives the
-// state machine in between. With Config.Coherence unset none of this code
-// runs and the engine is exactly the legacy shared-cache engine.
+// state machine in between. Every client-cache read goes through it. With
+// Config.Coherence unset the engine has one client with infinite leases and
+// no updates: no renewals, no invalidations, so a cached read costs exactly
+// the paper's static cache read.
 
 import (
 	"fmt"
@@ -16,9 +18,9 @@ import (
 
 // fillCoherent serves cached-prefix page pg through client s.client's
 // private cache: renew the lease if it is no longer fresh, then either read
-// the valid page from the client disk (exactly the legacy charge: DiskInst
-// CPU plus one read) or refetch an invalidated page from the home server
-// through the ordinary page-fault path.
+// the valid page from the client disk (DiskInst CPU plus one read) or
+// refetch an invalidated page from the home server through the ordinary
+// page-fault path.
 func (s *scanOp) fillCoherent(p *sim.Proc, pg int) {
 	st := s.e.coh
 	params := s.e.cfg.Params
@@ -84,7 +86,7 @@ type UpdateResult struct {
 func (e *engine) runUpdate(p *sim.Proc, client int, rel string, pg0, n int) (UpdateResult, error) {
 	st := e.coh
 	var res UpdateResult
-	if st == nil {
+	if e.cfg.Coherence == nil {
 		return res, fmt.Errorf("exec: ExecuteUpdate requires Config.Coherence")
 	}
 	if st.LeaseDuration() <= 0 {

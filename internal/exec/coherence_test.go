@@ -26,16 +26,17 @@ func cohConfig(t testing.TB, n, servers, clients int, lease float64) Config {
 	return cfg
 }
 
-// TestCoherenceIdentityFaultFree: a single-client, infinite-lease, zero-write
-// coherence engine must be bit-identical to the legacy shared-cache engine —
-// same response time, same traffic, same per-site disk counters.
+// TestCoherenceIdentityFaultFree pins the nil-default contract: a nil
+// Config.Coherence is the explicit single-client, infinite-lease config —
+// same response time, same traffic, same per-site disk counters — and only
+// the explicit config reports coherence counters.
 func TestCoherenceIdentityFaultFree(t *testing.T) {
 	for _, pol := range []plan.Policy{plan.QueryShipping, plan.DataShipping} {
-		legacyCfg := chainConfig(t, 4, 2, workload.Moderate, true)
-		if err := workload.CacheAllFraction(legacyCfg.Catalog, 0.5); err != nil {
+		defCfg := chainConfig(t, 4, 2, workload.Moderate, true)
+		if err := workload.CacheAllFraction(defCfg.Catalog, 0.5); err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := Run(legacyCfg, annotate(leftDeepChain(4), pol))
+		def, err := Run(defCfg, annotate(leftDeepChain(4), pol))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,25 +59,29 @@ func TestCoherenceIdentityFaultFree(t *testing.T) {
 		if sum.PerClient[0].LeaseRenewals != 0 {
 			t.Fatalf("infinite leases took %d renewals", sum.PerClient[0].LeaseRenewals)
 		}
+		if def.Coherence != nil {
+			t.Fatal("nil-Coherence run reports coherence counters")
+		}
 		coh.Coherence = nil
-		if !reflect.DeepEqual(coh, legacy) {
-			t.Fatalf("policy %v: coherence run diverged from legacy:\n got %+v\nwant %+v", pol, coh, legacy)
+		if !reflect.DeepEqual(coh, def) {
+			t.Fatalf("policy %v: explicit one-client run diverged from the nil default:\n got %+v\nwant %+v", pol, coh, def)
 		}
 	}
 }
 
-// TestCoherenceIdentityUnderFaults extends the identity to a faulted run: a
-// server crash with recovery exercises the coherence crash/restart hooks
-// (table wipe, incarnation bump, zero-length grace), all of which must be
-// pure bookkeeping under infinite leases.
+// TestCoherenceIdentityUnderFaults extends the nil-default contract to a
+// faulted run: a server crash with recovery exercises the coherence
+// crash/restart hooks (table wipe, incarnation bump, zero-length grace), and
+// the explicit config, which also registers client fault hooks, must still
+// match the nil default when no client fault is scheduled.
 func TestCoherenceIdentityUnderFaults(t *testing.T) {
 	script := []faults.Event{{At: 0.5, Kind: faults.SiteCrash, Site: 0, Duration: 2.0}}
-	legacyCfg := chainConfig(t, 2, 1, workload.Moderate, true)
-	if err := workload.CacheAllFraction(legacyCfg.Catalog, 0.5); err != nil {
+	defCfg := chainConfig(t, 2, 1, workload.Moderate, true)
+	if err := workload.CacheAllFraction(defCfg.Catalog, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	legacyCfg.Faults = &faults.Config{Seed: 3, Script: script}
-	legacy, err := Run(legacyCfg, annotate(leftDeepChain(2), plan.QueryShipping))
+	defCfg.Faults = &faults.Config{Seed: 3, Script: script}
+	def, err := Run(defCfg, annotate(leftDeepChain(2), plan.QueryShipping))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +95,8 @@ func TestCoherenceIdentityUnderFaults(t *testing.T) {
 		t.Fatalf("oracle saw %d stale reads", coh.Coherence.Oracle.StaleReads)
 	}
 	coh.Coherence = nil
-	if !reflect.DeepEqual(coh, legacy) {
-		t.Fatalf("faulted coherence run diverged from legacy:\n got %+v\nwant %+v", coh, legacy)
+	if !reflect.DeepEqual(coh, def) {
+		t.Fatalf("faulted one-client run diverged from the nil default:\n got %+v\nwant %+v", coh, def)
 	}
 }
 
@@ -411,8 +416,7 @@ func TestWriterNeverServesOwnPreWritePages(t *testing.T) {
 // catalog order makes the two differ for every relation; its run must give
 // exact answers with a clean oracle, leave the update on the relation it
 // named, and match, counter for counter, the run whose query lists them in
-// catalog order. So must a run without coherence, whose client scans read
-// the one shared cache extent.
+// catalog order. So must a run under the default one-client cache.
 func TestCoherenceCatalogOrderDiffersFromQuery(t *testing.T) {
 	config := func(reverse bool) Config {
 		cfg := chainConfig(t, 2, 1, workload.HiSel, true)
@@ -428,15 +432,15 @@ func TestCoherenceCatalogOrderDiffersFromQuery(t *testing.T) {
 		}
 		return cfg
 	}
-	legacy := func(reverse bool) Result {
+	def := func(reverse bool) Result {
 		res, err := Run(config(reverse), annotate(leftDeepChain(2), plan.DataShipping))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	if inOrder, reversed := legacy(false), legacy(true); !reflect.DeepEqual(reversed, inOrder) {
-		t.Fatalf("query order changed the run without coherence:\nreversed %+v\nin order %+v", reversed, inOrder)
+	if inOrder, reversed := def(false), def(true); !reflect.DeepEqual(reversed, inOrder) {
+		t.Fatalf("query order changed the default-cache run:\nreversed %+v\nin order %+v", reversed, inOrder)
 	}
 
 	type outcome struct {

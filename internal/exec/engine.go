@@ -85,12 +85,12 @@ type Config struct {
 	// spawns no injector daemons.
 	Faults *faults.Config
 
-	// Coherence, when non-nil, gives every client stream its own disk cache
-	// kept coherent by the lease/callback protocol of internal/coherence
-	// (DESIGN.md §15) and enables the update path. Nil keeps the legacy
-	// single shared client cache with no protocol state at all. A
-	// single-client configuration with infinite leases (LeaseDuration 0)
-	// and no updates is bit-identical to the legacy engine.
+	// Coherence configures the client caches, which every run reads through
+	// the lease/callback protocol of internal/coherence (DESIGN.md §15). Nil
+	// means one client with infinite leases (coherence.Config{NumClients:
+	// 1}): the paper's static, preloaded client cache. Setting it also
+	// enables the update path, the client fault hooks, and the coherence
+	// counters in Result.
 	Coherence *coherence.Config
 
 	// Trace, when set, receives every kernel dispatch (virtual time plus the
@@ -155,11 +155,11 @@ type site struct {
 	// deprioritizes — but never excludes — warming copies (DESIGN.md §14).
 	warmUntil float64
 
-	// Disk layout: extents assigned to relations (servers) or cached
-	// relation prefixes (client) are spread over the site's disks round
-	// robin; each disk's remaining space is its temporary region for join
-	// partitions, with temp chunks also allocated round robin so concurrent
-	// partition streams exploit all arms.
+	// Disk layout: extents assigned to relations (servers, extents) or
+	// cached relation prefixes (client, engine.cohExt) are spread over the
+	// site's disks round robin; each disk's remaining space is its temporary
+	// region for join partitions, with temp chunks also allocated round
+	// robin so concurrent partition streams exploit all arms.
 	extents  []diskAddr      // by RelID−1: extent start; zero where the site holds none
 	tempNext []disk.PageAddr // per-disk temp bump pointer
 	tempRR   int             // round-robin cursor for temp chunks
@@ -228,12 +228,9 @@ type engine struct {
 	watch    fetchWatch      // the one watchdog over every outstanding page-fault fetch (failover.go)
 	rb       rebindState     // reused per-attempt re-binding scratch (failover.go)
 
-	// Cache coherence; both nil when Config.Coherence is unset (the legacy
-	// shared-cache path). cohExt[ri][c] is client c's cache extent for the
-	// cacheable prefix of the relation with RelID ri+1 (nil when none is
-	// cached); cohExt[ri][0] is the extent the legacy layout places, so
-	// client 0's disk addresses match the legacy engine exactly
-	// (coherence.go).
+	// Client caches (coherence.go). cohExt[ri][c] is client c's cache
+	// extent for the cacheable prefix of the relation with RelID ri+1 (nil
+	// when none is cached), on the client site's disks.
 	coh    *coherence.State
 	cohExt [][]diskAddr
 
@@ -289,14 +286,16 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	e.net = netsim.New(e.sim, cfg.Params.NetBw)
 	rels := cfg.Catalog.Relations()
+	cc := coherence.Config{NumClients: 1}
 	if cfg.Coherence != nil {
-		st, err := coherence.NewState(*cfg.Coherence, cfg.Catalog)
-		if err != nil {
-			return nil, err
-		}
-		e.coh = st
-		e.cohExt = make([][]diskAddr, len(rels))
+		cc = *cfg.Coherence
 	}
+	st, err := coherence.NewState(cc, cfg.Catalog)
+	if err != nil {
+		return nil, err
+	}
+	e.coh = st
+	e.cohExt = make([][]diskAddr, len(rels))
 
 	newSite := func(id catalog.SiteID, name string) *site {
 		s := &site{
@@ -338,19 +337,12 @@ func newEngine(cfg Config) (*engine, error) {
 			s.extents[ri] = place(s, rel.Pages(cfg.Params.PageSize))
 		}
 		if cp := cfg.Catalog.CachedPages(name); cp > 0 {
-			e.client.extents[ri] = place(e.client, cp)
-			if e.coh != nil {
-				// Per-client cache extents: client 0 reuses the slot the
-				// legacy layout just placed, so a single-client run has a
-				// bit-identical disk layout; clients 1..C-1 get their own
-				// extents immediately after it.
-				ext := make([]diskAddr, e.coh.NumClients())
-				ext[0] = e.client.extents[ri]
-				for c := 1; c < len(ext); c++ {
-					ext[c] = place(e.client, cp)
-				}
-				e.cohExt[ri] = ext
+			// Each client stream caches the prefix in its own extent.
+			ext := make([]diskAddr, e.coh.NumClients())
+			for c := range ext {
+				ext[c] = place(e.client, cp)
 			}
+			e.cohExt[ri] = ext
 		}
 	}
 	for _, s := range e.servers {
@@ -396,11 +388,9 @@ func newEngine(cfg Config) (*engine, error) {
 					// copies stay deprioritized until the warm-up elapses.
 					s.up = true
 					s.warmUntil = e.sim.Now() + e.ftl.warmup
-					if e.coh != nil {
-						// New incarnation: clients discard on next contact,
-						// writes hold for one lease duration (write grace).
-						e.coh.RestartServer(i, e.sim.Now())
-					}
+					// New incarnation: clients discard on next contact,
+					// writes hold for one lease duration (write grace).
+					e.coh.RestartServer(i, e.sim.Now())
 				},
 				Disks: dh,
 			}
@@ -408,7 +398,9 @@ func newEngine(cfg Config) (*engine, error) {
 		hooks.NetDown = func() { e.net.SetDown(true) }
 		hooks.NetUp = func() { e.net.SetDown(false) }
 		hooks.NetDegrade = func(f float64) { e.net.SetDegrade(f) }
-		if e.coh != nil {
+		if cfg.Coherence != nil {
+			// Only a configured fleet has client workstations to crash;
+			// without one, client faults stay inert (faults.Config).
 			hooks.Clients = make([]faults.ClientHooks, e.coh.NumClients())
 			for c := range hooks.Clients {
 				c := c

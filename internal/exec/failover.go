@@ -108,9 +108,9 @@ type attemptState struct {
 	fetchSite int     // source server of the outstanding fetch
 	fetchRole int     // replica role of that source
 
-	// Coherence: the client stream this attempt reads through (0 without
-	// coherence) and how many stale cached pages the attempt read — folded
-	// into the oracle's committed-read counter only if the attempt commits.
+	// Coherence: the client stream this attempt reads through and how many
+	// stale cached pages the attempt read — folded into the oracle's
+	// committed-read counter only if the attempt commits.
 	client   int
 	cohStale int64
 }
@@ -305,11 +305,9 @@ func (e *engine) crashServer(i int) {
 	for _, d := range s.disks {
 		d.CrashRestart()
 	}
-	if e.coh != nil {
-		// Volatile lease/callback tables die with the site; in-flight
-		// writes abort and their parked writers wake to observe the crash.
-		e.coh.CrashServer(i)
-	}
+	// Volatile lease/callback tables die with the site; in-flight writes
+	// abort and their parked writers wake to observe the crash.
+	e.coh.CrashServer(i)
 	for _, att := range e.attempts {
 		if bits := att.deps[i]; bits != 0 {
 			role := RolePrimary
@@ -568,6 +566,9 @@ func (e *engine) execute(p *sim.Proc, qi int, bp *BoundPlan, qo QueryOpts) (Quer
 // It fills every field of the result but the response time.
 func (e *engine) runQuery(p *sim.Proc, qi int, bp *BoundPlan, qo QueryOpts) (QueryResult, error) {
 	var out QueryResult
+	if n := e.coh.NumClients(); qo.Client < 0 || qo.Client >= n {
+		return out, fmt.Errorf("exec: query %d: client %d out of range [0,%d)", qi, qo.Client, n)
+	}
 	var rng *rand.Rand
 	var dl *deadlineState
 	if qo.Deadline > 0 {
@@ -579,7 +580,7 @@ func (e *engine) runQuery(p *sim.Proc, qi int, bp *BoundPlan, qo QueryOpts) (Que
 		if dl.expired(e.sim.Now()) {
 			return out, fmt.Errorf("exec: query %d: %w after %d attempts: %s", qi, ErrDeadlineExceeded, attempt, lastReason)
 		}
-		if e.coh != nil && !e.coh.ClientUp(qo.Client) {
+		if !e.coh.ClientUp(qo.Client) {
 			// The issuing client workstation is down: there is no one left
 			// to deliver the answer to (or to retry for).
 			return out, fmt.Errorf("exec: query %d: %w", qi, ErrClientDown)
@@ -606,7 +607,7 @@ func (e *engine) runQuery(p *sim.Proc, qi int, bp *BoundPlan, qo QueryOpts) (Que
 			p.ClearInterrupt() // defuse an abort that raced with completion
 			e.reportAttempt(att, completed)
 			if completed {
-				if e.coh != nil && att.cohStale > 0 {
+				if att.cohStale > 0 {
 					e.coh.NoteCommittedReads(att.cohStale)
 				}
 				out.ResultTuples = tuples

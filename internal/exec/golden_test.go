@@ -614,8 +614,8 @@ func sessionOutcomeOf(ses *Session, qrs []QueryResult, ups []UpdateResult) sessi
 		Queries: qrs, Updates: ups, End: ses.Now(),
 		NetPages: st.DataPages, NetMsgs: st.Messages, Disk: ses.DiskStats(),
 	}
-	if c := ses.Coherence(); c != nil {
-		out.Summary = c.Summary()
+	if ses.e.cfg.Coherence != nil {
+		out.Summary = ses.Coherence().Summary()
 	}
 	return out
 }

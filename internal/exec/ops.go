@@ -101,8 +101,8 @@ type scanOp struct {
 	reply *sim.Buffer // reusable page-fault reply channel
 	att   *attemptState
 
-	// Coherence wiring (zero when the engine has no coherence state): the
-	// owning client stream and the relation's coherence index, its RelID−1.
+	// Coherence wiring: the client stream a client-bound scan reads through
+	// and the relation's coherence index, its RelID−1.
 	client int
 	cohRI  int
 }
@@ -134,12 +134,10 @@ func (e *engine) newScan(bp *BoundPlan, i int32, at catalog.SiteID, att *attempt
 			s.srcRole = RoleSecondary
 		}
 		s.srcExt = s.src.extents[ri]
-		if e.coh != nil {
-			s.client = att.client
-			s.cohRI = ri
-			if ext := e.cohExt[ri]; ext != nil {
-				s.ext = ext[s.client]
-			}
+		s.client = att.client
+		s.cohRI = ri
+		if ext := e.cohExt[ri]; ext != nil {
+			s.ext = ext[s.client]
 		}
 	} else if !r.HasCopy(at) {
 		panic(fmt.Sprintf("exec: scan of %s bound to site %d, which holds no copy (home %d)", rel, at, r.Home))
@@ -170,12 +168,7 @@ func (s *scanOp) fill(p *sim.Proc, pg int) {
 		s.atSite.read(p, s.ext.plus(pg))
 	case pg < s.cachedPages:
 		// Cached prefix on the client disk.
-		if s.e.coh != nil {
-			s.fillCoherent(p, pg)
-			return
-		}
-		s.atSite.chargeCPU(p, params, params.DiskInst)
-		s.atSite.read(p, s.ext.plus(pg))
+		s.fillCoherent(p, pg)
 	default:
 		s.faultRun(p, pg)
 	}
@@ -185,22 +178,17 @@ func (s *scanOp) fill(p *sim.Proc, pg int) {
 // (the home server, or the replica failover chose). The paper notes DS pays
 // for the lack of overlap here (§4.2.3).
 func (s *scanOp) faultRun(p *sim.Proc, pg int) {
-	var sendT float64
-	var seq int64
-	if c := s.e.coh; c != nil {
-		// Capture the contact initiation time (conservative lease stamp) and
-		// the relation's commit sequence (fetch-race guard) at request send.
-		sendT = s.e.sim.Now()
-		seq = c.CommitSeq(s.cohRI)
-	}
+	// Capture the contact initiation time (conservative lease stamp) and the
+	// relation's commit sequence (fetch-race guard) at request send.
+	c := s.e.coh
+	sendT := s.e.sim.Now()
+	seq := c.CommitSeq(s.cohRI)
 	s.roundTrip(p, s.srcExt.plus(pg), 1, s.e.cfg.Params.PageSize)
-	if c := s.e.coh; c != nil {
-		// The round trip completed: it counts as a contact (syncs pending
-		// invalidations, renews the lease as of sendT) and the fetched page
-		// may be cached if no commit raced the fetch.
-		c.SyncContact(s.client, int(s.src.id), sendT)
-		c.RegisterFetch(s.client, s.cohRI, pg, 1, seq)
-	}
+	// The round trip completed: it counts as a contact (syncs pending
+	// invalidations, renews the lease as of sendT) and the fetched page may
+	// be cached if no commit raced the fetch.
+	c.SyncContact(s.client, int(s.src.id), sendT)
+	c.RegisterFetch(s.client, s.cohRI, pg, 1, seq)
 }
 
 // roundTrip pays one synchronous request/response with the fetch source: a

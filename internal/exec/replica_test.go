@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"hybridship/internal/catalog"
+	"hybridship/internal/coherence"
 	"hybridship/internal/faults"
 	"hybridship/internal/plan"
+	"hybridship/internal/sim"
 	"hybridship/internal/workload"
 )
 
@@ -144,6 +146,90 @@ func TestWarmupDeprioritizesRestartedCopy(t *testing.T) {
 	}
 	if reflect.DeepEqual(warm, cold) {
 		t.Error("WarmupDelay had no effect on a crash-restart run with a replica")
+	}
+}
+
+// TestCoherentCacheOverReplicas runs a data-shipping plan over a half-cached
+// RF=2 catalog whose home server dies for good mid-query: the client cache
+// serves the cached prefix and the page faults fail over to the replica. A
+// nil Coherence must be exactly the explicit one-client, infinite-lease
+// cache, and a two-client read-only fleet over the same catalog must answer
+// every query exactly with no stale committed read.
+func TestCoherentCacheOverReplicas(t *testing.T) {
+	config := func(coh *coherence.Config) Config {
+		cfg := replicatedChainConfig(t, 2, 2, 2, workload.Moderate)
+		if err := workload.CacheAllFraction(cfg.Catalog, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Faults = &faults.Config{
+			Seed:   7,
+			Script: []faults.Event{{At: 0.5, Kind: faults.SiteCrash, Site: 0}}, // permanent
+		}
+		cfg.Coherence = coh
+		return cfg
+	}
+	root := func() *plan.Node { return annotate(leftDeepChain(2), plan.DataShipping) }
+	want := workload.ExpectedResult(2, workload.Moderate)
+
+	def, err := Run(config(nil), root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := Run(config(&coherence.Config{NumClients: 1}), root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.ResultTuples != want {
+		t.Fatalf("result tuples = %d, want %d", def.ResultTuples, want)
+	}
+	if def.ReplicaFailovers < 1 {
+		t.Fatalf("ReplicaFailovers = %d, want >= 1 (faults must move to the replica)", def.ReplicaFailovers)
+	}
+	if o := one.Coherence.Oracle; o.CachedReads == 0 || o.StaleCommittedReads != 0 {
+		t.Fatalf("oracle = %+v, want cached reads and no stale committed read", o)
+	}
+	one.Coherence = nil
+	if !reflect.DeepEqual(def, one) {
+		t.Fatalf("nil Coherence diverged from {NumClients: 1}:\n got %+v\nwant %+v", def, one)
+	}
+
+	ses, err := NewSession(config(&coherence.Config{NumClients: 2}), SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := ses.Bind(root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2]QueryResult
+	var errs [2]error
+	for c := range got {
+		ses.Simulator().Spawn("driver", func(p *sim.Proc) {
+			got[c], errs[c] = ses.Execute(p, c, bound, QueryOpts{Client: c})
+		})
+	}
+	ses.Run()
+	failovers := int64(0)
+	for c := range got {
+		if errs[c] != nil {
+			t.Fatalf("client %d: %v", c, errs[c])
+		}
+		if got[c].ResultTuples != want {
+			t.Fatalf("client %d: result tuples = %d, want %d", c, got[c].ResultTuples, want)
+		}
+		failovers += got[c].ReplicaFailovers
+	}
+	if failovers < 1 {
+		t.Fatal("no fleet query failed over to the replica")
+	}
+	sum := ses.Coherence().Summary()
+	if sum.Oracle.StaleCommittedReads != 0 {
+		t.Fatalf("oracle = %+v, want no stale committed read", sum.Oracle)
+	}
+	for c, cs := range sum.PerClient {
+		if cs.CacheHitPages == 0 {
+			t.Fatalf("client %d read nothing from its cache", c)
+		}
 	}
 }
 

@@ -49,8 +49,8 @@ func runOne(cfg Config, bindQ func(*Config, int) (*BoundPlan, error)) (Result, e
 		BackoffSkips:     q.BackoffSkips,
 		FaultStats:       s.FaultStats(),
 	}
-	if coh := s.Coherence(); coh != nil {
-		res.Coherence = coh.Summary()
+	if cfg.Coherence != nil {
+		res.Coherence = s.Coherence().Summary()
 	}
 	return res, nil
 }

@@ -37,9 +37,9 @@ type QueryOpts struct {
 	// Execute returns ErrDeadlineExceeded. Zero means no deadline.
 	Deadline float64
 
-	// Client is the client cache stream the query reads through when the
-	// engine has coherence enabled (Config.Coherence); ignored otherwise.
-	// If the stream's workstation is down the query fails with
+	// Client is the client cache stream the query reads through, in
+	// [0, Config.Coherence.NumClients); a nil Config.Coherence has the one
+	// client 0. If the stream's workstation is down the query fails with
 	// ErrClientDown.
 	Client int
 }
@@ -202,8 +202,8 @@ func (s *Session) ExecuteUpdate(p *sim.Proc, client int, rel string, page0, page
 }
 
 // Coherence exposes the engine's coherence state (client liveness, staleness
-// oracle, summary counters) to the serving layer; nil unless Config.Coherence
-// was set.
+// oracle, summary counters) to the serving layer. Every engine has one; with
+// a nil Config.Coherence it is the one-client, infinite-lease state.
 func (s *Session) Coherence() *coherence.State { return s.e.coh }
 
 // FaultStats reports what the session's injector actually did (zero when

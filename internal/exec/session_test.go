@@ -45,6 +45,17 @@ func runOnSession(t *testing.T, ses *Session, root *plan.Node, qo QueryOpts) (Qu
 	return qr, qerr
 }
 
+// TestSessionRejectsUnknownClient: a query names a client stream of the
+// engine's fleet; without a Coherence config the fleet is client 0 alone.
+func TestSessionRejectsUnknownClient(t *testing.T) {
+	cfg := chainConfig(t, 2, 1, workload.Moderate, true)
+	for _, c := range []int{-1, 1} {
+		if _, err := runOnSession(t, mustSession(t, cfg), annotate(leftDeepChain(2), plan.DataShipping), QueryOpts{Client: c}); err == nil {
+			t.Errorf("client %d: query ran on a one-client engine", c)
+		}
+	}
+}
+
 // TestSessionFaultFreeMatchesRun checks the closed runs against a session:
 // the same plans on the same config give DeepEqual QueryResults whichever
 // entry point runs them, across the three policies, an unloaded and a

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
 
 	"hybridship/internal/coherence"
 	"hybridship/internal/cost"
@@ -20,16 +19,12 @@ import (
 // through the client caches (a QS scan is server-bound and never touches
 // them); the degradation fallback stays the cheap QS static plan.
 //
-// The driver is self-checking on two properties:
-//
-//   - Soundness: the staleness oracle must hold StaleReads and
-//     StaleCommittedReads at zero in every cell — no committed query ever
-//     read a page version behind the committed version map, under any
-//     combination of writers, crashes, and lease expiries.
-//   - Identity: the zero-write, single-client, infinite-lease column is the
-//     legacy shared-cache engine in disguise. Every such cell is re-run with
-//     coherence disabled entirely and the serve results must be DeepEqual
-//     (modulo the coherence-only report fields), at both fault levels.
+// The driver is self-checking on soundness: the staleness oracle must hold
+// StaleReads and StaleCommittedReads at zero in every cell — no committed
+// query ever read a page version behind the committed version map, under
+// any combination of writers, crashes, and lease expiries. The zero-write,
+// single-client, infinite-lease column is the engine's default client cache,
+// the one every run without a coherence config reads through.
 //
 // Writers require a finite lease (an infinite lease could stall them behind
 // one crashed leaseholder forever), so write-bearing cells at lease 0 are
@@ -64,7 +59,7 @@ func (c Config) coherenceWriteFracs() []float64 {
 }
 
 // coherenceLeases returns the lease-duration axis; 0 is the infinite lease
-// (the legacy static-cache regime, read-only cells only).
+// (the paper's static-cache regime, read-only cells only).
 func (c Config) coherenceLeases() []float64 {
 	if c.Quick {
 		return []float64{0, 0.5}
@@ -116,14 +111,13 @@ func (c Config) coherencePlans() (fresh []*plan.Node, static *plan.Node, err err
 	return fresh, res.Plan, nil
 }
 
-// coherenceConfig assembles one cell's serving config. With nc == 0 the cell
-// runs the legacy engine — no Coherence at all — for the identity check.
+// coherenceConfig assembles one cell's serving config.
 func (c Config) coherenceConfig(fresh []*plan.Node, static *plan.Node,
 	nc int, wf, lease, mtbf float64, rep int) (serve.Config, error) {
 	var fcfg *faults.Config
 	if mtbf > 0 {
 		fcfg = servingFaults(seedFor(c.Seed, int64(rep), 82), mtbf)
-		if nc > 0 && lease > 0 {
+		if lease > 0 {
 			fcfg.ClientMTBF = coherenceClientMTBF
 			fcfg.ClientMTTR = coherenceClientMTTR
 		}
@@ -145,9 +139,7 @@ func (c Config) coherenceConfig(fresh []*plan.Node, static *plan.Node,
 		FreshPlans:  fresh,
 		StaticPlan:  static,
 	}
-	if nc > 0 {
-		cfg.Exec.Coherence = &coherence.Config{NumClients: nc, LeaseDuration: lease}
-	}
+	cfg.Exec.Coherence = &coherence.Config{NumClients: nc, LeaseDuration: lease}
 	if wf > 0 {
 		mix := workload.WriteMix(ex.Catalog, seedFor(c.Seed, 84), wf)
 		cfg.Updates = func(qi int) (string, int, int, bool) {
@@ -202,25 +194,6 @@ func (c Config) Coherence() (*Report, error) {
 		if o := res.Coherence.Oracle; o.StaleReads != 0 || o.StaleCommittedReads != 0 {
 			return serve.Result{}, fmt.Errorf("coherence: staleness oracle tripped at c=%d wf=%g lease=%g mtbf=%g rep %d: %+v",
 				ax.nc, ax.wf, ax.lease, ax.mtbf, rep, o)
-		}
-		if ax.nc == 1 && ax.wf == 0 && ax.lease == 0 {
-			// The identity column: rerun the cell on the literal legacy
-			// engine (no coherence) and demand the same serving result.
-			lcfg, err := c.coherenceConfig(fresh, static, 0, 0, 0, ax.mtbf, rep)
-			if err != nil {
-				return serve.Result{}, err
-			}
-			legacy, err := serve.Run(lcfg)
-			if err != nil {
-				return serve.Result{}, err
-			}
-			cmp := res
-			cmp.Streams = nil
-			cmp.Coherence = nil
-			if !reflect.DeepEqual(cmp, legacy) {
-				return serve.Result{}, fmt.Errorf("coherence: identity cell (mtbf=%g, rep %d) diverges from the legacy engine:\n got %+v\nwant %+v",
-					ax.mtbf, rep, cmp, legacy)
-			}
 		}
 		return res, nil
 	})

@@ -5,8 +5,8 @@ import (
 )
 
 // TestCoherenceGridSelfChecks runs the quick coherence grid (the driver
-// itself asserts the staleness oracle and the legacy-identity column) and
-// checks the report's structure and the invariants the cells must satisfy.
+// itself asserts the staleness oracle) and checks the report's structure and
+// the invariants the cells must satisfy.
 func TestCoherenceGridSelfChecks(t *testing.T) {
 	rep := quickReport(t, "coherence")
 	// Quick axes: 2 clients x (lease 0: wf 0 only; lease 0.5: wf {0, .25}),

@@ -60,8 +60,8 @@ type Config struct {
 	// independently per client stream of a coherent serve fleet. A crashed
 	// client loses its cache and lease state; on restart it comes back with a
 	// new cache epoch and must refetch everything (DESIGN.md §15). These
-	// streams only exist when the engine registers client hooks — with the
-	// coherence layer disabled there is nothing to crash and the class is
+	// streams only exist when the engine registers client hooks — without a
+	// configured client fleet there is nothing to crash and the class is
 	// inert even when the MTBF is set.
 	ClientMTBF float64
 	ClientMTTR float64
@@ -184,8 +184,9 @@ type Hooks struct {
 	NetDegrade func(factor float64) // called with 1 to restore
 }
 
-// ClientHooks are one client workstation's fault callbacks (coherent serve
-// fleets only; legacy single-cache runs register none).
+// ClientHooks are one client workstation's fault callbacks. The engine
+// registers them only for a configured client fleet (exec.Config.Coherence);
+// a run on the default one-client cache registers none.
 type ClientHooks struct {
 	Crash   func()
 	Restart func()

@@ -1,6 +1,8 @@
 package faults_test
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -52,6 +54,10 @@ func decodeSchedule(data []byte) []faults.Event {
 //   - nothing panics and every query terminates: it either completes with
 //     exactly the fault-free answer or fails loudly with retry/attempt
 //     exhaustion — no query is silently lost or answered wrong;
+//   - a data-shipping plan, which reads the client cache and faults the
+//     rest from the home copy or its replica, gives the same answer under
+//     the nil default cache and the explicit one-client config, and reads
+//     no stale page;
 //   - the run is deterministic: executing the same schedule twice yields a
 //     bit-identical Result and error;
 //   - the injector's Stats are consistent: no class counts more firings
@@ -66,7 +72,7 @@ func FuzzFaultSchedule(f *testing.F) {
 	f.Add([]byte{2, 3, 0, 80, 0, 1, 30, 10})             // degraded link, late replica crash
 	f.Add([]byte{0, 0, 20, 2, 0, 0, 22, 2, 0, 0, 24, 2}) // overlapping crashes of one site
 
-	run := func(t *testing.T, script []faults.Event) (exec.Result, error) {
+	run := func(t *testing.T, script []faults.Event, pol plan.Policy, coh *coherence.Config) (exec.Result, error) {
 		cat, err := workload.BuildCatalog(4096, 2, workload.PlaceRoundRobin(2, 1))
 		if err != nil {
 			t.Fatal(err)
@@ -91,10 +97,11 @@ func FuzzFaultSchedule(f *testing.F) {
 				WarmupDelay: 0.25,
 				Script:      script,
 			},
+			Coherence: coh,
 		}
 		root := plan.NewDisplay(plan.NewJoin(plan.NewScan(workload.RelName(0)), plan.NewScan(workload.RelName(1))))
 		root.Walk(func(n *plan.Node) {
-			n.Ann = plan.AllowedAnnotations(n.Kind, plan.QueryShipping)[0]
+			n.Ann = plan.AllowedAnnotations(n.Kind, pol)[0]
 		})
 		return exec.Run(cfg, root)
 	}
@@ -175,7 +182,7 @@ func FuzzFaultSchedule(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		script := decodeSchedule(data)
-		res, err := run(t, script)
+		res, err := run(t, script, plan.QueryShipping, nil)
 
 		// No lost queries: a completed run carries the fault-free answer, a
 		// failed one says why.
@@ -188,7 +195,7 @@ func FuzzFaultSchedule(f *testing.F) {
 		}
 
 		// Determinism: same schedule, bit-identical outcome.
-		res2, err2 := run(t, script)
+		res2, err2 := run(t, script, plan.QueryShipping, nil)
 		if !reflect.DeepEqual(res, res2) {
 			t.Fatalf("rerun diverged:\n got %+v\nwant %+v (schedule %v)", res2, res, script)
 		}
@@ -233,10 +240,46 @@ func FuzzFaultSchedule(f *testing.F) {
 				t.Fatalf("%s downtime %g accrued without a firing (schedule %v)", c.what, c.time, script)
 			}
 		}
-		// The legacy engine registers no client streams, so scripted client
-		// crashes must be exact no-ops there.
+		// Without a configured fleet the engine registers no client streams,
+		// so scripted client crashes must be exact no-ops there.
 		if st.ClientCrashes != 0 || st.ClientDownTime != 0 {
 			t.Fatalf("client crashes fired without client hooks: %+v (schedule %v)", st, script)
+		}
+		var clientScheduled int64
+		for _, ev := range script {
+			if ev.Kind == faults.ClientCrash {
+				clientScheduled++
+			}
+		}
+
+		// The client-cache read path: a DS plan under the nil default and
+		// under the explicit one-client config. Only the explicit config
+		// registers client hooks, so the two runs must be identical unless
+		// the schedule crashes the client.
+		want := workload.ExpectedResult(2, workload.Moderate)
+		dsDef, errDef := run(t, script, plan.DataShipping, nil)
+		if errDef == nil && dsDef.ResultTuples != want {
+			t.Fatalf("DS completed with %d tuples, want %d (schedule %v)", dsDef.ResultTuples, want, script)
+		} else if errDef != nil && !strings.Contains(errDef.Error(), "failed after") {
+			t.Fatalf("unexpected DS failure mode %q (schedule %v)", errDef, script)
+		}
+		dsOne, errOne := run(t, script, plan.DataShipping, &coherence.Config{NumClients: 1})
+		if errOne == nil {
+			if dsOne.ResultTuples != want {
+				t.Fatalf("one-client DS completed with %d tuples, want %d (schedule %v)", dsOne.ResultTuples, want, script)
+			}
+			if o := dsOne.Coherence.Oracle; o.StaleReads != 0 || o.StaleCommittedReads != 0 {
+				t.Fatalf("one-client DS oracle tripped: %+v (schedule %v)", o, script)
+			}
+		} else if !strings.Contains(errOne.Error(), "failed after") && !errors.Is(errOne, exec.ErrClientDown) {
+			t.Fatalf("unexpected one-client DS failure mode %q (schedule %v)", errOne, script)
+		}
+		if clientScheduled == 0 {
+			dsOne.Coherence = nil
+			if !reflect.DeepEqual(dsOne, dsDef) || fmt.Sprint(errOne) != fmt.Sprint(errDef) {
+				t.Fatalf("one-client DS diverged from the nil default:\n got %+v, %v\nwant %+v, %v (schedule %v)",
+					dsOne, errOne, dsDef, errDef, script)
+			}
 		}
 
 		// The coherence-enabled scenario: same schedule against per-client
@@ -252,12 +295,6 @@ func FuzzFaultSchedule(f *testing.F) {
 		}
 		if o := coh.Summary.Oracle; o.StaleReads != 0 || o.StaleCommittedReads != 0 {
 			t.Fatalf("staleness oracle tripped: %+v (schedule %v)", o, script)
-		}
-		var clientScheduled int64
-		for _, ev := range script {
-			if ev.Kind == faults.ClientCrash {
-				clientScheduled++
-			}
 		}
 		if coh.Stats.ClientCrashes > clientScheduled {
 			t.Fatalf("more client crashes than scheduled: %d > %d (schedule %v)", coh.Stats.ClientCrashes, clientScheduled, script)

@@ -209,7 +209,7 @@ type StreamStats struct {
 type task struct {
 	id       int
 	class    int
-	client   int // client cache stream (id % NumClients; 0 without coherence)
+	client   int // client cache stream (id % NumClients; 0 without a configured fleet)
 	arrival  float64
 	deadline float64 // absolute; 0 = none
 	level    int
@@ -296,7 +296,7 @@ type server struct {
 	staticB *exec.BoundPlan
 	res     Result
 	rts     []float64
-	streams []StreamStats // per client stream; nil without coherence
+	streams []StreamStats // per client stream; nil without a configured fleet
 }
 
 // Server is a constructed serving run whose simulation the caller drives: a
@@ -519,8 +519,7 @@ func (s *server) clientFor(qi int) int {
 // client cannot even submit its query, so the shed happens before the
 // server-side rate limiter sees it and costs no token.
 func (s *server) shedDown(client int) bool {
-	coh := s.ses.Coherence()
-	if coh == nil || coh.ClientUp(client) {
+	if s.ses.Coherence().ClientUp(client) {
 		return false
 	}
 	s.res.ShedClientDown++
@@ -699,8 +698,8 @@ func (s *server) finish() {
 	if s.budget != nil {
 		s.res.RetriesGranted = s.budget.granted
 	}
-	if coh := s.ses.Coherence(); coh != nil {
-		sum := coh.Summary()
+	if s.cfg.Exec.Coherence != nil {
+		sum := s.ses.Coherence().Summary()
 		s.res.Coherence = sum
 		for c := range s.streams {
 			cs := sum.PerClient[c]
