@@ -12,7 +12,6 @@ package catalog
 
 import (
 	"fmt"
-	"sort"
 
 	"hybridship/internal/seedmix"
 )
@@ -266,11 +265,6 @@ func (c *Catalog) SetCachedFraction(name string, frac float64) error {
 	return nil
 }
 
-// CachedFraction reports the cached fraction of a relation (0 if none).
-func (c *Catalog) CachedFraction(name string) float64 {
-	return c.cachedFrac[name]
-}
-
 // CachedPages reports how many pages of the relation are cached at the
 // client; the cached portion is a contiguous prefix (paper §4.2.1).
 func (c *Catalog) CachedPages(name string) int {
@@ -295,54 +289,4 @@ func (c *Catalog) Clone() *Catalog {
 		n.cachedFrac[k] = v
 	}
 	return n
-}
-
-// WithNumServers returns a clone that claims a different server population,
-// re-homing relations that reference servers beyond the new count. Used to
-// build the "centralized" and "fully distributed" assumptions of §5.2.
-func (c *Catalog) WithNumServers(n int) *Catalog {
-	cl := c.Clone()
-	cl.NumServers = n
-	for _, r := range cl.rels {
-		if int(r.Home) >= n {
-			r.Home = SiteID(int(r.Home) % n)
-		}
-		if len(r.Copies) > 0 {
-			// Re-home copies the same way, then drop the duplicates the
-			// folding may introduce; the primary keeps the first slot.
-			kept := r.Copies[:0]
-			kept = append(kept, r.Home)
-			for _, s := range r.Copies[1:] {
-				if int(s) >= n {
-					s = SiteID(int(s) % n)
-				}
-				if !contains(kept, s) {
-					kept = append(kept, s)
-				}
-			}
-			if len(kept) == 1 {
-				r.Copies = nil
-			} else {
-				r.Copies = kept
-			}
-		}
-	}
-	return cl
-}
-
-// ServersUsed returns the sorted set of servers that hold at least one copy
-// of some relation.
-func (c *Catalog) ServersUsed() []SiteID {
-	seen := make(map[SiteID]bool)
-	for _, r := range c.rels {
-		for i := 0; i < r.NumCopies(); i++ {
-			seen[r.CopySite(i)] = true
-		}
-	}
-	var out []SiteID
-	for s := range seen { //hslint:ordered -- keys are sorted immediately below
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

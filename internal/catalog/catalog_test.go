@@ -80,40 +80,11 @@ func TestCloneIsIndependent(t *testing.T) {
 	cl.SetCachedFraction("a", 0.75)
 	r, _ := cl.Relation("a")
 	r.Home = 1
-	if c.CachedFraction("a") != 0.25 {
+	if c.CachedPages("a") != 62 { // a quarter of 250 pages
 		t.Error("clone shares cache state with original")
 	}
 	if orig, _ := c.Relation("a"); orig.Home != 0 {
 		t.Error("clone shares relation structs with original")
-	}
-}
-
-func TestWithNumServersRehomes(t *testing.T) {
-	c := New(4096, 4)
-	for i, n := range []string{"a", "b", "c", "d"} {
-		mustAdd(t, c, Relation{Name: n, Tuples: 10, TupleBytes: 100, Home: SiteID(i)})
-	}
-	cl := c.WithNumServers(2)
-	for _, n := range cl.Relations() {
-		r, _ := cl.Relation(n)
-		if int(r.Home) >= 2 {
-			t.Errorf("relation %s still homed at %d after shrinking to 2 servers", n, r.Home)
-		}
-	}
-	// The original is untouched.
-	if r, _ := c.Relation("d"); r.Home != 3 {
-		t.Error("WithNumServers mutated the original")
-	}
-}
-
-func TestServersUsed(t *testing.T) {
-	c := New(4096, 5)
-	mustAdd(t, c, Relation{Name: "a", Tuples: 10, TupleBytes: 100, Home: 3})
-	mustAdd(t, c, Relation{Name: "b", Tuples: 10, TupleBytes: 100, Home: 1})
-	mustAdd(t, c, Relation{Name: "c", Tuples: 10, TupleBytes: 100, Home: 3})
-	got := c.ServersUsed()
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("ServersUsed = %v, want [1 3]", got)
 	}
 }
 

@@ -331,43 +331,33 @@ func (st *State) LeaseFresh(c, s int, now float64) bool {
 	return st.clients[c].leases[s].Fresh(now)
 }
 
-// CachedRun returns the length m <= n of the homogeneous validity run of
-// client c's cache of relation ri starting at page pg, and whether that run
-// is valid (servable from cache) or invalid (must be refetched). The caller
-// splits its read loop on these runs, so a partially invalidated prefix
-// costs exactly one refetch round trip per invalid run.
-func (st *State) CachedRun(c, ri, pg, n int) (m int, valid bool) {
+// ClientValid reports whether client c's cache holds a valid copy of page pg
+// of relation ri. A valid page is served from the cache (lease permitting);
+// an invalid one is refetched from the home server.
+func (st *State) ClientValid(c, ri, pg int) bool {
 	cache := st.clients[c].cache[ri]
-	valid = cache.valid[pg]
-	m = 1
-	for m < n && cache.valid[pg+m] == valid {
-		m++
-	}
-	return m, valid
+	return cache.valid != nil && cache.valid[pg]
 }
 
-// RecordCachedRead runs the staleness oracle over n cache-served pages and
-// returns how many were stale. The oracle is pure observation — the
+// RecordCachedRead runs the staleness oracle over cache-served page pg and
+// reports whether it was stale. The oracle is pure observation — the
 // simulation is never steered by it — so a protocol bug shows up as a
 // nonzero counter, not a changed schedule.
-func (st *State) RecordCachedRead(c, ri, pg, n int) (stale int) {
-	cache := st.clients[c].cache[ri]
-	for i := 0; i < n; i++ {
-		if cache.ver[pg+i] != st.committed[ri][pg+i] {
-			stale++
-		}
-	}
+func (st *State) RecordCachedRead(c, ri, pg int) (stale bool) {
+	stale = st.clients[c].cache[ri].ver[pg] != st.committed[ri][pg]
 	cs := &st.clients[c].stats
-	cs.CacheHitPages += int64(n)
-	cs.StaleReads += int64(stale)
-	st.oracle.CachedReads += int64(n)
-	st.oracle.StaleReads += int64(stale)
+	cs.CacheHitPages++
+	st.oracle.CachedReads++
+	if stale {
+		cs.StaleReads++
+		st.oracle.StaleReads++
+	}
 	return stale
 }
 
-// NoteCacheMiss counts n invalidated prefix pages client c had to refetch.
-func (st *State) NoteCacheMiss(c, n int) {
-	st.clients[c].stats.CacheMissPages += int64(n)
+// NoteCacheMiss counts one invalidated prefix page client c had to refetch.
+func (st *State) NoteCacheMiss(c int) {
+	st.clients[c].stats.CacheMissPages++
 }
 
 // NoteRenewal counts a lease renewal round trip taken by client c.
@@ -472,37 +462,30 @@ func (st *State) SyncContact(c, s int, sendT float64) {
 	st.servers[s].leases[c].Renew(sendT, st.cfg.LeaseDuration)
 }
 
-// RegisterFetch records that client c fetched pages [pg, pg+n) of relation
-// ri and may cache the ones inside the cacheable prefix — unless a write
-// raced the fetch, in which case the reply is conservatively left uncached
-// (the next read refetches). Two races are distinguishable: the relation
+// RegisterFetch records that client c fetched page pg of relation ri and
+// may cache it if it lies inside the cacheable prefix — unless a write raced
+// the fetch, in which case the reply is conservatively left uncached (the
+// next read refetches). Two races are distinguishable: the relation
 // committed a write since the request was sent (seqAtSend no longer
 // matches), so the fetched data may predate the commit; or a write is still
-// in flight at apply time (write slot busy), so the reply may carry pages
+// in flight at apply time (write slot busy), so the reply may carry a page
 // already dirtied on the server disk that would be stamped with the
 // pre-commit version — and, registered only now, would be missed by the
 // invalidation set the write computed at BeginWrite. Call after SyncContact
 // of the same contact.
-func (st *State) RegisterFetch(c, ri, pg, n int, seqAtSend int64) {
+func (st *State) RegisterFetch(c, ri, pg int, seqAtSend int64) {
 	if st.commitSeq[ri] != seqAtSend || st.writeBusy[ri] {
 		st.wstats.FetchRaces++
 		return
 	}
 	info := st.rels[ri]
-	hi := pg + n
-	if hi > info.cachedPages {
-		hi = info.cachedPages
-	}
-	if pg >= hi {
+	if pg >= info.cachedPages {
 		return
 	}
 	cache := st.clients[c].cache[ri]
-	cd := st.servers[info.home].cached[c][ri]
-	for i := pg; i < hi; i++ {
-		cache.valid[i] = true
-		cache.ver[i] = st.committed[ri][i]
-		cd[i] = true
-	}
+	cache.valid[pg] = true
+	cache.ver[pg] = st.committed[ri][pg]
+	st.servers[info.home].cached[c][ri][pg] = true
 }
 
 // WriteBusy reports whether relation ri's write slot is held. Writes to one
@@ -802,13 +785,6 @@ func (st *State) Oracle() OracleStats { return st.oracle }
 
 // CommittedVersion exposes the shadow map for tests.
 func (st *State) CommittedVersion(ri, pg int) int64 { return st.committed[ri][pg] }
-
-// ClientValid reports whether client c currently caches page pg of relation
-// ri as valid (tests).
-func (st *State) ClientValid(c, ri, pg int) bool {
-	cache := st.clients[c].cache[ri]
-	return cache.valid != nil && cache.valid[pg]
-}
 
 func clearBits(b []bool) {
 	for i := range b {

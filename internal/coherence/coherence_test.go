@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -79,10 +80,37 @@ func TestNewStateAcceptsReadOnlyReplicas(t *testing.T) {
 	}
 }
 
-// fetchAll simulates client c fetching and caching the whole prefix of rel 0.
+// fetchAll simulates client c fetching and caching the whole prefix of rel
+// 0, one page fault per page.
 func fetchAll(st *State, c int, now float64) {
 	st.SyncContact(c, st.Home(0), now)
-	st.RegisterFetch(c, 0, 0, 5, st.CommitSeq(0))
+	for pg := 0; pg < 5; pg++ {
+		st.RegisterFetch(c, 0, pg, st.CommitSeq(0))
+	}
+}
+
+// validPages counts the pages of [pg, pg+n) of rel 0 that client c caches
+// as valid.
+func validPages(st *State, c, pg, n int) int {
+	valid := 0
+	for i := pg; i < pg+n; i++ {
+		if st.ClientValid(c, 0, i) {
+			valid++
+		}
+	}
+	return valid
+}
+
+// readPages serves pages [pg, pg+n) of rel 0 from client c's cache through
+// the staleness oracle and returns how many were stale.
+func readPages(st *State, c, pg, n int) int {
+	stale := 0
+	for i := pg; i < pg+n; i++ {
+		if st.RecordCachedRead(c, 0, i) {
+			stale++
+		}
+	}
+	return stale
 }
 
 // Caches start warm: every client serves the full prefix at version 0, as
@@ -91,11 +119,10 @@ func fetchAll(st *State, c int, now float64) {
 func TestWarmStart(t *testing.T) {
 	st := newTestState(t, 2, 0.5)
 	for c := 0; c < 2; c++ {
-		m, valid := st.CachedRun(c, 0, 0, 5)
-		if m != 5 || !valid {
-			t.Fatalf("client %d CachedRun = (%d, %v), want (5, true)", c, m, valid)
+		if n := validPages(st, c, 0, 5); n != 5 {
+			t.Fatalf("client %d starts with %d valid prefix pages, want 5", c, n)
 		}
-		if stale := st.RecordCachedRead(c, 0, 0, 5); stale != 0 {
+		if stale := readPages(st, c, 0, 5); stale != 0 {
 			t.Fatalf("client %d warm read reported %d stale pages", c, stale)
 		}
 		if st.LeaseFresh(c, 0, 0) {
@@ -112,31 +139,25 @@ func TestWarmStart(t *testing.T) {
 	}
 }
 
-func TestRegisterFetchAndCachedRun(t *testing.T) {
+func TestRegisterFetchRevalidates(t *testing.T) {
 	st := newTestState(t, 2, 0.5)
 	// A write by client 1 dirties the whole warm prefix; both clients sync.
 	st.AcquireWriteSlot(0)
 	st.CommitWrite(st.BeginWrite(0, 0, 5, 1, 0.0))
 	st.SyncContact(0, st.Home(0), 0.3)
 	st.SyncContact(1, st.Home(0), 0.3)
-	if m, valid := st.CachedRun(0, 0, 0, 5); valid || m != 5 {
-		t.Fatalf("CachedRun after invalidation = (%d, %v), want (5, false)", m, valid)
+	if n := validPages(st, 0, 0, 5); n != 0 {
+		t.Fatalf("%d prefix pages valid after invalidation, want 0", n)
 	}
 	// A fetch revalidates client 0's prefix at the committed versions.
 	fetchAll(st, 0, 1.0)
-	for pg := 0; pg < 5; pg++ {
-		if !st.ClientValid(0, 0, pg) {
-			t.Fatalf("page %d not valid after fetch", pg)
-		}
+	if n := validPages(st, 0, 0, 5); n != 5 {
+		t.Fatalf("%d prefix pages valid after fetch, want 5", n)
 	}
 	if st.ClientValid(1, 0, 0) {
 		t.Fatal("client 1 revalidated by client 0's fetch")
 	}
-	m, valid := st.CachedRun(0, 0, 0, 5)
-	if m != 5 || !valid {
-		t.Fatalf("CachedRun = (%d, %v), want (5, true)", m, valid)
-	}
-	if stale := st.RecordCachedRead(0, 0, 0, 5); stale != 0 {
+	if stale := readPages(st, 0, 0, 5); stale != 0 {
 		t.Fatalf("fresh read reported %d stale pages", stale)
 	}
 	if !st.LeaseFresh(0, 0, 1.2) {
@@ -148,7 +169,7 @@ func TestRegisterFetchAndCachedRun(t *testing.T) {
 }
 
 // The fetch-race guard: a commit between request send and reply apply must
-// leave the fetched pages uncached.
+// leave the fetched page uncached.
 func TestRegisterFetchCommitSeqGuard(t *testing.T) {
 	st := newTestState(t, 2, 0.5)
 	seq := st.CommitSeq(0)
@@ -157,12 +178,29 @@ func TestRegisterFetchCommitSeqGuard(t *testing.T) {
 	w := st.BeginWrite(0, 0, 2, 1, 1.0)
 	st.CommitWrite(w)
 	st.SyncContact(0, st.Home(0), 0.9)
-	st.RegisterFetch(0, 0, 0, 5, seq)
+	st.RegisterFetch(0, 0, 0, seq)
 	if st.ClientValid(0, 0, 0) {
 		t.Fatal("raced fetch was cached despite an intervening commit")
 	}
 	if st.Summary().Writes.FetchRaces != 1 {
 		t.Fatalf("FetchRaces = %d, want 1", st.Summary().Writes.FetchRaces)
+	}
+}
+
+// A fault past the cacheable prefix fetches a page the client has no slot
+// for: RegisterFetch caches and registers nothing, and the fetch is no race.
+func TestRegisterFetchPastPrefix(t *testing.T) {
+	st := newTestState(t, 2, 1.0)
+	st.SyncContact(0, st.Home(0), 0.0)
+	before := fmt.Sprint(st.clients[0].cache, st.servers[0].cached[0])
+	for pg := 5; pg < st.RelPages(0); pg++ {
+		st.RegisterFetch(0, 0, pg, st.CommitSeq(0))
+	}
+	if after := fmt.Sprint(st.clients[0].cache, st.servers[0].cached[0]); after != before {
+		t.Fatalf("fetches past the prefix changed the cache state:\n%s\nwant\n%s", after, before)
+	}
+	if got := st.Summary().Writes.FetchRaces; got != 0 {
+		t.Fatalf("FetchRaces = %d, want 0", got)
 	}
 }
 
@@ -181,7 +219,7 @@ func TestRegisterFetchInFlightWriteGuard(t *testing.T) {
 	// Client 0's fetch reply applies mid-write: commitSeq is unchanged, so
 	// only the write-slot check can refuse it.
 	st.SyncContact(0, st.Home(0), 1.1)
-	st.RegisterFetch(0, 0, 0, 5, st.CommitSeq(0))
+	st.RegisterFetch(0, 0, 0, st.CommitSeq(0))
 	if st.ClientValid(0, 0, 0) {
 		t.Fatal("fetch cached while a write was in flight on the relation")
 	}
@@ -191,12 +229,11 @@ func TestRegisterFetchInFlightWriteGuard(t *testing.T) {
 	st.CommitWrite(w)
 	// With the slot free and the sequence captured after the commit, the
 	// refetch caches normally — and at the committed version.
-	st.SyncContact(0, st.Home(0), 1.2)
-	st.RegisterFetch(0, 0, 0, 5, st.CommitSeq(0))
-	if !st.ClientValid(0, 0, 0) {
-		t.Fatal("post-commit refetch was not cached")
+	fetchAll(st, 0, 1.2)
+	if n := validPages(st, 0, 0, 5); n != 5 {
+		t.Fatalf("post-commit refetch cached %d of 5 pages", n)
 	}
-	if stale := st.RecordCachedRead(0, 0, 0, 5); stale != 0 {
+	if stale := readPages(st, 0, 0, 5); stale != 0 {
 		t.Fatalf("post-commit refetch reads %d stale pages", stale)
 	}
 }
@@ -232,9 +269,8 @@ func TestWriteInvalidationAndOracle(t *testing.T) {
 	if !st.ClientValid(0, 0, 0) {
 		t.Fatal("untouched page 0 was dropped")
 	}
-	m, valid := st.CachedRun(0, 0, 0, 5)
-	if m != 1 || !valid {
-		t.Fatalf("CachedRun after invalidation = (%d, %v), want (1, true)", m, valid)
+	if n := validPages(st, 0, 0, 5); n != 3 {
+		t.Fatalf("%d prefix pages valid after invalidation, want 3", n)
 	}
 
 	// The writer dropped its own copies of the dirtied pages at BeginWrite,
@@ -253,8 +289,8 @@ func TestWriteInvalidationAndOracle(t *testing.T) {
 
 	// Oracle: force the unsound read the protocol just prevented.
 	st.clients[0].cache[0].valid[1] = true
-	if stale := st.RecordCachedRead(0, 0, 1, 1); stale != 1 {
-		t.Fatalf("oracle missed a stale read (stale=%d)", stale)
+	if !st.RecordCachedRead(0, 0, 1) {
+		t.Fatal("oracle missed a stale read")
 	}
 	st.NoteCommittedReads(1)
 	o := st.Oracle()
@@ -288,7 +324,7 @@ func TestExpiredLeaseSyncsOnContact(t *testing.T) {
 	if !st.LeaseFresh(0, 0, 3.0) {
 		t.Fatal("lease not renewed by contact")
 	}
-	if stale := st.RecordCachedRead(0, 0, 1, 4); stale != 0 {
+	if stale := readPages(st, 0, 1, 4); stale != 0 {
 		t.Fatalf("post-sync read saw %d stale pages", stale)
 	}
 }
@@ -429,7 +465,7 @@ func TestAbandonWriteSlot(t *testing.T) {
 func TestSummaryShape(t *testing.T) {
 	st := newTestState(t, 3, 0.5)
 	fetchAll(st, 2, 0.0)
-	st.RecordCachedRead(2, 0, 0, 3)
+	readPages(st, 2, 0, 3)
 	sum := st.Summary()
 	if len(sum.PerClient) != 3 {
 		t.Fatalf("PerClient has %d entries, want 3", len(sum.PerClient))

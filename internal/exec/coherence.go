@@ -27,26 +27,27 @@ func (s *scanOp) fillCoherent(p *sim.Proc, pg int) {
 	if !st.LeaseFresh(s.client, int(s.src.id), s.e.sim.Now()) {
 		s.renewLease(p)
 	}
-	if _, valid := st.CachedRun(s.client, s.cohRI, pg, 1); !valid {
-		st.NoteCacheMiss(s.client, 1)
-		s.faultRun(p, pg)
+	if !st.ClientValid(s.client, s.cohRI, pg) {
+		st.NoteCacheMiss(s.client)
+		s.fault(p, pg)
 		return
 	}
 	// Stale reads count as committed only if the attempt commits.
-	s.att.cohStale += int64(st.RecordCachedRead(s.client, s.cohRI, pg, 1))
+	if st.RecordCachedRead(s.client, s.cohRI, pg) {
+		s.att.cohStale++
+	}
 	s.atSite.chargeCPU(p, params, params.DiskInst)
 	s.atSite.read(p, s.ext.plus(pg))
 }
 
 // renewLease performs one lease-renewal round trip with the relation's home
 // server: the page-fault path's supervised roundTrip, with a control message
-// each way and no page read (pages == 0 marks a renewal). Completing the
-// round trip is a contact: it applies every pending invalidation before the
-// lease is renewed, so a renewal can never carry a stale cache past a
-// writer's wait bound.
+// each way and no page read. Completing the round trip is a contact: it
+// applies every pending invalidation before the lease is renewed, so a
+// renewal can never carry a stale cache past a writer's wait bound.
 func (s *scanOp) renewLease(p *sim.Proc) {
 	sendT := s.e.sim.Now()
-	s.roundTrip(p, diskAddr{}, 0, machine.CtrlMsgBytes)
+	s.roundTrip(p, diskAddr{}, true)
 	s.e.coh.NoteRenewal(s.client)
 	s.e.coh.SyncContact(s.client, int(s.src.id), sendT)
 }

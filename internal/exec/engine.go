@@ -170,8 +170,7 @@ type site struct {
 func (s *site) read(p *sim.Proc, a diskAddr)  { s.disks[a.dsk].Read(p, a.page) }
 func (s *site) write(p *sim.Proc, a diskAddr) { s.disks[a.dsk].Write(p, a.page) }
 
-// readRun and writeRun move n contiguous pages as one scatter-gather request.
-func (s *site) readRun(p *sim.Proc, a diskAddr, n int)  { s.disks[a.dsk].ReadRun(p, a.page, n) }
+// writeRun moves n contiguous pages as one scatter-gather request.
 func (s *site) writeRun(p *sim.Proc, a diskAddr, n int) { s.disks[a.dsk].WriteRun(p, a.page, n) }
 
 func (s *site) chargeCPU(p *sim.Proc, params Params, instr float64) {
@@ -300,7 +299,7 @@ func newEngine(cfg Config) (*engine, error) {
 	newSite := func(id catalog.SiteID, name string) *site {
 		s := &site{
 			id:      id,
-			cpu:     sim.NewResource(e.sim, "cpu:"+name, 1),
+			cpu:     sim.NewResource(e.sim, "cpu:"+name),
 			extents: make([]diskAddr, len(rels)),
 			up:      true,
 		}

@@ -170,35 +170,35 @@ func (s *scanOp) fill(p *sim.Proc, pg int) {
 		// Cached prefix on the client disk.
 		s.fillCoherent(p, pg)
 	default:
-		s.faultRun(p, pg)
+		s.fault(p, pg)
 	}
 }
 
-// faultRun pays one page-fault round trip for page pg with the fetch source
+// fault pays one page-fault round trip for page pg with the fetch source
 // (the home server, or the replica failover chose). The paper notes DS pays
 // for the lack of overlap here (§4.2.3).
-func (s *scanOp) faultRun(p *sim.Proc, pg int) {
+func (s *scanOp) fault(p *sim.Proc, pg int) {
 	// Capture the contact initiation time (conservative lease stamp) and the
 	// relation's commit sequence (fetch-race guard) at request send.
 	c := s.e.coh
 	sendT := s.e.sim.Now()
 	seq := c.CommitSeq(s.cohRI)
-	s.roundTrip(p, s.srcExt.plus(pg), 1, s.e.cfg.Params.PageSize)
+	s.roundTrip(p, s.srcExt.plus(pg), false)
 	// The round trip completed: it counts as a contact (syncs pending
 	// invalidations, renews the lease as of sendT) and the fetched page may
 	// be cached if no commit raced the fetch.
 	c.SyncContact(s.client, int(s.src.id), sendT)
-	c.RegisterFetch(s.client, s.cohRI, pg, 1, seq)
+	c.RegisterFetch(s.client, s.cohRI, pg, seq)
 }
 
 // roundTrip pays one synchronous request/response with the fetch source: a
-// control message out, the source's pager reading pages pages at a (none
-// for a lease renewal), and a reply of replyBytes. The round trip is
-// supervised: it fails at once if the source is down, a session's circuit
-// breaker may shed it, and a watchdog bounds it, because a server that died
-// (or a partitioned link) just never answers, and only the timeout can tell
-// that apart from queueing delay.
-func (s *scanOp) roundTrip(p *sim.Proc, a diskAddr, pages, replyBytes int) {
+// control message out, then either the source's pager reading page a and
+// replying with it, or, for a lease renewal (renew), a control-message
+// reply and no read. The round trip is supervised: it fails at once if the
+// source is down, a session's circuit breaker may shed it, and a watchdog
+// bounds it, because a server that died (or a partitioned link) just never
+// answers, and only the timeout can tell that apart from queueing delay.
+func (s *scanOp) roundTrip(p *sim.Proc, a diskAddr, renew bool) {
 	params := s.e.cfg.Params
 	if s.reply == nil {
 		s.reply = sim.NewBuffer(s.e.sim, "fault-reply", 1)
@@ -216,7 +216,11 @@ func (s *scanOp) roundTrip(p *sim.Proc, a diskAddr, pages, replyBytes int) {
 	s.att.beginFetch(int(s.src.id), s.srcRole)
 	s.atSite.chargeCPU(p, params, params.MsgInstr(machine.CtrlMsgBytes))
 	s.e.net.Transmit(p, machine.CtrlMsgBytes, false)
-	s.src.pager.fetchRun(p, a, pages, s.reply)
+	s.src.pager.fetch(p, a, renew, s.reply)
+	replyBytes := params.PageSize
+	if renew {
+		replyBytes = machine.CtrlMsgBytes
+	}
 	s.atSite.chargeCPU(p, params, params.MsgInstr(replyBytes))
 	s.att.endFetch()
 	// A completed round trip is positive evidence the source is healthy.
@@ -564,7 +568,7 @@ func (n *netPair) next(p *sim.Proc) (*colBatch, bool) {
 func (n *netPair) close(p *sim.Proc) {}
 
 // pageServer answers page-fault requests at a server: it reads the requested
-// pages from the server disk and ships them to the client. One daemon per
+// page from the server disk and ships it to the client. One daemon per
 // server serves requests in FIFO order.
 type pageServer struct {
 	e    *engine
@@ -574,7 +578,7 @@ type pageServer struct {
 
 type pageReq struct {
 	addr  diskAddr
-	pages int
+	renew bool // lease renewal: a control-message reply, no page read
 	reply *sim.Buffer
 }
 
@@ -594,29 +598,26 @@ func newPageServer(e *engine, s *site) *pageServer {
 				// crash hook (or will be by its fetch watchdog).
 				continue
 			}
-			if r.pages == 0 {
-				// Lease renewal (coherence.go): a control-message round
-				// trip with no data payload.
-				ps.s.chargeCPU(p, params, params.MsgInstr(machine.CtrlMsgBytes)) // receive request
+			ps.s.chargeCPU(p, params, params.MsgInstr(machine.CtrlMsgBytes)) // receive request
+			if r.renew {
 				ps.s.chargeCPU(p, params, params.MsgInstr(machine.CtrlMsgBytes)) // send reply
 				e.net.Transmit(p, machine.CtrlMsgBytes, false)
-				r.reply.Put(p, struct{}{})
-				continue
+			} else {
+				ps.s.chargeCPU(p, params, params.DiskInst)
+				ps.s.read(p, r.addr)
+				ps.s.chargeCPU(p, params, params.MsgInstr(params.PageSize)) // send page
+				e.net.Transmit(p, params.PageSize, true)
 			}
-			ps.s.chargeCPU(p, params, params.MsgInstr(machine.CtrlMsgBytes)) // receive request
-			ps.s.chargeCPU(p, params, params.DiskInst*float64(r.pages))
-			ps.s.readRun(p, r.addr, r.pages)
-			ps.s.chargeCPU(p, params, params.MsgInstr(r.pages*params.PageSize)) // send pages
-			e.net.TransmitPages(p, params.PageSize, r.pages)
 			r.reply.Put(p, struct{}{})
 		}
 	})
 	return ps
 }
 
-// fetchRun performs one synchronous fault of n contiguous pages on behalf of
-// the caller, signalling completion through the caller-owned reply buffer.
-func (ps *pageServer) fetchRun(p *sim.Proc, addr diskAddr, n int, reply *sim.Buffer) {
-	ps.reqs.Put(p, pageReq{addr: addr, pages: n, reply: reply})
+// fetch performs one synchronous page fault (or, with renew, one lease
+// renewal) on behalf of the caller, signalling completion through the
+// caller-owned reply buffer.
+func (ps *pageServer) fetch(p *sim.Proc, addr diskAddr, renew bool, reply *sim.Buffer) {
+	ps.reqs.Put(p, pageReq{addr: addr, renew: renew, reply: reply})
 	reply.Get(p)
 }

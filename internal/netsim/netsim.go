@@ -41,7 +41,7 @@ func New(s *sim.Simulator, bitsPerSec float64) *Network {
 	if bitsPerSec <= 0 {
 		panic("netsim: bandwidth must be positive")
 	}
-	return &Network{link: sim.NewResource(s, "net", 1), bandwidth: bitsPerSec, degrade: 1}
+	return &Network{link: sim.NewResource(s, "net"), bandwidth: bitsPerSec, degrade: 1}
 }
 
 // TransferTime returns the time on the wire for a message of the given size.
@@ -69,34 +69,6 @@ func (n *Network) Transmit(p *sim.Proc, bytes int, isDataPage bool) {
 	if isDataPage {
 		n.stats.DataPages++
 	}
-	n.link.Use(p, t)
-}
-
-// TransmitPages occupies the link for a scatter-gather run of count data
-// pages of pageBytes each, sent back to back as one link occupancy. The
-// traffic counters still record count messages and count data pages, so the
-// paper's "pages sent" metric is independent of the batching granularity;
-// only the number of kernel-level link acquisitions shrinks. An empty run
-// (count == 0) is a no-op; a negative count or a non-positive page size is a
-// caller bug and panics.
-func (n *Network) TransmitPages(p *sim.Proc, pageBytes, count int) {
-	if pageBytes <= 0 {
-		panic(fmt.Sprintf("netsim: TransmitPages with non-positive page size %d bytes", pageBytes))
-	}
-	if count < 0 {
-		panic(fmt.Sprintf("netsim: TransmitPages with negative page count %d", count))
-	}
-	if count == 0 {
-		return
-	}
-	if n.down {
-		n.awaitUp(p)
-	}
-	t := n.TransferTime(pageBytes) * float64(count) * n.degrade
-	n.stats.Messages += int64(count)
-	n.stats.Bytes += int64(pageBytes) * int64(count)
-	n.stats.WireTime += t
-	n.stats.DataPages += int64(count)
 	n.link.Use(p, t)
 }
 

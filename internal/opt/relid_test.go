@@ -234,7 +234,8 @@ func TestWideQueryRejected(t *testing.T) {
 // at hand, so plan.Bind, Model.Estimate and OptimizeFrom must treat the
 // search's plan exactly like a copy decoded from its JSON.
 func TestForeignRelIDs(t *testing.T) {
-	cat, q := chainEnv(6, 3, 0.5)
+	const cached = 0.5
+	cat, q := chainEnv(6, 3, cached)
 	q.Selects = map[string]float64{"R1": 0.5, "R4": 0.1}
 	if err := cat.ReplicateAll(2, 7); err != nil {
 		t.Fatal(err)
@@ -259,7 +260,7 @@ func TestForeignRelIDs(t *testing.T) {
 		if err := reversedCat.AddRelation(rel); err != nil {
 			t.Fatal(err)
 		}
-		if err := reversedCat.SetCachedFraction(rel.Name, cat.CachedFraction(rel.Name)); err != nil {
+		if err := reversedCat.SetCachedFraction(rel.Name, cached); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -110,7 +110,7 @@ func TestSpawnShortLivedZeroAlloc(t *testing.T) {
 // hold (fast path), release.
 func BenchmarkResourceUse(b *testing.B) {
 	s := New()
-	r := NewResource(s, "cpu", 1)
+	r := NewResource(s, "cpu")
 	s.Spawn("bench", func(p *Proc) {
 		b.ResetTimer()
 		b.ReportAllocs()

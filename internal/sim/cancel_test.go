@@ -54,7 +54,7 @@ func TestInterruptUnwindsAtPark(t *testing.T) {
 // to the pool (or to the next live waiter) instead of waking the corpse.
 func TestInterruptWhileQueuedOnResource(t *testing.T) {
 	s := New()
-	r := NewResource(s, "cpu", 1)
+	r := NewResource(s, "cpu")
 	var cGotAt Time = -1
 	s.Spawn("holder", func(p *Proc) {
 		r.Acquire(p)
@@ -80,8 +80,8 @@ func TestInterruptWhileQueuedOnResource(t *testing.T) {
 	if cGotAt != 6 {
 		t.Fatalf("late acquirer got the resource at t=%g, want 6 (no wait: the dead waiter must not pin a server)", cGotAt)
 	}
-	if r.InUse() != 0 || r.QueueLen() != 0 {
-		t.Fatalf("resource left inUse=%d queue=%d, want 0/0", r.InUse(), r.QueueLen())
+	if r.InUse() || r.QueueLen() != 0 {
+		t.Fatalf("resource left inUse=%v queue=%d, want false/0", r.InUse(), r.QueueLen())
 	}
 }
 
@@ -244,7 +244,7 @@ func TestHoldFastPathZeroAllocs(t *testing.T) {
 // queued live waiter proceeds.
 func TestResourceUseArmedReleasesOnUnwind(t *testing.T) {
 	s := New()
-	r := NewResource(s, "cpu", 1)
+	r := NewResource(s, "cpu")
 	var gotAt Time = -1
 	holder := s.Spawn("holder", func(p *Proc) {
 		r.Use(p, 10)
@@ -264,8 +264,8 @@ func TestResourceUseArmedReleasesOnUnwind(t *testing.T) {
 	if gotAt != 1 {
 		t.Fatalf("waiter acquired at t=%g, want 1 (deferred release on unwind)", gotAt)
 	}
-	if r.InUse() != 0 {
-		t.Fatalf("resource left inUse=%d, want 0", r.InUse())
+	if r.InUse() {
+		t.Fatal("resource left in use")
 	}
 }
 
@@ -278,7 +278,7 @@ func TestResourceUseArmedReleasesOnUnwind(t *testing.T) {
 func TestInterruptAtResourceHandoff(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New()
-	r := NewResource(s, "cpu", 1)
+	r := NewResource(s, "cpu")
 	s.Spawn("holder", func(p *Proc) {
 		r.Use(p, 5) // releases at t=5, handing the server to "first"
 	})
@@ -310,8 +310,8 @@ func TestInterruptAtResourceHandoff(t *testing.T) {
 	if secondAt != 6 {
 		t.Fatalf("second waiter finished at t=%g, want 6 (the server must pass on at t=5)", secondAt)
 	}
-	if r.InUse() != 0 || r.QueueLen() != 0 {
-		t.Fatalf("resource left inUse=%d queue=%d, want 0/0", r.InUse(), r.QueueLen())
+	if r.InUse() || r.QueueLen() != 0 {
+		t.Fatalf("resource left inUse=%v queue=%d, want false/0", r.InUse(), r.QueueLen())
 	}
 	// Run terminates the pooled workers when it drains; give their
 	// goroutines a moment to exit.

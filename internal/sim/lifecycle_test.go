@@ -88,7 +88,7 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 func TestInterruptedParkedProcessesLeakNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New()
-	r := NewResource(s, "cpu", 1)
+	r := NewResource(s, "cpu")
 	var victims []*Proc
 	unwound := 0
 	for i := 0; i < 12; i++ {

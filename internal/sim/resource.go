@@ -5,45 +5,39 @@ import (
 	"math"
 )
 
-// Resource is a FIFO-queued resource with a fixed number of identical
-// servers. The paper models CPUs and the network link this way ("The CPU is
-// modeled as a FIFO queue", "The network is modeled simply as a FIFO queue
-// with a specified bandwidth").
+// Resource is a single server behind a FIFO queue. The paper models CPUs
+// and the network link this way ("The CPU is modeled as a FIFO queue", "The
+// network is modeled simply as a FIFO queue with a specified bandwidth").
 type Resource struct {
 	sim     *Simulator
 	name    string
-	servers int
-	inUse   int
+	inUse   bool
 	waiters []Ref
 
 	// accounting
-	busy     Time // total busy server-seconds
-	lastTick Time
+	busy     Time // total busy seconds
 	requests int64
 }
 
-// NewResource creates a resource with the given number of servers.
-func NewResource(s *Simulator, name string, servers int) *Resource {
-	if servers < 1 {
-		panic("sim: resource needs at least one server")
-	}
-	return &Resource{sim: s, name: name, servers: servers}
+// NewResource creates a single-server resource.
+func NewResource(s *Simulator, name string) *Resource {
+	return &Resource{sim: s, name: name}
 }
 
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
 
-// Acquire obtains one server of the resource, blocking in FIFO order until
-// one is free.
+// Acquire obtains the resource, blocking in FIFO order until it is free.
 //
-// A queued waiter can be interrupted at the very instant Release hands it a
-// server (the hand-off only schedules its wake-up), and it then unwinds
-// here, before its caller could defer a Release. The deferred check gives
-// such a server back, so it passes on to the next waiter instead of leaking.
+// A queued waiter can be interrupted at the very instant Release hands it
+// the resource (the hand-off only schedules its wake-up), and it then
+// unwinds here, before its caller could defer a Release. The deferred check
+// gives the resource back, so it passes on to the next waiter instead of
+// leaking.
 func (r *Resource) Acquire(p *Proc) {
 	r.requests++
-	if r.inUse < r.servers && len(r.waiters) == 0 {
-		r.inUse++
+	if !r.inUse && len(r.waiters) == 0 {
+		r.inUse = true
 		return
 	}
 	ref := p.Ref()
@@ -58,9 +52,9 @@ func (r *Resource) Acquire(p *Proc) {
 	granted = true
 }
 
-// handedTo reports whether Release already passed a server to the waiter
-// queued as ref: Release dequeues exactly the waiter it hands a server to,
-// so a ref no longer queued was served.
+// handedTo reports whether Release already passed the resource to the
+// waiter queued as ref: Release dequeues exactly the waiter it hands the
+// resource to, so a ref no longer queued was served.
 func (r *Resource) handedTo(ref Ref) bool {
 	for _, w := range r.waiters {
 		if w == ref {
@@ -70,11 +64,11 @@ func (r *Resource) handedTo(ref Ref) bool {
 	return true
 }
 
-// Release frees one server, waking the longest-waiting process, if any.
-// Waiters that unwound (were interrupted) since queueing are skipped: their
-// generation bump invalidated the Ref.
+// Release frees the resource, handing it to the longest-waiting process, if
+// any. Waiters that unwound (were interrupted) since queueing are skipped:
+// their generation bump invalidated the Ref.
 func (r *Resource) Release(p *Proc) {
-	if r.inUse <= 0 {
+	if !r.inUse {
 		panic("sim: release of idle resource " + r.name)
 	}
 	for len(r.waiters) > 0 {
@@ -82,18 +76,18 @@ func (r *Resource) Release(p *Proc) {
 		r.waiters = r.waiters[1:]
 		if next.Valid() {
 			next.Unblock()
-			// The server passes directly to the waiter; inUse is unchanged.
+			// The resource passes directly to the waiter; it stays in use.
 			return
 		}
 	}
-	r.inUse--
+	r.inUse = false
 }
 
 // Use acquires the resource, holds it busy for dt, and releases it. This is
 // the common pattern for charging CPU time or network wire time.
 //
 // The release is deferred, so a holder unwound mid-hold by Interrupt still
-// frees its server.
+// frees the resource.
 func (r *Resource) Use(p *Proc, dt Time) {
 	r.Acquire(p)
 	r.busy += dt
@@ -104,9 +98,9 @@ func (r *Resource) Use(p *Proc, dt Time) {
 // UseRun charges a sequence of busy intervals against the resource, exactly
 // as if Use had been called once per part, and is the primitive behind the
 // execution engine's coalesced per-batch CPU charges. When the whole run is
-// provably unobservable — a server is free with nobody queued, no pending
-// event falls at or before the run's end, the shard-window horizon is not
-// crossed, and no Trace is recording dispatches — the per-part
+// provably unobservable — the resource is free with nobody queued, no
+// pending event falls at or before the run's end, the shard-window horizon
+// is not crossed, and no Trace is recording dispatches — the per-part
 // acquire/hold/release round trips collapse into one in-place clock advance.
 // Otherwise every part goes through Use, which is the reference behavior.
 // Either way the clock lands on the identical left-folded sum
@@ -128,7 +122,7 @@ func (r *Resource) UseRun(p *Proc, parts []Time) {
 		}
 		target += dt
 	}
-	if s.Trace == nil && r.inUse < r.servers && len(r.waiters) == 0 &&
+	if s.Trace == nil && !r.inUse && len(r.waiters) == 0 &&
 		target < s.horizon && s.events.nextAt() > target {
 		// Quiet window: no other process can run before target, so the
 		// intermediate acquire/release states of the per-part sequence are
@@ -145,7 +139,7 @@ func (r *Resource) UseRun(p *Proc, parts []Time) {
 	}
 }
 
-// BusyTime reports the cumulative busy server-seconds consumed so far.
+// BusyTime reports the cumulative busy seconds consumed so far.
 func (r *Resource) BusyTime() Time { return r.busy }
 
 // Requests reports how many acquisitions have been requested so far.
@@ -154,5 +148,5 @@ func (r *Resource) Requests() int64 { return r.requests }
 // QueueLen reports the number of processes currently waiting.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
 
-// InUse reports the number of busy servers.
-func (r *Resource) InUse() int { return r.inUse }
+// InUse reports whether the resource is busy.
+func (r *Resource) InUse() bool { return r.inUse }

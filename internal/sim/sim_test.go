@@ -86,7 +86,7 @@ func TestDeadlockDetected(t *testing.T) {
 
 func TestResourceSerializes(t *testing.T) {
 	s := New()
-	r := NewResource(s, "cpu", 1)
+	r := NewResource(s, "cpu")
 	var finish []Time
 	for i := 0; i < 3; i++ {
 		s.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
@@ -111,7 +111,7 @@ func TestResourceSerializes(t *testing.T) {
 
 func TestResourceFIFOOrder(t *testing.T) {
 	s := New()
-	r := NewResource(s, "cpu", 1)
+	r := NewResource(s, "cpu")
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
@@ -127,22 +127,6 @@ func TestResourceFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestMultiServerResource(t *testing.T) {
-	s := New()
-	r := NewResource(s, "disks", 2)
-	var finish []Time
-	for i := 0; i < 4; i++ {
-		s.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			r.Use(p, 3.0)
-			finish = append(finish, s.Now())
-		})
-	}
-	end := s.Run()
-	if end != 6.0 {
-		t.Errorf("4 jobs of 3s on 2 servers ended at %g, want 6", end)
-	}
-}
-
 func TestReleaseIdlePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -150,7 +134,7 @@ func TestReleaseIdlePanics(t *testing.T) {
 		}
 	}()
 	s := New()
-	r := NewResource(s, "cpu", 1)
+	r := NewResource(s, "cpu")
 	s.Spawn("a", func(p *Proc) { r.Release(p) })
 	s.Run()
 }
@@ -245,7 +229,7 @@ func TestBufferCloseDrains(t *testing.T) {
 func TestManyProcessesDeterministic(t *testing.T) {
 	run := func(seed int64) []string {
 		s := New()
-		r := NewResource(s, "cpu", 1)
+		r := NewResource(s, "cpu")
 		rng := rand.New(rand.NewSource(seed))
 		var log []string
 		for i := 0; i < 50; i++ {
@@ -275,7 +259,7 @@ func TestQuickResourceMakespan(t *testing.T) {
 			return true
 		}
 		s := New()
-		r := NewResource(s, "cpu", 1)
+		r := NewResource(s, "cpu")
 		var sum Time
 		finish := make([]Time, len(raw))
 		for i, d := range raw {

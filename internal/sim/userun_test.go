@@ -23,7 +23,7 @@ type useRunOutcome struct {
 // otherwise through the per-part Use reference.
 func runUseRunScenario(parts []Time, coalesce bool, extra func(s *Simulator, r *Resource, log *[]string)) useRunOutcome {
 	s := New()
-	r := NewResource(s, "cpu", 1)
+	r := NewResource(s, "cpu")
 	var out useRunOutcome
 	s.Spawn("worker", func(p *Proc) {
 		if coalesce {
@@ -107,7 +107,7 @@ func TestUseRunPendingEventMatchesPerPartUse(t *testing.T) {
 	observe := func(s *Simulator, r *Resource, log *[]string) {
 		s.Spawn("observer", func(p *Proc) {
 			p.Hold(0.6)
-			*log = append(*log, fmt.Sprintf("observed busy=%g inUse=%d at %g", r.BusyTime(), r.InUse(), p.Sim().Now()))
+			*log = append(*log, fmt.Sprintf("observed busy=%g inUse=%v at %g", r.BusyTime(), r.InUse(), p.Sim().Now()))
 		})
 	}
 	got := runUseRunScenario(parts, true, observe)
@@ -124,7 +124,7 @@ func TestUseRunTraceForcesReference(t *testing.T) {
 		s := New()
 		var lines []string
 		s.Trace = func(tm Time, proc string) { lines = append(lines, fmt.Sprintf("%g %s", tm, proc)) }
-		r := NewResource(s, "cpu", 1)
+		r := NewResource(s, "cpu")
 		s.Spawn("worker", func(p *Proc) {
 			if coalesce {
 				r.UseRun(p, parts)
@@ -154,7 +154,7 @@ func TestUseRunInterruptMatchesPerPartUse(t *testing.T) {
 	parts := []Time{0.3, 0.3, 0.3}
 	run := func(coalesce bool) useRunOutcome {
 		s := New()
-		r := NewResource(s, "cpu", 1)
+		r := NewResource(s, "cpu")
 		var out useRunOutcome
 		victim := s.Spawn("victim", func(p *Proc) {
 			defer func() {
@@ -199,7 +199,7 @@ func TestUseRunHorizonMatchesPerPartUse(t *testing.T) {
 	parts := []Time{0.4, 0.4, 0.4}
 	run := func(coalesce bool) (Time, Time, Time) {
 		s := New()
-		r := NewResource(s, "cpu", 1)
+		r := NewResource(s, "cpu")
 		s.Spawn("worker", func(p *Proc) {
 			if coalesce {
 				r.UseRun(p, parts)

@@ -127,21 +127,22 @@ func TestCacheHelpers(t *testing.T) {
 	if err := CacheFirstK(cat, 5); err != nil {
 		t.Fatal(err)
 	}
+	pages := cat.MustRelation(RelName(0)).Pages(cat.PageSize)
 	for i := 0; i < 10; i++ {
-		want := 0.0
+		want := 0
 		if i < 5 {
-			want = 1.0
+			want = pages
 		}
-		if got := cat.CachedFraction(RelName(i)); got != want {
-			t.Errorf("R%d cached fraction = %g, want %g", i, got, want)
+		if got := cat.CachedPages(RelName(i)); got != want {
+			t.Errorf("R%d cached pages = %d, want %d", i, got, want)
 		}
 	}
 	if err := CacheAllFraction(cat, 0.3); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if got := cat.CachedFraction(RelName(i)); got != 0.3 {
-			t.Errorf("R%d cached fraction = %g, want 0.3", i, got)
+		if got, want := cat.CachedPages(RelName(i)), pages*3/10; got != want {
+			t.Errorf("R%d cached pages = %d, want %d", i, got, want)
 		}
 	}
 }

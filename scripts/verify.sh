@@ -1,6 +1,7 @@
 #!/bin/sh
 # Full verification: a gofmt gate, tier-1 (build + tests) plus vet, hslint, the race
-# detector, a fuzz smoke, a bench smoke and a bench-pairs smoke.
+# detector, an examples smoke, a fuzz smoke, a bench smoke and a bench-pairs
+# smoke.
 #
 # The race tier matters here because the optimizer and the experiment
 # harness both run on worker pools; `go test -race` exercises the parallel
@@ -59,6 +60,19 @@ go run -race ./cmd/csq run -quick -reps 2 chaos failover coherence overload |
 	sed '/^  \[/d' | diff -u cmd/csq/testdata/grids_quick.txt -
 echo "== shardscale smoke (parallel kernel: fleet equality at 1/2/4/8 shards under the race detector)"
 go run -race ./cmd/csq run -quick -reps 1 shardscale >/dev/null
+echo "== examples smoke (every examples/*/ program, then planviz -example fig1; a non-zero exit fails)"
+# Derived from the directory list, so a new example runs here without being
+# listed. Each program takes well under a second once built.
+examples_bin=$(mktemp -d)
+trap 'rm -rf "$examples_bin"' EXIT
+for dir in examples/*/; do
+	name=$(basename "$dir")
+	go build -o "$examples_bin/$name" "./$dir"
+	echo "   $name"
+	"$examples_bin/$name" >/dev/null
+done
+go build -o "$examples_bin/planviz" ./cmd/planviz
+"$examples_bin/planviz" -example fig1 >/dev/null
 echo "== fuzz smoke (2s per target, every Fuzz function in the tree)"
 # Derived like the bench smoke's package list, so a new fuzz target runs
 # here without being listed. Each line is "<package dir> <target>".
