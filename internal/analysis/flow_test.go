@@ -72,6 +72,12 @@ type chargeAcc struct{ pending float64 }
 func (a *chargeAcc) add(x float64)     { a.pending += x }
 func (a *chargeAcc) flush(p *sim.Proc) { p.Hold(a.pending); a.pending = 0 }
 
+func (a *chargeAcc) addRun(xs []float64) {
+	for _, x := range xs {
+		a.pending += x
+	}
+}
+
 func Bad(p *sim.Proc, acc *chargeAcc, buf *sim.Buffer) {
 	acc.add(1)
 	buf.Put(p, 1) // want chargeflow
@@ -83,6 +89,20 @@ func Good(p *sim.Proc, acc *chargeAcc, buf *sim.Buffer) {
 	acc.add(1)
 	acc.flush(p)
 	buf.Put(p, 2)
+}
+
+// A run of parts computed ahead (a page kernel's addRun) leaves the
+// accumulator dirty, as add does.
+func BadRun(p *sim.Proc, acc *chargeAcc, buf *sim.Buffer) {
+	acc.flush(p)
+	acc.addRun([]float64{1, 2})
+	buf.Put(p, 1) // want chargeflow
+}
+
+func GoodRun(p *sim.Proc, acc *chargeAcc, buf *sim.Buffer) {
+	acc.addRun([]float64{1, 2})
+	acc.flush(p)
+	buf.Put(p, 1)
 }
 
 func Branchy(p *sim.Proc, acc *chargeAcc, buf *sim.Buffer, cond bool) {

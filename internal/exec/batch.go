@@ -150,6 +150,20 @@ func (a *chargeAcc) add(p *sim.Proc, s *site, pr *Params, instr float64) {
 	a.parts = append(a.parts, sim.Time(pr.CPUTime(instr)))
 }
 
+// addRun queues a run of charge parts computed ahead, in order, each
+// already sim.Time(pr.CPUTime(instr)) of a positive instr: a page kernel's
+// per-row charges between two of its kernel-visible operations.
+func (a *chargeAcc) addRun(p *sim.Proc, s *site, parts []sim.Time) {
+	if len(parts) == 0 {
+		return
+	}
+	if a.site != s {
+		a.flush(p)
+		a.site = s
+	}
+	a.parts = append(a.parts, parts...)
+}
+
 // flush realizes the pending charges. Callers invoke it immediately before
 // any kernel-visible operation, and at the end of the query.
 func (a *chargeAcc) flush(p *sim.Proc) {

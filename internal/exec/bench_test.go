@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/bits"
 	"testing"
 
 	"hybridship/internal/catalog"
@@ -78,4 +79,93 @@ func BenchmarkRun2WayQSFaultsChaos(b *testing.B) {
 		MaxRetries: 200,
 	}
 	benchRun(b, cfg, annotate(leftDeepChain(2), plan.QueryShipping))
+}
+
+// joinPageBenchPages is the build side of the page-kernel benchmarks, in
+// pages: a table of about ten thousand entries, the size of serve-rw's,
+// beyond the first-level caches.
+const joinPageBenchPages = 256
+
+// relPages returns pages full pooled pages of rel's rows with ids 0, 1, …
+// in order.
+func relPages(e *engine, j *hashJoin, rel string, pages int) []*colBatch {
+	ps := make([]*colBatch, pages)
+	for k := range ps {
+		b := relPage(e, j, rel)
+		col := b.col(bits.TrailingZeros64(e.cfg.Query.RelMask(rel)))
+		for i := range col {
+			col[i] += int64(k * j.tpp)
+		}
+		ps[k] = b
+	}
+	return ps
+}
+
+// reportPerRow reports the benchmark's time per input row.
+func reportPerRow(b *testing.B, rowsPerOp int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rowsPerOp), "ns/row")
+}
+
+// BenchmarkJoinPageBuild measures the build kernel on one in-memory page:
+// HashInst accrual, key evaluation, one append per column and the link
+// pass. The table is cleared every joinPageBenchPages pages.
+func BenchmarkJoinPageBuild(b *testing.B) {
+	e, j := newTestJoin(b)
+	pages := relPages(e, j, "R0", joinPageBenchPages)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(pages)
+		if k == 0 {
+			j.table.reset()
+		}
+		j.buildPage(nil, pages[k], nil)
+		j.acc.parts = j.acc.parts[:0]
+	}
+	reportPerRow(b, j.tpp)
+}
+
+// BenchmarkJoinPageProbe measures the probe kernel on one page against a
+// joinPageBenchPages-page table: chain walks, key compares, charge parts
+// and the column-at-a-time emit.
+func BenchmarkJoinPageProbe(b *testing.B) {
+	e, j := newTestJoin(b)
+	for _, pg := range relPages(e, j, "R0", joinPageBenchPages) {
+		j.buildPage(nil, pg, nil)
+	}
+	pages := relPages(e, j, "R1", joinPageBenchPages)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j.probePage(nil, pages[i%len(pages)], nil)
+		drainOutput(e, j)
+	}
+	reportPerRow(b, j.tpp)
+	if j.outCount == 0 {
+		b.Fatal("the probe produced no matches")
+	}
+}
+
+// BenchmarkJoinPageSpill measures routing one page over four spilled
+// partitions and copying its rows onto their pages. Pages that fill go back
+// to the pool unsealed: a seal's flush and disk write are kernel work.
+func BenchmarkJoinPageSpill(b *testing.B) {
+	e, j := newTestJoin(b)
+	j.al = joinAlloc{memPages: 2, nParts: 4, frac0: 0.25, chunkPages: 8}
+	var parts []*partition
+	for range j.al.nParts {
+		parts = append(parts, newPartition(j.probeCols, j.w, j.tpp, j.al.chunkPages))
+	}
+	pages := relPages(e, j, "R1", joinPageBenchPages)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pg := pages[i%len(pages)]
+		j.probe.load(j.pkey, pg)
+		j.route(j.probe.hash, pg.n, parts)
+		for _, ev := range j.spill(j.probe.cols, parts) {
+			e.pool.put(ev.b)
+		}
+	}
+	reportPerRow(b, j.tpp)
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"hybridship/internal/disk"
 	"hybridship/internal/faults"
 	"hybridship/internal/plan"
 	"hybridship/internal/sim"
@@ -361,6 +362,35 @@ func TestFetchWatchdogZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("warm fetch watchdog allocates %v per fetch, want 0", allocs)
+	}
+}
+
+// TestPageFaultRoundTripZeroAlloc pins the warm page-fault round trip: a
+// request queued on the server's pager, its receive, disk read, page
+// transmit and reply, and the requester's wake allocate nothing once the
+// queues have reached their size.
+func TestPageFaultRoundTripZeroAlloc(t *testing.T) {
+	e := mustSession(t, chainConfig(t, 2, 1, workload.Moderate, true)).e
+	ps := e.servers[0].pager
+	reply := sim.NewBuffer(e.sim, "fault-reply", 1)
+	var allocs float64
+	served := 0
+	e.sim.Spawn("faulter", func(p *sim.Proc) {
+		round := func() {
+			ps.fetch(p, diskAddr{page: disk.PageAddr(served % 64)}, false, reply)
+			served++
+		}
+		for range 8 {
+			round()
+		}
+		allocs = testing.AllocsPerRun(50, round)
+	})
+	e.sim.Run()
+	if served != 8+51 {
+		t.Fatalf("%d round trips completed, want %d", served, 8+51)
+	}
+	if allocs != 0 {
+		t.Errorf("warm page-fault round trip allocates %v, want 0", allocs)
 	}
 }
 

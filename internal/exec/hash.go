@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/bits"
+	"slices"
 
 	"hybridship/internal/query"
 )
@@ -133,18 +134,59 @@ func (t *hashTable) reserve(rows int) {
 	}
 }
 
-// insert adds an entry for hash h and returns its index; the caller appends
-// the tuple and key columns (which must stay aligned with the entry index).
-func (t *hashTable) insert(h uint64) int32 {
-	e := int32(len(t.hashes))
-	t.hashes = append(t.hashes, h)
-	t.next = append(t.next, -1)
-	if len(t.hashes)*4 > len(t.head)*3 {
-		t.rehash(len(t.head) * 2) // relinks e too
-	} else {
-		t.link(e)
+// insertRows appends the page rows listed in rows (increasing, out of a
+// page of n rows) under their hashes: one append per stored column, then one
+// link pass. cols are the page's resolved columns, of which the table
+// stores buildCols (in its column order), and keyv the rows' evaluated key
+// columns. The buckets double whenever the entry count crosses the load
+// threshold, as many times as one-at-a-time inserts would.
+func (t *hashTable) insertRows(rows []int32, n int, hash []uint64, cols [][]int64, buildCols []int, keyv [][]int64) {
+	e0 := len(t.hashes)
+	t.hashes = gatherRows(t.hashes, hash, rows, n)
+	for range rows {
+		t.next = append(t.next, -1)
 	}
-	return e
+	for k, c := range buildCols {
+		t.cols[k] = gatherRows(t.cols[k], cols[c], rows, n)
+	}
+	for s := range t.keys {
+		t.keys[s] = gatherRows(t.keys[s], keyv[s], rows, n)
+	}
+	buckets := len(t.head)
+	for len(t.hashes)*4 > buckets*3 {
+		buckets *= 2
+	}
+	if buckets != len(t.head) {
+		t.rehash(buckets) // links the new entries too
+		return
+	}
+	for e := e0; e < len(t.hashes); e++ {
+		t.link(int32(e))
+	}
+}
+
+// gatherRows appends src's values at rows to dst; rows listing all n rows
+// of the page is one plain append.
+func gatherRows[T any](dst, src []T, rows []int32, n int) []T {
+	if len(rows) == n {
+		return append(dst, src[:n]...)
+	}
+	at := len(dst)
+	dst = slices.Grow(dst, len(rows))[:at+len(rows)]
+	for x, r := range rows {
+		dst[at+x] = src[r]
+	}
+	return dst
+}
+
+// keysEqual reports whether entry e's key vector equals row i of keyv.
+func (t *hashTable) keysEqual(e int32, keyv [][]int64, i int) bool {
+	for s := range t.keys {
+		if t.keys[s][e] != keyv[s][i] {
+			return false
+		}
+	}
+	return true
 }
 
 // keyer evaluates, for one side of a join, the key values of the crossing

@@ -96,44 +96,68 @@ func newPartition(cols []int, w, tpp, chunk int) *partition {
 		pages: make([]*colBatch, 0, chunk), addrs: make([]diskAddr, 0, chunk)}
 }
 
-// addRow copies row i of src onto the page being filled, sealing it at tpp
-// rows.
-func (pt *partition) addRow(e *engine, p *sim.Proc, s *site, acc *chargeAcc, src [][]int64, i int) {
-	b := pt.cur
-	if b == nil {
-		b = e.pool.get(pt.w, pt.tpp)
-		pt.cur = b
+// fill copies rows (in row order) of src onto the partition's pages, a
+// column at a time. A page that reaches tpp rows is detached unsealed and
+// appended to seals with the input row that filled it: sealing is
+// kernel-visible, so the caller seals in input-row order, behind the
+// charges of the rows before it.
+func (pt *partition) fill(bp *batchPool, src [][]int64, rows []int32, seals []sealEvent) []sealEvent {
+	for len(rows) > 0 {
+		b := pt.cur
+		if b == nil {
+			b = bp.get(pt.w, pt.tpp)
+			pt.cur = b
+		}
+		k := min(pt.tpp-b.n, len(rows))
+		for _, c := range pt.cols {
+			dst, s := b.data[c*b.stride+b.n:c*b.stride+b.n+k], src[c]
+			for x, r := range rows[:k] {
+				dst[x] = s[r]
+			}
+		}
+		b.n += k
+		if b.n == pt.tpp {
+			seals = append(seals, sealEvent{row: rows[k-1], pt: pt, b: b})
+			pt.cur = nil
+		}
+		rows = rows[k:]
 	}
-	for _, c := range pt.cols {
-		b.data[c*b.stride+b.n] = src[c][i]
-	}
-	b.n++
-	if b.n == pt.tpp {
-		pt.complete(e, p, s, acc)
+	return seals
+}
+
+// complete seals the partially filled page, if any (a partition's last).
+func (pt *partition) complete(e *engine, p *sim.Proc, s *site, acc *chargeAcc) {
+	if b := pt.cur; b != nil {
+		pt.cur = nil
+		pt.seal(e, p, s, acc, b)
 	}
 }
 
-// complete seals the page being filled into the next temp page and writes
-// it: one DiskInst charge, then the disk write. The pending charges land
-// first — both the chunk allocation from the site's shared temp region and
-// the write are visible to the other processes of the site.
-func (pt *partition) complete(e *engine, p *sim.Proc, s *site, acc *chargeAcc) {
-	if pt.cur == nil {
-		return
-	}
+// seal writes page b into the partition's next temp page: one DiskInst
+// charge, then the disk write. The pending charges land first — both the
+// chunk allocation from the site's shared temp region and the write are
+// visible to the other processes of the site.
+func (pt *partition) seal(e *engine, p *sim.Proc, s *site, acc *chargeAcc, b *colBatch) {
 	acc.flush(p)
 	if pt.left == 0 {
 		pt.next = s.allocTemp(pt.chunk)
 		pt.left = pt.chunk
 	}
-	pt.pages = append(pt.pages, pt.cur)
-	pt.cur = nil
+	pt.pages = append(pt.pages, b)
 	pt.addrs = append(pt.addrs, pt.next)
 	addr := pt.next
 	pt.next = pt.next.plus(1)
 	pt.left--
 	s.chargeCPU(p, e.cfg.Params, e.cfg.Params.DiskInst)
 	s.write(p, addr)
+}
+
+// sealEvent is a spill page that filled at input row row and waits for its
+// seal.
+type sealEvent struct {
+	row int32
+	pt  *partition
+	b   *colBatch
 }
 
 // release returns every page the partition still holds to the pool.
@@ -156,9 +180,14 @@ func (pt *partition) release(bp *batchPool) {
 // lazily from the site's temp region, so concurrent partition streams
 // interleave on disk — the "additional, random load" of §4.2.2.
 //
-// The join consumes and emits page-sized batches, builds into a hashTable,
-// and probes column-wise with scratch selection/candidate vectors — zero
-// allocations in the probe-emit path once warm.
+// The join consumes and emits page-sized batches. Each input page goes
+// through one page kernel (buildPage, probePage) in two phases: a pure phase
+// that routes the page's rows, walks the bucket chains and copies columns a
+// column at a time into the table, the output pages and the partition
+// pages; then an ordered phase that replays the page's charges in row order
+// and seals each filled partition page at the row that filled it, so every
+// flush, temp-chunk allocation and disk write lands where a row-at-a-time
+// loop puts it. The kernels allocate nothing once their scratch is warm.
 type hashJoin struct {
 	e      *engine
 	atSite *site
@@ -182,6 +211,14 @@ type hashJoin struct {
 	// of Relations[i], whose mask bit is i.
 	buildCols, probeCols []int
 
+	// moveTuple is MoveInst·ResultTupleBytes/4, the instructions to move one
+	// result tuple. Evaluated left to right, moveTuple·matches has the bits of
+	// MoveInst·ResultTupleBytes/4·matches.
+	moveTuple float64
+	// cmpPart[n] and movePart[n] are the charge parts of n candidates and of
+	// n matches, for the small counts almost every probed row has.
+	cmpPart, movePart [8]sim.Time
+
 	table      *hashTable
 	innerParts []*partition
 	outerParts []*partition
@@ -195,7 +232,8 @@ type hashJoin struct {
 	rdy     batchRing
 
 	build, probe pageKeys // reused per-page scratch of each side
-	estBuild     int      // optimizer's estimate of in-memory build rows
+	ks           kernelScratch
+	estBuild     int // optimizer's estimate of in-memory build rows
 	outCount     int64
 }
 
@@ -216,19 +254,39 @@ func (pk *pageKeys) load(k *keyer, b *colBatch) {
 	pk.hash = hashKeyCols(pk.keyv, b.n, pk.hash)
 }
 
+// kernelScratch is the page kernels' reused per-page state.
+type kernelScratch struct {
+	mem   []int32 // rows of the in-memory partition, in row order
+	spill []int32 // rows of spilled partitions, grouped by partition, row order within
+	part  []int32 // per row: its partition, 0 = in memory
+	cnt   []int32 // per partition: row count, then start offset in spill
+	seals []sealEvent
+
+	heads      []int32    // per probed row: its bucket's first entry
+	mrow, ment []int32    // matches in emit order: probe row, build entry
+	parts      []sim.Time // probe charge parts, in row order
+	pend       []int32    // parts queued by the first k probed rows, k = 0..len(mem)
+}
+
 func (e *engine) newHashJoin(at catalog.SiteID, inner, outer iterator,
 	innerTables, outerTables uint64, innerPages, outerPages int, acc *chargeAcc) *hashJoin {
+	pr := &e.cfg.Params
 	j := &hashJoin{
-		e:      e,
-		atSite: e.site(at),
-		inner:  inner,
-		outer:  outer,
-		bkey:   newKeyer(e.cfg.Query, innerTables, outerTables, e.cfg.Next),
-		pkey:   newKeyer(e.cfg.Query, outerTables, innerTables, e.cfg.Next),
-		acc:    acc,
-		tpp:    tuplesPerPage(e.cfg.Params.PageSize, e.cfg.Query.ResultTupleBytes),
-		w:      len(e.cfg.Query.Relations),
-		al:     e.joinAllocFor(innerPages, outerPages),
+		e:         e,
+		atSite:    e.site(at),
+		inner:     inner,
+		outer:     outer,
+		bkey:      newKeyer(e.cfg.Query, innerTables, outerTables, e.cfg.Next),
+		pkey:      newKeyer(e.cfg.Query, outerTables, innerTables, e.cfg.Next),
+		acc:       acc,
+		tpp:       tuplesPerPage(pr.PageSize, e.cfg.Query.ResultTupleBytes),
+		w:         len(e.cfg.Query.Relations),
+		al:        e.joinAllocFor(innerPages, outerPages),
+		moveTuple: pr.MoveInst * float64(e.cfg.Query.ResultTupleBytes) / 4,
+	}
+	for n := range len(j.cmpPart) {
+		j.cmpPart[n] = sim.Time(pr.CPUTime(pr.CompareInst * float64(n)))
+		j.movePart[n] = sim.Time(pr.CPUTime(j.moveTuple * float64(n)))
 	}
 	j.estBuild = int(float64(innerPages) * j.al.frac0 * float64(j.tpp))
 	for c := 0; c < j.w; c++ {
@@ -242,7 +300,6 @@ func (e *engine) newHashJoin(at catalog.SiteID, inner, outer iterator,
 }
 
 func (j *hashJoin) open(p *sim.Proc) {
-	pr := &j.e.cfg.Params
 	// Open both inputs up front: a remote outer fragment starts producing
 	// into its one-page lookahead immediately, giving the independent
 	// parallelism between subtrees described in §3.1.2.
@@ -257,22 +314,12 @@ func (j *hashJoin) open(p *sim.Proc) {
 	}
 
 	// Build phase: consume the inner completely.
-	bk := &j.build
 	for {
 		b, ok := j.inner.next(p)
 		if !ok {
 			break
 		}
-		j.acc.add(p, j.atSite, pr, pr.HashInst*float64(b.n))
-		bk.load(j.bkey, b)
-		for i := 0; i < b.n; i++ {
-			h := bk.hash[i]
-			if part := j.al.route(h); part == 0 {
-				j.insertRow(bk.cols, bk.keyv, i, h)
-			} else {
-				j.innerParts[part-1].addRow(j.e, p, j.atSite, j.acc, bk.cols, i)
-			}
-		}
+		j.buildPage(p, b, j.innerParts)
 		j.e.pool.put(b)
 	}
 	for _, pt := range j.innerParts {
@@ -281,89 +328,226 @@ func (j *hashJoin) open(p *sim.Proc) {
 	j.phase = 0
 }
 
-// insertRow copies row i's build-side columns and pre-evaluated key values
-// into the build table under hash h.
-func (j *hashJoin) insertRow(cols, keyv [][]int64, i int, h uint64) {
-	t := j.table
-	t.insert(h)
-	for k, c := range j.buildCols {
-		t.cols[k] = append(t.cols[k], cols[c][i])
-	}
-	for s := range t.keys {
-		t.keys[s] = append(t.keys[s], keyv[s][i])
-	}
-}
-
-// probeRow matches row i of the probe columns against the table with the
-// probe's charge schedule: CompareInst per candidate first, then MoveInst
-// per match. The candidate walk, key comparison, and emit are fused into
-// one chain traversal; only the resulting charge parts are appended, in
-// that order, after the (pure) traversal.
-func (j *hashJoin) probeRow(p *sim.Proc, cols, keyv [][]int64, i int, h uint64) {
-	t := j.table
-	var cands, matched int
-	if len(t.keys) == 1 {
-		k0, pv0 := t.keys[0], keyv[0][i]
-		for e := t.head[h&t.mask]; e >= 0; e = t.next[e] {
-			if t.hashes[e] != h {
-				continue
-			}
-			cands++
-			if k0[e] == pv0 {
-				j.emitMerged(e, cols, i)
-				matched++
-			}
+// route splits the page's rows [0,n) between the in-memory partition
+// (ks.mem) and the spilled partitions parts (ks.spill, grouped by partition,
+// each group in row order). With no spilled partitions every row stays in
+// memory.
+func (j *hashJoin) route(hash []uint64, n int, parts []*partition) {
+	ks := &j.ks
+	ks.mem = ks.mem[:0]
+	if len(parts) == 0 {
+		for i := 0; i < n; i++ {
+			ks.mem = append(ks.mem, int32(i))
 		}
-	} else {
-		for e := t.head[h&t.mask]; e >= 0; e = t.next[e] {
-			if t.hashes[e] != h {
-				continue
-			}
-			cands++
-			eq := true
-			for s := range t.keys {
-				if t.keys[s][e] != keyv[s][i] {
-					eq = false
-					break
-				}
-			}
-			if eq {
-				j.emitMerged(e, cols, i)
-				matched++
-			}
-		}
-	}
-	if cands == 0 {
 		return
 	}
-	pr := &j.e.cfg.Params
-	j.acc.add(p, j.atSite, pr, pr.CompareInst*float64(cands))
-	if matched > 0 {
-		j.acc.add(p, j.atSite, pr,
-			pr.MoveInst*float64(j.e.cfg.Query.ResultTupleBytes)/4*float64(matched))
-		j.outCount += int64(matched)
+	ks.part = ks.part[:0]
+	ks.cnt = ks.cnt[:0]
+	for range len(parts) + 1 {
+		ks.cnt = append(ks.cnt, 0)
+	}
+	for i, h := range hash[:n] {
+		r := int32(j.al.route(h))
+		ks.part = append(ks.part, r)
+		ks.cnt[r]++
+		if r == 0 {
+			ks.mem = append(ks.mem, int32(i))
+		}
+	}
+	// Counting sort of the spilled rows by partition, stable in row order.
+	off := int32(0)
+	for r := 1; r < len(ks.cnt); r++ {
+		c := ks.cnt[r]
+		ks.cnt[r] = off
+		off += c
+	}
+	if cap(ks.spill) < int(off) {
+		ks.spill = make([]int32, off)
+	}
+	ks.spill = ks.spill[:off]
+	for i, r := range ks.part {
+		if r != 0 {
+			ks.spill[ks.cnt[r]] = int32(i)
+			ks.cnt[r]++
+		}
 	}
 }
 
-// emitMerged appends merge(build entry e, probe row i) to the output page
-// under construction, completing pages at exactly tpp rows.
-func (j *hashJoin) emitMerged(e int32, cols [][]int64, i int) {
-	if j.cur == nil {
-		j.cur = j.e.pool.get(j.w, j.tpp)
-		j.curCols = batchCols(j.cur, j.curCols)
+// spill copies the page's spilled rows onto their partitions' pages and
+// returns the pages that filled, ordered by the input row that filled them.
+// Nothing is sealed yet.
+func (j *hashJoin) spill(cols [][]int64, parts []*partition) []sealEvent {
+	if len(parts) == 0 {
+		return nil
 	}
-	cur := j.cur
-	at := cur.n
-	for k, c := range j.buildCols {
-		j.curCols[c][at] = j.table.cols[k][e]
+	ks := &j.ks
+	ks.seals = ks.seals[:0]
+	start := int32(0)
+	for r, pt := range parts {
+		end := ks.cnt[r+1] // the counting sort left each group's end here
+		if end > start {
+			ks.seals = pt.fill(&j.e.pool, cols, ks.spill[start:end], ks.seals)
+		}
+		start = end
 	}
-	for _, c := range j.probeCols {
-		j.curCols[c][at] = cols[c][i]
+	// Few pages fill per input page: an insertion sort by row.
+	s := ks.seals
+	for i := 1; i < len(s); i++ {
+		for k := i; k > 0 && s[k].row < s[k-1].row; k-- {
+			s[k], s[k-1] = s[k-1], s[k]
+		}
 	}
-	cur.n++
-	if cur.n == j.tpp {
-		j.rdy.push(cur)
-		j.cur = nil
+	return s
+}
+
+// buildPage is the build kernel: it charges HashInst per row of input page
+// b, inserts the in-memory partition's rows into the table and copies the
+// others onto parts' pages (nil on a read-back pass, where every row goes
+// into the table), sealing each page that fills in row order. No build row
+// is charged individually, so the page's charges are all pending before its
+// first seal.
+func (j *hashJoin) buildPage(p *sim.Proc, b *colBatch, parts []*partition) {
+	pr := &j.e.cfg.Params
+	j.acc.add(p, j.atSite, pr, pr.HashInst*float64(b.n))
+	bk := &j.build
+	bk.load(j.bkey, b)
+	j.route(bk.hash, b.n, parts)
+	j.table.insertRows(j.ks.mem, b.n, bk.hash, bk.cols, j.buildCols, bk.keyv)
+	for _, ev := range j.spill(bk.cols, parts) {
+		ev.pt.seal(j.e, p, j.atSite, j.acc, ev.b)
+	}
+}
+
+// probePage is the probe kernel: it charges HashInst per row of input page
+// b, probes the in-memory partition's rows against the table and copies the
+// others onto parts' pages (nil on a read-back pass). The pure phase walks
+// every probed row's chain into a match list and the row's charge parts —
+// CompareInst × candidates, then MoveInst × matches — and emits the matches
+// a column at a time. The ordered phase queues the parts in row order,
+// stopping at each row that filled a partition page to seal it behind the
+// charges of the rows before it.
+func (j *hashJoin) probePage(p *sim.Proc, b *colBatch, parts []*partition) {
+	pr := &j.e.cfg.Params
+	j.acc.add(p, j.atSite, pr, pr.HashInst*float64(b.n))
+	pk := &j.probe
+	pk.load(j.pkey, b)
+	j.route(pk.hash, b.n, parts)
+	j.probeRows(pk.hash, pk.keyv)
+	j.emit(pk.cols)
+	ks := &j.ks
+	done, m := int32(0), 0 // parts queued, probed rows before the sealing row
+	for _, ev := range j.spill(pk.cols, parts) {
+		for m < len(ks.mem) && ks.mem[m] < ev.row {
+			m++
+		}
+		j.acc.addRun(p, j.atSite, ks.parts[done:ks.pend[m]])
+		done = ks.pend[m]
+		ev.pt.seal(j.e, p, j.atSite, j.acc, ev.b)
+	}
+	j.acc.addRun(p, j.atSite, ks.parts[done:])
+}
+
+// probeRows is the probe kernel's pure phase over the rows in ks.mem: their
+// bucket heads first, then each chain walk. A candidate is an entry whose
+// stored hash equals the row's, a match a candidate whose key vector equals
+// it too; matches go to the match list in chain order. The row's charge
+// parts follow the acc.add rules: none without candidates, and an amount
+// of at most zero queues nothing.
+func (j *hashJoin) probeRows(hash []uint64, keyv [][]int64) {
+	t, ks, pr := j.table, &j.ks, &j.e.cfg.Params
+	mem := ks.mem
+	if cap(ks.heads) < len(mem) {
+		ks.heads = make([]int32, len(mem))
+	}
+	heads := ks.heads[:len(mem)]
+	for x, i := range mem {
+		heads[x] = t.head[hash[i]&t.mask]
+	}
+	ks.mrow, ks.ment = ks.mrow[:0], ks.ment[:0]
+	ks.parts = ks.parts[:0]
+	ks.pend = append(ks.pend[:0], 0)
+	for x, i := range mem {
+		h, cands, m0 := hash[i], 0, len(ks.ment)
+		if len(t.keys) == 1 {
+			k0, pv0 := t.keys[0], keyv[0][i]
+			for e := heads[x]; e >= 0; e = t.next[e] {
+				if t.hashes[e] != h {
+					continue
+				}
+				cands++
+				if k0[e] == pv0 {
+					ks.mrow = append(ks.mrow, i)
+					ks.ment = append(ks.ment, e)
+				}
+			}
+		} else {
+			for e := heads[x]; e >= 0; e = t.next[e] {
+				if t.hashes[e] != h {
+					continue
+				}
+				cands++
+				if t.keysEqual(e, keyv, int(i)) {
+					ks.mrow = append(ks.mrow, i)
+					ks.ment = append(ks.ment, e)
+				}
+			}
+		}
+		if cands > 0 {
+			if pr.CompareInst > 0 {
+				ks.parts = append(ks.parts, j.part(&j.cmpPart, pr.CompareInst, cands))
+			}
+			if matched := len(ks.ment) - m0; matched > 0 {
+				if j.moveTuple > 0 {
+					ks.parts = append(ks.parts, j.part(&j.movePart, j.moveTuple, matched))
+				}
+				j.outCount += int64(matched)
+			}
+		}
+		ks.pend = append(ks.pend, int32(len(ks.parts)))
+	}
+}
+
+// part is the charge part of n > 0 units of unit instructions, read from
+// tab (unit's part table) when n is small. For n > 0 the amount unit·n is
+// positive exactly when unit is, so the caller's unit > 0 test is
+// acc.add's.
+func (j *hashJoin) part(tab *[8]sim.Time, unit float64, n int) sim.Time {
+	if n < len(tab) {
+		return tab[n]
+	}
+	return sim.Time(j.e.cfg.Params.CPUTime(unit * float64(n)))
+}
+
+// emit appends merge(build entry, probe row) for every match of the page,
+// in match order, onto the output pages a column at a time, completing
+// pages at exactly tpp rows.
+func (j *hashJoin) emit(cols [][]int64) {
+	mrow, ment := j.ks.mrow, j.ks.ment
+	for len(ment) > 0 {
+		if j.cur == nil {
+			j.cur = j.e.pool.get(j.w, j.tpp)
+			j.curCols = batchCols(j.cur, j.curCols)
+		}
+		at := j.cur.n
+		k := min(j.tpp-at, len(ment))
+		for c, src := range j.table.cols {
+			dst := j.curCols[j.buildCols[c]][at : at+k]
+			for x, e := range ment[:k] {
+				dst[x] = src[e]
+			}
+		}
+		for _, c := range j.probeCols {
+			dst, src := j.curCols[c][at:at+k], cols[c]
+			for x, r := range mrow[:k] {
+				dst[x] = src[r]
+			}
+		}
+		j.cur.n += k
+		if j.cur.n == j.tpp {
+			j.rdy.push(j.cur)
+			j.cur = nil
+		}
+		mrow, ment = mrow[k:], ment[k:]
 	}
 }
 
@@ -380,8 +564,6 @@ func (j *hashJoin) readSpillPage(p *sim.Proc, pt *partition, i int) *colBatch {
 }
 
 func (j *hashJoin) next(p *sim.Proc) (*colBatch, bool) {
-	pr := &j.e.cfg.Params
-	bk, pk := &j.build, &j.probe
 	// Run the probe pipeline only while no completed output page is queued:
 	// a join produces its next page on demand.
 	for j.rdy.empty() && j.phase < 2 {
@@ -397,16 +579,7 @@ func (j *hashJoin) next(p *sim.Proc) (*colBatch, bool) {
 				j.partPage = 0
 				continue
 			}
-			j.acc.add(p, j.atSite, pr, pr.HashInst*float64(b.n))
-			pk.load(j.pkey, b)
-			for i := 0; i < b.n; i++ {
-				h := pk.hash[i]
-				if part := j.al.route(h); part == 0 {
-					j.probeRow(p, pk.cols, pk.keyv, i, h)
-				} else {
-					j.outerParts[part-1].addRow(j.e, p, j.atSite, j.acc, pk.cols, i)
-				}
-			}
+			j.probePage(p, b, j.outerParts)
 			j.e.pool.put(b)
 		case 1:
 			if j.partIdx < 0 || j.partPage >= len(j.outerParts[j.partIdx].pages) {
@@ -422,22 +595,14 @@ func (j *hashJoin) next(p *sim.Proc) (*colBatch, bool) {
 				in := j.innerParts[j.partIdx]
 				for pi := range in.pages {
 					b := j.readSpillPage(p, in, pi)
-					j.acc.add(p, j.atSite, pr, pr.HashInst*float64(b.n))
-					bk.load(j.bkey, b)
-					for r := 0; r < b.n; r++ {
-						j.insertRow(bk.cols, bk.keyv, r, bk.hash[r])
-					}
+					j.buildPage(p, b, nil)
 					j.e.pool.put(b)
 				}
 				continue
 			}
 			b := j.readSpillPage(p, j.outerParts[j.partIdx], j.partPage)
 			j.partPage++
-			j.acc.add(p, j.atSite, pr, pr.HashInst*float64(b.n))
-			pk.load(j.pkey, b)
-			for r := 0; r < b.n; r++ {
-				j.probeRow(p, pk.cols, pk.keyv, r, pk.hash[r])
-			}
+			j.probePage(p, b, nil)
 			j.e.pool.put(b)
 		}
 	}

@@ -569,11 +569,14 @@ func (n *netPair) close(p *sim.Proc) {}
 
 // pageServer answers page-fault requests at a server: it reads the requested
 // page from the server disk and ships it to the client. One daemon per
-// server serves requests in FIFO order.
+// server serves requests in FIFO order. A request travels as a *pageReq
+// from the server's free list, which a pointer in the buffer's any holds
+// without allocating; the daemon copies it out and frees it on receipt.
 type pageServer struct {
 	e    *engine
 	s    *site
 	reqs *sim.Buffer
+	free []*pageReq
 }
 
 type pageReq struct {
@@ -591,7 +594,9 @@ func newPageServer(e *engine, s *site) *pageServer {
 			if !ok {
 				return
 			}
-			r := v.(pageReq)
+			rp := v.(*pageReq)
+			r := *rp
+			ps.free = append(ps.free, rp)
 			if !ps.s.up {
 				// The server crashed with this request queued: it is simply
 				// lost. The requester's attempt has been aborted by the
@@ -618,6 +623,13 @@ func newPageServer(e *engine, s *site) *pageServer {
 // renewal) on behalf of the caller, signalling completion through the
 // caller-owned reply buffer.
 func (ps *pageServer) fetch(p *sim.Proc, addr diskAddr, renew bool, reply *sim.Buffer) {
-	ps.reqs.Put(p, pageReq{addr: addr, renew: renew, reply: reply})
+	var r *pageReq
+	if n := len(ps.free); n > 0 {
+		r, ps.free = ps.free[n-1], ps.free[:n-1]
+	} else {
+		r = new(pageReq)
+	}
+	*r = pageReq{addr: addr, renew: renew, reply: reply}
+	ps.reqs.Put(p, r)
 	reply.Get(p)
 }

@@ -8,11 +8,11 @@ type Buffer struct {
 	sim      *Simulator
 	name     string
 	capacity int
-	items    []any
+	items    fifo[any]
 	closed   bool
 
-	getters []Ref // blocked consumers, FIFO
-	putters []Ref // blocked producers, FIFO
+	getters fifo[Ref] // blocked consumers
+	putters fifo[Ref] // blocked producers
 }
 
 // NewBuffer creates a buffer holding at most capacity items.
@@ -27,29 +27,28 @@ func NewBuffer(s *Simulator, name string, capacity int) *Buffer {
 // Put appends an item, blocking while the buffer is full.
 // Putting to a closed buffer panics.
 func (b *Buffer) Put(p *Proc, item any) {
-	for len(b.items) >= b.capacity {
-		b.putters = append(b.putters, p.Ref())
+	for b.items.len() >= b.capacity {
+		b.putters.push(p.Ref())
 		p.Block()
 	}
 	if b.closed {
 		panic("sim: put on closed buffer " + b.name)
 	}
-	b.items = append(b.items, item)
+	b.items.push(item)
 	b.wakeGetter()
 }
 
 // Get removes the oldest item, blocking while the buffer is empty. The second
 // result is false when the buffer is closed and drained.
 func (b *Buffer) Get(p *Proc) (any, bool) {
-	for len(b.items) == 0 && !b.closed {
-		b.getters = append(b.getters, p.Ref())
+	for b.items.len() == 0 && !b.closed {
+		b.getters.push(p.Ref())
 		p.Block()
 	}
-	if len(b.items) == 0 {
+	if b.items.len() == 0 {
 		return nil, false
 	}
-	item := b.items[0]
-	b.items = b.items[1:]
+	item := b.items.pop()
 	b.wakePutter()
 	return item, true
 }
@@ -61,22 +60,19 @@ func (b *Buffer) Close() {
 		return
 	}
 	b.closed = true
-	for _, g := range b.getters {
-		g.Unblock() // no-op for getters that unwound since queueing
+	for b.getters.len() > 0 {
+		b.getters.pop().Unblock() // no-op for getters that unwound since queueing
 	}
-	b.getters = nil
 }
 
 // Len reports the number of buffered items.
-func (b *Buffer) Len() int { return len(b.items) }
+func (b *Buffer) Len() int { return b.items.len() }
 
 // wakeGetter wakes the longest-waiting live consumer, skipping queue entries
 // whose process has unwound since queueing (stale Refs).
 func (b *Buffer) wakeGetter() {
-	for len(b.getters) > 0 {
-		g := b.getters[0]
-		b.getters = b.getters[1:]
-		if g.Valid() {
+	for b.getters.len() > 0 {
+		if g := b.getters.pop(); g.Valid() {
 			g.Unblock()
 			return
 		}
@@ -84,10 +80,8 @@ func (b *Buffer) wakeGetter() {
 }
 
 func (b *Buffer) wakePutter() {
-	for len(b.putters) > 0 {
-		w := b.putters[0]
-		b.putters = b.putters[1:]
-		if w.Valid() {
+	for b.putters.len() > 0 {
+		if w := b.putters.pop(); w.Valid() {
 			w.Unblock()
 			return
 		}

@@ -12,7 +12,7 @@ type Resource struct {
 	sim     *Simulator
 	name    string
 	inUse   bool
-	waiters []Ref
+	waiters fifo[Ref]
 
 	// accounting
 	busy     Time // total busy seconds
@@ -36,12 +36,12 @@ func (r *Resource) Name() string { return r.name }
 // leaking.
 func (r *Resource) Acquire(p *Proc) {
 	r.requests++
-	if !r.inUse && len(r.waiters) == 0 {
+	if !r.inUse && r.waiters.len() == 0 {
 		r.inUse = true
 		return
 	}
 	ref := p.Ref()
-	r.waiters = append(r.waiters, ref)
+	r.waiters.push(ref)
 	granted := false
 	defer func() {
 		if !granted && r.handedTo(ref) {
@@ -56,8 +56,8 @@ func (r *Resource) Acquire(p *Proc) {
 // waiter queued as ref: Release dequeues exactly the waiter it hands the
 // resource to, so a ref no longer queued was served.
 func (r *Resource) handedTo(ref Ref) bool {
-	for _, w := range r.waiters {
-		if w == ref {
+	for i := range r.waiters.len() {
+		if r.waiters.at(i) == ref {
 			return false
 		}
 	}
@@ -71,10 +71,8 @@ func (r *Resource) Release(p *Proc) {
 	if !r.inUse {
 		panic("sim: release of idle resource " + r.name)
 	}
-	for len(r.waiters) > 0 {
-		next := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		if next.Valid() {
+	for r.waiters.len() > 0 {
+		if next := r.waiters.pop(); next.Valid() {
 			next.Unblock()
 			// The resource passes directly to the waiter; it stays in use.
 			return
@@ -122,7 +120,7 @@ func (r *Resource) UseRun(p *Proc, parts []Time) {
 		}
 		target += dt
 	}
-	if s.Trace == nil && !r.inUse && len(r.waiters) == 0 &&
+	if s.Trace == nil && !r.inUse && r.waiters.len() == 0 &&
 		target < s.horizon && s.events.nextAt() > target {
 		// Quiet window: no other process can run before target, so the
 		// intermediate acquire/release states of the per-part sequence are
@@ -146,7 +144,7 @@ func (r *Resource) BusyTime() Time { return r.busy }
 func (r *Resource) Requests() int64 { return r.requests }
 
 // QueueLen reports the number of processes currently waiting.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 // InUse reports whether the resource is busy.
 func (r *Resource) InUse() bool { return r.inUse }
