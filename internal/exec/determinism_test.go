@@ -50,6 +50,24 @@ func TestRunFullyDeterministic(t *testing.T) {
 	}
 }
 
+// TestLoadedTraceDeterministic hashes the dispatch traces of 64 runs with
+// two loaded servers and requires one hash: the load clocks must start in
+// an order that does not depend on map iteration.
+func TestLoadedTraceDeterministic(t *testing.T) {
+	cfg := chainConfig(t, 2, 2, workload.Moderate, false)
+	cfg.ServerLoad = map[catalog.SiteID]float64{0: 40, 1: 60}
+	root := annotate(leftDeepChain(2), plan.QueryShipping)
+	hashes := make(map[string]int)
+	for i := 0; i < 64; i++ {
+		th := newTraceHash()
+		runGolden(t, cfg, root, th.record)
+		hashes[th.sum()]++
+	}
+	if len(hashes) != 1 {
+		t.Fatalf("64 traced runs gave %d distinct traces: %v", len(hashes), hashes)
+	}
+}
+
 // TestFastPathMatchesReferenceKernel compares a query executed on the Hold
 // fast path against the same query forced through the reference
 // park/dispatch slow path (a no-op Trace disables the fast path). The
