@@ -63,6 +63,42 @@ func Find(m map[string]int) string {
 }
 `,
 
+	// det load clocks: a map range whose body can reach a kernel primitive
+	// takes seqs in iteration order; one whose calls are pure, or that
+	// ranges over a slice, does not.
+	"det/load.go": `package det
+
+import "fixture/sim"
+
+func startLoad(s *sim.Simulator, id int) {
+	s.SpawnTaskLazy(func() string { return "load" }, nil)
+}
+
+func halve(rate float64) float64 { return rate / 2 }
+
+func SpawnLoads(s *sim.Simulator, load map[int]float64) {
+	for id, rate := range load { // want nodeterm
+		if rate > 0 {
+			startLoad(s, id)
+		}
+	}
+}
+
+func SpawnLoadsInOrder(s *sim.Simulator, sites []int, load map[int]float64) {
+	for _, id := range sites {
+		if load[id] > 0 {
+			startLoad(s, id)
+		}
+	}
+}
+
+func HalveLoads(load map[int]float64) {
+	for id, rate := range load {
+		load[id] = halve(rate)
+	}
+}
+`,
+
 	"det/clock.go": `package det
 
 import (
@@ -424,6 +460,7 @@ func TestDiagnosticFormat(t *testing.T) {
 		{"simhot", "vexec/legacy.go", "engine hot path"},
 		{"seedflow", "seedstuff/seed.go", "use seedmix.Derive"},
 		{"nodeterm", "det/det.go", "//hslint:ordered"},
+		{"nodeterm", "det/load.go", "calls det.startLoad, which is kernel-visible (spawn: det.startLoad → sim.(*Simulator).SpawnTaskLazy)"},
 		{"floatsum", "fsum/fsum.go", "slot-indexed"},
 		{"waiver", "waivers/waivers.go", "reason"},
 	}

@@ -18,7 +18,10 @@ import (
 //     unless keys collide, which the waiver audit covers. Everything else —
 //     appends, accumulation (`+=`, `++`), sends, writes to outer scalars,
 //     and value-returning `return` statements — is flagged unless the range
-//     line carries `//hslint:ordered -- why`.
+//     line carries `//hslint:ordered -- why`. So is a call in the body to a
+//     function that can reach a kernel-visible operation (the call graph's
+//     closure, callgraph.go): a spawn, a wake or a hold takes a seq, so the
+//     loop would order same-instant events by map iteration.
 //
 //  2. Wall-clock and ambient randomness anywhere outside the interactive
 //     entry points (cmd/, examples/): time.Now and time.Since read the host
@@ -169,26 +172,51 @@ func checkSelect(u *Unit, sel *ast.SelectStmt) {
 	}
 }
 
-// checkMapRange flags writes that let map-iteration order escape the loop.
+// checkMapRange flags writes that let map-iteration order escape the loop,
+// and calls in its body that can reach a kernel-visible operation: those
+// take seqs in iteration order, so the event schedule depends on it.
 func checkMapRange(u *Unit, pkg *Package, rng *ast.RangeStmt) {
-	mapRangeEscapes(pkg, rng, func(at ast.Node, what string) {
+	report := func(at ast.Node, what string) {
 		// Position the finding on the range line so one //hslint:ordered
 		// waiver there covers the whole loop, as DESIGN.md documents.
 		line := u.Fset.Position(at.Pos()).Line
 		u.Report(rng.Pos(), "map range: %s (line %d); iteration order can reach the result — "+
 			"fix, or waive the range with //hslint:ordered -- why", what, line)
+	}
+	mapRangeEscapes(pkg, rng, report)
+	if !isMapRange(pkg, rng) {
+		return
+	}
+	g := u.Graph()
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if f := StaticCallee(pkg.Info, n); f != nil && g.KernelVisible(f) {
+				report(n, fmt.Sprintf("calls %s, which is kernel-visible (%s: %s)",
+					shortFuncName(f), g.KernelOpClass(f), ChainString(g.KernelChain(f))))
+			}
+		case *ast.FuncLit:
+			return false // a closure defined here may run later, out of loop context
+		}
+		return true
 	})
+}
+
+// isMapRange reports whether rng ranges over a map.
+func isMapRange(pkg *Package, rng *ast.RangeStmt) bool {
+	t := typeOf(pkg.Info, rng.X)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
 }
 
 // mapRangeEscapes calls report for every write inside a range-over-map that
 // lets iteration order escape the loop. Shared by nodeterm (direct findings
 // in deterministic packages) and detreach (sinks in reachable helpers).
 func mapRangeEscapes(pkg *Package, rng *ast.RangeStmt, reportEscape func(at ast.Node, what string)) {
-	t := typeOf(pkg.Info, rng.X)
-	if t == nil {
-		return
-	}
-	if _, ok := t.Underlying().(*types.Map); !ok {
+	if !isMapRange(pkg, rng) {
 		return
 	}
 	lo, hi := rng.Pos(), rng.End()
