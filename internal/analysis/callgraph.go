@@ -10,11 +10,11 @@
 // all consume this one graph.
 //
 // The taxonomy of kernel-visible operations is rooted in the sim package's
-// primitives (see kernelOps below): Spawn* (a new process or kernel task
-// dispatches at the current time), Simulator At/After (a callback is
+// primitives (see kernelOps below): Spawn* (a new process, kernel task or
+// clock dispatches at the current time), Simulator At/After (a callback is
 // scheduled, exactly as a spawn schedules its first dispatch), Resource
 // Use/UseRun/Acquire/Release (queueing and clock advance), Buffer
-// Put/Get/Close (park and wake), the Proc park points (Hold, Block, Yield,
+// Put/PutNow/Get/Close (park and wake), the Proc park points (Hold, Block, Yield,
 // Unblock, Interrupt) and their task twins (Task Wake, Hold). Everything else — netsim transmits, disk
 // requests, shard mailbox ops — is kernel-visible *transitively*, because
 // its implementation bottoms out in these primitives; rooting the taxonomy
@@ -58,14 +58,14 @@ type fnBody struct {
 var kernelOps = map[string]map[string]string{
 	"Simulator": {
 		"Spawn": "spawn", "SpawnLazyID": "spawn", "SpawnDaemonLazy": "spawn",
-		"SpawnTaskLazy": "spawn", "At": "timer", "After": "timer",
+		"SpawnTaskLazy": "spawn", "SpawnClock": "spawn", "At": "timer", "After": "timer",
 	},
 	"Resource": {
 		"Use": "resource", "UseRun": "resource",
 		"Acquire": "resource", "Release": "resource",
 	},
 	"Buffer": {
-		"Put": "buffer", "Get": "buffer", "Close": "buffer",
+		"Put": "buffer", "PutNow": "buffer", "Get": "buffer", "Close": "buffer",
 	},
 	"Proc": {
 		"Hold": "park", "Block": "park", "Yield": "park",

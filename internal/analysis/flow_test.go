@@ -28,6 +28,9 @@ func (s *Simulator) SpawnDaemonLazy(namef func() string, body func(*Proc)) {
 	_ = namef()
 	body(&Proc{})
 }
+func (s *Simulator) SpawnClock(namef func() string, live bool, next func() (float64, bool), fire func()) {
+	_ = namef()
+}
 
 type Task struct{ woken int }
 
@@ -52,6 +55,7 @@ func (b *Buffer) Get(p *Proc) (int, bool) {
 	b.q = b.q[1:]
 	return v, true
 }
+func (b *Buffer) PutNow(v int) { b.q = append(b.q, v) }
 func (b *Buffer) Close(p *Proc) {}
 `
 
@@ -183,6 +187,23 @@ func GoodAt(p *sim.Proc, acc *chargeAcc, s *sim.Simulator, fire func()) {
 	acc.add(1)
 	acc.flush(p)
 	s.At(1, fire)
+}
+
+// Starting a clock and a put that never waits are kernel-visible (the
+// shapes of a fault stream and of the serve accept queue).
+func BadClock(p *sim.Proc, acc *chargeAcc, s *sim.Simulator, buf *sim.Buffer, next func() (float64, bool)) {
+	acc.add(1)
+	s.SpawnClock(func() string { return "c" }, false, next, nil) // want chargeflow
+	acc.flush(p)
+	acc.add(1)
+	buf.PutNow(1) // want chargeflow
+}
+
+func GoodClock(p *sim.Proc, acc *chargeAcc, s *sim.Simulator, buf *sim.Buffer, next func() (float64, bool)) {
+	acc.add(1)
+	acc.flush(p)
+	s.SpawnClock(func() string { return "c" }, true, next, nil)
+	buf.PutNow(1)
 }
 
 func Waived(p *sim.Proc, acc *chargeAcc, buf *sim.Buffer) {
@@ -392,6 +413,8 @@ func TestFlowDiagnosticContent(t *testing.T) {
 		{"chargeflow", "vexec/vec.go", "kernel-visible (buffer: sim.(*Buffer).Put)"},
 		{"chargeflow", "vexec/vec.go", "sim.(*Task).Wake"},
 		{"chargeflow", "vexec/vec.go", "kernel-visible (timer: sim.(*Simulator).At)"},
+		{"chargeflow", "vexec/vec.go", "kernel-visible (spawn: sim.(*Simulator).SpawnClock)"},
+		{"chargeflow", "vexec/vec.go", "kernel-visible (buffer: sim.(*Buffer).PutNow)"},
 		{"parksafe", "armed/armed.go", "defer r.Release(p)"},
 		{"parksafe", "armed/armed.go", "inside a loop runs at function return"},
 		{"detreach", "helper/helper.go", "det.Entry (det.Entry → helper.Keys)"},

@@ -11,8 +11,10 @@
 // through internal/seedmix, so a run with the same seed and fault
 // configuration produces bit-identical fault schedules (and therefore
 // bit-identical Results) regardless of GOMAXPROCS or wall-clock timing.
-// Injection is strictly additive: with a nil or disabled Config no daemon is
-// spawned and the kernel's 0-alloc uncontended Hold fast path is untouched.
+// Injection is strictly additive: with a nil or disabled Config no clock is
+// started and the kernel's 0-alloc uncontended Hold fast path is untouched.
+// Every fault actor only holds and then calls a hook, so each one is a
+// kernel clock (sim.SpawnClock), not a process.
 package faults
 
 import (
@@ -27,7 +29,8 @@ import (
 // Config describes the fault environment of one simulation run. The zero
 // value injects nothing. All MTBF/MTTR values are mean seconds of virtual
 // time for exponentially distributed intervals; a zero MTBF disables that
-// fault class.
+// fault class. A zero MTTR recovers within the failure's own dispatch: a
+// zero delay on a fault clock fires without a hold.
 type Config struct {
 	// Seed drives every fault stream (per-class, per-site, per-disk RNGs are
 	// derived from it through seedmix.Derive).
@@ -175,7 +178,8 @@ func (c *Config) degradeFactor() float64 {
 // Hooks are the callbacks through which the injector drives the simulated
 // hardware. The execution engine fills them in: Crash flips the site down and
 // aborts dependent query attempts, Restart flips it back up, and so on. All
-// hooks run on the injector's daemon processes at the fault's virtual time.
+// hooks run on the injector's clocks, on the kernel goroutine, at the fault's
+// virtual time; they must not park.
 type Hooks struct {
 	Sites      []SiteHooks
 	Clients    []ClientHooks
@@ -233,69 +237,75 @@ const (
 )
 
 // Injector owns the fault state of one simulation. Create it with New after
-// the simulated hardware exists; it spawns its daemons immediately.
+// the simulated hardware exists; it starts its clocks immediately.
 type Injector struct {
 	sim   *sim.Simulator
 	cfg   Config
 	hooks Hooks
 	stats Stats
 
-	siteDown     []bool
-	siteDownAt   []float64
-	clientDown   []bool
-	clientDownAt []float64
-	netDown      bool
-	netDownAt    float64
-	degraded     bool
-	degradedAt   float64
-	diskDown     [][]bool
-	diskDownAt   [][]float64
+	sites, clients []element
+	disks          [][]element
+	net, degrade   element
 }
 
-// New builds the injector for a simulation. It spawns one daemon per stochastic fault stream (site,
-// disk, network, degradation) plus one for the script; each daemon draws
-// from its own seedmix-derived RNG, so streams never perturb one another.
+// element is the state of one piece of hardware that fails and recovers: a
+// server site, a client workstation, a disk, the interconnect, or its
+// bandwidth. failures and downtime point at its class's Stats fields.
+type element struct {
+	down      bool
+	downSince float64
+	failures  *int64
+	downtime  *float64
+}
+
+// New builds the injector for a simulation. It starts one clock per
+// stochastic fault stream (site, disk, client, network, degradation) plus
+// one for the script; each stream draws from its own seedmix-derived RNG,
+// so streams never perturb one another.
 func New(s *sim.Simulator, cfg Config, hooks Hooks) *Injector {
 	in := &Injector{sim: s, cfg: cfg, hooks: hooks}
-	in.siteDown = make([]bool, len(hooks.Sites))
-	in.siteDownAt = make([]float64, len(hooks.Sites))
-	in.diskDown = make([][]bool, len(hooks.Sites))
-	in.diskDownAt = make([][]float64, len(hooks.Sites))
+	st := &in.stats
+	in.net = element{failures: &st.NetOutages, downtime: &st.NetDownTime}
+	in.degrade = element{failures: &st.NetDegrades, downtime: &st.DegradedTime}
+	in.sites = make([]element, len(hooks.Sites))
+	in.disks = make([][]element, len(hooks.Sites))
 	for i, sh := range hooks.Sites {
-		in.diskDown[i] = make([]bool, len(sh.Disks))
-		in.diskDownAt[i] = make([]float64, len(sh.Disks))
+		in.sites[i] = element{failures: &st.SiteCrashes, downtime: &st.SiteDownTime}
+		in.disks[i] = make([]element, len(sh.Disks))
+		for j := range sh.Disks {
+			in.disks[i][j] = element{failures: &st.DiskStalls, downtime: &st.DiskStallTime}
+		}
 	}
-	in.clientDown = make([]bool, len(hooks.Clients))
-	in.clientDownAt = make([]float64, len(hooks.Clients))
+	in.clients = make([]element, len(hooks.Clients))
+	for i := range in.clients {
+		in.clients[i] = element{failures: &st.ClientCrashes, downtime: &st.ClientDownTime}
+	}
 
 	if cfg.SiteMTBF > 0 {
-		for i := range hooks.Sites {
-			in.spawnCycle(seedSite, int64(i), cfg.SiteMTBF, cfg.SiteMTTR,
-				func() { in.crashSite(i) }, func() { in.restartSite(i) })
+		for i, h := range hooks.Sites {
+			in.spawnCycle(seedSite, int64(i), cfg.SiteMTBF, cfg.SiteMTTR, &in.sites[i], h.Crash, h.Restart)
 		}
 	}
 	if cfg.DiskMTBF > 0 {
 		for i, sh := range hooks.Sites {
-			for j := range sh.Disks {
+			for j, h := range sh.Disks {
 				in.spawnCycle(seedDisk, int64(i)*1000+int64(j), cfg.DiskMTBF, cfg.DiskMTTR,
-					func() { in.stallDisk(i, j) }, func() { in.resumeDisk(i, j) })
+					&in.disks[i][j], h.Stall, h.Resume)
 			}
 		}
 	}
 	if cfg.ClientMTBF > 0 {
-		for i := range hooks.Clients {
-			in.spawnCycle(seedClient, int64(i), cfg.ClientMTBF, cfg.ClientMTTR,
-				func() { in.crashClient(i) }, func() { in.restartClient(i) })
+		for i, h := range hooks.Clients {
+			in.spawnCycle(seedClient, int64(i), cfg.ClientMTBF, cfg.ClientMTTR, &in.clients[i], h.Crash, h.Restart)
 		}
 	}
 	if cfg.NetMTBF > 0 {
-		in.spawnCycle(seedNet, 0, cfg.NetMTBF, cfg.NetMTTR,
-			in.netOutage, in.netRestore)
+		in.spawnCycle(seedNet, 0, cfg.NetMTBF, cfg.NetMTTR, &in.net, hooks.NetDown, hooks.NetUp)
 	}
 	if cfg.DegradeMTBF > 0 {
-		f := cfg.degradeFactor()
-		in.spawnCycle(seedDegrade, 0, cfg.DegradeMTBF, cfg.DegradeMTTR,
-			func() { in.netDegrade(f) }, in.netRestoreDegrade)
+		in.spawnCycle(seedDegrade, 0, cfg.DegradeMTBF, cfg.DegradeMTTR, &in.degrade,
+			in.degradeHook(cfg.degradeFactor()), in.degradeHook(1))
 	}
 	if len(cfg.Script) > 0 {
 		in.spawnScript()
@@ -307,197 +317,118 @@ func New(s *sim.Simulator, cfg Config, hooks Hooks) *Injector {
 func (in *Injector) Stats() Stats { return in.stats }
 
 // SiteDown reports whether server site i is currently crashed.
-func (in *Injector) SiteDown(i int) bool { return in.siteDown[i] }
+func (in *Injector) SiteDown(i int) bool { return in.sites[i].down }
 
-// spawnCycle runs an alternating up/down renewal process: hold ~Exp(mtbf),
-// fail, hold ~Exp(mttr), recover, repeat. A zero mttr recovers immediately
-// (Hold(0) still yields, so the failure and recovery are distinct events).
-func (in *Injector) spawnCycle(class, idx int64, mtbf, mttr float64, fail, restore func()) {
+// spawnCycle runs an alternating up/down renewal stream of e on a clock:
+// hold ~Exp(mtbf), fail, hold ~Exp(mttr), restore, repeat.
+func (in *Injector) spawnCycle(class, idx int64, mtbf, mttr float64, e *element, fail, restore func()) {
 	rng := rand.New(rand.NewSource(seedmix.Derive(in.cfg.Seed, class, idx)))
-	in.sim.SpawnDaemonLazy(func() string { return fmt.Sprintf("fault:%d/%d", class, idx) }, func(p *sim.Proc) {
-		for {
-			p.Hold(rng.ExpFloat64() * mtbf)
-			fail()
-			p.Hold(rng.ExpFloat64() * mttr)
-			restore()
-		}
-	})
+	mean, phase := [2]float64{mtbf, mttr}, 0 // phase 0: the next firing fails e
+	in.sim.SpawnClock(func() string { return fmt.Sprintf("fault:%d/%d", class, idx) }, false,
+		func() (float64, bool) { return rng.ExpFloat64() * mean[phase], true },
+		func() {
+			if phase == 0 {
+				in.fail(e, fail)
+			} else {
+				in.restore(e, restore)
+			}
+			phase ^= 1
+		})
 }
 
-// spawnScript replays the explicit events in time order. Each event's
-// recovery runs on its own one-shot daemon so scripted faults may overlap.
+// spawnScript replays the explicit events in time order on one clock, which
+// applies every event due at an instant in one firing. Each event's recovery
+// runs on its own one-shot clock so scripted faults may overlap.
 func (in *Injector) spawnScript() {
 	script := append([]Event(nil), in.cfg.Script...)
 	sort.SliceStable(script, func(i, j int) bool { return script[i].At < script[j].At })
-	in.sim.SpawnDaemonLazy(func() string { return "fault:script" }, func(p *sim.Proc) {
-		for _, ev := range script {
-			if dt := ev.At - in.sim.Now(); dt > 0 {
-				p.Hold(dt)
+	i := 0
+	in.sim.SpawnClock(func() string { return "fault:script" }, false,
+		func() (float64, bool) {
+			if i == len(script) {
+				return 0, false
 			}
-			in.apply(ev)
-		}
-	})
+			return max(script[i].At-in.sim.Now(), 0), true
+		},
+		func() {
+			in.apply(script[i])
+			for i++; i < len(script) && script[i].At <= in.sim.Now(); i++ {
+				in.apply(script[i])
+			}
+		})
 }
 
 func (in *Injector) apply(ev Event) {
 	switch ev.Kind {
 	case SiteCrash:
-		i := ev.Site
-		in.crashSite(i)
-		in.after(ev.Duration, func() { in.restartSite(i) })
+		h := in.hooks.Sites[ev.Site]
+		in.outage(ev.Duration, &in.sites[ev.Site], h.Crash, h.Restart)
 	case NetOutage:
-		in.netOutage()
-		in.after(ev.Duration, in.netRestore)
+		in.outage(ev.Duration, &in.net, in.hooks.NetDown, in.hooks.NetUp)
 	case NetDegrade:
 		f := ev.Factor
 		if f <= 1 {
 			f = in.cfg.degradeFactor()
 		}
-		in.netDegrade(f)
-		in.after(ev.Duration, in.netRestoreDegrade)
+		in.outage(ev.Duration, &in.degrade, in.degradeHook(f), in.degradeHook(1))
 	case DiskStall:
-		i, j := ev.Site, ev.Disk
-		in.stallDisk(i, j)
-		in.after(ev.Duration, func() { in.resumeDisk(i, j) })
+		h := in.hooks.Sites[ev.Site].Disks[ev.Disk]
+		in.outage(ev.Duration, &in.disks[ev.Site][ev.Disk], h.Stall, h.Resume)
 	case ClientCrash:
-		i := ev.Site
-		if i < 0 || i >= len(in.clientDown) {
+		if ev.Site < 0 || ev.Site >= len(in.clients) {
 			return // no such client stream registered; scripted no-op
 		}
-		in.crashClient(i)
-		in.after(ev.Duration, func() { in.restartClient(i) })
+		h := in.hooks.Clients[ev.Site]
+		in.outage(ev.Duration, &in.clients[ev.Site], h.Crash, h.Restart)
 	default:
 		panic(fmt.Sprintf("faults: unknown scripted event kind %d", ev.Kind))
 	}
 }
 
-// after schedules recover() dt from now on a one-shot daemon; dt <= 0 means
-// the fault is permanent.
-func (in *Injector) after(dt float64, recover func()) {
+// outage fails e now and restores it dt later on a one-shot clock; dt <= 0
+// means the fault is permanent.
+func (in *Injector) outage(dt float64, e *element, fail, restore func()) {
+	in.fail(e, fail)
 	if dt <= 0 {
 		return
 	}
-	in.sim.SpawnDaemonLazy(func() string { return "fault:recover" }, func(p *sim.Proc) {
-		p.Hold(dt)
-		recover()
-	})
+	in.sim.SpawnClock(func() string { return "fault:recover" }, false,
+		func() (float64, bool) { d := dt; dt = 0; return d, d > 0 }, // dt, then the end
+		func() { in.restore(e, restore) })
 }
 
-// The state transitions are idempotent (a scripted crash overlapping a
+// degradeHook returns the hook that sets the transfer-time factor to f, or
+// nil when no NetDegrade hook is registered.
+func (in *Injector) degradeHook(f float64) func() {
+	if in.hooks.NetDegrade == nil {
+		return nil
+	}
+	return func() { in.hooks.NetDegrade(f) }
+}
+
+// The state transitions are idempotent: a scripted crash overlapping a
 // stochastic one, or a recovery arriving after a newer failure of the same
-// element, must not double-count or double-fire hooks).
+// element, must not double-count or double-fire hooks. A nil hook is
+// skipped.
 
-func (in *Injector) crashSite(i int) {
-	if in.siteDown[i] {
+func (in *Injector) fail(e *element, hook func()) {
+	if e.down {
 		return
 	}
-	in.siteDown[i] = true
-	in.siteDownAt[i] = in.sim.Now()
-	in.stats.SiteCrashes++
-	if h := in.hooks.Sites[i].Crash; h != nil {
-		h()
+	e.down, e.downSince = true, in.sim.Now()
+	*e.failures++
+	if hook != nil {
+		hook()
 	}
 }
 
-func (in *Injector) restartSite(i int) {
-	if !in.siteDown[i] {
+func (in *Injector) restore(e *element, hook func()) {
+	if !e.down {
 		return
 	}
-	in.siteDown[i] = false
-	in.stats.SiteDownTime += in.sim.Now() - in.siteDownAt[i]
-	if h := in.hooks.Sites[i].Restart; h != nil {
-		h()
-	}
-}
-
-func (in *Injector) crashClient(i int) {
-	if in.clientDown[i] {
-		return
-	}
-	in.clientDown[i] = true
-	in.clientDownAt[i] = in.sim.Now()
-	in.stats.ClientCrashes++
-	if h := in.hooks.Clients[i].Crash; h != nil {
-		h()
-	}
-}
-
-func (in *Injector) restartClient(i int) {
-	if !in.clientDown[i] {
-		return
-	}
-	in.clientDown[i] = false
-	in.stats.ClientDownTime += in.sim.Now() - in.clientDownAt[i]
-	if h := in.hooks.Clients[i].Restart; h != nil {
-		h()
-	}
-}
-
-func (in *Injector) netOutage() {
-	if in.netDown {
-		return
-	}
-	in.netDown = true
-	in.netDownAt = in.sim.Now()
-	in.stats.NetOutages++
-	if in.hooks.NetDown != nil {
-		in.hooks.NetDown()
-	}
-}
-
-func (in *Injector) netRestore() {
-	if !in.netDown {
-		return
-	}
-	in.netDown = false
-	in.stats.NetDownTime += in.sim.Now() - in.netDownAt
-	if in.hooks.NetUp != nil {
-		in.hooks.NetUp()
-	}
-}
-
-func (in *Injector) netDegrade(factor float64) {
-	if in.degraded {
-		return
-	}
-	in.degraded = true
-	in.degradedAt = in.sim.Now()
-	in.stats.NetDegrades++
-	if in.hooks.NetDegrade != nil {
-		in.hooks.NetDegrade(factor)
-	}
-}
-
-func (in *Injector) netRestoreDegrade() {
-	if !in.degraded {
-		return
-	}
-	in.degraded = false
-	in.stats.DegradedTime += in.sim.Now() - in.degradedAt
-	if in.hooks.NetDegrade != nil {
-		in.hooks.NetDegrade(1)
-	}
-}
-
-func (in *Injector) stallDisk(i, j int) {
-	if in.diskDown[i][j] {
-		return
-	}
-	in.diskDown[i][j] = true
-	in.diskDownAt[i][j] = in.sim.Now()
-	in.stats.DiskStalls++
-	if h := in.hooks.Sites[i].Disks[j].Stall; h != nil {
-		h()
-	}
-}
-
-func (in *Injector) resumeDisk(i, j int) {
-	if !in.diskDown[i][j] {
-		return
-	}
-	in.diskDown[i][j] = false
-	in.stats.DiskStallTime += in.sim.Now() - in.diskDownAt[i][j]
-	if h := in.hooks.Sites[i].Disks[j].Resume; h != nil {
-		h()
+	e.down = false
+	*e.downtime += in.sim.Now() - e.downSince
+	if hook != nil {
+		hook()
 	}
 }

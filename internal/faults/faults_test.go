@@ -67,7 +67,7 @@ func TestEnabled(t *testing.T) {
 
 // TestScriptedEventsFireInOrder replays an explicit script and checks hook
 // order, times, and the resulting stats — including that each fault's
-// recovery arrives Duration later on its own daemon.
+// recovery arrives Duration later on its own clock.
 func TestScriptedEventsFireInOrder(t *testing.T) {
 	s := sim.New()
 	r := &recorder{s: s}
@@ -80,9 +80,9 @@ func TestScriptedEventsFireInOrder(t *testing.T) {
 	s.Spawn("driver", func(p *sim.Proc) { p.Hold(10) })
 	s.Run()
 
-	// Ties at t=3 resolve by event schedule order: the site-restart daemon
-	// armed its wakeup at t=1, before the script daemon (t=2) and the
-	// net-recovery daemon (t=2) armed theirs.
+	// Ties at t=3 resolve by event schedule order: the site-restart clock
+	// armed its wakeup at t=1, before the script clock (t=2) and the
+	// net-recovery clock (t=2) armed theirs.
 	want := []string{
 		"1:crash0", "2:netdown", "3:restart0", "3:stall0", "3:netup",
 		"3.5:resume0", "4:degrade(8)", "5:degrade(1)",
@@ -142,6 +142,55 @@ func TestPermanentFaultOpenDowntimeNotCounted(t *testing.T) {
 	st := in.Stats()
 	if st.SiteCrashes != 1 || st.SiteDownTime != 0 {
 		t.Errorf("stats %+v, want 1 crash and no closed downtime", st)
+	}
+}
+
+// TestZeroMTTRRecoversInOneDispatch pins the zero-delay rule of the fault
+// clocks: with a zero MTTR every crash and its restart fire in one dispatch
+// of the stream, at one instant, even when a trace forces every hold onto
+// the kernel's slow path and another process is due at the same time.
+func TestZeroMTTRRecoversInOneDispatch(t *testing.T) {
+	s := sim.New()
+	var dispatches int
+	s.Trace = func(_ sim.Time, name string) {
+		if name == "fault:1/0" {
+			dispatches++
+		}
+	}
+	type firing struct {
+		what       string
+		at         float64
+		dispatched int64
+	}
+	var fired []firing
+	mark := func(what string) func() {
+		return func() { fired = append(fired, firing{what, s.Now(), s.Dispatched()}) }
+	}
+	in := New(s, Config{Seed: 9, SiteMTBF: 1},
+		Hooks{Sites: []SiteHooks{{Crash: mark("crash"), Restart: mark("restart")}}})
+	s.Spawn("driver", func(p *sim.Proc) {
+		for i := 0; i < 40; i++ {
+			p.Hold(0.25)
+		}
+	})
+	s.Run()
+	crashes := in.Stats().SiteCrashes
+	if crashes < 3 || len(fired) != 2*int(crashes) {
+		t.Fatalf("%d crashes and %d hook firings in 10 s at MTBF 1 s: %+v", crashes, len(fired), fired)
+	}
+	for i := 0; i < len(fired); i += 2 {
+		c, r := fired[i], fired[i+1]
+		if c.what != "crash" || r.what != "restart" || c.at != r.at || c.dispatched != r.dispatched {
+			t.Errorf("firings %d-%d: %+v then %+v, want a crash and a restart in one dispatch", i, i+1, c, r)
+		}
+	}
+	// One dispatch to start the stream, then one per crash: no dispatch of
+	// the stream is spent on a zero-length hold.
+	if want := int(crashes) + 1; dispatches != want {
+		t.Errorf("stream dispatched %d times for %d crashes, want %d", dispatches, crashes, want)
+	}
+	if st := in.Stats(); st.SiteDownTime != 0 || in.SiteDown(0) {
+		t.Errorf("zero MTTR left downtime %g, site down %v", st.SiteDownTime, in.SiteDown(0))
 	}
 }
 

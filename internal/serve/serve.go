@@ -25,7 +25,8 @@
 //	    from fresh optimization to a bounded plan cache, and past a second
 //	    watermark to a cheap static plan, recovering by hysteresis.
 //
-// Everything runs on simulation processes — the kernel executes one process
+// Everything runs on the simulation kernel — workers and queries are
+// processes, the arrival stream is a clock, and the kernel runs one of them
 // at a time in deterministic order — so all serving state is plain fields
 // and every Result is DeepEqual-identical across GOMAXPROCS.
 package serve
@@ -280,8 +281,8 @@ func (b *retryBudget) AllowRetry() bool {
 	return true
 }
 
-// server is one serving run's mutable state. Only simulation processes touch
-// it, one at a time.
+// server is one serving run's mutable state. Only the kernel's processes
+// and the arrival clock touch it, one at a time.
 type server struct {
 	cfg     Config
 	ses     *exec.Session
@@ -316,9 +317,9 @@ func Run(cfg Config) (Result, error) {
 	return sv.Finish(sv.s.ses.Run()), nil
 }
 
-// Start validates cfg, builds the session (on Exec.Kernel if set) and spawns
-// the arrival and worker processes. The simulation has not advanced yet; the
-// caller drives the kernel and then calls Finish.
+// Start validates cfg, builds the session (on Exec.Kernel if set) and starts
+// the arrival clock and the worker processes. The simulation has not
+// advanced yet; the caller drives the kernel and then calls Finish.
 func Start(cfg Config) (*Server, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
@@ -359,11 +360,9 @@ func Start(cfg Config) (*Server, error) {
 		s.streams = make([]StreamStats, c.NumClients)
 	}
 
-	if cfg.Disabled {
-		s.spawnOpenLoop()
-	} else {
+	s.spawnArrivals()
+	if !cfg.Disabled {
 		s.queue = sim.NewBuffer(s.sm, "serve:accept", cfg.QueueCap)
-		s.spawnArrivals()
 		s.spawnWorkers()
 	}
 	return &Server{s: s}, nil
@@ -450,40 +449,25 @@ func (s *server) deadlineAt(now float64, qi int) float64 {
 	return now + s.cfg.Deadline*(0.75+0.5*u)
 }
 
-// spawnArrivals starts the Poisson arrival process feeding admission.
+// spawnArrivals starts the Poisson arrival clock. It is live, so Run keeps
+// going between arrivals even in the Disabled mode, which has no workers;
+// after the last arrival it closes the accept queue.
 func (s *server) spawnArrivals() {
 	delays := arrivalDelays(s.cfg)
-	s.sm.Spawn("serve:arrivals", func(p *sim.Proc) {
-		for i, d := range delays {
-			p.Hold(d)
-			s.arrive(p, i)
-		}
-		s.queue.Close()
-	})
-}
-
-// spawnOpenLoop is the Disabled baseline: the same arrival stream, but every
-// query is admitted instantly on its own process — unbounded concurrency,
-// always-fresh optimization, no gates.
-func (s *server) spawnOpenLoop() {
-	delays := arrivalDelays(s.cfg)
-	s.sm.Spawn("serve:arrivals", func(p *sim.Proc) {
-		for i, d := range delays {
-			p.Hold(d)
-			now := s.sm.Now()
-			s.res.Offered++
-			client := s.clientFor(i)
-			if s.shedDown(client) {
-				continue
+	i := 0
+	s.sm.SpawnClock(func() string { return "serve:arrivals" }, true,
+		func() (float64, bool) {
+			if i == len(delays) {
+				return 0, false
 			}
-			s.res.Admitted++
-			s.res.FreshServed++
-			t := task{id: i, class: i % s.cfg.Classes, client: client, arrival: now, deadline: s.deadlineAt(now, i), level: LevelFresh}
-			s.sm.SpawnLazyID(queryName, int64(i), func(qp *sim.Proc) {
-				s.execute(qp, t)
-			})
-		}
-	})
+			return delays[i], true
+		},
+		func() {
+			s.arrive(i)
+			if i++; i == len(delays) && s.queue != nil {
+				s.queue.Close()
+			}
+		})
 }
 
 // arrivalDelays precomputes the exponential inter-arrival gaps from the
@@ -527,24 +511,29 @@ func (s *server) shedDown(client int) bool {
 	return true
 }
 
-// arrive admits or sheds one arrival.
-func (s *server) arrive(p *sim.Proc, qi int) {
+// arrive admits or sheds one arrival. With the serving layer Disabled,
+// every arrival whose workstation is up is admitted fresh and runs on its
+// own process: unbounded concurrency, no gates.
+func (s *server) arrive(qi int) {
 	now := s.sm.Now()
 	s.res.Offered++
 	client := s.clientFor(qi)
 	if s.shedDown(client) {
 		return
 	}
-	depth := s.queue.Len()
-	switch s.adm.allow(now, depth, s.cfg.QueueCap) {
-	case admitShedRate:
-		s.res.RejectedRate++
-		return
-	case admitShedQueue:
-		s.res.RejectedQueue++
-		return
+	lvl := LevelFresh
+	if !s.cfg.Disabled {
+		depth := s.queue.Len()
+		switch s.adm.allow(now, depth, s.cfg.QueueCap) {
+		case admitShedRate:
+			s.res.RejectedRate++
+			return
+		case admitShedQueue:
+			s.res.RejectedQueue++
+			return
+		}
+		lvl = s.admitLevel(now, depth)
 	}
-	lvl := s.admitLevel(now, depth)
 	s.res.Admitted++
 	switch lvl {
 	case LevelFresh:
@@ -554,10 +543,16 @@ func (s *server) arrive(p *sim.Proc, qi int) {
 	default:
 		s.res.StaticServed++
 	}
-	s.queue.Put(p, task{
+	t := task{
 		id: qi, class: qi % s.cfg.Classes, client: client, arrival: now,
 		deadline: s.deadlineAt(now, qi), level: lvl,
-	})
+	}
+	if s.cfg.Disabled {
+		s.sm.SpawnLazyID(queryName, int64(qi), func(p *sim.Proc) { s.execute(p, t) })
+		return
+	}
+	// Admission shed at QueueCap, the queue's capacity, so there is room.
+	s.queue.PutNow(t)
 }
 
 // admitLevel applies the watermark/hysteresis controller to the pre-enqueue

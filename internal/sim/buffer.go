@@ -31,6 +31,16 @@ func (b *Buffer) Put(p *Proc, item any) {
 		b.putters.push(p.Ref())
 		p.Block()
 	}
+	b.PutNow(item)
+}
+
+// PutNow appends an item without waiting, for a caller that has no process
+// to park and knows the buffer has room. Putting to a full or closed buffer
+// panics.
+func (b *Buffer) PutNow(item any) {
+	if b.items.len() >= b.capacity {
+		panic("sim: PutNow on full buffer " + b.name)
+	}
 	if b.closed {
 		panic("sim: put on closed buffer " + b.name)
 	}

@@ -1,10 +1,10 @@
 package sim
 
 // Process cancellation. The fault-injection subsystem needs a way to tear
-// down in-flight simulated work when a site crashes: a crash daemon
-// interrupts the victim process, which unwinds (releasing resources and
-// invalidating its queue positions) by panicking with the Interrupted
-// sentinel at its next park point.
+// down in-flight simulated work when a site crashes: the crash, fired by a
+// fault clock, interrupts the victim process, which unwinds (releasing
+// resources and invalidating its queue positions) by panicking with the
+// Interrupted sentinel at its next park point.
 //
 // Design notes:
 //
@@ -77,10 +77,11 @@ func (r Ref) Interrupt(reason string) {
 // and queue positions. Interrupting a finished process, or one that already
 // has an undelivered interrupt, is a no-op.
 //
-// Unlike the other Proc methods, Interrupt is called from a *different*
-// process (the currently running one — typically a fault daemon); the victim
-// is parked. Interrupting the running process itself also works: the pending
-// wakeup forces its next Hold onto the slow path, where the interrupt is
+// Unlike the other Proc methods, Interrupt is called from outside the
+// victim: by the running process, or by a task or callback on the kernel
+// goroutine (typically a fault clock firing a crash); the victim is parked.
+// Interrupting the running process itself also works: the pending wakeup
+// forces its next Hold onto the slow path, where the interrupt is
 // delivered.
 func (p *Proc) Interrupt(reason string) {
 	if p.done || p.intr {

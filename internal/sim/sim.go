@@ -11,12 +11,13 @@
 // kernel resumes the process with the earliest pending event. Events with
 // equal timestamps fire in schedule order, so a run is fully deterministic.
 //
-// Actors that only hold, block and wake others (the disk arm, a load
-// generator's arrival clock) run as kernel tasks instead (task.go): a step
-// function the kernel calls inline on each wake, with no coroutine, on
-// exactly the schedule of the process it replaces. One-shot work with no
-// schedule of its own, such as a watchdog, is a callback scheduled with At
-// (window.go).
+// Actors that only hold, block and wake others (the disk arm) run as kernel
+// tasks instead (task.go): a step function the kernel calls inline on each
+// wake, with no coroutine, on exactly the schedule of the process it
+// replaces. An actor that only holds and then calls something (an arrival
+// stream, a fault stream) is a clock, a task built by SpawnClock. One-shot
+// work with no schedule of its own, such as a watchdog, is a callback
+// scheduled with At (window.go).
 //
 // The kernel is built for throughput: the event queue is a value-typed
 // binary heap (no container/heap interface boxing), a process holding to a
@@ -48,7 +49,7 @@ type Simulator struct {
 	seq    int64
 	events eventHeap
 
-	running int     // live (spawned, not finished) non-daemon processes
+	running int     // live (spawned, not finished) non-daemon processes and live clocks
 	daemons []*Proc // live daemon processes (terminated when Run drains)
 	free    []*Proc // finished processes whose coroutines await reuse
 	failure any     // panic value captured from a process coroutine

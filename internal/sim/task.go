@@ -1,12 +1,12 @@
 package sim
 
 // Kernel-run tasks. A Task is an actor that only holds, blocks and wakes
-// others — a disk arm, a load generator's arrival clock — run without a
-// coroutine: the kernel calls its step function inline, on the kernel
-// goroutine, every time the task wakes. The step function is a
-// resumable state machine. It runs until it reaches a point where the
-// process it replaces would park, and returns; the next wake calls it again
-// and it carries on from the state it left itself.
+// others — a disk arm, an arrival clock — run without a coroutine: the
+// kernel calls its step function inline, on the kernel goroutine, every
+// time the task wakes. The step function is a resumable state machine. It
+// runs until it reaches a point where the process it replaces would park,
+// and returns; the next wake calls it again and it carries on from the
+// state it left itself.
 //
 // A task's schedule is, event for event, the schedule of the equivalent
 // process: Wake consumes one seq exactly where Proc.Unblock would, and Hold
@@ -22,6 +22,8 @@ package sim
 // cannot be interrupted, and Hold is called only from the task's own step
 // function, at most once per return. Tasks are daemons: a pending task
 // event never keeps Run alive, and nothing needs unwinding when Run drains.
+// The one exception is a live clock (SpawnClock), which counts as a running
+// process until it ends.
 
 import (
 	"fmt"
@@ -96,4 +98,41 @@ func (t *Task) Hold(dt Time) bool {
 	s.seq++
 	s.events.push(event{at: at, seq: s.seq, fn: t.wake})
 	return false
+}
+
+// SpawnClock starts a clock: a task for an actor that only holds and then
+// calls something. Each round asks next for a delay, holds for it under
+// Hold's fast-path rule, then calls fire; the clock ends when next reports
+// false. A zero delay fires within the same dispatch, without a hold, so
+// events due at one instant apply together. The clock first runs at the
+// current virtual time, as a spawned process would, and takes exactly the
+// seqs of the process
+//
+//	for { dt, ok := next(); if !ok { return }; if dt != 0 { p.Hold(dt) }; fire() }
+//
+// A daemon clock (live false) never keeps Run alive. A live clock counts as
+// a running non-daemon process until it ends, as Spawn's process would.
+func (s *Simulator) SpawnClock(namef func() string, live bool, next func() (Time, bool), fire func()) {
+	if live {
+		s.running++
+	}
+	held := false
+	s.SpawnTaskLazy(namef, func(t *Task) {
+		for {
+			if held {
+				fire()
+			}
+			dt, ok := next()
+			if !ok {
+				if live {
+					s.running--
+				}
+				return
+			}
+			held = true
+			if dt != 0 && !t.Hold(dt) {
+				return
+			}
+		}
+	})
 }

@@ -124,17 +124,22 @@ func runActorScript(sc actorScript, asTask, traced bool, window Time) actorRun {
 			}
 		})
 	}
-	if window > 0 {
-		for h := window; s.Running() > 0; h += window {
-			s.RunWindow(h)
-		}
-		s.Finish()
-		run.End = s.Now()
-	} else {
-		run.End = s.Run()
-	}
+	run.End = drive(s, window)
 	run.Dispatched = s.Dispatched()
 	return run
+}
+
+// drive runs s to the end on a plain Run or, when window > 0, on RunWindow
+// steps of that width, and returns the final clock.
+func drive(s *Simulator, window Time) Time {
+	if window == 0 {
+		return s.Run()
+	}
+	for h := window; s.Running() > 0; h += window {
+		s.RunWindow(h)
+	}
+	s.Finish()
+	return s.Now()
 }
 
 // TestTaskMatchesProcess runs random hold/wake scripts with the actor as a
@@ -152,6 +157,122 @@ func TestTaskMatchesProcess(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("script %d (window %g, traced %v): task diverged from process\n got %+v\nwant %+v",
 						i, window, traced, got, want)
+				}
+			}
+		}
+	}
+}
+
+// clockScript is a clock's delays (zeros and same-instant ties included),
+// whether it is live, and the holds of two other processes.
+type clockScript struct {
+	delays []Time
+	live   bool
+	others [2][]Time
+}
+
+func randomClockScript(rng *rand.Rand) clockScript {
+	dt := func() Time {
+		switch rng.Intn(5) {
+		case 0:
+			return rng.Float64()
+		case 1:
+			return 0
+		}
+		return Time(rng.Intn(4)) * 0.25
+	}
+	sc := clockScript{live: rng.Intn(2) == 0}
+	for i := rng.Intn(30); i >= 0; i-- {
+		sc.delays = append(sc.delays, dt())
+	}
+	for w := range sc.others {
+		for i := rng.Intn(20); i >= 0; i-- {
+			sc.others[w] = append(sc.others[w], dt())
+		}
+	}
+	return sc
+}
+
+// runClockScript runs the script with the clock as the process SpawnClock
+// documents (asClock false) or as a clock. Every third firing spawns a
+// daemon that holds and logs, so firings take seqs as a fault recovery or a
+// load arrival does.
+func runClockScript(sc clockScript, asClock, traced bool, window Time) actorRun {
+	s := New()
+	var run actorRun
+	if traced {
+		s.Trace = func(t Time, name string) { run.Trace = append(run.Trace, fmt.Sprintf("%.17g %s", t, name)) }
+	}
+	record := func(what string) { run.Log = append(run.Log, fmt.Sprintf("%s@%.17g", what, s.Now())) }
+	i := 0
+	next := func() (Time, bool) {
+		if i == len(sc.delays) {
+			return 0, false
+		}
+		return sc.delays[i], true
+	}
+	fire := func() {
+		record(fmt.Sprint("fire", i))
+		if i%3 == 0 {
+			what := fmt.Sprint("spawned", i)
+			s.SpawnDaemonLazy(func() string { return "spawned" }, func(p *Proc) {
+				p.Hold(0.25)
+				record(what)
+			})
+		}
+		i++
+	}
+	name := func() string { return "clock" }
+	if asClock {
+		s.SpawnClock(name, sc.live, next, fire)
+	} else {
+		body := func(p *Proc) {
+			for {
+				dt, ok := next()
+				if !ok {
+					return
+				}
+				if dt != 0 {
+					p.Hold(dt)
+				}
+				fire()
+			}
+		}
+		if sc.live {
+			s.Spawn("clock", body)
+		} else {
+			s.SpawnDaemonLazy(name, body)
+		}
+	}
+	for w, holds := range sc.others {
+		w, holds := w, holds
+		s.Spawn(fmt.Sprintf("w%d", w), func(p *Proc) {
+			for k, dt := range holds {
+				p.Hold(dt)
+				record(fmt.Sprintf("w%d.%d", w, k))
+			}
+		})
+	}
+	run.End = drive(s, window)
+	run.Dispatched = s.Dispatched()
+	return run
+}
+
+// TestClockMatchesProcess runs random clock scripts as the process that
+// SpawnClock documents and as a clock, live and daemon, traced and
+// untraced, on a plain Run and under RunWindow, and requires the same
+// firings, dispatch trace, final clock and dispatch count.
+func TestClockMatchesProcess(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for i := 0; i < 400; i++ {
+		sc := randomClockScript(rng)
+		for _, window := range []Time{0, 0.25, 0.7} {
+			for _, traced := range []bool{false, true} {
+				want := runClockScript(sc, false, traced, window)
+				got := runClockScript(sc, true, traced, window)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("script %d (window %g, traced %v, live %v): clock diverged from process\n got %+v\nwant %+v",
+						i, window, traced, sc.live, got, want)
 				}
 			}
 		}

@@ -28,8 +28,9 @@ func (s *Simulator) At(t Time, fn func()) {
 // After schedules fn to run dt seconds of virtual time from now.
 func (s *Simulator) After(dt Time, fn func()) { s.At(s.now+dt, fn) }
 
-// Running reports the number of live non-daemon processes. A windowed run is
-// complete when the sum of Running over all shards reaches zero.
+// Running reports the number of live non-daemon processes and live clocks. A
+// windowed run is complete when the sum of Running over all shards reaches
+// zero.
 func (s *Simulator) Running() int { return s.running }
 
 // NextEventTime reports the timestamp of the earliest pending event, or +Inf
