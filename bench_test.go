@@ -28,31 +28,50 @@ func metricName(parts ...string) string {
 	return strings.ReplaceAll(s, " ", "_")
 }
 
-// reportSeries attaches the first and last point of each series as metrics.
-func reportSeries(b *testing.B, fig *experiments.Figure) {
+// benchReport regenerates a driver's report b.N times and attaches its
+// headline numbers as metrics: the first and last point of each series, and
+// each numeric table field, named by its row's text fields and its Key.
+func benchReport(b *testing.B, run func(experiments.Config) (*experiments.Report, error)) {
 	b.Helper()
-	for _, s := range fig.Series {
-		if len(s.Points) == 0 {
-			continue
-		}
-		first, last := s.Points[0], s.Points[len(s.Points)-1]
-		b.ReportMetric(first.Mean, metricName(s.Name, "first"))
-		b.ReportMetric(last.Mean, metricName(s.Name, "last"))
-	}
-}
-
-func benchFigure(b *testing.B, run func(experiments.Config) (*experiments.Figure, error)) {
-	b.Helper()
-	var fig *experiments.Figure
+	var rep *experiments.Report
 	var err error
 	for i := 0; i < b.N; i++ {
-		fig, err = run(benchCfg())
+		rep, err = run(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	reportSeries(b, fig)
-	b.Logf("\n%s", fig)
+	for _, fig := range rep.Figures {
+		for _, s := range fig.Series {
+			if len(s.Points) == 0 {
+				continue
+			}
+			first, last := s.Points[0], s.Points[len(s.Points)-1]
+			b.ReportMetric(first.Mean, metricName(s.Name, "first"))
+			b.ReportMetric(last.Mean, metricName(s.Name, "last"))
+		}
+	}
+	for _, t := range rep.Tables {
+		for _, row := range t.Rows {
+			var label []string
+			for _, f := range row.Fields {
+				if s, ok := f.Val.(string); ok {
+					label = append(label, s)
+				}
+			}
+			for _, f := range row.Fields {
+				switch v := f.Val.(type) {
+				case float64:
+					b.ReportMetric(v, metricName(append(label, f.Key)...))
+				case int64:
+					b.ReportMetric(float64(v), metricName(append(label, f.Key)...))
+				}
+			}
+		}
+	}
+	var out strings.Builder
+	rep.Write(&out, false)
+	b.Logf("\n%s", out.String())
 }
 
 // BenchmarkTable2DiskCalibration regenerates the §4.1 calibration aggregates
@@ -93,111 +112,84 @@ func BenchmarkTable2DiskCalibration(b *testing.B) {
 // BenchmarkFig2 regenerates "Pages Sent, 2-Way Join, 1 Server, Vary
 // Caching": DS falls linearly from 500 to 0; QS flat at 250; crossover at
 // 50% cached; HY matches the cheaper policy.
-func BenchmarkFig2(b *testing.B) { benchFigure(b, experiments.Config.Fig2) }
+func BenchmarkFig2(b *testing.B) { benchReport(b, experiments.Config.Fig2) }
 
 // BenchmarkFig3 regenerates "Response Time, 2-Way Join, Vary Caching, No
 // Load, Min Alloc": QS worst and flat (scan/join disk interference); DS
 // degrades as caching grows; HY best everywhere.
-func BenchmarkFig3(b *testing.B) { benchFigure(b, experiments.Config.Fig3) }
+func BenchmarkFig3(b *testing.B) { benchReport(b, experiments.Config.Fig3) }
 
 // BenchmarkFig4 regenerates "Response Time, DS, Vary Load & Caching": with a
 // heavily loaded server disk, client caching turns from a liability into a
 // significant win.
-func BenchmarkFig4(b *testing.B) { benchFigure(b, experiments.Config.Fig4) }
+func BenchmarkFig4(b *testing.B) { benchReport(b, experiments.Config.Fig4) }
 
 // BenchmarkFig5 regenerates "Response Time, 2-Way Join, Vary Caching, Max
 // Alloc": without spill I/O the DS/QS crossover moves slightly past 50%
 // cached.
-func BenchmarkFig5(b *testing.B) { benchFigure(b, experiments.Config.Fig5) }
+func BenchmarkFig5(b *testing.B) { benchReport(b, experiments.Config.Fig5) }
 
 // BenchmarkFig6 regenerates "Pages Sent, 10-Way Join, Vary Servers, No
 // Caching": DS flat at 2500; QS grows from 250 toward DS as relations
 // spread.
-func BenchmarkFig6(b *testing.B) { benchFigure(b, experiments.Config.Fig6) }
+func BenchmarkFig6(b *testing.B) { benchReport(b, experiments.Config.Fig6) }
 
 // BenchmarkFig7 regenerates "Pages Sent, 10-Way Join, 5 Relations Cached":
 // HY undercuts both pure policies for middle server populations.
-func BenchmarkFig7(b *testing.B) { benchFigure(b, experiments.Config.Fig7) }
+func BenchmarkFig7(b *testing.B) { benchReport(b, experiments.Config.Fig7) }
 
 // BenchmarkFig8 regenerates "Response Time, 10-Way Join, Vary Servers, Min
 // Alloc": DS flat; QS improves greatly with server disk parallelism; HY at
 // least matches both.
-func BenchmarkFig8(b *testing.B) { benchFigure(b, experiments.Config.Fig8) }
+func BenchmarkFig8(b *testing.B) { benchReport(b, experiments.Config.Fig8) }
 
 // BenchmarkFig9 regenerates the §5.1 migration example: static plans pay 2x
 // the ideal communication, 2-step plans 1.5x.
-func BenchmarkFig9(b *testing.B) {
-	var res *experiments.Fig9Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = benchCfg().Fig9()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(res.StaticPages), "static_pages")
-	b.ReportMetric(float64(res.TwoStepPages), "twostep_pages")
-	b.ReportMetric(float64(res.IdealPages), "ideal_pages")
-}
+func BenchmarkFig9(b *testing.B) { benchReport(b, experiments.Config.Fig9) }
 
 // BenchmarkFig10 regenerates "Relative Response Time, Deep and Bushy Plans":
 // deep static worst, bushy 2-step near ideal.
-func BenchmarkFig10(b *testing.B) { benchFigure(b, experiments.Config.Fig10) }
+func BenchmarkFig10(b *testing.B) { benchReport(b, experiments.Config.Fig10) }
 
 // BenchmarkFig11 regenerates the same for the HiSel query.
-func BenchmarkFig11(b *testing.B) { benchFigure(b, experiments.Config.Fig11) }
+func BenchmarkFig11(b *testing.B) { benchReport(b, experiments.Config.Fig11) }
 
 // Extension and ablation benches (see DESIGN.md §2 and EXPERIMENTS.md).
 
 // BenchmarkExtCrossover measures how the DS/QS communication crossover moves
 // with join result size (§4.2.1 prose, made quantitative).
-func BenchmarkExtCrossover(b *testing.B) { benchFigure(b, experiments.Config.ExtCrossover) }
+func BenchmarkExtCrossover(b *testing.B) { benchReport(b, experiments.Config.ExtCrossover) }
 
 // BenchmarkExtStar repeats Figure 8 for 10-way star joins.
-func BenchmarkExtStar(b *testing.B) { benchFigure(b, experiments.Config.ExtStar) }
+func BenchmarkExtStar(b *testing.B) { benchReport(b, experiments.Config.ExtStar) }
 
 // BenchmarkExtAggregate measures the policy tradeoff under grouped
 // aggregation.
-func BenchmarkExtAggregate(b *testing.B) { benchFigure(b, experiments.Config.ExtAggregate) }
+func BenchmarkExtAggregate(b *testing.B) { benchReport(b, experiments.Config.ExtAggregate) }
 
 // BenchmarkExtMultiQuery compares real concurrent queries with the paper's
 // external-load approximation of multiple clients.
-func BenchmarkExtMultiQuery(b *testing.B) { benchFigure(b, experiments.Config.ExtMultiQuery) }
-
-func benchAblation(b *testing.B, run func(experiments.Config) ([]experiments.AblationResult, error)) {
-	b.Helper()
-	var rows []experiments.AblationResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = run(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.ResponseTime, metricName(r.Setting, "s"))
-	}
-}
+func BenchmarkExtMultiQuery(b *testing.B) { benchReport(b, experiments.Config.ExtMultiQuery) }
 
 // BenchmarkAblationLookahead varies the network producers' lookahead depth.
 func BenchmarkAblationLookahead(b *testing.B) {
-	benchAblation(b, experiments.Config.AblationLookahead)
+	benchReport(b, experiments.Config.AblationLookahead)
 }
 
 // BenchmarkAblationWriteCache compares write-back against write-through
 // disks for spill-heavy joins.
 func BenchmarkAblationWriteCache(b *testing.B) {
-	benchAblation(b, experiments.Config.AblationWriteCache)
+	benchReport(b, experiments.Config.AblationWriteCache)
 }
 
 // BenchmarkAblationElevator compares SCAN and FIFO disk scheduling under
 // external load.
 func BenchmarkAblationElevator(b *testing.B) {
-	benchAblation(b, experiments.Config.AblationElevator)
+	benchReport(b, experiments.Config.AblationElevator)
 }
 
 // BenchmarkAblationCommutativity measures optimizer plan quality with and
 // without the join-commutativity move on the HiSel workload.
 func BenchmarkAblationCommutativity(b *testing.B) {
-	benchAblation(b, experiments.Config.AblationCommutativity)
+	benchReport(b, experiments.Config.AblationCommutativity)
 }

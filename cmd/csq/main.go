@@ -5,6 +5,7 @@
 //
 //	csq run all                 # every figure (slow: full sweeps)
 //	csq run fig2 fig3           # specific figures
+//	csq run fig1                # Figure 1's annotated example plans
 //	csq run -quick -reps 3 fig8 # thinner sweep, fewer repetitions
 //	csq run -cpuprofile fig8.prof -quick fig8  # plus a CPU profile
 //	csq run -memprofile fig8.mem -quick fig8   # plus an allocation profile
@@ -39,29 +40,30 @@ type experiment struct {
 // registry holds every experiment csq can run, in `csq list` order: figures,
 // extensions and grids sorted by name, then the ablations sorted by name.
 var registry = []experiment{
-	{name: "aggregate", desc: "extension: grouped aggregation vs policy traffic", run: experiments.Lift(experiments.Config.ExtAggregate)},
+	{name: "aggregate", desc: "extension: grouped aggregation vs policy traffic", run: experiments.Config.ExtAggregate},
 	{name: "chaos", desc: "fault injection: response time and goodput vs site MTBF", run: experiments.Config.Chaos},
 	{name: "coherence", desc: "cache coherence: clients x write fraction x lease x MTBF, oracle-checked", run: experiments.Config.Coherence},
-	{name: "crossover", desc: "extension: DS/QS crossover vs join result size", run: experiments.Lift(experiments.Config.ExtCrossover)},
+	{name: "crossover", desc: "extension: DS/QS crossover vs join result size", run: experiments.Config.ExtCrossover},
 	{name: "failover", desc: "replication: availability and goodput vs site MTBF, RF 1-3", run: experiments.Config.Failover},
-	{name: "fig10", desc: "relative response time, static vs 2-step, deep vs bushy", run: experiments.Lift(experiments.Config.Fig10)},
-	{name: "fig11", desc: "same as fig10 for the HiSel query", run: experiments.Lift(experiments.Config.Fig11)},
-	{name: "fig2", desc: "pages sent, 2-way join, vary caching", run: experiments.Lift(experiments.Config.Fig2)},
-	{name: "fig3", desc: "response time, 2-way join, vary caching, min alloc", run: experiments.Lift(experiments.Config.Fig3)},
-	{name: "fig4", desc: "response time, DS, vary server load and caching", run: experiments.Lift(experiments.Config.Fig4)},
-	{name: "fig5", desc: "response time, 2-way join, vary caching, max alloc", run: experiments.Lift(experiments.Config.Fig5)},
-	{name: "fig6", desc: "pages sent, 10-way join, vary servers", run: experiments.Lift(experiments.Config.Fig6)},
-	{name: "fig7", desc: "pages sent, 10-way join, vary servers, 5 relations cached", run: experiments.Lift(experiments.Config.Fig7)},
-	{name: "fig8", desc: "response time, 10-way join, vary servers, min alloc", run: experiments.Lift(experiments.Config.Fig8)},
-	{name: "fig9", desc: "communication of static vs 2-step plans after data migration", run: experiments.Lift(experiments.Config.Fig9)},
-	{name: "multiquery", desc: "extension: real concurrency vs the load approximation", run: experiments.Lift(experiments.Config.ExtMultiQuery)},
+	{name: "fig1", desc: "the example annotated DS, QS and HY plans", run: experiments.Config.Fig1},
+	{name: "fig10", desc: "relative response time, static vs 2-step, deep vs bushy", run: experiments.Config.Fig10},
+	{name: "fig11", desc: "same as fig10 for the HiSel query", run: experiments.Config.Fig11},
+	{name: "fig2", desc: "pages sent, 2-way join, vary caching", run: experiments.Config.Fig2},
+	{name: "fig3", desc: "response time, 2-way join, vary caching, min alloc", run: experiments.Config.Fig3},
+	{name: "fig4", desc: "response time, DS, vary server load and caching", run: experiments.Config.Fig4},
+	{name: "fig5", desc: "response time, 2-way join, vary caching, max alloc", run: experiments.Config.Fig5},
+	{name: "fig6", desc: "pages sent, 10-way join, vary servers", run: experiments.Config.Fig6},
+	{name: "fig7", desc: "pages sent, 10-way join, vary servers, 5 relations cached", run: experiments.Config.Fig7},
+	{name: "fig8", desc: "response time, 10-way join, vary servers, min alloc", run: experiments.Config.Fig8},
+	{name: "fig9", desc: "communication of static vs 2-step plans after data migration", run: experiments.Config.Fig9},
+	{name: "multiquery", desc: "extension: real concurrency vs the load approximation", run: experiments.Config.ExtMultiQuery},
 	{name: "overload", desc: "serving layer: goodput and tail latency vs offered load, on/off", run: experiments.Config.Overload},
 	{name: "shardscale", desc: "parallel kernel: one fleet run on 1/2/4/8 shards, equality-checked", run: experiments.Config.ShardScale},
-	{name: "star", desc: "extension: figure 8 for star joins", run: experiments.Lift(experiments.Config.ExtStar)},
-	{name: "commutativity", desc: "optimizer join-commutativity move on/off", ablation: true, run: experiments.Lift(experiments.Config.AblationCommutativity)},
-	{name: "elevator", desc: "SCAN vs FIFO disk scheduling under load", ablation: true, run: experiments.Lift(experiments.Config.AblationElevator)},
-	{name: "lookahead", desc: "pipeline lookahead depth (1/4/16 pages)", ablation: true, run: experiments.Lift(experiments.Config.AblationLookahead)},
-	{name: "writecache", desc: "disk write-back cache vs write-through", ablation: true, run: experiments.Lift(experiments.Config.AblationWriteCache)},
+	{name: "star", desc: "extension: figure 8 for star joins", run: experiments.Config.ExtStar},
+	{name: "commutativity", desc: "optimizer join-commutativity move on/off", ablation: true, run: experiments.Config.AblationCommutativity},
+	{name: "elevator", desc: "SCAN vs FIFO disk scheduling under load", ablation: true, run: experiments.Config.AblationElevator},
+	{name: "lookahead", desc: "pipeline lookahead depth (1/4/16 pages)", ablation: true, run: experiments.Config.AblationLookahead},
+	{name: "writecache", desc: "disk write-back cache vs write-through", ablation: true, run: experiments.Config.AblationWriteCache},
 }
 
 // allFigures is what `csq run all` expands to. The chaos, failover,

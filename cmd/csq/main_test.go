@@ -112,3 +112,36 @@ func TestRunWritesProfiles(t *testing.T) {
 		}
 	}
 }
+
+// TestFig1MatchesPlanviz: `csq run fig1` prints the plan lines, titles
+// included, that the retired planviz command printed for `-example fig1`
+// (recorded in testdata/planviz_fig1.txt), once leading whitespace is
+// ignored and csq's "Figure 1" caption prefix is dropped.
+func TestFig1MatchesPlanviz(t *testing.T) {
+	rec, err := os.ReadFile("testdata/planviz_fig1.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps, err := resolve([]string{"fig1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := runExperiments(&out, exps, experiments.Config{}, false); err != nil {
+		t.Fatal(err)
+	}
+	lines := func(s string) []string {
+		var ls []string
+		for _, l := range strings.Split(s, "\n") {
+			if l = strings.TrimLeft(l, " "); l != "" {
+				ls = append(ls, strings.TrimPrefix(l, "Figure 1"))
+			}
+		}
+		return ls
+	}
+	want, got := lines(string(rec)), lines(timing.ReplaceAllString(out.String(), ""))
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("csq run fig1:\n%s\nwant the plan lines of testdata/planviz_fig1.txt:\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

@@ -183,16 +183,17 @@ func (c SystemConfig) machine() machine.Params {
 	}
 }
 
-// siteLoad keys an external load by server site; an empty load is nil.
-func siteLoad(load map[int]float64) map[catalog.SiteID]float64 {
+// siteLoad keys an external load by server site; an empty load is nil. A
+// key that names no server of the system is an error.
+func (s *System) siteLoad(load map[int]float64) (map[catalog.SiteID]float64, error) {
 	if len(load) == 0 {
-		return nil
+		return nil, nil
 	}
 	out := make(map[catalog.SiteID]float64, len(load))
 	for srv, rate := range load {
 		out[catalog.SiteID(srv)] = rate
 	}
-	return out
+	return out, s.cat.CheckServerLoad(out)
 }
 
 // Relation declares one base relation of the database.
@@ -365,7 +366,7 @@ func (s *System) LoadPlan(q Query, data []byte) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	iq, err := s.buildQuery(q)
+	model, err := s.model(q, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +374,7 @@ func (s *System) LoadPlan(q Query, data []byte) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{root: root, est: s.model(iq, nil).Estimate(root, b)}, nil
+	return &Plan{root: root, est: model.Estimate(root, b)}, nil
 }
 
 // Policy reports the most restrictive policy the plan conforms to.
@@ -387,22 +388,32 @@ func (p *Plan) Policy() Policy {
 	return HybridShipping
 }
 
-func (s *System) model(q *query.Query, load map[int]float64) *cost.Model {
+// model builds the cost model of q on this system under an external
+// server load.
+func (s *System) model(q Query, load map[int]float64) (*cost.Model, error) {
+	iq, err := s.buildQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	sl, err := s.siteLoad(load)
+	if err != nil {
+		return nil, err
+	}
 	params := cost.DefaultParams()
 	params.Params = s.cfg.machine()
-	params.SetServerLoad(siteLoad(load))
-	return &cost.Model{Params: params, Catalog: s.cat, Query: q}
+	params.SetServerLoad(sl)
+	return &cost.Model{Params: params, Catalog: s.cat, Query: iq}, nil
 }
 
 // Optimize searches for a plan with the randomized two-phase optimizer, or
 // with the exhaustive dynamic-programming optimizer when requested.
 func (s *System) Optimize(q Query, o OptimizeOptions) (*Plan, error) {
-	iq, err := s.buildQuery(q)
+	model, err := s.model(q, o.ServerLoad)
 	if err != nil {
 		return nil, err
 	}
 	if o.Exhaustive {
-		res, err := opt.NewDP(s.model(iq, o.ServerLoad), opt.DPOptions{
+		res, err := opt.NewDP(model, opt.DPOptions{
 			Policy:       o.Policy.internal(),
 			Metric:       o.Metric.internal(),
 			LeftDeepOnly: o.LeftDeepOnly,
@@ -414,7 +425,7 @@ func (s *System) Optimize(q Query, o OptimizeOptions) (*Plan, error) {
 	}
 	opts := opt.DefaultOptions(o.Policy.internal(), o.Metric.internal(), o.Seed)
 	opts.LeftDeepOnly = o.LeftDeepOnly
-	res, err := opt.New(s.model(iq, o.ServerLoad), opts).Optimize()
+	res, err := opt.New(model, opts).Optimize()
 	if err != nil {
 		return nil, err
 	}
@@ -425,13 +436,13 @@ func (s *System) Optimize(q Query, o OptimizeOptions) (*Plan, error) {
 // system's current state, keeping the join order — the runtime half of
 // 2-step optimization (§5 of the paper). The input plan is not modified.
 func (s *System) SiteSelect(q Query, p *Plan, o OptimizeOptions) (*Plan, error) {
-	iq, err := s.buildQuery(q)
+	model, err := s.model(q, o.ServerLoad)
 	if err != nil {
 		return nil, err
 	}
 	opts := opt.DefaultOptions(o.Policy.internal(), o.Metric.internal(), o.Seed)
 	opts.FixedJoinOrder = true
-	res, err := opt.New(s.model(iq, o.ServerLoad), opts).OptimizeFrom(p.root)
+	res, err := opt.New(model, opts).OptimizeFrom(p.root)
 	if err != nil {
 		return nil, err
 	}
@@ -478,6 +489,10 @@ func (s *System) execConfig(q Query, o ExecOptions) (exec.Config, error) {
 			return sel.Pass(id)
 		}
 	}
+	load, err := s.siteLoad(o.ServerLoad)
+	if err != nil {
+		return exec.Config{}, err
+	}
 	params := exec.DefaultParams()
 	params.Params = s.cfg.machine()
 	return exec.Config{
@@ -486,7 +501,7 @@ func (s *System) execConfig(q Query, o ExecOptions) (exec.Config, error) {
 		Query:      iq,
 		Next:       next,
 		Pass:       pass,
-		ServerLoad: siteLoad(o.ServerLoad),
+		ServerLoad: load,
 		Seed:       o.Seed,
 	}, nil
 }
@@ -554,5 +569,6 @@ type Experiments = experiments.Config
 // points.
 type ExperimentFigure = experiments.Figure
 
-// Fig9Result is the §5.1 data-migration worked example's outcome.
-type Fig9Result = experiments.Fig9Result
+// ExperimentReport is what every experiment driver returns: its figures,
+// then its tables.
+type ExperimentReport = experiments.Report

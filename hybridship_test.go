@@ -190,6 +190,43 @@ func TestServerLoadSlowsExecution(t *testing.T) {
 	}
 }
 
+// TestServerLoadNamesNoServer: every entry point that takes a server load
+// rejects a key that names no server, past the last one or negative, with
+// an error naming the smallest such key.
+func TestServerLoadNamesNoServer(t *testing.T) {
+	sys := demoSystem(t, 2, 0)
+	q := demoQuery()
+	pl, err := sys.Optimize(q, OptimizeOptions{Policy: QueryShipping, Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		load map[int]float64
+		bad  string
+	}{
+		{map[int]float64{5: 40}, "site 5,"},
+		{map[int]float64{-1: 40}, "site -1,"},
+		{map[int]float64{0: 40, 7: 1, -3: 1, 2: 1}, "site -3,"},
+	} {
+		check := func(call string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), tc.bad) {
+				t.Errorf("%s with load %v: err %v, want one naming %s", call, tc.load, err, strings.TrimSuffix(tc.bad, ","))
+			}
+		}
+		_, err := sys.Optimize(q, OptimizeOptions{Policy: QueryShipping, ServerLoad: tc.load})
+		check("Optimize", err)
+		_, err = sys.Optimize(q, OptimizeOptions{Policy: QueryShipping, ServerLoad: tc.load, Exhaustive: true})
+		check("exhaustive Optimize", err)
+		_, err = sys.SiteSelect(q, pl, OptimizeOptions{Policy: QueryShipping, ServerLoad: tc.load})
+		check("SiteSelect", err)
+		_, err = sys.Execute(q, pl, ExecOptions{ServerLoad: tc.load})
+		check("Execute", err)
+		_, err = sys.ExecuteConcurrent(q, []Submission{{Plan: pl}}, ExecOptions{ServerLoad: tc.load})
+		check("ExecuteConcurrent", err)
+	}
+}
+
 func TestInvalidInputsRejected(t *testing.T) {
 	if _, err := NewSystem(SystemConfig{Servers: 1}, []Relation{
 		{Name: "a", Tuples: 10, TupleBytes: 100, Server: 5},
@@ -248,14 +285,14 @@ func TestDefaultConfigMatchesPaperTable2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iq, err := sys.buildQuery(demoQuery())
+	model, err := sys.model(demoQuery(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := ecfg.Params.Params; got != want {
 		t.Errorf("engine: %+v, want %+v", got, want)
 	}
-	if got := sys.model(iq, nil).Params.Params; got != want {
+	if got := model.Params.Params; got != want {
 		t.Errorf("cost model: %+v, want %+v", got, want)
 	}
 }

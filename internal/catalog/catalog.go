@@ -116,6 +116,29 @@ func New(pageSize, numServers int) *Catalog {
 	}
 }
 
+// CheckServerLoad reports an error if a key of load, an external load per
+// site, names no server of c; the error names the smallest such key. The
+// happy path only looks server IDs up, so it does not range over the map.
+func (c *Catalog) CheckServerLoad(load map[SiteID]float64) error {
+	present := 0
+	for s := 0; s < c.NumServers && present < len(load); s++ {
+		if _, ok := load[SiteID(s)]; ok {
+			present++
+		}
+	}
+	if present == len(load) {
+		return nil
+	}
+	first := true
+	var bad SiteID
+	for s := range load { //hslint:ordered -- a minimum over the keys does not depend on their order
+		if (s < 0 || int(s) >= c.NumServers) && (first || s < bad) {
+			first, bad = false, s
+		}
+	}
+	return fmt.Errorf("catalog: server load names site %d, not one of the %d servers", bad, c.NumServers)
+}
+
 // AddRelation registers a base relation. The home server must exist.
 func (c *Catalog) AddRelation(r Relation) error {
 	if _, dup := c.ids[r.Name]; dup {

@@ -212,6 +212,37 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestServerLoadNamesNoServer: a ServerLoad key that names no server — past
+// the last one, or the client's -1 — is an error naming the smallest such
+// key, not a load that silently never runs. A valid load costs the check no
+// allocation.
+func TestServerLoadNamesNoServer(t *testing.T) {
+	good := chainConfig(t, 2, 2, workload.Moderate, true)
+	for _, tc := range []struct {
+		load map[catalog.SiteID]float64
+		bad  string
+	}{
+		{map[catalog.SiteID]float64{5: 40}, "site 5,"},
+		{map[catalog.SiteID]float64{catalog.Client: 40}, "site -1,"},
+		{map[catalog.SiteID]float64{0: 40, 9: 1, 3: 1, 2: 1, 1: 40}, "site 2,"},
+	} {
+		cfg := good
+		cfg.ServerLoad = tc.load
+		_, err := Run(cfg, annotate(leftDeepChain(2), plan.QueryShipping))
+		if err == nil || !strings.Contains(err.Error(), tc.bad) {
+			t.Errorf("load %v: err %v, want one naming %s", tc.load, err, strings.TrimSuffix(tc.bad, ","))
+		}
+	}
+	cfg := good
+	cfg.ServerLoad = map[catalog.SiteID]float64{0: 40, 1: 10}
+	if _, err := Run(cfg, annotate(leftDeepChain(2), plan.QueryShipping)); err != nil {
+		t.Fatalf("load on both servers: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = cfg.validate() }); allocs != 0 {
+		t.Errorf("validate of a valid load allocates %.0f times, want 0", allocs)
+	}
+}
+
 func TestMultipleDisksRelieveContention(t *testing.T) {
 	// With two disks per site, a QS min-alloc join can scan from one arm
 	// while spilling partitions to the other — Table 2's NumDisks parameter

@@ -71,7 +71,8 @@ type Config struct {
 	Pass func(rel string, id int64) bool
 
 	// ServerLoad adds an external process issuing random disk reads at the
-	// given rate (requests/second) on each listed server (§3.2.2).
+	// given rate (requests/second) on each listed server (§3.2.2). A key
+	// that names no server of the catalog is an error.
 	ServerLoad map[catalog.SiteID]float64
 
 	// Seed drives the external load arrival process.
@@ -269,7 +270,7 @@ func (cfg *Config) validate() error {
 	if cfg.Params.NumDisks < 1 {
 		return fmt.Errorf("exec: NumDisks must be at least 1")
 	}
-	return nil
+	return cfg.Catalog.CheckServerLoad(cfg.ServerLoad)
 }
 
 // newEngine builds the simulated machine park for cfg, which must have

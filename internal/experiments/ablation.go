@@ -23,7 +23,7 @@ import (
 // traffic still falls from 2|R| to 0 with caching, but QS's flat line drops
 // to rho*|R|, pushing the crossover toward higher cached fractions — the
 // paper's §4.2.1 remark, measured.
-func (c Config) ExtCrossover() (*Figure, error) {
+func (c Config) ExtCrossover() (*Report, error) {
 	fig := &Figure{
 		ID:     "Extension: crossover vs selectivity",
 		Title:  "Pages Sent, 2-Way Join, Vary Caching and Join Result Size",
@@ -65,13 +65,13 @@ func (c Config) ExtCrossover() (*Figure, error) {
 		name := fmt.Sprintf("%s rho=%.1f", policyNames[sp.pol], sp.rho)
 		fig.Series = append(fig.Series, curve(name, axis(sweep, 100), vals[si], self))
 	}
-	return fig, nil
+	return &Report{Figures: []*Figure{fig}}, nil
 }
 
 // ExtStar repeats the Figure 8 response-time sweep for star joins (one hub
 // joined with nine spokes), where every join depends on the hub's growing
 // intermediate result and bushy parallelism is impossible.
-func (c Config) ExtStar() (*Figure, error) {
+func (c Config) ExtStar() (*Report, error) {
 	fig := &Figure{
 		ID:     "Extension: star join",
 		Title:  "Response Time [s], 10-Way Star Join, Vary Servers, Min Alloc",
@@ -104,139 +104,101 @@ func (c Config) ExtStar() (*Figure, error) {
 	for pi, pol := range allPolicies {
 		fig.Series = append(fig.Series, curve(policyNames[pol], axis(sweep, 1), vals[pi], self))
 	}
-	return fig, nil
+	return &Report{Figures: []*Figure{fig}}, nil
 }
 
-// ablationRun executes the same QS 10-way bushy query over ten servers with
-// a tweakable exec configuration, returning the response time.
-func (c Config) ablationRun(mutate func(*exec.Config), seed int64) (float64, error) {
+// execSetting is one row of an exec-configuration ablation: its printed
+// name, the optimizer seed of its run (the simulation seed is seed+1), and
+// the change it makes to the engine's configuration.
+type execSetting struct {
+	name   string
+	seed   int64
+	mutate func(*exec.Config)
+}
+
+// execAblation executes the same QS 10-way bushy query over ten servers once
+// per setting, each a grid cell, and reports the response times.
+func (c Config) execAblation(settings []execSetting) (*Report, error) {
 	cat, err := workload.BuildCatalog(4096, 10, workload.PlaceRoundRobin(10, 10))
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	q := workload.ChainQuery(10, workload.Moderate)
-	r := run{
-		cat: cat, q: q,
-		policy: plan.QueryShipping, metric: cost.MetricResponseTime, maxAlloc: false,
-		next:    workload.Next(workload.Moderate),
-		optSeed: seed, simSeed: seed + 1,
-	}
-	optRes, err := r.optimize()
-	if err != nil {
-		return 0, err
-	}
-	cfg := r.execConfig()
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	res, err := exec.Run(cfg, optRes.Plan)
-	if err != nil {
-		return 0, err
-	}
-	return res.ResponseTime, nil
-}
-
-// AblationResult is one knob setting and its measured response time.
-type AblationResult struct {
-	Setting      string
-	ResponseTime float64
-}
-
-// ablationReport is a table of one response time per setting.
-func ablationReport(rows []AblationResult) *Report {
-	t := &Table{}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, Row{Fields: []Field{
-			{"setting", "%-24s", r.Setting}, {"rt", "%8.2fs", r.ResponseTime},
-		}})
-	}
-	return &Report{Tables: []*Table{t}}
-}
-
-// AblationLookahead varies the network producer's lookahead depth. The paper
-// fixes it at one page; deeper buffers trade memory for pipeline slack.
-func (c Config) AblationLookahead() ([]AblationResult, error) {
-	las := []int{1, 4, 16}
-	out := make([]AblationResult, len(las))
-	err := parallelFor(len(las), func(i int) error {
-		la := las[i]
-		rt, err := c.ablationRun(func(cfg *exec.Config) {
-			cfg.Params.LookaheadPages = la
-		}, seedFor(c.Seed, int64(la), 30))
-		if err != nil {
-			return err
+	rts, err := grid(len(settings), 1, func(i, _ int) (float64, error) {
+		st := settings[i]
+		r := run{
+			cat: cat, q: q,
+			policy: plan.QueryShipping, metric: cost.MetricResponseTime, maxAlloc: false,
+			next:    workload.Next(workload.Moderate),
+			optSeed: st.seed, simSeed: st.seed + 1,
 		}
-		out[i] = AblationResult{fmt.Sprintf("lookahead=%d", la), rt}
-		return nil
+		optRes, err := r.optimize()
+		if err != nil {
+			return 0, err
+		}
+		cfg := r.execConfig()
+		st.mutate(&cfg)
+		res, err := exec.Run(cfg, optRes.Plan)
+		return res.ResponseTime, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	t := &Table{}
+	for i, st := range settings {
+		t.Rows = append(t.Rows, settingRow(st.name, rts[i][0]))
+	}
+	return &Report{Tables: []*Table{t}}, nil
+}
+
+// settingRow is an ablation's table line: a setting and its response time.
+func settingRow(name string, rt float64) Row {
+	return Row{Fields: []Field{{"setting", "%-24s", name}, {"rt", "%8.2fs", rt}}}
+}
+
+// AblationLookahead varies the network producer's lookahead depth. The paper
+// fixes it at one page; deeper buffers trade memory for pipeline slack.
+func (c Config) AblationLookahead() (*Report, error) {
+	var settings []execSetting
+	for _, la := range []int{1, 4, 16} {
+		settings = append(settings, execSetting{
+			name: fmt.Sprintf("lookahead=%d", la), seed: seedFor(c.Seed, int64(la), 30),
+			mutate: func(cfg *exec.Config) { cfg.Params.LookaheadPages = la },
+		})
+	}
+	return c.execAblation(settings)
 }
 
 // AblationWriteCache compares the disk's write-back cache with batched
 // destaging against write-through. Write-through makes every hybrid-hash
 // partition write pay a full mechanical access, which is what the naive
 // model would charge.
-func (c Config) AblationWriteCache() ([]AblationResult, error) {
-	settings := []bool{true, false}
-	out := make([]AblationResult, len(settings))
-	err := parallelFor(len(settings), func(i int) error {
-		wb := settings[i]
-		name := "write-back"
-		if !wb {
-			name = "write-through"
-		}
-		rt, err := c.ablationRun(func(cfg *exec.Config) {
-			if !wb {
-				cfg.Params.Disk.WriteCachePages = 0
-			}
-		}, seedFor(c.Seed, 31))
-		if err != nil {
-			return err
-		}
-		out[i] = AblationResult{name, rt}
-		return nil
+func (c Config) AblationWriteCache() (*Report, error) {
+	seed := seedFor(c.Seed, 31)
+	return c.execAblation([]execSetting{
+		{"write-back", seed, func(*exec.Config) {}},
+		{"write-through", seed, func(cfg *exec.Config) { cfg.Params.Disk.WriteCachePages = 0 }},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // AblationElevator compares SCAN (elevator) disk scheduling against FIFO
 // under external load, where request reordering matters most.
-func (c Config) AblationElevator() ([]AblationResult, error) {
-	settings := []bool{false, true}
-	out := make([]AblationResult, len(settings))
-	err := parallelFor(len(settings), func(i int) error {
-		fifo := settings[i]
-		name := "elevator"
-		if fifo {
-			name = "fifo"
-		}
-		rt, err := c.ablationRun(func(cfg *exec.Config) {
+func (c Config) AblationElevator() (*Report, error) {
+	seed := seedFor(c.Seed, 32)
+	loaded := func(fifo bool) func(*exec.Config) {
+		return func(cfg *exec.Config) {
 			cfg.Params.Disk.FIFOScheduling = fifo
 			cfg.ServerLoad = map[catalog.SiteID]float64{0: 40}
-		}, seedFor(c.Seed, 32))
-		if err != nil {
-			return err
 		}
-		out[i] = AblationResult{name, rt}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return out, nil
+	return c.execAblation([]execSetting{{"elevator", seed, loaded(false)}, {"fifo", seed, loaded(true)}})
 }
 
 // AblationCommutativity measures the optimizer's plan quality for the HiSel
 // 10-way join with and without the join-commutativity move. Without it the
 // optimizer cannot choose the build side of a hash join, which matters when
 // input sizes differ — exactly the HiSel situation.
-func (c Config) AblationCommutativity() ([]AblationResult, error) {
+func (c Config) AblationCommutativity() (*Report, error) {
 	q := workload.ChainQuery(10, workload.HiSel)
 	cat, err := workload.BuildCatalog(4096, 4, workload.PlaceRoundRobin(10, 4))
 	if err != nil {
@@ -263,15 +225,15 @@ func (c Config) AblationCommutativity() ([]AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []AblationResult
+	t := &Table{}
 	for ci, comm := range settings {
 		name := "with commutativity"
 		if !comm {
 			name = "paper move set only"
 		}
-		out = append(out, AblationResult{name, point(0, vals[ci], self).Mean})
+		t.Rows = append(t.Rows, settingRow(name, point(0, vals[ci], self).Mean))
 	}
-	return out, nil
+	return &Report{Tables: []*Table{t}}, nil
 }
 
 // ExtAggregate measures how a grouped aggregation shifts the policy
@@ -279,7 +241,7 @@ func (c Config) AblationCommutativity() ([]AblationResult, error) {
 // server) ships almost nothing, while data-shipping still faults all base
 // data — an effect the paper's operator framework supports (footnote 4) but
 // never measures.
-func (c Config) ExtAggregate() (*Figure, error) {
+func (c Config) ExtAggregate() (*Report, error) {
 	fig := &Figure{
 		ID:     "Extension: aggregation",
 		Title:  "Pages Sent, 2-Way Join + GROUP BY, 1 Server, Vary Groups",
@@ -310,7 +272,7 @@ func (c Config) ExtAggregate() (*Figure, error) {
 	for pi, pol := range allPolicies {
 		fig.Series = append(fig.Series, curve(policyNames[pol], axis(groupSweep, 1), vals[pi], self))
 	}
-	return fig, nil
+	return &Report{Figures: []*Figure{fig}}, nil
 }
 
 // ExtMultiQuery validates the paper's modeling shortcut: "The impact of
@@ -318,7 +280,7 @@ func (c Config) ExtAggregate() (*Figure, error) {
 // the server resources" (§3.2.1). It measures a QS query's response time
 // (a) alone, (b) alongside k-1 real concurrent copies of itself, and (c)
 // alone but with an external random-read load approximating those copies.
-func (c Config) ExtMultiQuery() (*Figure, error) {
+func (c Config) ExtMultiQuery() (*Report, error) {
 	fig := &Figure{
 		ID:     "Extension: multi-query",
 		Title:  "Response Time [s], 2-Way QS Join, Real Concurrency vs Load Approximation",
@@ -339,17 +301,16 @@ func (c Config) ExtMultiQuery() (*Figure, error) {
 	}
 
 	ks := []int{1, 2, 4}
-	real := Series{Name: "real concurrent queries", Points: make([]Point, len(ks))}
-	approx := Series{Name: "load approximation", Points: make([]Point, len(ks))}
-	err := parallelFor(len(ks), func(ki int) error {
+	type cell struct{ real, approx float64 }
+	vals, err := grid(len(ks), 1, func(ki, _ int) (cell, error) {
 		k := ks[ki]
 		r, err := buildRun()
 		if err != nil {
-			return err
+			return cell{}, err
 		}
 		optRes, err := r.optimize()
 		if err != nil {
-			return err
+			return cell{}, err
 		}
 
 		// (b) k real copies submitted together; report the mean per-query RT.
@@ -359,13 +320,12 @@ func (c Config) ExtMultiQuery() (*Figure, error) {
 		}
 		multi, err := exec.RunMulti(r.execConfig(), queries)
 		if err != nil {
-			return err
+			return cell{}, err
 		}
 		var sum float64
 		for _, qr := range multi.PerQuery {
 			sum += qr.ResponseTime
 		}
-		real.Points[ki] = Point{X: float64(k), Mean: sum / float64(k), N: k}
 
 		// (c) one copy plus an external load approximating the k-1 others.
 		// Real concurrent queries are closed-loop: they self-throttle as the
@@ -378,15 +338,13 @@ func (c Config) ExtMultiQuery() (*Figure, error) {
 			cfg.ServerLoad = map[catalog.SiteID]float64{0: 80 * float64(k-1) / float64(k)}
 		}
 		res, err := exec.Run(cfg, optRes.Plan)
-		if err != nil {
-			return err
-		}
-		approx.Points[ki] = Point{X: float64(k), Mean: res.ResponseTime, N: 1}
-		return nil
+		return cell{real: sum / float64(k), approx: res.ResponseTime}, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	fig.Series = append(fig.Series, real, approx)
-	return fig, nil
+	fig.Series = append(fig.Series,
+		curve("real concurrent queries", axis(ks, 1), vals, func(v cell) float64 { return v.real }),
+		curve("load approximation", axis(ks, 1), vals, func(v cell) float64 { return v.approx }))
+	return &Report{Figures: []*Figure{fig}}, nil
 }

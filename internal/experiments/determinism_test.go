@@ -10,8 +10,8 @@ import (
 // quickDrivers are the experiments whose quickCfg run is shared between the
 // determinism test and the tests that read the same report.
 var quickDrivers = map[string]func(Config) (*Report, error){
-	"fig2":      Lift(Config.Fig2),
-	"fig8":      Lift(Config.Fig8),
+	"fig2":      Config.Fig2,
+	"fig8":      Config.Fig8,
 	"chaos":     Config.Chaos,
 	"failover":  Config.Failover,
 	"coherence": Config.Coherence,

@@ -3,10 +3,10 @@
 // 2-step optimization), using the randomized optimizer to pick plans and the
 // detailed simulator to measure them, exactly as the original study did.
 //
-// Each figure driver returns a Figure holding one series per policy (or
+// Every driver returns a Report, the one output shape every experiment
+// prints through (report.go): the figures hold one series per policy (or
 // compiled plan flavor) with means and 90% confidence intervals over
-// repeated runs; the fault, serving and scaling grids return a Report, the
-// one output shape every experiment prints through (report.go).
+// repeated runs, and the worked examples, ablations and grids add tables.
 package experiments
 
 import (
@@ -218,7 +218,7 @@ func twoWayCatalog(servers int, cachedFrac float64) (*catalog.Catalog, error) {
 // twoWayFigure runs the common Figure 2/3/5 shape: a 2-way join against one
 // server, sweeping client caching, one series per policy.
 func (c Config) twoWayFigure(id, title string, metric cost.Metric, maxAlloc bool,
-	load map[catalog.SiteID]float64) (*Figure, error) {
+	load map[catalog.SiteID]float64) (*Report, error) {
 	fig := &Figure{
 		ID: id, Title: title,
 		XLabel: "cached[%]",
@@ -246,13 +246,13 @@ func (c Config) twoWayFigure(id, title string, metric cost.Metric, maxAlloc bool
 	for pi, pol := range allPolicies {
 		fig.Series = append(fig.Series, curve(policyNames[pol], axis(sweep, 100), vals[pi], self))
 	}
-	return fig, nil
+	return &Report{Figures: []*Figure{fig}}, nil
 }
 
 // tenWayFigure runs the common Figure 6/7/8 shape: a 10-way chain join with
 // relations placed randomly over a growing server population.
 func (c Config) tenWayFigure(id, title string, metric cost.Metric, maxAlloc bool,
-	cachedRels int) (*Figure, error) {
+	cachedRels int) (*Report, error) {
 	fig := &Figure{
 		ID: id, Title: title,
 		XLabel: "servers",
@@ -299,25 +299,77 @@ func (c Config) tenWayFigure(id, title string, metric cost.Metric, maxAlloc bool
 		fig.Series = append(fig.Series, curve(policyNames[pol], axis(sweep, 1), vals,
 			func(v []float64) float64 { return v[pi] }))
 	}
-	return fig, nil
+	return &Report{Figures: []*Figure{fig}}, nil
+}
+
+// Fig1 reproduces the three example annotated plans of Figure 1: one 4-way
+// join over two servers under data, query and hybrid shipping, each plan
+// printed with its logical annotations and the sites they bind to.
+func (c Config) Fig1() (*Report, error) {
+	names := []string{"A", "B", "C", "D"}
+	cat := catalog.New(4096, 2)
+	for i, n := range names {
+		if err := cat.AddRelation(catalog.Relation{
+			Name: n, Tuples: 10000, TupleBytes: 100, Home: catalog.SiteID(i % 2),
+		}); err != nil {
+			return nil, err
+		}
+	}
+	// build makes the left-deep plan ((A ⋈ B) ⋈ C) ⋈ D with the given
+	// join annotations, bottom-up, and scan annotations.
+	build := func(joins [3]plan.Annotation, scans [4]plan.Annotation) *plan.Node {
+		root := plan.NewScan(names[0])
+		root.Ann = scans[0]
+		for i, n := range names[1:] {
+			scan := plan.NewScan(n)
+			scan.Ann = scans[i+1]
+			root = plan.NewJoin(root, scan)
+			root.Ann = joins[i]
+		}
+		return plan.NewDisplay(root)
+	}
+	client, primary := plan.AnnClient, plan.AnnPrimary
+	rep := &Report{}
+	for _, ex := range []struct {
+		title string
+		root  *plan.Node
+	}{
+		{"(a) Data-Shipping", build([3]plan.Annotation{plan.AnnConsumer, plan.AnnConsumer, plan.AnnConsumer},
+			[4]plan.Annotation{client, client, client, client})},
+		{"(b) Query-Shipping", build([3]plan.Annotation{plan.AnnInner, plan.AnnInner, plan.AnnOuter},
+			[4]plan.Annotation{primary, primary, primary, primary})},
+		{"(c) Hybrid-Shipping", build([3]plan.Annotation{plan.AnnInner, plan.AnnConsumer, plan.AnnOuter},
+			[4]plan.Annotation{primary, primary, client, primary})},
+	} {
+		b, err := plan.Bind(ex.root, cat, catalog.Client)
+		if err != nil {
+			return nil, err
+		}
+		t := &Table{Title: "Figure 1" + ex.title}
+		for _, line := range strings.Split(strings.TrimRight(plan.FormatBound(ex.root, b), "\n"), "\n") {
+			t.Rows = append(t.Rows, Row{Fields: []Field{{"node", "%s", line}}})
+		}
+		rep.Tables = append(rep.Tables, t)
+	}
+	return rep, nil
 }
 
 // Fig2 reproduces "Pages Sent, 2-Way Join; 1 Server, Vary Caching".
-func (c Config) Fig2() (*Figure, error) {
+func (c Config) Fig2() (*Report, error) {
 	return c.twoWayFigure("Figure 2", "Pages Sent, 2-Way Join, 1 Server, Vary Caching",
 		cost.MetricPagesSent, true, nil)
 }
 
 // Fig3 reproduces "Resp. Time, 2-Way Join; 1 S., Vary Caching, No Load,
 // Min. Alloc".
-func (c Config) Fig3() (*Figure, error) {
+func (c Config) Fig3() (*Report, error) {
 	return c.twoWayFigure("Figure 3", "Response Time [s], 2-Way Join, Vary Caching, No Load, Min Alloc",
 		cost.MetricResponseTime, false, nil)
 }
 
 // Fig4 reproduces "Resp. Time, DS, 2-Way Join; 1 S., Vary Load & Caching,
 // Min. Alloc": the data-shipping policy only, one series per server load.
-func (c Config) Fig4() (*Figure, error) {
+func (c Config) Fig4() (*Report, error) {
 	fig := &Figure{
 		ID:     "Figure 4",
 		Title:  "Response Time [s], DS, 2-Way Join, Vary Load & Caching, Min Alloc",
@@ -352,32 +404,32 @@ func (c Config) Fig4() (*Figure, error) {
 	for li, reqs := range loads {
 		fig.Series = append(fig.Series, curve(fmt.Sprintf("%g req/sec", reqs), axis(sweep, 100), vals[li], self))
 	}
-	return fig, nil
+	return &Report{Figures: []*Figure{fig}}, nil
 }
 
 // Fig5 reproduces "Resp. Time, 2-Way Join; 1 Server, Vary Caching, No Load,
 // Max. Alloc".
-func (c Config) Fig5() (*Figure, error) {
+func (c Config) Fig5() (*Report, error) {
 	return c.twoWayFigure("Figure 5", "Response Time [s], 2-Way Join, Vary Caching, No Load, Max Alloc",
 		cost.MetricResponseTime, true, nil)
 }
 
 // Fig6 reproduces "Pages Sent, 10-Way Join; Varying Servers, No Caching".
-func (c Config) Fig6() (*Figure, error) {
+func (c Config) Fig6() (*Report, error) {
 	return c.tenWayFigure("Figure 6", "Pages Sent, 10-Way Join, Vary Servers, No Caching",
 		cost.MetricPagesSent, true, 0)
 }
 
 // Fig7 reproduces "Pages Sent, 10-Way Join; Vary Servers, 5 Relations
 // Cached".
-func (c Config) Fig7() (*Figure, error) {
+func (c Config) Fig7() (*Report, error) {
 	return c.tenWayFigure("Figure 7", "Pages Sent, 10-Way Join, Vary Servers, 5 Relations Cached",
 		cost.MetricPagesSent, true, 5)
 }
 
 // Fig8 reproduces "Resp. Time, 10-Way Join; Vary Servers, No Caching, Min.
 // Alloc".
-func (c Config) Fig8() (*Figure, error) {
+func (c Config) Fig8() (*Report, error) {
 	return c.tenWayFigure("Figure 8", "Response Time [s], 10-Way Join, Vary Servers, No Caching, Min Alloc",
 		cost.MetricResponseTime, false, 0)
 }

@@ -19,6 +19,29 @@ func seriesByName(t *testing.T, f *Figure, name string) Series {
 	return Series{}
 }
 
+// firstFigure runs a driver and returns the first figure of its report.
+func firstFigure(t *testing.T, run func() (*Report, error)) *Figure {
+	t.Helper()
+	rep, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Figures[0]
+}
+
+// rowWith returns the row of the report's first table whose field key
+// has value val.
+func rowWith(t *testing.T, rep *Report, key string, val any) Row {
+	t.Helper()
+	for _, r := range rep.Tables[0].Rows {
+		if r.get(key) == val {
+			return r
+		}
+	}
+	t.Fatalf("no row with %s=%v", key, val)
+	return Row{}
+}
+
 // pointAt returns the point with the given x.
 func pointAt(t *testing.T, s Series, x float64) Point {
 	t.Helper()
@@ -61,10 +84,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	fig, err := quickCfg().Fig3()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := firstFigure(t, quickCfg().Fig3)
 	t.Logf("\n%s", fig)
 	ds := seriesByName(t, fig, "DS")
 	qs := seriesByName(t, fig, "QS")
@@ -91,21 +111,22 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig9MigrationExample(t *testing.T) {
-	res, err := quickCfg().Fig9()
+	rep, err := quickCfg().Fig9()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("static=%d 2-step=%d ideal=%d", res.StaticPages, res.TwoStepPages, res.IdealPages)
+	t.Logf("\n%s", render(rep))
+	pages := func(name string) int64 { return rowWith(t, rep, "plan", name).get("pages").(int64) }
 	// §5.1: the static plan performs twice the communication of the optimal
 	// plan; 2-step reduces the penalty to 50% extra.
-	if res.IdealPages != 500 {
-		t.Errorf("ideal pages = %d, want 500 (two join results to the client)", res.IdealPages)
+	if p := pages("ideal plan"); p != 500 {
+		t.Errorf("ideal pages = %d, want 500 (two join results to the client)", p)
 	}
-	if res.StaticPages != 1000 {
-		t.Errorf("static pages = %d, want 1000 (2x optimal)", res.StaticPages)
+	if p := pages("static plan"); p != 1000 {
+		t.Errorf("static pages = %d, want 1000 (2x optimal)", p)
 	}
-	if res.TwoStepPages != 750 {
-		t.Errorf("2-step pages = %d, want 750 (1.5x optimal)", res.TwoStepPages)
+	if p := pages("2-step plan"); p != 750 {
+		t.Errorf("2-step pages = %d, want 750 (1.5x optimal)", p)
 	}
 }
 
@@ -113,10 +134,7 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10-way sweep")
 	}
-	fig, err := quickCfg().Fig6()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := firstFigure(t, quickCfg().Fig6)
 	t.Logf("\n%s", fig)
 	ds := seriesByName(t, fig, "DS")
 	qs := seriesByName(t, fig, "QS")
@@ -151,10 +169,7 @@ func TestFig7HybridBeatsBothPure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10-way sweep")
 	}
-	fig, err := quickCfg().Fig7()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := firstFigure(t, quickCfg().Fig7)
 	t.Logf("\n%s", fig)
 	ds := seriesByName(t, fig, "DS")
 	qs := seriesByName(t, fig, "QS")
@@ -223,10 +238,7 @@ func TestFig10TwoStepBeatsStatic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10-way two-step sweep")
 	}
-	fig, err := quickCfg().Fig10()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := firstFigure(t, quickCfg().Fig10)
 	t.Logf("\n%s", fig)
 	deepStatic := seriesByName(t, fig, "Deep Static")
 	deep2 := seriesByName(t, fig, "Deep 2-Step")
@@ -262,10 +274,7 @@ func TestFig11BushyRecoverWithServers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10-way HiSel two-step sweep")
 	}
-	fig, err := quickCfg().Fig11()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := firstFigure(t, quickCfg().Fig11)
 	t.Logf("\n%s", fig)
 	bushy2 := seriesByName(t, fig, "Bushy 2-Step")
 	// §5.2: with HiSel joins bushy plans do extra work; as servers are added
@@ -278,10 +287,7 @@ func TestFig11BushyRecoverWithServers(t *testing.T) {
 }
 
 func TestExtCrossoverMovesRight(t *testing.T) {
-	fig, err := quickCfg().ExtCrossover()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := firstFigure(t, quickCfg().ExtCrossover)
 	t.Logf("\n%s", fig)
 	// With rho=0.2 the QS line is flat at 50 pages, so DS only wins at very
 	// high cached fractions; with rho=1.0 the crossover sits at 50%.
@@ -307,53 +313,45 @@ func TestAblations(t *testing.T) {
 		t.Skip("ablation sweeps")
 	}
 	cfg := quickCfg()
-
-	la, err := cfg.AblationLookahead()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("lookahead: %+v", la)
-	if la[2].ResponseTime > la[0].ResponseTime*1.05 {
-		t.Errorf("lookahead=16 (%.2f) should not be materially slower than lookahead=1 (%.2f)",
-			la[2].ResponseTime, la[0].ResponseTime)
-	}
-
-	wc, err := cfg.AblationWriteCache()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("write cache: %+v", wc)
-	if wc[0].ResponseTime >= wc[1].ResponseTime {
-		t.Errorf("write-back (%.2f) should beat write-through (%.2f)",
-			wc[0].ResponseTime, wc[1].ResponseTime)
+	// rt runs an ablation and returns the response time of each setting.
+	rt := func(run func() (*Report, error), settings ...string) []float64 {
+		t.Helper()
+		rep, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("\n%s", render(rep))
+		out := make([]float64, len(settings))
+		for i, s := range settings {
+			out[i] = rowWith(t, rep, "setting", s).get("rt").(float64)
+		}
+		return out
 	}
 
-	el, err := cfg.AblationElevator()
-	if err != nil {
-		t.Fatal(err)
+	la := rt(cfg.AblationLookahead, "lookahead=1", "lookahead=16")
+	if la[1] > la[0]*1.05 {
+		t.Errorf("lookahead=16 (%.2f) should not be materially slower than lookahead=1 (%.2f)", la[1], la[0])
 	}
-	t.Logf("scheduling: %+v", el)
+
+	wc := rt(cfg.AblationWriteCache, "write-back", "write-through")
+	if wc[0] >= wc[1] {
+		t.Errorf("write-back (%.2f) should beat write-through (%.2f)", wc[0], wc[1])
+	}
+
 	// Elevator should not lose to FIFO by any meaningful margin.
-	if el[0].ResponseTime > el[1].ResponseTime*1.1 {
-		t.Errorf("elevator (%.2f) should not lose to FIFO (%.2f)",
-			el[0].ResponseTime, el[1].ResponseTime)
+	el := rt(cfg.AblationElevator, "elevator", "fifo")
+	if el[0] > el[1]*1.1 {
+		t.Errorf("elevator (%.2f) should not lose to FIFO (%.2f)", el[0], el[1])
 	}
 
-	cm, err := cfg.AblationCommutativity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("commutativity: %+v", cm)
+	rt(cfg.AblationCommutativity, "with commutativity", "paper move set only")
 }
 
 func TestExtStarCardinalityViaEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("star sweep")
 	}
-	fig, err := (Config{Reps: 1, Seed: 5, Quick: true}).ExtStar()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := firstFigure(t, (Config{Reps: 1, Seed: 5, Quick: true}).ExtStar)
 	t.Logf("\n%s", fig)
 	for _, s := range fig.Series {
 		for _, p := range s.Points {
@@ -365,10 +363,7 @@ func TestExtStarCardinalityViaEngine(t *testing.T) {
 }
 
 func TestExtAggregateShrinksQSTraffic(t *testing.T) {
-	fig, err := quickCfg().ExtAggregate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := firstFigure(t, quickCfg().ExtAggregate)
 	t.Logf("\n%s", fig)
 	qs := seriesByName(t, fig, "QS")
 	ds := seriesByName(t, fig, "DS")
@@ -389,10 +384,7 @@ func TestExtAggregateShrinksQSTraffic(t *testing.T) {
 }
 
 func TestExtMultiQueryApproximation(t *testing.T) {
-	fig, err := quickCfg().ExtMultiQuery()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := firstFigure(t, quickCfg().ExtMultiQuery)
 	t.Logf("\n%s", fig)
 	real := seriesByName(t, fig, "real concurrent queries")
 	approx := seriesByName(t, fig, "load approximation")

@@ -72,22 +72,3 @@ func (o outOf) Format(f fmt.State, verb rune) {
 	s := fmt.FormatString(f, verb)
 	fmt.Fprintf(f, s+"/"+s, o[0], o[1])
 }
-
-// Lift turns a driver that returns a figure, the Figure 9 example or
-// ablation rows into one that returns the common report.
-func Lift[T *Figure | *Fig9Result | []AblationResult](run func(Config) (T, error)) func(Config) (*Report, error) {
-	return func(c Config) (*Report, error) {
-		res, err := run(c)
-		if err != nil {
-			return nil, err
-		}
-		switch res := any(res).(type) {
-		case *Figure:
-			return &Report{Figures: []*Figure{res}}, nil
-		case *Fig9Result:
-			return res.report(), nil
-		default:
-			return ablationReport(res.([]AblationResult)), nil
-		}
-	}
-}

@@ -147,7 +147,7 @@ func distributedCatalog(nRels int) (*catalog.Catalog, error) {
 // twoStepFigure runs the Figure 10/11 shape: relative response time of
 // {deep, bushy} x {static, 2-step} plans versus the ideal plan, as servers
 // are added and the runtime placement is unknown at compile time.
-func (c Config) twoStepFigure(id, title string, sel workload.Selectivity) (*Figure, error) {
+func (c Config) twoStepFigure(id, title string, sel workload.Selectivity) (*Report, error) {
 	fig := &Figure{
 		ID: id, Title: title,
 		XLabel: "servers",
@@ -244,37 +244,28 @@ func (c Config) twoStepFigure(id, title string, sel workload.Selectivity) (*Figu
 		fig.Series = append(fig.Series, curve(name, axis(sweep, 1), ratios,
 			func(v []float64) float64 { return v[fi] }))
 	}
-	return fig, nil
+	return &Report{Figures: []*Figure{fig}}, nil
 }
 
 // Fig10 reproduces "Relative Response Time, 10-Way Join; Vary Servers, No
 // Caching, Min. Alloc, Deep and Bushy Plans".
-func (c Config) Fig10() (*Figure, error) {
+func (c Config) Fig10() (*Report, error) {
 	return c.twoStepFigure("Figure 10",
 		"Relative Response Time, 10-Way Join, Vary Servers, Min Alloc, Deep and Bushy Plans",
 		workload.Moderate)
 }
 
 // Fig11 reproduces the same for the HiSel query (20% join participation).
-func (c Config) Fig11() (*Figure, error) {
+func (c Config) Fig11() (*Report, error) {
 	return c.twoStepFigure("Figure 11",
 		"Relative Response Time, HiSel 10-Way Join, Vary Servers, Min Alloc, Deep and Bushy Plans",
 		workload.HiSel)
 }
 
-// Fig9Result reports the §5.1 worked example: communication of a statically
-// compiled plan, its 2-step re-annotation, and the ideal plan, after the
-// data has migrated between compile time and run time.
-type Fig9Result struct {
-	StaticPages  int64
-	TwoStepPages int64
-	IdealPages   int64
-}
-
 // Fig9 reproduces the data-migration example of Figure 9: a 4-way join whose
 // relations are pairwise co-located at compile time (A,B on server 1 and C,D
 // on server 2) but re-shuffled at run time (B,C together and A,D together).
-func (c Config) Fig9() (*Fig9Result, error) {
+func (c Config) Fig9() (*Report, error) {
 	// Join graph: a 4-cycle A-B-C-D-A, so "all relations are joinable" the
 	// way the example needs, and join results have the size of a base
 	// relation.
@@ -314,12 +305,15 @@ func (c Config) Fig9() (*Fig9Result, error) {
 	}
 
 	// The compile-time plan of Figure 9(a): (A ⋈ B) on the server producing
-	// A, (C ⋈ D) on the server producing C, final join at the client.
-	ab := plan.NewJoin(plan.NewScan("A"), plan.NewScan("B")) // inner: site of A
-	cd := plan.NewJoin(plan.NewScan("C"), plan.NewScan("D")) // inner: site of C
-	top := plan.NewJoin(ab, cd)
-	top.Ann = plan.AnnConsumer // at the client, via display
-	compiled := plan.NewDisplay(top)
+	// A, (C ⋈ D) on the server producing C, final join at the client. Each
+	// cell builds its own copy.
+	compiled := func() *plan.Node {
+		ab := plan.NewJoin(plan.NewScan("A"), plan.NewScan("B")) // inner: site of A
+		cd := plan.NewJoin(plan.NewScan("C"), plan.NewScan("D")) // inner: site of C
+		top := plan.NewJoin(ab, cd)
+		top.Ann = plan.AnnConsumer // at the client, via display
+		return plan.NewDisplay(top)
+	}
 
 	r := run{
 		cat: trueCat, q: q,
@@ -330,39 +324,38 @@ func (c Config) Fig9() (*Fig9Result, error) {
 		optSeed: seedFor(c.Seed, 90), simSeed: seedFor(c.Seed, 91),
 	}
 
-	static, err := r.executeStatic(compiled, compileCat)
+	// The three executions: the static plan, its 2-step re-annotation and
+	// the ideal plan, one cell each.
+	names := []string{"static plan", "2-step plan", "ideal plan"}
+	pages, err := grid(len(names), 1, func(i, _ int) (int64, error) {
+		var res exec.Result
+		var err error
+		switch i {
+		case 0:
+			res, err = r.executeStatic(compiled(), compileCat)
+		case 1:
+			var p *plan.Node
+			if p, err = r.siteSelect(compiled()); err == nil {
+				res, err = r.executePlan(p)
+			}
+		default:
+			res, err = r.measure()
+		}
+		return res.PagesSent, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	twoStepPlan, err := r.siteSelect(compiled)
-	if err != nil {
-		return nil, err
-	}
-	twoStep, err := r.executePlan(twoStepPlan)
-	if err != nil {
-		return nil, err
-	}
-	ideal, err := r.measure()
-	if err != nil {
-		return nil, err
-	}
-	return &Fig9Result{
-		StaticPages:  static.PagesSent,
-		TwoStepPages: twoStep.PagesSent,
-		IdealPages:   ideal.PagesSent,
-	}, nil
-}
 
-// report renders the three page counts, each against the ideal plan's.
-func (r *Fig9Result) report() *Report {
-	row := func(name string, pages int64) Row {
-		return Row{Fields: []Field{{"plan", "%-13s", name}, {"pages", "%5d", pages},
-			{"ratio", " (%.2fx of ideal)", float64(pages) / float64(r.IdealPages)}}}
+	// Each page count is printed against the ideal plan's.
+	ideal := pages[2][0]
+	t := &Table{Title: "Figure 9: communication after data migration (pages sent)"}
+	for i, name := range names {
+		row := Row{Fields: []Field{{"plan", "%-13s", name}, {"pages", "%5d", pages[i][0]}}}
+		if i < 2 {
+			row.Fields = append(row.Fields, Field{"ratio", " (%.2fx of ideal)", float64(pages[i][0]) / float64(ideal)})
+		}
+		t.Rows = append(t.Rows, row)
 	}
-	ideal := row("ideal plan", r.IdealPages)
-	ideal.Fields = ideal.Fields[:2]
-	return &Report{Tables: []*Table{{
-		Title: "Figure 9: communication after data migration (pages sent)",
-		Rows:  []Row{row("static plan", r.StaticPages), row("2-step plan", r.TwoStepPages), ideal},
-	}}}
+	return &Report{Tables: []*Table{t}}, nil
 }

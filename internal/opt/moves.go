@@ -357,25 +357,3 @@ func applyMove(f *plan.Flat, mask []uint64, mv move, p plan.Policy, cat *catalog
 	u.changedShape = true
 	return true
 }
-
-// neighbor returns a random legal transformation of the plan, or ok=false
-// if the plan admits no moves. The returned tree is fresh; the input is not
-// modified. It is the one-off counterpart of the in-place searchState
-// stepping, kept for exploration and tests.
-func (o *Optimizer) neighbor(root *plan.Node) (*plan.Node, bool) {
-	var f plan.Flat
-	if err := f.Reset(root, o.model.Catalog); err != nil {
-		return nil, false
-	}
-	mask := subtreeMasks(&f, o.bits, nil)
-	moves := candidateMoves(o.model.Query, o.opts, o.model.Catalog, &f, mask, nil)
-	if len(moves) == 0 {
-		return nil, false
-	}
-	o.mu.Lock()
-	mv := moves[o.rng.Intn(len(moves))]
-	o.mu.Unlock()
-	var u undoRec
-	applyMove(&f, mask, mv, o.opts.Policy, o.model.Catalog, &u)
-	return f.Tree(), true
-}

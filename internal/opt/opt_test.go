@@ -355,3 +355,25 @@ func TestEvaluateMissZeroAlloc(t *testing.T) {
 		t.Errorf("bind and estimate of a tree allocate %v per call, want 0", n)
 	}
 }
+
+// neighbor returns a random legal transformation of the plan, or ok=false
+// if the plan admits no moves. The returned tree is fresh; the input is not
+// modified. It is the one-off counterpart of the in-place searchState
+// stepping.
+func (o *Optimizer) neighbor(root *plan.Node) (*plan.Node, bool) {
+	var f plan.Flat
+	if err := f.Reset(root, o.model.Catalog); err != nil {
+		return nil, false
+	}
+	mask := subtreeMasks(&f, o.bits, nil)
+	moves := candidateMoves(o.model.Query, o.opts, o.model.Catalog, &f, mask, nil)
+	if len(moves) == 0 {
+		return nil, false
+	}
+	o.mu.Lock()
+	mv := moves[o.rng.Intn(len(moves))]
+	o.mu.Unlock()
+	var u undoRec
+	applyMove(&f, mask, mv, o.opts.Policy, o.model.Catalog, &u)
+	return f.Tree(), true
+}

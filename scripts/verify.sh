@@ -60,7 +60,7 @@ go run -race ./cmd/csq run -quick -reps 2 chaos failover coherence overload |
 	sed '/^  \[/d' | diff -u cmd/csq/testdata/grids_quick.txt -
 echo "== shardscale smoke (parallel kernel: fleet equality at 1/2/4/8 shards under the race detector)"
 go run -race ./cmd/csq run -quick -reps 1 shardscale >/dev/null
-echo "== examples smoke (every examples/*/ program, then planviz -example fig1; a non-zero exit fails)"
+echo "== examples smoke (every examples/*/ program, then csq run fig1; a non-zero exit fails)"
 # Derived from the directory list, so a new example runs here without being
 # listed. Each program takes well under a second once built.
 examples_bin=$(mktemp -d)
@@ -71,8 +71,7 @@ for dir in examples/*/; do
 	echo "   $name"
 	"$examples_bin/$name" >/dev/null
 done
-go build -o "$examples_bin/planviz" ./cmd/planviz
-"$examples_bin/planviz" -example fig1 >/dev/null
+go run ./cmd/csq run fig1 >/dev/null
 echo "== fuzz smoke (2s per target, every Fuzz function in the tree)"
 # Derived like the bench smoke's package list, so a new fuzz target runs
 # here without being listed. Each line is "<package dir> <target>".
