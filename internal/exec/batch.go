@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"math/bits"
+
 	"hybridship/internal/sim"
 )
 
@@ -32,10 +34,12 @@ import (
 //     charges are paid one by one.
 
 // colBatch is one page of tuples in columnar form: column c of a
-// w-column batch occupies data[c*stride : c*stride+n]. Row i's tuple is
-// (data[0*stride+i], data[1*stride+i], …): one row id per query relation,
-// indexed by the relation's position in the query, with absent (-1) for
-// relations not joined into the row.
+// w-column batch occupies data[c*stride : c*stride+n]. A batch is as wide as
+// the relation count of the operator that produced it: row i's tuple is one
+// row id per relation of the producing subtree, and column k holds the
+// relation whose mask bit is the subtree mask's k-th set bit, in ascending
+// order (slotCol). A scan's page has one column; the root's page carries
+// every relation of the query.
 type colBatch struct {
 	data   []int64
 	w      int // columns (tuple width)
@@ -43,8 +47,11 @@ type colBatch struct {
 	stride int // rows of capacity per column
 }
 
-// absent marks a relation slot not (yet) joined into a row.
-const absent = int64(-1)
+// slotCol returns the column that holds relation bit rel in a page of
+// subtree mask: the rank of rel among mask's set bits.
+func slotCol(mask, rel uint64) int {
+	return bits.OnesCount64(mask & (rel - 1))
+}
 
 // tuplesPerPage reports how many tuples of the given width fit on a page.
 func tuplesPerPage(pageSize, tupleBytes int) int {
@@ -72,9 +79,10 @@ func batchCols(b *colBatch, dst [][]int64) [][]int64 {
 // batchPool recycles the engine's backing storage across batches,
 // operators, and queries. The kernel runs one process at a time, so plain
 // free lists suffice; nothing here ever touches the event schedule (which a
-// sim.Buffer-based pool would).
+// sim.Buffer-based pool would). Batches are free-listed by width, so a page
+// of one subtree's width takes a batch that last held a page of that width.
 type batchPool struct {
-	batches []*colBatch
+	batches [][]*colBatch // per width: the free batches of that width
 	tables  []*hashTable
 
 	// newBatches and newTables count the batches and tables the pool has
@@ -86,9 +94,10 @@ type batchPool struct {
 // get returns a batch with w columns and room for rows rows, n = 0.
 func (bp *batchPool) get(w, rows int) *colBatch {
 	var b *colBatch
-	if n := len(bp.batches); n > 0 {
-		b = bp.batches[n-1]
-		bp.batches = bp.batches[:n-1]
+	if w < len(bp.batches) && len(bp.batches[w]) > 0 {
+		free := bp.batches[w]
+		b = free[len(free)-1]
+		bp.batches[w] = free[:len(free)-1]
 	} else {
 		b = &colBatch{}
 		bp.newBatches++
@@ -104,9 +113,13 @@ func (bp *batchPool) get(w, rows int) *colBatch {
 // put recycles a batch. Ownership transfers with the batch: an operator that
 // received a batch from its child either releases it here or hands it on.
 func (bp *batchPool) put(b *colBatch) {
-	if b != nil {
-		bp.batches = append(bp.batches, b)
+	if b == nil {
+		return
 	}
+	for len(bp.batches) <= b.w {
+		bp.batches = append(bp.batches, nil)
+	}
+	bp.batches[b.w] = append(bp.batches[b.w], b)
 }
 
 func (bp *batchPool) getTable(w, kw int) *hashTable {

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"math/bits"
 	"testing"
 
 	"hybridship/internal/catalog"
@@ -92,7 +91,7 @@ func relPages(e *engine, j *hashJoin, rel string, pages int) []*colBatch {
 	ps := make([]*colBatch, pages)
 	for k := range ps {
 		b := relPage(e, j, rel)
-		col := b.col(bits.TrailingZeros64(e.cfg.Query.RelMask(rel)))
+		col := b.col(0)
 		for i := range col {
 			col[i] += int64(k * j.tpp)
 		}
@@ -151,10 +150,11 @@ func BenchmarkJoinPageProbe(b *testing.B) {
 // to the pool unsealed: a seal's flush and disk write are kernel work.
 func BenchmarkJoinPageSpill(b *testing.B) {
 	e, j := newTestJoin(b)
-	j.al = joinAlloc{memPages: 2, nParts: 4, frac0: 0.25, chunkPages: 8}
+	j.al = joinAlloc{memPages: 2, nParts: 4, chunkPages: 8}
+	j.al.setShare(0.25)
 	var parts []*partition
 	for range j.al.nParts {
-		parts = append(parts, newPartition(j.probeCols, j.w, j.tpp, j.al.chunkPages))
+		parts = append(parts, newPartition(j.tpp, j.al.chunkPages))
 	}
 	pages := relPages(e, j, "R1", joinPageBenchPages)
 	b.ReportAllocs()

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"math/bits"
 	"slices"
 
 	"hybridship/internal/query"
@@ -16,9 +15,9 @@ import (
 // tail-appended, so walking a chain and filtering on the stored hash yields
 // precisely that sequence.
 //
-// Storage is columnar and arena-like, and holds only the build side's
-// columns: entry e's build-side values are (cols[0][e], …, cols[w-1][e]),
-// where cols[k] is the join's buildCols[k], and its precomputed join-key
+// Storage is columnar and arena-like, and holds the build side's columns:
+// entry e's build-side values are (cols[0][e], …, cols[w-1][e]), where
+// cols[k] is column k of the build side's pages, and its precomputed join-key
 // vector is (keys[0][e], …, keys[kw-1][e]). Key values are computed once at
 // insert — unobservable, since key extraction is pure and only the
 // comparisons are charged, which still happen per candidate at probe time.
@@ -135,19 +134,19 @@ func (t *hashTable) reserve(rows int) {
 }
 
 // insertRows appends the page rows listed in rows (increasing, out of a
-// page of n rows) under their hashes: one append per stored column, then one
-// link pass. cols are the page's resolved columns, of which the table
-// stores buildCols (in its column order), and keyv the rows' evaluated key
-// columns. The buckets double whenever the entry count crosses the load
-// threshold, as many times as one-at-a-time inserts would.
-func (t *hashTable) insertRows(rows []int32, n int, hash []uint64, cols [][]int64, buildCols []int, keyv [][]int64) {
+// page of n rows) under their hashes: one append per column, then one link
+// pass. cols are the page's resolved columns, all of which the table
+// stores, and keyv the rows' evaluated key columns. The buckets double
+// whenever the entry count crosses the load threshold, as many times as
+// one-at-a-time inserts would.
+func (t *hashTable) insertRows(rows []int32, n int, hash []uint64, cols [][]int64, keyv [][]int64) {
 	e0 := len(t.hashes)
 	t.hashes = gatherRows(t.hashes, hash, rows, n)
 	for range rows {
 		t.next = append(t.next, -1)
 	}
-	for k, c := range buildCols {
-		t.cols[k] = gatherRows(t.cols[k], cols[c], rows, n)
+	for c := range t.cols {
+		t.cols[c] = gatherRows(t.cols[c], cols[c], rows, n)
 	}
 	for s := range t.keys {
 		t.keys[s] = gatherRows(t.keys[s], keyv[s], rows, n)
@@ -194,7 +193,8 @@ func (t *hashTable) keysEqual(e int32, keyv [][]int64, i int) bool {
 // Next(A, id_A) and the side containing B contributes id_B; equality of the
 // two vectors is exactly the predicate conjunction.
 type keyer struct {
-	// per crossing predicate: slot to read and whether to apply Next
+	// per crossing predicate: the column to read in the side's pages and
+	// whether to apply Next
 	slots   []int
 	applyNx []bool
 	rels    []string
@@ -202,18 +202,18 @@ type keyer struct {
 }
 
 // newKeyer prepares key extraction for one join side. side and other are
-// the relation masks (Query.RelMask) of the two sides; a relation's mask
-// bit is its tuple slot.
+// the relation masks (Query.RelMask) of the two sides; a relation's column
+// in the side's pages is its mask bit's rank in side (slotCol).
 func newKeyer(q *query.Query, side, other uint64, next func(string, int64) int64) *keyer {
 	k := &keyer{next: next}
 	for _, p := range q.CrossingPreds(side, other) {
 		switch a, b := q.RelMask(p.A), q.RelMask(p.B); {
 		case side&a != 0:
-			k.slots = append(k.slots, bits.TrailingZeros64(a))
+			k.slots = append(k.slots, slotCol(side, a))
 			k.applyNx = append(k.applyNx, true)
 			k.rels = append(k.rels, p.A)
 		case side&b != 0:
-			k.slots = append(k.slots, bits.TrailingZeros64(b))
+			k.slots = append(k.slots, slotCol(side, b))
 			k.applyNx = append(k.applyNx, false)
 			k.rels = append(k.rels, p.B)
 		}
@@ -228,10 +228,14 @@ func newKeyer(q *query.Query, side, other uint64, next func(string, int64) int64
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
+	// fnvPrime64Pow7 is fnvPrime64⁷ mod 2⁶⁴: seven FNV-1a steps over zero
+	// bytes, which only multiply.
+	fnvPrime64Pow7 = fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 *
+		fnvPrime64 * fnvPrime64 * fnvPrime64 % (1 << 64)
 )
 
-// slotCols resolves the keyer's slot columns out of a full column set into
-// dst (a reused scratch slice).
+// slotCols resolves the keyer's slot columns out of the side's page columns
+// into dst (a reused scratch slice).
 func (k *keyer) slotCols(cols [][]int64, dst [][]int64) [][]int64 {
 	dst = dst[:0]
 	for _, slot := range k.slots {
@@ -271,7 +275,9 @@ func (k *keyer) evalCols(kcols [][]int64, n int, dst [][]int64) [][]int64 {
 
 // hashKeyCols folds the composite FNV-1a key hash for rows [0,n) of
 // already-evaluated key columns into dst: slot-major, each value's eight
-// bytes low byte first (arithmetic shift on the signed value).
+// bytes low byte first (arithmetic shift on the signed value). A value in
+// [0, 2¹⁶) has zero bytes 2–7, whose six steps, with byte 1's multiply,
+// fold into one multiply by fnvPrime64Pow7; the hash is the same.
 func hashKeyCols(keyv [][]int64, n int, dst []uint64) []uint64 {
 	if cap(dst) < n {
 		dst = make([]uint64, n)
@@ -284,6 +290,10 @@ func hashKeyCols(keyv [][]int64, n int, dst []uint64) []uint64 {
 		col := keyv[s][:n]
 		for i := 0; i < n; i++ {
 			h, v := dst[i], col[i]
+			if u := uint64(v); u < 1<<16 {
+				dst[i] = ((h^(u&0xff))*fnvPrime64 ^ u>>8) * fnvPrime64Pow7
+				continue
+			}
 			h = (h ^ (uint64(v) & 0xff)) * fnvPrime64
 			h = (h ^ (uint64(v>>8) & 0xff)) * fnvPrime64
 			h = (h ^ (uint64(v>>16) & 0xff)) * fnvPrime64

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"math/bits"
 
 	"hybridship/internal/catalog"
 	"hybridship/internal/sim"
@@ -14,7 +15,15 @@ type joinAlloc struct {
 	memPages   int
 	nParts     int     // spilled partitions (0 = fully in-memory)
 	frac0      float64 // hash-space share of the in-memory partition
+	memCut     uint64  // ⌈frac0·2²⁴⌉: 24-bit hash prefixes below it stay in memory
 	chunkPages int     // extent chunk per spilled partition
+}
+
+// setShare sets the in-memory partition's hash-space share frac0 and the
+// prefix cut route tests against.
+func (al *joinAlloc) setShare(frac0 float64) {
+	al.frac0 = frac0
+	al.memCut = uint64(math.Ceil(frac0 * (1 << 24)))
 }
 
 func (e *engine) joinAllocFor(innerPages, outerPages int) joinAlloc {
@@ -23,7 +32,7 @@ func (e *engine) joinAllocFor(innerPages, outerPages int) joinAlloc {
 	if e.cfg.Params.MaxAlloc {
 		al.memPages = int(math.Ceil(fn)) + 1
 		al.nParts = 0
-		al.frac0 = 1
+		al.setShare(1)
 		return al
 	}
 	al.memPages = int(math.Ceil(math.Sqrt(fn)))
@@ -40,14 +49,14 @@ func (e *engine) joinAllocFor(innerPages, outerPages int) joinAlloc {
 		if p0 < 0 {
 			p0 = 0
 		}
-		al.frac0 = float64(p0) / fn
+		al.setShare(float64(p0) / fn)
 		bigger := innerPages
 		if outerPages > bigger {
 			bigger = outerPages
 		}
 		al.chunkPages = int(math.Ceil(e.cfg.Params.FudgeF*float64(bigger)/float64(b))) + 2
 	} else {
-		al.frac0 = 1
+		al.setShare(1)
 	}
 	return al
 }
@@ -58,8 +67,11 @@ func (al joinAlloc) route(h uint64) int {
 		return 0
 	}
 	// Use high bits for the memory/spill split and low bits for the spilled
-	// partition number, keeping the two decisions independent.
-	if float64(h>>40)/float64(1<<24) < al.frac0 {
+	// partition number, keeping the two decisions independent. The prefix
+	// x = h>>40 is below memCut exactly when x/2²⁴ < frac0: both sides
+	// scale by a power of two without rounding, and an integer is below a
+	// real exactly when it is below the real's ceiling.
+	if h>>40 < al.memCut {
 		return 0
 	}
 	return 1 + int(h%uint64(al.nParts))
@@ -71,46 +83,42 @@ func (al joinAlloc) route(h uint64) int {
 // partition back is sequential while concurrent partition writes force arm
 // movement — the access pattern of a real hybrid hash join.
 //
-// A page holds only the columns its pass reads (cols): the build side's for
-// an inner partition, every other column for an outer one. Pool batches keep
-// full width, so the remaining columns hold stale values; the read-back pass
-// never reads them (the keyer's slots and the merged emit both stay inside
-// cols).
+// A page has the width of the join side's input pages and the same column
+// layout, so the read-back pass handles it as it would an input page.
 type partition struct {
 	pages []*colBatch // sealed pages in write order; nil once read back
 	addrs []diskAddr  // temp page of each sealed page
 	cur   *colBatch   // page being filled; nil when empty
-	cols  []int       // columns copied into the pages
 
-	w, tpp int
-	chunk  int      // extent chunk size, pages
-	next   diskAddr // next free page of the current chunk
-	left   int      // pages remaining in the current chunk
+	tpp   int
+	chunk int      // extent chunk size, pages
+	next  diskAddr // next free page of the current chunk
+	left  int      // pages remaining in the current chunk
 }
 
 // newPartition pre-sizes the page lists to one extent chunk, the join's
 // estimate of a partition's page count; like hashTable.reserve, the hint
 // moves memory only.
-func newPartition(cols []int, w, tpp, chunk int) *partition {
-	return &partition{cols: cols, w: w, tpp: tpp, chunk: chunk,
+func newPartition(tpp, chunk int) *partition {
+	return &partition{tpp: tpp, chunk: chunk,
 		pages: make([]*colBatch, 0, chunk), addrs: make([]diskAddr, 0, chunk)}
 }
 
-// fill copies rows (in row order) of src onto the partition's pages, a
-// column at a time. A page that reaches tpp rows is detached unsealed and
-// appended to seals with the input row that filled it: sealing is
-// kernel-visible, so the caller seals in input-row order, behind the
-// charges of the rows before it.
+// fill copies rows (in row order) of src, an input page's columns, onto the
+// partition's pages, a column at a time. A page that reaches tpp rows is
+// detached unsealed and appended to seals with the input row that filled
+// it: sealing is kernel-visible, so the caller seals in input-row order,
+// behind the charges of the rows before it.
 func (pt *partition) fill(bp *batchPool, src [][]int64, rows []int32, seals []sealEvent) []sealEvent {
 	for len(rows) > 0 {
 		b := pt.cur
 		if b == nil {
-			b = bp.get(pt.w, pt.tpp)
+			b = bp.get(len(src), pt.tpp)
 			pt.cur = b
 		}
 		k := min(pt.tpp-b.n, len(rows))
-		for _, c := range pt.cols {
-			dst, s := b.data[c*b.stride+b.n:c*b.stride+b.n+k], src[c]
+		for c, s := range src {
+			dst := b.data[c*b.stride+b.n : c*b.stride+b.n+k]
 			for x, r := range rows[:k] {
 				dst[x] = s[r]
 			}
@@ -197,19 +205,16 @@ type hashJoin struct {
 	pkey   *keyer
 	acc    *chargeAcc
 	tpp    int
-	w      int
+	w      int // output width: the relation count of inner and outer
 	// allocation (computed from catalog estimates, like a real system
 	// granting the optimizer's memory request)
 	al joinAlloc
 
-	// buildCols are the build side's columns, in the table's column order;
-	// probeCols are all the others. A column is non-absent in a subtree's
-	// output exactly when its relation is one of the subtree's base tables
-	// (scans set only their own slot; joins merge disjoint sides), so
-	// merge(build, probe) takes buildCols from the table and probeCols from
-	// the probe row, never re-checking absent per value. Column i is the slot
-	// of Relations[i], whose mask bit is i.
-	buildCols, probeCols []int
+	// buildOut[k] and probeOut[k] are the output columns of column k of a
+	// build and of a probe page: the rank of its relation's mask bit in
+	// inner|outer. The two sides' relations are disjoint, so an output row
+	// is merge(build entry, probe row), every column written once.
+	buildOut, probeOut []int
 
 	// moveTuple is MoveInst·ResultTupleBytes/4, the instructions to move one
 	// result tuple. Evaluated left to right, moveTuple·matches has the bits of
@@ -238,7 +243,7 @@ type hashJoin struct {
 }
 
 // pageKeys is one join side's scratch for the page in hand: its resolved
-// columns, key slot columns, evaluated key values (Next applied) and
+// columns, key columns, evaluated key values (Next applied) and
 // per-row composite key hashes.
 type pageKeys struct {
 	cols, kcols, keyv [][]int64
@@ -256,11 +261,14 @@ func (pk *pageKeys) load(k *keyer, b *colBatch) {
 
 // kernelScratch is the page kernels' reused per-page state.
 type kernelScratch struct {
-	mem   []int32 // rows of the in-memory partition, in row order
+	mem   []int32 // rows of the in-memory partition, in row order: memBuf or all
 	spill []int32 // rows of spilled partitions, grouped by partition, row order within
 	part  []int32 // per row: its partition, 0 = in memory
 	cnt   []int32 // per partition: row count, then start offset in spill
 	seals []sealEvent
+
+	memBuf []int32 // mem's storage on a spilling page
+	all    []int32 // 0, 1, 2, …: mem on a page that spills nothing
 
 	heads      []int32    // per probed row: its bucket's first entry
 	mrow, ment []int32    // matches in emit order: probe row, build entry
@@ -280,7 +288,6 @@ func (e *engine) newHashJoin(at catalog.SiteID, inner, outer iterator,
 		pkey:      newKeyer(e.cfg.Query, outerTables, innerTables, e.cfg.Next),
 		acc:       acc,
 		tpp:       tuplesPerPage(pr.PageSize, e.cfg.Query.ResultTupleBytes),
-		w:         len(e.cfg.Query.Relations),
 		al:        e.joinAllocFor(innerPages, outerPages),
 		moveTuple: pr.MoveInst * float64(e.cfg.Query.ResultTupleBytes) / 4,
 	}
@@ -289,14 +296,20 @@ func (e *engine) newHashJoin(at catalog.SiteID, inner, outer iterator,
 		j.movePart[n] = sim.Time(pr.CPUTime(j.moveTuple * float64(n)))
 	}
 	j.estBuild = int(float64(innerPages) * j.al.frac0 * float64(j.tpp))
-	for c := 0; c < j.w; c++ {
-		if innerTables&(1<<uint(c)) != 0 {
-			j.buildCols = append(j.buildCols, c)
-		} else {
-			j.probeCols = append(j.probeCols, c)
-		}
-	}
+	j.buildOut = outCols(innerTables, innerTables|outerTables)
+	j.probeOut = outCols(outerTables, innerTables|outerTables)
+	j.w = bits.OnesCount64(innerTables | outerTables)
 	return j
+}
+
+// outCols maps the columns of a side's pages (side's mask bits, ascending)
+// to their columns in a page of mask out ⊇ side.
+func outCols(side, out uint64) []int {
+	cols := make([]int, 0, bits.OnesCount64(side))
+	for m := side; m != 0; m &= m - 1 {
+		cols = append(cols, slotCol(out, m&-m))
+	}
+	return cols
 }
 
 func (j *hashJoin) open(p *sim.Proc) {
@@ -306,11 +319,11 @@ func (j *hashJoin) open(p *sim.Proc) {
 	j.inner.open(p)
 	j.outer.open(p)
 
-	j.table = j.e.pool.getTable(len(j.buildCols), len(j.bkey.slots))
+	j.table = j.e.pool.getTable(len(j.buildOut), len(j.bkey.slots))
 	j.table.reserve(j.estBuild)
 	for i := 0; i < j.al.nParts; i++ {
-		j.innerParts = append(j.innerParts, newPartition(j.buildCols, j.w, j.tpp, j.al.chunkPages))
-		j.outerParts = append(j.outerParts, newPartition(j.probeCols, j.w, j.tpp, j.al.chunkPages))
+		j.innerParts = append(j.innerParts, newPartition(j.tpp, j.al.chunkPages))
+		j.outerParts = append(j.outerParts, newPartition(j.tpp, j.al.chunkPages))
 	}
 
 	// Build phase: consume the inner completely.
@@ -331,16 +344,18 @@ func (j *hashJoin) open(p *sim.Proc) {
 // route splits the page's rows [0,n) between the in-memory partition
 // (ks.mem) and the spilled partitions parts (ks.spill, grouped by partition,
 // each group in row order). With no spilled partitions every row stays in
-// memory.
+// memory, and ks.mem is a prefix of the identity selection ks.all, kept
+// apart from the spilling pages' ks.memBuf.
 func (j *hashJoin) route(hash []uint64, n int, parts []*partition) {
 	ks := &j.ks
-	ks.mem = ks.mem[:0]
 	if len(parts) == 0 {
-		for i := 0; i < n; i++ {
-			ks.mem = append(ks.mem, int32(i))
+		for i := len(ks.all); i < n; i++ {
+			ks.all = append(ks.all, int32(i))
 		}
+		ks.mem = ks.all[:n]
 		return
 	}
+	ks.mem = ks.memBuf[:0]
 	ks.part = ks.part[:0]
 	ks.cnt = ks.cnt[:0]
 	for range len(parts) + 1 {
@@ -354,6 +369,7 @@ func (j *hashJoin) route(hash []uint64, n int, parts []*partition) {
 			ks.mem = append(ks.mem, int32(i))
 		}
 	}
+	ks.memBuf = ks.mem
 	// Counting sort of the spilled rows by partition, stable in row order.
 	off := int32(0)
 	for r := 1; r < len(ks.cnt); r++ {
@@ -412,7 +428,7 @@ func (j *hashJoin) buildPage(p *sim.Proc, b *colBatch, parts []*partition) {
 	bk := &j.build
 	bk.load(j.bkey, b)
 	j.route(bk.hash, b.n, parts)
-	j.table.insertRows(j.ks.mem, b.n, bk.hash, bk.cols, j.buildCols, bk.keyv)
+	j.table.insertRows(j.ks.mem, b.n, bk.hash, bk.cols, bk.keyv)
 	for _, ev := range j.spill(bk.cols, parts) {
 		ev.pt.seal(j.e, p, j.atSite, j.acc, ev.b)
 	}
@@ -531,13 +547,13 @@ func (j *hashJoin) emit(cols [][]int64) {
 		at := j.cur.n
 		k := min(j.tpp-at, len(ment))
 		for c, src := range j.table.cols {
-			dst := j.curCols[j.buildCols[c]][at : at+k]
+			dst := j.curCols[j.buildOut[c]][at : at+k]
 			for x, e := range ment[:k] {
 				dst[x] = src[e]
 			}
 		}
-		for _, c := range j.probeCols {
-			dst, src := j.curCols[c][at:at+k], cols[c]
+		for c, src := range cols {
+			dst := j.curCols[j.probeOut[c]][at : at+k]
 			for x, r := range mrow[:k] {
 				dst[x] = src[r]
 			}

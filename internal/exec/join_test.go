@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -23,26 +24,29 @@ func newTestJoin(t testing.TB) (*engine, *hashJoin) {
 	e := s.e
 	inner, outer := cfg.Query.RelMask("R0"), cfg.Query.RelMask("R1")
 	j := e.newHashJoin(catalog.Client, nil, nil, inner, outer, 4, 4, &chargeAcc{site: e.client})
-	j.table = e.pool.getTable(len(j.buildCols), len(j.bkey.slots))
+	j.table = e.pool.getTable(len(j.buildOut), len(j.bkey.slots))
 	return e, j
 }
 
-// relPage returns a full pooled page of rel's rows with ids 0..tpp-1 and
-// every other column absent. With the moderate chain's Next, R1 rows walk
+// relPage returns a full pooled one-column page of rel's rows with ids
+// 0..tpp-1, a scan's page. With the moderate chain's Next, R1 rows walk
 // back into R0's ids.
 func relPage(e *engine, j *hashJoin, rel string) *colBatch {
-	b := e.pool.get(j.w, j.tpp)
+	b := e.pool.get(1, j.tpp)
 	b.n = j.tpp
-	for c := 0; c < j.w; c++ {
-		col := b.col(c)
-		for i := range col {
-			col[i] = absent
-			if uint64(1)<<c == e.cfg.Query.RelMask(rel) {
-				col[i] = int64(i)
-			}
-		}
+	for i, col := 0, b.col(0); i < len(col); i++ {
+		col[i] = int64(i)
 	}
 	return b
+}
+
+// freeBatches counts the batches on bp's free lists, over every width.
+func freeBatches(bp *batchPool) int {
+	n := 0
+	for _, free := range bp.batches {
+		n += len(free)
+	}
+	return n
 }
 
 // drainOutput releases the join's output pages and pending charge parts,
@@ -117,7 +121,7 @@ func TestSpillPageZeroAlloc(t *testing.T) {
 	for i := range rows {
 		rows[i] = int32(i)
 	}
-	pt := newPartition(j.buildCols, j.w, j.tpp, 1)
+	pt := newPartition(j.tpp, 1)
 	var seals []sealEvent
 	fill := func() {
 		seals = pt.fill(&e.pool, src, rows, seals[:0])
@@ -191,8 +195,8 @@ func TestSpillReturnsPoolStorage(t *testing.T) {
 				t.Fatal("no join spilled; the check is not exercising partition pages")
 			}
 			bp := &e.pool
-			if len(bp.batches) != bp.newBatches {
-				t.Errorf("pool holds %d of the %d batches it created", len(bp.batches), bp.newBatches)
+			if n := freeBatches(bp); n != bp.newBatches {
+				t.Errorf("pool holds %d of the %d batches it created", n, bp.newBatches)
 			}
 			if len(bp.tables) != bp.newTables {
 				t.Errorf("pool holds %d of the %d tables it created", len(bp.tables), bp.newTables)
@@ -201,10 +205,11 @@ func TestSpillReturnsPoolStorage(t *testing.T) {
 	}
 }
 
-// kernelCase is one input to the join page kernels: a join over 4-column
-// rows whose build side holds columns 0 and 1 and whose probe side holds 2
-// and 3, keyed on kw of them each, with the kernel-visible shape (page
-// size tpp, spilled partition count, memory share, temp chunk) set
+// kernelCase is one input to the join page kernels: a join of a build side
+// scanning relation slots 0 and 1 with a probe side scanning slots 2 and 3,
+// so that each side's pages have two columns and the output pages four,
+// keyed on the first kw columns of each side, with the kernel-visible shape
+// (page size tpp, spilled partition count, memory share, temp chunk) set
 // directly.
 type kernelCase struct {
 	kw, nParts, tpp, chunk int
@@ -212,7 +217,14 @@ type kernelCase struct {
 	inner, outer           [][]kernelRow // input pages
 }
 
+// kernelRow is one row by relation slot; a slot outside the row's side
+// holds noSlot.
 type kernelRow [4]int64
+
+const noSlot = int64(-1)
+
+// The relation slots of the columns of a build, a probe and an output page.
+var buildSlots, probeSlots, outSlots = []int{0, 1}, []int{2, 3}, []int{0, 1, 2, 3}
 
 // kernelRun is what one run of a kernelCase leaves behind.
 type kernelRun struct {
@@ -231,8 +243,6 @@ type kernelDispatch struct {
 	proc    string
 	cpuReqs int64
 }
-
-const kernelW = 4
 
 // decodeKernelCase reads a case from fuzz bytes; missing bytes read as 0.
 func decodeKernelCase(data []byte) kernelCase {
@@ -259,9 +269,9 @@ func decodeKernelCase(data []byte) kernelCase {
 				b := next()
 				v0, v1 := int64(b&3), int64(b>>2&3)
 				if build {
-					pg[i] = kernelRow{v0, v1, absent, absent}
+					pg[i] = kernelRow{v0, v1, noSlot, noSlot}
 				} else {
-					pg[i] = kernelRow{absent, absent, v0, v1}
+					pg[i] = kernelRow{noSlot, noSlot, v0, v1}
 				}
 			}
 			ps = append(ps, pg)
@@ -288,23 +298,26 @@ func kernelSession(t *testing.T, tr *[]kernelDispatch) *engine {
 	return e
 }
 
-// newKernelJoin builds c's join at the client of e over the given inputs.
+// newKernelJoin builds c's join at the client of e over the given inputs:
+// its column layout comes from the two sides' relation masks.
 func newKernelJoin(e *engine, c kernelCase, inner, outer iterator) *hashJoin {
-	j := e.newHashJoin(catalog.Client, inner, outer, 1, 2, 1, 1, &chargeAcc{})
-	j.w, j.tpp = kernelW, c.tpp
-	j.buildCols, j.probeCols = []int{0, 1}, []int{2, 3}
+	j := e.newHashJoin(catalog.Client, inner, outer, 0b0011, 0b1100, 1, 1, &chargeAcc{})
+	j.tpp = c.tpp
 	j.bkey = &keyer{slots: []int{0, 1}[:c.kw], applyNx: make([]bool, c.kw)}
-	j.pkey = &keyer{slots: []int{2, 3}[:c.kw], applyNx: make([]bool, c.kw)}
-	j.al = joinAlloc{memPages: 2, nParts: c.nParts, frac0: c.frac0, chunkPages: c.chunk}
+	j.pkey = &keyer{slots: []int{0, 1}[:c.kw], applyNx: make([]bool, c.kw)}
+	j.al = joinAlloc{memPages: 2, nParts: c.nParts, chunkPages: c.chunk}
+	j.al.setShare(c.frac0)
 	if c.nParts == 0 {
-		j.al.frac0 = 1
+		j.al.setShare(1)
 	}
 	return j
 }
 
-// kernelIter hands out pooled copies of its pages and calls eof when drained.
+// kernelIter hands out pooled copies of its pages, one column per slot of
+// slots, and calls eof when drained.
 type kernelIter struct {
 	e     *engine
+	slots []int
 	pages [][]kernelRow
 	eof   func()
 }
@@ -321,39 +334,44 @@ func (it *kernelIter) next(p *sim.Proc) (*colBatch, bool) {
 	}
 	pg := it.pages[0]
 	it.pages = it.pages[1:]
-	b := it.e.pool.get(kernelW, max(len(pg), 1))
+	b := it.e.pool.get(len(it.slots), max(len(pg), 1))
 	b.n = len(pg)
-	for c := range kernelW {
+	for c, slot := range it.slots {
 		col := b.col(c)
 		for i, r := range pg {
-			col[i] = r[c]
+			col[i] = r[slot]
 		}
 	}
 	return b, true
 }
 
-func batchRows(b *colBatch, cols []int) []kernelRow {
+// batchRows reads page b's rows by slot: column k holds slot slots[k]. A
+// page of another width than len(slots) breaks the layout, and panics.
+func batchRows(b *colBatch, slots []int) []kernelRow {
+	if b.w != len(slots) {
+		panic(fmt.Sprintf("page has %d columns, want %d (slots %v)", b.w, len(slots), slots))
+	}
 	rows := make([]kernelRow, b.n)
 	for i := range rows {
-		rows[i] = kernelRow{absent, absent, absent, absent}
-		for _, c := range cols {
-			rows[i][c] = b.col(c)[i]
+		rows[i] = kernelRow{noSlot, noSlot, noSlot, noSlot}
+		for k, slot := range slots {
+			rows[i][slot] = b.col(k)[i]
 		}
 	}
 	return rows
 }
 
 // partitionRows copies out each partition's pages, the one being filled
-// last.
-func partitionRows(pts []*partition) [][][]kernelRow {
+// last; slots are the partition's side's.
+func partitionRows(pts []*partition, slots []int) [][][]kernelRow {
 	var out [][][]kernelRow
 	for _, pt := range pts {
 		var pages [][]kernelRow
 		for _, b := range pt.pages {
-			pages = append(pages, batchRows(b, pt.cols))
+			pages = append(pages, batchRows(b, slots))
 		}
 		if pt.cur != nil {
-			pages = append(pages, batchRows(pt.cur, pt.cols))
+			pages = append(pages, batchRows(pt.cur, slots))
 		}
 		out = append(out, pages)
 	}
@@ -365,17 +383,18 @@ func runKernelJoin(t *testing.T, c kernelCase) kernelRun {
 	var r kernelRun
 	e := kernelSession(t, &r.trace)
 	var j *hashJoin
-	outer := &kernelIter{e: e, pages: c.outer, eof: func() { r.outerSpill = partitionRows(j.outerParts) }}
-	j = newKernelJoin(e, c, &kernelIter{e: e, pages: c.inner}, outer)
+	outer := &kernelIter{e: e, slots: probeSlots, pages: c.outer,
+		eof: func() { r.outerSpill = partitionRows(j.outerParts, probeSlots) }}
+	j = newKernelJoin(e, c, &kernelIter{e: e, slots: buildSlots, pages: c.inner}, outer)
 	e.sim.Spawn("join", func(p *sim.Proc) {
 		j.open(p)
-		r.innerSpill = partitionRows(j.innerParts)
+		r.innerSpill = partitionRows(j.innerParts, buildSlots)
 		for {
 			b, ok := j.next(p)
 			if !ok {
 				break
 			}
-			r.out = append(r.out, batchRows(b, []int{0, 1, 2, 3}))
+			r.out = append(r.out, batchRows(b, outSlots))
 			e.pool.put(b)
 		}
 		j.acc.flush(p)
@@ -621,19 +640,12 @@ func TestSpillSealFlushesFirst(t *testing.T) {
 					spill = max(spill, v)
 				}
 			}
-			page := func(build bool, keys ...int64) *colBatch {
-				b := e.pool.get(kernelW, len(keys))
+			// A page of either side: the key column, then a zero column.
+			page := func(keys ...int64) *colBatch {
+				b := e.pool.get(2, len(keys))
 				b.n = len(keys)
-				for c := range kernelW {
-					for i := range keys {
-						b.col(c)[i] = absent
-					}
-				}
-				kc := 2
-				if build {
-					kc = 0
-				}
-				copy(b.col(kc), keys)
+				copy(b.col(0), keys)
+				clear(b.col(1))
 				return b
 			}
 			// Rows 0 and 1 go to memory, rows 2 and 3 fill the spill page,
@@ -657,18 +669,17 @@ func TestSpillSealFlushesFirst(t *testing.T) {
 				}
 			}
 			e.sim.Spawn("join", func(p *sim.Proc) {
-				j.table = e.pool.getTable(len(j.buildCols), c.kw)
-				parts := []*partition{newPartition(j.buildCols, j.w, j.tpp, c.chunk)}
+				j.table = e.pool.getTable(len(j.buildOut), c.kw)
+				parts := []*partition{newPartition(j.tpp, c.chunk)}
 				if side == "probe" {
-					j.buildPage(p, page(true, mem), nil)
-					parts[0].cols = j.probeCols
+					j.buildPage(p, page(mem), nil)
 				}
 				j.acc.flush(p)
 				base, tempBefore, armed = e.client.cpu.Requests(), e.client.tempRR, true
 				if side == "build" {
-					j.buildPage(p, page(true, keys...), parts)
+					j.buildPage(p, page(keys...), parts)
 				} else {
-					j.probePage(p, page(false, keys...), parts)
+					j.probePage(p, page(keys...), parts)
 				}
 				armed = false
 				if len(parts[0].pages) != 1 {
@@ -705,8 +716,8 @@ func TestSpillSealFlushesFirst(t *testing.T) {
 func TestProbeCountsCandidatesByHash(t *testing.T) {
 	e, j := newTestJoin(t)
 	const h, h2, h3 = 0xfeed, 0xfeed + 1<<20, 0xbeef
-	cols := [][]int64{{10, 11, 12, 13}, {absent, absent, absent, absent}}
-	j.table.insertRows([]int32{0, 1, 2, 3}, 4, []uint64{h, h, h, h2}, cols, j.buildCols, [][]int64{{5, 6, 5, 9}})
+	cols := [][]int64{{10, 11, 12, 13}}
+	j.table.insertRows([]int32{0, 1, 2, 3}, 4, []uint64{h, h, h, h2}, cols, [][]int64{{5, 6, 5, 9}})
 	j.ks.mem = append(j.ks.mem[:0], 0, 1, 2)
 	j.probeRows([]uint64{h, h, h3}, [][]int64{{5, 7, 5}})
 

@@ -47,7 +47,7 @@ func (e *engine) build(bp *BoundPlan, b plan.Binding, i int32, consumerSite cata
 		it = e.newScan(bp, i, site, att, sub)
 	case plan.KindSelect:
 		child := e.build(bp, b, nd.Left, site, att, sub)
-		it = e.newSelect(bp.flat.Src[i].Rel, site, child, sub)
+		it = e.newSelect(bp.flat.Src[i].Rel, bp.facts[i].mask, site, child, sub)
 	case plan.KindAgg:
 		child := e.build(bp, b, nd.Left, site, att, sub)
 		it = e.newAgg(site, child, sub)
@@ -67,14 +67,12 @@ func (e *engine) build(bp *BoundPlan, b plan.Binding, i int32, consumerSite cata
 
 // scanIter produces all tuples of a base relation (§2.1), one page per
 // batch: scanOp pays each page's I/O and CPU, and the iterator materializes
-// the page's row ids as a columnar batch. Only the iterator holds the
+// the page's row ids as a one-column batch. Only the iterator holds the
 // charge accumulator, and it flushes before every fill, so scanOp's I/O
 // paths never run with coalesced charges pending.
 type scanIter struct {
 	*scanOp
 	acc *chargeAcc
-	w   int // tuple width (query relations)
-	idx int // this relation's column
 }
 
 // scanOp pays for a base relation's pages in order. At a server copy it
@@ -147,7 +145,7 @@ func (e *engine) newScan(bp *BoundPlan, i int32, at catalog.SiteID, att *attempt
 			s.atRole = RoleSecondary
 		}
 	}
-	return &scanIter{scanOp: s, acc: acc, w: len(e.cfg.Query.Relations), idx: bits.TrailingZeros64(bp.facts[i].mask)}
+	return &scanIter{scanOp: s, acc: acc}
 }
 
 func (s *scanIter) open(p *sim.Proc) {
@@ -242,21 +240,12 @@ func (s *scanIter) next(p *sim.Proc) (*colBatch, bool) {
 	if rem := s.relTuples - s.nextID; int64(n) > rem {
 		n = int(rem)
 	}
-	b := s.e.pool.get(s.w, s.tpp)
+	b := s.e.pool.get(1, s.tpp)
 	b.n = n
-	for c := 0; c < s.w; c++ {
-		col := b.col(c)
-		if c == s.idx {
-			id := s.nextID
-			for i := 0; i < n; i++ {
-				col[i] = id
-				id++
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				col[i] = absent
-			}
-		}
+	col, id := b.col(0), s.nextID
+	for i := 0; i < n; i++ {
+		col[i] = id
+		id++
 	}
 	s.nextID += int64(n)
 	return b, true
@@ -275,8 +264,8 @@ type selectOp struct {
 	child  iterator
 	acc    *chargeAcc
 
-	idx  int
-	w    int
+	idx  int // the relation's column
+	w    int // the child's page width
 	tpp  int
 	sel  []int32 // selection vector scratch
 	cur  *colBatch
@@ -284,11 +273,13 @@ type selectOp struct {
 	done bool
 }
 
-func (e *engine) newSelect(rel string, at catalog.SiteID, child iterator, acc *chargeAcc) *selectOp {
+// newSelect builds the selection on rel over child, whose subtree scans the
+// relations of mask.
+func (e *engine) newSelect(rel string, mask uint64, at catalog.SiteID, child iterator, acc *chargeAcc) *selectOp {
 	return &selectOp{
 		e: e, rel: rel, atSite: e.site(at), child: child, acc: acc,
-		idx: bits.TrailingZeros64(e.cfg.Query.RelMask(rel)),
-		w:   len(e.cfg.Query.Relations),
+		idx: slotCol(mask, e.cfg.Query.RelMask(rel)),
+		w:   bits.OnesCount64(mask),
 		tpp: tuplesPerPage(e.cfg.Params.PageSize, e.cfg.Query.ResultTupleBytes),
 	}
 }
@@ -358,10 +349,10 @@ func (s *selectOp) close(p *sim.Proc) { s.child.close(p) }
 
 // aggOp is a blocking grouped aggregation (paper footnote 4): it consumes
 // its whole input, maintaining one running count per group (group = a hash
-// of the tuple's row ids modulo the query's GroupBy), then emits one tuple
-// per non-empty group. Like a selection it may run at its producer's site —
-// where it can shrink the data shipped to the client dramatically — or at
-// the consumer's.
+// of the tuple's row ids, folded in column order, modulo the query's
+// GroupBy), then emits one tuple per non-empty group. Like a selection it
+// may run at its producer's site — where it can shrink the data shipped to
+// the client dramatically — or at the consumer's.
 type aggOp struct {
 	e      *engine
 	atSite *site
@@ -399,9 +390,7 @@ func (a *aggOp) open(p *sim.Proc) {
 		for i := 0; i < in.n; i++ {
 			var h uint64
 			for c := 0; c < in.w; c++ {
-				if id := in.col(c)[i]; id != absent {
-					h = mix64(h ^ uint64(id))
-				}
+				h = mix64(h ^ uint64(in.col(c)[i]))
 			}
 			a.counts[int64(h%uint64(a.groups))]++
 		}

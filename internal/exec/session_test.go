@@ -161,21 +161,21 @@ func TestSessionReleaseHandsStorageOn(t *testing.T) {
 		if want, err = runOnSession(t, first, root, QueryOpts{}); err != nil {
 			t.Fatal(err)
 		}
-		tables, batches = len(first.e.pool.tables), len(first.e.pool.batches)
+		tables, batches = len(first.e.pool.tables), freeBatches(&first.e.pool)
 		if tables == 0 {
 			t.Fatal("the query left no table in the pool; the check is not exercising join storage")
 		}
 		first.Release()
-		if n := len(first.e.pool.tables) + len(first.e.pool.batches); n != 0 {
+		if n := len(first.e.pool.tables) + freeBatches(&first.e.pool); n != 0 {
 			t.Fatalf("released session still pools %d items", n)
 		}
 		if ses = mustSession(t, cfg); len(ses.e.pool.tables) > 0 {
 			break
 		}
 	}
-	if len(ses.e.pool.tables) != tables || len(ses.e.pool.batches) != batches {
+	if len(ses.e.pool.tables) != tables || freeBatches(&ses.e.pool) != batches {
 		t.Fatalf("new session pools %d tables and %d batches, want the released %d and %d",
-			len(ses.e.pool.tables), len(ses.e.pool.batches), tables, batches)
+			len(ses.e.pool.tables), freeBatches(&ses.e.pool), tables, batches)
 	}
 	created := ses.e.pool.newTables
 	got, err := runOnSession(t, ses, root, QueryOpts{})

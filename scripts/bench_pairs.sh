@@ -4,9 +4,14 @@
 # once in the working tree, `pairs` times, alternating which side runs
 # first so that a drift in the host's speed falls on both sides alike. For
 # every end-to-end metric of BENCHMARK.json it prints each side's median
-# and quartiles, the change of the medians, and in how many pairs the
-# working tree did better. The last line of output is one JSON object with
-# the same numbers, the line BENCH_ledger.jsonl keeps per change.
+# and quartiles, the change of the medians, in how many pairs the working
+# tree did better, the per-pair head/base ratio's median and quartiles,
+# and the verdict of a two-sided sign test over the pairs: "better shown"
+# or "worse shown" when the wins (or the losses) reach p <= 0.05, with tied
+# pairs left out, and "no change shown" otherwise. Of 10 pairs that takes
+# 9 wins (p = 0.021; 8 wins give p = 0.109). The last line of output is one
+# JSON object with the same numbers, the line BENCH_ledger.jsonl keeps per
+# change; "shown" is "better", "worse" or "none".
 #
 # Usage: scripts/bench_pairs.sh <base-rev> [pairs] [seconds] [workload ...]
 #   pairs    runs per side and workload (default 10)
@@ -62,7 +67,9 @@ run() {
 
 # summary <base-file> <head-file> <better>: for one metric's values (one
 # per line, in pair order), prints "base_q1 base_median base_q3 head_q1
-# head_median head_q3 wins".
+# head_median head_q3 wins ratio_q1 ratio_median ratio_q3 shown". The ratio
+# is head/base per pair, over the pairs whose base is not 0 ("null" when
+# none is); shown is the sign test's verdict.
 summary() {
 	paste "$1" "$2" | awk -v better="$3" '
 		function quartiles(v, n, out,   s, i, j, t, h) {
@@ -78,10 +85,34 @@ summary() {
 			c = hi - lo + 1
 			return c % 2 ? s[lo + (c - 1) / 2] : (s[lo + c / 2 - 1] + s[lo + c / 2]) / 2
 		}
-		{ b[NR] = $1; h[NR] = $2; if (better == "higher" ? $2 > $1 : $2 < $1) wins++ }
+		# signp: the two-sided sign test p-value of k wins out of n untied
+		# pairs, 2 P(X >= max(k, n-k)) for X ~ Binomial(n, 1/2), at most 1.
+		function signp(k, n,   i, c, tail) {
+			if (n == 0) return 1
+			if (k < n - k) k = n - k
+			c = 1
+			for (i = 0; i <= n; i++) {
+				if (i >= k) tail += c
+				c = c * (n - i) / (i + 1)
+			}
+			tail = 2 * tail / 2 ^ n
+			return tail > 1 ? 1 : tail
+		}
+		{
+			b[NR] = $1; h[NR] = $2
+			if (better == "higher" ? $2 > $1 : $2 < $1) wins++
+			else if ($2 != $1) losses++
+			if ($1 != 0) r[++nr] = $2 / $1
+		}
 		END {
 			quartiles(b, NR, bq); quartiles(h, NR, hq)
-			printf "%.6g %.6g %.6g %.6g %.6g %.6g %d\n", bq[1], bq[2], bq[3], hq[1], hq[2], hq[3], wins
+			if (nr > 0) {
+				quartiles(r, nr, rq)
+				ratio = sprintf("%.4f %.4f %.4f", rq[1], rq[2], rq[3])
+			} else ratio = "null null null"
+			shown = "none"
+			if (signp(wins, wins + losses) <= 0.05) shown = wins > losses ? "better" : "worse"
+			printf "%.6g %.6g %.6g %.6g %.6g %.6g %d %s %s\n", bq[1], bq[2], bq[3], hq[1], hq[2], hq[3], wins, ratio, shown
 		}'
 }
 
@@ -100,7 +131,8 @@ for w in $workloads; do
 		fi
 	done
 	echo "== $w: $pairs pairs of $seconds s, base ${base_sha:0:12} vs head ${head_sha:0:12}"
-	printf '%-16s %30s %30s %9s %6s\n' metric "base q1/median/q3" "head q1/median/q3" change wins
+	printf '%-16s %30s %30s %9s %6s %22s  %s\n' metric "base q1/median/q3" "head q1/median/q3" change wins \
+		"ratio median [q1,q3]" verdict
 	[ $first_w -eq 1 ] || ledger="$ledger,"
 	first_w=0
 	ledger="$ledger\"$w\":{"
@@ -108,12 +140,15 @@ for w in $workloads; do
 	while read -r name better; do
 		grep "^$name " "$tmp/$w.base" | cut -d' ' -f2 >"$tmp/b"
 		grep "^$name " "$tmp/$w.head" | cut -d' ' -f2 >"$tmp/h"
-		read -r bq1 bmed bq3 hq1 hmed hq3 wins < <(summary "$tmp/b" "$tmp/h" "$better")
+		read -r bq1 bmed bq3 hq1 hmed hq3 wins rq1 rmed rq3 shown < <(summary "$tmp/b" "$tmp/h" "$better")
 		change=$(awk -v b="$bmed" -v h="$hmed" 'BEGIN { printf "%+.1f%%", b != 0 ? (h - b) / b * 100 : 0 }')
-		printf '%-16s %30s %30s %9s %3d/%d\n' "$name" "$bq1/$bmed/$bq3" "$hq1/$hmed/$hq3" "$change" "$wins" "$pairs"
+		verdict="no change shown"
+		[ "$shown" = none ] || verdict="$shown shown"
+		printf '%-16s %30s %30s %9s %3d/%-2d %22s  %s\n' "$name" "$bq1/$bmed/$bq3" "$hq1/$hmed/$hq3" "$change" "$wins" "$pairs" \
+			"$rmed [$rq1,$rq3]" "$verdict"
 		[ $first_m -eq 1 ] || ledger="$ledger,"
 		first_m=0
-		ledger="$ledger\"$name\":{\"base\":[$bq1,$bmed,$bq3],\"head\":[$hq1,$hmed,$hq3],\"wins\":$wins}"
+		ledger="$ledger\"$name\":{\"base\":[$bq1,$bmed,$bq3],\"head\":[$hq1,$hmed,$hq3],\"wins\":$wins,\"ratio\":[$rq1,$rmed,$rq3],\"shown\":\"$shown\"}"
 	done < <(echo "$metrics"; echo "failed_share lower")
 	ledger="$ledger}"
 done
